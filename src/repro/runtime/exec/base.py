@@ -75,8 +75,10 @@ class Executor(abc.ABC):
     ) -> Any:
         """Run ``callback(*args)`` ``delay`` seconds from now; return a handle.
 
-        The handle exposes ``cancel()`` (idempotent) and a ``time``
-        attribute.  ``delay`` must be >= 0.
+        The handle exposes ``cancel()`` (idempotent), a ``time``
+        attribute, and ``cancelled`` / ``fired`` flags (``fired`` is set
+        by the dispatch loop just before the callback runs; a handle is
+        outstanding while neither is set).  ``delay`` must be >= 0.
         """
 
     @abc.abstractmethod

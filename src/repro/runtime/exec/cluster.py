@@ -22,7 +22,6 @@ building its whole system *inside* the child.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List
@@ -48,8 +47,12 @@ class WorkerReport:
         return self.tuples / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
 
-def _cluster_context() -> multiprocessing.context.BaseContext:
+def _cluster_context() -> "multiprocessing.context.BaseContext":
     """Fork when available (cheap, no pickling of the library), else default."""
+    # imported on use: ~1.3 MiB of resident memory that a process which
+    # never forks a worker cluster (every single-system run) need not pay
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 

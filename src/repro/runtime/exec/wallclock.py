@@ -127,6 +127,7 @@ class WallClockExecutor(Kernel):
             if event.cancelled:  # cancelled while we slept? single-threaded,
                 continue  # but harmless to re-check after the pop
             self._events_processed += 1
+            event.fired = True
             if self.event_tap is not None:
                 self.event_tap(event)
             event.callback(*event.args)
@@ -163,6 +164,7 @@ class WallClockExecutor(Kernel):
                     continue
                 heappop(heap)
                 self._events_processed += 1
+                event.fired = True
                 if self.event_tap is not None:
                     self.event_tap(event)
                 event.callback(*event.args)

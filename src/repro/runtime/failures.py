@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import UnknownHostError, UnknownPEError
-from repro.sim.kernel import Kernel, ScheduledEvent
+from repro.sim.kernel import Kernel, OutstandingHandles, ScheduledEvent
 from repro.runtime.hc import HostController
 from repro.runtime.pe import PEState
 from repro.runtime.sam import SAM
@@ -63,8 +63,8 @@ class FailureInjector:
         self.by_kind: Dict[str, int] = {}
         #: injections that found their target already down, in order
         self.noops: List[NoopInjection] = []
-        #: (handle, fired-flag) per scheduled injection
-        self._pending: List[tuple] = []
+        #: scheduled injections that have neither fired nor been cancelled
+        self._pending = OutstandingHandles()
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -78,33 +78,20 @@ class FailureInjector:
         )
 
     def _schedule(self, at: float, fn, label: str) -> ScheduledEvent:
-        """Schedule an injection callback with an explicit fired flag.
+        """Schedule an injection callback and track its handle.
 
-        ``ScheduledEvent`` cannot tell "already ran" from "pending at the
-        same timestamp", so the wrapper records firing — pending counts
-        and cancel_all stay exact even when queried from a handler
-        running at the injection's own sim instant.
+        The handle's ``fired`` flag tells "already ran" from "pending at
+        the same timestamp", so pending counts and cancel_all stay exact
+        even when queried from a handler running at the injection's own
+        sim instant.
         """
-        fired: List[bool] = []
-
-        def run() -> None:
-            fired.append(True)
-            fn()
-
-        handle = self.kernel.schedule_at(at, run, label=label)
-        self._pending.append((handle, fired))
-        if len(self._pending) > 64:
-            self._pending = [
-                (h, f) for h, f in self._pending if not h.cancelled and not f
-            ]
+        handle = self.kernel.schedule_at(at, fn, label=label)
+        self._pending.add(handle)
         return handle
 
     def pending_count(self) -> int:
         """Scheduled injections that have neither fired nor been cancelled."""
-        return sum(
-            1 for handle, fired in self._pending
-            if not handle.cancelled and not fired
-        )
+        return len(self._pending.outstanding())
 
     def cancel_all(self) -> int:
         """Cancel every still-pending scheduled injection.
@@ -112,13 +99,7 @@ class FailureInjector:
         Returns:
             How many injections were actually retracted.
         """
-        cancelled = 0
-        for handle, fired in self._pending:
-            if not handle.cancelled and not fired:
-                handle.cancel()
-                cancelled += 1
-        self._pending = []
-        return cancelled
+        return self._pending.cancel_all()
 
     def stats(self) -> InjectionStats:
         """Counter snapshot (the ``chaos_status()`` inspection payload)."""

@@ -27,12 +27,13 @@ use cases rely on:
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.checkpoint.store import CheckpointStore, RestoreReport
 from repro.errors import PEControlError
-from repro.sim.kernel import Kernel, ScheduledEvent
-from repro.spl.compiler import CompiledApplication, PESpec
+from repro.sim.kernel import Kernel, OutstandingHandles, ScheduledEvent
+from repro.spl.compiler import PESpec
 from repro.spl.library import Export, Import
 from repro.spl.metrics import MetricKind, MetricRegistry, PEMetricName, OperatorMetricName
 from repro.spl.operators import Operator, OperatorContext
@@ -43,6 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.job import Job
 
 Item = Union[StreamTuple, Punctuation]
+
+#: one resolved edge out of a local operator: destination operator name and
+#: input port, then the live operator object when the destination is fused
+#: into this PE, else the remote PE runtime the transport must reach
+_Hop = Tuple[str, int, Optional[Operator], Optional["PERuntime"]]
 
 
 class PEState(enum.Enum):
@@ -90,7 +96,12 @@ class PERuntime:
         #: what the last ``restart(rehydrate=True)`` restored (None when
         #: the last restart did not request rehydration)
         self.last_restore: Optional[RestoreReport] = None
-        self._pending: List[ScheduledEvent] = []
+        #: operator timers that have neither fired nor been cancelled
+        self._timers = OutstandingHandles()
+        self._opwork_label = f"{pe_id}-opwork"
+        #: bound once: a bound method per ``ctx.schedule`` would be one more
+        #: GC-tracked allocation on the tick path
+        self._guard = self._run_guarded
         self.last_crash_reason: Optional[str] = None
         self.on_crash: Optional[Callable[["PERuntime", str], None]] = None
         #: exactly-once replay depth: while > 0, operator emissions are
@@ -98,7 +109,9 @@ class PERuntime:
         #: being re-processed already sent their outputs downstream in a
         #: previous incarnation, so only the state effect may recur
         self._suppress_emissions = 0
-        self._routes = self._build_routes(job.compiled)
+        #: (src op, out port) -> resolved hops; filled whenever the PE
+        #: (re)gains operator instances or the job's plan is rewired
+        self._routes: Dict[Tuple[str, int], List[_Hop]] = {}
         self._create_pe_metrics()
 
     # -- construction helpers -------------------------------------------------
@@ -112,25 +125,41 @@ class PERuntime:
         return self.state is PEState.RUNNING
 
     def _create_pe_metrics(self) -> None:
-        self.metrics.create(PEMetricName.N_TUPLES_PROCESSED, MetricKind.COUNTER)
-        self.metrics.create(PEMetricName.N_TUPLE_BYTES_PROCESSED, MetricKind.COUNTER)
-        self.metrics.create(PEMetricName.N_TUPLES_SUBMITTED, MetricKind.COUNTER)
-        self.metrics.create(PEMetricName.N_RESTARTS, MetricKind.COUNTER)
+        create = self.metrics.create
+        # the three per-tuple counters are bound once: the tuple path
+        # increments them without a registry lookup
+        self._n_processed = create(PEMetricName.N_TUPLES_PROCESSED, MetricKind.COUNTER)
+        self._n_bytes = create(PEMetricName.N_TUPLE_BYTES_PROCESSED, MetricKind.COUNTER)
+        self._n_submitted = create(PEMetricName.N_TUPLES_SUBMITTED, MetricKind.COUNTER)
+        create(PEMetricName.N_RESTARTS, MetricKind.COUNTER)
 
-    def _build_routes(
-        self, compiled: CompiledApplication
-    ) -> Dict[Tuple[str, int], List[Tuple[str, int, int]]]:
-        """(src op, out port) -> [(dst op, in port, dst PE index)] for local ops."""
-        local = set(self.spec.operators)
-        routes: Dict[Tuple[str, int], List[Tuple[str, int, int]]] = {}
+    def rebuild_routes(self) -> None:
+        """Resolve every edge out of a local operator to its live target.
+
+        Runs whenever the targets may have changed identity: at
+        :meth:`start` and :meth:`restart` (fresh operator instances), and
+        from the elastic controller after a parallel region is rewired
+        (the splitter's PE gains/loses channel PEs while every operator
+        instance keeps running).  Between those calls the tuple path
+        uses the resolved objects as they are — no per-tuple name or
+        index lookup.
+        """
+        compiled = self.job.compiled
+        operators = self.operators
+        routes: Dict[Tuple[str, int], List[_Hop]] = {}
         for edge in compiled.application.graph.edges:
             src_name = edge.src.full_name
-            if src_name not in local:
+            if src_name not in operators:
                 continue
-            routes.setdefault((src_name, edge.src_port), []).append(
-                (edge.dst.full_name, edge.dst_port, compiled.pe_of(edge.dst.full_name))
-            )
-        return routes
+            dst_name = edge.dst.full_name
+            dst_index = compiled.pe_of(dst_name)
+            hop: _Hop
+            if dst_index == self.index:
+                hop = (dst_name, edge.dst_port, operators[dst_name], None)
+            else:
+                hop = (dst_name, edge.dst_port, None, self.job.pe_by_index(dst_index))
+            routes.setdefault((src_name, edge.src_port), []).append(hop)
+        self._routes = routes
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -143,23 +172,25 @@ class PERuntime:
             operator.on_initialize()
 
     def _instantiate_operators(self) -> None:
+        """Fresh operator instances, then routes resolved onto them."""
         graph = self.job.compiled.application.graph
         self.operators = {}
         for op_name in self.spec.operators:
             spec = graph.operators[op_name]
+            route = partial(self._route, op_name)
             ctx = OperatorContext(
                 spec=spec,
                 job_id=self.job.job_id,
                 app_name=self.job.app_name,
                 submission_params=self.job.params,
                 now_fn=lambda: self.kernel.now,
-                submit_fn=self._make_submit(op_name),
-                punct_fn=self._make_punct(op_name),
+                submit_fn=route,
+                punct_fn=route,
                 schedule_fn=self._schedule_guarded,
                 pe_id=self.pe_id,
             )
             ctx.obs = self.obs
-            ctx.submit_batch_fn = self._make_submit_batch(op_name)
+            ctx.submit_batch_fn = partial(self._route_batch, op_name)
             operator = spec.op_class(ctx)
             if isinstance(operator, Export):
                 operator.bind_export(
@@ -168,6 +199,7 @@ class PERuntime:
                     )
                 )
             self.operators[op_name] = operator
+        self.rebuild_routes()
 
     def stop(self, capture_state: bool = True) -> None:
         """Graceful stop: quiesced snapshots captured, shutdown hooks run,
@@ -183,7 +215,7 @@ class PERuntime:
             self.capture_state_snapshots()
         for operator in self.operators.values():
             operator.on_shutdown()
-        self._cancel_pending()
+        self._timers.cancel_all()
         self.state = PEState.STOPPED
 
     def capture_state_snapshots(self) -> Dict[str, dict]:
@@ -237,8 +269,9 @@ class PERuntime:
         """
         if self.state is not PEState.RUNNING:
             return
-        self._cancel_pending()
+        self._timers.cancel_all()
         self.operators = {}
+        self._routes = {}
         self.state = PEState.CRASHED
         self.last_crash_reason = reason
         # Items in flight toward this PE die with the process: they are
@@ -300,67 +333,37 @@ class PERuntime:
         # (a no-op in best-effort mode)
         self.transport.on_pe_restarted(self, restored_watermarks)
 
-    def rebuild_routes(self) -> None:
-        """Re-derive tuple routes after the job's compiled plan changed.
-
-        Called by the elastic controller when a parallel region is rewired:
-        the splitter's PE gains/loses channel destinations while every
-        operator instance keeps running.
-        """
-        self._routes = self._build_routes(self.job.compiled)
-
-    def _cancel_pending(self) -> None:
-        for handle in self._pending:
-            handle.cancel()
-        self._pending = []
-
     def _schedule_guarded(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:
-        """Schedule operator work that silently no-ops if the PE is down."""
+        """Schedule operator work that silently no-ops if the PE is down.
 
-        def guarded() -> None:
-            if self.state is PEState.RUNNING:
-                callback()
-
-        handle = self.kernel.schedule(delay, guarded, label=f"{self.pe_id}-opwork")
-        self._pending.append(handle)
-        if len(self._pending) > 256:
-            self._pending = [h for h in self._pending if not h.cancelled]
+        O(1) amortised however many timers are live or have fired (see
+        :class:`~repro.sim.kernel.OutstandingHandles`); ``stop`` and
+        ``crash`` cancel whatever is still outstanding.
+        """
+        handle = self.kernel.schedule(
+            delay, self._guard, callback, label=self._opwork_label
+        )
+        self._timers.add(handle)
         return handle
+
+    def _run_guarded(self, callback: Callable[[], None]) -> None:
+        if self.state is PEState.RUNNING:
+            callback()
 
     # -- tuple routing ---------------------------------------------------------
 
-    def _make_submit(self, op_name: str) -> Callable[[int, StreamTuple], None]:
-        def submit(port: int, tup: StreamTuple) -> None:
-            self._route(op_name, port, tup)
-
-        return submit
-
-    def _make_punct(self, op_name: str) -> Callable[[int, Punctuation], None]:
-        def submit_punct(port: int, punct: Punctuation) -> None:
-            self._route(op_name, port, punct)
-
-        return submit_punct
-
-    def _make_submit_batch(
-        self, op_name: str
-    ) -> Callable[[int, List[StreamTuple]], None]:
-        def submit_batch(port: int, tuples: List[StreamTuple]) -> None:
-            self._route_batch(op_name, port, tuples)
-
-        return submit_batch
-
     def _route(self, src_op: str, src_port: int, item: Item) -> None:
-        if self.state is not PEState.RUNNING:
-            return
-        if self._suppress_emissions:
+        """Carry one emitted tuple or punctuation along its resolved hops."""
+        if self.state is not PEState.RUNNING or self._suppress_emissions:
             return
         if isinstance(item, StreamTuple):
-            self.metrics.get(PEMetricName.N_TUPLES_SUBMITTED).increment()
-        for dst_name, dst_port, dst_pe_index in self._routes.get((src_op, src_port), ()):
-            if dst_pe_index == self.index:
-                self._deliver_local(dst_name, dst_port, item)
+            self._n_submitted.increment()
+        for dst_name, dst_port, operator, dst_pe in self._routes.get(
+            (src_op, src_port), ()
+        ):
+            if operator is not None:
+                self._deliver_local(operator, dst_port, item)
             else:
-                dst_pe = self.job.pe_by_index(dst_pe_index)
                 self.transport.send(dst_pe, dst_name, dst_port, item, src_pe=self)
 
     def _route_batch(
@@ -372,18 +375,15 @@ class PERuntime:
         ``process_batch``; remote edges use :meth:`Transport.send_batch`
         (one open-batch append for the whole run).
         """
-        if self.state is not PEState.RUNNING or not tuples:
+        if self.state is not PEState.RUNNING or self._suppress_emissions or not tuples:
             return
-        if self._suppress_emissions:
-            return
-        self.metrics.get(PEMetricName.N_TUPLES_SUBMITTED).increment(len(tuples))
-        for dst_name, dst_port, dst_pe_index in self._routes.get(
+        self._n_submitted.increment(len(tuples))
+        for dst_name, dst_port, operator, dst_pe in self._routes.get(
             (src_op, src_port), ()
         ):
-            if dst_pe_index == self.index:
-                self._deliver_local_batch(dst_name, dst_port, tuples)
+            if operator is not None:
+                self._deliver_local_batch(operator, dst_port, tuples)
             else:
-                dst_pe = self.job.pe_by_index(dst_pe_index)
                 self.transport.send_batch(
                     dst_pe, dst_name, dst_port, tuples, src_pe=self
                 )
@@ -405,33 +405,27 @@ class PERuntime:
         """
         if self.state is not PEState.RUNNING:
             return
-        if suppress_emissions:
-            self._suppress_emissions += 1
-            try:
-                if isinstance(item, TupleBatch):
-                    self._deliver_local_batch(op_full_name, port, item.tuples)
-                else:
-                    self._deliver_local(op_full_name, port, item)
-            finally:
-                self._suppress_emissions -= 1
-            return
-        if isinstance(item, TupleBatch):
-            self._deliver_local_batch(op_full_name, port, item.tuples)
-            return
-        self._deliver_local(op_full_name, port, item)
-
-    def _deliver_local(self, op_full_name: str, port: int, item: Item) -> None:
         operator = self.operators.get(op_full_name)
         if operator is None:
             return
+        if suppress_emissions:
+            self._suppress_emissions += 1
+        try:
+            if isinstance(item, TupleBatch):
+                self._deliver_local_batch(operator, port, item.tuples)
+            else:
+                self._deliver_local(operator, port, item)
+        finally:
+            if suppress_emissions:
+                self._suppress_emissions -= 1
+
+    def _deliver_local(self, operator: Operator, port: int, item: Item) -> None:
         if isinstance(item, StreamTuple):
-            self.metrics.get(PEMetricName.N_TUPLES_PROCESSED).increment()
-            self.metrics.get(PEMetricName.N_TUPLE_BYTES_PROCESSED).increment(
-                item.size_bytes
-            )
+            self._n_processed.increment()
+            self._n_bytes.increment(item.size_bytes)
             if self.obs is not None and item.traced:
                 self.obs.record_process(
-                    op_full_name,
+                    operator.ctx.full_name,
                     self.pe_id,
                     self.job.job_id,
                     item.created_at,
@@ -440,7 +434,7 @@ class PERuntime:
         operator._process(item, port)
 
     def _deliver_local_batch(
-        self, op_full_name: str, port: int, tuples: List[StreamTuple]
+        self, operator: Operator, port: int, tuples: List[StreamTuple]
     ) -> None:
         """Batched twin of :meth:`_deliver_local`.
 
@@ -448,15 +442,13 @@ class PERuntime:
         per-tuple process spans (the end-to-end latency histogram keeps
         its meaning), and the operator gets one ``_process_batch`` call.
         """
-        operator = self.operators.get(op_full_name)
-        if operator is None or not tuples:
+        if not tuples:
             return
-        self.metrics.get(PEMetricName.N_TUPLES_PROCESSED).increment(len(tuples))
-        self.metrics.get(PEMetricName.N_TUPLE_BYTES_PROCESSED).increment(
-            sum(tup.size_bytes for tup in tuples)
-        )
+        self._n_processed.increment(len(tuples))
+        self._n_bytes.increment(sum(tup.size_bytes for tup in tuples))
         if self.obs is not None:
             now = self.kernel.now
+            op_full_name = operator.ctx.full_name
             for tup in tuples:
                 if tup.traced:
                     self.obs.record_process(
@@ -475,10 +467,8 @@ class PERuntime:
         operator = self.operators.get(op_full_name)
         if isinstance(operator, Import):
             if isinstance(item, StreamTuple):
-                self.metrics.get(PEMetricName.N_TUPLES_PROCESSED).increment()
-                self.metrics.get(PEMetricName.N_TUPLE_BYTES_PROCESSED).increment(
-                    item.size_bytes
-                )
+                self._n_processed.increment()
+                self._n_bytes.increment(item.size_bytes)
             operator.deliver(item)
 
     # -- metrics ------------------------------------------------------------------

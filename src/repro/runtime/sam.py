@@ -263,8 +263,11 @@ class SAM:
             host_name = placement.assignment[pe_spec.index]
             self.hcs[host_name].add_pe(pe)
             job.pes.append(pe)
-            pe.start()
             added.append(pe)
+        # started only once all exist: a PE resolves its routes to live
+        # runtimes at start, and a new channel may span several new PEs
+        for pe in added:
+            pe.start()
         self.notify_topology_changed(job, "add_pes")
         return added
 

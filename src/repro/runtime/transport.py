@@ -265,6 +265,9 @@ class Transport:
         #: (src pe id or "", dst pe id) -> latest scheduled arrival, so a
         #: fault expiring mid-stream cannot reorder a connection's items
         self._fifo_horizon: Dict[Tuple[str, str], float] = {}
+        #: (operator, port) -> kernel label of deliveries to that input
+        #: port, built once instead of per scheduled delivery
+        self._deliver_labels: Dict[Tuple[str, int], str] = {}
         #: (src pe id or "", dst pe id) -> send index of the last item
         #: *sent* on that link — assigned before any hold/flush, stamped
         #: onto deliveries for FIFO taps and used to keep flushed
@@ -831,6 +834,11 @@ class Transport:
                 self.kernel.now,
                 deliver_at,
             )
+        label = self._deliver_labels.get((op_full_name, port))
+        if label is None:
+            label = self._deliver_labels[(op_full_name, port)] = (
+                f"transport->{op_full_name}[{port}]"
+            )
         self.kernel.schedule_at(
             deliver_at,
             self._deliver,
@@ -842,7 +850,7 @@ class Transport:
             link[0],
             link_seq,
             redelivery,
-            label=f"transport->{op_full_name}[{port}]",
+            label=label,
         )
         return deliver_at
 

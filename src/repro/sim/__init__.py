@@ -8,7 +8,7 @@ adaptation — replay identically from a seed.
 """
 
 from repro.sim.clock import Clock
-from repro.sim.kernel import Kernel, ScheduledEvent
+from repro.sim.kernel import Kernel, OutstandingHandles, ScheduledEvent
 from repro.sim.rand import RandomStreams
 
-__all__ = ["Clock", "Kernel", "ScheduledEvent", "RandomStreams"]
+__all__ = ["Clock", "Kernel", "OutstandingHandles", "ScheduledEvent", "RandomStreams"]

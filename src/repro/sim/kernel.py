@@ -21,9 +21,15 @@ from repro.sim.clock import Clock
 
 
 class ScheduledEvent:
-    """Handle for a scheduled callback; supports cancellation."""
+    """Handle for a scheduled callback; supports cancellation.
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "label")
+    ``fired`` is set by the executor's dispatch loop just before the
+    callback runs, so a holder of the handle can tell "already ran" from
+    "still pending at this very instant" — a handle is *outstanding*
+    while it is neither ``fired`` nor ``cancelled``.
+    """
+
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "label")
 
     def __init__(
         self,
@@ -38,6 +44,7 @@ class ScheduledEvent:
         self.callback = callback
         self.args = args
         self.cancelled = False
+        self.fired = False
         self.label = label
 
     def cancel(self) -> None:
@@ -52,8 +59,55 @@ class ScheduledEvent:
         return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "cancelled" if self.cancelled else "fired" if self.fired else "pending"
         return f"ScheduledEvent(t={self.time:.3f}, {self.label or self.callback}, {state})"
+
+
+class OutstandingHandles:
+    """The handles one owner must still be able to cancel.
+
+    A PE tracks its operators' timers here and the failure injector its
+    scheduled faults: both need "cancel everything that has not run yet"
+    without paying for the handles that already have.  :meth:`add` is
+    O(1) amortised however many handles are live or have fired — the
+    list is only scanned (dropping fired and cancelled handles) once it
+    has doubled since the last scan, so a scan of ``n`` entries is paid
+    for by the ``n / 2`` adds that preceded it.
+    """
+
+    #: list length below which a scan is never worth it
+    MIN_SCAN = 256
+
+    def __init__(self) -> None:
+        self._handles: list[ScheduledEvent] = []
+        self._scan_at = self.MIN_SCAN
+
+    def __len__(self) -> int:
+        """Handles currently held, stale ones included (for tests/stats)."""
+        return len(self._handles)
+
+    def add(self, handle: ScheduledEvent) -> None:
+        """Track ``handle`` until it fires, is cancelled, or is swept."""
+        self._handles.append(handle)
+        if len(self._handles) > self._scan_at:
+            self.outstanding()
+
+    def outstanding(self) -> list[ScheduledEvent]:
+        """Forget fired/cancelled handles; return the ones still to run."""
+        self._handles = live = [
+            h for h in self._handles if not (h.fired or h.cancelled)
+        ]
+        self._scan_at = max(self.MIN_SCAN, 2 * len(live))
+        return live
+
+    def cancel_all(self) -> int:
+        """Cancel every outstanding handle; returns how many there were."""
+        live = self.outstanding()
+        for handle in live:
+            handle.cancel()
+        self._handles = []
+        self._scan_at = self.MIN_SCAN
+        return len(live)
 
 
 class Kernel:
@@ -138,6 +192,7 @@ class Kernel:
                 continue
             self.clock._advance_to(event.time)
             self._events_processed += 1
+            event.fired = True
             if self.event_tap is not None:
                 self.event_tap(event)
             event.callback(*event.args)
@@ -172,6 +227,7 @@ class Kernel:
                 heappop(heap)
                 advance(event.time)
                 self._events_processed += 1
+                event.fired = True
                 if self.event_tap is not None:
                     self.event_tap(event)
                 event.callback(*event.args)

@@ -19,7 +19,7 @@ import zlib
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import GraphError
-from repro.spl.metrics import MetricKind, OperatorMetricName
+from repro.spl.metrics import MetricKind
 from repro.spl.operators import Operator, OperatorContext, Submittable
 from repro.spl.state import KeyedSeqIndex
 from repro.spl.tuples import Punctuation, StreamTuple
@@ -1046,12 +1046,9 @@ class ParallelSplitter(Operator):
         width = int(width)
         if width < 1:
             raise GraphError(f"{self.ctx.full_name}: width must be >= 1")
-        for port in range(self.n_outputs, width):
-            self.metrics.get_or_create(
-                OperatorMetricName.N_TUPLES_SUBMITTED, MetricKind.COUNTER, port=port
-            )
         self.width = width
         self.n_outputs = width
+        self._bind_port_metrics()
         self._rr %= width
         self._masked = {c for c in self._masked if c < width}
         self.width_gauge.set(width)
@@ -1270,14 +1267,8 @@ class OrderedMerger(Operator):
         width = int(width)
         if width < 1:
             raise GraphError(f"{self.ctx.full_name}: width must be >= 1")
-        for port in range(self.n_inputs, width):
-            self.metrics.get_or_create(
-                OperatorMetricName.N_TUPLES_PROCESSED, MetricKind.COUNTER, port=port
-            )
-            self.metrics.get_or_create(
-                OperatorMetricName.QUEUE_SIZE, MetricKind.GAUGE, port=port
-            )
         self.n_inputs = width
+        self._bind_port_metrics()
 
     def on_control(self, command: str, payload: Mapping[str, Any]) -> None:
         if command == "setWidth":

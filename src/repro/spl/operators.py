@@ -176,17 +176,39 @@ class Operator:
     # -- metrics ---------------------------------------------------------------
 
     def _create_builtin_metrics(self) -> None:
-        registry = self.metrics
-        registry.create(OperatorMetricName.N_TUPLES_PROCESSED, MetricKind.COUNTER)
-        registry.create(OperatorMetricName.N_TUPLES_SUBMITTED, MetricKind.COUNTER)
-        registry.create(OperatorMetricName.N_PUNCTS_PROCESSED, MetricKind.COUNTER)
-        registry.create(OperatorMetricName.N_FINAL_PUNCTS_PROCESSED, MetricKind.COUNTER)
-        registry.create(OperatorMetricName.QUEUE_SIZE, MetricKind.GAUGE)
+        create = self.metrics.create
+        # the aggregate counters are bound once; the tuple path increments
+        # them (and the per-port lists below) without a registry lookup
+        self._n_processed = create(OperatorMetricName.N_TUPLES_PROCESSED, MetricKind.COUNTER)
+        self._n_submitted = create(OperatorMetricName.N_TUPLES_SUBMITTED, MetricKind.COUNTER)
+        self._n_puncts = create(OperatorMetricName.N_PUNCTS_PROCESSED, MetricKind.COUNTER)
+        self._n_final_puncts = create(
+            OperatorMetricName.N_FINAL_PUNCTS_PROCESSED, MetricKind.COUNTER
+        )
+        create(OperatorMetricName.QUEUE_SIZE, MetricKind.GAUGE)
+        self._bind_port_metrics()
+
+    def _bind_port_metrics(self) -> None:
+        """(Re)bind the per-port counters to the current port counts.
+
+        Creates whatever a port still lacks and indexes the counters by
+        port number.  Operators whose port count changes at runtime (the
+        parallel-region splitter and merger) call this again after
+        updating ``n_inputs`` / ``n_outputs``: a port that comes back
+        after a scale-in finds its old counter, so per-port values keep
+        summing to the aggregate.
+        """
+        metric = self.metrics.get_or_create
+        self._processed_by_port = []
         for port in range(self.n_inputs):
-            registry.create(OperatorMetricName.N_TUPLES_PROCESSED, MetricKind.COUNTER, port=port)
-            registry.create(OperatorMetricName.QUEUE_SIZE, MetricKind.GAUGE, port=port)
-        for port in range(self.n_outputs):
-            registry.create(OperatorMetricName.N_TUPLES_SUBMITTED, MetricKind.COUNTER, port=port)
+            self._processed_by_port.append(
+                metric(OperatorMetricName.N_TUPLES_PROCESSED, MetricKind.COUNTER, port=port)
+            )
+            metric(OperatorMetricName.QUEUE_SIZE, MetricKind.GAUGE, port=port)
+        self._submitted_by_port = [
+            metric(OperatorMetricName.N_TUPLES_SUBMITTED, MetricKind.COUNTER, port=port)
+            for port in range(self.n_outputs)
+        ]
 
     def create_custom_metric(
         self, name: str, kind: MetricKind = MetricKind.COUNTER, description: str = ""
@@ -222,8 +244,8 @@ class Operator:
                     self.ctx.job_id,
                     tup.created_at,
                 )
-        self.metrics.get(OperatorMetricName.N_TUPLES_SUBMITTED).increment()
-        self.metrics.get(OperatorMetricName.N_TUPLES_SUBMITTED, port=port).increment()
+        self._n_submitted.increment()
+        self._submitted_by_port[port].increment()
         self.ctx.submit(port, tup)
 
     def submit_batch(self, items: "list[Submittable]", port: int = 0) -> None:
@@ -261,10 +283,8 @@ class Operator:
                 )
             tuples.append(tup)
         n = len(tuples)
-        self.metrics.get(OperatorMetricName.N_TUPLES_SUBMITTED).increment(n)
-        self.metrics.get(
-            OperatorMetricName.N_TUPLES_SUBMITTED, port=port
-        ).increment(n)
+        self._n_submitted.increment(n)
+        self._submitted_by_port[port].increment(n)
         self.ctx.submit_batch(port, tuples)
 
     def submit_punct(self, punct: Punctuation, port: int = 0) -> None:
@@ -383,13 +403,13 @@ class Operator:
         if self._finalized:
             return
         if isinstance(item, StreamTuple):
-            self.metrics.get(OperatorMetricName.N_TUPLES_PROCESSED).increment()
-            self.metrics.get(OperatorMetricName.N_TUPLES_PROCESSED, port=port).increment()
+            self._n_processed.increment()
+            self._processed_by_port[port].increment()
             self.on_tuple(item, port)
             return
-        self.metrics.get(OperatorMetricName.N_PUNCTS_PROCESSED).increment()
+        self._n_puncts.increment()
         if item is Punctuation.FINAL:
-            self.metrics.get(OperatorMetricName.N_FINAL_PUNCTS_PROCESSED).increment()
+            self._n_final_puncts.increment()
         self.on_punct(item, port)
         if item is Punctuation.FINAL:
             self._final_ports.add(port)
@@ -409,10 +429,8 @@ class Operator:
         if self._finalized or not tuples:
             return
         n = len(tuples)
-        self.metrics.get(OperatorMetricName.N_TUPLES_PROCESSED).increment(n)
-        self.metrics.get(
-            OperatorMetricName.N_TUPLES_PROCESSED, port=port
-        ).increment(n)
+        self._n_processed.increment(n)
+        self._processed_by_port[port].increment(n)
         self.process_batch(tuples, port)
 
     @property

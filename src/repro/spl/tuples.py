@@ -67,19 +67,42 @@ class StreamTuple:
     def get(self, name: str, default: Any = None) -> Any:
         return self.values.get(name, default)
 
+    def _derive(self, values: dict, size_bytes: int) -> "StreamTuple":
+        """A copy around ``values`` (adopted, not copied) of known size."""
+        derived = StreamTuple.__new__(StreamTuple)
+        derived.values = values
+        derived.created_at = self.created_at
+        derived.size_bytes = size_bytes
+        derived.traced = self.traced
+        return derived
+
     def with_values(self, **updates: Any) -> "StreamTuple":
-        """Return a copy of this tuple with some attributes replaced/added."""
-        merged = dict(self.values)
-        merged.update(updates)
-        return StreamTuple(merged, created_at=self.created_at, traced=self.traced)
+        """Return a copy of this tuple with some attributes replaced/added.
+
+        The copy's size is this tuple's adjusted by what the updates add
+        or replace — the same value a fresh estimate over the merged
+        attributes would give, without re-walking the unchanged ones.
+        """
+        values = self.values
+        size = self.size_bytes
+        for name, value in updates.items():
+            if name in values:
+                size -= estimate_value_size(values[name])
+            else:
+                size += len(name)
+            size += estimate_value_size(value)
+        return self._derive({**values, **updates}, size)
 
     def project(self, *names: str) -> "StreamTuple":
         """Return a copy containing only the named attributes."""
-        return StreamTuple(
-            {n: self.values[n] for n in names},
-            created_at=self.created_at,
-            traced=self.traced,
+        values = self.values
+        kept = {n: values[n] for n in names}
+        dropped = sum(
+            len(name) + estimate_value_size(value)
+            for name, value in values.items()
+            if name not in kept
         )
+        return self._derive(kept, self.size_bytes - dropped)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StreamTuple):

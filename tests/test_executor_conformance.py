@@ -139,6 +139,30 @@ class TestSchedulerContract:
         assert ran == ["kept"]
         assert keep.time <= executor.now
 
+    @pytest.mark.parametrize("drive", ["step", "run_until"])
+    def test_fired_is_set_before_the_callback_runs(self, executor, drive):
+        """``fired`` tells "already ran" from "pending at this instant":
+        both dispatch loops set it before the callback, and a same-time
+        sibling that has not run yet still reads as outstanding."""
+        seen = []
+
+        def first():
+            seen.append((a.fired, b.fired, b.cancelled))
+
+        a = executor.schedule(0.0, first)
+        b = executor.schedule(0.0, lambda: None)
+        cancelled = executor.schedule(0.0, lambda: None)
+        cancelled.cancel()
+        assert not a.fired and not b.fired
+        if drive == "step":
+            while executor.step():
+                pass
+        else:
+            executor.run_until(executor.now + 0.02)
+        assert seen == [(True, False, False)]
+        assert a.fired and b.fired
+        assert cancelled.cancelled and not cancelled.fired
+
     def test_call_soon_runs_behind_pending_same_time_work(self, executor):
         ran = []
         executor.schedule(0.0, ran.append, "first")

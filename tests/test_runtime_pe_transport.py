@@ -1,10 +1,14 @@
 """Tests for PE lifecycle, tuple routing, and the transport."""
 
+import time
+
 import pytest
 
+from repro import SystemConfig, SystemS
 from repro.errors import PEControlError
 from repro.runtime.job import JobState
 from repro.runtime.pe import PEState
+from repro.sim.kernel import OutstandingHandles
 from repro.spl.metrics import OperatorMetricName, PEMetricName
 from repro.spl.library import Beacon
 
@@ -97,6 +101,196 @@ class TestPELifecycle:
         system.run_for(10.0)
         # source is dead: nothing new reaches the sink
         assert len(get_op(job, "sink").seen) == count
+
+
+class TestTimerBookkeeping:
+    """``ctx.schedule`` tracks *outstanding* handles only.
+
+    Count-based, not timing-based: a fired or operator-cancelled handle
+    leaves the PE's set, scheduling examines O(1) tracked entries
+    (amortised) however many are live, and ``stop``/``crash`` still
+    cancel whatever has not run.
+    """
+
+    @pytest.fixture(params=["sim", "wallclock"])
+    def running(self, request):
+        """(system, sink PE, sink ctx) of a job whose source never ticks."""
+        config = SystemConfig(
+            executor=request.param,
+            wallclock_time_scale=20.0 if request.param == "wallclock" else 1.0,
+        )
+        system = SystemS(hosts=4, seed=42, config=config)
+        job = system.submit_job(make_linear_app(period=1e9))
+        system.run_for(0.2)
+        pe = job.pe_of_operator("sink")
+        assert pe.is_running and len(pe._timers) == 0
+        return system, pe, get_op(job, "sink").ctx
+
+    def test_fired_handles_leave_the_set(self, running):
+        system, pe, ctx = running
+        fired = []
+        handles = []
+
+        def step():
+            fired.append(1)
+            if len(fired) < 5_000:
+                handles.append(ctx.schedule(0.0, step))
+
+        handles.append(ctx.schedule(0.0, step))
+        keep = ctx.schedule(1e9, lambda: None)  # the one still to run
+        deadline = time.monotonic() + 30.0  # wall-clock: as long as it takes
+        while len(fired) < 5_000 and time.monotonic() < deadline:
+            system.run_for(1.0)
+        assert len(fired) == 5_000
+        assert all(h.fired for h in handles)
+        # without forcing a sweep: bounded by a constant, not by 5,000
+        assert len(pe._timers) <= OutstandingHandles.MIN_SCAN + 1
+        assert pe._timers.outstanding() == [keep]
+        assert len(pe._timers) == 1
+
+    def test_schedule_examines_constant_entries_at_depth(self, running, monkeypatch):
+        """The shape of ``pe.schedule_ns_at_10k``: 10,000 live far-future
+        handles, then 200 more schedules."""
+        _, pe, ctx = running
+        examined = [0]
+        sweep = OutstandingHandles.outstanding
+
+        def counting(self):
+            examined[0] += len(self)
+            return sweep(self)
+
+        monkeypatch.setattr(OutstandingHandles, "outstanding", counting)
+        for _ in range(10_000):
+            ctx.schedule(1e9, lambda: None)
+        primed = examined[0]
+        assert primed <= 2 * 10_000  # amortised O(1) on the way there
+        for _ in range(200):
+            ctx.schedule(1e9, lambda: None)
+        assert examined[0] - primed <= 2 * 200
+        assert len(pe._timers) == 10_200  # all live: nothing may be dropped
+
+    @pytest.mark.parametrize("down", ["stop", "crash"])
+    def test_down_cancels_every_outstanding_handle(self, running, down):
+        system, pe, ctx = running
+        ran = []
+        handles = [ctx.schedule(0.05, lambda i=i: ran.append(i)) for i in range(300)]
+        getattr(pe, down)()
+        assert all(h.cancelled and not h.fired for h in handles)
+        assert len(pe._timers) == 0
+        pe.restart()
+        system.run_for(0.2)
+        assert ran == []  # nothing scheduled by the dead incarnation fires
+
+    def test_handle_cancelled_by_the_operator_never_runs(self, running):
+        system, pe, ctx = running
+        ran = []
+        handle = ctx.schedule(0.02, lambda: ran.append("cancelled"))
+        kept = ctx.schedule(0.02, lambda: ran.append("kept"))
+        handle.cancel()
+        assert pe._timers.outstanding() == [kept]  # no longer tracked
+        system.run_for(0.1)
+        assert ran == ["kept"]
+        assert pe._timers.outstanding() == []
+
+
+class TestResolvedDispatch:
+    """The tuple path runs on state resolved once (bound counters, live
+    operator and PE objects in the route table).  Everything that swaps
+    those objects must re-resolve them: a rescale adds and removes ports
+    and PEs, a crash + rehydrating restart replaces operator instances.
+    """
+
+    N = 1_200
+
+    def region_job(self, system):
+        from repro.spl.application import Application
+        from repro.spl.library import CallbackSource, KeyedCounter, Sink
+        from repro.spl.parallel import parallel
+
+        def feed(now, count):
+            return [{"seq": count, "key": f"k{count % 16}"}] if count < self.N else []
+
+        app = Application("Resolved")
+        g = app.graph
+        src = g.add_operator(
+            "src", CallbackSource, params={"generator": feed, "period": 0.01},
+            partition="feed",
+        )
+        work = g.add_operator(
+            "work", KeyedCounter, params={"key": "key"},
+            parallel=parallel(width=2, name="region", partition_by="key", max_width=8),
+        )
+        sink = g.add_operator("sink", Sink, partition="out")
+        g.connect(src.oport(0), work.iport(0))
+        g.connect(work.oport(0), sink.iport(0))
+        return system.submit_job(app)
+
+    @staticmethod
+    def per_port(operator, name):
+        return {
+            port: metric.value
+            for port, metric_name, metric in operator.metrics
+            if metric_name == name and port is not None
+        }
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_rescale_crash_rehydrate_keeps_counters_and_routes_live(self, batch):
+        system = SystemS(
+            hosts=6,
+            seed=42,
+            config=SystemConfig(
+                delivery="exactly_once", checkpoint_interval=0.25, batch_max_size=batch
+            ),
+        )
+        job = self.region_job(system)
+        system.run_for(2.0)
+        out = system.elastic.set_channel_width(job.job_id, "region", 4)
+        system.run_for(4.0)
+        assert out.completed_at is not None
+        victim = job.pe_of_operator("work__c1")
+        victim.crash("test")
+        system.failures.restart_pe(job.job_id, victim.pe_id, rehydrate=True)
+        system.run_for(3.0)
+        assert victim.is_running and victim.last_restore is not None
+        back = system.elastic.set_channel_width(job.job_id, "region", 2)
+        system.run_for(12.0)
+        assert back.completed_at is not None
+
+        # no tuple lost or duplicated
+        sink = get_op(job, "sink")
+        assert sorted(t["seq"] for t in sink.seen) == list(range(self.N))
+
+        # per-port counters exist for every current port, are the objects
+        # the tuple path increments, and sum to the aggregate — including
+        # the ports a scale-in took away again
+        processed = OperatorMetricName.N_TUPLES_PROCESSED
+        submitted = OperatorMetricName.N_TUPLES_SUBMITTED
+        splitter, merger = get_op(job, "region__split"), get_op(job, "region__merge")
+        assert (splitter.n_outputs, merger.n_inputs) == (2, 2)
+        assert set(self.per_port(splitter, submitted)) == {0, 1, 2, 3}
+        assert set(self.per_port(merger, processed)) == {0, 1, 2, 3}
+        for name in job.all_operator_names():
+            op = get_op(job, name)
+            for port in range(op.n_inputs):
+                assert op._processed_by_port[port] is op.metric(processed, port=port)
+            for port in range(op.n_outputs):
+                assert op._submitted_by_port[port] is op.metric(submitted, port=port)
+            if name == "work__c1":
+                continue  # restarted: its counters restart with the instance
+            assert sum(self.per_port(op, processed).values()) == op.metric(processed).value
+            assert sum(self.per_port(op, submitted).values()) == op.metric(submitted).value
+        assert splitter.metric(submitted).value == self.N
+        assert merger.metric(processed).value == self.N
+
+        # every resolved hop points at a live object of the current plan
+        for pe in job.pes:
+            for hops in pe._routes.values():
+                for dst_name, _, operator, dst_pe in hops:
+                    if operator is not None:
+                        assert operator is pe.operators[dst_name]
+                    else:
+                        assert dst_pe in job.pes
+                        assert dst_pe.operators.get(dst_name) is not None
 
 
 class TestRouting:

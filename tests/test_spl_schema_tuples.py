@@ -1,6 +1,7 @@
 """Tests for tuple schemas and stream data items."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchemaError
 from repro.spl.schema import ANY_SCHEMA, Attribute, TupleSchema
@@ -120,6 +121,57 @@ class TestStreamTuple:
 
     def test_repr_contains_values(self):
         assert "a=1" in repr(StreamTuple({"a": 1}))
+
+
+#: attribute values of every kind the size estimate distinguishes,
+#: nested up to a few levels (lists, dicts, tuples inside tuples)
+_scalars = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    st.none(),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        st.builds(lambda v: StreamTuple({"nested": v}), inner),
+    ),
+    max_leaves=8,
+)
+_attrs = st.dictionaries(st.sampled_from("abcdefgh"), _values, max_size=6)
+
+
+class TestDerivedSize:
+    """Derived copies carry the size a fresh tuple of the same values
+    would estimate — ``nTupleBytesProcessed`` cannot tell them apart."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(base=_attrs, updates=_attrs)
+    def test_with_values_matches_a_fresh_tuple(self, base, updates):
+        # ``updates`` over the same small alphabet both adds and replaces
+        derived = StreamTuple(base, created_at=3.0, traced=True).with_values(**updates)
+        fresh = StreamTuple({**base, **updates})
+        assert derived.values == fresh.values
+        assert derived.size_bytes == fresh.size_bytes
+        assert (derived.created_at, derived.traced) == (3.0, True)
+        # and again off the derived copy: errors must not accumulate
+        assert derived.with_values(**base).size_bytes == StreamTuple(
+            {**updates, **base}
+        ).size_bytes
+
+    @settings(max_examples=200, deadline=None)
+    @given(base=_attrs, data=st.data())
+    def test_project_matches_a_fresh_tuple(self, base, data):
+        names = data.draw(st.lists(st.sampled_from(sorted(base)), max_size=8)) if base else []
+        derived = StreamTuple(base, created_at=3.0, traced=True).project(*names)
+        fresh = StreamTuple({n: base[n] for n in names})
+        assert derived.values == fresh.values
+        assert derived.size_bytes == fresh.size_bytes
+        assert (derived.created_at, derived.traced) == (3.0, True)
 
 
 class TestPunctuation:
