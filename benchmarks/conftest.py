@@ -33,7 +33,6 @@ TIMING_ARTIFACTS = frozenset(
     {
         "checkpoint_recovery",
         "obs_overhead",
-        "realtime_backend",
         "scaling_elastic_state",
         "scaling_event_throughput",
         "scope_vs_sql",

@@ -7,8 +7,8 @@ stream), fired through its perturbation, and recorded as a
 :class:`ChaosInjection`.  Each injection is
 
 * appended to :attr:`ChaosEngine.injections` (the campaign journal),
-* pushed to every registered injection listener — the ORCA service
-  registers here and turns injections into ``chaos_injected`` events
+* published as an ``injection`` runtime event — the ORCA service
+  subscribes and turns injections into ``chaos_injected`` events
   (subject to :class:`~repro.orca.scopes.ChaosScope` matching, so a
   routine can equally be tested *blind* to injected faults by simply not
   registering the scope),
@@ -24,7 +24,7 @@ injections, which is where scorecard recovery times come from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.chaos.perturbations import detail_public_view
 from repro.chaos.scenario import Scenario
@@ -144,9 +144,6 @@ class ChaosEngine:
         self.kernel = system.kernel
         #: every fired injection across all runs, in firing order
         self.injections: List[ChaosInjection] = []
-        #: callbacks invoked with each ChaosInjection (the ORCA service
-        #: registers here to emit ``chaos_injected`` events)
-        self.injection_listeners: List[Callable[[ChaosInjection], None]] = []
         #: every scenario run ever scheduled, in creation order
         self.runs: List[ScenarioRun] = []
         self._next_run = 1
@@ -154,7 +151,7 @@ class ChaosEngine:
         #: while > 0; the pre-campaign hook is restored when it hits 0)
         self._ckpt_fault_depth = 0
         self._ckpt_fault_previous = None
-        system.sam.pe_restart_observers.append(self._on_pe_restarted)
+        system.events.subscribe(pe_restart=self._on_pe_restarted)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -282,8 +279,7 @@ class ChaosEngine:
         run.injections.append(injection)
         self.injections.append(injection)
         self._publish_gauges(run)
-        for listener in list(self.injection_listeners):
-            listener(injection)
+        self.system.events.publish("injection", injection)
 
     # -- checkpoint-fault window (refcounted for overlapping steps) ---------
 
@@ -315,7 +311,7 @@ class ChaosEngine:
         return None
 
     def _on_pe_restarted(self, pe: PERuntime) -> None:
-        """SAM observer: stamp recovery on *every* matching crash injection.
+        """``pe_restart`` event: stamp recovery on *every* matching crash injection.
 
         A PE can be the victim of several journaled injections (a flap
         plus a recorded-no-op crash, or two faults racing) — all of them

@@ -16,11 +16,10 @@ oracle must fire.  The CI ``chaos-fuzz`` job proves the search finds
 and shrinks exactly that.
 
 Barrier timestamps for the adversarial search come from the runtime
-instrumentation taps — the elastic controller's
+bus — the elastic controller's
 :class:`~repro.elastic.controller.BarrierEvent` timeline, checkpoint
 commit/torn records, and splitter mask/unmask reroutes — subscribed
-live through :func:`repro.obs.listeners.subscribe_runtime` rather than
-by reaching into three subsystems after the run.
+live rather than by reaching into three subsystems after the run.
 
 Every case also runs with span tracing enabled by default
 (``trace=True``): the outcome carries the run's flight-recorder
@@ -232,32 +231,27 @@ def _build_app(feed, width: int, max_width: int):
 
 
 def _mine_barriers(system) -> Tuple[List[Tuple[str, float]], Any]:
-    """Subscribe live to the runtime-barrier taps of one fresh system.
+    """Subscribe live to the runtime-barrier events of one fresh system.
 
-    Sources: the elastic controller's rescale-phase tap, checkpoint
-    commit/torn attempts, and splitter mask/unmask reroutes — all
-    registered through :func:`repro.obs.listeners.subscribe_runtime`
-    (one front door instead of post-hoc reads of three subsystems).
+    Sources: the elastic controller's rescale phases, checkpoint
+    commit/torn attempts, and splitter mask/unmask reroutes.
 
     Returns:
-        ``(mined, subscription)``: the list ``(label, absolute time)``
-        tuples accumulate into while the run executes, and the
-        subscription to detach afterwards.
+        ``(mined, detach)``: the list ``(label, absolute time)`` tuples
+        accumulate into while the run executes, and the handle that
+        unsubscribes afterwards.
     """
-    from repro.obs.listeners import subscribe_runtime
-
     mined: List[Tuple[str, float]] = []
-    subscription = subscribe_runtime(
-        system,
-        on_barrier=lambda e: mined.append((f"rescale:{e.phase}", e.time)),
-        on_checkpoint_attempt=lambda r: mined.append(
+    detach = system.events.subscribe(
+        barrier=lambda e: mined.append((f"rescale:{e.phase}", e.time)),
+        checkpoint=lambda r: mined.append(
             ("checkpoint:commit" if r.committed else "checkpoint:torn", r.time)
         ),
-        on_reroute=lambda r: mined.append(
+        reroute=lambda r: mined.append(
             ("reroute:mask" if r.masked else "reroute:unmask", r.time)
         ),
     )
-    return mined, subscription
+    return mined, detach
 
 
 def _collect_barriers(
@@ -320,7 +314,7 @@ def run_fuzz_case(
     app = _build_app(feed, config.width, config.max_width)
     job = system.submit_job(app)
     probe = FifoProbe(system.transport)
-    mined, barrier_sub = _mine_barriers(system)
+    mined, detach_barriers = _mine_barriers(system)
 
     # Periodic live keyed-state probes: the state-conservation oracle
     # judges each crash snapshot at the first probe after its recovery,
@@ -379,7 +373,7 @@ def run_fuzz_case(
         state_probes=state_probes,
     )
     probe.detach()
-    barrier_sub.detach()
+    detach_barriers()
     timeline = ""
     prometheus = ""
     if config.trace:

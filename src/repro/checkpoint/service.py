@@ -15,8 +15,14 @@ captures each stateful PE's operators into the
    captured in full.
 2. **Record.**  The payloads are written to the store as a new epoch
    (uncommitted — *torn* if the process died here).
-3. **Commit.**  The epoch is marked committed, dirty tracking is reset,
-   and registered listeners (the ORCA service) are notified.
+3. **Commit.**  The epoch is marked committed and dirty tracking is
+   reset.
+
+Every attempt, committed *or torn*, is then published as a
+``checkpoint`` runtime event (commit-only subscribers such as the ORCA
+service test ``record.committed``; the chaos fuzzer mines the torn ones
+for commit-barrier timestamps — a crash landing between record and
+commit is the interleaving it hunts).
 
 ``commit_fault`` is a test hook simulating a crash between record and
 commit: the epoch stays torn and dirty tracking is *not* reset, so the
@@ -35,6 +41,7 @@ from repro.sim.kernel import Kernel
 from repro.spl.state import estimate_value_size
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.events import RuntimeEvents
     from repro.runtime.job import Job
     from repro.runtime.pe import PERuntime
     from repro.runtime.sam import SAM
@@ -42,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class CheckpointRecord:
-    """One checkpoint attempt of one PE, as reported to listeners."""
+    """One checkpoint attempt of one PE, as published on the runtime bus."""
 
     job_id: str
     pe_id: str
@@ -64,6 +71,7 @@ class CheckpointService:
         kernel: Kernel,
         sam: "SAM",
         store: CheckpointStore,
+        events: "RuntimeEvents",
         interval: float = 0.0,
     ) -> None:
         """Create the daemon (call :meth:`start` to begin the loop).
@@ -72,21 +80,15 @@ class CheckpointService:
             kernel: The simulation kernel the loop is scheduled on.
             sam: Job registry — every running job's PEs are candidates.
             store: Destination for recorded/committed epochs.
+            events: Runtime bus the attempts are published on.
             interval: Sim-seconds between rounds; 0 disables the loop
                 (the paper's no-checkpoint default).
         """
         self.kernel = kernel
         self.sam = sam
         self.store = store
+        self.events = events
         self.interval = interval
-        #: called with a CheckpointRecord after every *committed* epoch
-        #: (the ORCA service registers here to emit checkpoint_committed)
-        self.commit_listeners: List[Callable[[CheckpointRecord], None]] = []
-        #: called with every CheckpointRecord, committed *or torn* — the
-        #: instrumentation tap the chaos fuzzer mines for commit-barrier
-        #: timestamps (a crash landing between record and commit is the
-        #: interleaving it hunts)
-        self.attempt_listeners: List[Callable[[CheckpointRecord], None]] = []
         #: test hook: return True to skip the commit (simulates a crash
         #: between record and commit, leaving a torn epoch behind)
         self.commit_fault: Optional[Callable[["PERuntime"], bool]] = None
@@ -273,11 +275,7 @@ class CheckpointService:
             bytes_written=bytes_written,
         )
         self.records.append(record)
-        for listener in list(self.attempt_listeners):
-            listener(record)
-        if committed:
-            for listener in list(self.commit_listeners):
-                listener(record)
+        self.events.publish("checkpoint", record)
         return record
 
     # -- cleanup ----------------------------------------------------------------

@@ -36,9 +36,9 @@ reconfiguration epoch clock):
 The controller is also the reaction point for crashed channels outside
 any rescale: SAM notifies it of PE failures and completed restarts, and
 it masks / unmasks the affected channels on the region's splitter so
-tuples are rerouted around the dead PE (``channel_rerouted`` records are
-pushed to registered listeners — the ORCA service turns them into
-events).  When a checkpoint store is wired in, the detour channels are
+tuples are rerouted around the dead PE (``reroute`` records are
+published on the runtime bus — the ORCA service turns them into
+``channel_rerouted`` events).  When a checkpoint store is wired in, the detour channels are
 *seeded* with the dead channel's last committed checkpoint at mask time
 (rerouted keys continue from the checkpoint instead of from scratch).
 At unmask the detour-accrued keyed state is *reclaimed* — extracted from
@@ -75,6 +75,7 @@ from repro.spl.graph import OperatorSpec
 from repro.spl.library import detour_channel_of, stable_channel_of
 from repro.spl.parallel import ParallelRegionPlan, resize_region
 from repro.spl.state import estimate_value_size
+from repro.runtime.events import RuntimeEvents
 from repro.runtime.job import Job, JobState
 from repro.runtime.pe import PERuntime, PEState
 from repro.runtime.transport import Transport
@@ -149,8 +150,8 @@ class BarrierEvent:
     splitter stopped forwarding), ``drain_clean`` (the region proved
     empty), ``migrate`` (keyed extraction began), ``rewire`` (graph/PE
     surgery began), ``resume`` (the splitter resumed at the new width,
-    ``epoch`` assigned), and ``failed`` — and pushes them to registered
-    barrier listeners.  They are the instrumentation tap the chaos
+    ``epoch`` assigned), and ``failed`` — and publishes them as
+    ``barrier`` events.  They are the instrumentation tap the chaos
     fuzzer (:mod:`repro.chaos.fuzz`) mines for adversarial step times:
     the nastiest fault interleavings land *exactly at* these instants.
     """
@@ -246,6 +247,7 @@ class ElasticController:
         sam: "SAM",
         transport: Transport,
         kernel: Kernel,
+        events: RuntimeEvents,
         drain_poll_interval: float = 0.05,
         drain_timeout: float = 60.0,
         epochs: Optional[MetricEpochCounter] = None,
@@ -257,6 +259,11 @@ class ElasticController:
             sam: Job/PE registry used to reach runtimes and place channels.
             transport: Tuple transport, polled for in-flight backlog.
             kernel: Simulation kernel the protocol is scheduled on.
+            events: Runtime bus; the controller publishes ``barrier``,
+                ``reroute``, ``reclaim``, ``rescale`` (every finished
+                rescale, COMPLETED or FAILED, whoever initiated it) and
+                ``topology`` (the rewired mapping is final), and hears
+                ``pe_failure`` / ``pe_restart`` to mask / unmask channels.
             drain_poll_interval: Seconds between drain-barrier polls.
             drain_timeout: Give-up horizon for the drain barrier.
             epochs: Reconfiguration epoch clock; pass the checkpoint
@@ -269,6 +276,7 @@ class ElasticController:
         self.sam = sam
         self.transport = transport
         self.kernel = kernel
+        self.events = events
         self.drain_poll_interval = drain_poll_interval
         self.drain_timeout = drain_timeout
         #: reconfiguration epoch clock (shared across all regions — and,
@@ -279,36 +287,27 @@ class ElasticController:
         self.checkpoint_store = checkpoint_store
         self.history: List[RescaleOperation] = []
         self._active: Dict[Tuple[str, str], RescaleOperation] = {}
-        #: callbacks invoked for every finished rescale (COMPLETED or
-        #: FAILED), regardless of who initiated it — the ORCA service
-        #: registers here so its stream graph tracks rescales driven
-        #: outside the service (autoscalers, chaos campaigns, tests)
-        self.rescale_listeners: List[Callable[[RescaleOperation], None]] = []
         #: channel mask/unmask records (crashed-channel rerouting)
         self.reroutes: List[ChannelReroute] = []
-        #: callbacks invoked for every ChannelReroute (the ORCA service
-        #: registers here to emit ``channel_rerouted`` events)
-        self.reroute_listeners: List[Callable[[ChannelReroute], None]] = []
         #: unmask-time reclaim records, newest last
         self.reclaims: List[StateReclaim] = []
         #: timestamped rescale-phase transitions (quiesce / drain_clean /
         #: migrate / rewire / resume / failed), newest last — the barrier
         #: tap the chaos fuzzer targets mutations at
         self.barrier_events: List[BarrierEvent] = []
-        #: callbacks invoked with every BarrierEvent as it is recorded
-        self.barrier_listeners: List[Callable[[BarrierEvent], None]] = []
-        #: callbacks invoked for every StateReclaim (the ORCA service
-        #: registers here to emit ``state_reclaimed`` events)
-        self.reclaim_listeners: List[Callable[[StateReclaim], None]] = []
         #: (job_id, region) -> channels this controller actually masked;
         #: a PE restart only unmasks (and reports) channels found here, so
         #: a graceful stop_pe + restart_pe never emits phantom reroutes
         self._masked_channels: Dict[Tuple[str, str], Set[int]] = {}
+        # crashed parallel-region channels are routed around automatically
+        events.subscribe(
+            pe_failure=self.handle_pe_failure, pe_restart=self.handle_pe_restarted
+        )
 
     def _mark_barrier(
         self, job_id: str, region: str, phase: str, epoch: int = 0
     ) -> None:
-        """Record one rescale-phase transition and notify barrier listeners."""
+        """Record one rescale-phase transition and publish it."""
         event = BarrierEvent(
             job_id=job_id,
             region=region,
@@ -317,8 +316,7 @@ class ElasticController:
             epoch=epoch,
         )
         self.barrier_events.append(event)
-        for listener in list(self.barrier_listeners):
-            listener(event)
+        self.events.publish("barrier", event)
 
     # -- public API --------------------------------------------------------------
 
@@ -431,7 +429,7 @@ class ElasticController:
     # -- crashed-channel rerouting ------------------------------------------------
 
     def handle_pe_failure(self, pe: PERuntime, reason: str) -> None:
-        """SAM observer: a PE crashed — mask its parallel-region channels.
+        """``pe_failure`` event: a PE crashed — mask its parallel-region channels.
 
         The splitter takes the dead channels out of its hash ring /
         round-robin rotation, so traffic flows around the crash instead of
@@ -447,7 +445,7 @@ class ElasticController:
         self._remask_channels_of(pe, masked=True, reason=reason)
 
     def handle_pe_restarted(self, pe: PERuntime) -> None:
-        """SAM observer: a PE restart completed — unmask its channels.
+        """``pe_restart`` event: a PE restart completed — unmask its channels.
 
         Detour-accrued keyed state is reclaimed onto the restarted
         channels before they rejoin the ring (``state_reclaimed``).
@@ -511,8 +509,7 @@ class ElasticController:
                         time=self.kernel.now,
                     )
                     self.reclaims.append(reclaim)
-                    for listener in list(self.reclaim_listeners):
-                        listener(reclaim)
+                    self.events.publish("reclaim", reclaim)
             command = "maskChannel" if masked else "unmaskChannel"
             for channel in channels:
                 splitter_pe.send_control(plan.splitter, command, {"channel": channel})
@@ -570,8 +567,7 @@ class ElasticController:
                 )
                 purged = reclaimed = seeded = 0
                 self.reroutes.append(record)
-                for listener in list(self.reroute_listeners):
-                    listener(record)
+                self.events.publish("reroute", record)
 
     @staticmethod
     def _channel_pe(
@@ -840,11 +836,10 @@ class ElasticController:
                 splitter_pe.send_control(plan.splitter, "resume", {})
         # rollback restored the old mapping — still a topology event for
         # subscribers that refreshed mid-protocol
-        self.sam.notify_topology_changed(job, "rescale_rollback")
+        self.events.publish("topology", job, "rescale_rollback")
         if on_complete is not None:
             on_complete(op)
-        for listener in list(self.rescale_listeners):
-            listener(op)
+        self.events.publish("rescale", op)
 
     # -- state migration -----------------------------------------------------------
 
@@ -1272,14 +1267,13 @@ class ElasticController:
         op.completed_at = self.kernel.now
         self._active.pop((op.job_id, op.region), None)
         self.history.append(op)
-        # the rewired channel->PE mapping is only final now: announce it
-        # through SAM so *every* subscriber refreshes, owning
-        # orchestrator or not (the externally-driven-rescale gap)
-        self.sam.notify_topology_changed(job, "rescale")
+        # the rewired channel->PE mapping is only final now (a subscriber
+        # that refreshed at the mid-protocol add_pes holds a stale view):
+        # every subscriber refreshes, owning orchestrator or not
+        self.events.publish("topology", job, "rescale")
         if on_complete is not None:
             on_complete(op)
-        for listener in list(self.rescale_listeners):
-            listener(op)
+        self.events.publish("rescale", op)
 
     def _rollback_scale_out(
         self,

@@ -10,12 +10,10 @@ constructed by :class:`~repro.runtime.system.SystemS` as
 * :mod:`repro.obs.metrics` — a labeled counter/gauge/histogram
   registry with Prometheus-text and JSONL renders;
 * :mod:`repro.obs.naming` — the canonical ``repro_*`` metric-name
-  catalog and the legacy-name compatibility shim SRM queries use;
+  catalog, applied at export;
 * :mod:`repro.obs.flight` — bounded per-job span rings that dump
   deterministic timeline artifacts on PE crash, stuck rescale, or
   fuzz-oracle violation;
-* :mod:`repro.obs.listeners` — :func:`subscribe_runtime`, the one
-  front door to every runtime instrumentation tap;
 * :mod:`repro.obs.health` — the always-on health plane: sim-time
   sliding windows, per-link/per-region lag watermarks, and SLO
   burn-rate alerting (``system.obs.health``);
@@ -41,7 +39,6 @@ from repro.obs.health import (
     SlidingWindow,
 )
 from repro.obs.hub import ObsHub
-from repro.obs.listeners import RuntimeSubscription, subscribe_runtime
 from repro.obs.slo import HealthAlert, Slo
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -52,7 +49,6 @@ from repro.obs.metrics import (
 from repro.obs.naming import (
     CANONICAL_BY_LEGACY,
     canonical_metric_name,
-    legacy_metric_name,
     sanitize_metric_name,
 )
 from repro.obs.trace import CONTROL, DATA, Span, Tracer
@@ -75,13 +71,10 @@ __all__ = [
     "ObsHistogram",
     "ObsHub",
     "PressureSample",
-    "RuntimeSubscription",
     "SlidingWindow",
     "Slo",
     "Span",
     "Tracer",
     "canonical_metric_name",
-    "legacy_metric_name",
     "sanitize_metric_name",
-    "subscribe_runtime",
 ]

@@ -20,8 +20,8 @@ to degradation before it becomes loss:
   the current bottleneck with a why-string.
 * **SLO burn-rate alerts** — declarative :class:`repro.obs.slo.Slo`
   objectives are evaluated with multi-window burn rates; raised alerts
-  fan out to ``alert_listeners`` (ORCA turns them into ``health_alert``
-  events for :class:`~repro.orca.scopes.HealthScope` subscribers).
+  are published as ``health_alert`` runtime events (ORCA forwards them
+  to :class:`~repro.orca.scopes.HealthScope` subscribers).
 
 Everything derives from the sim clock and sampled runtime state — no
 wall clocks, no randomness — so :meth:`HealthMonitor.snapshot` renders
@@ -34,12 +34,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.detect import Bottleneck, BottleneckDetector, PressureSample
 from repro.obs.slo import SEVERITY_RANK, HealthAlert, Slo, classify
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.events import RuntimeEvents
     from repro.runtime.system import SystemS
     from repro.sim.kernel import Kernel, ScheduledEvent
 
@@ -269,18 +270,18 @@ class HealthMonitor:
     def __init__(
         self,
         kernel: "Kernel",
+        events: "RuntimeEvents",
         *,
         interval: float = 0.5,
         short_window: float = 5.0,
         long_window: float = 30.0,
     ) -> None:
         self.kernel = kernel
+        self.events = events
         self.interval = interval
         self.short_window = short_window
         self.long_window = long_window
         self.slos: List[Slo] = []
-        #: fan-out for raised alerts (ORCA services append themselves)
-        self.alert_listeners: List[Callable[[HealthAlert], None]] = []
         self.detector = BottleneckDetector()
         self._system: Optional["SystemS"] = None
         self._tick_event: Optional["ScheduledEvent"] = None
@@ -576,8 +577,7 @@ class HealthMonitor:
         self.alerts_fired += 1
         if severity == "page":
             self.pages_fired += 1
-        for listener in list(self.alert_listeners):
-            listener(alert)
+        self.events.publish("health_alert", alert)
 
     # -- inspection ---------------------------------------------------------
 

@@ -3,9 +3,8 @@
 A :class:`SystemS` always constructs an :class:`ObsHub` and attaches it
 (``system.obs``).  Attachment has two tiers:
 
-* **Control plane, always on** — the hub subscribes to every runtime
-  instrumentation tap through
-  :func:`repro.obs.listeners.subscribe_runtime` and records rescale
+* **Control plane, always on** — the hub subscribes to the runtime bus
+  (:class:`repro.runtime.events.RuntimeEvents`) and records rescale
   barrier phases, channel mask/unmask reroutes (with mask-time
   attribution), state reclaims, checkpoint attempts, chaos injections,
   and PE crash/restart transitions as control spans and registry
@@ -26,11 +25,10 @@ sim clock.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.obs.flight import FlightDump, FlightRecorder
 from repro.obs.health import HealthMonitor
-from repro.obs.listeners import RuntimeSubscription, subscribe_runtime
 from repro.obs.metrics import MetricsRegistry, ObsCounter, ObsHistogram
 from repro.obs.naming import canonical_metric_name
 from repro.obs.trace import CONTROL, DATA, Tracer
@@ -44,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
         RescaleOperation,
         StateReclaim,
     )
+    from repro.runtime.events import RuntimeEvents
     from repro.runtime.pe import PERuntime
     from repro.runtime.system import SystemS
     from repro.sim.kernel import Kernel, ScheduledEvent
@@ -69,25 +68,23 @@ class ObsHub:
     def __init__(
         self,
         kernel: "Kernel",
+        events: "RuntimeEvents",
         trace_enabled: bool = False,
         trace_sample_every: int = 1,
         flight_capacity: int = 2048,
         health_interval: float = 0.5,
-        health_short_window: float = 5.0,
-        health_long_window: float = 30.0,
     ) -> None:
         """Create the hub (call :meth:`attach` to wire it to a system).
 
         Args:
             kernel: The simulation kernel (clock source, event tap host).
+            events: The runtime bus (the health plane publishes on it).
             trace_enabled: Turn on data-plane tuple tracing and the
                 kernel event tap.
             trace_sample_every: Trace every Nth created tuple.
             flight_capacity: Flight-recorder ring capacity per job.
             health_interval: Health-plane evaluation tick, sim-seconds
                 (``<= 0`` disables the always-on health plane).
-            health_short_window: Burn-rate confirmation window.
-            health_long_window: Burn-rate sustain window.
         """
         self.kernel = kernel
         self.trace_enabled = trace_enabled
@@ -98,15 +95,9 @@ class ObsHub:
         #: the always-on health plane (windows, watermarks, SLO alerts);
         #: it registers no metric series and emits no spans on its own,
         #: so historical expositions stay byte-identical
-        self.health = HealthMonitor(
-            kernel,
-            interval=health_interval,
-            short_window=health_short_window,
-            long_window=health_long_window,
-        )
-        self.health.alert_listeners.append(self._on_health_alert)
+        self.health = HealthMonitor(kernel, events, interval=health_interval)
         self._system: Optional["SystemS"] = None
-        self._subscription: Optional[RuntimeSubscription] = None
+        self._unsubscribe: Optional[Callable[[], None]] = None
         #: (job, region) -> quiesce time of the in-flight rescale
         self._quiesce_open: Dict[Tuple[str, str], float] = {}
         #: (job, region, channel) -> mask time of a masked channel
@@ -138,7 +129,7 @@ class ObsHub:
     def attach(self, system: "SystemS") -> None:
         """Subscribe the hub to a system's instrumentation taps.
 
-        Control-plane listeners always attach; the transport/operator
+        Control-plane subscriptions always attach; the transport/operator
         data-plane hooks and the kernel event tap only when
         ``trace_enabled`` (so a tracing-off hot path stays one ``None``
         check).
@@ -147,16 +138,16 @@ class ObsHub:
             system: The system to observe.
         """
         self._system = system
-        self._subscription = subscribe_runtime(
-            system,
-            on_barrier=self._on_barrier,
-            on_reroute=self._on_reroute,
-            on_reclaim=self._on_reclaim,
-            on_rescale=self._on_rescale,
-            on_checkpoint_attempt=self._on_checkpoint_attempt,
-            on_pe_failure=self._on_pe_failure,
-            on_pe_restart=self._on_pe_restart,
-            on_injection=self._on_injection,
+        self._unsubscribe = system.events.subscribe(
+            barrier=self._on_barrier,
+            reroute=self._on_reroute,
+            reclaim=self._on_reclaim,
+            rescale=self._on_rescale,
+            checkpoint=self._on_checkpoint_attempt,
+            pe_failure=self._on_pe_failure,
+            pe_restart=self._on_pe_restart,
+            injection=self._on_injection,
+            health_alert=self._on_health_alert,
         )
         # batch-size observations are control-plane (a counter bump per
         # *batch*, not per tuple), so the hook attaches regardless of
@@ -177,9 +168,8 @@ class ObsHub:
 
     def detach(self) -> None:
         """Unsubscribe from every tap and unhook the data plane."""
-        if self._subscription is not None:
-            self._subscription.detach()
-            self._subscription = None
+        if self._unsubscribe is not None:
+            self._unsubscribe()  # idempotent: no need to forget the handle
         if self._system is not None:
             if self._system.transport.obs is self:
                 self._system.transport.obs = None

@@ -1,4 +1,4 @@
-"""Canonical (namespaced) metric names and the legacy-name shim.
+"""Canonical (namespaced) metric names: the one translation, at export.
 
 The runtime grew its metric vocabulary incrementally: PEs and operators
 push camelCase names inherited from the paper (``nTuplesProcessed``,
@@ -9,14 +9,10 @@ layer exports.  This module is the single place that drift is resolved:
 * :data:`CANONICAL_BY_LEGACY` maps every built-in legacy name to its
   namespaced canonical form (``stateBytes`` -> ``repro_pe_state_bytes``);
 * :func:`canonical_metric_name` translates *any* name (catalog hit or
-  sanitized fallback) for export;
-* :func:`legacy_metric_name` answers the reverse question so SRM
-  queries written against canonical names still resolve samples stored
-  under legacy names (see :meth:`repro.runtime.srm.SRM.metric_value`).
+  sanitized fallback) for export.
 
-SRM *storage* deliberately keeps the legacy names: orchestrator scope
-filters and every existing benchmark scraper match on them.  Only the
-query shim and the export layer speak canonical.
+SRM storage, SRM queries and orchestrator scope filters keep the paper's
+names; only the export layer speaks canonical.
 """
 
 from __future__ import annotations
@@ -50,9 +46,6 @@ CANONICAL_BY_LEGACY = {
     "chaosMaxRecovery": "repro_chaos_max_recovery_seconds",
     "chaosOrcaLatencyMax": "repro_chaos_orca_latency_max_seconds",
 }
-
-#: canonical name -> legacy (stored) name; the query-shim direction.
-LEGACY_BY_CANONICAL = {v: k for k, v in CANONICAL_BY_LEGACY.items()}
 
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 _INVALID_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -103,15 +96,3 @@ def canonical_metric_name(name: str) -> str:
         return sanitized
     return f"repro_{sanitized}"
 
-
-def legacy_metric_name(name: str) -> str:
-    """The stored name a canonical query should resolve against.
-
-    Args:
-        name: A canonical ``repro_*`` name (anything else passes
-            through unchanged).
-
-    Returns:
-        The legacy stored name when the catalog knows it, else ``name``.
-    """
-    return LEGACY_BY_CANONICAL.get(name, name)

@@ -83,7 +83,7 @@ def classify(burn_short: float, burn_long: float, slo: Slo) -> Optional[str]:
 
 @dataclass(frozen=True)
 class HealthAlert:
-    """One raised (or escalated) SLO alert, as fanned out to listeners."""
+    """One raised (or escalated) SLO alert, as published on the runtime bus."""
 
     #: the violated objective's name
     slo: str

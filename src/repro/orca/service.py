@@ -52,7 +52,6 @@ from repro.orca.contexts import (
     TimerContext,
     UserEventContext,
 )
-from repro.obs.listeners import RuntimeSubscription, subscribe_runtime
 from repro.orca.dependencies import DependencyManager
 from repro.orca.descriptor import ManagedApplication, OrcaDescriptor
 from repro.orca.epochs import FailureEpochTracker, MetricEpochCounter
@@ -119,9 +118,8 @@ class OrcaService:
         self._drain_scheduled = False
         self._current_txn = 0
         self._alive = True
-        #: runtime-tap registrations, attached in _boot / detached in
-        #: shutdown as one unit (repro.obs.listeners)
-        self._runtime_sub: Optional[RuntimeSubscription] = None
+        #: detach handle of the runtime-bus subscriptions made in _boot
+        self._unsubscribe: Optional[Callable[[], None]] = None
 
     # -- boot / shutdown ---------------------------------------------------------
 
@@ -138,26 +136,19 @@ class OrcaService:
         self._poll_handle = self.kernel.schedule(
             self._poll_interval, self._poll_metrics, label=f"{self.orca_id}-poll"
         )
-        # Runtime instrumentation taps, registered through the one obs
-        # front door: crashed-channel reroutes, finished rescales (also
-        # those driven outside this service — autoscalers, chaos
-        # campaigns, direct controller calls), unmask-time state
-        # reclaims, checkpoint commits, completed PE restarts (inspected
-        # for skipped rehydration), and chaos injections all become ORCA
-        # events; PE-set topology changes refresh the stream graph.
-        self._runtime_sub = subscribe_runtime(
-            self.system,
-            on_reroute=self._on_channel_rerouted,
-            on_rescale=self._on_region_rescaled,
-            on_topology=self._on_topology_changed,
-            on_reclaim=self._on_state_reclaimed,
-            on_checkpoint_commit=self._on_checkpoint_committed,
-            on_pe_restart=self._on_pe_restarted,
-            on_injection=self._on_chaos_injected,
+        # Runtime events become ORCA events — also for changes driven
+        # outside this service (autoscalers, chaos campaigns, direct
+        # controller calls); topology changes refresh the stream graph.
+        self._unsubscribe = self.system.events.subscribe(
+            reroute=self._on_channel_rerouted,
+            rescale=self._on_region_rescaled,
+            topology=self._on_topology_changed,
+            reclaim=self._on_state_reclaimed,
+            checkpoint=self._on_checkpoint_committed,
+            pe_restart=self._on_pe_restarted,
+            injection=self._on_chaos_injected,
+            health_alert=self._on_health_alert,
         )
-        # health-plane alert fan-out: SLO burn-rate alerts become
-        # health_alert events (delivered only to registered HealthScopes)
-        self.system.obs.health.alert_listeners.append(self._on_health_alert)
 
     def _register_application(self, managed: ManagedApplication) -> None:
         if managed.application is not None:
@@ -186,12 +177,8 @@ class OrcaService:
         if self._poll_handle is not None:
             self._poll_handle.cancel()
         self.timers.cancel_all()
-        if self._runtime_sub is not None:
-            self._runtime_sub.detach()
-            self._runtime_sub = None
-        listeners = self.system.obs.health.alert_listeners
-        if self._on_health_alert in listeners:
-            listeners.remove(self._on_health_alert)
+        if self._unsubscribe is not None:
+            self._unsubscribe()  # idempotent: no need to forget the handle
 
     # -- time ------------------------------------------------------------------------
 
@@ -693,8 +680,8 @@ class OrcaService:
         Returns the :class:`~repro.elastic.controller.RescaleOperation`.
         """
         job = self._check_owned(job_id)
-        # completion flows through the controller-level rescale listener
-        # (registered at boot), same as externally-driven rescales
+        # completion flows through the ``rescale`` runtime event
+        # (subscribed at boot), same as externally-driven rescales
         operation = self.system.elastic.set_channel_width(job, region, width)
         self._log_actuation("set_channel_width", f"{job_id}:{region}->{width}")
         return operation
@@ -705,16 +692,9 @@ class OrcaService:
         job = self.jobs.get(operation.job_id)
         if job is None:
             return  # not a job this orchestrator owns
+        # the stream graph is already current: the controller publishes
+        # the "rescale" topology change before this event
         succeeded = operation.state is RescaleState.COMPLETED
-        if succeeded:
-            # Refresh logical + physical stream graph: the rescale changed
-            # the job's operator set and PE layout.
-            self.graph.add_application(adl_from_xml(adl_to_xml(job.compiled)))
-            self.graph.register_job(
-                job.job_id,
-                job.app_name,
-                {pe.index: (pe.pe_id, pe.host_name) for pe in job.pes},
-            )
         migration = operation.migration
         if (
             succeeded
@@ -779,19 +759,19 @@ class OrcaService:
         }
         self._enqueue("region_rescaled", context, attrs)
 
-    def _on_topology_changed(self, job, change: str) -> None:
-        """SAM topology observer: a job's PE set grew or shrank.
+    def _on_topology_changed(self, job, _change: str) -> None:
+        """``topology`` event: the only refresh of the materialized stream graph.
 
-        Fires for every ``SAM.add_pes`` / ``SAM.remove_pes``, including
-        ones driven entirely outside this service (an autoscaler, another
-        orchestrator, a direct controller call).  Without this refresh the
-        materialized stream graph would keep answering ``host_of_pe`` /
-        placement queries from a stale PE inventory until the *next*
-        rescale this service happens to observe.
+        Published by ``SAM.add_pes`` / ``SAM.remove_pes`` and by the
+        elastic controller when a rescale finishes (completed or rolled
+        back — the rewired channel-to-PE mapping is only final then),
+        whoever drove the change: this service, an autoscaler, a chaos
+        perturbation, another orchestrator.  Without it ``host_of_pe`` /
+        placement queries would answer from a stale PE inventory.  Every
+        change kind refreshes identically: the job is re-registered.
         """
         if job.job_id not in self.jobs:
             return  # not a job this orchestrator owns
-        del change  # add and remove refresh identically: re-register the job
         self.graph.add_application(adl_from_xml(adl_to_xml(job.compiled)))
         self.graph.register_job(
             job.job_id,
@@ -800,7 +780,7 @@ class OrcaService:
         )
 
     def _on_channel_rerouted(self, record) -> None:
-        """Elastic-controller listener: a splitter mask/unmask happened."""
+        """``reroute`` event: a splitter mask/unmask happened."""
         job = self.jobs.get(record.job_id)
         if job is None:
             return  # not a job this orchestrator owns
@@ -830,10 +810,10 @@ class OrcaService:
     # -- checkpointing and recovery events -----------------------------------------------------
 
     def _on_checkpoint_committed(self, record) -> None:
-        """Checkpoint-service listener: a PE's epoch was committed."""
+        """``checkpoint`` event: forward committed epochs (torn ones are skipped)."""
         job = self.jobs.get(record.job_id)
-        if job is None:
-            return  # not a job this orchestrator owns
+        if job is None or not record.committed:
+            return  # torn, or not a job this orchestrator owns
         try:
             host = self.graph.host_of_pe(record.pe_id)
         except InspectionError:
@@ -864,7 +844,7 @@ class OrcaService:
         self._enqueue("checkpoint_committed", context, attrs)
 
     def _on_state_reclaimed(self, record) -> None:
-        """Elastic-controller listener: an unmask reclaimed detour state."""
+        """``reclaim`` event: an unmask reclaimed detour state."""
         job = self.jobs.get(record.job_id)
         if job is None:
             return
@@ -891,9 +871,9 @@ class OrcaService:
         self._enqueue("state_reclaimed", context, attrs)
 
     def _on_chaos_injected(self, injection) -> None:
-        """Chaos-engine listener: a campaign step fired.
+        """``injection`` event: a campaign step fired.
 
-        Unlike job-scoped listeners this forwards every injection — chaos
+        Unlike the job-scoped events this forwards every injection — chaos
         is system-level, like host failures — but delivery still depends
         on a registered :class:`~repro.orca.scopes.ChaosScope`, so logic
         not opted in stays blind to the campaign.
@@ -923,7 +903,7 @@ class OrcaService:
         self._enqueue("chaos_injected", context, attrs)
 
     def _on_health_alert(self, alert) -> None:
-        """Health-plane listener: an SLO alert raised or escalated.
+        """``health_alert`` event: an SLO alert raised or escalated.
 
         Like chaos injections this forwards every alert (health is
         system-level), and delivery still requires a registered
@@ -954,7 +934,7 @@ class OrcaService:
         self._enqueue("health_alert", context, attrs)
 
     def _on_pe_restarted(self, pe: PERuntime) -> None:
-        """SAM observer: emit ``rehydrate_skipped`` for empty rehydrations."""
+        """``pe_restart`` event: emit ``rehydrate_skipped`` for empty rehydrations."""
         job = self.jobs.get(pe.job.job_id)
         if job is None:
             return

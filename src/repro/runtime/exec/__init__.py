@@ -1,9 +1,8 @@
 """Executor backends: the scheduler contract and its implementations.
 
 See :mod:`repro.runtime.exec.base` for the contract,
-:mod:`repro.runtime.exec.sim` for the deterministic twin,
-:mod:`repro.runtime.exec.wallclock` for the real-time backend, and
-:mod:`repro.runtime.exec.cluster` for the multiprocess harness.
+:mod:`repro.runtime.exec.sim` for the deterministic twin, and
+:mod:`repro.runtime.exec.wallclock` for the real-time backend.
 Backends are selected by ``SystemConfig(executor=...)`` and constructed
 through :func:`build_executor`.
 """
@@ -13,11 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.runtime.exec.base import Executor
-from repro.runtime.exec.cluster import (
-    WorkerReport,
-    run_worker_cluster,
-    wallclock_pipeline_worker,
-)
 from repro.runtime.exec.sim import SimExecutor, build_sim_executor
 from repro.runtime.exec.wallclock import WallClockExecutor, WallTimeClock
 
@@ -52,9 +46,6 @@ __all__ = [
     "SimExecutor",
     "WallClockExecutor",
     "WallTimeClock",
-    "WorkerReport",
     "build_executor",
     "build_sim_executor",
-    "run_worker_cluster",
-    "wallclock_pipeline_worker",
 ]

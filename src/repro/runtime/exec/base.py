@@ -1,9 +1,8 @@
 """The executor contract extracted from the simulated kernel.
 
 Every component of the middleware — transport, SAM, the elastic
-controller, the checkpoint service, the obs hub, and the instrumentation
-taps enumerated by :func:`repro.obs.listeners.subscribe_runtime` — talks
-to the scheduler through exactly the surface documented here: event
+controller, the checkpoint service and the obs hub — talks to the
+scheduler through exactly the surface documented here: event
 scheduling (:meth:`Executor.schedule` / :meth:`Executor.schedule_at` /
 :meth:`Executor.call_soon`), cancellation via the returned handle, the
 ``now`` time source, the execution drivers (:meth:`Executor.step`,

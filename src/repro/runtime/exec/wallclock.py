@@ -1,13 +1,13 @@
 """Wall-clock executor: the same event loop driven by real time.
 
 :class:`WallClockExecutor` reuses the simulated kernel's heap, handle
-type, tie-breaking, and cancellation semantics — it subclasses
-:class:`repro.sim.kernel.Kernel` — but its clock is a scaled
-``time.monotonic()`` reading and its run loop *sleeps* until the next
-event is due instead of warping virtual time forward.  Everything built
-against the executor contract (transport retry timers, checkpoint
-cadence, chaos scenario steps, health-plane ticks) therefore runs
-unmodified in real time.
+type, tie-breaking, cancellation semantics *and dispatch loops* — it
+subclasses :class:`repro.sim.kernel.Kernel` — but its clock is a scaled
+``time.monotonic()`` reading, and where the sim clock warps virtual time
+forward, :meth:`WallTimeClock._advance_to` *sleeps* until the next event
+is due.  Everything built against the executor contract (transport
+retry timers, checkpoint cadence, chaos scenario steps, health-plane
+ticks) therefore runs unmodified in real time.
 
 ``time_scale`` maps virtual seconds to real seconds: at the default 1.0
 a 0.25 s ack timeout takes 250 real milliseconds; at ``time_scale=50`` a
@@ -43,9 +43,8 @@ class WallTimeClock:
     """Monotonic real-time clock scaled into executor seconds.
 
     Mirrors the :class:`repro.sim.clock.Clock` interface (``now`` and
-    ``_advance_to``) so the kernel machinery works unchanged, but time
-    advances on its own: ``_advance_to`` is a no-op because nothing can
-    move real time.
+    ``_advance_to``) so the kernel's dispatch loops work unchanged, but
+    time advances on its own: ``_advance_to`` waits for it.
     """
 
     __slots__ = ("time_scale", "_origin")
@@ -62,7 +61,12 @@ class WallTimeClock:
         return (_time.monotonic() - self._origin) * self.time_scale
 
     def _advance_to(self, time: float) -> None:
-        """No-op: real time cannot be warped; overdue events just run."""
+        """Sleep until the clock reads ``time``; return at once if overdue."""
+        while True:  # inlined ``now``: this runs once per dispatched event
+            remaining = time - (_time.monotonic() - self._origin) * self.time_scale
+            if remaining <= 0:
+                return
+            _time.sleep(min(remaining / self.time_scale, _MAX_SLEEP))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WallTimeClock(now={self.now:.3f}, scale={self.time_scale})"
@@ -72,9 +76,15 @@ class WallClockExecutor(Kernel):
     """Executor backend where ``now`` is scaled real time.
 
     Inherits the heap, :class:`~repro.sim.kernel.ScheduledEvent`
-    handles, ``event_tap``, and ``pending_count`` from the kernel;
-    overrides the time source, the past-deadline policy, and the
-    execution drivers to wait out gaps in real time.
+    handles, ``event_tap``, ``pending_count`` and both dispatch loops
+    (``step`` / ``run_until``) from the kernel; overrides the time
+    source and the past-deadline policy.  A ``run_until`` horizon that
+    has already passed is not an error here either (the monotonic clock
+    advances between a caller computing it and the loop reading it): the
+    events due by then run and the call returns.  Overdue events —
+    deadlines the loop could not honor exactly because callbacks take
+    real time — are executed rather than dropped, so ``run_until``'s
+    post-condition matches the sim kernel's.
     """
 
     wall_clock = True
@@ -102,71 +112,3 @@ class WallClockExecutor(Kernel):
         self._seq += 1
         heapq.heappush(self._heap, event)
         return event
-
-    # -- execution ----------------------------------------------------------
-
-    def _sleep_until(self, deadline: float) -> None:
-        """Block until the scaled clock reaches ``deadline``."""
-        clock = self.clock
-        scale = clock.time_scale
-        while True:
-            remaining = (deadline - clock.now) / scale
-            if remaining <= 0:
-                return
-            _time.sleep(min(remaining, _MAX_SLEEP))
-
-    def step(self) -> bool:
-        """Run the next pending event, sleeping until it is due."""
-        heap = self._heap
-        while heap:
-            if heap[0].cancelled:
-                heapq.heappop(heap)
-                continue
-            self._sleep_until(heap[0].time)
-            event = heapq.heappop(heap)
-            if event.cancelled:  # cancelled while we slept? single-threaded,
-                continue  # but harmless to re-check after the pop
-            self._events_processed += 1
-            event.fired = True
-            if self.event_tap is not None:
-                self.event_tap(event)
-            event.callback(*event.args)
-            return True
-        return False
-
-    def run_until(self, time: float) -> None:
-        """Run events due at or before ``time``, waiting out gaps.
-
-        Returns once real (scaled) time has passed ``time`` and no event
-        with ``event.time <= time`` remains.  Overdue events — deadlines
-        the loop could not honor exactly because callbacks take real
-        time — are executed rather than dropped, so the post-condition
-        matches the sim kernel's.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        clock = self.clock
-        self._running = True
-        try:
-            while True:
-                while heap and heap[0].cancelled:
-                    heappop(heap)
-                if not heap or heap[0].time > time:
-                    # nothing (left) inside the horizon: idle out the
-                    # remainder so `now >= time` on return, like the twin
-                    if clock.now < time:
-                        self._sleep_until(time)
-                        continue  # sleep may have been cut short; re-check
-                    return
-                event = heap[0]
-                if event.time > clock.now:
-                    self._sleep_until(min(event.time, time))
-                    continue
-                heappop(heap)
-                self._events_processed += 1
-                event.fired = True
-                if self.event_tap is not None:
-                    self.event_tap(event)
-                event.callback(*event.args)
-        finally:
-            self._running = False

@@ -21,6 +21,7 @@ from repro.errors import (
 )
 from repro.sim.kernel import Kernel
 from repro.spl.compiler import CompiledApplication, PESpec, SPLCompiler
+from repro.runtime.events import RuntimeEvents
 from repro.runtime.hc import HostController
 from repro.runtime.ids import IdRegistry
 from repro.runtime.imports import ImportExportRegistry
@@ -45,6 +46,7 @@ class SAM:
         transport: Transport,
         import_export: ImportExportRegistry,
         ids: IdRegistry,
+        events: RuntimeEvents,
         pe_spawn_delay: float = 0.1,
         pe_restart_delay: float = 1.0,
         failure_notification_delay: float = 0.05,
@@ -57,6 +59,12 @@ class SAM:
         self.transport = transport
         self.import_export = import_export
         self.ids = ids
+        #: the runtime bus: SAM publishes ``pe_failure`` (PE, reason),
+        #: ``pe_restart`` (PE) and ``topology`` (job, change kind)
+        self.events = events
+        # the frozen benchmark appends to this name (bench/workloads.py):
+        # it is the bus's own ``pe_restart`` subscriber list, not a copy
+        self.pe_restart_observers = events.subscribers["pe_restart"]
         #: committed-epoch snapshots handed to every PE runtime (None keeps
         #: the paper's no-checkpoint semantics)
         self.checkpoint_store = checkpoint_store
@@ -75,16 +83,6 @@ class SAM:
         self._orca_failure_sinks: Dict[str, Callable] = {}
         #: orca id -> host failure callback installed by the ORCA service
         self._orca_host_sinks: Dict[str, Callable] = {}
-        #: runtime-internal observers of PE crashes / completed restarts
-        #: (the elastic controller registers here to mask/unmask parallel
-        #: region channels whose PE went down)
-        self.pe_failure_observers: List[Callable[[PERuntime, str], None]] = []
-        self.pe_restart_observers: List[Callable[[PERuntime], None]] = []
-        #: runtime-internal observers of PE-set topology changes: called with
-        #: (job, change kind) after add_pes/remove_pes so consumers holding a
-        #: materialized view of the stream graph (ORCA) can refresh it even
-        #: when the rescale was initiated by someone else
-        self.topology_observers: List[Callable[[Job, str], None]] = []
         srm.on_host_failure = self._on_host_failure
         for hc in hcs.values():
             hc.on_pe_crash = self._on_local_pe_crash
@@ -212,8 +210,7 @@ class SAM:
         if pe.state is PEState.RUNNING:
             return
         pe.restart(rehydrate=rehydrate)
-        for observer in self.pe_restart_observers:
-            observer(pe)
+        self.events.publish("pe_restart", pe)
 
     def stop_pe(self, job_id: str, pe_id: str) -> None:
         job = self.get_job(job_id)
@@ -268,7 +265,9 @@ class SAM:
         # runtimes at start, and a new channel may span several new PEs
         for pe in added:
             pe.start()
-        self.notify_topology_changed(job, "add_pes")
+        # published once the change is fully applied, so subscribers can
+        # refresh materialized stream-graph views
+        self.events.publish("topology", job, "add_pes")
         return added
 
     def remove_pes(self, job_id: str, pe_ids: List[str]) -> None:
@@ -297,24 +296,7 @@ class SAM:
             # removed PE (first-cause-wins loss attribution) and drop its
             # receiver-side watermarks/replay buffers
             self.transport.forget_pe(pe.pe_id)
-        self.notify_topology_changed(job, "remove_pes")
-
-    def notify_topology_changed(self, job: Job, kind: str) -> None:
-        """Fan one topology-change notification out to every subscriber.
-
-        The single announcement point for anything that changes a job's
-        PE set or channel-to-PE mapping: :meth:`add_pes` and
-        :meth:`remove_pes` call it, and the elastic controller calls it
-        when a rescale protocol finishes (completed *or* rolled back) —
-        the rewired mapping is only final then, so a subscriber that
-        refreshed at the mid-protocol ``add_pes`` would otherwise keep a
-        stale materialized view whenever the rescale was driven from
-        outside it (a chaos perturbation, an autoscaler, another
-        orchestrator).  ``kind`` is advisory ("add_pes", "remove_pes",
-        "rescale", ...); subscribers refresh identically for all kinds.
-        """
-        for observer in list(self.topology_observers):
-            observer(job, kind)
+        self.events.publish("topology", job, "remove_pes")
 
     # -- failure notification path ----------------------------------------------------------
 
@@ -349,8 +331,7 @@ class SAM:
         job = pe.job
         if job.state is not JobState.RUNNING:
             return
-        for observer in self.pe_failure_observers:
-            observer(pe, reason)
+        self.events.publish("pe_failure", pe, reason)
         sink = None
         if job.owner_orca is not None:
             sink = self._orca_failure_sinks.get(job.owner_orca)

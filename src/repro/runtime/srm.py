@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import UnknownHostError
-from repro.obs.naming import legacy_metric_name
 from repro.sim.kernel import Kernel
 from repro.runtime.host import Host
 
@@ -177,12 +176,8 @@ class SRM:
         This is the per-channel metrics query of the elastic subsystem: the
         ORCA service and scaling policies call it with the operator names of
         one channel (or of a whole region) to judge backlog/throughput.
-
-        ``name`` may be either the stored legacy spelling
-        (``queueSize``) or its canonical ``repro_*`` form — canonical
-        names resolve through the :mod:`repro.obs.naming` shim.
+        ``name`` is the stored (paper) spelling, e.g. ``queueSize``.
         """
-        name = legacy_metric_name(name)
         per: Dict[str, float] = {op: 0.0 for op in operator_names}
         if per:
             for sample in self._metrics.values():
@@ -214,10 +209,7 @@ class SRM:
         The ORCA congestion check aggregates a region's metric per channel
         on every poll; doing that channel-by-channel would rescan the whole
         system-wide metric store once per channel.  This walks it once.
-        Accepts legacy or canonical metric names (see
-        :meth:`aggregate_operator_metric`).
         """
-        name = legacy_metric_name(name)
         group_of: Dict[str, int] = {
             op: key for key, ops in groups.items() for op in ops
         }
@@ -241,11 +233,6 @@ class SRM:
         name: str,
         port: Optional[int] = None,
     ) -> Optional[float]:
-        """Point query (tests and tools).
-
-        Accepts legacy or canonical metric names (see
-        :meth:`aggregate_operator_metric`).
-        """
-        name = legacy_metric_name(name)
+        """Point query (tests and tools)."""
         sample = self._metrics.get((job_id, pe_id, operator, port, name))
         return sample.value if sample else None

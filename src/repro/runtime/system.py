@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.checkpoint import CheckpointService, CheckpointStore
 from repro.sim.rand import RandomStreams
+from repro.runtime.events import RuntimeEvents
 from repro.runtime.exec import build_executor
 from repro.spl.application import Application
 from repro.spl.compiler import CompiledApplication, SPLCompiler
@@ -54,10 +55,6 @@ class SystemConfig:
     #: benchmarks report at 1.0)
     wallclock_time_scale: float = 1.0
     metric_push_interval: float = 3.0
-    heartbeat_interval: float = 1.0
-    heartbeat_timeout: float = 3.0
-    sweep_interval: float = 1.0
-    transport_latency: float = 0.001
     #: transport batching: values > 1 coalesce same-flow tuples into
     #: :class:`~repro.spl.tuples.TupleBatch` units flushed at this size
     #: (one kernel event and one operator dispatch per batch); 1 keeps
@@ -92,7 +89,6 @@ class SystemConfig:
     #: are capped — a never-committing destination could never release
     #: the stall, so those links keep unbounded retention
     replay_buffer_max_bytes: int = 0
-    pe_spawn_delay: float = 0.1
     pe_restart_delay: float = 1.0
     failure_notification_delay: float = 0.05
     orca_rpc_latency: float = 0.002
@@ -105,9 +101,6 @@ class SystemConfig:
     #: every stateful PE's state store (0 keeps the paper's no-checkpoint
     #: default: only graceful stops produce restorable snapshots)
     checkpoint_interval: float = 0.0
-    #: committed checkpoint epochs retained per PE (>= 1; 2 keeps one
-    #: fallback epoch behind the newest commit for torn-epoch recovery)
-    checkpoint_retention: int = 2
     #: repro.obs: data-plane span tracing (per-tuple emit/transport/
     #: process spans and the kernel event tap); off keeps the hot path
     #: at a single None check — control-plane recording is always on
@@ -121,10 +114,6 @@ class SystemConfig:
     #: (sliding windows, lag watermarks, bottleneck attribution, SLO
     #: burn rates); <= 0 disables it for microbenchmarks
     health_interval: float = 0.5
-    #: burn-rate confirmation window (sim-seconds)
-    health_short_window: float = 5.0
-    #: burn-rate sustain window (sim-seconds)
-    health_long_window: float = 30.0
 
 
 class SystemS:
@@ -137,6 +126,10 @@ class SystemS:
         seed: int = 42,
     ) -> None:
         self.config = config or SystemConfig()
+        # the one control-plane notification mechanism: built first, handed
+        # to every subsystem that publishes; subscription order per topic is
+        # construction order below (elastic, chaos, obs), then orchestrators
+        self.events = RuntimeEvents()
         # the executor backend (sim kernel or wall-clock) — every
         # component below schedules against the same contract
         self.kernel = build_executor(self.config)
@@ -146,14 +139,9 @@ class SystemS:
             host_list: List[Host] = [Host(f"host{i + 1}") for i in range(hosts)]
         else:
             host_list = list(hosts)
-        self.srm = SRM(
-            self.kernel,
-            heartbeat_timeout=self.config.heartbeat_timeout,
-            sweep_interval=self.config.sweep_interval,
-        )
+        self.srm = SRM(self.kernel)
         self.transport = Transport(
             self.kernel,
-            latency=self.config.transport_latency,
             # seeded stream: probabilistic link faults (chaos campaigns)
             # stay deterministic per system seed
             rng=self.random.stream("transport"),
@@ -168,9 +156,7 @@ class SystemS:
             ack_rng=self.random.stream("transport_acks"),
             replay_buffer_max_bytes=self.config.replay_buffer_max_bytes,
         )
-        self.import_export = ImportExportRegistry(
-            self.kernel, latency=self.config.transport_latency
-        )
+        self.import_export = ImportExportRegistry(self.kernel)
         self.hcs: Dict[str, HostController] = {}
         for host in host_list:
             self.srm.register_host(host)
@@ -179,12 +165,9 @@ class SystemS:
                 self.kernel,
                 self.srm,
                 metric_push_interval=self.config.metric_push_interval,
-                heartbeat_interval=self.config.heartbeat_interval,
             )
             self.hcs[host.name] = hc
-        self.checkpoint_store = CheckpointStore(
-            retention=self.config.checkpoint_retention
-        )
+        self.checkpoint_store = CheckpointStore()
         self.sam = SAM(
             kernel=self.kernel,
             srm=self.srm,
@@ -192,7 +175,7 @@ class SystemS:
             transport=self.transport,
             import_export=self.import_export,
             ids=self.ids,
-            pe_spawn_delay=self.config.pe_spawn_delay,
+            events=self.events,
             pe_restart_delay=self.config.pe_restart_delay,
             failure_notification_delay=self.config.failure_notification_delay,
             auto_restart_pes=self.config.auto_restart_pes,
@@ -205,6 +188,7 @@ class SystemS:
             sam=self.sam,
             transport=self.transport,
             kernel=self.kernel,
+            events=self.events,
             drain_poll_interval=self.config.elastic_drain_poll,
             drain_timeout=self.config.elastic_drain_timeout,
             # one transactional state-epoch clock for reconfiguration AND
@@ -217,16 +201,11 @@ class SystemS:
             kernel=self.kernel,
             sam=self.sam,
             store=self.checkpoint_store,
+            events=self.events,
             interval=self.config.checkpoint_interval,
         )
         self.sam.checkpoint_service = self.checkpoints
         self.checkpoints.start()
-        # Crashed parallel-region channels are routed around automatically:
-        # SAM tells the elastic controller about PE crashes / completed
-        # restarts; the controller masks / unmasks the affected channels on
-        # the region's splitter.
-        self.sam.pe_failure_observers.append(self.elastic.handle_pe_failure)
-        self.sam.pe_restart_observers.append(self.elastic.handle_pe_restarted)
         from repro.chaos.engine import ChaosEngine  # late: layer cycle
 
         # The chaos-campaign engine: schedules scenario steps on the
@@ -240,12 +219,11 @@ class SystemS:
         # wired only when config.trace_enabled (see repro.obs).
         self.obs = ObsHub(
             self.kernel,
+            self.events,
             trace_enabled=self.config.trace_enabled,
             trace_sample_every=self.config.trace_sample_every,
             flight_capacity=self.config.flight_capacity,
             health_interval=self.config.health_interval,
-            health_short_window=self.config.health_short_window,
-            health_long_window=self.config.health_long_window,
         )
         self.obs.attach(self)
         self.orcas: Dict[str, "OrcaService"] = {}

@@ -204,10 +204,10 @@ class Kernel:
 
         Events scheduled during execution are processed too as long as they
         fall within the horizon, so chained periodic activities (metric
-        pushes, polls) advance naturally.
+        pushes, polls) advance naturally.  A horizon in the past is the
+        clock's to judge: the simulated one raises ``ValueError``, a
+        real-time one has nothing left to wait for.
         """
-        if time < self.clock.now:
-            raise ValueError(f"cannot run into the past: {time} < {self.clock.now}")
         self._running = True
         # hoisted locals: this loop executes every event in the
         # simulation, so each attribute lookup shaved here is paid back

@@ -503,11 +503,13 @@ class TestOrcaChaosSurface:
         }
         assert status["injector"]["pending"] == 0
 
-    def test_shutdown_unregisters_chaos_listener(self):
+    def test_shutdown_unsubscribes_from_injections(self):
         feed = ChaosFeed(seed=3)
         system, service, logic = orchestrated_system(feed, ChaosScope("c"))
         system.cancel_orchestrator(service.orca_id)
-        assert service._on_chaos_injected not in system.chaos.injection_listeners
+        assert service._on_chaos_injected not in (
+            system.events.subscribers["injection"]
+        )
 
 
 # ---------------------------------------------------------------------------

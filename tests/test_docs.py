@@ -44,12 +44,12 @@ DOCSTYLE_FILES = [
     "src/repro/obs/metrics.py",
     "src/repro/obs/trace.py",
     "src/repro/obs/flight.py",
-    "src/repro/obs/listeners.py",
     "src/repro/obs/hub.py",
     "src/repro/obs/health.py",
     "src/repro/obs/slo.py",
     "src/repro/obs/detect.py",
     "src/repro/runtime/delivery.py",
+    "src/repro/runtime/events.py",
     "src/repro/tools/timeline.py",
     "src/repro/tools/healthwatch.py",
 ]

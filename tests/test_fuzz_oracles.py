@@ -363,9 +363,7 @@ class TestBarrierTaps:
         feed = ChaosFeed(seed=3, base_rate=2)
         job = system.submit_job(build_region_app(feed))
         seen = []
-        system.elastic.barrier_listeners.append(
-            lambda event: seen.append(event.phase)
-        )
+        system.events.subscribe(barrier=lambda event: seen.append(event.phase))
         system.run_for(2.0)
         system.elastic.set_channel_width(job, "region", 4)
         system.run_for(3.0)
@@ -373,20 +371,20 @@ class TestBarrierTaps:
             e.phase for e in system.elastic.barrier_events if e.region == "region"
         ]
         assert phases == ["quiesce", "drain_clean", "migrate", "rewire", "resume"]
-        assert seen == phases  # listeners saw the same timeline
+        assert seen == phases  # subscribers saw the same timeline
         resume = system.elastic.barrier_events[-1]
         assert resume.epoch > 0 and resume.job_id == job.job_id
         times = [e.time for e in system.elastic.barrier_events]
         assert times == sorted(times)
 
-    def test_checkpoint_attempt_listeners_see_torn_records(self):
+    def test_checkpoint_subscribers_see_torn_records(self):
         system = SystemS(
             hosts=4, seed=42, config=SystemConfig(checkpoint_interval=0.2)
         )
         feed = ChaosFeed(seed=3, base_rate=2)
         system.submit_job(build_region_app(feed))
         attempts = []
-        system.checkpoints.attempt_listeners.append(attempts.append)
+        system.events.subscribe(checkpoint=attempts.append)
         system.run_for(1.0)
         assert attempts and all(r.committed for r in attempts)
         system.checkpoints.commit_fault = lambda pe: True
@@ -394,7 +392,7 @@ class TestBarrierTaps:
         system.run_for(1.0)
         system.checkpoints.commit_fault = None
         torn = [r for r in attempts[before:] if not r.committed]
-        assert torn  # torn attempts reach the tap (commit_listeners skip them)
+        assert torn  # torn attempts are published too (record.committed False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Tests for the repro.obs metrics registry and naming shim: counter/
+"""Tests for the repro.obs metrics registry and naming catalog: counter/
 gauge/histogram semantics, deterministic quantiles, Prometheus and
-JSONL rendering, the canonical ``repro_*`` <-> legacy camelCase metric
-name translation (and that SRM queries accept both spellings), the
-``subscribe_runtime`` listener helper, and the hub's SRM export."""
+JSONL rendering, the paper-name -> canonical ``repro_*`` translation at
+export (SRM stores and answers the paper's names), and the hub's SRM
+export."""
 
 import json
 
@@ -12,9 +12,7 @@ from repro.obs import (
     CANONICAL_BY_LEGACY,
     MetricsRegistry,
     canonical_metric_name,
-    legacy_metric_name,
     sanitize_metric_name,
-    subscribe_runtime,
 )
 from tests.conftest import make_linear_app
 
@@ -122,10 +120,9 @@ class TestRendering:
 
 
 class TestNaming:
-    def test_catalog_round_trips(self):
+    def test_catalog_translates(self):
         for legacy, canonical in CANONICAL_BY_LEGACY.items():
             assert canonical_metric_name(legacy) == canonical
-            assert legacy_metric_name(canonical) == legacy
 
     def test_srm_builtins_are_catalogued(self):
         assert canonical_metric_name("nTuplesProcessed") == (
@@ -143,15 +140,10 @@ class TestNaming:
         assert canonical_metric_name("nDiscarded") == "repro_n_discarded"
         assert sanitize_metric_name("my.metric-2") == "my_metric_2"
 
-    def test_legacy_passthrough_for_unknown(self):
-        assert legacy_metric_name("nDiscarded") == "nDiscarded"
-        assert legacy_metric_name("repro_not_in_catalog") == (
-            "repro_not_in_catalog"
-        )
 
-
-class TestSRMShim:
-    """Satellite 2: SRM stores legacy spellings; queries resolve both."""
+class TestSRMStorage:
+    """SRM stores and answers the paper's spellings; canonical names
+    exist only at export."""
 
     def push_metrics(self, system):
         job = system.submit_job(make_linear_app())
@@ -159,47 +151,16 @@ class TestSRMShim:
         pe = job.pe_of_operator("sink")
         return job, pe
 
-    def test_point_query_accepts_both_spellings(self, system):
-        job, pe = self.push_metrics(system)
-        legacy = system.srm.metric_value(
-            job.job_id, pe.pe_id, "sink", "nTuplesProcessed"
-        )
-        canonical = system.srm.metric_value(
-            job.job_id, pe.pe_id, "sink", "repro_tuples_processed_total"
-        )
-        assert legacy is not None and legacy > 0
-        assert canonical == legacy
-
-    def test_aggregate_accepts_both_spellings(self, system):
-        job, _ = self.push_metrics(system)
-        legacy = system.srm.aggregate_operator_metric(
-            job.job_id, ["sink"], "nTuplesProcessed"
-        )
-        canonical = system.srm.aggregate_operator_metric(
-            job.job_id, ["sink"], "repro_tuples_processed_total"
-        )
-        assert legacy.total > 0
-        assert canonical.total == legacy.total
-
-    def test_group_sums_accept_both_spellings(self, system):
-        job, _ = self.push_metrics(system)
-        groups = {0: ["sink"]}
-        legacy = system.srm.sum_operator_metric_by_group(
-            job.job_id, groups, "nTuplesProcessed"
-        )
-        canonical = system.srm.sum_operator_metric_by_group(
-            job.job_id, groups, "repro_tuples_processed_total"
-        )
-        assert legacy == canonical and legacy[0] > 0
-
     def test_storage_keeps_legacy_names(self, system):
-        """The shim sits at the query layer, not in storage: HC pushes
-        land under the legacy spelling so existing scope filters and
-        dashboards keep matching."""
-        job, _ = self.push_metrics(system)
+        """HC pushes land under the paper's spelling so scope filters
+        and dashboards keep matching, and queries use that spelling."""
+        job, pe = self.push_metrics(system)
         names = {s.name for s in system.srm.get_metrics([job.job_id])}
         assert "nTuplesProcessed" in names
         assert "repro_tuples_processed_total" not in names
+        assert system.srm.metric_value(
+            job.job_id, pe.pe_id, "sink", "nTuplesProcessed"
+        ) > 0
 
 
 class TestHubExport:
@@ -245,83 +206,3 @@ class TestHubExport:
             "repro_transport_batch_size"
         )
         assert hist.total > 0 and hist.max <= 8
-
-
-class TestListenerHelper:
-    """Satellite 1: one documented registration surface for every
-    runtime instrumentation tap, with symmetric detach."""
-
-    def tap_lengths(self, system):
-        return (
-            len(system.elastic.barrier_listeners),
-            len(system.elastic.reroute_listeners),
-            len(system.elastic.reclaim_listeners),
-            len(system.elastic.rescale_listeners),
-            len(system.checkpoints.attempt_listeners),
-            len(system.checkpoints.commit_listeners),
-            len(system.sam.pe_failure_observers),
-            len(system.sam.pe_restart_observers),
-            len(system.sam.topology_observers),
-            len(system.chaos.injection_listeners),
-            len(system.transport.delivery_taps),
-        )
-
-    def test_attach_detach_is_symmetric(self, system):
-        before = self.tap_lengths(system)
-        seen = []
-        sub = subscribe_runtime(
-            system,
-            on_barrier=lambda e: seen.append(e),
-            on_checkpoint_commit=lambda r: seen.append(r),
-            on_pe_failure=lambda pe, reason: seen.append(reason),
-            on_injection=lambda inj: seen.append(inj),
-        )
-        assert sub.attached and len(sub) == 4
-        after = self.tap_lengths(system)
-        assert sum(after) == sum(before) + 4
-        sub.detach()
-        assert not sub.attached
-        assert self.tap_lengths(system) == before
-
-    def test_topology_observer_fires_on_external_rescale(self, system):
-        from tests.test_elastic import build_region_app
-
-        job = system.submit_job(build_region_app(width=1, rate=50.0))
-        system.run_for(1.0)
-        changes = []
-        sub = subscribe_runtime(
-            system,
-            on_topology=lambda j, change: changes.append((j.job_id, change)),
-        )
-        system.elastic.set_channel_width(job, "region", 3)
-        system.run_for(20.0)
-        assert (job.job_id, "add_pes") in changes
-        system.elastic.set_channel_width(job, "region", 1)
-        system.run_for(20.0)
-        assert (job.job_id, "remove_pes") in changes
-        sub.detach()
-        assert system.sam.topology_observers == []
-
-    def test_detach_is_idempotent(self, system):
-        sub = subscribe_runtime(system, on_injection=lambda inj: None)
-        sub.detach()
-        sub.detach()
-        assert not sub.attached
-
-    def test_redundant_detach_is_recorded(self, system):
-        """A double detach stays a no-op, but the subscription counts
-        it so teardown bugs surface in assertions instead of silently
-        passing."""
-        sub = subscribe_runtime(system, on_injection=lambda inj: None)
-        assert sub.redundant_detaches == 0
-        sub.detach()
-        assert sub.redundant_detaches == 0
-        sub.detach()
-        sub.detach()
-        assert sub.redundant_detaches == 2
-        assert not sub.attached
-
-    def test_no_callbacks_is_an_empty_subscription(self, system):
-        sub = subscribe_runtime(system)
-        assert len(sub) == 0
-        sub.detach()

@@ -155,51 +155,21 @@ class TestSetChannelWidthActuation:
         ]
         actions = [r.action for r in service.actuation_log]
         assert "set_channel_width" in actions
-
-    def test_stream_graph_refreshed_with_new_channels(self, system):
-        app = build_region_app(width=1, rate=30.0)
-        logic = RecordingRegionOrca()
-        service = submit_orca(system, logic, app)
-        system.run_for(2.0)
-        service.set_channel_width(logic.job_id, "region", 2)
-        system.run_for(20.0)
-        # inspection reaches the new channel operator and its PE
-        pe_id = service.pe_of_operator(logic.job_id, "work__c1")
-        assert "work__c1" in service.operators_in_pe(pe_id)
-        # metric events for the new channel keep flowing without skips
+        # inspection reaches a new channel operator and its PE
+        pe_id = service.pe_of_operator(logic.job_id, "work__c2")
+        assert "work__c2" in service.operators_in_pe(pe_id)
+        # metric events for the new channels keep flowing without skips
         assert service.metric_event_skips == 0
         assert not service.handler_errors
 
-    def test_external_rescale_refreshes_graph_via_topology_observer(self, system):
-        """A rescale driven outside the service still refreshes its graph.
+    def test_external_rescale_refreshes_graph_once_per_topology_event(self, system):
+        """A rescale nobody actuated through the service still refreshes it.
 
-        The refresh must ride on the SAM topology observer alone, so the
-        orchestrator's own rescale-completion listener is removed first.
-        """
-        app = build_region_app(width=1, rate=30.0)
-        logic = RecordingRegionOrca()
-        service = submit_orca(system, logic, app)
-        system.run_for(2.0)
-        system.elastic.rescale_listeners.remove(service._on_region_rescaled)
-        job = system.sam.get_job(logic.job_id)
-        system.elastic.set_channel_width(job, "region", 2)
-        system.run_for(20.0)
-        # inspection reaches the new channel operator and its PE even though
-        # the rescale-completion refresh never ran
-        pe_id = service.pe_of_operator(logic.job_id, "work__c1")
-        assert "work__c1" in service.operators_in_pe(pe_id)
-        assert service.host_of_pe(pe_id) is not None
-
-    def test_chaos_rescale_notifies_topology_at_completion(self, system):
-        """ROADMAP carryover: a chaos-driven rescale refreshes everyone.
-
-        The rescale is injected by the chaos engine (the paradigmatic
-        outside-the-orchestrator driver), the service's own
-        rescale-completion listener is removed, and the rewired mapping
-        must still reach the service — through SAM's topology-change
-        notification, which also fires a final ``"rescale"`` kind at
-        protocol completion (when the channel->PE mapping is final,
-        unlike the mid-protocol ``add_pes`` refresh).
+        The chaos engine (the paradigmatic outside-the-orchestrator
+        driver) injects the rescale; the ``topology`` runtime event is
+        the service's only stream-graph refresh, published at the
+        mid-protocol ``add_pes`` and again when the rewired mapping is
+        final, and each publication costs exactly one ADL round trip.
         """
         from repro.chaos.perturbations import Rescale
         from repro.chaos.scenario import Scenario
@@ -208,23 +178,32 @@ class TestSetChannelWidthActuation:
         logic = RecordingRegionOrca()
         service = submit_orca(system, logic, app)
         system.run_for(2.0)
-        system.elastic.rescale_listeners.remove(service._on_region_rescaled)
         kinds = []
-        system.sam.topology_observers.append(
-            lambda job, kind: kinds.append(kind)
-        )
+        system.events.subscribe(topology=lambda job, kind: kinds.append(kind))
+        refreshes = []
+        add_application = service.graph.add_application
+
+        def counting_add_application(adl):
+            refreshes.append(adl.name)
+            add_application(adl)
+
+        service.graph.add_application = counting_add_application
         job = system.sam.get_job(logic.job_id)
         scenario = Scenario("external-rescale").add(
             0.1, Rescale(region="region", width=2)
         )
         system.chaos.run_scenario(scenario, job=job)
         system.run_for(20.0)
-        assert "add_pes" in kinds
-        assert "rescale" in kinds  # the completion-time announcement
+        assert kinds == ["add_pes", "rescale"]  # mid-protocol, then final
+        assert len(refreshes) == len(kinds)
+        # the service itself never asked for a rescale
+        assert [r.action for r in service.actuation_log] == ["submit"]
         # the service's materialized graph answers from the new topology
         pe_id = service.pe_of_operator(logic.job_id, "work__c1")
         assert "work__c1" in service.operators_in_pe(pe_id)
         assert service.host_of_pe(pe_id) is not None
+        assert service.metric_event_skips == 0
+        assert not service.handler_errors
 
     def test_foreign_job_rejected(self, system):
         app = build_region_app(width=1)
