@@ -204,62 +204,62 @@ class DeliveryPlane:
         port: int,
         item: "Payload",
     ) -> None:
-        """Register one single-item unit and put its first copy on the wire.
+        """Admit one single-item unit (already counted sent and in flight).
 
-        Unlike the best-effort path, the link sequence is allocated and
+        Unlike the best-effort commit, the link sequence is allocated and
         the pending entry registered *before* any drop roll: a dropped
         copy keeps its seq and retries, so the in-order receiver stalls
         the link until the retransmit fills the gap (FIFO preserved).
         """
-        t = self.transport
-        key = (dst_pe.pe_id, op_full_name, port)
-        t._in_flight[key] = t._in_flight.get(key, 0) + 1
-        src_key = src_pe.pe_id if src_pe is not None else ""
-        link = (src_key, dst_pe.pe_id)
-        if self._must_stall(link):
-            self._park(link, src_pe, dst_pe, op_full_name, port, item, 1)
-            return
-        self._dispatch(src_pe, dst_pe, op_full_name, port, item, 1)
+        self._admit(src_pe, dst_pe, op_full_name, port, item, 1)
 
     def send_flushed_batch(self, open_batch, flow: Tuple[str, str, str, int]) -> None:
-        """Commit one open batch to the wire as a single reliable unit.
+        """Admit one open batch as a single reliable unit.
 
         The whole batch takes one contiguous seq range, one pending
         entry, one ack, and retransmits atomically — so batching changes
         granularity, never semantics.  Drop rolls apply to the wire copy
         as a whole (a lost packet loses the whole batch), not per member
-        as in the best-effort flush.
+        as in the best-effort commit.
         """
-        t = self.transport
-        src_key, dst_pe_id, op_full_name, port = flow
         items = open_batch.tuples
         if not items:
             return
-        if t.batch_observer is not None:
-            t.batch_observer(len(items))
-        link = (src_key, dst_pe_id)
-        if self._must_stall(link):
-            self._park(
-                link,
-                open_batch.src_pe,
-                open_batch.dst_pe,
-                op_full_name,
-                port,
-                TupleBatch(items),
-                len(items),
-            )
-            return
-        self._dispatch(
-            open_batch.src_pe,
-            open_batch.dst_pe,
-            op_full_name,
-            port,
-            TupleBatch(items),
-            len(items),
+        if self.transport.batch_observer is not None:
+            self.transport.batch_observer(len(items))
+        self._admit(
+            open_batch.src_pe, open_batch.dst_pe, flow[2], flow[3],
+            TupleBatch(items), len(items),
         )
+
+    def _admit(
+        self,
+        src_pe: Optional["PERuntime"],
+        dst_pe: "PERuntime",
+        op_full_name: str,
+        port: int,
+        payload: "Payload",
+        count: int,
+    ) -> None:
+        """Dispatch one unit, or queue it behind replay-cap backpressure.
+
+        A parked unit already counts as in flight, so drain barriers and
+        the health plane see the stalled backlog; its link seq is *not*
+        allocated until :meth:`_release_stalled` dispatches it.
+        """
+        link = (src_pe.pe_id if src_pe is not None else "", dst_pe.pe_id)
+        if self._must_stall(link):
+            self.stalled.setdefault(link, []).append(
+                (src_pe, dst_pe, op_full_name, port, payload, count)
+            )
+            self.transport.replay_stalls += count
+            self._observe("replay_stall", count, op_full_name)
+        else:
+            self._dispatch(link, src_pe, dst_pe, op_full_name, port, payload, count)
 
     def _dispatch(
         self,
+        link: Link,
         src_pe: Optional["PERuntime"],
         dst_pe: "PERuntime",
         op_full_name: str,
@@ -274,8 +274,6 @@ class DeliveryPlane:
         keep per-link FIFO when released.
         """
         t = self.transport
-        src_key = src_pe.pe_id if src_pe is not None else ""
-        link = (src_key, dst_pe.pe_id)
         base = t._link_send_seq.get(link, 0)
         t._link_send_seq[link] = base + count
         entry = PendingEntry(
@@ -307,29 +305,6 @@ class DeliveryPlane:
             return True
         return self.replay_bytes.get(link, 0) >= self.replay_buffer_max_bytes
 
-    def _park(
-        self,
-        link: Link,
-        src_pe: Optional["PERuntime"],
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
-        payload: "Payload",
-        count: int,
-    ) -> None:
-        """Queue one unit behind the link's replay-cap backpressure.
-
-        The unit already counts as in flight (its sender incremented the
-        in-flight gauge), so drain barriers and the health plane see the
-        stalled backlog; the link seq is *not* allocated yet.
-        """
-        self.stalled.setdefault(link, []).append(
-            (src_pe, dst_pe, op_full_name, port, payload, count)
-        )
-        t = self.transport
-        t.replay_stalls += count
-        self._observe("replay_stall", count, op_full_name)
-
     def _release_stalled(self, link: Link) -> None:
         """Dispatch parked units in order while the link is under its cap."""
         queue = self.stalled.get(link)
@@ -337,27 +312,25 @@ class DeliveryPlane:
             return
         cap = self.replay_buffer_max_bytes
         while queue and self.replay_bytes.get(link, 0) < cap:
-            src_pe, dst_pe, op_full_name, port, payload, count = queue.pop(0)
-            self._dispatch(src_pe, dst_pe, op_full_name, port, payload, count)
+            self._dispatch(link, *queue.pop(0))
         if not queue:
             del self.stalled[link]
 
     def _transmit(self, entry: PendingEntry, redelivery: bool = False) -> None:
-        """Run one wire copy of a unit through the link-fault pipeline.
+        """Put one wire copy of a unit on its link, unless a fault eats it.
 
-        A seeded drop loses the copy (the unit stays pending and will be
-        retransmitted; ``dropped_by_fault`` moves only on the unit's
-        first casualty), partitions hold or delay it exactly like a
-        best-effort send, and a clean link schedules delivery after the
-        composed latency.  ``redelivery=True`` marks a post-restart
-        replay of an already-processed unit: the receiver will suppress
-        downstream emissions when it lands.
+        The drop policy is per unit: every lossy fault matching the link
+        draws one seeded roll for the whole copy, and a casualty leaves
+        the unit pending for retransmission (``dropped_by_fault`` moves
+        only on the unit's first casualty).  A surviving copy goes
+        through :meth:`Transport._put_on_wire` like any other unit,
+        carrying the seq range :meth:`_dispatch` claimed.
+        ``redelivery=True`` marks a post-restart replay of an
+        already-processed unit: the receiver will suppress downstream
+        emissions when it lands.
         """
         t = self.transport
         faults = t._matching_faults(entry.src_pe, entry.dst_pe)
-        latency = t.latency
-        hold_until: Optional[float] = None
-        untimed = None
         for fault in faults:
             if fault.drop_probability > 0.0 and (
                 t.rng.random() < fault.drop_probability
@@ -367,41 +340,16 @@ class DeliveryPlane:
                     t.dropped_by_fault += entry.count
                 entry.next_arrival = None
                 return
-            latency += fault.extra_latency
-            if fault.partition:
-                if fault.until is None:
-                    untimed = fault
-                else:
-                    hold_until = max(hold_until or 0.0, fault.until)
-        incarnation = t._incarnations.get(entry.dst_pe.pe_id, 0)
-        if untimed is not None:
-            t._held.setdefault(untimed.fault_id, []).append(
-                (
-                    entry.src_pe,
-                    entry.dst_pe,
-                    entry.op_full_name,
-                    entry.port,
-                    entry.payload,
-                    incarnation,
-                    entry.first_seq,
-                    redelivery,
-                )
-            )
-            entry.next_arrival = float("inf")
-            return
-        deliver_at = self.kernel.now + latency
-        if hold_until is not None:
-            deliver_at = max(deliver_at, hold_until + t.latency)
-        entry.next_arrival = t._schedule_delivery(
-            deliver_at,
-            entry.link[0],
+        entry.next_arrival = t._put_on_wire(
+            faults,
+            entry.src_pe,
             entry.dst_pe,
             entry.op_full_name,
             entry.port,
             entry.payload,
-            incarnation=incarnation,
-            link_seq=entry.first_seq,
-            redelivery=redelivery,
+            t._incarnations.get(entry.dst_pe.pe_id, 0),
+            entry.first_seq,
+            redelivery,
         )
 
     # -- retry timers -------------------------------------------------------
@@ -499,48 +447,31 @@ class DeliveryPlane:
         if not dst_pe.is_running:
             return
         count = len(payload.tuples) if isinstance(payload, TupleBatch) else 1
+        link = (src_key, dst_pe.pe_id)
         if self.exactly_once:
             self._arrive_exactly_once(
-                dst_pe, op_full_name, port, payload, src_key, first_seq,
-                count, redelivery,
+                link, dst_pe, op_full_name, port, payload, first_seq, count,
+                redelivery,
             )
         else:
-            self._arrive_at_least_once(
-                dst_pe, op_full_name, port, payload, src_key, first_seq, count
+            # naive receiver: deliver every copy that arrives, dup or not
+            self._accept(
+                link, dst_pe, op_full_name, port, payload, first_seq, count,
+                False,
             )
-
-    def _arrive_at_least_once(
-        self, dst_pe, op_full_name, port, payload, src_key, first_seq, count
-    ) -> None:
-        """Naive receiver: deliver every copy that arrives, dup or not."""
-        entry = self.pending.get(((src_key, dst_pe.pe_id), first_seq))
-        if entry is not None and not entry.delivered:
-            entry.delivered = True
-            self.transport._dec_in_flight(
-                (dst_pe.pe_id, op_full_name, port), count
-            )
-            self._schedule_ack(entry)
-        elif entry is not None and entry.ack_lost:
-            # a retransmit provoked by a lost ack: re-ack this copy
-            self._schedule_ack(entry)
-        self._hand_over(
-            dst_pe, op_full_name, port, payload, src_key, first_seq, count,
-            redelivery=False,
-        )
 
     def _arrive_exactly_once(
         self,
+        link,
         dst_pe,
         op_full_name,
         port,
         payload,
-        src_key,
         first_seq,
         count,
         redelivery,
     ) -> None:
         """In-order receiver: strict per-link seq delivery with dedup."""
-        link = (src_key, dst_pe.pe_id)
         wm = self.delivered_wm.get(link, 0)
         if first_seq + count - 1 <= wm:
             self.transport.duplicates_suppressed += count
@@ -557,7 +488,7 @@ class DeliveryPlane:
                     op_full_name, port, payload, first_seq, count, redelivery
                 )
             return
-        self._deliver_in_order(
+        self._accept(
             link, dst_pe, op_full_name, port, payload, first_seq, count,
             redelivery,
         )
@@ -566,59 +497,38 @@ class DeliveryPlane:
             parked = buf.pop(self.delivered_wm[link] + 1, None)
             if parked is None:
                 break
-            self._deliver_in_order(link, dst_pe, *parked)
+            self._accept(link, dst_pe, *parked)
         if buf is not None and not buf:
             self.reorder.pop(link, None)
 
-    def _deliver_in_order(
+    def _accept(
         self, link, dst_pe, op_full_name, port, payload, first_seq, count,
         redelivery,
     ) -> None:
-        self.delivered_wm[link] = first_seq + count - 1
-        entry = self.pending.get((link, first_seq))
-        if entry is not None and not entry.delivered:
-            entry.delivered = True
-            self.transport._dec_in_flight(
-                (dst_pe.pe_id, op_full_name, port), count
-            )
-            self._schedule_ack(entry)
-        elif entry is not None and entry.ack_lost:
-            self._schedule_ack(entry)
-        self._hand_over(
-            dst_pe, op_full_name, port, payload, link[0], first_seq, count,
-            redelivery=redelivery,
-        )
+        """Hand one arrived copy to the application, acking as needed.
 
-    def _hand_over(
-        self, dst_pe, op_full_name, port, payload, src_key, first_seq, count,
-        redelivery,
-    ) -> None:
-        """Count the delivery, fire taps, and hand the unit to the PE.
-
-        ``redelivery=True`` deliveries re-process with downstream
-        emissions suppressed: the unit's outputs already left the PE in a
-        previous incarnation, so only the state effect must be rebuilt.
+        The unit leaves the in-flight count and is acknowledged on its
+        *first* delivery; a later copy is re-acked only when the earlier
+        ack was lost (it is the retransmit that loss provoked).  The
+        exactly-once receiver calls this strictly in seq order, so the
+        link's delivered watermark advances here.
         """
-        t = self.transport
-        t.total_delivered += count
-        if t.delivery_taps:
-            from repro.runtime.transport import DeliveryRecord
-
-            now = self.kernel.now
-            taps = list(t.delivery_taps)
-            for offset in range(count):
-                record = DeliveryRecord(
-                    src_key=src_key,
-                    dst_pe_id=dst_pe.pe_id,
-                    op_full_name=op_full_name,
-                    port=port,
-                    link_seq=first_seq + offset,
-                    time=now,
-                    redelivery=redelivery,
+        if self.exactly_once:
+            self.delivered_wm[link] = first_seq + count - 1
+        entry = self.pending.get((link, first_seq))
+        if entry is not None:
+            if not entry.delivered:
+                entry.delivered = True
+                self.transport._dec_in_flight(
+                    (dst_pe.pe_id, op_full_name, port), count
                 )
-                for tap in taps:
-                    tap(record)
-        dst_pe.receive(op_full_name, port, payload, suppress_emissions=redelivery)
+                self._schedule_ack(entry)
+            elif entry.ack_lost:
+                self._schedule_ack(entry)
+        self.transport._hand_over(
+            dst_pe, op_full_name, port, payload, link[0], first_seq, count,
+            redelivery,
+        )
 
     # -- acks ---------------------------------------------------------------
 
@@ -635,31 +545,26 @@ class DeliveryPlane:
         resulting duplicate, so delivery converges.
         """
         t = self.transport
-        latency = t.latency
         entry.ack_lost = False
+        arrive_at = self.kernel.now + t.latency
         if t._link_faults and entry.src_pe is not None:
-            hold_until: Optional[float] = None
-            for fault in t._matching_faults(entry.dst_pe, entry.src_pe):
-                if fault.drop_probability > 0.0 and (
-                    t.ack_rng.random() < fault.drop_probability
-                ):
+            faults = t._matching_faults(entry.dst_pe, entry.src_pe)
+            for fault in faults:
+                # an untimed partition swallows the ack where it stands
+                # (later faults draw no roll): the retransmit after heal
+                # provokes a fresh one
+                if (
+                    fault.drop_probability > 0.0
+                    and t.ack_rng.random() < fault.drop_probability
+                ) or (fault.partition and fault.until is None):
                     entry.ack_lost = True
                     t.acks_dropped += 1
                     self._observe("ack_dropped", 1, entry.op_full_name)
                     return
-                latency += fault.extra_latency
-                if fault.partition:
-                    if fault.until is None:
-                        # an untimed partition swallows the ack: the
-                        # retransmit after heal provokes a fresh one
-                        entry.ack_lost = True
-                        t.acks_dropped += 1
-                        self._observe("ack_dropped", 1, entry.op_full_name)
-                        return
-                    hold_until = max(hold_until or 0.0, fault.until)
-            if hold_until is not None:
-                latency = max(latency, hold_until + t.latency - self.kernel.now)
-        self.kernel.schedule(latency, self._on_ack, entry, label="transport-ack")
+            arrive_at = t._compose(faults)[0]
+        self.kernel.schedule_at(
+            arrive_at, self._on_ack, entry, label="transport-ack"
+        )
 
     def _on_ack(self, entry: PendingEntry) -> None:
         if entry.acked or entry.condemned:

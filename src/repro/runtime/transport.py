@@ -30,15 +30,32 @@ Both behaviours describe the default ``delivery="best_effort"`` mode.
 The ``at_least_once`` and ``exactly_once`` modes route sends through a
 :class:`~repro.runtime.delivery.DeliveryPlane` that layers per-link acks,
 sim-time retry/backoff timers, duplicate-suppression watermarks, and
-epoch-aligned crash replay on top of the same link-fault pipeline — see
-:mod:`repro.runtime.delivery` for the full contract per mode.
+epoch-aligned crash replay on top — see :mod:`repro.runtime.delivery`
+for the full contract per mode.
+
+In every mode, and whether or not tuples are batched, one thing travels:
+a *wire unit of N members* (see :class:`Transport`).  Modes differ in
+their drop policy and in when a unit's ``link_seq`` range is claimed;
+batching differs only in N.  What a link does to a unit
+(:meth:`Transport._put_on_wire`) and what happens when it arrives
+(:meth:`Transport._deliver`) is written once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.spl.tuples import Punctuation, StreamTuple, TupleBatch
@@ -48,7 +65,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.pe import PERuntime
 
 Item = Union[StreamTuple, Punctuation]
-#: what actually travels on the wire: a single item, or a coalesced batch
+#: a wire unit's payload: one item (a unit of N = 1 members) or a
+#: coalesced batch (N = its length)
 Payload = Union[StreamTuple, Punctuation, TupleBatch]
 
 
@@ -164,21 +182,47 @@ class _OpenBatch:
         self.opened_at = opened_at
 
 
-class Transport:
-    """Delivers items between PEs with latency and in-flight accounting.
+class _HeldUnit(NamedTuple):
+    """One wire unit parked behind an untimed partition.
 
-    With ``batch_max_size > 1`` the transport additionally coalesces
-    same-flow tuples into :class:`~repro.spl.tuples.TupleBatch` units:
-    tuples append to a per-flow open batch that is committed to the wire
-    when it reaches ``batch_max_size``, when the ``batch_linger`` expires
-    (linger 0.0 = the end of the current kernel instant), when
-    punctuation follows on the same flow, or when
-    :meth:`flush_open_batches` forces it (drain barriers, crashes).  A
-    flushed batch consumes one contiguous ``link_seq`` range and one
-    kernel event, so per-connection FIFO, crash condemnation, and link
-    fault accounting operate on whole batches with unchanged observable
-    semantics.  ``batch_max_size <= 1`` (the default) never touches the
-    batch path at all.
+    The fields are :meth:`Transport._put_on_wire`'s unit parameters in
+    order, so a healed fault re-sends each with ``_put_on_wire(faults,
+    *unit)``.  ``incarnation`` and ``first_seq`` are the values stamped
+    when the unit first went onto the link: a crash during the partition
+    still condemns the held unit, and flushed queues merge in send order.
+    """
+
+    src_pe: Optional["PERuntime"]
+    dst_pe: "PERuntime"
+    op_full_name: str
+    port: int
+    payload: Payload
+    incarnation: int
+    first_seq: int
+    redelivery: bool
+
+
+class Transport:
+    """Delivers wire units between PEs with latency and in-flight accounting.
+
+    The only thing that goes onto or comes off a link is a **wire unit of
+    N members**: one tuple or punctuation (N = 1) or one
+    :class:`~repro.spl.tuples.TupleBatch` (N = its length).  A unit takes
+    the contiguous ``link_seq`` range ``[first_seq, first_seq + N - 1]``
+    and one kernel event; every counter moves by N.  There is one way
+    onto a link (:meth:`_put_on_wire`: fault composition, the partition
+    hold queue, per-link FIFO, the scheduled arrival) and one way off it
+    (:meth:`_deliver`, ending in :meth:`_hand_over`: taps, then
+    ``PERuntime.receive``), in all three delivery modes.
+
+    ``batch_max_size`` only decides how many members a unit has.  With
+    ``batch_max_size > 1`` same-flow tuples append to a per-flow open
+    batch that is committed when it reaches ``batch_max_size``, when the
+    ``batch_linger`` expires (linger 0.0 = the end of the current kernel
+    instant), when punctuation follows on the same flow, or when
+    :meth:`flush_open_batches` forces it (drain barriers, crashes).
+    With ``batch_max_size <= 1`` (the default) nothing is buffered and
+    every send commits at once — the same commit, at N = 1.
     """
 
     def __init__(
@@ -258,9 +302,9 @@ class Transport:
         self._incarnations: Dict[str, int] = {}
         #: installed link faults by id
         self._link_faults: Dict[int, LinkFault] = {}
-        #: fault id -> items held by an *untimed* partition, flushed in
+        #: fault id -> units held by an *untimed* partition, flushed in
         #: order when the fault is cleared
-        self._held: Dict[int, List[tuple]] = {}
+        self._held: Dict[int, List[_HeldUnit]] = {}
         self._next_fault_id = 1
         #: (src pe id or "", dst pe id) -> latest scheduled arrival, so a
         #: fault expiring mid-stream cannot reorder a connection's items
@@ -368,75 +412,27 @@ class Transport:
         held = self._held.pop(fault_id, [])
         if installed is None and not held:
             return
-        # Items re-held by a *still-open* untimed partition are collected
+        # Each flushed unit goes back through the faults active *now*: a
+        # timed partition or latency spike still in force delays it, an
+        # unimpeded link delivers it with the base latency, and drop
+        # faults are not re-applied (the unit already survived its send).
+        # Units re-held by a *still-open* untimed partition are collected
         # per target fault and merged into its queue by original per-link
         # send sequence: with overlapping partitions either fault may be
         # cleared first, so neither plain append nor plain prepend keeps
-        # a link's items in send order — the send-time stamp does.
-        reheld: Dict[int, List[tuple]] = {}
-        for entry in held:
-            self._resend_held(*entry, reheld=reheld)
+        # a link's units in send order — the send-time stamp does.
+        reheld: Dict[int, List[_HeldUnit]] = {}
+        for unit in held:
+            self._put_on_wire(
+                self._matching_faults(unit.src_pe, unit.dst_pe),
+                *unit,
+                park_into=reheld,
+            )
         for target_id, group in reheld.items():
             merged = group + self._held.get(target_id, [])
-            merged.sort(key=lambda entry: entry[6])
+            merged.sort(key=lambda unit: unit.first_seq)
             self._held[target_id] = merged
         self._prune_faults()
-
-    def _resend_held(
-        self,
-        src_pe: Optional["PERuntime"],
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
-        item: Payload,
-        incarnation: int,
-        link_seq: int,
-        redelivery: bool = False,
-        reheld: Optional[Dict[int, List[tuple]]] = None,
-    ) -> None:
-        """Re-route one flushed item through the faults active *now*.
-
-        Fault composition survives the flush: a still-open partition on
-        the same link re-holds the item (collected into ``reheld`` so the
-        caller can merge the flushed group into that fault's queue by
-        original send sequence), a timed partition or latency spike still
-        in force delays it, and an unimpeded link delivers it with the
-        base latency.  Drop faults are not re-applied — the item already
-        survived its send.  ``link_seq`` is the item's original send-time
-        stamp and rides along unchanged, as does the reliable modes'
-        ``redelivery`` marker.
-        """
-        faults = self._matching_faults(src_pe, dst_pe)
-        latency = self.latency
-        hold_until: Optional[float] = None
-        for fault in faults:
-            latency += fault.extra_latency
-            if fault.partition:
-                if fault.until is None:
-                    entry = (
-                        src_pe, dst_pe, op_full_name, port, item,
-                        incarnation, link_seq, redelivery,
-                    )
-                    if reheld is not None:
-                        reheld.setdefault(fault.fault_id, []).append(entry)
-                    else:
-                        self._held.setdefault(fault.fault_id, []).append(entry)
-                    return
-                hold_until = max(hold_until or 0.0, fault.until)
-        deliver_at = self.kernel.now + latency
-        if hold_until is not None:
-            deliver_at = max(deliver_at, hold_until + self.latency)
-        self._schedule_delivery(
-            deliver_at,
-            src_pe.pe_id if src_pe is not None else "",
-            dst_pe,
-            op_full_name,
-            port,
-            item,
-            incarnation=incarnation,
-            link_seq=link_seq,
-            redelivery=redelivery,
-        )
 
     def active_link_faults(self) -> List[LinkFault]:
         """Snapshot of the faults currently in force (expired ones pruned)."""
@@ -491,7 +487,7 @@ class Transport:
         if self.reliability is not None:
             self.reliability.on_pe_crashed(pe_id)
 
-    # -- send / deliver ------------------------------------------------------
+    # -- putting units on the wire --------------------------------------------
 
     def send(
         self,
@@ -501,7 +497,11 @@ class Transport:
         item: Item,
         src_pe: Optional["PERuntime"] = None,
     ) -> None:
-        """Schedule delivery of ``item`` to an input port of a remote PE.
+        """Send ``item`` toward an input port of a remote PE.
+
+        With batching on, a tuple joins its flow's open batch (a run of
+        one, see :meth:`send_batch`); otherwise — and for punctuation
+        always — the item is committed at once as a unit of one member.
 
         Args:
             dst_pe: Destination PE runtime.
@@ -514,86 +514,39 @@ class Transport:
         """
         if self.batch_max_size > 1:
             if isinstance(item, StreamTuple):
-                self._append_to_batch(src_pe, dst_pe, op_full_name, port, item)
+                self._buffer(src_pe, dst_pe, op_full_name, port, (item,))
                 return
             # punctuation never rides in a batch: flush the flow's open
             # batch first so the marker cannot overtake tuples buffered
-            # ahead of it, then fall through to the one-item path
+            # ahead of it, then commit the marker on its own
             src_key = src_pe.pe_id if src_pe is not None else ""
             flow = (src_key, dst_pe.pe_id, op_full_name, port)
             if flow in self._open_batches:
                 self._flush_flow(flow)
         self.total_sent += 1
-        if self.reliability is not None:
-            self.reliability.send(src_pe, dst_pe, op_full_name, port, item)
-            return
-        faults = self._matching_faults(src_pe, dst_pe)
-        latency = self.latency
-        hold_until: Optional[float] = None
-        untimed_partition: Optional[LinkFault] = None
-        for fault in faults:
-            if fault.drop_probability > 0.0 and (
-                self.rng.random() < fault.drop_probability
-            ):
-                self.dropped_by_fault += 1
-                return
-            latency += fault.extra_latency
-            if fault.partition:
-                if fault.until is None:
-                    # untimed partition: hold the item until the fault is
-                    # cleared (clear_link_fault flushes the queue)
-                    untimed_partition = fault
-                else:
-                    hold_until = max(hold_until or 0.0, fault.until)
-        src_key = src_pe.pe_id if src_pe is not None else ""
         key = (dst_pe.pe_id, op_full_name, port)
         self._in_flight[key] = self._in_flight.get(key, 0) + 1
-        link_seq = self._next_link_seq(src_key, dst_pe.pe_id)
-        if untimed_partition is not None:
-            # the destination incarnation and link send-sequence are
-            # captured at *send* time (a crash during the partition must
-            # still condemn held items; the seq keeps flushed queues in
-            # send order) and the source PE rides along so the flush can
-            # re-match faults like ordinary sends
-            self._held.setdefault(untimed_partition.fault_id, []).append(
-                (
-                    src_pe,
-                    dst_pe,
-                    op_full_name,
-                    port,
-                    item,
-                    self._incarnations.get(dst_pe.pe_id, 0),
-                    link_seq,
-                    False,
-                )
-            )
-            return
-        deliver_at = self.kernel.now + latency
-        if hold_until is not None:
-            deliver_at = max(deliver_at, hold_until + self.latency)
-        self._schedule_delivery(
-            deliver_at, src_key, dst_pe, op_full_name, port, item,
-            link_seq=link_seq,
-        )
-
-    # -- batching ------------------------------------------------------------
+        if self.reliability is not None:
+            self.reliability.send(src_pe, dst_pe, op_full_name, port, item)
+        else:
+            self._commit(src_pe, dst_pe, op_full_name, port, item)
 
     def send_batch(
         self,
         dst_pe: "PERuntime",
         op_full_name: str,
         port: int,
-        tuples: List[StreamTuple],
+        tuples: Sequence[StreamTuple],
         src_pe: Optional["PERuntime"] = None,
     ) -> None:
         """Send a run of tuples toward one input port in a single call.
 
-        With batching disabled this degenerates to a loop over
-        :meth:`send` (identical semantics, one kernel event per tuple);
-        with batching enabled the whole run lands on the flow's open
-        batch in one append and flushes by the usual size/linger rules.
-        A bulk append larger than ``batch_max_size`` flushes as one
-        oversized batch: size is a flush trigger, not a hard cap.
+        With batching disabled every tuple is its own unit (a loop over
+        :meth:`send`, one kernel event per tuple); with batching enabled
+        the whole run lands on the flow's open batch in one append and
+        flushes by the usual size/linger rules.  A bulk append larger
+        than ``batch_max_size`` flushes as one oversized batch: size is a
+        flush trigger, not a hard cap.
 
         Args:
             dst_pe: Destination PE runtime.
@@ -605,59 +558,40 @@ class Transport:
         if self.batch_max_size <= 1:
             for tup in tuples:
                 self.send(dst_pe, op_full_name, port, tup, src_pe=src_pe)
-            return
-        if not tuples:
-            return
+        elif tuples:
+            self._buffer(src_pe, dst_pe, op_full_name, port, tuples)
+
+    def _buffer(
+        self,
+        src_pe: Optional["PERuntime"],
+        dst_pe: "PERuntime",
+        op_full_name: str,
+        port: int,
+        tuples: Sequence[StreamTuple],
+    ) -> None:
+        """Append a non-empty run to its flow's open batch, flushing at size.
+
+        The one body behind :meth:`send` (a run of one) and
+        :meth:`send_batch` when batching is on; kept off the public names
+        so that neither entry point is reached through the other.
+        Buffered tuples count as sent and in flight from this moment, so
+        ``queue_size`` (and through it the elastic drain barrier's
+        backlog probe) sees open-batch occupants.
+
+        The linger clock starts at a flow's first buffered tuple.  A
+        linger of 0.0 arms a ``call_soon`` flush instead: it fires at the
+        end of the current kernel instant, which still coalesces a burst
+        emitted within one upstream activation while never delaying
+        delivery in sim time — crash instants between kernel ticks
+        therefore observe no open batches, exactly like an unbatched
+        transport.
+        """
         n = len(tuples)
         self.total_sent += n
         key = (dst_pe.pe_id, op_full_name, port)
         self._in_flight[key] = self._in_flight.get(key, 0) + n
         src_key = src_pe.pe_id if src_pe is not None else ""
         flow = (src_key, dst_pe.pe_id, op_full_name, port)
-        batch = self._open_flow(flow, src_pe, dst_pe)
-        batch.tuples.extend(tuples)
-        if len(batch.tuples) >= self.batch_max_size:
-            self._flush_flow(flow)
-
-    def _append_to_batch(
-        self,
-        src_pe: Optional["PERuntime"],
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
-        tup: StreamTuple,
-    ) -> None:
-        """Buffer one tuple on its flow's open batch, flushing at size.
-
-        The tuple counts as sent and in flight from the moment it is
-        buffered, so ``queue_size`` (and through it the elastic drain
-        barrier's backlog probe) sees open-batch occupants.
-        """
-        self.total_sent += 1
-        key = (dst_pe.pe_id, op_full_name, port)
-        self._in_flight[key] = self._in_flight.get(key, 0) + 1
-        src_key = src_pe.pe_id if src_pe is not None else ""
-        flow = (src_key, dst_pe.pe_id, op_full_name, port)
-        batch = self._open_flow(flow, src_pe, dst_pe)
-        batch.tuples.append(tup)
-        if len(batch.tuples) >= self.batch_max_size:
-            self._flush_flow(flow)
-
-    def _open_flow(
-        self,
-        flow: Tuple[str, str, str, int],
-        src_pe: Optional["PERuntime"],
-        dst_pe: "PERuntime",
-    ) -> _OpenBatch:
-        """Return the flow's open batch, creating (and arming) it if needed.
-
-        The linger clock starts at the first buffered tuple.  A linger of
-        0.0 arms a ``call_soon`` flush instead: it fires at the end of
-        the current kernel instant, which still coalesces a burst emitted
-        within one upstream activation while never delaying delivery in
-        sim time — crash instants between kernel ticks therefore observe
-        no open batches, exactly like the unbatched transport.
-        """
         batch = self._open_batches.get(flow)
         if batch is None:
             batch = _OpenBatch(src_pe, dst_pe, opened_at=self.kernel.now)
@@ -675,21 +609,12 @@ class Transport:
                     flow,
                     label="transport-batch-flush",
                 )
-        return batch
+        batch.tuples.extend(tuples)
+        if len(batch.tuples) >= self.batch_max_size:
+            self._flush_flow(flow)
 
     def _flush_flow(self, flow: Tuple[str, str, str, int]) -> None:
-        """Commit one flow's open batch to the wire (idempotent).
-
-        The batch re-runs the same fault pipeline an ordinary send would:
-        seeded drop rolls apply per member (casualties leave the batch
-        and the in-flight count), latencies compose once for the whole
-        batch, an untimed partition holds the batch as a single queue
-        entry, and a timed one delays it.  Survivors take one contiguous
-        ``link_seq`` range allocated here, at commit time — per-link
-        ranges are claimed in flush order, which is also per-link
-        delivery order, so FIFO taps observe strictly increasing
-        sequences exactly as before.
-        """
+        """Commit one flow's open batch as a single wire unit (idempotent)."""
         open_batch = self._open_batches.pop(flow, None)
         if open_batch is None:
             return
@@ -697,75 +622,11 @@ class Transport:
             open_batch.flush_event.cancel()
         if self.reliability is not None:
             self.reliability.send_flushed_batch(open_batch, flow)
-            return
-        src_key, dst_pe_id, op_full_name, port = flow
-        src_pe, dst_pe = open_batch.src_pe, open_batch.dst_pe
-        items = open_batch.tuples
-        faults = self._matching_faults(src_pe, dst_pe)
-        latency = self.latency
-        hold_until: Optional[float] = None
-        untimed_partition: Optional[LinkFault] = None
-        for fault in faults:
-            if fault.drop_probability > 0.0 and items:
-                roll = self.rng.random
-                p = fault.drop_probability
-                kept: List[StreamTuple] = []
-                for tup in items:
-                    if roll() < p:
-                        self.dropped_by_fault += 1
-                    else:
-                        kept.append(tup)
-                items = kept
-            latency += fault.extra_latency
-            if fault.partition:
-                if fault.until is None:
-                    untimed_partition = fault
-                else:
-                    hold_until = max(hold_until or 0.0, fault.until)
-        dropped = len(open_batch.tuples) - len(items)
-        if dropped:
-            key = (dst_pe_id, op_full_name, port)
-            count = self._in_flight.get(key, 0) - dropped
-            if count <= 0:
-                self._in_flight.pop(key, None)
-            else:
-                self._in_flight[key] = count
-        if not items:
-            return
-        if self.batch_observer is not None:
-            self.batch_observer(len(items))
-        batch = TupleBatch(items)
-        link = (src_key, dst_pe_id)
-        base = self._link_send_seq.get(link, 0)
-        self._link_send_seq[link] = base + len(items)
-        first_seq = base + 1
-        if untimed_partition is not None:
-            # held as ONE queue entry carrying the whole batch; the
-            # first member's seq is the entry's sort key, so flushed
-            # queues merge with singles in commit order (see
-            # clear_link_fault) and the destination incarnation is
-            # captured now so a crash during the partition still
-            # condemns the held batch
-            self._held.setdefault(untimed_partition.fault_id, []).append(
-                (
-                    src_pe,
-                    dst_pe,
-                    op_full_name,
-                    port,
-                    batch,
-                    self._incarnations.get(dst_pe_id, 0),
-                    first_seq,
-                    False,
-                )
+        else:
+            self._commit(
+                open_batch.src_pe, open_batch.dst_pe, flow[2], flow[3], None,
+                open_batch.tuples,
             )
-            return
-        deliver_at = self.kernel.now + latency
-        if hold_until is not None:
-            deliver_at = max(deliver_at, hold_until + self.latency)
-        self._schedule_delivery(
-            deliver_at, src_key, dst_pe, op_full_name, port, batch,
-            link_seq=first_seq,
-        )
 
     def flush_open_batches(self, dst_pe_id: Optional[str] = None) -> None:
         """Force every open batch (optionally: toward one PE) onto the wire.
@@ -788,51 +649,145 @@ class Transport:
         for flow in flows:
             self._flush_flow(flow)
 
-    def _next_link_seq(self, src_key: str, dst_pe_id: str) -> int:
-        """Allocate the next send-time sequence number of one link."""
-        link = (src_key, dst_pe_id)
-        seq = self._link_send_seq.get(link, 0) + 1
-        self._link_send_seq[link] = seq
-        return seq
-
-    def _schedule_delivery(
+    def _commit(
         self,
-        deliver_at: float,
-        src_key: Optional[str],
+        src_pe: Optional["PERuntime"],
         dst_pe: "PERuntime",
         op_full_name: str,
         port: int,
-        item: Payload,
-        incarnation: Optional[int] = None,
-        link_seq: Optional[int] = None,
-        redelivery: bool = False,
-    ) -> float:
-        """Schedule one (already in-flight-counted) delivery, FIFO per link.
+        item: Optional[Item],
+        members: Optional[List[StreamTuple]] = None,
+    ) -> None:
+        """Commit one best-effort unit: drop rolls, then its seq range, then the wire.
 
-        Returns the actual (post-FIFO-clamp) arrival time, which the
-        reliable plane records so barrier expediting can tell a copy
-        still on the wire from one that was lost.
+        The unit is ``item`` (N = 1) or an open batch's ``members`` (N =
+        their count; ``item`` is None); both are already counted sent and
+        in flight.  The drop policy is per member: every lossy fault
+        matching the link draws one seeded roll per *surviving* member,
+        and casualties leave the unit and the in-flight count.  The
+        survivors then claim one contiguous ``link_seq`` range — after
+        the rolls, so best-effort sequences have no gaps — in commit
+        order, which is also per-link delivery order, so FIFO taps
+        observe strictly increasing sequences.  A single send is nothing
+        but the N = 1 case: same roll order, same claim point.
         """
-        link = (src_key or "", dst_pe.pe_id)
-        deliver_at = max(deliver_at, self._fifo_horizon.get(link, 0.0))
-        self._fifo_horizon[link] = deliver_at
-        if link_seq is None:
-            link_seq = self._next_link_seq(link[0], link[1])
-        if incarnation is None:
-            incarnation = self._incarnations.get(dst_pe.pe_id, 0)
-        if self.obs is not None and getattr(item, "traced", False):
+        n = 1 if members is None else len(members)
+        faults: Sequence[LinkFault] = ()
+        if self._link_faults:
+            faults = self._matching_faults(src_pe, dst_pe)
+            kept = [item] if members is None else members
+            for fault in faults:
+                p = fault.drop_probability
+                if p > 0.0 and kept:
+                    roll = self.rng.random
+                    kept = [member for member in kept if roll() >= p]
+            lost = n - len(kept)
+            if lost:
+                self.dropped_by_fault += lost
+                self._dec_in_flight((dst_pe.pe_id, op_full_name, port), lost)
+                if not kept:
+                    return
+                members, n = kept, len(kept)
+        if members is not None:
+            if self.batch_observer is not None:
+                self.batch_observer(n)
+            item = TupleBatch(members)
+        dst_pe_id = dst_pe.pe_id
+        link = (src_pe.pe_id if src_pe is not None else "", dst_pe_id)
+        base = self._link_send_seq.get(link, 0)
+        self._link_send_seq[link] = base + n
+        self._put_on_wire(
+            faults, src_pe, dst_pe, op_full_name, port, item,
+            self._incarnations.get(dst_pe_id, 0), base + 1,
+        )
+
+    def _compose(
+        self, faults: Sequence[LinkFault]
+    ) -> Tuple[float, Optional[LinkFault]]:
+        """Fold one link's matching faults into ``(arrival time, wall)``.
+
+        Latencies add to the base hop; timed partitions hold until the
+        latest ``until`` and then pay the base hop again (the retransmit
+        after the heal).  ``wall`` is the untimed partition a data unit
+        must park behind (None: the arrival time stands) — there is no
+        time to compute for it, only a heal to wait for.
+        """
+        latency = self.latency
+        hold_until: Optional[float] = None
+        wall: Optional[LinkFault] = None
+        for fault in faults:
+            latency += fault.extra_latency
+            if fault.partition:
+                if fault.until is None:
+                    wall = fault
+                else:
+                    hold_until = max(hold_until or 0.0, fault.until)
+        arrive_at = self.kernel.now + latency
+        if hold_until is not None:
+            arrive_at = max(arrive_at, hold_until + self.latency)
+        return arrive_at, wall
+
+    def _put_on_wire(
+        self,
+        faults: Sequence[LinkFault],
+        src_pe: Optional["PERuntime"],
+        dst_pe: "PERuntime",
+        op_full_name: str,
+        port: int,
+        payload: Payload,
+        incarnation: int,
+        first_seq: int,
+        redelivery: bool = False,
+        park_into: Optional[Dict[int, List[_HeldUnit]]] = None,
+    ) -> float:
+        """Put one wire unit on its link: the only way onto the wire.
+
+        Every copy of every unit passes here — a best-effort commit, a
+        reliable (re)transmission or replay, a unit flushed from a healed
+        partition — already past its caller's drop policy and carrying
+        its stamped ``first_seq`` and destination ``incarnation``.
+        ``faults`` are the link's matching faults (empty on a clean
+        link): behind an untimed partition the unit parks in the fault's
+        hold queue (``park_into`` collects re-held units during a flush,
+        see :meth:`clear_link_fault`); otherwise its arrival is scheduled
+        at the composed time, clamped so a link never reorders (a fault
+        expiring mid-stream cannot let a later unit overtake).
+
+        Returns:
+            The scheduled (post-FIFO-clamp) arrival time, ``inf`` for a
+            parked unit — the reliable plane records it so barrier
+            expediting can tell a copy still on the wire from a lost one.
+        """
+        if faults:
+            arrive_at, wall = self._compose(faults)
+            if wall is not None:
+                held = self._held if park_into is None else park_into
+                held.setdefault(wall.fault_id, []).append(
+                    _HeldUnit(
+                        src_pe, dst_pe, op_full_name, port, payload,
+                        incarnation, first_seq, redelivery,
+                    )
+                )
+                return float("inf")
+        else:
+            arrive_at = self.kernel.now + self.latency
+        src_key = src_pe.pe_id if src_pe is not None else ""
+        link = (src_key, dst_pe.pe_id)
+        arrive_at = max(arrive_at, self._fifo_horizon.get(link, 0.0))
+        self._fifo_horizon[link] = arrive_at
+        if self.obs is not None and getattr(payload, "traced", False):
             # one span per scheduled hop: covers fresh sends and
-            # partition flushes alike; deliver_at is post-FIFO-clamp,
-            # so the span end is the true arrival time.  A traced batch
+            # partition flushes alike; arrive_at is post-FIFO-clamp, so
+            # the span end is the true arrival time.  A traced batch
             # records ONE span for the whole hop — tracing overhead
             # shrinks alongside dispatch overhead
             self.obs.record_transport(
                 op_full_name,
-                link[0],
+                src_key,
                 dst_pe.pe_id,
                 dst_pe.job.job_id,
                 self.kernel.now,
-                deliver_at,
+                arrive_at,
             )
         label = self._deliver_labels.get((op_full_name, port))
         if label is None:
@@ -840,133 +795,96 @@ class Transport:
                 f"transport->{op_full_name}[{port}]"
             )
         self.kernel.schedule_at(
-            deliver_at,
+            arrive_at,
             self._deliver,
             dst_pe,
             op_full_name,
             port,
-            item,
+            payload,
             incarnation,
-            link[0],
-            link_seq,
+            src_key,
+            first_seq,
             redelivery,
             label=label,
         )
-        return deliver_at
+        return arrive_at
+
+    # -- taking units off the wire --------------------------------------------
 
     def _deliver(
         self,
         dst_pe: "PERuntime",
         op_full_name: str,
         port: int,
-        item: Payload,
+        payload: Payload,
         incarnation: int = 0,
         src_key: str = "",
-        link_seq: int = 0,
+        first_seq: int = 0,
         redelivery: bool = False,
     ) -> None:
-        if isinstance(item, TupleBatch):
-            self._deliver_batch(
-                dst_pe, op_full_name, port, item, incarnation, src_key,
-                link_seq, redelivery,
-            )
-            return
-        if self.reliability is not None:
-            # the plane owns receiver semantics: in-flight accounting is
-            # tied to a unit's *first* delivery, stale copies are ignored
-            # without condemnation, and duplicates are suppressed or
-            # passed through per mode
-            self.reliability.on_arrival(
-                dst_pe, op_full_name, port, item, incarnation, src_key,
-                link_seq, redelivery,
-            )
-            return
-        key = (dst_pe.pe_id, op_full_name, port)
-        count = self._in_flight.get(key, 0)
-        if count <= 1:
-            self._in_flight.pop(key, None)
-        else:
-            self._in_flight[key] = count - 1
-        if incarnation != self._incarnations.get(dst_pe.pe_id, 0):
-            # The destination crashed after this item was sent: the item
-            # died with the process and must not leak into its restarted
-            # incarnation.
-            self.dropped_in_flight += 1
-            return
-        if not dst_pe.is_running:
-            # Receiving process is down: the tuple is lost (the paper's
-            # Sec. 5.2: crashes of stateless PEs "may lead to tuple loss").
-            self.total_dropped += 1
-            return
-        self.total_delivered += 1
-        if self.delivery_taps:
-            record = DeliveryRecord(
-                src_key=src_key,
-                dst_pe_id=dst_pe.pe_id,
-                op_full_name=op_full_name,
-                port=port,
-                link_seq=link_seq,
-                time=self.kernel.now,
-            )
-            for tap in list(self.delivery_taps):
-                tap(record)
-        dst_pe.receive(op_full_name, port, item)
+        """One wire unit arrives: the only way off the wire.
 
-    def _deliver_batch(
+        Under a reliable mode the plane owns receiver semantics
+        (in-flight accounting tied to a unit's *first* delivery, stale
+        copies ignored without condemnation, duplicates suppressed or
+        passed through per mode).  Best-effort accounts by member count:
+        an incarnation mismatch condemns the whole unit (it was committed
+        before the crash bump), a stopped destination loses it whole.
+        """
+        if self.reliability is not None:
+            self.reliability.on_arrival(
+                dst_pe, op_full_name, port, payload, incarnation, src_key,
+                first_seq, redelivery,
+            )
+            return
+        count = len(payload.tuples) if isinstance(payload, TupleBatch) else 1
+        self._dec_in_flight((dst_pe.pe_id, op_full_name, port), count)
+        if incarnation != self._incarnations.get(dst_pe.pe_id, 0):
+            # The destination crashed after this unit was sent: it died
+            # with the process and must not leak into the restarted
+            # incarnation.
+            self.dropped_in_flight += count
+        elif not dst_pe.is_running:
+            # Receiving process is down: the unit is lost (the paper's
+            # Sec. 5.2: crashes of stateless PEs "may lead to tuple loss").
+            self.total_dropped += count
+        else:
+            self._hand_over(
+                dst_pe, op_full_name, port, payload, src_key, first_seq, count
+            )
+
+    def _hand_over(
         self,
         dst_pe: "PERuntime",
         op_full_name: str,
         port: int,
-        batch: TupleBatch,
-        incarnation: int,
+        payload: Payload,
         src_key: str,
         first_seq: int,
+        count: int,
         redelivery: bool = False,
     ) -> None:
-        """Deliver one batch: accounting in bulk, one receive call.
+        """Count the delivery, fire taps, and hand the unit to the PE.
 
-        Counters move by the batch's member count — an incarnation
-        mismatch condemns the whole batch (it was committed before the
-        crash bump), a stopped destination loses it whole.  Delivery
-        taps still observe one :class:`DeliveryRecord` per member, with
-        the batch's contiguous seq range unrolled, so FIFO oracles need
-        no batch awareness.
+        Taps observe one :class:`DeliveryRecord` per member, with the
+        unit's contiguous seq range unrolled, so FIFO oracles need no
+        batch awareness.  ``redelivery=True`` (exactly-once replay)
+        re-processes with downstream emissions suppressed: the unit's
+        outputs already left the PE in a previous incarnation, so only
+        the state effect must be rebuilt.
         """
-        if self.reliability is not None:
-            self.reliability.on_arrival(
-                dst_pe, op_full_name, port, batch, incarnation, src_key,
-                first_seq, redelivery,
-            )
-            return
-        n = len(batch.tuples)
-        key = (dst_pe.pe_id, op_full_name, port)
-        count = self._in_flight.get(key, 0)
-        if count <= n:
-            self._in_flight.pop(key, None)
-        else:
-            self._in_flight[key] = count - n
-        if incarnation != self._incarnations.get(dst_pe.pe_id, 0):
-            self.dropped_in_flight += n
-            return
-        if not dst_pe.is_running:
-            self.total_dropped += n
-            return
-        self.total_delivered += n
+        self.total_delivered += count
         if self.delivery_taps:
             now = self.kernel.now
             taps = list(self.delivery_taps)
-            for offset in range(n):
+            for link_seq in range(first_seq, first_seq + count):
                 record = DeliveryRecord(
-                    src_key=src_key,
-                    dst_pe_id=dst_pe.pe_id,
-                    op_full_name=op_full_name,
-                    port=port,
-                    link_seq=first_seq + offset,
-                    time=now,
+                    src_key, dst_pe.pe_id, op_full_name, port, link_seq, now,
+                    redelivery,
                 )
                 for tap in taps:
                     tap(record)
-        dst_pe.receive(op_full_name, port, batch)
+        dst_pe.receive(op_full_name, port, payload, redelivery)
 
     def queue_size(self, pe_id: str, op_full_name: str, port: int) -> int:
         """Items currently in flight toward one input port."""
@@ -1033,11 +951,18 @@ class Transport:
             self.reliability.expedite_pending(dst_pe_id)
 
     def forget_pe(self, pe_id: str) -> None:
-        """Condemn pending units toward a PE removed for good (scale-in).
+        """Forget a PE removed for good (scale-in), in every mode.
 
-        First-cause-wins: units a drop fault already claimed stay in
+        Reliable modes condemn the units still pending toward it
+        (first-cause-wins: units a drop fault already claimed stay in
         ``dropped_by_fault`` and are not recounted in
-        ``dropped_in_flight``.
+        ``dropped_in_flight``).  Every mode drops the per-link FIFO
+        horizon and send sequence of each link the PE was an end of: PE
+        ids are allocated fresh on every scale-out, so those links can
+        never carry a new unit and would otherwise accumulate.
         """
         if self.reliability is not None:
             self.reliability.forget_pe(pe_id)
+        for per_link in (self._fifo_horizon, self._link_send_seq):
+            for link in [link for link in per_link if pe_id in link]:
+                del per_link[link]

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import SystemS
 from repro.spl.application import Application
 from repro.spl.library import Beacon, Filter, Sink
 from repro.spl.operators import Operator, OperatorContext
 from repro.spl.tuples import Punctuation, StreamTuple
+
+#: the CI ``delivery-matrix`` job runs ``tests/test_wire_properties.py``
+#: under ``--hypothesis-profile=wire-ci``; tier-1 keeps that module's own
+#: small budget
+settings.register_profile("wire-ci", max_examples=400, deadline=None)
 
 
 @pytest.fixture

@@ -50,6 +50,7 @@ DOCSTYLE_FILES = [
     "src/repro/obs/detect.py",
     "src/repro/runtime/delivery.py",
     "src/repro/runtime/events.py",
+    "src/repro/runtime/transport.py",
     "src/repro/tools/timeline.py",
     "src/repro/tools/healthwatch.py",
 ]

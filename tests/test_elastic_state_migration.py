@@ -6,7 +6,13 @@ and events."""
 
 import pytest
 
-from repro import ManagedApplication, OrcaDescriptor, Orchestrator, SystemS
+from repro import (
+    ManagedApplication,
+    OrcaDescriptor,
+    Orchestrator,
+    SystemConfig,
+    SystemS,
+)
 from repro.elastic import (
     QueueSizeScalingPolicy,
     RegionObservation,
@@ -213,6 +219,64 @@ class TestLiveStateMigration:
         assert operation.state is RescaleState.COMPLETED
         assert operation.migration is not None
         assert 1 in operation.migration.skipped_channels
+
+
+class TestRescaleCyclesLeakNothing:
+    """Per-link transport bookkeeping stays flat across rescale cycles.
+
+    PE ids are allocated fresh on every scale-out, so every map keyed by
+    a link ``(source PE, destination PE)`` must drop the links of a PE
+    removed for good or it grows by the region's width each cycle.
+    """
+
+    CYCLES = 20
+
+    @staticmethod
+    def _bookkeeping(system, job):
+        """Sizes that must not grow, as one comparable dict."""
+        transport = system.transport
+        live = {pe.pe_id for pe in job.pes}
+        sizes = {
+            "fifo_horizon": len(transport._fifo_horizon),
+            "link_send_seq": len(transport._link_send_seq),
+            "held": sum(len(units) for units in transport._held.values()),
+        }
+        plane = transport.reliability
+        if plane is not None:
+            # Toward a removed PE nothing may remain.  Links *from* one
+            # toward a live, never-committing destination (the merger)
+            # are retained by design — they are the replay-from-zero
+            # history that rebuilds its sequence cursor on a restart —
+            # so only links with both ends alive are compared.
+            for name in ("delivered_wm", "replay_buffer"):
+                links = getattr(plane, name)
+                assert all(link[1] in live for link in links), name
+                sizes[name] = sum(1 for link in links if link[0] in live)
+            # the source never pauses: at most the tick on the wire at
+            # the sampling instant is unacknowledged
+            assert len(plane.pending) <= 2
+        return sizes
+
+    @pytest.mark.parametrize("delivery", ["best_effort", "exactly_once"])
+    def test_twenty_rescale_cycles_keep_per_link_maps_flat(self, delivery):
+        system = SystemS(hosts=12, config=SystemConfig(delivery=delivery))
+        job = system.submit_job(build_keyed_app(width=2, limit=None))
+        system.run_for(2.0)
+        after_first = None
+        for cycle in range(self.CYCLES):
+            for width in (4, 2):
+                operation = system.elastic.set_channel_width(job, "region", width)
+                system.run_for(6.0)
+                assert operation.state is RescaleState.COMPLETED
+            sizes = self._bookkeeping(system, job)
+            if after_first is None:
+                after_first = sizes
+            assert sizes == after_first, f"cycle {cycle + 1}"
+        sink = job.operator_instance("sink")
+        seqs = [t["seq"] for t in sink.seen]
+        assert len(seqs) > 10_000
+        assert sorted(seqs) == list(range(len(seqs)))  # zero loss, zero dups
+        assert_contiguous_counts(sink)
 
 
 class TestRehydrateRestart:

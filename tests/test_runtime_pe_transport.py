@@ -1,5 +1,7 @@
 """Tests for PE lifecycle, tuple routing, and the transport."""
 
+import ast
+import pathlib
 import time
 
 import pytest
@@ -519,3 +521,105 @@ class TestLinkFaults:
         system.run_for(10.0)  # timed partition healed: everything flushes
         seen = [t["iter"] for t in get_op(job, "sink").seen]
         assert seen == list(range(10))
+
+
+class TestOneWire:
+    """Each wire mechanism exists once under ``src/repro/runtime/``.
+
+    Structural, like ``test_runtime_events.TestOneMechanism``: the
+    link-fault pipeline used to be spelled out in four functions and the
+    arrival tail in three; a fifth copy of either must fail here, not in
+    a golden three PRs later.
+    """
+
+    @staticmethod
+    def _functions():
+        """``(qualified name, FunctionDef)`` for every function of the package."""
+        import repro.runtime
+
+        found = []
+        for path in sorted(pathlib.Path(repro.runtime.__file__).parent.glob("*.py")):
+            for owner in ast.walk(ast.parse(path.read_text())):
+                if isinstance(owner, (ast.ClassDef, ast.Module)):
+                    prefix = f"{owner.name}." if isinstance(owner, ast.ClassDef) else ""
+                    found += [
+                        (prefix + node.name, node)
+                        for node in owner.body
+                        if isinstance(node, ast.FunctionDef)
+                    ]
+        return found
+
+    @classmethod
+    def _where(cls, matches):
+        """Names of the functions with a node for which ``matches`` is true."""
+        return [
+            name
+            for name, function in cls._functions()
+            if any(matches(node) for node in ast.walk(function))
+        ]
+
+    @staticmethod
+    def _reads(attr):
+        return lambda node: isinstance(node, ast.Attribute) and node.attr == attr
+
+    @staticmethod
+    def _calls(name):
+        def matches(node):
+            if not isinstance(node, ast.Call):
+                return False
+            func = node.func
+            return getattr(func, "id", None) == name or getattr(func, "attr", None) == name
+
+        return matches
+
+    def test_link_faults_are_composed_in_one_function(self):
+        assert self._where(self._reads("extra_latency")) == ["Transport._compose"]
+        # expiry, the composition, and the ack path's "an untimed
+        # partition swallows acks" check are the only readers of a
+        # fault's deadline
+        assert sorted(self._where(self._reads("until"))) == [
+            "DeliveryPlane._schedule_ack",
+            "Transport._compose",
+            "Transport._prune_faults",
+        ]
+
+    def test_one_hold_queue_entry_type_built_and_parked_in_one_function(self):
+        assert self._where(self._calls("_HeldUnit")) == ["Transport._put_on_wire"]
+        touches_held = set(self._where(self._reads("_held")))
+        appends = set(self._where(self._calls("append")))
+        assert touches_held & appends == {"Transport._put_on_wire"}
+        # and nothing is left that indexes a held entry by position
+        positional = self._where(
+            lambda node: isinstance(node, ast.Subscript)
+            and getattr(node.value, "id", None) in ("entry", "unit")
+        )
+        assert positional == []
+
+    def test_one_hand_over_and_one_in_flight_decrement(self):
+        assert self._where(self._calls("DeliveryRecord")) == ["Transport._hand_over"]
+        assert self._where(self._calls("receive")) == ["Transport._hand_over"]
+        pops_in_flight = self._where(
+            lambda node: self._calls("pop")(node)
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "_in_flight"
+        )
+        assert pops_in_flight == ["Transport._dec_in_flight"]
+
+    def test_the_twins_are_gone(self):
+        from repro.runtime.delivery import DeliveryPlane
+        from repro.runtime.transport import Transport
+
+        for twin in (
+            "_deliver_batch",
+            "_append_to_batch",
+            "_resend_held",
+            "_schedule_delivery",
+        ):
+            assert not hasattr(Transport, twin), twin
+        assert not hasattr(DeliveryPlane, "_hand_over")
+        # what is left of _transmit is its drop policy: no composition,
+        # no hold queue
+        transmit = dict(self._functions())["DeliveryPlane._transmit"]
+        attrs = {n.attr for n in ast.walk(transmit) if isinstance(n, ast.Attribute)}
+        assert not attrs & {"extra_latency", "partition", "until", "_held"}
+        assert "_put_on_wire" in attrs

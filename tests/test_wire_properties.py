@@ -1,0 +1,245 @@
+"""Property tests for the wire: random fault / send / crash schedules.
+
+The delivery layer's example tests pin chosen scenarios; these let
+``hypothesis`` choose them.  One schedule language (sends and punctuation
+on two links into one input port, lossy / slow / partitioned links in
+both directions, timed and untimed, heals in any order, destination
+crashes and restarts) is interpreted on a fresh three-PE system per
+example, run to quiescence, and judged by what each delivery mode
+promises:
+
+* ``best_effort`` — every sent member is accounted for exactly once
+  (``total_sent == total_delivered + total_dropped + dropped_in_flight +
+  dropped_by_fault``), nothing stays in flight, per-link FIFO holds;
+* ``at_least_once`` — nothing stays in flight and every unit reaches the
+  application at least once;
+* ``exactly_once`` — per-link FIFO, zero loss and zero duplicates;
+* every mode — a run of ``send_batch([t])`` calls is indistinguishable
+  from the same run of ``send(t)`` calls: same tap records, same
+  counters, same seeded-RNG end states (a unit of one *is* the single
+  send, not a lookalike).
+
+Tier-1 runs a small example budget; the CI ``delivery-matrix`` job runs
+the same properties under ``--hypothesis-profile=wire-ci`` (registered in
+``tests/conftest.py``).
+
+Known gap kept out of the schedules: an exactly-once *replay* copy is put
+on the wire once and never retried, so a lossy fault matching the link at
+the restart instant stalls it for good (reproduced at the parent commit,
+see ROADMAP "Oracles").  The ``restart`` step therefore heals lossy
+faults first.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from repro import SystemConfig, SystemS
+from repro.chaos.fuzz.oracles import FifoProbe
+from repro.spl.tuples import StreamTuple, WindowMarker
+
+from tests.test_wire_golden import COUNTERS, DELIVERIES, _rng_hash, fan_in_app
+
+
+def _examples() -> int:
+    """25 in tier-1; the ``wire-ci`` profile's budget when CI loads it."""
+    ci = settings.get_profile("wire-ci").max_examples
+    return ci if settings.default.max_examples == ci else 25
+
+
+BUDGET = settings(max_examples=_examples(), deadline=None)
+
+LINKS = (0, 1)
+#: which link(s) a fault covers: both forward links, one of them, or the
+#: reverse direction the acks travel
+SELECTORS = ("dst", "left", "right", "reverse")
+DURATIONS = (None, 0.05, 0.5)
+
+sends = st.tuples(st.just("send"), st.sampled_from(LINKS), st.integers(1, 6))
+runs = st.tuples(st.just("run"), st.sampled_from((0.0005, 0.004, 0.05, 0.4)))
+faults = st.tuples(
+    st.just("fault"),
+    st.sampled_from(
+        (
+            {"drop_probability": 0.3},
+            {"drop_probability": 1.0},
+            {"extra_latency": 0.004},
+            {"extra_latency": 0.06},
+            {"partition": True},
+        )
+    ),
+    st.sampled_from(SELECTORS),
+    st.sampled_from(DURATIONS),
+)
+#: sends, runs and faults are listed twice: a schedule is mostly traffic
+#: under faults, with the occasional heal, marker, crash and restart
+steps = st.one_of(
+    sends,
+    runs,
+    faults,
+    sends,
+    runs,
+    faults,
+    st.tuples(st.just("punct"), st.sampled_from(LINKS)),
+    st.tuples(st.just("heal"), st.integers(0, 7)),
+    st.tuples(st.just("crash")),
+    st.tuples(st.just("restart")),
+)
+schedules = st.lists(steps, min_size=8, max_size=40)
+
+
+class WireRun:
+    """One schedule interpreted on a fresh system, run to quiescence."""
+
+    def __init__(self, delivery, batch_max_size, schedule, via_send_batch=False):
+        self.system = SystemS(
+            hosts=4,
+            seed=42,
+            config=SystemConfig(
+                delivery=delivery, batch_max_size=batch_max_size, batch_linger=0.002
+            ),
+        )
+        job = self.system.submit_job(fan_in_app())
+        self.system.run_for(0.5)
+        self.transport = self.system.transport
+        self.sources = (job.pe_of_operator("left"), job.pe_of_operator("right"))
+        self.sink_pe = job.pe_of_operator("sink")
+        self.via_send_batch = via_send_batch
+        self.records = []
+        self.transport.delivery_taps.append(self.records.append)
+        self.fifo = FifoProbe(self.transport)
+        self.faults = []
+        self.sent = 0
+        for step in schedule:
+            getattr(self, "_" + step[0])(*step[1:])
+        for fault in self.faults:
+            self.transport.clear_link_fault(fault)
+        self._restart()
+        self.system.run_for(30.0)
+
+    def _send(self, link, n):
+        for _ in range(n):
+            tup = StreamTuple({"iter": self.sent})
+            self.sent += 1
+            if self.via_send_batch:
+                self.transport.send_batch(
+                    self.sink_pe, "sink", 0, [tup], src_pe=self.sources[link]
+                )
+            else:
+                self.transport.send(
+                    self.sink_pe, "sink", 0, tup, src_pe=self.sources[link]
+                )
+
+    def _punct(self, link):
+        self.transport.send(
+            self.sink_pe, "sink", 0, WindowMarker, src_pe=self.sources[link]
+        )
+
+    def _run(self, seconds):
+        self.system.run_for(seconds)
+
+    def _fault(self, effect, selector, duration):
+        where = {
+            "dst": {"dst_pe": self.sink_pe.pe_id},
+            "left": {"src_pe": self.sources[0].pe_id},
+            "right": {"src_pe": self.sources[1].pe_id},
+            "reverse": {"src_pe": self.sink_pe.pe_id},
+        }[selector]
+        self.faults.append(
+            self.transport.install_link_fault(duration=duration, **effect, **where)
+        )
+
+    def _heal(self, index):
+        if self.faults:
+            self.transport.clear_link_fault(self.faults[index % len(self.faults)])
+
+    def _crash(self):
+        self.sink_pe.crash("wire-property")
+
+    def _restart(self):
+        if self.sink_pe.is_running:
+            return
+        for fault in self.faults:  # the known replay gap: see module docstring
+            if fault.drop_probability > 0.0:
+                self.transport.clear_link_fault(fault)
+        self.sink_pe.restart()
+
+    def observed(self):
+        """Everything an observer of the wire can see, for run-vs-run equality."""
+        t = self.transport
+        return (
+            self.records,
+            {name: getattr(t, name) for name in COUNTERS},
+            dict(t._in_flight),
+            _rng_hash(t.rng),
+            _rng_hash(t.ack_rng),
+            self.system.kernel.events_processed,
+        )
+
+    def first_deliveries(self):
+        """Per link, the seqs delivered as fresh (non-replay) records, in order."""
+        per_link = {}
+        for record in self.records:
+            if not record.redelivery:
+                per_link.setdefault((record.src_key, record.dst_pe_id), []).append(
+                    record.link_seq
+                )
+        return per_link
+
+    def claimed(self):
+        """Per link, every seq the senders claimed."""
+        return {
+            link: list(range(1, last + 1))
+            for link, last in self.transport._link_send_seq.items()
+            if link[1] == self.sink_pe.pe_id and last
+        }
+
+
+@BUDGET
+@given(schedule=schedules, batch_max_size=st.sampled_from((1, 4)))
+def test_best_effort_accounts_for_every_member_and_keeps_fifo(schedule, batch_max_size):
+    run = WireRun("best_effort", batch_max_size, schedule)
+    t = run.transport
+    assert t.total_sent == (
+        t.total_delivered + t.total_dropped + t.dropped_in_flight + t.dropped_by_fault
+    )
+    assert t._in_flight == {}
+    assert t._open_batches == {}
+    assert run.fifo.violations == []
+    # best-effort sequences are claimed after the drop rolls: no gaps
+    # other than condemned or down-PE losses, and never a repeat
+    for seqs in run.first_deliveries().values():
+        assert seqs == sorted(set(seqs))
+
+
+@BUDGET
+@given(schedule=schedules, batch_max_size=st.sampled_from((1, 4)))
+def test_at_least_once_loses_nothing(schedule, batch_max_size):
+    run = WireRun("at_least_once", batch_max_size, schedule)
+    assert run.transport._in_flight == {}
+    assert run.transport.reliability.pending == {}
+    delivered = {link: set(seqs) for link, seqs in run.first_deliveries().items()}
+    assert delivered == {link: set(seqs) for link, seqs in run.claimed().items()}
+
+
+@BUDGET
+@given(schedule=schedules, batch_max_size=st.sampled_from((1, 4)))
+def test_exactly_once_is_fifo_lossless_and_duplicate_free(schedule, batch_max_size):
+    run = WireRun("exactly_once", batch_max_size, schedule)
+    assert run.transport._in_flight == {}
+    assert run.transport.reliability.pending == {}
+    assert run.fifo.violations == []
+    # every claimed seq delivered fresh exactly once, in order
+    assert run.first_deliveries() == run.claimed()
+
+
+@BUDGET
+@given(
+    schedule=schedules,
+    delivery=st.sampled_from(DELIVERIES),
+    batch_max_size=st.sampled_from((1, 4)),
+)
+def test_a_batch_of_one_is_the_single_send(schedule, delivery, batch_max_size):
+    single = WireRun(delivery, batch_max_size, schedule)
+    batched = WireRun(delivery, batch_max_size, schedule, via_send_batch=True)
+    assert batched.observed() == single.observed()
