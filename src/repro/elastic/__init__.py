@@ -7,13 +7,15 @@ the job keeps running — the single most common adaptation routine in
 practice (Röger & Mayer's elasticity survey, PAPERS.md), and the one the
 paper's ORCA orchestrators could observe but never actuate.
 
-* :class:`~repro.elastic.controller.ElasticController` — the
-  re-parallelization protocol: quiesce the region's splitter on an epoch
-  barrier (Fries-style, reusing the epoch counters of
-  :mod:`repro.orca.epochs`), drain every in-flight and buffered tuple into
-  the merger, rewire channels (logical graph + compiled plan + live PEs),
-  and resume.  Tuple-loss-free by construction: nothing is dropped, only
-  held at the barrier.
+* :class:`~repro.elastic.controller.ElasticController` — the protocol:
+  quiesce the region's splitter on an epoch barrier (Fries-style, on the
+  epoch counters of :mod:`repro.orca.epochs`), drain every in-flight and
+  buffered tuple into the merger, rewire channels (logical graph +
+  compiled plan + live PEs), and resume.  Nothing is dropped, only held.
+* :mod:`~repro.elastic.migration` — the one mover of keyed state between
+  channels, and the state phase of a rescale built on it.
+* :mod:`~repro.elastic.reroute` — masking crashed channels on their
+  splitter and unmasking them on restart, seeding and reclaiming state.
 * :mod:`~repro.elastic.policy` — pluggable :class:`ScalingPolicy`
   implementations (queue-size watermarks, throughput targets) that ORCA
   logic can consult to decide target widths.

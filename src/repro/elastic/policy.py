@@ -35,14 +35,17 @@ class RegionObservation:
 
     @property
     def max_backlog(self) -> float:
+        """The busiest channel's backlog (0.0 with no channels observed)."""
         return max(self.channel_backlogs.values()) if self.channel_backlogs else 0.0
 
     @property
     def total_backlog(self) -> float:
+        """Backlog summed over the region's channels."""
         return sum(self.channel_backlogs.values())
 
     @property
     def total_state_bytes(self) -> float:
+        """State footprint summed over the region's channels."""
         return sum(self.channel_state_sizes.values())
 
 
@@ -50,6 +53,7 @@ class ScalingPolicy:
     """Base class: maps an observation to a desired width (or None)."""
 
     def decide(self, observation: RegionObservation) -> Optional[int]:
+        """The width the region should move to, or None to leave it alone."""
         raise NotImplementedError
 
     def _clamp(self, width: int, lo: int, hi: int) -> int:
@@ -84,6 +88,7 @@ class QueueSizeScalingPolicy(ScalingPolicy):
         self.step = step
 
     def decide(self, observation: RegionObservation) -> Optional[int]:
+        """Grow by ``step`` above the high watermark, shrink below the low one."""
         width = observation.width
         if observation.max_backlog > self.high_watermark:
             target = self._clamp(width + self.step, self.min_width, self.max_width)
@@ -118,6 +123,7 @@ class ThroughputScalingPolicy(ScalingPolicy):
         self.headroom = headroom
 
     def decide(self, observation: RegionObservation) -> Optional[int]:
+        """The width whose per-channel capacity covers the observed throughput."""
         if observation.throughput is None:
             return None
         demand = observation.throughput * self.headroom
@@ -157,11 +163,13 @@ class StateAwareScalingPolicy(ScalingPolicy):
     def estimated_migration_bytes(
         self, observation: RegionObservation, new_width: int
     ) -> float:
+        """Keyed bytes a move to ``new_width`` would shuffle (uniform-hash estimate)."""
         old_width = max(observation.width, 1)
         moved_fraction = abs(new_width - old_width) / max(new_width, old_width)
         return observation.total_state_bytes * moved_fraction
 
     def decide(self, observation: RegionObservation) -> Optional[int]:
+        """The inner policy's decision, vetoed when its migration would cost too much."""
         target = self.inner.decide(observation)
         if target is None:
             return None
@@ -229,6 +237,7 @@ class HealthAwareScalingPolicy(ScalingPolicy):
         return kernel.now if kernel is not None else 0.0
 
     def decide(self, observation: RegionObservation) -> Optional[int]:
+        """Scale out when the region's lag breaks its objective, else ask the inner policy."""
         lag = self.monitor.region_lag(observation.region)
         if lag > self.lag_objective and observation.width < self.max_width:
             now = self._now()

@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.errors import ScopeError
 from repro.orca.orchestrator import Orchestrator
 from repro.orca.scopes import EventScope, PEFailureScope
+from repro.orca.service import OrcaService
 
 Condition = Callable[[Any], bool]
 Action = Callable[[Any, Any], None]  # (OrcaService, context)
@@ -163,15 +164,6 @@ class RuleOrchestrator(Orchestrator):
             fired = True
         return fired
 
-    def handleOperatorMetricEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("operator_metric", context, scopes)
-
-    def handleOperatorPortMetricEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("operator_port_metric", context, scopes)
-
-    def handlePEMetricEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("pe_metric", context, scopes)
-
     def handlePEFailureEvent(self, context, scopes) -> None:  # noqa: N802
         fired = self._dispatch("pe_failure", context, scopes)
         if not fired and self.auto_restart_failed_pes:
@@ -180,41 +172,17 @@ class RuleOrchestrator(Orchestrator):
             self.defaulted.append(context)
             default_pe_restart(self.orca, context)
 
-    def handleHostFailureEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("host_failure", context, scopes)
 
-    def handleJobSubmissionEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("job_submission", context, scopes)
+def _forwarder(event_type: str, name: str) -> Callable[..., None]:
+    def handler(self: RuleOrchestrator, context: Any, scopes: List[str]) -> None:
+        self._dispatch(event_type, context, scopes)
 
-    def handleJobCancellationEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("job_cancellation", context, scopes)
+    handler.__name__ = name
+    return handler
 
-    def handleTimerEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("timer", context, scopes)
 
-    def handleUserEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("user", context, scopes)
-
-    def handleChannelCongestedEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("channel_congested", context, scopes)
-
-    def handleRegionRescaledEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("region_rescaled", context, scopes)
-
-    def handleRegionStateMigratedEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("region_state_migrated", context, scopes)
-
-    def handleChannelReroutedEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("channel_rerouted", context, scopes)
-
-    def handleCheckpointCommittedEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("checkpoint_committed", context, scopes)
-
-    def handleStateReclaimedEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("state_reclaimed", context, scopes)
-
-    def handleRehydrateSkippedEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("rehydrate_skipped", context, scopes)
-
-    def handleChaosInjectedEvent(self, context, scopes) -> None:  # noqa: N802
-        self._dispatch("chaos_injected", context, scopes)
+# every scope-carrying event the service can deliver runs the matching
+# rules; handlers the class defines itself (the pe_failure default) stay
+for _event_type, (_name, _takes_scopes) in OrcaService._DISPATCH.items():
+    if _takes_scopes and _name not in vars(RuleOrchestrator):
+        setattr(RuleOrchestrator, _name, _forwarder(_event_type, _name))

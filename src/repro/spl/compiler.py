@@ -21,7 +21,7 @@ place of the profile-driven optimizer (COLA):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import CompilationError, ConstraintError
 from repro.spl.application import Application
@@ -86,6 +86,13 @@ class CompiledApplication:
                 return pe
         raise CompilationError(f"no PE with index {index}")
 
+    def split_edges(self) -> None:
+        """Sort the graph's edges into inter-PE / intra-PE under ``placement``."""
+        self.inter_pe_edges, self.intra_pe_edges = [], []
+        for edge in self.application.graph.edges:
+            src, dst = self.pe_of(edge.src.full_name), self.pe_of(edge.dst.full_name)
+            (self.intra_pe_edges if src == dst else self.inter_pe_edges).append(edge)
+
 
 class SPLCompiler:
     """Partitions an application's operators into PEs."""
@@ -110,7 +117,7 @@ class SPLCompiler:
         application, parallel_regions = expand_parallel_regions(application)
         if parallel_regions:
             application.validate()
-        groups = self._atomic_groups(application)
+        groups = self._atomic_groups(application.graph.operators.values())
         if self.strategy == "manual" or self.strategy == "per_operator":
             partitions = groups
         elif self.strategy == "fuse_all":
@@ -119,36 +126,44 @@ class SPLCompiler:
             partitions = self._balanced(groups)
         self._check_exlocation(partitions)
         pes = self._build_pes(application, partitions)
-        placement = {
-            op_name: pe.index for pe in pes for op_name in pe.operators
-        }
-        inter, intra = [], []
-        for edge in application.graph.edges:
-            if placement[edge.src.full_name] == placement[edge.dst.full_name]:
-                intra.append(edge)
-            else:
-                inter.append(edge)
-        return CompiledApplication(
+        compiled = CompiledApplication(
             application=application,
             pes=pes,
-            placement=placement,
-            inter_pe_edges=inter,
-            intra_pe_edges=intra,
+            placement={op_name: pe.index for pe in pes for op_name in pe.operators},
+            inter_pe_edges=[],
+            intra_pe_edges=[],
             parallel_regions=parallel_regions,
             source_application=source if parallel_regions else None,
             strategy=self.strategy,
             target_pe_count=self.target_pe_count,
         )
+        compiled.split_edges()
+        return compiled
+
+    def extend(
+        self, compiled: CompiledApplication, specs: Sequence[OperatorSpec]
+    ) -> List[PESpec]:
+        """Add PEs for operators that joined a compiled plan (live scale-out).
+
+        Grouped by this compiler's strategy, numbered after the plan's
+        highest PE index; placement and the edge split are updated.
+        """
+        start = max((pe.index for pe in compiled.pes), default=0) + 1
+        added = self._build_pes(compiled.application, self._atomic_groups(specs), start)
+        compiled.pes.extend(added)
+        for pe in added:
+            compiled.placement.update(dict.fromkeys(pe.operators, pe.index))
+        compiled.split_edges()
+        return added
 
     # -- grouping ---------------------------------------------------------------
 
-    def _atomic_groups(self, application: Application) -> List[List[OperatorSpec]]:
+    def _atomic_groups(self, specs: Iterable[OperatorSpec]) -> List[List[OperatorSpec]]:
         """Indivisible operator groups: partition-tag groups + singletons.
 
         In ``per_operator`` mode, tags are ignored and everything is a
         singleton (used to model "no fusion" baselines).
         """
-        specs = list(application.graph.operators.values())
         if self.strategy == "per_operator":
             return [[spec] for spec in specs]
         by_tag: Dict[str, List[OperatorSpec]] = {}
@@ -237,14 +252,17 @@ class SPLCompiler:
     # -- PE construction -----------------------------------------------------------
 
     def _build_pes(
-        self, application: Application, partitions: List[List[OperatorSpec]]
+        self,
+        application: Application,
+        partitions: List[List[OperatorSpec]],
+        start: int = 1,
     ) -> List[PESpec]:
         # Deterministic PE numbering: order groups by their first operator's
         # position in the graph insertion order.
         order = {name: i for i, name in enumerate(application.graph.operators)}
         partitions = sorted(partitions, key=lambda g: min(order[s.full_name] for s in g))
         pes: List[PESpec] = []
-        for index, group in enumerate(partitions, start=1):
+        for index, group in enumerate(partitions, start=start):
             pool = None
             for spec in group:
                 if spec.host_pool is not None:

@@ -881,12 +881,14 @@ class ParallelSplitter(Operator):
     ``unmaskChannel`` control commands, driven by the elastic controller
     on ``pe_failure`` / ``restart_pe``): a masked channel is taken out of
     the hash ring and round-robin rotation, so tuples are rerouted to the
-    surviving channels instead of being fed to a dead PE.  Keyed state
-    accrued on the detour channels is *purged* by the elastic controller
-    when the channel is unmasked — the restarted channel starts empty
-    (the paper's no-checkpoint failure semantics), and stale detour
-    entries must not outlive the detour or a later rescale would migrate
-    them over the owner's fresher state.
+    surviving channels instead of being fed to a dead PE.  The mask held
+    here is a copy — the controller's set is the authority and is sent
+    again when this operator's PE restarts (a fresh instance starts with
+    an empty mask).  Keyed state accrued on the detour channels is
+    *reclaimed* onto the restarted owner at unmask
+    (:mod:`repro.elastic.reroute`), so no detour entry outlives the
+    detour and a later rescale cannot migrate a stale one over the
+    owner's state.
     """
 
     N_INPUTS = 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 from hypothesis import settings
 
@@ -12,9 +15,46 @@ from repro.spl.operators import Operator, OperatorContext
 from repro.spl.tuples import Punctuation, StreamTuple
 
 #: the CI ``delivery-matrix`` job runs ``tests/test_wire_properties.py``
-#: under ``--hypothesis-profile=wire-ci``; tier-1 keeps that module's own
-#: small budget
+#: under ``--hypothesis-profile=wire-ci`` and
+#: ``tests/test_elastic_properties.py`` under ``elastic-ci``; tier-1 keeps
+#: each module's own small budget
 settings.register_profile("wire-ci", max_examples=400, deadline=None)
+settings.register_profile("elastic-ci", max_examples=300, deadline=None)
+
+
+def example_budget(ci_profile: str, tier1: int) -> settings:
+    """``tier1`` examples, or ``ci_profile``'s budget when CI loaded that profile."""
+    ci = settings.get_profile(ci_profile).max_examples
+    examples = ci if settings.default.max_examples == ci else tier1
+    return settings(max_examples=examples, deadline=None)
+
+
+def functions_under(root: pathlib.Path):
+    """``(file name, qualified name, FunctionDef)`` for every function and
+    method of the module ``root``, or of every module under the directory
+    ``root`` (the structural tests' index)."""
+    found = []
+    for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
+        for owner in ast.walk(ast.parse(path.read_text())):
+            if isinstance(owner, (ast.ClassDef, ast.Module)):
+                prefix = f"{owner.name}." if isinstance(owner, ast.ClassDef) else ""
+                found += [
+                    (path.name, prefix + node.name, node)
+                    for node in owner.body
+                    if isinstance(node, ast.FunctionDef)
+                ]
+    return found
+
+
+def calls(name: str):
+    """AST matcher: a call of the function or method called ``name``."""
+
+    def matches(node):
+        if not isinstance(node, ast.Call):
+            return False
+        return name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    return matches
 
 
 @pytest.fixture

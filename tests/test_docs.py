@@ -25,7 +25,11 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 #: modules the docstring satellite covers (repo-relative)
 DOCSTYLE_FILES = [
     "src/repro/spl/state.py",
-    "src/repro/elastic/controller.py",
+    # the whole package: controller (protocol), migration (mover), reroute, policy
+    *sorted(
+        str(path.relative_to(REPO_ROOT))
+        for path in (REPO_ROOT / "src/repro/elastic").glob("*.py")
+    ),
     "src/repro/checkpoint/__init__.py",
     "src/repro/checkpoint/store.py",
     "src/repro/checkpoint/service.py",

@@ -1,8 +1,12 @@
 """Tests for the elastic subsystem: controller protocol, SAM PE-set changes,
 SRM per-channel aggregation, and scaling policies."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro.elastic
 from repro import SystemS
 from repro.elastic import (
     ElasticController,
@@ -16,6 +20,8 @@ from repro.runtime.pe import PEState
 from repro.spl.application import Application
 from repro.spl.library import Beacon, Sink, Throttle
 from repro.spl.parallel import parallel
+
+from tests.conftest import calls, functions_under
 
 
 def build_region_app(width=2, limit=None, rate=50.0, per_tick=4, period=0.1,
@@ -320,3 +326,95 @@ class TestScalingPolicies:
             QueueSizeScalingPolicy(high_watermark=1, low_watermark=2)
         with pytest.raises(ValueError):
             ThroughputScalingPolicy(target_per_channel=0)
+
+
+class TestOneMover:
+    """Each state-moving decision exists once under ``src/repro/elastic/``.
+
+    Structural, like ``test_runtime_pe_transport.TestOneWire``: "which
+    channel owns this key, and how do its entries get onto the live
+    operator there" used to be written in seven routines of the
+    controller, next to a private copy of the compiler's PE grouping; an
+    eighth copy of either must fail here, not in a golden three PRs later.
+    """
+
+    @staticmethod
+    def _functions(root):
+        return functions_under(root)
+
+    @staticmethod
+    def _where(root, matches):
+        return [
+            f"{file}:{name}"
+            for file, name, function in functions_under(root)
+            if any(matches(node) for node in ast.walk(function))
+        ]
+
+    _calls = staticmethod(calls)
+
+    @staticmethod
+    def _names(*names):
+        return lambda node: isinstance(node, ast.Name) and node.id in names
+
+    @property
+    def elastic(self):
+        return pathlib.Path(repro.elastic.__file__).parent
+
+    def test_keyed_state_is_taken_and_placed_by_the_mover_alone(self):
+        assert self._where(self.elastic, self._calls("extract_partition")) == [
+            "migration.py:KeyedMover.take"
+        ]
+        assert self._where(self.elastic, self._calls("install")) == [
+            "migration.py:KeyedMover.place"
+        ]
+
+    def test_ownership_functions_are_built_in_one_place(self):
+        assert sorted(
+            self._where(self.elastic, self._names("stable_channel_of", "detour_channel_of"))
+        ) == ["migration.py:detour_at", "migration.py:owner_at"]
+
+    def test_pe_specs_are_built_by_the_compiler_alone(self):
+        src = self.elastic.parent
+        assert self._where(src, self._calls("PESpec")) == ["compiler.py:SPLCompiler._build_pes"]
+        split = self._where(
+            src,
+            lambda node: isinstance(node, ast.Attribute)
+            and node.attr == "intra_pe_edges"
+            and isinstance(node.ctx, ast.Store),
+        )
+        assert split == ["compiler.py:CompiledApplication.split_edges"]
+
+    def test_the_forks_and_copies_are_gone(self):
+        names = [name.split(".")[-1] for _, name, _ in self._functions(self.elastic)]
+        for gone in (
+            "_remask_channels_of",
+            "_extend_compiled",
+            "_recompute_edge_split",
+            "_extract_keyed_partitions",
+            "_install_keyed_partitions",
+            "_install_via_detour",
+            "_uninstall_keyed_partitions",
+            "_reinstall_extracted",
+            "_reclaim_detour_state",
+            "_seed_detour_state",
+        ):
+            assert gone not in names, gone
+        # ``migrate_state`` is a dataclass field with a default: no guards
+        guarded = self._where(
+            self.elastic,
+            lambda node: self._calls("getattr")(node)
+            and any(getattr(arg, "value", None) == "migrate_state" for arg in node.args),
+        )
+        assert guarded == []
+        # no routine is forked on a ``masked: bool`` parameter
+        forked = [
+            f"{file}:{name}"
+            for file, name, function in self._functions(self.elastic)
+            for arg in function.args.args + function.args.kwonlyargs
+            if arg.arg == "masked" and getattr(arg.annotation, "id", None) == "bool"
+        ]
+        assert forked == []
+
+    def test_no_elastic_module_outgrows_its_decision(self):
+        for path in sorted(self.elastic.glob("*.py")):
+            assert len(path.read_text().splitlines()) <= 700, path.name

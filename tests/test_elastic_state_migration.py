@@ -387,6 +387,57 @@ class TestCrashedChannelRerouting:
         assert pe.state is PEState.RUNNING
         assert system.elastic.reroutes == []
 
+    def test_restarted_splitter_is_sent_the_mask_again(self):
+        """Regression: a restarted splitter is a fresh instance with an
+        empty mask.  The controller's set is the authority and is re-sent
+        on the splitter PE's ``pe_restart`` — without it the splitter
+        routes into the dead channel and every such tuple is dropped."""
+        system = SystemS(hosts=12)
+        job = system.submit_job(build_keyed_app(width=3, limit=None, period=0.02))
+        system.run_for(2.0)
+        job.pe_of_operator("work__c1").crash("test")
+        system.run_for(1.0)
+        splitter_pe = job.pe_of_operator("region__split")
+        assert job.operator_instance("region__split").masked_channels == {1}
+        splitter_pe.crash("test")
+        system.run_for(0.2)
+        system.sam.restart_pe(job.job_id, splitter_pe.pe_id)
+        system.run_for(1.5)
+        assert splitter_pe.state is PEState.RUNNING
+        assert job.operator_instance("region__split").masked_channels == {1}
+        dropped = system.transport.total_dropped
+        system.run_for(3.0)
+        assert system.transport.total_dropped == dropped  # nothing fed to c1
+        # one mask record, no phantom ones from the re-send
+        assert [(r.channel, r.masked) for r in system.elastic.reroutes] == [(1, True)]
+
+    def test_channel_restarted_while_splitter_was_down_rejoins_with_it(self):
+        """A channel whose restart completed while the splitter was down
+        missed its unmask; it rejoins (reclaim + unmask) when the splitter
+        comes back, instead of staying masked for good."""
+        system = SystemS(hosts=12)
+        job = system.submit_job(build_keyed_app(width=3, limit=None, period=0.02))
+        system.run_for(2.0)
+        channel_pe = job.pe_of_operator("work__c1")
+        channel_pe.crash("test")
+        system.run_for(1.0)
+        splitter_pe = job.pe_of_operator("region__split")
+        splitter_pe.crash("test")
+        system.sam.restart_pe(job.job_id, channel_pe.pe_id)
+        system.run_for(1.5)  # c1 is back; nobody could be told
+        assert channel_pe.state is PEState.RUNNING
+        assert [r.masked for r in system.elastic.reroutes] == [True]
+        system.sam.restart_pe(job.job_id, splitter_pe.pe_id)
+        system.run_for(1.5)
+        assert job.operator_instance("region__split").masked_channels == set()
+        assert [(r.channel, r.masked) for r in system.elastic.reroutes] == [
+            (1, True),
+            (1, False),
+        ]
+        # c1's keys route home again
+        system.run_for(2.0)
+        assert len(job.operator_instance("work__c1").state.keyed("counts")) > 0
+
     def test_unmask_reclaims_detour_state(self):
         """Keyed entries accrued on detour channels while a channel was
         masked are *reclaimed* at unmask time: extracted from the detours

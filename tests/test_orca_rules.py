@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro import ManagedApplication, OrcaDescriptor
+from repro import ManagedApplication, OrcaDescriptor, SystemConfig, SystemS
 from repro.errors import ScopeError
+from repro.obs import Slo
+from repro.orca.orchestrator import Orchestrator
 from repro.orca.rules import Rule, RuleOrchestrator, when
 from repro.orca.scopes import (
+    HealthScope,
     OperatorMetricScope,
     PEFailureScope,
     TimerScope,
@@ -199,6 +202,42 @@ class TestRuleDispatch:
         event = service.journal_entry(txn)
         assert event is not None and event.event_type == "pe_failure"
         assert service.actuations_for(txn) == restarts
+
+
+class TestEveryDeliverableEventReachesTheRules:
+    def test_health_rule_fires(self):
+        """Regression: ``health_alert`` had no forwarder, so a rule scoped
+        with ``HealthScope`` fell through to the base-class no-op."""
+        system = SystemS(hosts=4, seed=42, config=SystemConfig(delivery="at_least_once"))
+        alerts = []
+        logic = RuleOrchestrator(
+            [when("k", HealthScope("k")).then(lambda orca, ctx: alerts.append(ctx))],
+            submit=["Linear"],
+        )
+        service = submit_rules(system, logic, [make_linear_app(period=0.2)])
+        service.register_slo(
+            Slo("lag-budget", "lag", 0.001, short_window=1.0, long_window=2.0,
+                warn_burn=1.0, page_burn=2.0)
+        )
+        system.run_for(1.0)
+        sink_pe = logic.jobs[0].pe_of_operator("sink")
+        system.transport.install_link_fault(drop_probability=1.0, dst_pe=sink_pe.pe_id)
+        system.run_for(5.0)
+        assert alerts and alerts[0].slo == "lag-budget"
+        assert ("k", "health_alert") in {(name, kind) for name, kind, _ in logic.firings}
+        assert not service.handler_errors
+
+    def test_every_dispatch_handler_is_overridden_or_exempt(self):
+        from repro.orca.service import OrcaService
+
+        exempt = {"handleOrcaStart"}  # lifecycle, carries no scopes: defined by hand
+        for event_type, (handler, takes_scopes) in OrcaService._DISPATCH.items():
+            assert takes_scopes == (handler not in exempt), event_type
+            own = getattr(RuleOrchestrator, handler)
+            assert own is not getattr(Orchestrator, handler), (
+                f"{event_type}: RuleOrchestrator inherits the no-op {handler}"
+            )
+            assert own.__name__ == handler
 
 
 class TestJournal:

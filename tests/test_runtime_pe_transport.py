@@ -14,7 +14,7 @@ from repro.sim.kernel import OutstandingHandles
 from repro.spl.metrics import OperatorMetricName, PEMetricName
 from repro.spl.library import Beacon
 
-from tests.conftest import make_filter_app, make_linear_app
+from tests.conftest import calls, functions_under, make_filter_app, make_linear_app
 
 
 def get_op(job, name):
@@ -537,17 +537,12 @@ class TestOneWire:
         """``(qualified name, FunctionDef)`` for every function of the package."""
         import repro.runtime
 
-        found = []
-        for path in sorted(pathlib.Path(repro.runtime.__file__).parent.glob("*.py")):
-            for owner in ast.walk(ast.parse(path.read_text())):
-                if isinstance(owner, (ast.ClassDef, ast.Module)):
-                    prefix = f"{owner.name}." if isinstance(owner, ast.ClassDef) else ""
-                    found += [
-                        (prefix + node.name, node)
-                        for node in owner.body
-                        if isinstance(node, ast.FunctionDef)
-                    ]
-        return found
+        package = pathlib.Path(repro.runtime.__file__).parent
+        return [
+            (name, node)
+            for path in sorted(package.glob("*.py"))
+            for _, name, node in functions_under(path)
+        ]
 
     @classmethod
     def _where(cls, matches):
@@ -562,15 +557,7 @@ class TestOneWire:
     def _reads(attr):
         return lambda node: isinstance(node, ast.Attribute) and node.attr == attr
 
-    @staticmethod
-    def _calls(name):
-        def matches(node):
-            if not isinstance(node, ast.Call):
-                return False
-            func = node.func
-            return getattr(func, "id", None) == name or getattr(func, "attr", None) == name
-
-        return matches
+    _calls = staticmethod(calls)
 
     def test_link_faults_are_composed_in_one_function(self):
         assert self._where(self._reads("extra_latency")) == ["Transport._compose"]

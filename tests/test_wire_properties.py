@@ -32,22 +32,17 @@ faults first.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro import SystemConfig, SystemS
 from repro.chaos.fuzz.oracles import FifoProbe
 from repro.spl.tuples import StreamTuple, WindowMarker
 
+from tests.conftest import example_budget
 from tests.test_wire_golden import COUNTERS, DELIVERIES, _rng_hash, fan_in_app
 
 
-def _examples() -> int:
-    """25 in tier-1; the ``wire-ci`` profile's budget when CI loads it."""
-    ci = settings.get_profile("wire-ci").max_examples
-    return ci if settings.default.max_examples == ci else 25
-
-
-BUDGET = settings(max_examples=_examples(), deadline=None)
+BUDGET = example_budget("wire-ci", tier1=25)
 
 LINKS = (0, 1)
 #: which link(s) a fault covers: both forward links, one of them, or the
