@@ -1,4 +1,4 @@
-"""Event contexts.
+"""Event contexts, and the table that says what each event kind is.
 
 Sec. 4.2 of the paper: "for each event, the ORCA service delivers two
 items" — the keys of all matching subscopes and the **context** of the
@@ -11,14 +11,95 @@ Field names are snake_case; the camelCase names used verbatim in the
 paper's code listings (``context.instanceName``, ``context.epoch``...) are
 provided as read-only aliases so the paper's Figs. 5-6 translate
 one-to-one.
+
+Every context class declares its **event kind** once, by decorating itself
+with an :class:`EventKind`.  :data:`EVENT_KINDS` is the only statement of
+what a kind is: the service dispatches and builds scope attribute maps
+from it, the rule engine forwards from it, the scope classes take their
+covered types from it, and ``docs/adaptation-api.md`` is checked against it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from operator import attrgetter
+from typing import Any, Dict, Mapping, Optional, Sequence
+
+#: source of a filter attribute the context does not store — stream-graph
+#: containment and placement, a region-wide channel tuple: the emitter
+#: passes it, ``OrcaService._emit(context, host=...)``
+COMPUTED = object()
+#: source of the ``event_kind`` attribute: the kind's own type name
+TYPE = object()
 
 
+class EventKind:
+    """One row of the event table, written as the context's class decorator.
+
+    ``handler`` names the ``Orchestrator`` method; ``scopes`` the scope
+    classes that cover the kind (none: delivered unconditionally, to a
+    handler that takes no subscope keys); ``sources`` maps each attribute
+    a subscope may filter on to where its value comes from — a context
+    field name, :data:`COMPUTED` or :data:`TYPE`.
+    """
+
+    def __init__(
+        self, event_type: str, handler: str, scopes: Sequence[str] = (), /, **sources: Any
+    ) -> None:
+        self.event_type = event_type
+        self.handler = handler
+        self.scopes = tuple(scopes)
+        self.attributes = tuple(sources)
+        #: the attributes the emitter has to supply
+        self.computed = frozenset(a for a, s in sources.items() if s is COMPUTED)
+        self._constant = {a: event_type for a, s in sources.items() if s is TYPE}
+        self._fields = {a: s for a, s in sources.items() if isinstance(s, str)}
+        # getters are resolved here, once, not per event
+        self._stored = tuple((a, attrgetter(f)) for a, f in self._fields.items())
+
+    def __call__(self, context: type) -> type:
+        """Declare ``context`` to be this kind's context class (``context.KIND``)."""
+        unknown = set(self._fields.values()) - {f.name for f in dataclasses.fields(context)}
+        if unknown:
+            raise TypeError(f"{context.__name__} has no field {sorted(unknown)}")
+        self.context = context
+        context.KIND = EVENT_KINDS[self.event_type] = self
+        return context
+
+    def scope_attributes(self, context: Any, computed: Mapping[str, Any]) -> Dict[str, Any]:
+        """The map ``ScopeRegistry.matching_keys`` tests subscopes against.
+
+        A ``None`` value (no ``config``, an injection without a job, a host
+        the graph does not know) is left out: a filter treats ``None`` and
+        absent alike.
+        """
+        attrs = self._constant.copy()
+        for name, get in self._stored:
+            value = get(context)
+            if value is not None:
+                attrs[name] = value
+        for name, value in computed.items():
+            if name not in self.computed:
+                raise TypeError(f"{self.event_type}: {name!r} is not declared COMPUTED")
+            if value is not None:
+                attrs[name] = value
+        if len(computed) != len(self.computed):
+            raise TypeError(f"{self.event_type}: needs {sorted(self.computed)} computed")
+        return attrs
+
+
+#: event type -> kind, in declaration order
+EVENT_KINDS: Dict[str, EventKind] = {}
+
+_JOB = {"application": "app_name", "job": "job_id"}
+#: what StreamGraph.pe_event_attrs / operator_event_attrs answer
+_PLACED = {"host": COMPUTED, "composite_instance": COMPUTED, "composite_type": COMPUTED}
+_OPERATOR = {"operator_instance": "instance_name", "operator_type": COMPUTED, **_PLACED}
+_REGION = {**_JOB, "region": "region", "event_kind": TYPE}
+
+
+@EventKind("orca_start", "handleOrcaStart")
 @dataclass(frozen=True)
 class OrcaStartContext:
     """Delivered once, when the ORCA service has loaded the ORCA logic."""
@@ -27,6 +108,10 @@ class OrcaStartContext:
     time: float
 
 
+@EventKind(
+    "operator_metric", "handleOperatorMetricEvent", ("OperatorMetricScope",),
+    **_JOB, **_OPERATOR, metric_name="metric", pe="pe_id",
+)
 @dataclass(frozen=True)
 class OperatorMetricContext:
     """An operator-scope metric value observed at one SRM poll."""
@@ -44,9 +129,14 @@ class OperatorMetricContext:
 
     @property
     def instanceName(self) -> str:  # noqa: N802 - paper-parity alias
+        """``instance_name``, as the paper's listings spell it."""
         return self.instance_name
 
 
+@EventKind(
+    "operator_port_metric", "handleOperatorPortMetricEvent", ("OperatorPortMetricScope",),
+    **_JOB, **_OPERATOR, metric_name="metric", port="port", pe="pe_id",
+)
 @dataclass(frozen=True)
 class OperatorPortMetricContext:
     """A port-scope operator metric value (e.g. queueSize of input port 0)."""
@@ -65,9 +155,14 @@ class OperatorPortMetricContext:
 
     @property
     def instanceName(self) -> str:  # noqa: N802 - paper-parity alias
+        """``instance_name``, as the paper's listings spell it."""
         return self.instance_name
 
 
+@EventKind(
+    "pe_metric", "handlePEMetricEvent", ("PEMetricScope",),
+    **_JOB, pe="pe_id", metric_name="metric", **_PLACED,
+)
 @dataclass(frozen=True)
 class PEMetricContext:
     """A PE-scope metric value."""
@@ -83,6 +178,10 @@ class PEMetricContext:
     is_custom: bool
 
 
+@EventKind(
+    "pe_failure", "handlePEFailureEvent", ("PEFailureScope",),
+    **_JOB, pe="pe_id", reason="reason", **_PLACED,
+)
 @dataclass(frozen=True)
 class PEFailureContext:
     """A PE crash, pushed by SAM through the ORCA service (Sec. 4.2).
@@ -104,9 +203,11 @@ class PEFailureContext:
 
     @property
     def peId(self) -> str:  # noqa: N802 - paper-parity alias
+        """``pe_id``, as the paper's listings spell it."""
         return self.pe_id
 
 
+@EventKind("host_failure", "handleHostFailureEvent", ("HostFailureScope",), host="host")
 @dataclass(frozen=True)
 class HostFailureContext:
     """A host went down (detected by SRM via missed heartbeats)."""
@@ -117,6 +218,10 @@ class HostFailureContext:
     affected_pe_ids: tuple = ()
 
 
+@EventKind(
+    "job_submission", "handleJobSubmissionEvent", ("JobSubmissionScope",),
+    **_JOB, config="config_id",
+)
 @dataclass(frozen=True)
 class JobSubmissionContext:
     """A managed application was submitted (directly or by the dependency
@@ -129,6 +234,10 @@ class JobSubmissionContext:
     explicit: bool  #: True when the ORCA logic asked for this app directly
 
 
+@EventKind(
+    "job_cancellation", "handleJobCancellationEvent", ("JobCancellationScope",),
+    **_JOB, config="config_id",
+)
 @dataclass(frozen=True)
 class JobCancellationContext:
     """A managed application was cancelled (directly or garbage-collected)."""
@@ -140,6 +249,10 @@ class JobCancellationContext:
     garbage_collected: bool  #: True when the dependency manager GC'd it
 
 
+@EventKind(
+    "channel_congested", "handleChannelCongestedEvent", ("ParallelRegionScope",),
+    **_REGION, channel="channel",
+)
 @dataclass(frozen=True)
 class ChannelCongestedContext:
     """One channel of a parallel region exceeded its congestion threshold.
@@ -163,6 +276,10 @@ class ChannelCongestedContext:
     time: float
 
 
+@EventKind(
+    "region_rescaled", "handleRegionRescaledEvent", ("ParallelRegionScope",),
+    **_REGION, channel=COMPUTED,  # every channel index: any channel filter matches
+)
 @dataclass(frozen=True)
 class RegionRescaledContext:
     """A parallel region finished a live re-parallelization attempt.
@@ -184,6 +301,10 @@ class RegionRescaledContext:
     error: Optional[str] = None  #: failure reason when succeeded is False
 
 
+@EventKind(
+    "region_state_migrated", "handleRegionStateMigratedEvent", ("ParallelRegionScope",),
+    **_REGION, channel=COMPUTED,  # region-wide, as for region_rescaled
+)
 @dataclass(frozen=True)
 class RegionStateMigratedContext:
     """A rescale's migration phase moved keyed operator state.
@@ -212,6 +333,10 @@ class RegionStateMigratedContext:
     global_states_merged: int = 0
 
 
+@EventKind(
+    "channel_rerouted", "handleChannelReroutedEvent", ("ParallelRegionScope",),
+    **_REGION, channel="channel",
+)
 @dataclass(frozen=True)
 class ChannelReroutedContext:
     """A parallel-region channel was masked (or unmasked) on its splitter.
@@ -238,6 +363,10 @@ class ChannelReroutedContext:
     seeded_keys: int = 0
 
 
+@EventKind(
+    "checkpoint_committed", "handleCheckpointCommittedEvent", ("CheckpointScope",),
+    **_JOB, pe="pe_id", event_kind=TYPE,
+)
 @dataclass(frozen=True)
 class CheckpointCommittedContext:
     """A PE's state store was checkpointed and the epoch committed.
@@ -261,6 +390,10 @@ class CheckpointCommittedContext:
     time: float
 
 
+@EventKind(
+    "state_reclaimed", "handleStateReclaimedEvent", ("ParallelRegionScope", "CheckpointScope"),
+    **_REGION, channel="channels", pe="pe_id",
+)
 @dataclass(frozen=True)
 class StateReclaimedContext:
     """Detour-accrued keyed state returned to a restarted channel.
@@ -283,6 +416,10 @@ class StateReclaimedContext:
     time: float
 
 
+@EventKind(
+    "rehydrate_skipped", "handleRehydrateSkippedEvent", ("CheckpointScope",),
+    **_JOB, pe="pe_id", event_kind=TYPE,
+)
 @dataclass(frozen=True)
 class RehydrateSkippedContext:
     """A ``restart_pe(rehydrate=True)`` found nothing to restore.
@@ -302,6 +439,11 @@ class RehydrateSkippedContext:
     time: float
 
 
+@EventKind(
+    "chaos_injected", "handleChaosInjectedEvent", ("ChaosScope",),
+    scenario="scenario", kind="kind", target="target", event_kind=TYPE,
+    **_JOB,  # both None unless the run has a job, and this orchestrator owns it
+)
 @dataclass(frozen=True)
 class ChaosInjectedContext:
     """A chaos-campaign step fired (see :mod:`repro.chaos`).
@@ -326,6 +468,10 @@ class ChaosInjectedContext:
     detail: Dict[str, Any] = field(default_factory=dict)
 
 
+@EventKind(
+    "health_alert", "handleHealthAlertEvent", ("HealthScope",),
+    slo="slo", signal="signal", severity="severity", region="region", event_kind=TYPE,
+)
 @dataclass(frozen=True)
 class HealthAlertContext:
     """An SLO burn-rate alert raised by the health plane (repro.obs.health).
@@ -352,6 +498,7 @@ class HealthAlertContext:
     why: str = ""  #: the detector's why-string
 
 
+@EventKind("timer", "handleTimerEvent", ("TimerScope",), timer="timer_id")
 @dataclass(frozen=True)
 class TimerContext:
     """A timer created through the ORCA service expired."""
@@ -363,6 +510,7 @@ class TimerContext:
     periodic: bool = False
 
 
+@EventKind("user", "handleUserEvent", ("UserEventScope",), name="name")
 @dataclass(frozen=True)
 class UserEventContext:
     """A user-generated event, injected via the command tool (Sec. 4.1)."""

@@ -66,16 +66,23 @@ class EventQueue:
         self.last_queue_latency = 0.0
 
     def push(self, event: OrcaEvent) -> OrcaEvent:
+        """Append an event, stamping it with the next transaction id."""
         event.txn_id = self._next_txn
         self._next_txn += 1
         self._queue.append(event)
         return event
 
     def pop(self) -> Optional[OrcaEvent]:
+        """Take the oldest queued event for delivery (None when empty)."""
         if not self._queue:
             return None
         self.delivered_count += 1
         return self._queue.popleft()
+
+    def drop_all(self) -> None:
+        """Discard every queued event, counting each as dropped."""
+        self.dropped_count += len(self._queue)
+        self._queue.clear()
 
     def record_delivery(self, event: OrcaEvent, now: float) -> float:
         """Stamp the delivery time on an event and fold it into the stats."""
@@ -87,6 +94,7 @@ class EventQueue:
         return latency
 
     def latency_stats(self) -> QueueLatencyStats:
+        """Queue-wait statistics over every event delivered so far."""
         delivered = self.delivered_count
         mean = self.total_queue_latency / delivered if delivered else 0.0
         return QueueLatencyStats(

@@ -52,6 +52,7 @@ class Orchestrator:
 
     @property
     def orca(self) -> "OrcaService":
+        """The ORCA service this logic actuates and inspects through."""
         return self._orca
 
     def emitTraceMarker(self, name: str, **attrs) -> None:  # noqa: N802

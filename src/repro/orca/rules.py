@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ScopeError
+from repro.orca.contexts import EVENT_KINDS
 from repro.orca.orchestrator import Orchestrator
 from repro.orca.scopes import EventScope, PEFailureScope
-from repro.orca.service import OrcaService
 
 Condition = Callable[[Any], bool]
 Action = Callable[[Any, Any], None]  # (OrcaService, context)
@@ -181,8 +181,8 @@ def _forwarder(event_type: str, name: str) -> Callable[..., None]:
     return handler
 
 
-# every scope-carrying event the service can deliver runs the matching
-# rules; handlers the class defines itself (the pe_failure default) stay
-for _event_type, (_name, _takes_scopes) in OrcaService._DISPATCH.items():
-    if _takes_scopes and _name not in vars(RuleOrchestrator):
-        setattr(RuleOrchestrator, _name, _forwarder(_event_type, _name))
+# every scope-carrying kind of the event table runs the matching rules;
+# handlers the class defines itself (the pe_failure default) stay
+for _kind in EVENT_KINDS.values():
+    if _kind.scopes and _kind.handler not in vars(RuleOrchestrator):
+        setattr(RuleOrchestrator, _kind.handler, _forwarder(_kind.event_type, _kind.handler))

@@ -14,16 +14,22 @@ attribute filters.  Filter semantics:
   equivalent SQL formulation needs a recursive query (see
   :mod:`repro.orca.sqlbaseline`).
 
-The ``add*Filter`` method names follow the paper's Fig. 5 verbatim.
+The ``add*Filter`` method names follow the paper's Fig. 5 verbatim.  Which
+event types a scope class covers is not stated here: each kind names its
+scope classes in the event table (:data:`repro.orca.contexts.EVENT_KINDS`),
+and a filter method exists on a class only if a kind it covers carries the
+attribute — so every filter that can be written can match.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Set, Union
+from typing import Dict, Iterable, List, Mapping, Set, TypeVar, Union
 
 from repro.errors import ScopeError
+from repro.orca.contexts import EVENT_KINDS
 
 Values = Union[str, int, Iterable]
+_Scope = TypeVar("_Scope", bound="EventScope")  # filters return the subscope itself
 
 
 def _as_set(values: Values) -> Set:
@@ -47,15 +53,23 @@ def to_string(metric_name: str) -> str:
 class EventScope:
     """Base class: one subscope with attribute filters."""
 
-    #: Event type this subscope selects; set by subclasses.
-    EVENT_TYPE = ""
-    #: Additional event types this subscope also selects (a subscope is
-    #: normally one event type; family scopes such as
+    #: Event types this subscope selects: the kinds of the event table that
+    #: name the class (normally one; family scopes such as
     #: :class:`ParallelRegionScope` cover several related types).
     EVENT_TYPES: tuple = ()
+    #: The first of them.
+    EVENT_TYPE = ""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        covered = tuple(
+            kind.event_type for kind in EVENT_KINDS.values() if cls.__name__ in kind.scopes
+        )
+        if covered:  # else: a user's subclass, which inherits its parent's types
+            cls.EVENT_TYPES, cls.EVENT_TYPE = covered, covered[0]
 
     def handles(self, event_type: str) -> bool:
-        return event_type == self.EVENT_TYPE or event_type in self.EVENT_TYPES
+        return event_type in self.EVENT_TYPES
 
     def __init__(self, key: str) -> None:
         if not key:
@@ -91,36 +105,75 @@ class EventScope:
                     return False
         return True
 
-    # -- filters common to most subscopes -----------------------------------------
-
-    def addApplicationFilter(self, names: Values) -> "EventScope":  # noqa: N802
-        self._add("application", names)
-        return self
-
-    def addJobFilter(self, job_ids: Values) -> "EventScope":  # noqa: N802
-        self._add("job", job_ids)
-        return self
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.key!r}, filters={self._filters})"
 
 
-class _GraphScopedMixin:
+# Filters shared by several scope classes, one definition each.  A scope
+# class mixes in exactly those whose attribute one of its kinds carries.
+
+
+class _JobScopedMixin(EventScope):
+    """Filters for events raised about one managed job."""
+
+    def addApplicationFilter(self: _Scope, names: Values) -> _Scope:  # noqa: N802
+        self._add("application", names)
+        return self
+
+    def addJobFilter(self: _Scope, job_ids: Values) -> _Scope:  # noqa: N802
+        self._add("job", job_ids)
+        return self
+
+
+class _GraphScopedMixin(EventScope):
     """Filters that need the stream-graph containment information."""
 
-    def addCompositeTypeFilter(self, kinds: Values) -> "EventScope":  # noqa: N802
-        self._add("composite_type", kinds)  # type: ignore[attr-defined]
-        return self  # type: ignore[return-value]
+    def addCompositeTypeFilter(self: _Scope, kinds: Values) -> _Scope:  # noqa: N802
+        self._add("composite_type", kinds)
+        return self
 
-    def addCompositeInstanceFilter(self, names: Values) -> "EventScope":  # noqa: N802
-        self._add("composite_instance", names)  # type: ignore[attr-defined]
-        return self  # type: ignore[return-value]
+    def addCompositeInstanceFilter(self: _Scope, names: Values) -> _Scope:  # noqa: N802
+        self._add("composite_instance", names)
+        return self
 
 
-class OperatorMetricScope(_GraphScopedMixin, EventScope):
+class _PEFilterMixin(EventScope):
+    def addPEFilter(self: _Scope, pe_ids: Values) -> _Scope:  # noqa: N802
+        self._add("pe", pe_ids)
+        return self
+
+
+class _HostFilterMixin(EventScope):
+    def addHostFilter(self: _Scope, hosts: Values) -> _Scope:  # noqa: N802
+        self._add("host", hosts)
+        return self
+
+
+class _ConfigFilterMixin(EventScope):
+    def addConfigFilter(self: _Scope, config_ids: Values) -> _Scope:  # noqa: N802
+        self._add("config", config_ids)
+        return self
+
+
+class _RegionFilterMixin(EventScope):
+    def addRegionFilter(self: _Scope, names: Values) -> _Scope:  # noqa: N802
+        """Restrict to events (or alerts) scoped to specific parallel regions."""
+        self._add("region", names)
+        return self
+
+
+class _EventTypeFilterMixin(EventScope):
+    def addEventTypeFilter(self: _Scope, kinds: Values) -> _Scope:  # noqa: N802
+        """Restrict to a subset of the scope's event kinds (e.g.
+        ``channel_congested``, ``region_state_migrated``, ``rehydrate_skipped``)."""
+        self._add("event_kind", kinds)
+        return self
+
+
+class OperatorMetricScope(
+    _JobScopedMixin, _GraphScopedMixin, _PEFilterMixin, _HostFilterMixin
+):
     """Operator-scope metric events (Fig. 5 of the paper)."""
-
-    EVENT_TYPE = "operator_metric"
 
     #: Built-in metric identifiers, mirroring ``OperatorMetricScope::...``
     queueSize = "queueSize"
@@ -141,29 +194,17 @@ class OperatorMetricScope(_GraphScopedMixin, EventScope):
         self._add("metric_name", names)
         return self
 
-    def addPEFilter(self, pe_ids: Values) -> "OperatorMetricScope":  # noqa: N802
-        self._add("pe", pe_ids)
-        return self
-
-    def addHostFilter(self, hosts: Values) -> "OperatorMetricScope":  # noqa: N802
-        self._add("host", hosts)
-        return self
-
 
 class OperatorPortMetricScope(OperatorMetricScope):
     """Port-scope operator metric events (queueSize of one input port...)."""
-
-    EVENT_TYPE = "operator_port_metric"
 
     def addPortFilter(self, ports: Values) -> "OperatorPortMetricScope":  # noqa: N802
         self._add("port", ports)
         return self
 
 
-class PEMetricScope(EventScope):
+class PEMetricScope(_JobScopedMixin, _PEFilterMixin, _HostFilterMixin):
     """PE-scope metric events."""
-
-    EVENT_TYPE = "pe_metric"
 
     nTuplesProcessed = "nTuplesProcessed"
     nTupleBytesProcessed = "nTupleBytesProcessed"
@@ -174,67 +215,31 @@ class PEMetricScope(EventScope):
         self._add("metric_name", names)
         return self
 
-    def addPEFilter(self, pe_ids: Values) -> "PEMetricScope":  # noqa: N802
-        self._add("pe", pe_ids)
-        return self
 
-    def addHostFilter(self, hosts: Values) -> "PEMetricScope":  # noqa: N802
-        self._add("host", hosts)
-        return self
-
-
-class PEFailureScope(_GraphScopedMixin, EventScope):
+class PEFailureScope(
+    _JobScopedMixin, _GraphScopedMixin, _PEFilterMixin, _HostFilterMixin
+):
     """PE failure events (Fig. 5 line 10)."""
-
-    EVENT_TYPE = "pe_failure"
-
-    def addPEFilter(self, pe_ids: Values) -> "PEFailureScope":  # noqa: N802
-        self._add("pe", pe_ids)
-        return self
-
-    def addHostFilter(self, hosts: Values) -> "PEFailureScope":  # noqa: N802
-        self._add("host", hosts)
-        return self
 
     def addReasonFilter(self, reasons: Values) -> "PEFailureScope":  # noqa: N802
         self._add("reason", reasons)
         return self
 
 
-class HostFailureScope(EventScope):
+class HostFailureScope(_HostFilterMixin):
     """Host failure events."""
 
-    EVENT_TYPE = "host_failure"
 
-    def addHostFilter(self, hosts: Values) -> "HostFailureScope":  # noqa: N802
-        self._add("host", hosts)
-        return self
-
-
-class JobSubmissionScope(EventScope):
+class JobSubmissionScope(_JobScopedMixin, _ConfigFilterMixin):
     """Job submission notifications (generated by the ORCA service itself)."""
 
-    EVENT_TYPE = "job_submission"
 
-    def addConfigFilter(self, config_ids: Values) -> "JobSubmissionScope":  # noqa: N802
-        self._add("config", config_ids)
-        return self
-
-
-class JobCancellationScope(EventScope):
+class JobCancellationScope(_JobScopedMixin, _ConfigFilterMixin):
     """Job cancellation notifications (generated by the ORCA service itself)."""
-
-    EVENT_TYPE = "job_cancellation"
-
-    def addConfigFilter(self, config_ids: Values) -> "JobCancellationScope":  # noqa: N802
-        self._add("config", config_ids)
-        return self
 
 
 class TimerScope(EventScope):
     """Timer expirations."""
-
-    EVENT_TYPE = "timer"
 
     def addTimerFilter(self, timer_ids: Values) -> "TimerScope":  # noqa: N802
         self._add("timer", timer_ids)
@@ -244,14 +249,12 @@ class TimerScope(EventScope):
 class UserEventScope(EventScope):
     """User-generated events injected through the command tool."""
 
-    EVENT_TYPE = "user"
-
     def addNameFilter(self, names: Values) -> "UserEventScope":  # noqa: N802
         self._add("name", names)
         return self
 
 
-class ParallelRegionScope(EventScope):
+class ParallelRegionScope(_JobScopedMixin, _RegionFilterMixin, _EventTypeFilterMixin):
     """Parallel-region lifecycle events (the elastic subsystem).
 
     Covers the related event types with one subscope, so ORCA logic that
@@ -273,31 +276,12 @@ class ParallelRegionScope(EventScope):
     ``stateBytes`` aggregates from SRM.
     """
 
-    EVENT_TYPE = "channel_congested"
-    EVENT_TYPES = (
-        "channel_congested",
-        "region_rescaled",
-        "region_state_migrated",
-        "channel_rerouted",
-        "state_reclaimed",
-    )
-
     #: metric identifiers commonly used as region congestion metrics
     queueSize = "queueSize"
     nBuffered = "nBuffered"
     #: per-operator state-footprint gauges collected by the host controllers
     stateBytes = "stateBytes"
     nStateKeys = "nStateKeys"
-
-    def addRegionFilter(self, names: Values) -> "ParallelRegionScope":  # noqa: N802
-        self._add("region", names)
-        return self
-
-    def addEventTypeFilter(self, kinds: Values) -> "ParallelRegionScope":  # noqa: N802
-        """Restrict to a subset of the region event kinds (e.g.
-        ``channel_congested``, ``region_state_migrated``)."""
-        self._add("event_kind", kinds)
-        return self
 
     def addChannelFilter(self, channels: Values) -> "ParallelRegionScope":  # noqa: N802
         """Restrict to events touching specific channel indices.
@@ -311,7 +295,9 @@ class ParallelRegionScope(EventScope):
         return self
 
 
-class CheckpointScope(EventScope):
+class CheckpointScope(
+    _JobScopedMixin, _PEFilterMixin, _RegionFilterMixin, _EventTypeFilterMixin
+):
     """Checkpoint / recovery lifecycle events (the state subsystem).
 
     Covers the related event types with one subscope, so ORCA logic that
@@ -330,31 +316,11 @@ class CheckpointScope(EventScope):
     service's ``checkpoint_status()`` / ``checkpoint_now()`` hooks.
     """
 
-    EVENT_TYPE = "checkpoint_committed"
-    EVENT_TYPES = (
-        "checkpoint_committed",
-        "state_reclaimed",
-        "rehydrate_skipped",
-    )
-
     #: the PE-level staleness gauge collected at every metric push
     checkpointLag = "checkpointLag"
 
-    def addPEFilter(self, pe_ids: Values) -> "CheckpointScope":  # noqa: N802
-        self._add("pe", pe_ids)
-        return self
 
-    def addRegionFilter(self, names: Values) -> "CheckpointScope":  # noqa: N802
-        self._add("region", names)
-        return self
-
-    def addEventTypeFilter(self, kinds: Values) -> "CheckpointScope":  # noqa: N802
-        """Restrict to a subset of the checkpoint event kinds."""
-        self._add("event_kind", kinds)
-        return self
-
-
-class ChaosScope(EventScope):
+class ChaosScope(_JobScopedMixin):
     """Chaos-campaign injection events (the :mod:`repro.chaos` subsystem).
 
     A routine that registers this scope *sees* injected faults as
@@ -363,8 +329,6 @@ class ChaosScope(EventScope):
     not register it — the events then match no subscope and are dropped,
     exactly like any other unsubscribed event type.
     """
-
-    EVENT_TYPE = "chaos_injected"
 
     def addScenarioFilter(self, names: Values) -> "ChaosScope":  # noqa: N802
         """Restrict to injections of specific scenarios."""
@@ -382,7 +346,7 @@ class ChaosScope(EventScope):
         return self
 
 
-class HealthScope(EventScope):
+class HealthScope(_RegionFilterMixin):
     """SLO burn-rate alerts from the health plane (repro.obs.health).
 
     A routine that registers this scope sees ``health_alert`` events
@@ -392,8 +356,6 @@ class HealthScope(EventScope):
     ``HealthScope("lat").addSloFilter("p95").addSeverityFilter("page")``
     only wakes the routine for pages of that one objective.
     """
-
-    EVENT_TYPE = "health_alert"
 
     def addSloFilter(self, names: Values) -> "HealthScope":  # noqa: N802
         """Restrict to specific objectives by name."""
@@ -408,11 +370,6 @@ class HealthScope(EventScope):
     def addSeverityFilter(self, severities: Values) -> "HealthScope":  # noqa: N802
         """Restrict to severities (``warn``, ``page``)."""
         self._add("severity", severities)
-        return self
-
-    def addRegionFilter(self, regions: Values) -> "HealthScope":  # noqa: N802
-        """Restrict to alerts scoped to specific parallel regions."""
-        self._add("region", regions)
         return self
 
 

@@ -6,8 +6,12 @@ logic shared library, invokes the start callback, and from then on
 
 * **generates events**: from itself (start, job submission/cancellation,
   timers), from SRM metric polls (default every 15 s, adjustable), from
-  SAM failure push notifications (one extra RPC), and from the command
-  tool (user events);
+  SAM failure push notifications (one extra RPC), from the runtime event
+  bus (rescales, reroutes, checkpoints, chaos, health), and from the
+  command tool (user events).  An emitter is *ownership check → context →
+  ``_emit``*, the one place an event is matched, stamped and queued; what
+  a kind is — type, handler, which context fields are scope attributes —
+  is declared on the context class (``repro.orca.contexts.EVENT_KINDS``);
 * **matches** every event against the registered scope (disjunction of
   subscopes; delivered once with *all* matching keys);
 * **delivers** events to the ORCA logic one at a time, in arrival order,
@@ -21,6 +25,7 @@ logic shared library, invokes the start callback, and from then on
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -59,8 +64,8 @@ from repro.orca.events import EventQueue, OrcaEvent, QueueLatencyStats
 from repro.orca.scopes import ScopeRegistry, EventScope
 from repro.orca.streamgraph import StreamGraph
 from repro.orca.timers import TimerHandle, TimerService
-from repro.spl.adl import adl_from_xml, adl_to_xml
-from repro.spl.compiler import CompiledApplication, SPLCompiler
+from repro.spl.adl import adl_from_xml, adl_model_of
+from repro.spl.compiler import CompiledApplication
 from repro.runtime.job import Job, JobState
 from repro.runtime.pe import PERuntime
 from repro.runtime.srm import MetricSample
@@ -80,6 +85,13 @@ class ActuationRecord:
     action: str
     detail: str
     time: float
+
+
+def _context_from(cls: type, record: Any, **extra: Any) -> Any:
+    """A ``cls`` context: ``extra``, and every other field copied from the
+    runtime record, which carries it under the same name."""
+    names = (f.name for f in dataclasses.fields(cls) if f.name not in extra)
+    return cls(**{name: getattr(record, name) for name in names}, **extra)
 
 
 class OrcaService:
@@ -127,15 +139,8 @@ class OrcaService:
         """Load managed applications, deliver the start event, start polling."""
         for managed in self.descriptor.applications:
             self._register_application(managed)
-        self._enqueue(
-            "orca_start",
-            OrcaStartContext(orca_id=self.orca_id, time=self.now),
-            attrs={},
-            always=True,
-        )
-        self._poll_handle = self.kernel.schedule(
-            self._poll_interval, self._poll_metrics, label=f"{self.orca_id}-poll"
-        )
+        self._emit(OrcaStartContext(orca_id=self.orca_id, time=self.now))
+        self._schedule_poll()
         # Runtime events become ORCA events — also for changes driven
         # outside this service (autoscalers, chaos campaigns, direct
         # controller calls); topology changes refresh the stream graph.
@@ -152,11 +157,13 @@ class OrcaService:
 
     def _register_application(self, managed: ManagedApplication) -> None:
         if managed.application is not None:
-            compiled = SPLCompiler(
-                managed.compile_strategy, managed.compile_target_pe_count
-            ).compile(managed.application)
+            compiled = self.system.compile(
+                managed.application,
+                managed.compile_strategy,
+                managed.compile_target_pe_count,
+            )
             self._compiled[managed.name] = compiled
-            self.graph.add_application(adl_from_xml(adl_to_xml(compiled)))
+            self.graph.add_application(adl_model_of(compiled))
         elif managed.adl_xml is not None:
             self.graph.add_application(adl_from_xml(managed.adl_xml))
 
@@ -173,7 +180,11 @@ class OrcaService:
         self._register_application(managed)
 
     def shutdown(self) -> None:
+        """Stop raising *and delivering* events: a handler must not actuate
+        for an orchestrator that no longer exists, so what is still queued
+        is dropped (and counted in ``queue.dropped_count``)."""
         self._alive = False
+        self.queue.drop_all()
         if self._poll_handle is not None:
             self._poll_handle.cancel()
         self.timers.cancel_all()
@@ -200,23 +211,26 @@ class OrcaService:
 
     # -- event machinery ---------------------------------------------------------------------
 
-    def _enqueue(
-        self,
-        event_type: str,
-        context: Any,
-        attrs: Dict[str, Any],
-        always: bool = False,
-    ) -> bool:
-        """Match, queue, and schedule delivery.  Returns True if queued."""
+    def _emit(self, context: Any, **computed: Any) -> bool:
+        """The one place an ORCA event is made.  Returns True if queued.
+
+        ``context.KIND`` (a row of ``repro.orca.contexts.EVENT_KINDS``) says
+        which context fields subscopes filter on; ``computed`` carries the
+        attributes the row declares but the context does not store.  An
+        event of a scoped kind that no subscope matches is dropped.
+        """
         if not self._alive:
             return False
-        keys = self.scopes.matching_keys(event_type, attrs)
-        if not keys and not always:
+        kind = context.KIND
+        keys = self.scopes.matching_keys(
+            kind.event_type, kind.scope_attributes(context, computed)
+        )
+        if kind.scopes and not keys:
             self.queue.dropped_count += 1
             return False
         self.queue.push(
             OrcaEvent(
-                event_type=event_type,
+                event_type=kind.event_type,
                 context=context,
                 scope_keys=keys,
                 enqueued_at=self.now,
@@ -238,34 +252,12 @@ class OrcaService:
         self._deliver(event)
         self._schedule_drain()
 
-    _DISPATCH: Dict[str, tuple] = {
-        "orca_start": ("handleOrcaStart", False),
-        "operator_metric": ("handleOperatorMetricEvent", True),
-        "operator_port_metric": ("handleOperatorPortMetricEvent", True),
-        "pe_metric": ("handlePEMetricEvent", True),
-        "pe_failure": ("handlePEFailureEvent", True),
-        "host_failure": ("handleHostFailureEvent", True),
-        "job_submission": ("handleJobSubmissionEvent", True),
-        "job_cancellation": ("handleJobCancellationEvent", True),
-        "timer": ("handleTimerEvent", True),
-        "user": ("handleUserEvent", True),
-        "channel_congested": ("handleChannelCongestedEvent", True),
-        "region_rescaled": ("handleRegionRescaledEvent", True),
-        "region_state_migrated": ("handleRegionStateMigratedEvent", True),
-        "channel_rerouted": ("handleChannelReroutedEvent", True),
-        "checkpoint_committed": ("handleCheckpointCommittedEvent", True),
-        "state_reclaimed": ("handleStateReclaimedEvent", True),
-        "rehydrate_skipped": ("handleRehydrateSkippedEvent", True),
-        "chaos_injected": ("handleChaosInjectedEvent", True),
-        "health_alert": ("handleHealthAlertEvent", True),
-    }
-
     def _deliver(self, event: OrcaEvent) -> None:
-        handler_name, takes_scopes = self._DISPATCH[event.event_type]
-        handler = getattr(self.logic, handler_name)
+        kind = event.context.KIND
+        handler = getattr(self.logic, kind.handler)
         self.queue.record_delivery(event, self.now)
-        obs = getattr(self.system, "obs", None)
-        if obs is not None and obs.trace_enabled:
+        obs = self.system.obs
+        if obs.trace_enabled:
             # the event->actuation chain: this span covers the event's
             # queue residence; actuations the handler issues are stamped
             # with the same txn id by _log_actuation
@@ -275,7 +267,7 @@ class OrcaService:
         self.event_journal.append(event)
         self._current_txn = event.txn_id
         try:
-            if takes_scopes:
+            if kind.scopes:
                 handler(event.context, list(event.scope_keys))
             else:
                 handler(event.context)
@@ -298,18 +290,15 @@ class OrcaService:
         if self._poll_handle is not None:
             self._poll_handle.cancel()
         if self._alive:
-            self._poll_handle = self.kernel.schedule(
-                seconds, self._poll_metrics, label=f"{self.orca_id}-poll"
-            )
+            self._schedule_poll()
+
+    def _schedule_poll(self) -> None:
+        self._poll_handle = self.kernel.schedule(
+            self._poll_interval, self._poll_metrics, label=f"{self.orca_id}-poll"
+        )
 
     def _poll_metrics(self) -> None:
-        if not self._alive:
-            return
-        job_ids = [
-            job_id
-            for job_id, job in self.jobs.items()
-            if job.state in (JobState.SUBMITTED, JobState.RUNNING)
-        ]
+        job_ids = [job_id for job_id in self.jobs if self.job_is_running(job_id)]
         samples = self.system.srm.get_metrics(job_ids)
         epoch = self.metric_epochs.next()
         for sample in samples:
@@ -322,9 +311,7 @@ class OrcaService:
                 # the next poll sees a consistent view.
                 self.metric_event_skips += 1
         self._check_region_congestion(epoch)
-        self._poll_handle = self.kernel.schedule(
-            self._poll_interval, self._poll_metrics, label=f"{self.orca_id}-poll"
-        )
+        self._schedule_poll()
 
     def _check_region_congestion(self, epoch: int) -> None:
         """Emit channel_congested for overloaded parallel-region channels.
@@ -338,89 +325,53 @@ class OrcaService:
             if job.state is not JobState.RUNNING:
                 continue
             for plan in job.compiled.parallel_regions.values():
-                backlogs = self.system.srm.sum_operator_metric_by_group(
-                    job_id,
-                    dict(enumerate(plan.channel_ops)),
-                    plan.congestion_metric,
-                )
+                backlogs = self._channel_sums(job_id, plan, plan.congestion_metric)
                 for channel, backlog in sorted(backlogs.items()):
                     if backlog <= plan.congestion_threshold:
                         continue
-                    context = ChannelCongestedContext(
-                        job_id=job_id,
-                        app_name=job.app_name,
-                        region=plan.name,
-                        channel=channel,
-                        value=backlog,
-                        threshold=plan.congestion_threshold,
-                        metric=plan.congestion_metric,
-                        width=plan.width,
-                        epoch=epoch,
-                        time=self.now,
+                    self._emit(
+                        ChannelCongestedContext(
+                            job_id=job_id,
+                            app_name=job.app_name,
+                            region=plan.name,
+                            channel=channel,
+                            value=backlog,
+                            threshold=plan.congestion_threshold,
+                            metric=plan.congestion_metric,
+                            width=plan.width,
+                            epoch=epoch,
+                            time=self.now,
+                        )
                     )
-                    attrs: Dict[str, Any] = {
-                        "application": job.app_name,
-                        "job": job_id,
-                        "region": plan.name,
-                        "channel": channel,
-                        "event_kind": "channel_congested",
-                    }
-                    self._enqueue("channel_congested", context, attrs)
 
     def _emit_metric_event(self, sample: MetricSample, epoch: int) -> None:
+        measured: Dict[str, Any] = dict(
+            metric=sample.name,
+            value=sample.value,
+            epoch=epoch,
+            job_id=sample.job_id,
+            app_name=sample.app_name,
+            pe_id=sample.pe_id,
+            collection_ts=sample.collection_ts,
+            is_custom=sample.is_custom,
+        )
         if sample.operator is None:
-            context = PEMetricContext(
-                pe_id=sample.pe_id,
-                metric=sample.name,
-                value=sample.value,
-                epoch=epoch,
-                job_id=sample.job_id,
-                app_name=sample.app_name,
-                host=self.graph.host_of_pe(sample.pe_id),
-                collection_ts=sample.collection_ts,
-                is_custom=sample.is_custom,
-            )
-            attrs = self.graph.pe_event_attrs(
+            context = PEMetricContext(host=self.graph.host_of_pe(sample.pe_id), **measured)
+            placed = self.graph.pe_event_attrs(
                 sample.app_name, sample.job_id, sample.pe_id
             )
-            attrs["metric_name"] = sample.name
-            self._enqueue("pe_metric", context, attrs)
-            return
-        base_attrs = self.graph.operator_event_attrs(
-            sample.app_name, sample.operator, sample.job_id, sample.pe_id
-        )
-        base_attrs["metric_name"] = sample.name
-        kind = base_attrs["operator_type"]
-        if sample.port is None:
-            context = OperatorMetricContext(
-                instance_name=sample.operator,
-                operator_kind=kind,
-                metric=sample.name,
-                value=sample.value,
-                epoch=epoch,
-                job_id=sample.job_id,
-                app_name=sample.app_name,
-                pe_id=sample.pe_id,
-                collection_ts=sample.collection_ts,
-                is_custom=sample.is_custom,
-            )
-            self._enqueue("operator_metric", context, base_attrs)
         else:
-            base_attrs["port"] = sample.port
-            context = OperatorPortMetricContext(
-                instance_name=sample.operator,
-                operator_kind=kind,
-                port=sample.port,
-                metric=sample.name,
-                value=sample.value,
-                epoch=epoch,
-                job_id=sample.job_id,
-                app_name=sample.app_name,
-                pe_id=sample.pe_id,
-                collection_ts=sample.collection_ts,
-                is_custom=sample.is_custom,
+            placed = self.graph.operator_event_attrs(
+                sample.app_name, sample.operator, sample.job_id, sample.pe_id
             )
-            self._enqueue("operator_port_metric", context, base_attrs)
+            measured.update(
+                instance_name=sample.operator, operator_kind=placed["operator_type"]
+            )
+            if sample.port is None:
+                context = OperatorMetricContext(**measured)
+            else:
+                context = OperatorPortMetricContext(port=sample.port, **measured)
+        self._emit(context, **placed)
 
     # -- failure events -----------------------------------------------------------------------------
 
@@ -443,7 +394,6 @@ class OrcaService:
         job = pe.job
         if job.job_id not in self.jobs:
             return
-        epoch = self.failure_epochs.epoch_for(reason, detection_ts)
         context = PEFailureContext(
             pe_id=pe.pe_id,
             pe_index=pe.index,
@@ -451,13 +401,13 @@ class OrcaService:
             app_name=job.app_name,
             reason=reason,
             detection_ts=detection_ts,
-            epoch=epoch,
+            epoch=self.failure_epochs.epoch_for(reason, detection_ts),
             host=pe.host_name,
             operators=tuple(pe.spec.operators),
         )
-        attrs = self.graph.pe_event_attrs(job.app_name, job.job_id, pe.pe_id)
-        attrs["reason"] = reason
-        self._enqueue("pe_failure", context, attrs)
+        self._emit(
+            context, **self.graph.pe_event_attrs(job.app_name, job.job_id, pe.pe_id)
+        )
 
     def _receive_host_failure(self, host_name: str, detection_ts: float) -> None:
         affected = tuple(
@@ -467,14 +417,14 @@ class OrcaService:
             for pe in job.pes
             if pe.host_name == host_name
         )
-        epoch = self.failure_epochs.epoch_for("host_failure", detection_ts)
-        context = HostFailureContext(
-            host=host_name,
-            detection_ts=detection_ts,
-            epoch=epoch,
-            affected_pe_ids=affected,
+        self._emit(
+            HostFailureContext(
+                host=host_name,
+                detection_ts=detection_ts,
+                epoch=self.failure_epochs.epoch_for("host_failure", detection_ts),
+                affected_pe_ids=affected,
+            )
         )
-        self._enqueue("host_failure", context, {"host": host_name})
 
     # -- timers and user events ---------------------------------------------------------------------
 
@@ -488,18 +438,10 @@ class OrcaService:
         return self.timers.create_timer(delay, payload, periodic, timer_id)
 
     def _emit_timer_event(self, handle: TimerHandle, payload: Any) -> None:
-        context = TimerContext(
-            timer_id=handle.timer_id,
-            scheduled_for=handle.scheduled_for,
-            time=self.now,
-            payload=payload,
-            periodic=handle.periodic,
-        )
-        self._enqueue("timer", context, {"timer": handle.timer_id})
+        self._emit(_context_from(TimerContext, handle, time=self.now, payload=payload))
 
     def inject_user_event(self, name: str, payload: Dict[str, Any]) -> None:
-        context = UserEventContext(name=name, time=self.now, payload=dict(payload))
-        self._enqueue("user", context, {"name": name})
+        self._emit(UserEventContext(name=name, time=self.now, payload=dict(payload)))
 
     # -- actuation: job lifecycle ----------------------------------------------------------------------
 
@@ -519,28 +461,29 @@ class OrcaService:
         compiled = self._get_compiled(app_name)
         job = self.system.sam.submit_job(compiled, params=params, owner_orca=self.orca_id)
         self.jobs[job.job_id] = job
+        self._register_placement(job)
+        self._log_actuation("submit", f"{app_name} -> {job.job_id}")
+        self._emit(
+            JobSubmissionContext(
+                job_id=job.job_id,
+                app_name=app_name,
+                config_id=config_id,
+                time=self.now,
+                explicit=explicit,
+            )
+        )
+        return job
+
+    def _register_placement(self, job: Job) -> None:
+        """(Re-)record where each of the job's PEs runs in the stream graph."""
         self.graph.register_job(
             job.job_id,
-            app_name,
+            job.app_name,
             {pe.index: (pe.pe_id, pe.host_name) for pe in job.pes},
         )
-        self._log_actuation("submit", f"{app_name} -> {job.job_id}")
-        context = JobSubmissionContext(
-            job_id=job.job_id,
-            app_name=app_name,
-            config_id=config_id,
-            time=self.now,
-            explicit=explicit,
-        )
-        attrs: Dict[str, Any] = {"application": app_name, "job": job.job_id}
-        if config_id is not None:
-            attrs["config"] = config_id
-        self._enqueue("job_submission", context, attrs)
-        return job
 
     def cancel_job(self, job_id: str) -> None:
         """Cancel a job this orchestrator started."""
-        self._check_owned(job_id)
         self._cancel_managed(job_id, config_id=None, garbage_collected=False)
 
     def _cancel_managed(
@@ -552,31 +495,25 @@ class OrcaService:
         self._log_actuation(
             "cancel", f"{job.app_name} ({job_id}) gc={garbage_collected}"
         )
-        context = JobCancellationContext(
-            job_id=job_id,
-            app_name=job.app_name,
-            config_id=config_id,
-            time=self.now,
-            garbage_collected=garbage_collected,
+        self._emit(
+            JobCancellationContext(
+                job_id=job_id,
+                app_name=job.app_name,
+                config_id=config_id,
+                time=self.now,
+                garbage_collected=garbage_collected,
+            )
         )
-        attrs: Dict[str, Any] = {"application": job.app_name, "job": job_id}
-        if config_id is not None:
-            attrs["config"] = config_id
-        self._enqueue("job_cancellation", context, attrs)
 
     def _get_compiled(self, app_name: str) -> CompiledApplication:
-        managed = self.descriptor.application(app_name)
+        self.descriptor.application(app_name)  # raises for an unmanaged name
         compiled = self._compiled.get(app_name)
         if compiled is None:
-            if managed.application is None:
-                raise ActuationError(
-                    f"application {app_name!r} was registered by ADL only; "
-                    "it cannot be submitted from this orchestrator"
-                )
-            compiled = SPLCompiler(
-                managed.compile_strategy, managed.compile_target_pe_count
-            ).compile(managed.application)
-            self._compiled[app_name] = compiled
+            # _register_application compiled every application that has a graph
+            raise ActuationError(
+                f"application {app_name!r} was registered by ADL only; "
+                "it cannot be submitted from this orchestrator"
+            )
         return compiled
 
     def _check_owned(self, job_id: str) -> Job:
@@ -696,6 +633,8 @@ class OrcaService:
         # the "rescale" topology change before this event
         succeeded = operation.state is RescaleState.COMPLETED
         migration = operation.migration
+        # both events are region-wide: they match any addChannelFilter choice
+        every_channel = tuple(range(max(operation.old_width, operation.new_width)))
         if (
             succeeded
             and migration is not None
@@ -707,57 +646,29 @@ class OrcaService:
         ):
             # Delivered before the matching region_rescaled so handlers see
             # the state movement in causal order.
-            migrated = RegionStateMigratedContext(
-                job_id=operation.job_id,
+            self._emit(
+                _context_from(
+                    RegionStateMigratedContext,
+                    migration,
+                    job_id=operation.job_id,
+                    app_name=job.app_name,
+                    moves=dict(migration.moves),
+                    skipped_channels=tuple(migration.skipped_channels),
+                    epoch=operation.epoch,
+                    time=self.now,
+                ),
+                channel=every_channel,
+            )
+        self._emit(
+            _context_from(
+                RegionRescaledContext,
+                operation,
                 app_name=job.app_name,
-                region=operation.region,
-                old_width=migration.old_width,
-                new_width=migration.new_width,
-                keys_moved=migration.keys_moved,
-                bytes_moved=migration.bytes_moved,
-                moves=dict(migration.moves),
-                dropped_global_states=migration.dropped_global_states,
-                skipped_channels=tuple(migration.skipped_channels),
-                wall_ms=migration.wall_ms,
-                epoch=operation.epoch,
                 time=self.now,
-                global_states_merged=migration.global_states_merged,
-            )
-            self._enqueue(
-                "region_state_migrated",
-                migrated,
-                {
-                    "application": job.app_name,
-                    "job": operation.job_id,
-                    "region": operation.region,
-                    # region-wide event: matches any addChannelFilter choice
-                    "channel": tuple(
-                        range(max(operation.old_width, operation.new_width))
-                    ),
-                    "event_kind": "region_state_migrated",
-                },
-            )
-        context = RegionRescaledContext(
-            job_id=operation.job_id,
-            app_name=job.app_name,
-            region=operation.region,
-            old_width=operation.old_width,
-            new_width=operation.new_width,
-            epoch=operation.epoch,
-            duration=operation.duration,
-            time=self.now,
-            succeeded=succeeded,
-            error=operation.error,
+                succeeded=succeeded,
+            ),
+            channel=every_channel,
         )
-        attrs: Dict[str, Any] = {
-            "application": job.app_name,
-            "job": operation.job_id,
-            "region": operation.region,
-            # region-wide event: matches any addChannelFilter choice
-            "channel": tuple(range(max(operation.old_width, operation.new_width))),
-            "event_kind": "region_rescaled",
-        }
-        self._enqueue("region_rescaled", context, attrs)
 
     def _on_topology_changed(self, job, _change: str) -> None:
         """``topology`` event: the only refresh of the materialized stream graph.
@@ -772,40 +683,19 @@ class OrcaService:
         """
         if job.job_id not in self.jobs:
             return  # not a job this orchestrator owns
-        self.graph.add_application(adl_from_xml(adl_to_xml(job.compiled)))
-        self.graph.register_job(
-            job.job_id,
-            job.app_name,
-            {pe.index: (pe.pe_id, pe.host_name) for pe in job.pes},
-        )
+        self.graph.add_application(adl_model_of(job.compiled))
+        self._register_placement(job)
 
     def _on_channel_rerouted(self, record) -> None:
         """``reroute`` event: a splitter mask/unmask happened."""
         job = self.jobs.get(record.job_id)
         if job is None:
             return  # not a job this orchestrator owns
-        context = ChannelReroutedContext(
-            job_id=record.job_id,
-            app_name=job.app_name,
-            region=record.region,
-            channel=record.channel,
-            masked=record.masked,
-            reason=record.reason,
-            width=record.width,
-            pe_id=record.pe_id,
-            time=self.now,
-            purged_keys=record.purged_keys,
-            reclaimed_keys=record.reclaimed_keys,
-            seeded_keys=record.seeded_keys,
+        self._emit(
+            _context_from(
+                ChannelReroutedContext, record, app_name=job.app_name, time=self.now
+            )
         )
-        attrs: Dict[str, Any] = {
-            "application": job.app_name,
-            "job": record.job_id,
-            "region": record.region,
-            "channel": record.channel,
-            "event_kind": "channel_rerouted",
-        }
-        self._enqueue("channel_rerouted", context, attrs)
 
     # -- checkpointing and recovery events -----------------------------------------------------
 
@@ -814,61 +704,26 @@ class OrcaService:
         job = self.jobs.get(record.job_id)
         if job is None or not record.committed:
             return  # torn, or not a job this orchestrator owns
-        try:
-            host = self.graph.host_of_pe(record.pe_id)
-        except InspectionError:
-            # A rescale driven outside this service (e.g. a chaos
-            # perturbation calling the elastic controller directly) adds
-            # channel PEs the stream graph has not registered; the commit
-            # event must still flow.
-            host = None
-        context = CheckpointCommittedContext(
-            job_id=record.job_id,
-            app_name=job.app_name,
-            pe_id=record.pe_id,
-            host=host,
-            epoch=record.epoch,
-            full=record.full,
-            n_operators=record.n_operators,
-            keys_dirty=record.keys_dirty,
-            keys_total=record.keys_total,
-            bytes_written=record.bytes_written,
-            time=self.now,
+        self._emit(
+            _context_from(
+                CheckpointCommittedContext,
+                record,
+                app_name=job.app_name,
+                host=self.graph.host_of_pe(record.pe_id),
+                time=self.now,
+            )
         )
-        attrs: Dict[str, Any] = {
-            "application": job.app_name,
-            "job": record.job_id,
-            "pe": record.pe_id,
-            "event_kind": "checkpoint_committed",
-        }
-        self._enqueue("checkpoint_committed", context, attrs)
 
     def _on_state_reclaimed(self, record) -> None:
         """``reclaim`` event: an unmask reclaimed detour state."""
         job = self.jobs.get(record.job_id)
         if job is None:
             return
-        context = StateReclaimedContext(
-            job_id=record.job_id,
-            app_name=job.app_name,
-            region=record.region,
-            channels=tuple(record.channels),
-            pe_id=record.pe_id,
-            keys_reclaimed=record.keys_reclaimed,
-            keys_purged=record.keys_purged,
-            bytes_reclaimed=record.bytes_reclaimed,
-            epoch=record.epoch,
-            time=self.now,
+        self._emit(
+            _context_from(
+                StateReclaimedContext, record, app_name=job.app_name, time=self.now
+            )
         )
-        attrs: Dict[str, Any] = {
-            "application": job.app_name,
-            "job": record.job_id,
-            "region": record.region,
-            "channel": tuple(record.channels),
-            "pe": record.pe_id,
-            "event_kind": "state_reclaimed",
-        }
-        self._enqueue("state_reclaimed", context, attrs)
 
     def _on_chaos_injected(self, injection) -> None:
         """``injection`` event: a campaign step fired.
@@ -879,28 +734,15 @@ class OrcaService:
         not opted in stays blind to the campaign.
         """
         job = self.jobs.get(injection.job_id) if injection.job_id else None
-        context = ChaosInjectedContext(
-            scenario=injection.scenario,
-            step_index=injection.step_index,
-            kind=injection.kind,
-            target=injection.target,
-            run_id=injection.run_id,
-            time=self.now,
-            job_id=injection.job_id,
-            app_name=job.app_name if job is not None else None,
-            detail=injection.public_detail(),
+        self._emit(
+            _context_from(
+                ChaosInjectedContext,
+                injection,
+                app_name=job.app_name if job is not None else None,
+                detail=injection.public_detail(),
+                time=self.now,
+            )
         )
-        attrs: Dict[str, Any] = {
-            "scenario": injection.scenario,
-            "kind": injection.kind,
-            "target": injection.target,
-            "event_kind": "chaos_injected",
-        }
-        if injection.job_id is not None:
-            attrs["job"] = injection.job_id
-        if job is not None:
-            attrs["application"] = job.app_name
-        self._enqueue("chaos_injected", context, attrs)
 
     def _on_health_alert(self, alert) -> None:
         """``health_alert`` event: an SLO alert raised or escalated.
@@ -910,28 +752,7 @@ class OrcaService:
         :class:`~repro.orca.scopes.HealthScope` — logic not opted in
         stays blind to the health plane.
         """
-        context = HealthAlertContext(
-            slo=alert.slo,
-            signal=alert.signal,
-            severity=alert.severity,
-            burn_short=alert.burn_short,
-            burn_long=alert.burn_long,
-            observed=alert.observed,
-            objective=alert.objective,
-            time=alert.time,
-            region=alert.region,
-            bottleneck=alert.bottleneck,
-            why=alert.why,
-        )
-        attrs: Dict[str, Any] = {
-            "slo": alert.slo,
-            "signal": alert.signal,
-            "severity": alert.severity,
-            "event_kind": "health_alert",
-        }
-        if alert.region is not None:
-            attrs["region"] = alert.region
-        self._enqueue("health_alert", context, attrs)
+        self._emit(_context_from(HealthAlertContext, alert))
 
     def _on_pe_restarted(self, pe: PERuntime) -> None:
         """``pe_restart`` event: emit ``rehydrate_skipped`` for empty rehydrations."""
@@ -941,22 +762,17 @@ class OrcaService:
         report = pe.last_restore
         if report is None or report.source != "none":
             return  # restart did not request rehydration, or it restored
-        context = RehydrateSkippedContext(
-            job_id=job.job_id,
-            app_name=job.app_name,
-            pe_id=pe.pe_id,
-            pe_index=pe.index,
-            host=pe.host_name,
-            reason="no_snapshot",
-            time=self.now,
+        self._emit(
+            RehydrateSkippedContext(
+                job_id=job.job_id,
+                app_name=job.app_name,
+                pe_id=pe.pe_id,
+                pe_index=pe.index,
+                host=pe.host_name,
+                reason="no_snapshot",
+                time=self.now,
+            )
         )
-        attrs: Dict[str, Any] = {
-            "application": job.app_name,
-            "job": job.job_id,
-            "pe": pe.pe_id,
-            "event_kind": "rehydrate_skipped",
-        }
-        self._enqueue("rehydrate_skipped", context, attrs)
 
     # -- actuation: placement ----------------------------------------------------------------------------------
 
@@ -972,10 +788,7 @@ class OrcaService:
                 f"application {app_name!r} was registered by ADL only"
             )
         for job in self.jobs.values():
-            if job.app_name == app_name and job.state in (
-                JobState.SUBMITTED,
-                JobState.RUNNING,
-            ):
+            if job.app_name == app_name and self.job_is_running(job.job_id):
                 raise ActuationError(
                     "host pool configuration change must occur before the "
                     f"application is submitted; {app_name!r} is running as "
@@ -1014,8 +827,8 @@ class OrcaService:
                 txn_id=self._current_txn, action=action, detail=detail, time=self.now
             )
         )
-        obs = getattr(self.system, "obs", None)
-        if obs is not None and obs.trace_enabled:
+        obs = self.system.obs
+        if obs.trace_enabled:
             obs.record_control_event(
                 f"actuation:{action}",
                 self.now,
@@ -1079,6 +892,12 @@ class OrcaService:
             )
         return plan
 
+    def _channel_sums(self, job_id: str, plan, metric: str) -> Dict[int, float]:
+        """Channel index -> ``metric`` summed over the channel's operators (SRM)."""
+        return self.system.srm.sum_operator_metric_by_group(
+            job_id, dict(enumerate(plan.channel_ops)), metric
+        )
+
     def parallel_regions(self, job_id: str) -> Dict[str, int]:
         """Region name -> current channel width, for an owned job."""
         job = self._check_owned(job_id)
@@ -1098,9 +917,7 @@ class OrcaService:
     def region_channel_backlogs(self, job_id: str, region: str) -> Dict[int, float]:
         """Channel index -> aggregated congestion-metric value (from SRM)."""
         plan = self._region_plan(job_id, region)
-        return self.system.srm.sum_operator_metric_by_group(
-            job_id, dict(enumerate(plan.channel_ops)), plan.congestion_metric
-        )
+        return self._channel_sums(job_id, plan, plan.congestion_metric)
 
     def region_state_sizes(self, job_id: str, region: str) -> Dict[int, float]:
         """Channel index -> aggregated ``stateBytes`` of the channel (SRM).
@@ -1109,10 +926,7 @@ class OrcaService:
         every metric push, so this reflects state as of the last push —
         the same freshness contract as every other SRM-backed query.
         """
-        plan = self._region_plan(job_id, region)
-        return self.system.srm.sum_operator_metric_by_group(
-            job_id, dict(enumerate(plan.channel_ops)), "stateBytes"
-        )
+        return self._channel_sums(job_id, self._region_plan(job_id, region), "stateBytes")
 
     def region_key_owner(self, job_id: str, region: str, key) -> int:
         """The channel that owns ``key`` at the region's current width."""

@@ -121,6 +121,13 @@ class StreamGraph:
             raise InspectionError(f"job {job_id!r} is not managed here")
         return entry
 
+    def _containment(self, app_name: str, op_name: str) -> Tuple[Tuple[str, ...], ...]:
+        """(enclosing composite instance names innermost first, their kinds)."""
+        entry = self._require_app(app_name)
+        if op_name not in entry.containment:
+            raise InspectionError(f"{app_name!r} has no operator {op_name!r}")
+        return entry.containment[op_name]
+
     def operator_kind(self, app_name: str, op_name: str) -> str:
         entry = self._require_app(app_name)
         return entry.adl.operator_by_name(op_name).kind
@@ -135,25 +142,16 @@ class StreamGraph:
         Answers the paper's "what is the enclosing composite operator
         instance name for operator instance y?" inspection query.
         """
-        entry = self._require_app(app_name)
-        if op_name not in entry.containment:
-            raise InspectionError(f"{app_name!r} has no operator {op_name!r}")
-        chain_names, _ = entry.containment[op_name]
+        chain_names, _ = self._containment(app_name, op_name)
         return chain_names[0] if chain_names else None
 
     def composite_chain(self, app_name: str, op_name: str) -> Tuple[str, ...]:
         """All enclosing composite instance names, innermost first."""
-        entry = self._require_app(app_name)
-        if op_name not in entry.containment:
-            raise InspectionError(f"{app_name!r} has no operator {op_name!r}")
-        return entry.containment[op_name][0]
+        return self._containment(app_name, op_name)[0]
 
     def composite_types_of(self, app_name: str, op_name: str) -> FrozenSet[str]:
         """Kinds of all enclosing composites (any depth) — scope matching."""
-        entry = self._require_app(app_name)
-        if op_name not in entry.containment:
-            raise InspectionError(f"{app_name!r} has no operator {op_name!r}")
-        return frozenset(entry.containment[op_name][1])
+        return frozenset(self._containment(app_name, op_name)[1])
 
     def streams_of(self, app_name: str) -> List[Tuple[str, str]]:
         """(src operator, dst operator) pairs of the application."""
@@ -223,43 +221,29 @@ class StreamGraph:
         pe_id = self.pe_of_operator(job_id, op_name)
         return [name for name in self.operators_in_pe(pe_id) if name != op_name]
 
-    # -- event attribute assembly (used by the service for scope matching) -------
+    # -- scope attributes only the graph knows (the rest comes from the event table) --
 
     def operator_event_attrs(
         self, app_name: str, op_name: str, job_id: str, pe_id: str
     ) -> Dict[str, object]:
-        entry = self._require_app(app_name)
-        if op_name not in entry.containment:
-            raise InspectionError(f"{app_name!r} has no operator {op_name!r}")
-        chain_names, chain_kinds = entry.containment[op_name]
+        """An operator's kind, host and enclosing composites (any depth)."""
+        chain_names, chain_kinds = self._containment(app_name, op_name)
         return {
-            "application": app_name,
-            "job": job_id,
-            "operator_instance": op_name,
-            "operator_type": entry.adl.operator_by_name(op_name).kind,
+            "operator_type": self.operator_kind(app_name, op_name),
             "composite_instance": set(chain_names),
             "composite_type": set(chain_kinds),
-            "pe": pe_id,
             "host": self._jobs.get(job_id, _JobEntry("", "")).host_by_pe_id.get(pe_id),
         }
 
     def pe_event_attrs(self, app_name: str, job_id: str, pe_id: str) -> Dict[str, object]:
-        attrs: Dict[str, object] = {
-            "application": app_name,
-            "job": job_id,
-            "pe": pe_id,
-            "host": self._jobs.get(job_id, _JobEntry("", "")).host_by_pe_id.get(pe_id),
-        }
-        # a PE's composite attributes: union over its operators
+        """A PE's host and the composites of its operators (None: PE unknown)."""
         job = self._jobs.get(job_id)
-        if job is not None and pe_id in job.index_by_pe_id:
-            app = self._require_app(app_name)
-            instances: Set[str] = set()
-            kinds: Set[str] = set()
-            for op_name in self.operators_in_pe(pe_id):
-                chain_names, chain_kinds = app.containment[op_name]
-                instances.update(chain_names)
-                kinds.update(chain_kinds)
-            attrs["composite_instance"] = instances
-            attrs["composite_type"] = kinds
-        return attrs
+        if job is None or pe_id not in job.index_by_pe_id:
+            return dict.fromkeys(("host", "composite_instance", "composite_type"))
+        app = self._require_app(app_name)
+        chains = [app.containment[op_name] for op_name in self.operators_in_pe(pe_id)]
+        return {
+            "host": job.host_by_pe_id.get(pe_id),
+            "composite_instance": {name for names, _ in chains for name in names},
+            "composite_type": {kind for _, kinds in chains for kind in kinds},
+        }

@@ -15,11 +15,13 @@ from repro.spl.operators import Operator, OperatorContext
 from repro.spl.tuples import Punctuation, StreamTuple
 
 #: the CI ``delivery-matrix`` job runs ``tests/test_wire_properties.py``
-#: under ``--hypothesis-profile=wire-ci`` and
-#: ``tests/test_elastic_properties.py`` under ``elastic-ci``; tier-1 keeps
-#: each module's own small budget
+#: under ``--hypothesis-profile=wire-ci``,
+#: ``tests/test_elastic_properties.py`` under ``elastic-ci`` and
+#: ``tests/test_orca_scopes.py`` under ``orca-ci``; tier-1 keeps each
+#: module's own small budget
 settings.register_profile("wire-ci", max_examples=400, deadline=None)
 settings.register_profile("elastic-ci", max_examples=300, deadline=None)
+settings.register_profile("orca-ci", max_examples=1500, deadline=None)
 
 
 def example_budget(ci_profile: str, tier1: int) -> settings:
@@ -55,6 +57,16 @@ def calls(name: str):
         return name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
 
     return matches
+
+
+def where(root: pathlib.Path, matches, skip=()):
+    """``file:qualified name`` of each function under ``root`` (bar ``skip``,
+    by qualified name) that has an AST node for which ``matches`` is true."""
+    return [
+        f"{file}:{name}"
+        for file, name, function in functions_under(root)
+        if name not in skip and any(matches(node) for node in ast.walk(function))
+    ]
 
 
 @pytest.fixture

@@ -43,6 +43,9 @@ DOCSTYLE_FILES = [
     "src/repro/chaos/fuzz/harness.py",
     "src/repro/chaos/fuzz/search.py",
     "src/repro/chaos/fuzz/shrink.py",
+    "src/repro/orca/contexts.py",
+    "src/repro/orca/events.py",
+    "src/repro/orca/orchestrator.py",
     "src/repro/obs/__init__.py",
     "src/repro/obs/naming.py",
     "src/repro/obs/metrics.py",

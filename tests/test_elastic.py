@@ -21,7 +21,7 @@ from repro.spl.application import Application
 from repro.spl.library import Beacon, Sink, Throttle
 from repro.spl.parallel import parallel
 
-from tests.conftest import calls, functions_under
+from tests.conftest import calls, functions_under, where
 
 
 def build_region_app(width=2, limit=None, rate=50.0, per_tick=4, period=0.1,
@@ -342,13 +342,7 @@ class TestOneMover:
     def _functions(root):
         return functions_under(root)
 
-    @staticmethod
-    def _where(root, matches):
-        return [
-            f"{file}:{name}"
-            for file, name, function in functions_under(root)
-            if any(matches(node) for node in ast.walk(function))
-        ]
+    _where = staticmethod(where)
 
     _calls = staticmethod(calls)
 

@@ -228,16 +228,16 @@ class TestEveryDeliverableEventReachesTheRules:
         assert not service.handler_errors
 
     def test_every_dispatch_handler_is_overridden_or_exempt(self):
-        from repro.orca.service import OrcaService
+        from repro.orca.contexts import EVENT_KINDS
 
         exempt = {"handleOrcaStart"}  # lifecycle, carries no scopes: defined by hand
-        for event_type, (handler, takes_scopes) in OrcaService._DISPATCH.items():
-            assert takes_scopes == (handler not in exempt), event_type
-            own = getattr(RuleOrchestrator, handler)
-            assert own is not getattr(Orchestrator, handler), (
-                f"{event_type}: RuleOrchestrator inherits the no-op {handler}"
+        for event_type, kind in EVENT_KINDS.items():
+            assert bool(kind.scopes) == (kind.handler not in exempt), event_type
+            own = getattr(RuleOrchestrator, kind.handler)
+            assert own is not getattr(Orchestrator, kind.handler), (
+                f"{event_type}: RuleOrchestrator inherits the no-op {kind.handler}"
             )
-            assert own.__name__ == handler
+            assert own.__name__ == kind.handler
 
 
 class TestJournal:

@@ -1,14 +1,19 @@
 """Tests for event scopes: the filter semantics of Sec. 4.1."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ScopeError
 from repro.orca.scopes import (
+    ChaosScope,
+    CheckpointScope,
+    HealthScope,
     HostFailureScope,
     JobCancellationScope,
     JobSubmissionScope,
     OperatorMetricScope,
     OperatorPortMetricScope,
+    ParallelRegionScope,
     PEFailureScope,
     PEMetricScope,
     ScopeRegistry,
@@ -16,6 +21,8 @@ from repro.orca.scopes import (
     UserEventScope,
     to_string,
 )
+
+from tests.conftest import example_budget
 
 
 class TestFilterSemantics:
@@ -204,3 +211,124 @@ class TestScopeRegistry:
         registry.register(OperatorMetricScope("a"))
         registry.register(PEFailureScope("b"))
         assert [s.key for s in registry.scopes_of_type("pe_failure")] == ["b"]
+
+
+# -- the registry against a plain reference predicate ---------------------------
+
+#: scope class -> the event types it covers (the scope table of
+#: docs/adaptation-api.md, restated so the reference shares no code with
+#: ``EventScope.handles``)
+COVERS = {
+    OperatorMetricScope: {"operator_metric"},
+    OperatorPortMetricScope: {"operator_port_metric"},
+    PEMetricScope: {"pe_metric"},
+    PEFailureScope: {"pe_failure"},
+    HostFailureScope: {"host_failure"},
+    JobSubmissionScope: {"job_submission"},
+    JobCancellationScope: {"job_cancellation"},
+    TimerScope: {"timer"},
+    UserEventScope: {"user"},
+    ParallelRegionScope: {
+        "channel_congested", "region_rescaled", "region_state_migrated",
+        "channel_rerouted", "state_reclaimed",
+    },
+    CheckpointScope: {"checkpoint_committed", "state_reclaimed", "rehydrate_skipped"},
+    ChaosScope: {"chaos_injected"},
+    HealthScope: {"health_alert"},
+}
+SCOPE_CLASSES = sorted(COVERS, key=lambda cls: cls.__name__)
+EVENT_TYPES = sorted(set().union(*COVERS.values()) | {"orca_start"})
+
+
+def filter_methods(cls):
+    """``add*`` method name -> the attribute it filters on (asked of the method)."""
+    found = {}
+    for name in sorted(dir(cls)):
+        if name.startswith("add"):
+            probe = cls("probe")
+            getattr(probe, name)("x")
+            (found[name],) = probe.filters()
+    return found
+
+
+ATTRIBUTES = sorted({a for cls in SCOPE_CLASSES for a in filter_methods(cls).values()})
+
+
+def test_every_filter_can_match_an_event_its_scope_covers():
+    """No silently dead subscope: ``HostFailureScope("h").addJobFilter(j)``
+    used to build one, because host failures carry no ``job``."""
+    from repro.orca.contexts import EVENT_KINDS
+
+    for cls in SCOPE_CLASSES:
+        assert set(cls.EVENT_TYPES) == COVERS[cls]
+        carried = {a for event_type in COVERS[cls] for a in EVENT_KINDS[event_type].attributes}
+        for method, attribute in filter_methods(cls).items():
+            assert attribute in carried, f"{cls.__name__}.{method} can never match"
+    for cls in (HostFailureScope, TimerScope, UserEventScope, HealthScope):
+        assert not hasattr(cls, "addApplicationFilter") and not hasattr(cls, "addJobFilter")
+
+_value = st.sampled_from(["a", "b", "c", 0, 1])
+_actual = st.one_of(
+    st.none(),
+    _value,
+    st.lists(_value, max_size=3),
+    st.lists(_value, max_size=3).map(tuple),
+    st.sets(_value, max_size=3),
+    st.frozensets(_value, max_size=3),
+)
+
+
+@st.composite
+def subscopes(draw):
+    """[(class, [(add* method, values)])]: what user code would register."""
+    drawn = []
+    for cls in draw(st.lists(st.sampled_from(SCOPE_CLASSES), max_size=6)):
+        methods = sorted(filter_methods(cls))
+        calls = draw(
+            st.lists(
+                st.tuples(st.sampled_from(methods), st.sets(_value, min_size=1, max_size=3)),
+                max_size=4,
+            )
+        )
+        drawn.append((cls, calls))
+    return drawn
+
+
+def reference_keys(drawn, event_type, attrs):
+    """Sec. 4.1, spelt out: which subscope keys an event is delivered with."""
+    keys = []
+    for index, (cls, calls) in enumerate(drawn):
+        wanted = {}
+        for method, values in calls:  # same attribute: values OR together
+            wanted.setdefault(filter_methods(cls)[method], set()).update(values)
+        ok = event_type in COVERS[cls]
+        for attribute, allowed in wanted.items():  # different attributes: AND
+            actual = attrs.get(attribute)
+            if actual is None:  # a missing attribute fails any filter on it
+                ok = False
+            elif isinstance(actual, (set, frozenset, list, tuple)):
+                ok = ok and any(item in allowed for item in actual)
+            else:
+                ok = ok and actual in allowed
+        if ok:
+            keys.append(f"k{index}")
+    return keys
+
+
+@example_budget("orca-ci", tier1=60)
+@given(
+    drawn=subscopes(),
+    event_type=st.sampled_from(EVENT_TYPES),
+    attrs=st.dictionaries(st.sampled_from(ATTRIBUTES), _actual, max_size=6),
+)
+def test_registry_matches_the_reference_predicate(drawn, event_type, attrs):
+    registry = ScopeRegistry()
+    for index, (cls, calls) in enumerate(drawn):
+        scope = cls(f"k{index}")
+        for method, values in calls:
+            assert getattr(scope, method)(values) is scope  # fluent
+        registry.register(scope)
+    # one delivery, carrying every matching key once, in registration order
+    assert registry.matching_keys(event_type, attrs) == reference_keys(
+        drawn, event_type, attrs
+    )

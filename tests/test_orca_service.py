@@ -1,9 +1,16 @@
 """Tests for the OrcaService: delivery, matching, actuation, inspection."""
 
+import ast
+import inspect
+import pathlib
+import re
+
 import pytest
 
+import repro.orca
 from repro import ManagedApplication, Orchestrator, OrcaDescriptor
 from repro.errors import ActuationError, OrcaPermissionError, ScopeError
+from repro.orca import contexts, scopes
 from repro.orca.scopes import (
     JobCancellationScope,
     JobSubmissionScope,
@@ -16,7 +23,7 @@ from repro.orca.scopes import (
 )
 from repro.runtime.pe import PEState
 
-from tests.conftest import make_filter_app, make_linear_app
+from tests.conftest import calls, make_filter_app, make_linear_app, where
 
 
 class RecordingOrca(Orchestrator):
@@ -421,3 +428,114 @@ class TestDynamicApplicationAddition:
             service.add_managed_application(
                 ManagedApplication(name="Linear", application=make_linear_app())
             )
+
+
+class TestOneEventTable:
+    """What an event kind is, is said once: ``repro.orca.contexts.EVENT_KINDS``.
+
+    Structural, like ``test_elastic.TestOneMover``: adding a kind used to
+    mean editing six places (context, ``Orchestrator`` stub, a dispatch
+    row, an emitter that spelt the scope attributes a second time as a
+    dict, the type strings in ``scopes.py``, the docs table) and one was
+    forgotten once.  Now it is context + table row, handler stub, emitter;
+    a seventh place, or a second attribute map, must fail here.
+    """
+
+    orca = pathlib.Path(repro.orca.__file__).parent
+
+    _where = staticmethod(where)
+
+    def test_every_context_class_declares_its_kind(self):
+        classes = [
+            cls
+            for name, cls in vars(contexts).items()
+            if inspect.isclass(cls) and name.endswith("Context")
+        ]
+        assert len(classes) == len(contexts.EVENT_KINDS) == 19
+        for cls in classes:
+            assert contexts.EVENT_KINDS[cls.KIND.event_type] is cls.KIND
+            assert cls.KIND.context is cls
+        assert not hasattr(contexts.EventTransaction, "KIND")
+
+    def test_table_handlers_are_exactly_the_orchestrator_stubs(self):
+        stubs = {name for name in vars(Orchestrator) if name.startswith("handle")}
+        handlers = [kind.handler for kind in contexts.EVENT_KINDS.values()]
+        assert sorted(handlers) == sorted(stubs)  # a bijection: no repeats either
+        # (that RuleOrchestrator overrides every scope-carrying one is
+        # test_orca_rules.test_every_dispatch_handler_is_overridden_or_exempt)
+
+    def test_scope_classes_take_their_types_from_the_table(self):
+        named = {s for kind in contexts.EVENT_KINDS.values() for s in kind.scopes}
+        for name in named:
+            cls = getattr(scopes, name)
+            assert cls.EVENT_TYPES == tuple(
+                kind.event_type
+                for kind in contexts.EVENT_KINDS.values()
+                if name in kind.scopes
+            )
+        source = (self.orca / "scopes.py").read_text()
+        assert not re.search(r"EVENT_TYPES? = [(\"]\w", source)  # no restated type
+
+    def test_the_service_builds_no_attribute_map(self):
+        attributes = {a for kind in contexts.EVENT_KINDS.values() for a in kind.attributes}
+
+        def attribute_keyed_dict(node):
+            return isinstance(node, ast.Dict) and any(
+                getattr(key, "value", None) in attributes for key in node.keys
+            )
+
+        def attribute_store(node):
+            return (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)
+                and getattr(node.slice, "value", None) in attributes
+            )
+
+        service = self.orca / "service.py"
+        # state_of answers {"channel": owner, "values": ...}: a query result
+        assert self._where(service, attribute_keyed_dict, skip={"OrcaService.state_of"}) == []
+        assert self._where(service, attribute_store) == []
+
+    def test_one_function_pushes_onto_the_event_queue(self):
+        assert self._where(self.orca, calls("push")) == ["service.py:OrcaService._emit"]
+        assert self._where(self.orca, calls("scope_attributes")) == [
+            "service.py:OrcaService._emit"
+        ]
+
+    def test_the_old_mechanism_is_gone(self):
+        for path in sorted(self.orca.parent.rglob("*.py")):
+            assert not re.search(r"\b_enqueue\b|\b_DISPATCH\b", path.read_text()), path
+
+    @staticmethod
+    def _doc_rows(heading):
+        """Cells of the first table under ``heading`` of docs/adaptation-api.md."""
+        text = (pathlib.Path(__file__).parent.parent / "docs" / "adaptation-api.md").read_text()
+        section = text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        return [
+            [re.findall(r"`([^`]+)`", cell) for cell in row.strip("|").split(" | ")]
+            for row in rows
+        ]
+
+    def test_docs_event_reference_is_the_table(self):
+        documented = {
+            row[0][0]: (row[1][0], row[2][0], sorted(row[3]))
+            for row in self._doc_rows("Event reference")
+        }
+        assert documented == {
+            kind.event_type: (kind.handler, kind.context.__name__, sorted(kind.attributes))
+            for kind in contexts.EVENT_KINDS.values()
+        }
+
+    def test_docs_scope_reference_is_the_table(self):
+        documented = {
+            row[0][0]: (tuple(row[1]), sorted(row[2])) for row in self._doc_rows("Scope reference")
+        }
+        named = sorted({s for kind in contexts.EVENT_KINDS.values() for s in kind.scopes})
+        assert documented == {
+            name: (
+                getattr(scopes, name).EVENT_TYPES,
+                sorted(m for m in dir(getattr(scopes, name)) if m.startswith("add")),
+            )
+            for name in named
+        }

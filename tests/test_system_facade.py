@@ -150,6 +150,35 @@ class TestMultipleOrchestrators:
         assert service.metric_epochs.current == epochs_before
         assert service.orca_id not in system.orcas
 
+    def test_cancel_orchestrator_drops_what_is_still_queued(self):
+        """Nothing is delivered to a cancelled orchestrator's logic."""
+        from repro.orca.scopes import UserEventScope
+
+        handled = []
+
+        class Late(Orchestrator):
+            def handleOrcaStart(self, context):
+                self.orca.register_event_scope(UserEventScope("u"))
+
+            def handleUserEvent(self, context, scopes):
+                handled.append((context.name, self.orca._alive))
+                self.orca.create_timer(1.0)  # would act for a dead orchestrator
+
+        system = SystemS(hosts=2)
+        service = system.submit_orchestrator(
+            OrcaDescriptor(name="O", logic=Late, applications=[])
+        )
+        system.run_for(0.1)
+        for n in range(3):
+            service.inject_user_event(f"e{n}", {})
+        system.cancel_orchestrator(service.orca_id)
+        system.run_for(1.0)
+        assert handled == []
+        assert len(service.queue) == 0 and service.queue.dropped_count == 3
+        assert service.queue.delivered_count == 1  # the start event only
+        service.inject_user_event("after", {})  # refused, as before: not counted
+        assert service.queue.dropped_count == 3
+
     def test_orchestrated_and_plain_jobs_coexist(self):
         system = SystemS(hosts=4)
         logic = RestartingOrca("A")
