@@ -190,7 +190,10 @@ class PERuntime:
                 pe_id=self.pe_id,
             )
             ctx.obs = self.obs
-            ctx.submit_batch_fn = partial(self._route_batch, op_name)
+            if self.transport.batch_max_size > 1:
+                # no batch route with batching off: sources then emit
+                # tuple by tuple and ``process_batch`` is never entered
+                ctx.submit_batch_fn = partial(self._route_batch, op_name)
             operator = spec.op_class(ctx)
             if isinstance(operator, Export):
                 operator.bind_export(
@@ -412,7 +415,9 @@ class PERuntime:
             self._suppress_emissions += 1
         try:
             if isinstance(item, TupleBatch):
-                self._deliver_local_batch(operator, port, item.tuples)
+                self._deliver_local_batch(
+                    operator, port, item.tuples, item.size_bytes, item.traced
+                )
             else:
                 self._deliver_local(operator, port, item)
         finally:
@@ -434,19 +439,29 @@ class PERuntime:
         operator._process(item, port)
 
     def _deliver_local_batch(
-        self, operator: Operator, port: int, tuples: List[StreamTuple]
+        self,
+        operator: Operator,
+        port: int,
+        tuples: List[StreamTuple],
+        size_bytes: Optional[int] = None,
+        traced: bool = True,
     ) -> None:
         """Batched twin of :meth:`_deliver_local`.
 
         PE counters move once per batch; traced members still record
         per-tuple process spans (the end-to-end latency histogram keeps
         its meaning), and the operator gets one ``_process_batch`` call.
+        A run off the wire brings its :class:`TupleBatch` aggregates
+        (``size_bytes``, and ``traced``: False means no member is, so the
+        span scan is skipped); a local hop has none and sums its members.
         """
         if not tuples:
             return
         self._n_processed.increment(len(tuples))
-        self._n_bytes.increment(sum(tup.size_bytes for tup in tuples))
-        if self.obs is not None:
+        if size_bytes is None:
+            size_bytes = sum(tup.size_bytes for tup in tuples)
+        self._n_bytes.increment(size_bytes)
+        if traced and self.obs is not None:
             now = self.kernel.now
             op_full_name = operator.ctx.full_name
             for tup in tuples:

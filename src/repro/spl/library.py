@@ -60,11 +60,20 @@ class Source(Operator):
     def _tick(self) -> None:
         if self._stopped:
             return
-        for values in self.generate():
-            if self.limit is not None and self._emitted >= self.limit:
-                break
-            self.submit(values)
-            self._emitted += 1
+        if self.ctx.submit_batch_fn is not None:
+            # the PE wires a batch route only when the transport batches:
+            # the tick's generation, cut at ``limit``, leaves as one run
+            burst = list(self.generate())
+            if self.limit is not None:
+                del burst[max(self.limit - self._emitted, 0):]
+            self.submit_batch(burst)
+            self._emitted += len(burst)
+        else:
+            for values in self.generate():
+                if self.limit is not None and self._emitted >= self.limit:
+                    break
+                self.submit(values)
+                self._emitted += 1
         if self.limit is not None and self._emitted >= self.limit:
             self._stop_and_finalize()
             return
@@ -556,6 +565,10 @@ class Dedup(Operator):
             self.submit_punct(punct)
 
 
+def _increment(n: int) -> int:
+    return n + 1
+
+
 class KeyedCounter(Operator):
     """Forwards each tuple with a running per-key occurrence count.
 
@@ -577,10 +590,18 @@ class KeyedCounter(Operator):
         self._counts = self.state.keyed("counts")
 
     def on_tuple(self, tup: StreamTuple, port: int) -> None:
-        count = self._counts.update(
-            tup.get(self.key), lambda n: n + 1, default=0
-        )
+        count = self._counts.update(tup.values.get(self.key), _increment, 0)
         self.submit(tup.with_values(**{self.count_attr: count}))
+
+    def process_batch(self, tuples: List[StreamTuple], port: int) -> None:
+        """Count every member in arrival order, re-emit the run as one batch."""
+        key, count_attr, update = self.key, self.count_attr, self._counts.update
+        self.submit_batch(
+            [
+                tup.with_values(**{count_attr: update(tup.values.get(key), _increment, 0)})
+                for tup in tuples
+            ]
+        )
 
     def on_punct(self, punct: Punctuation, port: int) -> None:
         if punct is Punctuation.WINDOW:

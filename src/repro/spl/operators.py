@@ -64,8 +64,10 @@ class OperatorContext:
         self._submit_fn = submit_fn
         self._punct_fn = punct_fn
         self._schedule_fn = schedule_fn
-        #: batched submission callback (set by the PE after construction,
-        #: like ``obs``); hand-built test contexts leave it None and
+        #: batched submission callback, set by the PE after construction
+        #: (like ``obs``) when the transport batches — a source reads it
+        #: to decide whether a tick leaves as one run; with batching off,
+        #: and in hand-built test contexts, it stays None and
         #: :meth:`submit_batch` falls back to a per-tuple loop
         self.submit_batch_fn: Optional[
             Callable[[int, "list[StreamTuple]"], None]
@@ -254,9 +256,11 @@ class Operator:
         The batched twin of :meth:`submit`: per-tuple semantics (dict
         wrapping, trace sampling) are identical, but the submission
         metrics move once per batch and the whole run travels downstream
-        through one routing/transport call.  Only worthwhile from
-        ``process_batch`` overrides; a batch only ever reaches the
-        transport as a unit when batching is enabled there.
+        through one routing/transport call.  Sources call it once per
+        tick and ``process_batch`` overrides once per run; the run only
+        travels as a unit when batching is enabled in the transport —
+        otherwise the PE wires no batch route and it is emitted tuple by
+        tuple.
         """
         if not items:
             return
@@ -312,10 +316,11 @@ class Operator:
         """Called with a whole tuple batch when transport batching is on.
 
         The default preserves exact per-tuple semantics by looping over
-        :meth:`on_tuple`; stateless operators override it with a
-        vectorized pass (and typically re-emit via :meth:`submit_batch`
-        so the batch survives the hop).  Never called when batching is
-        disabled, so overrides cannot change size-1 behaviour.
+        :meth:`on_tuple`; operators override it with one pass over the
+        run that has the same effect on state, metrics and output as
+        that loop (and re-emit via :meth:`submit_batch` so the batch
+        survives the hop).  Never called when batching is disabled, so
+        overrides cannot change size-1 behaviour.
         """
         on_tuple = self.on_tuple
         for tup in tuples:

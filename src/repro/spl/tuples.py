@@ -158,7 +158,17 @@ def estimate_value_size(value: Any) -> int:
     (``nTupleBytesProcessed``) and the operator-state footprint gauges
     (``stateBytes``) — keeping both on one ruler means thresholds
     calibrated against transport metrics transfer to state metrics.
+
+    Exact ``float`` / ``int`` / ``str`` — nearly every attribute value —
+    are answered by type identity; everything else (``bool`` and
+    subclasses included) walks the ``isinstance`` ladder, which gives the
+    same value for those three too.
     """
+    kind = type(value)
+    if kind is float or kind is int:
+        return 8
+    if kind is str:
+        return len(value)
     if isinstance(value, str):
         return len(value)
     if isinstance(value, bytes):

@@ -16,12 +16,14 @@ from repro.spl.tuples import Punctuation, StreamTuple
 
 #: the CI ``delivery-matrix`` job runs ``tests/test_wire_properties.py``
 #: under ``--hypothesis-profile=wire-ci``,
-#: ``tests/test_elastic_properties.py`` under ``elastic-ci`` and
-#: ``tests/test_orca_scopes.py`` under ``orca-ci``; tier-1 keeps each
-#: module's own small budget
+#: ``tests/test_elastic_properties.py`` under ``elastic-ci``,
+#: ``tests/test_orca_scopes.py`` under ``orca-ci`` and
+#: ``tests/test_batch_path_properties.py`` under ``batch-ci``; tier-1
+#: keeps each module's own small budget
 settings.register_profile("wire-ci", max_examples=400, deadline=None)
 settings.register_profile("elastic-ci", max_examples=300, deadline=None)
 settings.register_profile("orca-ci", max_examples=1500, deadline=None)
+settings.register_profile("batch-ci", max_examples=600, deadline=None)
 
 
 def example_budget(ci_profile: str, tier1: int) -> settings:
