@@ -231,43 +231,26 @@ class CheckpointService:
             }
         if not payloads:
             return None
-        # exactly-once transport: the PE's per-link delivery watermarks
-        # ride the epoch under a reserved key, so a restore rewinds the
-        # receiver to exactly the state the snapshot describes
-        transport = self.sam.transport
-        wm_payload = transport.checkpoint_watermarks(pe.pe_id)
-        if wm_payload is not None:
-            payloads["__transport__"] = wm_payload
-        entry = self.store.record(
-            pe.job.job_id,
-            pe.pe_id,
+        entry = self.store.write_epoch(
+            pe,
             payloads,
-            self.kernel.now,
+            self.commit_fault,
             full=any_full,
             keys_dirty=keys_dirty,
             keys_total=keys_total,
             bytes_written=bytes_written,
         )
-        committed = True
-        if self.commit_fault is not None and self.commit_fault(pe):
-            committed = False  # torn: dirty tracking stays, base unchanged
-        else:
-            self.store.commit(pe.job.job_id, pe.pe_id, entry.epoch)
+        if entry.committed:  # a torn epoch leaves dirty tracking and bases as they are
             for base_key, materialized in commits:
                 self._materialized[base_key] = materialized
             for clean in cleaners:
                 clean()
-            if wm_payload is not None:
-                floor = self.store.committed_watermark_floor(
-                    pe.job.job_id, pe.pe_id
-                )
-                transport.on_epoch_committed(pe.pe_id, floor or {})
         record = CheckpointRecord(
             job_id=pe.job.job_id,
             pe_id=pe.pe_id,
             epoch=entry.epoch,
             time=entry.time,
-            committed=committed,
+            committed=entry.committed,
             full=any_full,
             n_operators=len(payloads) - ("__transport__" in payloads),
             keys_dirty=keys_dirty,

@@ -15,7 +15,10 @@ state-bearing transition in the system a single total order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.pe import PERuntime
 
 
 class EpochClock:
@@ -66,10 +69,9 @@ class CheckpointEpoch:
 class RestoreReport:
     """What a ``restart(rehydrate=True)`` actually restored.
 
-    ``source`` is ``"checkpoint"`` (a committed epoch), ``"quiesced"``
-    (the PE's graceful-stop registry, for runtimes without a store), or
-    ``"none"`` — rehydration was requested but nothing restorable existed,
-    the case the ``rehydrate_skipped`` ORCA event surfaces to policies.
+    ``source`` is ``"checkpoint"`` (a committed epoch) or ``"none"`` —
+    rehydration was requested but nothing restorable existed, the case
+    the ``rehydrate_skipped`` ORCA event surfaces to policies.
     """
 
     source: str
@@ -137,6 +139,44 @@ class CheckpointStore:
             bytes_written=bytes_written,
         )
         self._chains.setdefault((job_id, pe_id), []).append(entry)
+        return entry
+
+    def write_epoch(
+        self,
+        pe: "PERuntime",
+        payloads: Dict[str, dict],
+        commit_fault: Optional[Callable[["PERuntime"], bool]] = None,
+        **stats: int,
+    ) -> CheckpointEpoch:
+        """Record one PE's epoch and commit it: the one epoch writer.
+
+        Under exactly-once delivery the transport's per-link delivered
+        watermarks ride the epoch (reserved ``"__transport__"`` key,
+        added to ``payloads`` in place), so a restore rewinds the
+        receiver to the state the snapshots describe, and the commit
+        truncates the replay buffers toward the PE.
+
+        Args:
+            pe: The captured PE.
+            payloads: Operator full name -> restore payload.
+            commit_fault: Tears this commit (recorded, never committed)
+                when it returns True.
+            **stats: :meth:`record`'s keyword-only counters.
+
+        Returns:
+            The recorded epoch; ``committed`` tells commit from torn.
+        """
+        job_id, pe_id = pe.job.job_id, pe.pe_id
+        wm_payload = pe.transport.checkpoint_watermarks(pe_id)
+        if wm_payload is not None:
+            payloads["__transport__"] = wm_payload
+        entry = self.record(job_id, pe_id, payloads, pe.kernel.now, **stats)
+        if commit_fault is not None and commit_fault(pe):
+            return entry
+        self.commit(job_id, pe_id, entry.epoch)
+        if wm_payload is not None:
+            floor = self.committed_watermark_floor(job_id, pe_id)
+            pe.transport.on_epoch_committed(pe_id, floor or {})
         return entry
 
     def commit(self, job_id: str, pe_id: str, epoch: int) -> CheckpointEpoch:

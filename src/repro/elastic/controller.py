@@ -135,10 +135,10 @@ class ElasticController(ChannelRerouter):
         transport: Transport,
         kernel: Kernel,
         events: RuntimeEvents,
+        checkpoint_store: CheckpointStore,
         drain_poll_interval: float = 0.05,
         drain_timeout: float = 60.0,
         epochs: Optional[MetricEpochCounter] = None,
-        checkpoint_store: Optional[CheckpointStore] = None,
     ) -> None:
         """Create the controller.
 
@@ -151,6 +151,8 @@ class ElasticController(ChannelRerouter):
                 rescale, COMPLETED or FAILED, whoever initiated it) and
                 ``topology`` (the rewired mapping is final), and hears
                 ``pe_failure`` / ``pe_restart`` to mask / unmask channels.
+            checkpoint_store: Masked channels' detours are seeded from
+                the dead channel's last committed epoch held here.
             drain_poll_interval: Seconds between drain-barrier polls.
             drain_timeout: Give-up horizon for the drain barrier.
             epochs: Reconfiguration epoch clock (shared across all
@@ -158,8 +160,6 @@ class ElasticController(ChannelRerouter):
                 order rescales, reclaims, and checkpoint commits (one
                 transactional state-epoch mechanism).  A private counter
                 is used when omitted.
-            checkpoint_store: When provided, masked channels' detours are
-                seeded from the dead channel's last committed epoch.
         """
         super().__init__(
             kernel,

@@ -95,12 +95,12 @@ class ChannelRerouter:
         kernel: Kernel,
         events: RuntimeEvents,
         epochs: MetricEpochCounter,
-        checkpoint_store: Optional[CheckpointStore],
+        checkpoint_store: CheckpointStore,
     ) -> None:
         """Subscribe to ``pe_failure`` / ``pe_restart`` on ``events``.
 
-        ``epochs`` stamps reclaims; ``checkpoint_store`` (optional) holds
-        the committed epochs detours are seeded from.
+        ``epochs`` stamps reclaims; ``checkpoint_store`` holds the
+        committed epochs detours are seeded from.
         """
         self.kernel = kernel
         self.events = events
@@ -294,10 +294,10 @@ class ChannelRerouter:
         at unmask) never clobbers live detour accruals or an earlier seed.
 
         Returns:
-            Number of keyed entries installed (0 without a store, a
-            committed epoch, or keyed ownership).
+            Number of keyed entries installed (0 without a committed
+            epoch or keyed ownership).
         """
-        if self.checkpoint_store is None or not migrates_keyed(plan):
+        if not migrates_keyed(plan):
             return 0
         entry = self.checkpoint_store.latest_committed(job.job_id, dead_pe.pe_id)
         if entry is None:

@@ -179,6 +179,18 @@ class SlidingWindow:
         return observed_max
 
 
+class _PortHistory:
+    """What the plane carries from tick to tick about one input port."""
+
+    __slots__ = ("pe_id", "prev_depth", "growth", "ack")
+
+    def __init__(self, pe_id: str, horizon: float) -> None:
+        self.pe_id = pe_id
+        self.prev_depth = 0
+        self.growth = SlidingWindow(horizon)  #: depth change per second
+        self.ack = SlidingWindow(horizon)  #: ack round trips, seconds
+
+
 @dataclass(frozen=True)
 class LinkHealth:
     """One link's sampled pressure at the latest evaluation tick."""
@@ -295,9 +307,9 @@ class HealthMonitor:
         #: latest per-link health, keyed by printable link name
         self._links: Dict[str, LinkHealth] = {}
         self._region_lag: Dict[str, float] = {}
-        self._prev_depth: Dict[str, int] = {}
-        self._depth_growth: Dict[str, SlidingWindow] = {}
-        self._ack_links: Dict[str, SlidingWindow] = {}
+        #: printable port name -> its history; dropped once the transport
+        #: has forgotten the port's PE (see :meth:`_tick`)
+        self._ports: Dict[str, _PortHistory] = {}
         #: (signal, region-or-"", horizon) -> window; loss/lag are fed
         #: per tick, latency_p95 is fed by the ack round-trip tap
         self._signals: Dict[Tuple[str, str, float], SlidingWindow] = {}
@@ -341,8 +353,15 @@ class HealthMonitor:
 
     # -- taps ---------------------------------------------------------------
 
+    def _port(self, op_full_name: str, pe_id: str, port: int) -> str:
+        """``<operator>@<pe>#<port>``; the port's history exists from here on."""
+        name = f"{op_full_name}@{pe_id}#{port}"
+        if name not in self._ports:
+            self._ports[name] = _PortHistory(pe_id, self.short_window)
+        return name
+
     def on_transport_pressure(
-        self, kind: str, value: float, link: str
+        self, kind: str, value: float, op_full_name: str, pe_id: str, port: int
     ) -> None:
         """Event-driven pressure tap (installed on the transport).
 
@@ -356,11 +375,7 @@ class HealthMonitor:
         for (signal, _region, _h), window in self._signals.items():
             if signal == "latency_p95":
                 window.observe(now, value)
-        per_link = self._ack_links.get(link)
-        if per_link is None:
-            per_link = SlidingWindow(self.short_window)
-            self._ack_links[link] = per_link
-        per_link.observe(now, value)
+        self._ports[self._port(op_full_name, pe_id, port)].ack.observe(now, value)
 
     # -- the evaluation tick ------------------------------------------------
 
@@ -380,8 +395,8 @@ class HealthMonitor:
 
         # open-batch residency per link (batching enabled only)
         open_age: Dict[str, float] = {}
-        for flow, batch in transport._open_batches.items():
-            name = f"{flow[2]}@{flow[1]}#{flow[3]}"
+        for (_src, pe_id, op, port), batch in transport._open_batches.items():
+            name = self._port(op, pe_id, port)
             age = now - batch.opened_at
             if age > open_age.get(name, 0.0):
                 open_age[name] = age
@@ -392,9 +407,8 @@ class HealthMonitor:
             for entry in transport.reliability.pending.values():
                 if entry.acked or entry.condemned or entry.attempts == 0:
                     continue
-                name = (
-                    f"{entry.op_full_name}@{entry.dst_pe.pe_id}"
-                    f"#{entry.port}"
+                name = self._port(
+                    entry.op_full_name, entry.dst_pe.pe_id, entry.port
                 )
                 retries[name] = retries.get(name, 0) + entry.attempts
 
@@ -403,7 +417,7 @@ class HealthMonitor:
         names = set(open_age) | set(retries)
         depth_by_name: Dict[str, int] = {}
         for (pe_id, op, port), depth in transport._in_flight.items():
-            name = f"{op}@{pe_id}#{port}"
+            name = self._port(op, pe_id, port)
             depth_by_name[name] = depth_by_name.get(name, 0) + depth
         names |= set(depth_by_name)
         samples: List[PressureSample] = []
@@ -424,19 +438,12 @@ class HealthMonitor:
                 self.peak_queue_depth = depth
             if retry > self.peak_retry_pressure:
                 self.peak_retry_pressure = retry
-            growth = (depth - self._prev_depth.get(name, 0)) / self.interval
-            self._prev_depth[name] = depth
-            gwindow = self._depth_growth.get(name)
-            if gwindow is None:
-                gwindow = SlidingWindow(self.short_window)
-                self._depth_growth[name] = gwindow
-            gwindow.observe(now, growth)
-            ack = self._ack_links.get(name)
-            service_p95 = (
-                ack.quantile(now, 0.95)
-                if ack is not None and ack.count(now)
-                else latency
-            )
+            history = self._ports[name]
+            gwindow = history.growth
+            gwindow.observe(now, (depth - history.prev_depth) / self.interval)
+            history.prev_depth = depth
+            ack = history.ack
+            service_p95 = ack.quantile(now, 0.95) if ack.count(now) else latency
             samples.append(
                 PressureSample(
                     target=name,
@@ -449,6 +456,14 @@ class HealthMonitor:
             )
         self._links = links
         self.max_lag = max_lag
+        # a PE the transport has forgotten takes its ports' history
+        # along once nothing is left in flight toward it; the ports of a
+        # live PE keep theirs, idle or not
+        self._ports = {
+            name: history
+            for name, history in self._ports.items()
+            if history.pe_id in transport._toward or name in links
+        }
 
         # region watermarks: max over the links feeding a region's ops
         region_lag: Dict[str, float] = {}

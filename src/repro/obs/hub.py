@@ -121,7 +121,8 @@ class ObsHub:
         #: that sees a non-empty exactly-once replay buffer (best-effort
         #: and at-least-once systems render unchanged)
         self._replay_gauges: Optional[Tuple[object, object, object]] = None
-        #: links the replay gauges have reported (so drained links read 0)
+        #: links the replay gauges reported at the last scrape (so a link
+        #: forgotten since reads 0 once before it leaves)
         self._replay_links: set = set()
 
     # -- wiring --------------------------------------------------------------
@@ -559,10 +560,12 @@ class ObsHub:
         system = self._system
         if system is None:
             return
-        plane = system.transport.reliability
-        if plane is None:
+        if system.transport.reliability is None:
             return
-        if self._replay_gauges is None and not plane.replay_buffer:
+        links = system.transport.links
+        if self._replay_gauges is None and not any(
+            link.replay for link in links.values()
+        ):
             return
         if self._replay_gauges is None:
             self._replay_gauges = (
@@ -583,19 +586,18 @@ class ObsHub:
                 ),
             )
         items_gauge, bytes_gauge, floor_gauge = self._replay_gauges
-        self._replay_links |= set(plane.replay_buffer)
-        self._replay_links |= set(plane.truncated_to)
-        for link in sorted(self._replay_links):
-            labels = {"src": link[0] or "-", "dst": link[1]}
-            retained = plane.replay_buffer.get(link, {})
-            items = sum(e.count for e in retained.values())
-            size = sum(
-                getattr(e.payload, "size_bytes", 0)
-                for e in retained.values()
-            )
+        retaining = {
+            key for key, link in links.items() if link.replay or link.truncated_to
+        }
+        for key in sorted(self._replay_links | retaining):
+            labels = {"src": key[0] or "-", "dst": key[1]}
+            # None: forgotten with one of its PEs — reads zero once, then goes
+            link = links.get(key)
+            items = sum(e.count for e in link.replay.values()) if link else 0
             items_gauge(labels).set(items)
-            bytes_gauge(labels).set(size)
-            floor_gauge(labels).set(plane.truncated_to.get(link, 0))
+            bytes_gauge(labels).set(link.replay_bytes if link else 0)
+            floor_gauge(labels).set(link.truncated_to if link else 0)
+        self._replay_links = retaining
 
     def render_prometheus(self, scrape: bool = True) -> str:
         """The hub's metrics in Prometheus text format (byte-stable).

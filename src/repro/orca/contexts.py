@@ -425,9 +425,8 @@ class RehydrateSkippedContext:
     """A ``restart_pe(rehydrate=True)`` found nothing to restore.
 
     Without this event a policy cannot distinguish a restored PE from one
-    that silently restarted empty (no committed checkpoint epoch and no
-    quiesced snapshot existed) — exactly the blind spot user-defined
-    failover routines need surfaced.
+    that silently restarted empty (no committed epoch existed) — exactly
+    the blind spot user-defined failover routines need surfaced.
     """
 
     job_id: str

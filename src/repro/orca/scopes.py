@@ -307,9 +307,9 @@ class CheckpointScope(
       epoch committed (carries incremental-capture statistics);
     * ``state_reclaimed`` — a restarted channel got its detour-accrued
       keyed state back at unmask time;
-    * ``rehydrate_skipped`` — a ``restart_pe(rehydrate=True)`` found
-      neither a committed checkpoint epoch nor a quiesced snapshot and
-      the PE restarted empty.
+    * ``rehydrate_skipped`` — a ``restart_pe(rehydrate=True)`` found no
+      committed epoch (checkpoint or graceful-stop snapshot) and the PE
+      restarted empty.
 
     Staleness-reactive routines pair this scope with the ``checkpointLag``
     PE gauge in SRM (a :class:`PEMetricScope` on that metric) and the

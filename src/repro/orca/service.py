@@ -534,8 +534,8 @@ class OrcaService:
     def restart_pe(self, pe_id: str, rehydrate: bool = False) -> None:
         """Restart a crashed/stopped PE of a job this orchestrator owns.
 
-        ``rehydrate=True`` restores each stateful operator from its last
-        quiesced snapshot (captured at the most recent graceful stop);
+        ``rehydrate=True`` restores each stateful operator from the PE's
+        latest committed epoch (a checkpoint or a graceful stop's snapshot);
         the default keeps the paper's restart-empty semantics.
         """
         job_id = self.graph.job_of_pe(pe_id)

@@ -64,8 +64,49 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.pe import PERuntime
     from repro.runtime.transport import Payload, Transport
 
-#: a directed connection: (source PE id or "", destination PE id)
+#: a link's key: (source PE id or "", destination PE id)
 Link = Tuple[str, str]
+
+
+class LinkRecord:
+    """Everything the runtime remembers about one connection.
+
+    Made by :meth:`Transport._open_link` when the link first carries a
+    unit, dropped only by :meth:`Transport.forget_pe`.  ``send_seq`` and
+    ``horizon`` are used in every delivery mode; the rest is exactly-once
+    state and stays empty otherwise.
+    """
+
+    __slots__ = (
+        "key", "send_seq", "horizon", "delivered_wm", "reorder", "replay",
+        "truncated_to", "replay_bytes", "stalled",
+    )
+
+    def __init__(self, key: Link) -> None:
+        self.key = key
+        #: send index of the last member *sent* — claimed before any
+        #: hold/flush, stamped onto deliveries for FIFO taps and used to
+        #: keep flushed partition queues merged in send order
+        self.send_seq = 0
+        #: latest scheduled arrival, so a fault expiring mid-stream
+        #: cannot reorder the connection's units
+        self.horizon = 0.0
+        #: receiver: highest contiguously delivered seq
+        self.delivered_wm = 0
+        #: receiver: first_seq -> parked early arrival
+        self.reorder: Dict[int, tuple] = {}
+        #: sender: first_seq -> acked unit, retained until its seq range
+        #: drops below every restorable epoch; ``replay_bytes`` is its
+        #: payload size, ``truncated_to`` the watermark it was last cut to
+        #: (the oldest retained committed epoch can replay from there)
+        self.replay: Dict[int, "PendingEntry"] = {}
+        self.replay_bytes = 0
+        self.truncated_to = 0
+        #: sender: units parked by the replay cap *before* link-seq
+        #: allocation (claimed at release, in park order, so FIFO survives
+        #: the stall), as ``(src_pe, dst_pe, op_full_name, port, payload,
+        #: count)``
+        self.stalled: List[tuple] = []
 
 
 class PendingEntry:
@@ -104,7 +145,7 @@ class PendingEntry:
         op_full_name: str,
         port: int,
         payload: "Payload",
-        link: Link,
+        link: LinkRecord,
         first_seq: int,
         count: int,
     ) -> None:
@@ -121,7 +162,7 @@ class PendingEntry:
         self.delivered = False
         #: the sender saw the ack; the unit is off the pending registry
         self.acked = False
-        #: the destination was removed for good; never retry again
+        #: the unit's link was forgotten with a PE; never retry again
         self.condemned = False
         #: completed retransmission attempts (drives the backoff)
         self.attempts = 0
@@ -166,25 +207,10 @@ class DeliveryPlane:
         #: exactly-once: per-link cap on replay-buffer payload bytes
         #: (0 = unbounded, the historical behavior)
         self.replay_buffer_max_bytes = replay_buffer_max_bytes
-        #: (link, first_seq) -> unacknowledged unit
+        #: (link key, first_seq) -> unacknowledged unit, in admission
+        #: order: :meth:`expedite_pending` walks it, and that order is
+        #: the order seeded drop rolls are drawn
         self.pending: Dict[Tuple[Link, int], PendingEntry] = {}
-        #: exactly-once receiver: link -> highest contiguously delivered seq
-        self.delivered_wm: Dict[Link, int] = {}
-        #: exactly-once receiver: link -> first_seq -> parked early arrival
-        self.reorder: Dict[Link, Dict[int, tuple]] = {}
-        #: exactly-once sender: link -> first_seq -> acked unit retained
-        #: until its seq range drops below every restorable epoch
-        self.replay_buffer: Dict[Link, Dict[int, PendingEntry]] = {}
-        #: link -> watermark the replay buffer was last truncated to (the
-        #: oldest retained committed epoch can always replay from here)
-        self.truncated_to: Dict[Link, int] = {}
-        #: link -> payload bytes currently retained in ``replay_buffer``
-        self.replay_bytes: Dict[Link, int] = {}
-        #: link -> units parked by the replay cap *before* link-seq
-        #: allocation (sequences are claimed at release, in park order,
-        #: so per-link FIFO survives the stall); each entry is
-        #: ``(src_pe, dst_pe, op_full_name, port, payload, count)``
-        self.stalled: Dict[Link, List[tuple]] = {}
         #: PEs that have committed at least one epoch — the only
         #: destinations the replay cap may stall.  A link toward a PE
         #: that never commits (stateless sink, splitter, checkpointing
@@ -193,6 +219,11 @@ class DeliveryPlane:
         #: unbounded retention their replay-from-zero restart semantics
         #: require anyway.
         self.committing_pes: Set[str] = set()
+
+    @property
+    def replay_bytes(self) -> Dict[Link, int]:
+        """Link key -> payload bytes retained for replay (a derived view)."""
+        return {key: link.replay_bytes for key, link in self.transport.links.items()}
 
     # -- send path ----------------------------------------------------------
 
@@ -247,19 +278,19 @@ class DeliveryPlane:
         the health plane see the stalled backlog; its link seq is *not*
         allocated until :meth:`_release_stalled` dispatches it.
         """
-        link = (src_pe.pe_id if src_pe is not None else "", dst_pe.pe_id)
+        t = self.transport
+        key = (src_pe.pe_id if src_pe is not None else "", dst_pe.pe_id)
+        link = t.links.get(key) or t._open_link(key)
         if self._must_stall(link):
-            self.stalled.setdefault(link, []).append(
-                (src_pe, dst_pe, op_full_name, port, payload, count)
-            )
-            self.transport.replay_stalls += count
+            link.stalled.append((src_pe, dst_pe, op_full_name, port, payload, count))
+            t.replay_stalls += count
             self._observe("replay_stall", count, op_full_name)
         else:
             self._dispatch(link, src_pe, dst_pe, op_full_name, port, payload, count)
 
     def _dispatch(
         self,
-        link: Link,
+        link: LinkRecord,
         src_pe: Optional["PERuntime"],
         dst_pe: "PERuntime",
         op_full_name: str,
@@ -273,20 +304,19 @@ class DeliveryPlane:
         sequences are claimed here — after any stall — so parked units
         keep per-link FIFO when released.
         """
-        t = self.transport
-        base = t._link_send_seq.get(link, 0)
-        t._link_send_seq[link] = base + count
+        base = link.send_seq
+        link.send_seq = base + count
         entry = PendingEntry(
             src_pe, dst_pe, op_full_name, port, payload, link, base + 1, count
         )
         entry.sent_at = self.kernel.now
-        self.pending[(link, base + 1)] = entry
+        self.pending[(link.key, base + 1)] = entry
         self._transmit(entry)
         self._arm_retry(entry)
 
     # -- replay-buffer backpressure -----------------------------------------
 
-    def _must_stall(self, link: Link) -> bool:
+    def _must_stall(self, link: LinkRecord) -> bool:
         """True when the link's replay buffer is at its byte cap.
 
         A link with parked units stalls unconditionally — newer units
@@ -299,22 +329,16 @@ class DeliveryPlane:
         """
         if not self.exactly_once or self.replay_buffer_max_bytes <= 0:
             return False
-        if link[1] not in self.committing_pes:
+        if link.key[1] not in self.committing_pes:
             return False
-        if link in self.stalled:
-            return True
-        return self.replay_bytes.get(link, 0) >= self.replay_buffer_max_bytes
+        return bool(link.stalled) or link.replay_bytes >= self.replay_buffer_max_bytes
 
-    def _release_stalled(self, link: Link) -> None:
+    def _release_stalled(self, link: LinkRecord) -> None:
         """Dispatch parked units in order while the link is under its cap."""
-        queue = self.stalled.get(link)
-        if not queue:
-            return
+        queue = link.stalled
         cap = self.replay_buffer_max_bytes
-        while queue and self.replay_bytes.get(link, 0) < cap:
+        while queue and link.replay_bytes < cap:
             self._dispatch(link, *queue.pop(0))
-        if not queue:
-            del self.stalled[link]
 
     def _transmit(self, entry: PendingEntry, redelivery: bool = False) -> None:
         """Put one wire copy of a unit on its link, unless a fault eats it.
@@ -342,6 +366,7 @@ class DeliveryPlane:
                 return
         entry.next_arrival = t._put_on_wire(
             faults,
+            entry.link,
             entry.src_pe,
             entry.dst_pe,
             entry.op_full_name,
@@ -374,15 +399,21 @@ class DeliveryPlane:
             # an ack copy survived the reverse-link fault pipeline and
             # is on its way; it will land
             return
-        entry.attempts += 1
-        if not entry.dst_pe.is_running:
+        if entry.dst_pe.is_running:
+            self._retransmit(entry)
+        else:
             # destination down: hold fire, keep the timer as a fallback
             # (a restart expedites pending units immediately)
+            entry.attempts += 1
             self._arm_retry(entry)
-            return
-        t = self.transport
-        t.retransmissions += 1
+
+    def _retransmit(self, entry: PendingEntry) -> None:
+        """Send one more copy of an unacknowledged unit and restart its timer."""
+        entry.attempts += 1
+        self.transport.retransmissions += 1
         self._observe("retransmit", entry.count, entry.op_full_name, entry.attempts)
+        if entry.retry_event is not None:
+            entry.retry_event.cancel()
         self._transmit(entry)
         self._arm_retry(entry)
 
@@ -411,15 +442,7 @@ class DeliveryPlane:
                 for fault in t._matching_faults(entry.src_pe, entry.dst_pe)
             ):
                 continue
-            entry.attempts += 1
-            t.retransmissions += 1
-            self._observe(
-                "retransmit", entry.count, entry.op_full_name, entry.attempts
-            )
-            if entry.retry_event is not None:
-                entry.retry_event.cancel()
-            self._transmit(entry)
-            self._arm_retry(entry)
+            self._retransmit(entry)
 
     # -- receiver -----------------------------------------------------------
 
@@ -440,14 +463,18 @@ class DeliveryPlane:
         ignored without accounting — the unit is still pending on the
         sender and will be retransmitted, which is exactly the difference
         from the best-effort transport (there, these copies are the loss).
+        A copy on a forgotten link is ignored too: its unit was condemned
+        when :meth:`Transport.forget_pe` dropped the link.
         """
         t = self.transport
         if incarnation != t._incarnations.get(dst_pe.pe_id, 0):
             return
         if not dst_pe.is_running:
             return
+        link = t.links.get((src_key, dst_pe.pe_id))
+        if link is None:
+            return
         count = len(payload.tuples) if isinstance(payload, TupleBatch) else 1
-        link = (src_key, dst_pe.pe_id)
         if self.exactly_once:
             self._arrive_exactly_once(
                 link, dst_pe, op_full_name, port, payload, first_seq, count,
@@ -472,14 +499,18 @@ class DeliveryPlane:
         redelivery,
     ) -> None:
         """In-order receiver: strict per-link seq delivery with dedup."""
-        wm = self.delivered_wm.get(link, 0)
+        wm = link.delivered_wm
         if first_seq + count - 1 <= wm:
             self.transport.duplicates_suppressed += count
             self._observe("duplicate_suppressed", count, op_full_name)
-            self._reack_if_lost(link, first_seq)
+            # re-ack a duplicate whose original ack was lost: every copy
+            # is suppressed here, so only a fresh ack stops the retransmits
+            entry = self.pending.get((link.key, first_seq))
+            if entry is not None and entry.delivered and entry.ack_lost:
+                self._schedule_ack(entry)
             return
+        buf = link.reorder
         if first_seq != wm + 1:
-            buf = self.reorder.setdefault(link, {})
             if first_seq in buf:
                 self.transport.duplicates_suppressed += count
                 self._observe("duplicate_suppressed", count, op_full_name)
@@ -492,14 +523,11 @@ class DeliveryPlane:
             link, dst_pe, op_full_name, port, payload, first_seq, count,
             redelivery,
         )
-        buf = self.reorder.get(link)
         while buf:
-            parked = buf.pop(self.delivered_wm[link] + 1, None)
+            parked = buf.pop(link.delivered_wm + 1, None)
             if parked is None:
                 break
             self._accept(link, dst_pe, *parked)
-        if buf is not None and not buf:
-            self.reorder.pop(link, None)
 
     def _accept(
         self, link, dst_pe, op_full_name, port, payload, first_seq, count,
@@ -514,8 +542,8 @@ class DeliveryPlane:
         link's delivered watermark advances here.
         """
         if self.exactly_once:
-            self.delivered_wm[link] = first_seq + count - 1
-        entry = self.pending.get((link, first_seq))
+            link.delivered_wm = first_seq + count - 1
+        entry = self.pending.get((link.key, first_seq))
         if entry is not None:
             if not entry.delivered:
                 entry.delivered = True
@@ -526,7 +554,7 @@ class DeliveryPlane:
             elif entry.ack_lost:
                 self._schedule_ack(entry)
         self.transport._hand_over(
-            dst_pe, op_full_name, port, payload, link[0], first_seq, count,
+            dst_pe, op_full_name, port, payload, link.key[0], first_seq, count,
             redelivery,
         )
 
@@ -575,43 +603,19 @@ class DeliveryPlane:
         self._observe("ack", entry.count, entry.op_full_name)
         if t.pressure_observer is not None:
             t.pressure_observer(
-                "ack_rtt",
-                self.kernel.now - entry.sent_at,
-                f"{entry.op_full_name}@{entry.dst_pe.pe_id}#{entry.port}",
+                "ack_rtt", self.kernel.now - entry.sent_at,
+                entry.op_full_name, entry.dst_pe.pe_id, entry.port,
             )
         if entry.retry_event is not None:
             entry.retry_event.cancel()
             entry.retry_event = None
-        self.pending.pop((entry.link, entry.first_seq), None)
+        link = entry.link
+        self.pending.pop((link.key, entry.first_seq), None)
         if self.exactly_once:
-            self.replay_buffer.setdefault(entry.link, {})[entry.first_seq] = entry
-            self.replay_bytes[entry.link] = self.replay_bytes.get(
-                entry.link, 0
-            ) + getattr(entry.payload, "size_bytes", 0)
-
-    def _reack_if_lost(self, link: Link, first_seq: int) -> None:
-        """Re-ack a suppressed duplicate whose original ack was lost.
-
-        Without this the sender retransmits forever: the in-order
-        receiver suppresses every duplicate copy, so only a fresh ack
-        can break the livelock.
-        """
-        entry = self.pending.get((link, first_seq))
-        if entry is not None and entry.delivered and entry.ack_lost:
-            self._schedule_ack(entry)
+            link.replay[entry.first_seq] = entry
+            link.replay_bytes += getattr(entry.payload, "size_bytes", 0)
 
     # -- crash / restart / epochs -------------------------------------------
-
-    def on_pe_crashed(self, pe_id: str) -> None:
-        """Wipe arrived-but-undelivered copies toward the dead process.
-
-        Parked reorder-buffer copies died with the process; their units
-        are still pending on the senders and will be retransmitted to the
-        new incarnation, so nothing is condemned here — the whole point
-        of reliable delivery.
-        """
-        for link in [l for l in self.reorder if l[1] == pe_id]:
-            del self.reorder[link]
 
     def on_pe_restarted(
         self, pe: "PERuntime", restored: Optional[Dict[str, int]]
@@ -631,65 +635,32 @@ class DeliveryPlane:
         if not self.exactly_once:
             self.expedite_pending(dst_pe_id=pe_id)
             return
-        links = {l for l in self.delivered_wm if l[1] == pe_id}
-        links |= {l for l in self.replay_buffer if l[1] == pe_id}
-        links |= {link for (link, _seq) in self.pending if link[1] == pe_id}
         restored = restored or {}
-        for link in sorted(links):
-            base = max(
-                restored.get(link[0], 0), self.truncated_to.get(link, 0)
-            )
-            self.delivered_wm[link] = base
-            self.reorder.pop(link, None)
+        for link in sorted(t.links_toward(pe_id), key=lambda link: link.key):
+            base = max(restored.get(link.key[0], 0), link.truncated_to)
+            link.delivered_wm = base
+            link.reorder.clear()
             # a restart is a fresh connection: do not inherit the dead
             # incarnation's FIFO horizon (stale copies no-op on arrival)
-            t._fifo_horizon.pop(link, None)
+            link.horizon = 0.0
             units: List[PendingEntry] = [
-                entry
-                for seq, entry in self.replay_buffer.get(link, {}).items()
-                if seq > base
+                entry for seq, entry in link.replay.items() if seq > base
             ]
             units.extend(
-                entry
-                for (l, _seq), entry in self.pending.items()
-                if l == link
+                entry for entry in self.pending.values() if entry.link is link
             )
             for entry in sorted(units, key=lambda e: e.first_seq):
                 if entry.delivered and entry.first_seq + entry.count - 1 <= base:
                     continue  # covered by the restored state; ack will clear
+                if not entry.delivered:
+                    self._retransmit(entry)
+                    continue
                 if entry.retry_event is not None:
                     entry.retry_event.cancel()
                     entry.retry_event = None
-                if entry.delivered:
-                    t.replayed += entry.count
-                    self._observe("replay", entry.count, entry.op_full_name)
-                    self._transmit(entry, redelivery=True)
-                else:
-                    entry.attempts += 1
-                    t.retransmissions += 1
-                    self._observe(
-                        "retransmit", entry.count, entry.op_full_name,
-                        entry.attempts,
-                    )
-                    self._transmit(entry)
-                    self._arm_retry(entry)
-
-    def checkpoint_watermarks(self, pe_id: str) -> Optional[dict]:
-        """The ``"__transport__"`` payload riding this PE's epochs.
-
-        Exactly-once only: the per-link delivered watermarks at capture
-        time, which by construction cover precisely the units whose state
-        effects are in the captured operator snapshots.
-        """
-        if not self.exactly_once:
-            return None
-        return {
-            "watermarks": {
-                link[0]: wm
-                for link, wm in self.delivered_wm.items()
-                if link[1] == pe_id
-            }
-        }
+                t.replayed += entry.count
+                self._observe("replay", entry.count, entry.op_full_name)
+                self._transmit(entry, redelivery=True)
 
     def on_epoch_committed(self, pe_id: str, floor: Dict[str, int]) -> None:
         """Truncate replay buffers to the oldest restorable epoch's floor.
@@ -702,37 +673,32 @@ class DeliveryPlane:
         if not self.exactly_once:
             return
         self.committing_pes.add(pe_id)
-        for link in [l for l in self.replay_buffer if l[1] == pe_id]:
-            wm = floor.get(link[0], 0)
-            if wm <= self.truncated_to.get(link, 0):
+        for link in self.transport.links_toward(pe_id):
+            wm = floor.get(link.key[0], 0)
+            if wm <= link.truncated_to or not link.replay:
                 continue
-            self.truncated_to[link] = wm
-            buf = self.replay_buffer[link]
+            link.truncated_to = wm
+            buf = link.replay
             freed = 0
             for seq in [s for s, e in buf.items() if s + e.count - 1 <= wm]:
-                freed += getattr(buf[seq].payload, "size_bytes", 0)
-                del buf[seq]
-            if not buf:
-                del self.replay_buffer[link]
+                freed += getattr(buf.pop(seq).payload, "size_bytes", 0)
             if freed:
-                remaining = self.replay_bytes.get(link, 0) - freed
-                if remaining > 0:
-                    self.replay_bytes[link] = remaining
-                else:
-                    self.replay_bytes.pop(link, None)
+                link.replay_bytes -= freed
                 # truncation lifted the backpressure: let parked units
                 # claim their sequences and hit the wire, in park order
                 self._release_stalled(link)
 
-    def forget_pe(self, pe_id: str) -> None:
-        """Condemn every unit toward a PE that is removed for good.
+    def condemn(self, links: List[LinkRecord]) -> None:
+        """Condemn every unit on links :meth:`Transport.forget_pe` dropped.
 
         Undelivered units count in ``dropped_in_flight`` — unless a drop
         fault already claimed them (first-cause-wins); delivered units
-        were counted on delivery and are simply discarded.
+        were counted on delivery and are simply discarded.  Parked units
+        never reached the wire; they are counted in flight since parking
+        and are condemned like pending ones.
         """
         t = self.transport
-        for key in [k for k in self.pending if k[0][1] == pe_id]:
+        for key in [k for k, e in self.pending.items() if e.link in links]:
             entry = self.pending.pop(key)
             entry.condemned = True
             if entry.retry_event is not None:
@@ -740,29 +706,16 @@ class DeliveryPlane:
                 entry.retry_event = None
             if not entry.delivered:
                 t._dec_in_flight(
-                    (pe_id, entry.op_full_name, entry.port), entry.count
+                    (key[0][1], entry.op_full_name, entry.port), entry.count
                 )
                 if not entry.loss_attributed:
                     entry.loss_attributed = True
                     t.dropped_in_flight += entry.count
-        for link in [l for l in self.stalled if l[1] == pe_id]:
-            # parked units never reached the wire; condemn them like
-            # pending ones (they are counted in flight since parking)
-            for _src, _dst, op_full_name, port, _payload, count in self.stalled.pop(
-                link
-            ):
-                t._dec_in_flight((pe_id, op_full_name, port), count)
+        for link in links:
+            for _src, _dst, op_full_name, port, _payload, count in link.stalled:
+                t._dec_in_flight((link.key[1], op_full_name, port), count)
                 t.dropped_in_flight += count
-        for mapping in (
-            self.delivered_wm,
-            self.reorder,
-            self.replay_buffer,
-            self.truncated_to,
-            self.replay_bytes,
-        ):
-            for link in [l for l in mapping if l[1] == pe_id]:
-                del mapping[link]
-        self.committing_pes.discard(pe_id)
+            link.stalled.clear()
 
     # -- observability ------------------------------------------------------
 

@@ -11,17 +11,16 @@ use cases rely on:
   scheduled work is cancelled; in-flight tuples toward the PE are lost.
 * **restart** — fresh operator instances with empty state (windows refill
   from scratch, which is what Fig. 9(b) shows).  Optionally,
-  ``restart(rehydrate=True)`` reinstalls state from the best available
-  source: the latest *committed* checkpoint epoch when the runtime has a
-  :class:`~repro.checkpoint.store.CheckpointStore` (which makes
-  rehydration meaningful after *crashes* too — torn epochs are never
-  loaded), falling back to the last quiesced snapshot captured at the
-  most recent graceful stop.  Without a store, the paper's semantics are
-  unchanged: a crash never produces a snapshot, so a crashed PE that was
-  never cleanly stopped still restarts empty.  Every rehydrating restart
-  leaves a :class:`~repro.checkpoint.store.RestoreReport` in
-  ``last_restore`` so observers can distinguish a restored PE from an
-  empty one (the ``rehydrate_skipped`` ORCA event).
+  ``restart(rehydrate=True)`` reinstalls state from the latest
+  *committed* epoch in the
+  :class:`~repro.checkpoint.store.CheckpointStore` — a periodic
+  checkpoint or the quiesced snapshot a graceful stop commits, whichever
+  is newer; torn epochs are never loaded.  A crash never produces a
+  snapshot, so a crashed PE that never committed an epoch still restarts
+  empty.  Every rehydrating restart leaves a
+  :class:`~repro.checkpoint.store.RestoreReport` in ``last_restore`` so
+  observers can distinguish a restored PE from an empty one (the
+  ``rehydrate_skipped`` ORCA event).
 """
 
 from __future__ import annotations
@@ -69,8 +68,8 @@ class PERuntime:
         kernel: Kernel,
         transport: Transport,
         publish_export: Callable[[str, str, Item], None],
+        checkpoints: CheckpointStore,
         host_name: Optional[str] = None,
-        checkpoints: Optional[CheckpointStore] = None,
     ) -> None:
         self.pe_id = pe_id
         self.spec = spec
@@ -85,12 +84,8 @@ class PERuntime:
         self.state = PEState.CONSTRUCTED
         self.operators: Dict[str, Operator] = {}
         self.metrics = MetricRegistry()
-        #: operator full name -> last quiesced state snapshot (captured on
-        #: graceful stop; consumed by ``restart(rehydrate=True)`` when no
-        #: checkpoint store is wired in)
-        self.state_registry: Dict[str, dict] = {}
-        #: committed-epoch snapshots (preferred rehydration source); the
-        #: graceful-stop snapshot is also recorded here so quiesced state
+        #: committed-epoch snapshots, the one rehydration source: a
+        #: graceful stop commits its quiesced snapshot here too, so it
         #: and periodic checkpoints share one epoch mechanism
         self.checkpoints = checkpoints
         #: what the last ``restart(rehydrate=True)`` restored (None when
@@ -221,54 +216,32 @@ class PERuntime:
         self._timers.cancel_all()
         self.state = PEState.STOPPED
 
-    def capture_state_snapshots(self) -> Dict[str, dict]:
-        """Snapshot every stateful operator into the state registry.
+    def capture_state_snapshots(self) -> None:
+        """Commit a full snapshot of every stateful operator as one epoch.
 
         An operator is snapshotted when the compiler declared it stateful
         (``PESpec.stateful_ops``) or when its state store is in use (a
         Custom operator may hold state without a STATEFUL class marker).
+        The PE is stopping, so nothing can tear the capture.
         """
         declared = set(getattr(self.spec, "stateful_ops", ()) or ())
         captured: Dict[str, dict] = {}
         for op_name, operator in self.operators.items():
             if op_name in declared or operator.state.in_use:
                 captured[op_name] = operator.snapshot()
-        self.state_registry.update(captured)
-        if captured and self.checkpoints is not None:
-            # Quiesced snapshots ride the same epoch mechanism as periodic
-            # checkpoints: record + commit in one step (the PE is stopped,
-            # nothing can tear the capture).
+        if captured:
             n_keys = sum(
                 self.operators[name].state.n_keys() for name in captured
             )
-            payloads = dict(captured)
-            # exactly-once: the transport's per-link delivered watermarks
-            # ride the epoch (reserved key, skipped by operator restore)
-            wm_payload = self.transport.checkpoint_watermarks(self.pe_id)
-            if wm_payload is not None:
-                payloads["__transport__"] = wm_payload
-            entry = self.checkpoints.record(
-                self.job.job_id,
-                self.pe_id,
-                payloads,
-                self.kernel.now,
-                full=True,
-                keys_dirty=n_keys,
-                keys_total=n_keys,
+            self.checkpoints.write_epoch(
+                self, captured, full=True, keys_dirty=n_keys, keys_total=n_keys
             )
-            self.checkpoints.commit(self.job.job_id, self.pe_id, entry.epoch)
-            if wm_payload is not None:
-                floor = self.checkpoints.committed_watermark_floor(
-                    self.job.job_id, self.pe_id
-                )
-                self.transport.on_epoch_committed(self.pe_id, floor or {})
-        return dict(self.state_registry)
 
     def crash(self, reason: str = "crash") -> None:
         """Abrupt process death: no shutdown hooks, state is lost.
 
-        The state registry keeps whatever was captured at the *previous*
-        graceful stop — the in-memory state at crash time is gone.
+        The store keeps whatever epochs were committed *before* — the
+        in-memory state at crash time is gone.
         """
         if self.state is not PEState.RUNNING:
             return
@@ -289,11 +262,10 @@ class PERuntime:
 
         ``rehydrate=False`` (the paper's semantics, and the default):
         fresh operator instances with empty state.  ``rehydrate=True``:
-        operators are restored from the latest *committed* checkpoint
-        epoch when a store is wired in (crash recovery), else from the
-        last quiesced snapshot in the state registry (graceful-stop
-        recovery), else they start empty — with the outcome recorded in
-        ``last_restore`` either way.
+        operators are restored from the latest *committed* epoch (a
+        periodic checkpoint or a graceful stop's quiesced snapshot), else
+        they start empty — with the outcome recorded in ``last_restore``
+        either way.
         """
         if self.state is PEState.RUNNING:
             raise PEControlError(f"PE {self.pe_id} is running; stop it first")
@@ -302,17 +274,8 @@ class PERuntime:
         self.last_restore = None
         restored_watermarks: Optional[Dict[str, int]] = None
         if rehydrate:
-            payloads: Dict[str, dict] = {}
-            source = "none"
-            epoch: Optional[int] = None
-            if self.checkpoints is not None:
-                entry = self.checkpoints.latest_committed(
-                    self.job.job_id, self.pe_id
-                )
-                if entry is not None:
-                    payloads, source, epoch = entry.payloads, "checkpoint", entry.epoch
-            if not payloads and self.state_registry:
-                payloads, source = dict(self.state_registry), "quiesced"
+            entry = self.checkpoints.latest_committed(self.job.job_id, self.pe_id)
+            payloads: Dict[str, dict] = entry.payloads if entry is not None else {}
             restored = []
             for op_name, payload in payloads.items():
                 operator = self.operators.get(op_name)
@@ -323,8 +286,8 @@ class PERuntime:
             if wm_payload is not None:
                 restored_watermarks = dict(wm_payload.get("watermarks", {}))
             self.last_restore = RestoreReport(
-                source=source if restored else "none",
-                epoch=epoch if restored else None,
+                source="checkpoint" if restored else "none",
+                epoch=entry.epoch if restored else None,
                 restored_ops=tuple(restored),
                 time=self.kernel.now,
             )
@@ -515,14 +478,13 @@ class PERuntime:
                 operator.metrics.get_or_create(
                     "nStateKeys", MetricKind.GAUGE
                 ).set(operator.state.n_keys())
-        if self.checkpoints is not None:
-            latest = self.checkpoints.latest_committed(self.job.job_id, self.pe_id)
-            if latest is not None:
-                # staleness of the newest committed epoch: the gauge SRM
-                # serves to ORCA routines that react to lagging checkpoints
-                self.metrics.get_or_create(
-                    "checkpointLag", MetricKind.GAUGE
-                ).set(self.kernel.now - latest.time)
+        latest = self.checkpoints.latest_committed(self.job.job_id, self.pe_id)
+        if latest is not None:
+            # staleness of the newest committed epoch: the gauge SRM
+            # serves to ORCA routines that react to lagging checkpoints
+            self.metrics.get_or_create(
+                "checkpointLag", MetricKind.GAUGE
+            ).set(self.kernel.now - latest.time)
 
     def send_control(self, op_full_name: str, command: str, payload: dict) -> None:
         """Route a control command to one operator instance (Sec. 3)."""

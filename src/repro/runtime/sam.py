@@ -47,11 +47,11 @@ class SAM:
         import_export: ImportExportRegistry,
         ids: IdRegistry,
         events: RuntimeEvents,
+        checkpoint_store: CheckpointStore,
         pe_spawn_delay: float = 0.1,
         pe_restart_delay: float = 1.0,
         failure_notification_delay: float = 0.05,
         auto_restart_pes: bool = False,
-        checkpoint_store: Optional[CheckpointStore] = None,
     ) -> None:
         self.kernel = kernel
         self.srm = srm
@@ -65,8 +65,7 @@ class SAM:
         # the frozen benchmark appends to this name (bench/workloads.py):
         # it is the bus's own ``pe_restart`` subscriber list, not a copy
         self.pe_restart_observers = events.subscribers["pe_restart"]
-        #: committed-epoch snapshots handed to every PE runtime (None keeps
-        #: the paper's no-checkpoint semantics)
+        #: committed-epoch snapshots handed to every PE runtime
         self.checkpoint_store = checkpoint_store
         #: the background checkpoint daemon, set by SystemS after
         #: construction (used only for materialized-base cleanup)
@@ -165,19 +164,27 @@ class SAM:
             raise CancellationError(f"job {job_id} already cancelled")
         job.state = JobState.CANCELLING
         self.import_export.disconnect_job(job_id)
-        for pe in job.pes:
-            pe.stop(capture_state=False)  # the job is gone; nothing rehydrates
-            if pe.host_name and pe.host_name in self.hcs:
-                self.hcs[pe.host_name].remove_pe(pe.pe_id)
+        self._discard_pes(job.pes)  # the job is gone; nothing rehydrates
         self._release_reservations(job_id)
         self.srm.drop_job_metrics(job_id)
-        if self.checkpoint_store is not None:
-            self.checkpoint_store.drop_job(job_id)
+        self.checkpoint_store.drop_job(job_id)
         if self.checkpoint_service is not None:
             self.checkpoint_service.forget_job(job_id)
         job.state = JobState.CANCELLED
         job.cancel_time = self.kernel.now
         return job
+
+    def _discard_pes(self, pes: List[PERuntime]) -> None:
+        """Stop PEs for good (no snapshot: nothing will rehydrate from
+        them), then let the wire forget them.  All stop before any is
+        forgotten, so a shutdown hook's last emission cannot reopen a
+        link :meth:`Transport.forget_pe` already dropped."""
+        for pe in pes:
+            pe.stop(capture_state=False)
+            if pe.host_name and pe.host_name in self.hcs:
+                self.hcs[pe.host_name].remove_pe(pe.pe_id)
+        for pe in pes:
+            self.transport.forget_pe(pe.pe_id)
 
     def _release_reservations(self, job_id: str) -> None:
         self.reserved_hosts = {
@@ -191,9 +198,9 @@ class SAM:
     def restart_pe(self, job_id: str, pe_id: str, rehydrate: bool = False) -> None:
         """Restart a crashed/stopped PE after the configured restart delay.
 
-        ``rehydrate=True`` restores each stateful operator from its last
-        quiesced snapshot (see :meth:`PERuntime.restart`); the default is
-        the paper's restart-empty semantics.
+        ``rehydrate=True`` restores each stateful operator from the PE's
+        latest committed epoch (see :meth:`PERuntime.restart`); the
+        default is the paper's restart-empty semantics.
         """
         job = self.get_job(job_id)
         pe = job.pe_by_id(pe_id)
@@ -277,25 +284,17 @@ class SAM:
         ORCA metric poll, per-channel aggregation) never see ghost channels.
         """
         job = self.get_job(job_id)
-        for pe_id in pe_ids:
-            pe = job.pe_by_id(pe_id)
-            # discarded for good: skip the quiesced-snapshot deep copy (the
-            # migration phase already extracted anything worth keeping)
-            pe.stop(capture_state=False)
-            if pe.host_name and pe.host_name in self.hcs:
-                self.hcs[pe.host_name].remove_pe(pe.pe_id)
+        pes = [job.pe_by_id(pe_id) for pe_id in pe_ids]
+        # the migration phase already extracted anything worth keeping
+        self._discard_pes(pes)
+        for pe in pes:
             job.pes.remove(pe)
             self.srm.drop_pe_metrics(job_id, pe.pe_id)
             # a removed channel PE can never be restarted: its checkpoint
             # chain would only ever rehydrate a ghost
-            if self.checkpoint_store is not None:
-                self.checkpoint_store.drop_pe(job_id, pe.pe_id)
+            self.checkpoint_store.drop_pe(job_id, pe.pe_id)
             if self.checkpoint_service is not None:
                 self.checkpoint_service.forget_pe(job_id, pe.pe_id)
-            # reliable delivery: condemn anything still pending toward the
-            # removed PE (first-cause-wins loss attribution) and drop its
-            # receiver-side watermarks/replay buffers
-            self.transport.forget_pe(pe.pe_id)
         self.events.publish("topology", job, "remove_pes")
 
     # -- failure notification path ----------------------------------------------------------

@@ -57,6 +57,7 @@ from typing import (
     Union,
 )
 
+from repro.runtime.delivery import DeliveryPlane, Link, LinkRecord
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.spl.tuples import Punctuation, StreamTuple, TupleBatch
 
@@ -192,6 +193,7 @@ class _HeldUnit(NamedTuple):
     still condemns the held unit, and flushed queues merge in send order.
     """
 
+    link: LinkRecord
     src_pe: Optional["PERuntime"]
     dst_pe: "PERuntime"
     op_full_name: str
@@ -306,17 +308,17 @@ class Transport:
         #: order when the fault is cleared
         self._held: Dict[int, List[_HeldUnit]] = {}
         self._next_fault_id = 1
-        #: (src pe id or "", dst pe id) -> latest scheduled arrival, so a
-        #: fault expiring mid-stream cannot reorder a connection's items
-        self._fifo_horizon: Dict[Tuple[str, str], float] = {}
+        #: the link table: (src pe id or "", dst pe id) -> everything
+        #: remembered about that connection, in every delivery mode;
+        #: records enter in :meth:`_open_link`, leave in :meth:`forget_pe`
+        self.links: Dict[Link, LinkRecord] = {}
+        #: the table by destination (dst -> src -> record) and by source
+        #: (src -> dst -> record): a PE's links are a lookup, not a scan
+        self._toward: Dict[str, Dict[str, LinkRecord]] = {}
+        self._from: Dict[str, Dict[str, LinkRecord]] = {}
         #: (operator, port) -> kernel label of deliveries to that input
         #: port, built once instead of per scheduled delivery
         self._deliver_labels: Dict[Tuple[str, int], str] = {}
-        #: (src pe id or "", dst pe id) -> send index of the last item
-        #: *sent* on that link — assigned before any hold/flush, stamped
-        #: onto deliveries for FIFO taps and used to keep flushed
-        #: partition queues merged in send order
-        self._link_send_seq: Dict[Tuple[str, str], int] = {}
         #: callbacks invoked with a :class:`DeliveryRecord` after every
         #: successful delivery — the chaos fuzzer's FIFO oracle registers
         #: here; the hot path skips record construction while empty
@@ -332,18 +334,16 @@ class Transport:
         self.reliability_observer: Optional[
             Callable[[str, int, str, int, float], None]
         ] = None
-        #: health-plane pressure tap ``(kind, value, link_name)`` — the
-        #: reliable delivery plane reports each unit's ack round trip
-        #: here ("ack_rtt"); None keeps the ack path at one check
+        #: health-plane pressure tap ``(kind, value, operator, dst PE id,
+        #: port)`` — the reliable delivery plane reports each unit's ack
+        #: round trip here ("ack_rtt"); None keeps the ack path at one check
         self.pressure_observer: Optional[
-            Callable[[str, float, str], None]
+            Callable[[str, float, str, str, int], None]
         ] = None
         #: the reliable-delivery plane; None in best-effort mode keeps
         #: every hot path at a single check
-        self.reliability = None
+        self.reliability: Optional[DeliveryPlane] = None
         if delivery != "best_effort":
-            from repro.runtime.delivery import DeliveryPlane
-
             self.reliability = DeliveryPlane(
                 self,
                 exactly_once=(delivery == "exactly_once"),
@@ -484,8 +484,11 @@ class Transport:
             # restarted incarnation, and none goes unaccounted
             self.flush_open_batches(dst_pe_id=pe_id)
         self._incarnations[pe_id] = self._incarnations.get(pe_id, 0) + 1
-        if self.reliability is not None:
-            self.reliability.on_pe_crashed(pe_id)
+        # copies parked for reordering died with the process; their units
+        # are still pending on the senders and will be retransmitted to
+        # the new incarnation, so nothing is condemned here
+        for link in self.links_toward(pe_id):
+            link.reorder.clear()
 
     # -- putting units on the wire --------------------------------------------
 
@@ -693,13 +696,26 @@ class Transport:
                 self.batch_observer(n)
             item = TupleBatch(members)
         dst_pe_id = dst_pe.pe_id
-        link = (src_pe.pe_id if src_pe is not None else "", dst_pe_id)
-        base = self._link_send_seq.get(link, 0)
-        self._link_send_seq[link] = base + n
+        key = (src_pe.pe_id if src_pe is not None else "", dst_pe_id)
+        link = self.links.get(key) or self._open_link(key)
+        base = link.send_seq
+        link.send_seq = base + n
         self._put_on_wire(
-            faults, src_pe, dst_pe, op_full_name, port, item,
+            faults, link, src_pe, dst_pe, op_full_name, port, item,
             self._incarnations.get(dst_pe_id, 0), base + 1,
         )
+
+    def _open_link(self, key: Link) -> LinkRecord:
+        """Make the record of a link that carries its first unit."""
+        src, dst = key
+        link = self.links[key] = LinkRecord(key)
+        self._toward.setdefault(dst, {})[src] = link
+        self._from.setdefault(src, {})[dst] = link
+        return link
+
+    def links_toward(self, pe_id: str) -> List[LinkRecord]:
+        """The records of the links into one PE, oldest first."""
+        return list(self._toward.get(pe_id, {}).values())
 
     def _compose(
         self, faults: Sequence[LinkFault]
@@ -730,6 +746,7 @@ class Transport:
     def _put_on_wire(
         self,
         faults: Sequence[LinkFault],
+        link: LinkRecord,
         src_pe: Optional["PERuntime"],
         dst_pe: "PERuntime",
         op_full_name: str,
@@ -764,17 +781,18 @@ class Transport:
                 held = self._held if park_into is None else park_into
                 held.setdefault(wall.fault_id, []).append(
                     _HeldUnit(
-                        src_pe, dst_pe, op_full_name, port, payload,
+                        link, src_pe, dst_pe, op_full_name, port, payload,
                         incarnation, first_seq, redelivery,
                     )
                 )
                 return float("inf")
         else:
             arrive_at = self.kernel.now + self.latency
-        src_key = src_pe.pe_id if src_pe is not None else ""
-        link = (src_key, dst_pe.pe_id)
-        arrive_at = max(arrive_at, self._fifo_horizon.get(link, 0.0))
-        self._fifo_horizon[link] = arrive_at
+        if arrive_at < link.horizon:
+            arrive_at = link.horizon
+        else:
+            link.horizon = arrive_at
+        src_key = link.key[0]
         if self.obs is not None and getattr(payload, "traced", False):
             # one span per scheduled hop: covers fresh sends and
             # partition flushes alike; arrive_at is post-FIFO-clamp, so
@@ -904,12 +922,16 @@ class Transport:
         """The ``"__transport__"`` epoch payload for one PE, or None.
 
         Exactly-once mode persists each link's delivered watermark into
-        every checkpoint epoch so crash recovery can replay precisely the
-        units the restored state does not cover.
+        every checkpoint epoch — at capture time they cover exactly the
+        units whose effects are in the captured operator snapshots — so
+        crash recovery replays precisely what the restored state lacks.
         """
-        if self.reliability is None:
+        if self.delivery != "exactly_once":
             return None
-        return self.reliability.checkpoint_watermarks(pe_id)
+        watermarks = {
+            link.key[0]: link.delivered_wm for link in self.links_toward(pe_id)
+        }
+        return {"watermarks": watermarks}
 
     def on_epoch_committed(self, pe_id: str, floor: Dict[str, int]) -> None:
         """A checkpoint epoch committed: truncate replay buffers.
@@ -951,18 +973,32 @@ class Transport:
             self.reliability.expedite_pending(dst_pe_id)
 
     def forget_pe(self, pe_id: str) -> None:
-        """Forget a PE removed for good (scale-in), in every mode.
+        """Forget a PE removed for good (scale-in, job cancellation).
 
-        Reliable modes condemn the units still pending toward it
-        (first-cause-wins: units a drop fault already claimed stay in
-        ``dropped_by_fault`` and are not recounted in
-        ``dropped_in_flight``).  Every mode drops the per-link FIFO
-        horizon and send sequence of each link the PE was an end of: PE
-        ids are allocated fresh on every scale-out, so those links can
-        never carry a new unit and would otherwise accumulate.
+        The one way out of the link table, and the one retention rule:
+        every link with the PE at either end goes — PE ids are allocated
+        fresh, so it can never carry a new unit — except, under
+        ``exactly_once``, a link *from* the PE toward a destination that
+        never committed an epoch.  That link's replay buffer is the
+        replay-from-zero history that rebuilds the destination's sequence
+        cursor on a restart; it goes when the destination does.  Open
+        batches at either end are committed first, so their tuples are
+        units like any other, and the reliable plane condemns the units
+        of every dropped link.
         """
-        if self.reliability is not None:
-            self.reliability.forget_pe(pe_id)
-        for per_link in (self._fifo_horizon, self._link_send_seq):
-            for link in [link for link in per_link if pe_id in link]:
-                del per_link[link]
+        for flow in [flow for flow in self._open_batches if pe_id in flow[:2]]:
+            self._flush_flow(flow)
+        plane = self.reliability
+        dropped = list(self._toward.pop(pe_id, {}).values())
+        for link in dropped:
+            self._from.get(link.key[0], {}).pop(pe_id, None)
+        for dst, link in self._from.pop(pe_id, {}).items():
+            if plane is None or not plane.exactly_once or dst in plane.committing_pes:
+                self._toward.get(dst, {}).pop(pe_id, None)
+                dropped.append(link)
+        for link in dropped:
+            self.links.pop(link.key, None)
+        if plane is not None:
+            plane.condemn(dropped)
+            plane.committing_pes.discard(pe_id)
+        self._incarnations.pop(pe_id, None)

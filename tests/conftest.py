@@ -19,18 +19,26 @@ from repro.spl.tuples import Punctuation, StreamTuple
 #: ``tests/test_elastic_properties.py`` under ``elastic-ci``,
 #: ``tests/test_orca_scopes.py`` under ``orca-ci`` and
 #: ``tests/test_batch_path_properties.py`` under ``batch-ci``; tier-1
-#: keeps each module's own small budget
+#: keeps each module's own small budget.  The ``wire-ci`` step also runs
+#: ``TestCancelCyclesLeakNothing`` at its long cycle count
 settings.register_profile("wire-ci", max_examples=400, deadline=None)
 settings.register_profile("elastic-ci", max_examples=300, deadline=None)
 settings.register_profile("orca-ci", max_examples=1500, deadline=None)
 settings.register_profile("batch-ci", max_examples=600, deadline=None)
 
 
+def under_profile(ci_profile: str) -> bool:
+    """Whether this run loaded ``ci_profile`` (``--hypothesis-profile``)."""
+    ci = settings.get_profile(ci_profile).max_examples
+    return settings.default.max_examples == ci
+
+
 def example_budget(ci_profile: str, tier1: int) -> settings:
     """``tier1`` examples, or ``ci_profile``'s budget when CI loaded that profile."""
     ci = settings.get_profile(ci_profile).max_examples
-    examples = ci if settings.default.max_examples == ci else tier1
-    return settings(max_examples=examples, deadline=None)
+    return settings(
+        max_examples=ci if under_profile(ci_profile) else tier1, deadline=None
+    )
 
 
 def functions_under(root: pathlib.Path):

@@ -229,12 +229,12 @@ class TestPeriodicCheckpointing:
         job = system.submit_job(build_plain_app())
         system.run_for(5.0)
         pe = job.pe_of_operator("work")
-        checkpointed = system.checkpoint_store.latest_committed(
-            job.job_id, pe.pe_id
-        ).payloads["work"]["store"]["keyed"]["counts"]
+        epoch = system.checkpoint_store.latest_committed(job.job_id, pe.pe_id)
+        checkpointed = epoch.payloads["work"]["store"]["keyed"]["counts"]
         assert checkpointed
         pe.crash("test")
-        assert not pe.state_registry  # crash never produced a quiesced snapshot
+        # the crash never produced a quiesced snapshot: no newer epoch
+        assert system.checkpoint_store.latest_committed(job.job_id, pe.pe_id) is epoch
         system.sam.restart_pe(job.job_id, pe.pe_id, rehydrate=True)
         system.run_for(2.0)
         assert pe.last_restore is not None

@@ -22,8 +22,16 @@ from repro.elastic import (
 from repro.orca.scopes import ParallelRegionScope
 from repro.runtime.pe import PEState
 from repro.spl.application import Application
-from repro.spl.library import CallbackSource, KeyedCounter, Sink, stable_channel_of
+from repro.spl.library import (
+    Beacon,
+    CallbackSource,
+    KeyedCounter,
+    Sink,
+    stable_channel_of,
+)
 from repro.spl.parallel import parallel
+
+from tests.conftest import under_profile
 
 N_KEYS = 8
 
@@ -222,11 +230,11 @@ class TestLiveStateMigration:
 
 
 class TestRescaleCyclesLeakNothing:
-    """Per-link transport bookkeeping stays flat across rescale cycles.
+    """The link table stays flat across rescale cycles.
 
-    PE ids are allocated fresh on every scale-out, so every map keyed by
-    a link ``(source PE, destination PE)`` must drop the links of a PE
-    removed for good or it grows by the region's width each cycle.
+    PE ids are allocated fresh on every scale-out, so the table must
+    drop the links of a PE removed for good or it grows by the region's
+    width each cycle.
     """
 
     CYCLES = 20
@@ -235,23 +243,26 @@ class TestRescaleCyclesLeakNothing:
     def _bookkeeping(system, job):
         """Sizes that must not grow, as one comparable dict."""
         transport = system.transport
+        plane = transport.reliability
         live = {pe.pe_id for pe in job.pes}
+        # Toward a removed PE nothing may remain.  Links *from* one
+        # toward a live, never-committing destination (the merger) are
+        # retained under exactly-once by design — they are the
+        # replay-from-zero history that rebuilds its sequence cursor on a
+        # restart — so only links with both ends alive are compared.
+        assert all(
+            dst in live and (src in live or plane is not None)
+            for src, dst in transport.links
+        )
         sizes = {
-            "fifo_horizon": len(transport._fifo_horizon),
-            "link_send_seq": len(transport._link_send_seq),
+            "links": sum(1 for src, _dst in transport.links if src in live),
+            "replaying": sum(
+                1 for (src, _dst), link in transport.links.items()
+                if src in live and link.replay
+            ),
             "held": sum(len(units) for units in transport._held.values()),
         }
-        plane = transport.reliability
         if plane is not None:
-            # Toward a removed PE nothing may remain.  Links *from* one
-            # toward a live, never-committing destination (the merger)
-            # are retained by design — they are the replay-from-zero
-            # history that rebuilds its sequence cursor on a restart —
-            # so only links with both ends alive are compared.
-            for name in ("delivered_wm", "replay_buffer"):
-                links = getattr(plane, name)
-                assert all(link[1] in live for link in links), name
-                sizes[name] = sum(1 for link in links if link[0] in live)
             # the source never pauses: at most the tick on the wire at
             # the sampling instant is unacknowledged
             assert len(plane.pending) <= 2
@@ -279,6 +290,97 @@ class TestRescaleCyclesLeakNothing:
         assert_contiguous_counts(sink)
 
 
+class TestCancelCyclesLeakNothing:
+    """A cancelled job leaves nothing on the wire, cycle after cycle.
+
+    The paper's third use case (Sec. 5.3) is an orchestrator that submits
+    and cancels jobs for as long as it lives.  ``SAM.cancel_job`` used to
+    tell the transport nothing: every link of every dead job stayed in
+    the table, units in flight at the cancel instant stayed pending
+    toward stopped PEs with a retry timer re-arming for ever, and the
+    health plane reported a growing lag watermark on links of jobs that
+    no longer existed.
+    """
+
+    #: tier-1 budget; the CI ``delivery-matrix`` job runs 200
+    CYCLES = 200 if under_profile("wire-ci") else 20
+
+    @staticmethod
+    def _chain(cycle):
+        app = Application(f"Chain{cycle}")
+        g = app.graph
+        src = g.add_operator(
+            "src", Beacon, params={"values": {"k": 1}, "period": 0.01}, partition="a"
+        )
+        work = g.add_operator("work", KeyedCounter, params={"key": "k"}, partition="b")
+        sink = g.add_operator("sink", Sink, params={"record": False}, partition="c")
+        g.connect(src.oport(0), work.iport(0))
+        g.connect(work.oport(0), sink.iport(0))
+        return app
+
+    @staticmethod
+    def _residue(system):
+        """Everything that must read the same after every cancelled job."""
+        transport, health = system.transport, system.obs.health
+        plane = transport.reliability
+        return {
+            "in_flight": dict(transport._in_flight),
+            "pending": len(plane.pending) if plane is not None else 0,
+            "replay_bytes": sum(plane.replay_bytes.values()) if plane is not None else 0,
+            "kernel_pending": system.kernel.pending_count(),
+            "links": dict(transport.links),
+            "index": (dict(transport._toward), dict(transport._from)),
+            "open_batches": dict(transport._open_batches),
+            "held": {fault: units for fault, units in transport._held.items() if units},
+            "incarnations": dict(transport._incarnations),
+            "health_ports": dict(health._ports),
+            "replay_links": set(system.obs._replay_links),
+        }
+
+    @pytest.mark.parametrize("batch_max_size", [1, 8])
+    @pytest.mark.parametrize(
+        "delivery", ["best_effort", "at_least_once", "exactly_once"]
+    )
+    def test_submit_cancel_cycles_leave_nothing_behind(self, delivery, batch_max_size):
+        system = SystemS(
+            hosts=4,
+            seed=7,
+            config=SystemConfig(
+                delivery=delivery,
+                batch_max_size=batch_max_size,
+                checkpoint_interval=0.5,
+            ),
+        )
+        transport, health = system.transport, system.obs.health
+        after_first = None
+        cancels_with_units_in_flight = 0
+        for cycle in range(self.CYCLES):
+            job = system.submit_job(self._chain(cycle))
+            # cancel instants sweep the source's 10 ms period, so some
+            # (the first among them) fall inside the 1 ms a unit spends
+            # on a wire
+            system.run_for(2.0 + 0.0005 * ((cycle + 1) % 20))
+            if cycle % 5 == 4:  # a crashed-and-restarted PE leaves nothing either
+                job.pe_of_operator("work").crash("cycle")
+                system.sam.restart_pe(job.job_id, job.pe_of_operator("work").pe_id)
+                system.run_for(1.5)
+            cancels_with_units_in_flight += bool(transport._in_flight)
+            system.cancel_job(job.job_id)
+            retransmissions = transport.retransmissions
+            system.run_for(2 * health.interval)
+            assert health.max_lag == 0.0, f"cycle {cycle + 1}"
+            assert health.link_lags() == {}, f"cycle {cycle + 1}"
+            system.run_for(4.0)
+            assert transport.retransmissions == retransmissions, f"cycle {cycle + 1}"
+            residue = self._residue(system)
+            if after_first is None:
+                after_first = residue
+            assert residue == after_first, f"cycle {cycle + 1}"
+        assert cancels_with_units_in_flight >= 1
+        assert after_first["links"] == {} and after_first["in_flight"] == {}
+        assert after_first["pending"] == 0 and after_first["health_ports"] == {}
+
+
 class TestRehydrateRestart:
     def build_plain_counter_app(self):
         app = Application("Plain")
@@ -303,7 +405,9 @@ class TestRehydrateRestart:
         before = dict(pe.operators["work"].state.keyed("counts").items())
         assert before
         system.sam.stop_pe(job.job_id, pe.pe_id)
-        assert pe.state_registry  # quiesced snapshot captured at stop
+        # quiesced snapshot committed at stop, as a full epoch
+        stopped = system.checkpoint_store.latest_committed(job.job_id, pe.pe_id)
+        assert stopped.full and stopped.payloads["work"]["store"]["keyed"]["counts"]
         system.sam.restart_pe(job.job_id, pe.pe_id, rehydrate=True)
         system.run_for(2.0)
         after = dict(pe.operators["work"].state.keyed("counts").items())
@@ -332,7 +436,7 @@ class TestRehydrateRestart:
         before = dict(pe.operators["work"].state.keyed("counts").items())
         assert before and min(before.values()) >= 2
         pe.crash("test")
-        assert not pe.state_registry
+        assert system.checkpoint_store.latest_committed(job.job_id, pe.pe_id) is None
         pe.restart(rehydrate=True)  # nothing to rehydrate from: starts empty
         system.run_for(1.0)
         after = dict(pe.operators["work"].state.keyed("counts").items())

@@ -22,6 +22,12 @@ host failure; a one-shot and a periodic timer; user events; chaos
 injections on an owned job, on a foreign job and on none; SLO alerts
 with and without a region.
 
+One line was removed on purpose since (PR 19): the ``health_alert`` at
+t=29.5 paged the ``lag`` SLO about ``an.core.parse@pe_4`` half a second
+*after* its job was cancelled — a unit left pending toward the stopped PE
+kept a lag watermark alive.  ``SAM.cancel_job`` now lets the transport
+forget the job's PEs, so no event is raised about a job that is gone.
+
 Re-record (only when a change *means* to alter what the service emits)
 with ``PYTHONPATH=src python -m tests.test_orca_events_golden``.
 """

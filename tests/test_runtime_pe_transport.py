@@ -610,3 +610,112 @@ class TestOneWire:
         attrs = {n.attr for n in ast.walk(transmit) if isinstance(n, ast.Attribute)}
         assert not attrs & {"extra_latency", "partition", "until", "_held"}
         assert "_put_on_wire" in attrs
+
+
+class TestOneLinkTable:
+    """What the runtime remembers about a connection lives in one record.
+
+    Structural, like :class:`TestOneWire`: the eight link-keyed dicts on
+    two objects were kept in step by ten scans and forgotten by two
+    rules; a ninth dict, an eleventh scan or a second way out of the
+    table must fail here.
+    """
+
+    _where = TestOneWire._where
+    _calls = staticmethod(calls)
+
+    def test_the_table_is_the_only_link_keyed_container(self):
+        from repro.runtime.delivery import DeliveryPlane
+
+        system = SystemS(
+            hosts=4,
+            seed=42,
+            config=SystemConfig(delivery="exactly_once", replay_buffer_max_bytes=64),
+        )
+        job = system.submit_job(make_linear_app(period=0.01, per_tick=4))
+        system.run_for(1.0)
+        job.pe_of_operator("sink").crash("probe")  # reorder / replay get used
+        job.pe_of_operator("sink").restart()
+        system.run_for(1.0)
+        transport = system.transport
+        assert transport.links
+        for owner in (transport, transport.reliability):
+            for name, value in vars(owner).items():
+                if name != "links" and isinstance(value, dict):
+                    assert not set(value) & set(transport.links), name
+        for owner, gone in (
+            (transport, ("_fifo_horizon", "_link_send_seq")),
+            (
+                transport.reliability,
+                ("delivered_wm", "reorder", "replay_buffer", "truncated_to", "stalled"),
+            ),
+        ):
+            for name in gone:
+                assert not hasattr(owner, name), name
+        # kept readable for the frozen benchmark, derived from the table
+        assert isinstance(vars(DeliveryPlane)["replay_bytes"], property)
+        assert transport.reliability.replay_bytes == {
+            key: link.replay_bytes for key, link in transport.links.items()
+        }
+
+    def test_no_comprehension_scans_for_the_links_of_a_pe(self):
+        def filters_on_an_end_of_a_link_key(node):
+            return isinstance(node, ast.comprehension) and any(
+                isinstance(test, ast.Subscript)
+                and isinstance(test.slice, ast.Constant)
+                and test.slice.value in (0, 1)
+                for condition in node.ifs
+                for test in ast.walk(condition)
+            )
+
+        # the two hits left pick tuples that are not link keys: a job's
+        # (job id, operator) exports and the open batches' flows
+        assert self._where(filters_on_an_end_of_a_link_key) == [
+            "ImportExportRegistry.disconnect_job",
+            "Transport.flush_open_batches",
+        ]
+
+    def test_records_enter_and_leave_the_table_in_one_function_each(self):
+        def touches_links(node):
+            return isinstance(node, ast.Attribute) and node.attr == "links"
+
+        def removes(node):
+            target = None
+            if isinstance(node, ast.Delete):
+                target = node.targets[0].value if isinstance(
+                    node.targets[0], ast.Subscript
+                ) else None
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                "pop", "popitem", "clear",
+            ):
+                target = node.func.value
+            return target is not None and touches_links(target)
+
+        def stores(node):
+            return isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Subscript) and touches_links(target.value)
+                for target in node.targets
+            )
+
+        assert self._where(removes) == ["Transport.forget_pe"]
+        assert self._where(stores) == ["Transport._open_link"]
+        assert self._where(self._calls("LinkRecord")) == ["Transport._open_link"]
+        assert sorted(self._where(self._calls("_open_link"))) == [
+            "DeliveryPlane._admit",
+            "Transport._commit",
+        ]
+
+    def test_one_forget_reached_from_scale_in_and_from_cancellation(self):
+        def transport_forget(node):
+            return self._calls("forget_pe")(node) and (
+                getattr(node.func.value, "attr", None) == "transport"
+            )
+
+        assert self._where(transport_forget) == ["SAM._discard_pes"]
+        assert sorted(self._where(self._calls("_discard_pes"))) == [
+            "SAM.cancel_job",
+            "SAM.remove_pes",
+        ]
+        from repro.runtime.delivery import DeliveryPlane
+
+        assert not hasattr(DeliveryPlane, "forget_pe")

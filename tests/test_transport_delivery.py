@@ -140,8 +140,7 @@ class TestDuplicateSuppression:
         for i in range(5):
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(0.5)
-        link = (src_pe.pe_id, sink_pe.pe_id)
-        assert transport.reliability.delivered_wm[link] == 5
+        assert transport.links[src_pe.pe_id, sink_pe.pe_id].delivered_wm == 5
         payload = transport.checkpoint_watermarks(sink_pe.pe_id)
         assert payload == {"watermarks": {src_pe.pe_id: 5}}
 
@@ -282,15 +281,14 @@ class TestExactlyOnceRestart:
         for i in range(3):
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(0.5)
-        link = (src_pe.pe_id, sink_pe.pe_id)
-        plane = transport.reliability
-        assert sorted(plane.replay_buffer[link]) == [1, 2, 3]
+        link = transport.links[src_pe.pe_id, sink_pe.pe_id]
+        assert sorted(link.replay) == [1, 2, 3]
         transport.on_epoch_committed(sink_pe.pe_id, {src_pe.pe_id: 2})
-        assert sorted(plane.replay_buffer[link]) == [3]
-        assert plane.truncated_to[link] == 2
+        assert sorted(link.replay) == [3]
+        assert link.truncated_to == 2
         # an older floor never un-truncates
         transport.on_epoch_committed(sink_pe.pe_id, {src_pe.pe_id: 1})
-        assert plane.truncated_to[link] == 2
+        assert link.truncated_to == 2
 
     def test_restart_replays_processed_units_above_committed_floor(self):
         system = reliable_system("exactly_once")
@@ -343,6 +341,58 @@ class TestFirstCauseWins:
         assert transport.dropped_by_fault == 0
         system.run_for(0.5)
         assert sink.seen == []  # condemned: the late copy is ignored
+
+
+class TestForgetPeRetentionRule:
+    """``Transport.forget_pe``: every link with the PE at either end goes,
+    except — exactly-once — one *from* it toward a never-committing PE."""
+
+    @staticmethod
+    def _forget_sender_with_a_unit_on_the_wire(delivery, sink_commits=False):
+        system = reliable_system(delivery)
+        transport, src_pe, sink_pe, sink = wire_fixture(system)
+        for i in range(2):
+            transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
+        system.run_for(0.5)
+        if sink_commits:
+            transport.on_epoch_committed(sink_pe.pe_id, {})
+        transport.send(sink_pe, "sink", 0, tup(2), src_pe=src_pe)
+        src_pe.stop(capture_state=False)
+        transport.forget_pe(src_pe.pe_id)
+        key = (src_pe.pe_id, sink_pe.pe_id)
+        system.run_for(1.0)
+        return transport, key, [t["iter"] for t in sink.seen]
+
+    def test_best_effort_drops_the_link_and_the_wire_copy_still_lands(self):
+        transport, key, seen = self._forget_sender_with_a_unit_on_the_wire("best_effort")
+        assert transport.links == {} and seen == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "delivery, sink_commits",
+        [("at_least_once", False), ("exactly_once", True)],
+    )
+    def test_a_dropped_link_takes_its_unacknowledged_units_along(
+        self, delivery, sink_commits
+    ):
+        transport, key, seen = self._forget_sender_with_a_unit_on_the_wire(
+            delivery, sink_commits
+        )
+        assert transport.links == {}
+        assert transport.reliability.pending == {}
+        assert transport.dropped_in_flight == 1 and transport._in_flight == {}
+        assert seen == [0, 1]  # the late copy finds no record and is ignored
+        assert transport.retransmissions == 0
+
+    def test_exactly_once_keeps_the_replay_history_of_a_never_committing_sink(self):
+        transport, key, seen = self._forget_sender_with_a_unit_on_the_wire(
+            "exactly_once"
+        )
+        assert list(transport.links) == [key]
+        assert sorted(transport.links[key].replay) == [1, 2, 3]
+        assert transport.dropped_in_flight == 0 and seen == [0, 1, 2]
+        # ... and it goes when the destination does
+        transport.forget_pe(key[1])
+        assert transport.links == {} and transport._toward == {} == transport._from
 
 
 class TestLossyAcks:
@@ -428,8 +478,6 @@ class TestReplayBufferCap:
     def test_cap_stalls_sender_and_commit_releases_in_order(self):
         system = reliable_system("exactly_once", replay_buffer_max_bytes=1)
         transport, src_pe, sink_pe, sink = wire_fixture(system)
-        plane = transport.reliability
-        link = (src_pe.pe_id, sink_pe.pe_id)
         # the cap only stalls links toward destinations that commit
         # epochs; mark the sink as one (an empty floor truncates nothing)
         transport.on_epoch_committed(sink_pe.pe_id, {})
@@ -438,19 +486,21 @@ class TestReplayBufferCap:
         for i in range(2):
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(0.5)
-        assert plane.replay_bytes[link] >= 1
+        link = transport.links[src_pe.pe_id, sink_pe.pe_id]
+        assert link.replay_bytes >= 1
+        assert transport.reliability.replay_bytes == {link.key: link.replay_bytes}
         # the next three sends park before seq allocation
         for i in range(2, 5):
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(0.5)
         assert transport.replay_stalls == 3
-        assert len(plane.stalled[link]) == 3
+        assert len(link.stalled) == 3
         assert [t["iter"] for t in sink.seen] == [0, 1]
         # the backlog stays visible to drain barriers / the health plane
         assert transport.queue_size(sink_pe.pe_id, "sink", 0) == 3
         # an epoch commit truncates the buffer and releases the queue
         transport.on_epoch_committed(sink_pe.pe_id, {src_pe.pe_id: 2})
-        assert link not in plane.stalled
+        assert link.stalled == []
         system.run_for(1.0)
         # zero loss, strict FIFO across the stall boundary
         assert [t["iter"] for t in sink.seen] == [0, 1, 2, 3, 4]
@@ -464,7 +514,7 @@ class TestReplayBufferCap:
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(1.0)
         assert transport.replay_stalls == 0
-        assert transport.reliability.stalled == {}
+        assert not any(link.stalled for link in transport.links.values())
         assert len(sink.seen) == 50
 
     def test_never_committing_destination_is_never_stalled(self):
@@ -477,7 +527,7 @@ class TestReplayBufferCap:
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(1.0)
         assert transport.replay_stalls == 0
-        assert transport.reliability.stalled == {}
+        assert not any(link.stalled for link in transport.links.values())
         assert len(sink.seen) == 20
 
     def test_forget_pe_condemns_stalled_units(self):
@@ -491,7 +541,7 @@ class TestReplayBufferCap:
         assert transport.replay_stalls == 1
         transport.forget_pe(sink_pe.pe_id)
         assert transport.dropped_in_flight == 1
-        assert transport.reliability.stalled == {}
+        assert transport.links == {}
         assert transport.queue_size(sink_pe.pe_id, "sink", 0) == 0
 
     def test_commit_starved_pipeline_stalls_without_loss(self):

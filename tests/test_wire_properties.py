@@ -4,7 +4,7 @@ The delivery layer's example tests pin chosen scenarios; these let
 ``hypothesis`` choose them.  One schedule language (sends and punctuation
 on two links into one input port, lossy / slow / partitioned links in
 both directions, timed and untimed, heals in any order, destination
-crashes and restarts) is interpreted on a fresh three-PE system per
+crashes and restarts, any of the three PEs removed for good) is interpreted on a fresh three-PE system per
 example, run to quiescence, and judged by what each delivery mode
 promises:
 
@@ -14,6 +14,10 @@ promises:
 * ``at_least_once`` — nothing stays in flight and every unit reaches the
   application at least once;
 * ``exactly_once`` — per-link FIFO, zero loss and zero duplicates;
+* every mode, after every step — nothing the wire remembers names a
+  removed PE (:meth:`WireRun.assert_removed_pes_are_forgotten`); the
+  promises above then hold for the links still in the table (a link
+  dropped with one of its ends took its unacknowledged units along);
 * every mode — a run of ``send_batch([t])`` calls is indistinguishable
   from the same run of ``send(t)`` calls: same tap records, same
   counters, same seeded-RNG end states (a unit of one *is* the single
@@ -79,6 +83,7 @@ steps = st.one_of(
     st.tuples(st.just("heal"), st.integers(0, 7)),
     st.tuples(st.just("crash")),
     st.tuples(st.just("restart")),
+    st.tuples(st.just("remove_pe"), st.sampled_from(("left", "right", "sink"))),
 )
 schedules = st.lists(steps, min_size=8, max_size=40)
 
@@ -94,11 +99,13 @@ class WireRun:
                 delivery=delivery, batch_max_size=batch_max_size, batch_linger=0.002
             ),
         )
-        job = self.system.submit_job(fan_in_app())
+        job = self.job = self.system.submit_job(fan_in_app())
         self.system.run_for(0.5)
         self.transport = self.system.transport
         self.sources = (job.pe_of_operator("left"), job.pe_of_operator("right"))
         self.sink_pe = job.pe_of_operator("sink")
+        #: ids of the PEs a ``remove_pe`` step took out of the job
+        self.removed = set()
         self.via_send_batch = via_send_batch
         self.records = []
         self.transport.delivery_taps.append(self.records.append)
@@ -107,12 +114,20 @@ class WireRun:
         self.sent = 0
         for step in schedule:
             getattr(self, "_" + step[0])(*step[1:])
+            self.assert_removed_pes_are_forgotten()
         for fault in self.faults:
             self.transport.clear_link_fault(fault)
         self._restart()
         self.system.run_for(30.0)
+        self.assert_removed_pes_are_forgotten()
+
+    def _link_exists(self, link):
+        """Both ends still in the job: a removed PE neither sends nor is sent to."""
+        return not {self.sources[link].pe_id, self.sink_pe.pe_id} & self.removed
 
     def _send(self, link, n):
+        if not self._link_exists(link):
+            return
         for _ in range(n):
             tup = StreamTuple({"iter": self.sent})
             self.sent += 1
@@ -126,6 +141,8 @@ class WireRun:
                 )
 
     def _punct(self, link):
+        if not self._link_exists(link):
+            return
         self.transport.send(
             self.sink_pe, "sink", 0, WindowMarker, src_pe=self.sources[link]
         )
@@ -151,8 +168,40 @@ class WireRun:
     def _crash(self):
         self.sink_pe.crash("wire-property")
 
+    def _remove_pe(self, which):
+        pe = {"left": self.sources[0], "right": self.sources[1], "sink": self.sink_pe}[
+            which
+        ]
+        if pe.pe_id not in self.removed:
+            self.removed.add(pe.pe_id)
+            self.system.sam.remove_pes(self.job.job_id, [pe.pe_id])
+
+    def assert_removed_pes_are_forgotten(self):
+        """No link record, pending unit or in-flight count names a removed PE.
+
+        The one retained direction: under exactly-once, a link *from* a
+        removed source toward the live sink (which never commits an
+        epoch) keeps its record — it is the sink's replay-from-zero
+        history — and with it its unacknowledged units.  Stalled units
+        live in their link's record, so the record check covers them.
+        Best-effort keeps no unit registry: wire copies toward a removed
+        PE still count in flight until they arrive at the stopped
+        process, so its in-flight check waits for quiescence (the
+        properties assert ``_in_flight == {}`` there).
+        """
+        t, gone = self.transport, self.removed
+        plane = t.reliability
+        retains = plane is not None and plane.exactly_once
+        for src, dst in t.links:
+            assert dst not in gone and (src not in gone or retains), (src, dst)
+        assert not (set(t._toward) | set(t._from)) & gone
+        assert not set(t._incarnations) & gone
+        if plane is not None:
+            assert all(entry.link.key in t.links for entry in plane.pending.values())
+            assert not {pe_id for pe_id, _op, _port in t._in_flight} & gone
+
     def _restart(self):
-        if self.sink_pe.is_running:
+        if self.sink_pe.is_running or self.sink_pe.pe_id in self.removed:
             return
         for fault in self.faults:  # the known replay gap: see module docstring
             if fault.drop_probability > 0.0:
@@ -182,12 +231,17 @@ class WireRun:
         return per_link
 
     def claimed(self):
-        """Per link, every seq the senders claimed."""
+        """Per link still in the table, every seq the senders claimed."""
         return {
-            link: list(range(1, last + 1))
-            for link, last in self.transport._link_send_seq.items()
-            if link[1] == self.sink_pe.pe_id and last
+            key: list(range(1, link.send_seq + 1))
+            for key, link in self.transport.links.items()
+            if key[1] == self.sink_pe.pe_id and link.send_seq
         }
+
+    def first_deliveries_on(self, links):
+        """:meth:`first_deliveries`, for ``links`` only."""
+        delivered = self.first_deliveries()
+        return {link: delivered.get(link, []) for link in links}
 
 
 @BUDGET
@@ -213,8 +267,11 @@ def test_at_least_once_loses_nothing(schedule, batch_max_size):
     run = WireRun("at_least_once", batch_max_size, schedule)
     assert run.transport._in_flight == {}
     assert run.transport.reliability.pending == {}
-    delivered = {link: set(seqs) for link, seqs in run.first_deliveries().items()}
-    assert delivered == {link: set(seqs) for link, seqs in run.claimed().items()}
+    claimed = run.claimed()
+    delivered = run.first_deliveries_on(claimed)
+    assert {link: set(seqs) for link, seqs in delivered.items()} == {
+        link: set(seqs) for link, seqs in claimed.items()
+    }
 
 
 @BUDGET
@@ -225,7 +282,8 @@ def test_exactly_once_is_fifo_lossless_and_duplicate_free(schedule, batch_max_si
     assert run.transport.reliability.pending == {}
     assert run.fifo.violations == []
     # every claimed seq delivered fresh exactly once, in order
-    assert run.first_deliveries() == run.claimed()
+    claimed = run.claimed()
+    assert run.first_deliveries_on(claimed) == claimed
 
 
 @BUDGET
