@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.checkpoint.store import CheckpointStore
 from repro.sim.kernel import Kernel
@@ -263,29 +263,17 @@ class CheckpointService:
 
     # -- cleanup ----------------------------------------------------------------
 
-    def forget_pe(self, job_id: str, pe_id: str) -> None:
-        """Drop the materialized bases of one removed PE.
+    def forget_pes(self, job_id: str, pe_ids: Collection[str]) -> None:
+        """Drop the materialized bases of PEs gone for good.
 
         Args:
             job_id: Owning job.
-            pe_id: The removed PE.
+            pe_ids: The removed PEs (scale-in) or all of a cancelled job's.
         """
         self._materialized = {
             key: value
             for key, value in self._materialized.items()
-            if not (key[0] == job_id and key[1] == pe_id)
-        }
-
-    def forget_job(self, job_id: str) -> None:
-        """Drop the materialized bases of one cancelled job.
-
-        Args:
-            job_id: The cancelled job.
-        """
-        self._materialized = {
-            key: value
-            for key, value in self._materialized.items()
-            if key[0] != job_id
+            if not (key[0] == job_id and key[1] in pe_ids)
         }
 
     def __repr__(self) -> str:

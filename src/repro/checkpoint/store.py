@@ -323,23 +323,13 @@ class CheckpointStore:
     # -- lifecycle --------------------------------------------------------------
 
     def drop_pe(self, job_id: str, pe_id: str) -> None:
-        """Forget every epoch of one PE (removed from a running job).
+        """Forget every epoch of one PE gone for good (scale-in, cancellation).
 
         Args:
             job_id: Owning job.
             pe_id: The PE whose epochs are discarded.
         """
         self._chains.pop((job_id, pe_id), None)
-
-    def drop_job(self, job_id: str) -> None:
-        """Forget every epoch of a cancelled job.
-
-        Args:
-            job_id: The cancelled job.
-        """
-        self._chains = {
-            key: chain for key, chain in self._chains.items() if key[0] != job_id
-        }
 
     def __repr__(self) -> str:
         """Return a short debugging representation."""

@@ -147,10 +147,10 @@ class ElasticController(ChannelRerouter):
             transport: Tuple transport, polled for in-flight backlog.
             kernel: Simulation kernel the protocol is scheduled on.
             events: Runtime bus; the controller publishes ``barrier``,
-                ``reroute``, ``reclaim``, ``rescale`` (every finished
-                rescale, COMPLETED or FAILED, whoever initiated it) and
-                ``topology`` (the rewired mapping is final), and hears
-                ``pe_failure`` / ``pe_restart`` to mask / unmask channels.
+                ``reroute``, ``reclaim`` and ``rescale`` (every finished
+                rescale, COMPLETED or FAILED, whoever initiated it), and
+                hears ``pe_failure`` / ``pe_restart`` to mask / unmask
+                channels.
             checkpoint_store: Masked channels' detours are seeded from
                 the dead channel's last committed epoch held here.
             drain_poll_interval: Seconds between drain-barrier polls.
@@ -394,13 +394,6 @@ class ElasticController(ChannelRerouter):
             splitter_pe = self._splitter_pe(job, plan)
             if splitter_pe is not None:
                 splitter_pe.send_control(plan.splitter, "resume", {})
-        # The rewired channel->PE mapping is only final now (a subscriber
-        # that refreshed at the mid-protocol add_pes holds a stale view),
-        # and a rollback restored the old one: every subscriber refreshes,
-        # owning orchestrator or not.
-        self.events.publish(
-            "topology", job, "rescale" if error is None else "rescale_rollback"
-        )
         if on_complete is not None:
             on_complete(op)
         self.events.publish("rescale", op)

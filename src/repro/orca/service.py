@@ -106,20 +106,19 @@ class OrcaService:
         self.logic._orca = self
         self.scopes = ScopeRegistry()
         self.queue = EventQueue()
-        self.graph = StreamGraph()
         self.deps = DependencyManager(self)
         self.timers = TimerService(self)
         self.command_tool = OrcaCommandTool(self)
         self.metric_epochs = MetricEpochCounter()
         self.failure_epochs = FailureEpochTracker()
         self.jobs: Dict[str, Job] = {}
+        #: the stream graph's per-job side is a live view over ``jobs``
+        self.graph = StreamGraph(self.jobs)
         self.actuation_log: List[ActuationRecord] = []
         #: every delivered event, in delivery order (Sec. 7 reliable-
         #: delivery hook: replaying the journal re-derives the actuations)
         self.event_journal: List[OrcaEvent] = []
         self.handler_errors: List[tuple] = []
-        #: metric samples skipped because the stream graph lagged a rescale
-        self.metric_event_skips = 0
         self._compiled: Dict[str, CompiledApplication] = {}
         self._poll_interval = (
             descriptor.metric_poll_interval
@@ -143,11 +142,10 @@ class OrcaService:
         self._schedule_poll()
         # Runtime events become ORCA events — also for changes driven
         # outside this service (autoscalers, chaos campaigns, direct
-        # controller calls); topology changes refresh the stream graph.
+        # controller calls).
         self._unsubscribe = self.system.events.subscribe(
             reroute=self._on_channel_rerouted,
             rescale=self._on_region_rescaled,
-            topology=self._on_topology_changed,
             reclaim=self._on_state_reclaimed,
             checkpoint=self._on_checkpoint_committed,
             pe_restart=self._on_pe_restarted,
@@ -301,15 +299,10 @@ class OrcaService:
         job_ids = [job_id for job_id in self.jobs if self.job_is_running(job_id)]
         samples = self.system.srm.get_metrics(job_ids)
         epoch = self.metric_epochs.next()
+        # every sample names a PE / operator of the live job: a rescale
+        # changes ``job.pes`` and SRM's samples inside one kernel event
         for sample in samples:
-            try:
-                self._emit_metric_event(sample, epoch)
-            except InspectionError:
-                # A sample can momentarily refer to an operator the stream
-                # graph does not know yet/anymore (a parallel-region rescale
-                # adds and removes channel operators at runtime); skip it —
-                # the next poll sees a consistent view.
-                self.metric_event_skips += 1
+            self._emit_metric_event(sample, epoch)
         self._check_region_congestion(epoch)
         self._schedule_poll()
 
@@ -356,14 +349,10 @@ class OrcaService:
             is_custom=sample.is_custom,
         )
         if sample.operator is None:
-            context = PEMetricContext(host=self.graph.host_of_pe(sample.pe_id), **measured)
-            placed = self.graph.pe_event_attrs(
-                sample.app_name, sample.job_id, sample.pe_id
-            )
+            placed = self.graph.pe_event_attrs(sample.job_id, sample.pe_id)
+            context = PEMetricContext(host=placed["host"], **measured)
         else:
-            placed = self.graph.operator_event_attrs(
-                sample.app_name, sample.operator, sample.job_id, sample.pe_id
-            )
+            placed = self.graph.operator_event_attrs(sample.job_id, sample.operator)
             measured.update(
                 instance_name=sample.operator, operator_kind=placed["operator_type"]
             )
@@ -405,9 +394,7 @@ class OrcaService:
             host=pe.host_name,
             operators=tuple(pe.spec.operators),
         )
-        self._emit(
-            context, **self.graph.pe_event_attrs(job.app_name, job.job_id, pe.pe_id)
-        )
+        self._emit(context, **self.graph.pe_event_attrs(job.job_id, pe.pe_id))
 
     def _receive_host_failure(self, host_name: str, detection_ts: float) -> None:
         affected = tuple(
@@ -461,7 +448,6 @@ class OrcaService:
         compiled = self._get_compiled(app_name)
         job = self.system.sam.submit_job(compiled, params=params, owner_orca=self.orca_id)
         self.jobs[job.job_id] = job
-        self._register_placement(job)
         self._log_actuation("submit", f"{app_name} -> {job.job_id}")
         self._emit(
             JobSubmissionContext(
@@ -474,14 +460,6 @@ class OrcaService:
         )
         return job
 
-    def _register_placement(self, job: Job) -> None:
-        """(Re-)record where each of the job's PEs runs in the stream graph."""
-        self.graph.register_job(
-            job.job_id,
-            job.app_name,
-            {pe.index: (pe.pe_id, pe.host_name) for pe in job.pes},
-        )
-
     def cancel_job(self, job_id: str) -> None:
         """Cancel a job this orchestrator started."""
         self._cancel_managed(job_id, config_id=None, garbage_collected=False)
@@ -491,7 +469,6 @@ class OrcaService:
     ) -> None:
         job = self._check_owned(job_id)
         self.system.sam.cancel_job(job_id)
-        self.graph.unregister_job(job_id)
         self._log_actuation(
             "cancel", f"{job.app_name} ({job_id}) gc={garbage_collected}"
         )
@@ -538,16 +515,14 @@ class OrcaService:
         latest committed epoch (a checkpoint or a graceful stop's snapshot);
         the default keeps the paper's restart-empty semantics.
         """
-        job_id = self.graph.job_of_pe(pe_id)
-        self._check_owned(job_id)
+        job_id = self.graph.job_of_pe(pe_id)  # finds PEs of owned jobs only
         self.system.sam.restart_pe(job_id, pe_id, rehydrate=rehydrate)
         self._log_actuation(
             "restart_pe", f"{pe_id} rehydrate={rehydrate}" if rehydrate else pe_id
         )
 
     def stop_pe(self, pe_id: str) -> None:
-        job_id = self.graph.job_of_pe(pe_id)
-        self._check_owned(job_id)
+        job_id = self.graph.job_of_pe(pe_id)  # finds PEs of owned jobs only
         self.system.sam.stop_pe(job_id, pe_id)
         self._log_actuation("stop_pe", pe_id)
 
@@ -612,8 +587,8 @@ class OrcaService:
         Runs the tuple-loss-free rescale protocol of
         :class:`repro.elastic.controller.ElasticController`; when the
         region resumes, a ``region_rescaled`` event is delivered to the
-        ORCA logic (subject to scope matching) and the in-memory stream
-        graph is refreshed with the new channel operators and PEs.
+        ORCA logic (subject to scope matching); inspection answers from
+        the live job, so the new channel operators and PEs are visible.
         Returns the :class:`~repro.elastic.controller.RescaleOperation`.
         """
         job = self._check_owned(job_id)
@@ -629,8 +604,6 @@ class OrcaService:
         job = self.jobs.get(operation.job_id)
         if job is None:
             return  # not a job this orchestrator owns
-        # the stream graph is already current: the controller publishes
-        # the "rescale" topology change before this event
         succeeded = operation.state is RescaleState.COMPLETED
         migration = operation.migration
         # both events are region-wide: they match any addChannelFilter choice
@@ -669,22 +642,6 @@ class OrcaService:
             ),
             channel=every_channel,
         )
-
-    def _on_topology_changed(self, job, _change: str) -> None:
-        """``topology`` event: the only refresh of the materialized stream graph.
-
-        Published by ``SAM.add_pes`` / ``SAM.remove_pes`` and by the
-        elastic controller when a rescale finishes (completed or rolled
-        back — the rewired channel-to-PE mapping is only final then),
-        whoever drove the change: this service, an autoscaler, a chaos
-        perturbation, another orchestrator.  Without it ``host_of_pe`` /
-        placement queries would answer from a stale PE inventory.  Every
-        change kind refreshes identically: the job is re-registered.
-        """
-        if job.job_id not in self.jobs:
-            return  # not a job this orchestrator owns
-        self.graph.add_application(adl_model_of(job.compiled))
-        self._register_placement(job)
 
     def _on_channel_rerouted(self, record) -> None:
         """``reroute`` event: a splitter mask/unmask happened."""

@@ -6,25 +6,38 @@ representation that has both logical and physical deployment information
 logic using an event context (e.g., which other operators are in the same
 operating system process as operator x?)".
 
-The *logical* side (operators, kinds, composite containment, streams) is
-built from the ADL of every application listed in the orchestrator
-descriptor.  The *physical* side (PE ids, hosts) is registered per job at
-submission time — several jobs may run the same application (replicas), so
-physical queries are keyed by job or by globally-unique PE id.
+Two sides, one implementation per query:
+
+* **per application** — built once from the ADL of every application
+  listed in the orchestrator descriptor and never refreshed; it serves the
+  queries that name an *application* (operator kinds, composite
+  containment, streams), and answers for the application as registered;
+* **per job** — a *view* over the service's own job table: every query
+  that takes a job or PE id, and the event attributes, read the live
+  :class:`~repro.runtime.job.Job` (``job.pes``, ``pe.spec.operators``,
+  ``job.compiled``).  A job's expanded graph is private to the job (a
+  live rescale mutates it), so replicas of one application never share an
+  answer, and there is nothing to refresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import InspectionError
+from repro.runtime.job import Job, JobState
+from repro.runtime.pe import PERuntime
 from repro.spl.adl import ADLModel
+from repro.spl.composite import CompositeInstance
+
+#: a job in one of these states is no longer managed (nor inspectable)
+_GONE = (JobState.CANCELLING, JobState.CANCELLED)
 
 
 @dataclass
 class _AppEntry:
-    """Logical view of one managed application."""
+    """Logical view of one managed application, as registered."""
 
     adl: ADLModel
     #: operator full name -> (chain of enclosing composite instance names,
@@ -34,29 +47,18 @@ class _AppEntry:
     )
 
 
-@dataclass
-class _JobEntry:
-    """Physical view of one running job of a managed application."""
-
-    job_id: str
-    app_name: str
-    pe_id_by_index: Dict[int, str] = field(default_factory=dict)
-    host_by_pe_id: Dict[str, str] = field(default_factory=dict)
-    index_by_pe_id: Dict[str, int] = field(default_factory=dict)
-
-
 class StreamGraph:
     """Logical + physical view of every application an ORCA manages."""
 
-    def __init__(self) -> None:
+    def __init__(self, jobs: Mapping[str, Job]) -> None:
         self._apps: Dict[str, _AppEntry] = {}
-        self._jobs: Dict[str, _JobEntry] = {}
-        self._job_of_pe: Dict[str, str] = {}
+        #: the owning service's job table itself — read, never copied
+        self._jobs = jobs
 
-    # -- logical registration ---------------------------------------------------
+    # -- per application: registered once from the descriptor's ADL ---------------
 
     def add_application(self, adl: ADLModel) -> None:
-        """Register (or refresh) the logical view of an application."""
+        """Register the logical view of an application."""
         entry = _AppEntry(adl=adl)
         parents = {c.name: c.parent for c in adl.composites}
         kinds = {c.name: c.kind for c in adl.composites}
@@ -76,49 +78,10 @@ class StreamGraph:
             entry.containment[operator.name] = (tuple(chain_names), tuple(chain_kinds))
         self._apps[adl.name] = entry
 
-    def has_application(self, app_name: str) -> bool:
-        return app_name in self._apps
-
-    def applications(self) -> List[str]:
-        return list(self._apps)
-
-    # -- physical registration -----------------------------------------------------
-
-    def register_job(
-        self,
-        job_id: str,
-        app_name: str,
-        pe_assignment: Dict[int, Tuple[str, Optional[str]]],
-    ) -> None:
-        """Record a job's physical deployment: PE index -> (pe_id, host)."""
-        self._require_app(app_name)
-        entry = _JobEntry(job_id=job_id, app_name=app_name)
-        for index, (pe_id, host) in pe_assignment.items():
-            entry.pe_id_by_index[index] = pe_id
-            entry.index_by_pe_id[pe_id] = index
-            if host is not None:
-                entry.host_by_pe_id[pe_id] = host
-            self._job_of_pe[pe_id] = job_id
-        self._jobs[job_id] = entry
-
-    def unregister_job(self, job_id: str) -> None:
-        entry = self._jobs.pop(job_id, None)
-        if entry is not None:
-            for pe_id in entry.index_by_pe_id:
-                self._job_of_pe.pop(pe_id, None)
-
-    # -- logical queries -----------------------------------------------------------
-
     def _require_app(self, app_name: str) -> _AppEntry:
         entry = self._apps.get(app_name)
         if entry is None:
             raise InspectionError(f"application {app_name!r} is not managed here")
-        return entry
-
-    def _require_job(self, job_id: str) -> _JobEntry:
-        entry = self._jobs.get(job_id)
-        if entry is None:
-            raise InspectionError(f"job {job_id!r} is not managed here")
         return entry
 
     def _containment(self, app_name: str, op_name: str) -> Tuple[Tuple[str, ...], ...]:
@@ -158,36 +121,55 @@ class StreamGraph:
         entry = self._require_app(app_name)
         return [(s.src_operator, s.dst_operator) for s in entry.adl.streams]
 
-    # -- physical queries -------------------------------------------------------------
+    # -- per job: read from the live Job -------------------------------------------
+
+    def _job(self, job_id: str) -> Job:
+        job = self._jobs.get(job_id)
+        if job is None or job.state in _GONE:
+            raise InspectionError(f"job {job_id!r} is not managed here")
+        return job
+
+    def _find_pe(self, job_id: str, pe_id: str) -> Optional[PERuntime]:
+        """The PE, or None: not one of the job's, or the job is not managed."""
+        job = self._jobs.get(job_id)
+        pes = () if job is None or job.state in _GONE else job.pes
+        return next((pe for pe in pes if pe.pe_id == pe_id), None)
+
+    def _pe(self, pe_id: str) -> PERuntime:
+        for job_id in self._jobs:
+            pe = self._find_pe(job_id, pe_id)
+            if pe is not None:
+                return pe
+        raise InspectionError(f"PE {pe_id!r} is not managed here")
+
+    @staticmethod
+    def _pe_of(job: Job, op_name: str) -> PERuntime:
+        if op_name not in job.compiled.placement:
+            raise InspectionError(f"job {job.job_id!r} has no operator {op_name!r}")
+        return job.pe_of_operator(op_name)
+
+    @staticmethod
+    def _enclosing(pe: PERuntime) -> List[CompositeInstance]:
+        """Every composite instance around an operator of ``pe``, any depth."""
+        graph = pe.job.compiled.application.graph
+        return [ci for op_name in pe.spec.operators for ci in graph.composite_chain(op_name)]
 
     def job_of_pe(self, pe_id: str) -> str:
-        job_id = self._job_of_pe.get(pe_id)
-        if job_id is None:
-            raise InspectionError(f"PE {pe_id!r} is not managed here")
-        return job_id
+        return self._pe(pe_id).job.job_id
 
     def pes_of_job(self, job_id: str) -> List[str]:
-        entry = self._require_job(job_id)
-        return [entry.pe_id_by_index[i] for i in sorted(entry.pe_id_by_index)]
+        pes = sorted(self._job(job_id).pes, key=lambda pe: pe.index)
+        return [pe.pe_id for pe in pes]
 
     def pe_index(self, pe_id: str) -> int:
-        job_id = self.job_of_pe(pe_id)
-        return self._jobs[job_id].index_by_pe_id[pe_id]
+        return self._pe(pe_id).index
 
     def host_of_pe(self, pe_id: str) -> Optional[str]:
-        job_id = self.job_of_pe(pe_id)
-        return self._jobs[job_id].host_by_pe_id.get(pe_id)
+        return self._pe(pe_id).host_name
 
     def operators_in_pe(self, pe_id: str) -> List[str]:
         """Which stream operators reside in PE with id x? (Sec. 4.2)"""
-        job_id = self.job_of_pe(pe_id)
-        job = self._jobs[job_id]
-        app = self._require_app(job.app_name)
-        index = job.index_by_pe_id[pe_id]
-        for pe in app.adl.pes:
-            if pe.index == index:
-                return list(pe.operators)
-        raise InspectionError(f"ADL of {job.app_name!r} lacks PE index {index}")
+        return list(self._pe(pe_id).spec.operators)
 
     def composites_in_pe(self, pe_id: str) -> Set[str]:
         """Which composites reside in PE with id x? (Sec. 4.2)
@@ -195,55 +177,41 @@ class StreamGraph:
         Returns the composite instance names having at least one operator
         inside the PE — note a composite may span several PEs (Fig. 3).
         """
-        job_id = self.job_of_pe(pe_id)
-        job = self._jobs[job_id]
-        app = self._require_app(job.app_name)
-        result: Set[str] = set()
-        for op_name in self.operators_in_pe(pe_id):
-            chain_names, _ = app.containment[op_name]
-            result.update(chain_names)
-        return result
+        return {ci.full_name for ci in self._enclosing(self._pe(pe_id))}
 
     def pe_of_operator(self, job_id: str, op_name: str) -> str:
         """What is the PE id for operator instance y? (Sec. 4.2)"""
-        job = self._require_job(job_id)
-        app = self._require_app(job.app_name)
-        index = app.adl.operator_by_name(op_name).pe_index
-        pe_id = job.pe_id_by_index.get(index)
-        if pe_id is None:
-            raise InspectionError(
-                f"job {job_id!r}: no physical PE for index {index} ({op_name!r})"
-            )
-        return pe_id
+        return self._pe_of(self._job(job_id), op_name).pe_id
 
     def colocated_operators(self, job_id: str, op_name: str) -> List[str]:
         """Which other operators are in the same OS process as operator x?"""
-        pe_id = self.pe_of_operator(job_id, op_name)
-        return [name for name in self.operators_in_pe(pe_id) if name != op_name]
+        pe = self._pe_of(self._job(job_id), op_name)
+        return [name for name in pe.spec.operators if name != op_name]
 
     # -- scope attributes only the graph knows (the rest comes from the event table) --
 
-    def operator_event_attrs(
-        self, app_name: str, op_name: str, job_id: str, pe_id: str
-    ) -> Dict[str, object]:
+    def operator_event_attrs(self, job_id: str, op_name: str) -> Dict[str, object]:
         """An operator's kind, host and enclosing composites (any depth)."""
-        chain_names, chain_kinds = self._containment(app_name, op_name)
+        job = self._job(job_id)
+        pe = self._pe_of(job, op_name)
+        graph = job.compiled.application.graph
+        chain = graph.composite_chain(op_name)
         return {
-            "operator_type": self.operator_kind(app_name, op_name),
-            "composite_instance": set(chain_names),
-            "composite_type": set(chain_kinds),
-            "host": self._jobs.get(job_id, _JobEntry("", "")).host_by_pe_id.get(pe_id),
+            "operator_type": graph.operators[op_name].kind,
+            "composite_instance": {ci.full_name for ci in chain},
+            "composite_type": {ci.kind for ci in chain},
+            "host": pe.host_name,
         }
 
-    def pe_event_attrs(self, app_name: str, job_id: str, pe_id: str) -> Dict[str, object]:
-        """A PE's host and the composites of its operators (None: PE unknown)."""
-        job = self._jobs.get(job_id)
-        if job is None or pe_id not in job.index_by_pe_id:
+    def pe_event_attrs(self, job_id: str, pe_id: str) -> Dict[str, object]:
+        """A PE's host and the composites of its operators (None: PE unknown —
+        removed, or its job cancelled, since the event was raised)."""
+        pe = self._find_pe(job_id, pe_id)
+        if pe is None:
             return dict.fromkeys(("host", "composite_instance", "composite_type"))
-        app = self._require_app(app_name)
-        chains = [app.containment[op_name] for op_name in self.operators_in_pe(pe_id)]
+        enclosing = self._enclosing(pe)
         return {
-            "host": job.host_by_pe_id.get(pe_id),
-            "composite_instance": {name for names, _ in chains for name in names},
-            "composite_type": {kind for _, kinds in chains for kind in kinds},
+            "host": pe.host_name,
+            "composite_instance": {ci.full_name for ci in enclosing},
+            "composite_type": {ci.kind for ci in enclosing},
         }

@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, List
 
 TOPICS = (
     "barrier", "reroute", "reclaim", "rescale", "checkpoint",
-    "pe_failure", "pe_restart", "topology", "injection", "health_alert",
+    "pe_failure", "pe_restart", "injection", "health_alert",
 )
 
 

@@ -59,17 +59,17 @@ class SAM:
         self.transport = transport
         self.import_export = import_export
         self.ids = ids
-        #: the runtime bus: SAM publishes ``pe_failure`` (PE, reason),
-        #: ``pe_restart`` (PE) and ``topology`` (job, change kind)
+        #: the runtime bus: SAM publishes ``pe_failure`` (PE, reason)
+        #: and ``pe_restart`` (PE)
         self.events = events
         # the frozen benchmark appends to this name (bench/workloads.py):
         # it is the bus's own ``pe_restart`` subscriber list, not a copy
         self.pe_restart_observers = events.subscribers["pe_restart"]
         #: committed-epoch snapshots handed to every PE runtime
         self.checkpoint_store = checkpoint_store
-        #: the background checkpoint daemon, set by SystemS after
-        #: construction (used only for materialized-base cleanup)
-        self.checkpoint_service: Optional["CheckpointService"] = None
+        #: the background checkpoint daemon (used only for materialized-base
+        #: cleanup); it is built over this SAM, so SystemS assigns it late
+        self.checkpoint_service: "CheckpointService"
         self.pe_spawn_delay = pe_spawn_delay
         self.pe_restart_delay = pe_restart_delay
         self.failure_notification_delay = failure_notification_delay
@@ -131,21 +131,25 @@ class SAM:
         )
         job.reserved_hosts = list(placement.newly_reserved)
         for pe_spec in compiled.pes:
-            pe = PERuntime(
-                pe_id=self.ids.pes.allocate(),
-                spec=pe_spec,
-                job=job,
-                kernel=self.kernel,
-                transport=self.transport,
-                publish_export=self.import_export.publish,
-                checkpoints=self.checkpoint_store,
-            )
-            host_name = placement.assignment[pe_spec.index]
-            self.hcs[host_name].add_pe(pe)
-            job.pes.append(pe)
+            self._create_pe(job, pe_spec, placement.assignment[pe_spec.index])
         self.jobs[job_id] = job
         self.kernel.schedule(self.pe_spawn_delay, self._spawn_job_pes, job)
         return job
+
+    def _create_pe(self, job: Job, pe_spec: PESpec, host_name: str) -> PERuntime:
+        """Make the (unstarted) runtime of one PE of ``job`` on ``host_name``."""
+        pe = PERuntime(
+            pe_id=self.ids.pes.allocate(),
+            spec=pe_spec,
+            job=job,
+            kernel=self.kernel,
+            transport=self.transport,
+            publish_export=self.import_export.publish,
+            checkpoints=self.checkpoint_store,
+        )
+        self.hcs[host_name].add_pe(pe)
+        job.pes.append(pe)
+        return pe
 
     def _spawn_job_pes(self, job: Job) -> None:
         if job.state is not JobState.SUBMITTED:
@@ -164,27 +168,32 @@ class SAM:
             raise CancellationError(f"job {job_id} already cancelled")
         job.state = JobState.CANCELLING
         self.import_export.disconnect_job(job_id)
-        self._discard_pes(job.pes)  # the job is gone; nothing rehydrates
+        self._discard_pes(job, job.pes)  # the job is gone; nothing rehydrates
         self._release_reservations(job_id)
-        self.srm.drop_job_metrics(job_id)
-        self.checkpoint_store.drop_job(job_id)
-        if self.checkpoint_service is not None:
-            self.checkpoint_service.forget_job(job_id)
         job.state = JobState.CANCELLED
         job.cancel_time = self.kernel.now
         return job
 
-    def _discard_pes(self, pes: List[PERuntime]) -> None:
-        """Stop PEs for good (no snapshot: nothing will rehydrate from
-        them), then let the wire forget them.  All stop before any is
-        forgotten, so a shutdown hook's last emission cannot reopen a
-        link :meth:`Transport.forget_pe` already dropped."""
+    def _discard_pes(self, job: Job, pes: List[PERuntime]) -> None:
+        """The one way the control plane forgets PEs of ``job`` for good.
+
+        Stop them (no snapshot: nothing will rehydrate from them), then
+        let the wire, SRM (no ghost samples for the ORCA metric poll) and
+        the checkpoint store and service (a chain or a materialized base
+        would only ever rehydrate a ghost) forget them.  All stop before
+        any is forgotten, so a shutdown hook's last emission cannot reopen
+        a link :meth:`Transport.forget_pe` already dropped.
+        """
         for pe in pes:
             pe.stop(capture_state=False)
             if pe.host_name and pe.host_name in self.hcs:
                 self.hcs[pe.host_name].remove_pe(pe.pe_id)
         for pe in pes:
             self.transport.forget_pe(pe.pe_id)
+            self.checkpoint_store.drop_pe(job.job_id, pe.pe_id)
+        pe_ids = {pe.pe_id for pe in pes}
+        self.srm.drop_pe_metrics(job.job_id, pe_ids)
+        self.checkpoint_service.forget_pes(job.job_id, pe_ids)
 
     def _release_reservations(self, job_id: str) -> None:
         self.reserved_hosts = {
@@ -253,49 +262,29 @@ class SAM:
                 f"cannot place additional PEs of job {job_id}: {exc}"
             ) from exc
         job.reserved_hosts.extend(placement.newly_reserved)
-        added: List[PERuntime] = []
-        for pe_spec in pe_specs:
-            pe = PERuntime(
-                pe_id=self.ids.pes.allocate(),
-                spec=pe_spec,
-                job=job,
-                kernel=self.kernel,
-                transport=self.transport,
-                publish_export=self.import_export.publish,
-                checkpoints=self.checkpoint_store,
-            )
-            host_name = placement.assignment[pe_spec.index]
-            self.hcs[host_name].add_pe(pe)
-            job.pes.append(pe)
-            added.append(pe)
+        added = [
+            self._create_pe(job, pe_spec, placement.assignment[pe_spec.index])
+            for pe_spec in pe_specs
+        ]
         # started only once all exist: a PE resolves its routes to live
         # runtimes at start, and a new channel may span several new PEs
         for pe in added:
             pe.start()
-        # published once the change is fully applied, so subscribers can
-        # refresh materialized stream-graph views
-        self.events.publish("topology", job, "add_pes")
         return added
 
     def remove_pes(self, job_id: str, pe_ids: List[str]) -> None:
         """Stop and discard PEs of a running job (parallel-region scale-in).
 
-        The PEs' metrics are dropped from SRM so downstream consumers (the
-        ORCA metric poll, per-channel aggregation) never see ghost channels.
+        The PEs leave ``job.pes`` and SRM's samples in this one call, so
+        downstream consumers (the ORCA metric poll, per-channel aggregation)
+        never see ghost channels.
         """
         job = self.get_job(job_id)
         pes = [job.pe_by_id(pe_id) for pe_id in pe_ids]
         # the migration phase already extracted anything worth keeping
-        self._discard_pes(pes)
+        self._discard_pes(job, pes)
         for pe in pes:
             job.pes.remove(pe)
-            self.srm.drop_pe_metrics(job_id, pe.pe_id)
-            # a removed channel PE can never be restarted: its checkpoint
-            # chain would only ever rehydrate a ghost
-            self.checkpoint_store.drop_pe(job_id, pe.pe_id)
-            if self.checkpoint_service is not None:
-                self.checkpoint_service.forget_pe(job_id, pe.pe_id)
-        self.events.publish("topology", job, "remove_pes")
 
     # -- failure notification path ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ own fixed 3-second cadence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import UnknownHostError
 from repro.sim.kernel import Kernel
@@ -143,16 +143,8 @@ class SRM:
         wanted = set(job_ids)
         return [s for s in self._metrics.values() if s.job_id in wanted]
 
-    def drop_job_metrics(self, job_id: str) -> None:
-        """Forget all metrics of a cancelled job."""
-        self._metrics = {
-            key: sample
-            for key, sample in self._metrics.items()
-            if sample.job_id != job_id
-        }
-
-    def drop_pe_metrics(self, job_id: str, pe_id: str) -> None:
-        """Forget the metrics of one PE (removed from a running job).
+    def drop_pe_metrics(self, job_id: str, pe_ids: Collection[str]) -> None:
+        """Forget the metrics of PEs gone for good (scale-in, cancellation).
 
         Without this, a parallel-region scale-in would leave ghost samples
         of the removed channels behind, and the ORCA metric poll would keep
@@ -161,7 +153,7 @@ class SRM:
         self._metrics = {
             key: sample
             for key, sample in self._metrics.items()
-            if not (sample.job_id == job_id and sample.pe_id == pe_id)
+            if not (sample.job_id == job_id and sample.pe_id in pe_ids)
         }
 
     def aggregate_operator_metric(

@@ -17,7 +17,8 @@ from repro.spl.tuples import Punctuation, StreamTuple
 #: the CI ``delivery-matrix`` job runs ``tests/test_wire_properties.py``
 #: under ``--hypothesis-profile=wire-ci``,
 #: ``tests/test_elastic_properties.py`` under ``elastic-ci``,
-#: ``tests/test_orca_scopes.py`` under ``orca-ci`` and
+#: ``tests/test_orca_scopes.py`` and the inspection property of
+#: ``tests/test_properties_orchestration.py`` under ``orca-ci`` and
 #: ``tests/test_batch_path_properties.py`` under ``batch-ci``; tier-1
 #: keeps each module's own small budget.  The ``wire-ci`` step also runs
 #: ``TestCancelCyclesLeakNothing`` at its long cycle count

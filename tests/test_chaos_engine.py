@@ -623,10 +623,11 @@ class TestOverlapSafety:
 class TestExternalRescaleVisibility:
     def test_chaos_rescale_refreshes_orca_graph_and_delivers_events(self):
         """A rescale driven by the chaos engine (not the ORCA service)
-        still refreshes the orchestrator's stream graph and delivers
-        region_rescaled — routines are not blind to external rescales."""
+        is visible to the orchestrator's stream graph (a live view of the
+        job) and delivers region_rescaled — routines are not blind to
+        external rescales."""
         from repro.chaos import Rescale
-        from repro.orca.scopes import ParallelRegionScope
+        from repro.orca.scopes import OperatorMetricScope, ParallelRegionScope
 
         feed = ChaosFeed(seed=3)
         system = chaos_system()
@@ -637,13 +638,18 @@ class TestExternalRescaleVisibility:
                 super().__init__()
                 self.job = None
                 self.rescaled = []
+                self.measured = []
 
             def handleOrcaStart(self, context):
                 self.orca.registerEventScope(ParallelRegionScope("r"))
+                self.orca.registerEventScope(OperatorMetricScope("m"))
                 self.job = self.orca.submit_application("ChaosApp")
 
             def handleRegionRescaledEvent(self, context, scopes):
                 self.rescaled.append((context.old_width, context.new_width))
+
+            def handleOperatorMetricEvent(self, context, scopes):
+                self.measured.append((context.instance_name, context.pe_id))
 
         logic = Logic()
         service = system.submit_orchestrator(
@@ -664,10 +670,14 @@ class TestExternalRescaleVisibility:
         assert set(service.pes_of_job(logic.job.job_id)) == {
             pe.pe_id for pe in logic.job.pes
         }
-        # metric polls over the new channels do not leak skips forever
-        skips_before = service.metric_event_skips
+        # every operator of the new channels produces metric events
+        del logic.measured[:]
         system.run_for(31.0)  # two poll rounds
-        assert service.metric_event_skips == skips_before
+        new_channels = service.region_channels(logic.job.job_id, "region")[2:]
+        assert len(new_channels) == 2
+        for op_name in (name for ops in new_channels for name in ops):
+            pe_id = logic.job.pe_of_operator(op_name).pe_id
+            assert (op_name, pe_id) in logic.measured
         assert service.handler_errors == []
 
     def test_staggered_identical_skew_windows_unwind_to_baseline(self):

@@ -170,7 +170,8 @@ class TestCheckpointStore:
         store.drop_pe("j1", "pe1")
         assert store.latest_committed("j1", "pe1") is None
         assert store.latest_committed("j1", "pe2") is not None
-        store.drop_job("j1")
+        # a cancelled job is forgotten PE by PE (SAM._discard_pes)
+        store.drop_pe("j1", "pe2")
         assert store.latest_committed("j1", "pe2") is None
         assert store.job_status("j1") == {}
 

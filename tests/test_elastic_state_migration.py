@@ -234,7 +234,9 @@ class TestRescaleCyclesLeakNothing:
 
     PE ids are allocated fresh on every scale-out, so the table must
     drop the links of a PE removed for good or it grows by the region's
-    width each cycle.
+    width each cycle — and so must everything else the control plane
+    keeps per PE (``SAM._discard_pes``): SRM's samples, the checkpoint
+    store's chains, the checkpoint service's materialized bases.
     """
 
     CYCLES = 20
@@ -261,7 +263,12 @@ class TestRescaleCyclesLeakNothing:
                 if src in live and link.replay
             ),
             "held": sum(len(units) for units in transport._held.values()),
+            "srm_samples": len(system.srm._metrics),
+            "chains": sorted(system.checkpoint_store._chains),
+            "materialized": sorted(system.checkpoints._materialized),
         }
+        assert {pe_id for _job, pe_id in sizes["chains"]} <= live
+        assert {sample.pe_id for sample in system.srm._metrics.values()} == live
         if plane is not None:
             # the source never pauses: at most the tick on the wire at
             # the sampling instant is unacknowledged
@@ -270,7 +277,9 @@ class TestRescaleCyclesLeakNothing:
 
     @pytest.mark.parametrize("delivery", ["best_effort", "exactly_once"])
     def test_twenty_rescale_cycles_keep_per_link_maps_flat(self, delivery):
-        system = SystemS(hosts=12, config=SystemConfig(delivery=delivery))
+        system = SystemS(
+            hosts=12, config=SystemConfig(delivery=delivery, checkpoint_interval=0.5)
+        )
         job = system.submit_job(build_keyed_app(width=2, limit=None))
         system.run_for(2.0)
         after_first = None
@@ -335,6 +344,10 @@ class TestCancelCyclesLeakNothing:
             "incarnations": dict(transport._incarnations),
             "health_ports": dict(health._ports),
             "replay_links": set(system.obs._replay_links),
+            # what SAM._discard_pes makes the control plane forget per PE
+            "srm_samples": dict(system.srm._metrics),
+            "chains": dict(system.checkpoint_store._chains),
+            "materialized": dict(system.checkpoints._materialized),
         }
 
     @pytest.mark.parametrize("batch_max_size", [1, 8])
@@ -379,6 +392,8 @@ class TestCancelCyclesLeakNothing:
         assert cancels_with_units_in_flight >= 1
         assert after_first["links"] == {} and after_first["in_flight"] == {}
         assert after_first["pending"] == 0 and after_first["health_ports"] == {}
+        assert after_first["srm_samples"] == after_first["chains"] == {}
+        assert after_first["materialized"] == {}
 
 
 class TestRehydrateRestart:

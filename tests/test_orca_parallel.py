@@ -21,6 +21,12 @@ from repro.errors import InspectionError, OrcaPermissionError
 from repro.orca.scopes import ParallelRegionScope
 
 from tests.test_elastic import build_region_app
+from tests.test_orca_events_golden import nested_app
+from tests.test_properties_orchestration import (
+    assert_inspection_equals_runtime,
+    assert_metric_events_equal_runtime,
+    tap_metric_events,
+)
 
 
 class TestParallelRegionScope:
@@ -158,18 +164,20 @@ class TestSetChannelWidthActuation:
         # inspection reaches a new channel operator and its PE
         pe_id = service.pe_of_operator(logic.job_id, "work__c2")
         assert "work__c2" in service.operators_in_pe(pe_id)
-        # metric events for the new channels keep flowing without skips
-        assert service.metric_event_skips == 0
+        # every operator of the new channels produces metric events
+        seen = tap_metric_events(service)
+        system.run_for(11.0)  # two polls
+        measured = {a["operator_instance"] for t, a in seen if t == "operator_metric"}
+        assert {"work__c1", "work__c2"} <= measured
         assert not service.handler_errors
 
-    def test_external_rescale_refreshes_graph_once_per_topology_event(self, system):
-        """A rescale nobody actuated through the service still refreshes it.
+    def test_external_rescale_visible_at_once(self, system):
+        """A rescale nobody actuated through the service needs no refresh.
 
         The chaos engine (the paradigmatic outside-the-orchestrator
-        driver) injects the rescale; the ``topology`` runtime event is
-        the service's only stream-graph refresh, published at the
-        mid-protocol ``add_pes`` and again when the rewired mapping is
-        final, and each publication costs exactly one ADL round trip.
+        driver) injects the rescale; inspection reads the live job, so
+        it agrees with it the moment the rescale completes — and already
+        at the mid-protocol ``add_pes``, before the region resumes.
         """
         from repro.chaos.perturbations import Rescale
         from repro.chaos.scenario import Scenario
@@ -178,31 +186,36 @@ class TestSetChannelWidthActuation:
         logic = RecordingRegionOrca()
         service = submit_orca(system, logic, app)
         system.run_for(2.0)
-        kinds = []
-        system.events.subscribe(topology=lambda job, kind: kinds.append(kind))
-        refreshes = []
-        add_application = service.graph.add_application
-
-        def counting_add_application(adl):
-            refreshes.append(adl.name)
-            add_application(adl)
-
-        service.graph.add_application = counting_add_application
         job = system.sam.get_job(logic.job_id)
+        checked = []
+
+        def check(label):
+            assert_inspection_equals_runtime(service, job)
+            pe_id = service.pe_of_operator(logic.job_id, "work__c1")
+            assert "work__c1" in service.operators_in_pe(pe_id)
+            checked.append(label)
+
+        add_pes = system.sam.add_pes
+
+        def checking_add_pes(*args):
+            added = add_pes(*args)
+            check("add_pes")
+            return added
+
+        system.sam.add_pes = checking_add_pes
+        system.events.subscribe(rescale=lambda operation: check("rescale"))
         scenario = Scenario("external-rescale").add(
             0.1, Rescale(region="region", width=2)
         )
         system.chaos.run_scenario(scenario, job=job)
         system.run_for(20.0)
-        assert kinds == ["add_pes", "rescale"]  # mid-protocol, then final
-        assert len(refreshes) == len(kinds)
+        assert checked == ["add_pes", "rescale"]  # mid-protocol, then final
         # the service itself never asked for a rescale
         assert [r.action for r in service.actuation_log] == ["submit"]
-        # the service's materialized graph answers from the new topology
+        # inspection answers from the new topology
         pe_id = service.pe_of_operator(logic.job_id, "work__c1")
         assert "work__c1" in service.operators_in_pe(pe_id)
         assert service.host_of_pe(pe_id) is not None
-        assert service.metric_event_skips == 0
         assert not service.handler_errors
 
     def test_foreign_job_rejected(self, system):
@@ -233,6 +246,73 @@ class TestSetChannelWidthActuation:
         assert observation.width == 2
         assert set(observation.channel_backlogs) == {0, 1}
         assert observation.total_backlog > 0
+
+
+class TestReplicaGraphs:
+    """Replicas of one elastic application do not share a stream graph.
+
+    A job's expanded graph is private to the job (a live rescale mutates
+    it), so the orchestrator's picture of job A must not change when job
+    B rescales.  It used to: the logical graph was kept per application
+    *name* and re-made from whichever job rescaled last, so after A went
+    2 -> 4 and B 2 -> 1, ``operators_in_pe`` raised for three of A's PEs
+    and A's new channels never produced another metric event.
+    """
+
+    @pytest.mark.parametrize("executor", ["sim", "wallclock"])
+    @pytest.mark.parametrize("first", ["a_first", "b_first"])
+    @pytest.mark.parametrize("replicas", [2, 3])
+    def test_replicas_stay_apart(
+        self, replicas, first, executor
+    ):
+        system = SystemS(
+            hosts=8,
+            seed=42,
+            config=SystemConfig(
+                executor=executor,
+                wallclock_time_scale=50.0 if executor == "wallclock" else 1.0,
+                orca_poll_interval=3.0,
+            ),
+        )
+        service = submit_orca(system, Orchestrator(), nested_app())
+        jobs = [service.submit_application("Nested") for _ in range(replicas)]
+        job_a, job_b = jobs[:2]
+        assert [system.sam.get_job(job.job_id) for job in jobs] == jobs
+        seen = tap_metric_events(service)
+        widths = {job.job_id: 2 for job in jobs}
+
+        def rescale(job, width):
+            service.set_channel_width(job.job_id, "region", width)
+            widths[job.job_id] = width
+
+        def settle_and_check():
+            system.run_for(4.0)
+            assert widths == {
+                job.job_id: service.channel_width(job.job_id, "region") for job in jobs
+            }
+            for job in jobs:
+                assert_inspection_equals_runtime(service, job)
+            del seen[:]
+            system.run_for(7.0)  # a metric push, then two polls
+            assert_metric_events_equal_runtime(seen, jobs)
+            assert service.handler_errors == []
+
+        settle_and_check()
+        steps = [(job_a, 4), (job_b, 1)]
+        if first == "b_first":
+            steps.reverse()
+        rescale(*steps[0])
+        settle_and_check()
+        # a channel PE of A crashes and is restarted in between
+        channel_pe = job_a.pe_of_operator("count__c1")
+        channel_pe.crash("replica-test")
+        system.run_for(1.0)
+        for job in jobs:
+            assert_inspection_equals_runtime(service, job)
+        service.restart_pe(channel_pe.pe_id)
+        settle_and_check()
+        rescale(*steps[1])
+        settle_and_check()
 
 
 class TestFailedRescaleVisibility:

@@ -23,7 +23,7 @@ from repro.orca.scopes import (
 )
 from repro.runtime.pe import PEState
 
-from tests.conftest import calls, make_filter_app, make_linear_app, where
+from tests.conftest import calls, functions_under, make_filter_app, make_linear_app, where
 
 
 class RecordingOrca(Orchestrator):
@@ -539,3 +539,105 @@ class TestOneEventTable:
             )
             for name in named
         }
+
+
+class TestOneStreamGraph:
+    """The orchestrator's picture of its jobs is the jobs.
+
+    Structural, like ``TestOneEventTable``: ``StreamGraph`` used to keep a
+    copy of every job's PE inventory and of the logical graph per
+    application *name*, re-made through an ADL round trip on every
+    ``topology`` event — and replicas of one elastic application
+    overwrote each other's copy.  Now the per-job side reads the live
+    ``Job``; a second copy, a refresh path or a per-rescale ADL round
+    trip must fail here.
+    """
+
+    src = pathlib.Path(repro.orca.__file__).parent.parent
+    _where = staticmethod(where)
+
+    def test_the_graph_holds_no_table_keyed_by_job_or_pe(self):
+        from repro.orca import streamgraph
+        from repro.orca.streamgraph import StreamGraph
+
+        def stores_on_self(node):
+            """``self.x = ...``, ``self.x: T = ...`` or ``self.x[...] = ...``."""
+            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                return False
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            roots = [t.value if isinstance(t, ast.Subscript) else t for t in targets]
+            return any(
+                isinstance(root, ast.Attribute) and getattr(root.value, "id", None) == "self"
+                for root in roots
+            )
+
+        module = self.src / "orca" / "streamgraph.py"
+        # the per-application table, made in __init__ and filled at registration
+        assert self._where(module, stores_on_self) == [
+            "streamgraph.py:StreamGraph.__init__",
+            "streamgraph.py:StreamGraph.add_application",
+        ]
+        jobs = {}
+        graph = StreamGraph(jobs)
+        assert vars(graph) == {"_apps": {}, "_jobs": jobs}
+        assert graph._jobs is jobs  # the service's table itself, not a copy
+        for gone in ("register_job", "unregister_job", "_job_of_pe"):
+            assert not hasattr(StreamGraph, gone)
+        assert not hasattr(streamgraph, "_JobEntry")
+
+    def test_the_service_keeps_no_copy_in_step(self, system):
+        from repro.orca.service import OrcaService
+
+        for gone in ("_register_placement", "_on_topology_changed"):
+            assert not hasattr(OrcaService, gone)
+        service = submit_orca(system, RecordingOrca())
+        assert service.graph._jobs is service.jobs
+        assert not hasattr(service, "metric_event_skips")
+
+    def test_there_is_no_topology_topic(self):
+        from repro.runtime.events import TOPICS
+
+        assert len(TOPICS) == 9
+        for path in sorted(self.src.rglob("*.py")):
+            assert "topology" not in path.read_text(), path
+
+    def test_no_bus_callback_reaches_the_adl_round_trip(self):
+        def names_adl(node):
+            return any(
+                getattr(node, attr, None) in ("adl_model_of", "adl_to_xml")
+                for attr in ("id", "attr", "name")
+            )
+
+        # the round trip runs once per registered application ...
+        users = [
+            site
+            for site in self._where(self.src, names_adl)
+            if not site.startswith("adl.py:")
+        ]
+        assert users == ["service.py:OrcaService._register_application"]
+        service = self.src / "orca" / "service.py"
+        assert self._where(service, calls("_register_application")) == [
+            "service.py:OrcaService._boot",
+            "service.py:OrcaService.add_managed_application",
+            "service.py:OrcaService.set_exclusive_host_pools",
+        ]
+        # ... which no runtime-bus callback can reach, directly or not
+        methods = {
+            name.split(".", 1)[1]: node
+            for _file, name, node in functions_under(service)
+            if name.startswith("OrcaService.")
+        }
+        subscribe = next(
+            node for node in ast.walk(methods["_boot"]) if calls("subscribe")(node)
+        )
+        reached = [keyword.value.attr for keyword in subscribe.keywords]
+        assert len(reached) == 7
+        for name in reached:  # grows while iterating: the transitive closure
+            for node in ast.walk(methods[name]):
+                callee = getattr(getattr(node, "func", None), "attr", None)
+                if isinstance(node, ast.Call) and callee in methods and callee not in reached:
+                    reached.append(callee)
+        assert not {"_register_application", "_boot"} & set(reached)
+        # ... and nothing in repro.elastic names the ADL at all
+        for path in sorted((self.src / "elastic").rglob("*.py")):
+            assert not re.search(r"\badl", path.read_text()), path

@@ -2,27 +2,44 @@
 
 import pytest
 
+from repro import ManagedApplication, Orchestrator, OrcaDescriptor, SystemS
 from repro.errors import InspectionError
 from repro.orca.epochs import FailureEpochTracker, MetricEpochCounter
-from repro.orca.streamgraph import StreamGraph
-from repro.spl.adl import adl_model_of
-from repro.spl.compiler import SPLCompiler
+from repro.runtime.host import Host
+from repro.spl.hostpool import HostPool
 
 from repro.apps.figure2 import build_figure2_application
 
 
 @pytest.fixture
-def graph_with_job():
-    """StreamGraph loaded with the Figure 2 app + one registered job."""
-    compiled = SPLCompiler("manual").compile(build_figure2_application())
-    graph = StreamGraph()
-    graph.add_application(adl_model_of(compiled))
-    graph.register_job(
-        "job_1",
-        "Figure2",
-        {1: ("pe_1", "hostA"), 2: ("pe_2", "hostA"), 3: ("pe_3", "hostB")},
+def service():
+    """An orchestrator managing the Figure 2 app, with one submitted job.
+
+    Fig. 3's two-host split, by exclusive pools of one host each: the job
+    is ``job_1`` with PEs 1 and 2 on ``hostA`` and PE 3 on ``hostB``; a
+    second submission (a replica) gets ``hostC`` / ``hostD``.
+    """
+    app = build_figure2_application()
+    app.add_host_pool(HostPool("left", size=1, exclusive=True))
+    app.add_host_pool(HostPool("right", size=1, exclusive=True))
+    for spec in app.graph.operators.values():
+        spec.host_pool = "right" if spec.partition == "pe3" else "left"
+    system = SystemS(hosts=[Host(f"host{c}") for c in "ABCD"])
+    service = system.submit_orchestrator(
+        OrcaDescriptor(
+            name="Fig2",
+            logic=Orchestrator,
+            applications=[ManagedApplication(name="Figure2", application=app)],
+        )
     )
-    return graph
+    assert service.submit_application("Figure2").job_id == "job_1"
+    return service
+
+
+@pytest.fixture
+def graph_with_job(service):
+    """The service's stream graph: the Figure 2 app + its one live job."""
+    return service.graph
 
 
 class TestLogicalQueries:
@@ -90,19 +107,15 @@ class TestPhysicalQueries:
         with pytest.raises(InspectionError):
             graph_with_job.operators_in_pe("pe_99")
 
-    def test_replica_jobs_coexist(self, graph_with_job):
+    def test_replica_jobs_coexist(self, service, graph_with_job):
         """Two jobs of the same app have independent physical views."""
-        graph_with_job.register_job(
-            "job_2",
-            "Figure2",
-            {1: ("pe_4", "hostC"), 2: ("pe_5", "hostC"), 3: ("pe_6", "hostD")},
-        )
+        assert service.submit_application("Figure2").job_id == "job_2"
         assert graph_with_job.pe_of_operator("job_2", "c1.op4") == "pe_5"
         assert graph_with_job.pe_of_operator("job_1", "c1.op4") == "pe_2"
         assert graph_with_job.host_of_pe("pe_5") == "hostC"
 
-    def test_unregister_job(self, graph_with_job):
-        graph_with_job.unregister_job("job_1")
+    def test_cancelled_job_is_not_managed(self, service, graph_with_job):
+        service.cancel_job("job_1")
         with pytest.raises(InspectionError):
             graph_with_job.pes_of_job("job_1")
         with pytest.raises(InspectionError):
@@ -111,16 +124,14 @@ class TestPhysicalQueries:
 
 class TestEventAttrs:
     def test_operator_attrs_include_containment(self, graph_with_job):
-        attrs = graph_with_job.operator_event_attrs(
-            "Figure2", "c1.op3", "job_1", "pe_1"
-        )
+        attrs = graph_with_job.operator_event_attrs("job_1", "c1.op3")
         assert attrs["operator_type"] == "Split"
         assert attrs["composite_type"] == {"composite1"}
         assert attrs["composite_instance"] == {"c1"}
         assert attrs["host"] == "hostA"
 
     def test_pe_attrs_union_composites(self, graph_with_job):
-        attrs = graph_with_job.pe_event_attrs("Figure2", "job_1", "pe_2")
+        attrs = graph_with_job.pe_event_attrs("job_1", "pe_2")
         assert attrs["composite_instance"] == {"c1", "c2"}
         assert attrs["composite_type"] == {"composite1"}
 

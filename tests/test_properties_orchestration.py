@@ -5,17 +5,31 @@
   cycle-creating registrations are always rejected.
 * Random export/import property sets: the registry's matching equals the
   subset-semantics oracle.
+* Random submit / rescale / crash / restart / cancel schedules over
+  replicas of one application: every stream-graph inspection answer equals
+  a reference read straight off SAM's jobs.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import ManagedApplication, Orchestrator, OrcaDescriptor, SystemS
-from repro.errors import DependencyCycleError
+from repro import ManagedApplication, Orchestrator, OrcaDescriptor, SystemConfig, SystemS
+from repro.errors import (
+    DependencyCycleError,
+    InspectionError,
+    OrcaPermissionError,
+    ReproError,
+)
 from repro.runtime.imports import ExportEntry, ImportEntry, subscription_matches
+from repro.runtime.pe import PEState
 from repro.spl.application import Application
-from repro.spl.library import Beacon, Sink
+from repro.spl.composite import CompositeDefinition
+from repro.spl.library import Beacon, CallbackSource, Functor, KeyedCounter, Sink
+from repro.spl.parallel import parallel
+from tests.conftest import example_budget
+from tests.test_orca_events_golden import _analytics, _copy  # an(pre -> core(parse))
 
 # ---------------------------------------------------------------------------
 # Dependency DAG properties
@@ -166,3 +180,237 @@ def test_stream_id_matching_exact(export_id, import_id):
         job=None, op_name="i", pe_index=1, stream_id=import_id, subscription={}
     )
     assert subscription_matches(export, import_) == (export_id == import_id)
+
+
+# ---------------------------------------------------------------------------
+# Inspection equals the runtime
+# ---------------------------------------------------------------------------
+
+METRIC_EVENTS = ("operator_metric", "operator_port_metric", "pe_metric")
+
+
+def reference_view(job):
+    """What inspection must answer about ``job``, read off the job itself
+    (plain dict / list code: no ``StreamGraph``, no ADL)."""
+    graph = job.compiled.application.graph
+
+    def chain(op_name):
+        names, current = [], graph.operators[op_name].composite
+        while current is not None:
+            names.append(current)
+            current = graph.composite_instances[current].parent
+        return names
+
+    pes = sorted(job.pes, key=lambda pe: pe.spec.index)
+    view = {"pes_of_job": [pe.pe_id for pe in pes], "pes": {}, "operators": {}}
+    for pe in pes:
+        composites = {name for op in pe.spec.operators for name in chain(op)}
+        view["pes"][pe.pe_id] = {
+            "operators": list(pe.spec.operators),
+            "composites": composites,
+            "composite_types": {graph.composite_instances[c].kind for c in composites},
+            "host": pe.host_name,
+            "running": pe.state is PEState.RUNNING,
+        }
+        for op in pe.spec.operators:
+            view["operators"][op] = {
+                "pe": pe.pe_id,
+                "host": pe.host_name,
+                "colocated": [other for other in pe.spec.operators if other != op],
+                "kind": graph.operators[op].op_class.kind(),
+                "composites": set(chain(op)),
+                "composite_types": {graph.composite_instances[c].kind for c in chain(op)},
+            }
+    assert sorted(view["operators"]) == sorted(graph.operators)  # each in one PE
+    return view
+
+
+def assert_inspection_equals_runtime(service, job):
+    """Every per-job / per-PE inspection answer is what the live job says."""
+    view, job_id = reference_view(job), job.job_id
+    assert service.pes_of_job(job_id) == view["pes_of_job"]
+    for pe_id, expected in view["pes"].items():
+        assert service.operators_in_pe(pe_id) == expected["operators"]
+        assert service.composites_in_pe(pe_id) == expected["composites"]
+        assert service.host_of_pe(pe_id) == expected["host"]
+        assert service.job_of_pe(pe_id) == job_id
+    for op_name, expected in view["operators"].items():
+        assert service.pe_of_operator(job_id, op_name) == expected["pe"]
+        assert service.colocated_operators(job_id, op_name) == expected["colocated"]
+    plans = job.compiled.parallel_regions
+    assert service.parallel_regions(job_id) == {r: p.width for r, p in plans.items()}
+    for region, plan in plans.items():
+        assert service.channel_width(job_id, region) == plan.width
+        assert service.region_channels(job_id, region) == [
+            list(ops) for ops in plan.channel_ops
+        ]
+
+
+def assert_not_managed(service, job):
+    """A job the orchestrator cancelled, or never owned, is not inspectable."""
+    for query in (
+        lambda: service.pes_of_job(job.job_id),
+        lambda: service.pe_of_operator(job.job_id, "src"),
+        lambda: service.colocated_operators(job.job_id, "src"),
+    ):
+        with pytest.raises(InspectionError, match="not managed here"):
+            query()
+    for pe in job.pes:
+        for query in (service.job_of_pe, service.host_of_pe,
+                      service.operators_in_pe, service.composites_in_pe):
+            with pytest.raises(InspectionError, match="not managed here"):
+                query(pe.pe_id)
+
+
+def tap_metric_events(service):
+    """``(event type, scope-attribute map)`` of every metric event the
+    service raises from now on, matched by a subscope or not."""
+    seen = []
+    matching_keys = service.scopes.matching_keys
+
+    def tapped(event_type, attrs):
+        if event_type in METRIC_EVENTS:
+            seen.append((event_type, dict(attrs)))
+        return matching_keys(event_type, attrs)
+
+    service.scopes.matching_keys = tapped
+    return seen
+
+
+def assert_metric_events_equal_runtime(seen, jobs):
+    """Every running operator and PE of ``jobs`` raised metric events, and
+    every event carries the job / PE / host / composites of the live job."""
+    views = {job.job_id: reference_view(job) for job in jobs}
+    assert {attrs["job"] for _, attrs in seen} <= set(views)
+    for event_type, attrs in seen:
+        view = views[attrs["job"]]
+        if event_type == "pe_metric":
+            expected = view["pes"][attrs["pe"]]
+        else:
+            expected = view["operators"][attrs["operator_instance"]]
+            assert attrs["pe"] == expected["pe"]
+            assert attrs["operator_type"] == expected["kind"]
+        assert attrs.get("host") == expected["host"]
+        assert attrs["composite_instance"] == expected["composites"]
+        assert attrs["composite_type"] == expected["composite_types"]
+    measured_ops = {(a["job"], a["operator_instance"]) for t, a in seen if t == "operator_metric"}
+    measured_pes = {(a["job"], a["pe"]) for t, a in seen if t == "pe_metric"}
+    for job_id, view in views.items():
+        running = {pe_id for pe_id, pe in view["pes"].items() if pe["running"]}
+        assert {(job_id, pe_id) for pe_id in running} <= measured_pes
+        assert {
+            (job_id, op) for op, placed in view["operators"].items() if placed["pe"] in running
+        } <= measured_ops
+
+
+def _feed(now, count):
+    return [{"key": f"k{count % 7}", "seq": count}]
+
+
+def two_region_app(name="Replica") -> Application:
+    """src -> an(pre -> core(parse)) -> count[keyed region] -> tag[region] -> sink."""
+    app = Application(name)
+    g = app.graph
+    src = g.add_operator(
+        "src", CallbackSource, params={"generator": _feed, "period": 0.05}, partition="feed"
+    )
+    an = g.instantiate(
+        CompositeDefinition("Analytics", 1, 1, _analytics), "an", inputs=[src.oport(0)]
+    )
+    count = g.add_operator(
+        "count",
+        KeyedCounter,
+        params={"key": "key"},
+        parallel=parallel(width=2, name="keyed", partition_by="key", max_width=4),
+    )
+    tag = g.add_operator(
+        "tag", Functor, params={"fn": _copy}, parallel=parallel(width=1, name="plain", max_width=3)
+    )
+    sink = g.add_operator("sink", Sink, params={"record": False}, partition="out")
+    g.connect(an.output(0), count.iport(0))
+    g.connect(count.oport(0), tag.iport(0))
+    g.connect(tag.oport(0), sink.iport(0))
+    return app
+
+
+_replica = st.integers(min_value=0, max_value=2)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit")),
+        st.tuples(
+            st.just("set_channel_width"),
+            _replica,
+            st.sampled_from(["keyed", "plain"]),
+            st.integers(min_value=1, max_value=4),
+        ),
+        st.tuples(st.just("crash_pe"), _replica, st.integers(min_value=0, max_value=11)),
+        st.tuples(st.just("restart_pe"), _replica, st.integers(min_value=0, max_value=11)),
+        st.tuples(st.just("cancel_job"), _replica),
+        st.tuples(st.just("run_for"), st.sampled_from([0.02, 0.3, 1.0, 3.5])),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@example_budget("orca-ci", tier1=60)
+@given(steps=_steps)
+def test_inspection_equals_the_runtime_after_every_step(steps):
+    system = SystemS(hosts=6, seed=5, config=SystemConfig(orca_poll_interval=3.0))
+    service = system.submit_orchestrator(
+        OrcaDescriptor(
+            name="R",
+            logic=_Passive,
+            applications=[ManagedApplication(name="Replica", application=two_region_app())],
+        )
+    )
+    foreign = system.submit_job(two_region_app("Foreign"))
+    replicas = [service.submit_application("Replica")]
+    system.run_for(1.0)
+    subscribers = {topic: len(subs) for topic, subs in system.events.subscribers.items()}
+    seen = tap_metric_events(service)
+
+    def pick(items, index):
+        return items[index % len(items)]
+
+    for step in steps:
+        kind, args = step[0], step[1:]
+        try:
+            if kind == "submit":
+                if len(replicas) < 3:
+                    replicas.append(service.submit_application("Replica"))
+            elif kind == "run_for":
+                system.run_for(args[0])
+            elif kind == "cancel_job":
+                service.cancel_job(pick(replicas, args[0]).job_id)
+            elif kind == "set_channel_width":
+                service.set_channel_width(pick(replicas, args[0]).job_id, args[1], args[2])
+            elif kind == "crash_pe":
+                pick(pick(replicas, args[0]).pes, args[1]).crash("property")
+            elif kind == "restart_pe":
+                service.restart_pe(pick(pick(replicas, args[0]).pes, args[1]).pe_id)
+        except ReproError:
+            pass  # a refused step (rescaling twice, a cancelled job, ...) changes nothing
+        # SAM is the reference: the service's table holds the very same jobs
+        owned = [job for job in system.sam.jobs.values() if job.owner_orca == service.orca_id]
+        assert owned == replicas
+        for job in replicas:
+            if service.job_is_running(job.job_id):
+                assert_inspection_equals_runtime(service, job)
+            else:
+                assert_not_managed(service, job)
+        assert_not_managed(service, foreign)
+        with pytest.raises(OrcaPermissionError):
+            service.job(foreign.job_id)
+        with pytest.raises(OrcaPermissionError):
+            service.channel_width(foreign.job_id, "keyed")
+        assert {t: len(subs) for t, subs in system.events.subscribers.items()} == subscribers
+    # whatever the polls during the schedule saw was true when they saw it:
+    # settle, then two more polls must describe exactly the jobs still running
+    system.run_for(4.0)
+    del seen[:]
+    system.run_for(7.0)
+    assert_metric_events_equal_runtime(
+        seen, [job for job in replicas if service.job_is_running(job.job_id)]
+    )
+    assert service.handler_errors == []

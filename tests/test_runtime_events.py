@@ -71,14 +71,14 @@ class TestPublishSubscribe:
 
     def test_detach_twice_is_a_noop(self):
         events = RuntimeEvents()
-        keep = events.subscribe(topology=lambda job, kind: None)
-        detach = events.subscribe(topology=print, reclaim=print)
+        keep = events.subscribe(pe_failure=lambda pe, reason: None)
+        detach = events.subscribe(pe_failure=print, reclaim=print)
         detach()
         detach()
-        assert len(events.subscribers["topology"]) == 1
+        assert len(events.subscribers["pe_failure"]) == 1
         assert events.subscribers["reclaim"] == []
         keep()
-        assert events.subscribers["topology"] == []
+        assert events.subscribers["pe_failure"] == []
 
     def test_unknown_topic_raises_and_registers_nothing(self):
         events = RuntimeEvents()
@@ -120,21 +120,6 @@ class TestSystemWiring:
         assert grown == sum(len(subs) for subs in before.values()) + 4
         detach()
         assert system.events.subscribers == before
-
-    def test_topology_published_for_an_external_rescale(self):
-        system = SystemS(hosts=12, seed=42)
-        job = system.submit_job(build_region_app(width=1, rate=50.0))
-        system.run_for(1.0)
-        changes = []
-        system.events.subscribe(
-            topology=lambda j, change: changes.append((j.job_id, change))
-        )
-        system.elastic.set_channel_width(job, "region", 3)
-        system.run_for(20.0)
-        assert changes == [(job.job_id, "add_pes"), (job.job_id, "rescale")]
-        system.elastic.set_channel_width(job, "region", 1)
-        system.run_for(20.0)
-        assert changes[2:] == [(job.job_id, "remove_pes"), (job.job_id, "rescale")]
 
 
 class TestOneMechanism:
