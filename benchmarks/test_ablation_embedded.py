@@ -97,11 +97,8 @@ def run_orchestrated_variant() -> VariantResult:
     )
 
 
-def test_embedded_vs_orchestrated(benchmark, results_dir):
-    def run_both():
-        return run_embedded_variant(), run_orchestrated_variant()
-
-    embedded, orchestrated = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_embedded_vs_orchestrated(results_dir):
+    embedded, orchestrated = run_embedded_variant(), run_orchestrated_variant()
 
     lines = [
         f"{'':<28} {'embedded (Fig. 1)':>18} {'orchestrated':>14}",

@@ -1,6 +1,9 @@
 """Checkpointing & crash-recovery benchmark (the repro.checkpoint layer).
 
-Four claims, each impossible on the seed's no-checkpoint semantics:
+Three claims, each impossible on the seed's no-checkpoint semantics (what
+checkpointing *costs* is wall time: ``checkpoint.full_ms`` /
+``checkpoint.incr_ms`` / ``checkpoint.self_us_per_tuple`` of ``python3 -m
+bench``):
 
 * **crash-restart recovery** — with periodic checkpointing, a crashed
   PE's ``restart(rehydrate=True)`` restores >= 99% of its keyed state
@@ -12,21 +15,14 @@ Four claims, each impossible on the seed's no-checkpoint semantics:
 * **unmask reclaim** — a crashed channel's keys continue from its
   checkpoint on the detour channels (mask-time seeding) and the accrued
   state returns home at unmask (reclaim): zero tuple loss and per-key
-  counts stay *contiguous* across the whole crash/detour/restart cycle;
-* **steady-state overhead** — incremental dirty-tracked captures keep
-  the checkpointing tax on a hot streaming workload under 10% CPU
-  time, and the ORCA event-delivery path stays above the seed's
-  10k events/s bar with checkpointing active.
+  counts stay *contiguous* across the whole crash/detour/restart cycle.
 """
 
 from __future__ import annotations
 
-import gc
-import time
 from typing import Dict, List
 
-from repro import Orchestrator, OrcaDescriptor, SystemS
-from repro.orca.scopes import UserEventScope
+from repro import SystemS
 from repro.runtime.system import SystemConfig
 from repro.spl.application import Application
 from repro.spl.library import CallbackSource, KeyedCounter, Sink, stable_channel_of
@@ -218,69 +214,6 @@ def run_crash_detour_reclaim():
 
 
 # ---------------------------------------------------------------------------
-# 4. steady-state overhead
-# ---------------------------------------------------------------------------
-
-
-class _CountingOrca(Orchestrator):
-    def __init__(self):
-        super().__init__()
-        self.count = 0
-
-    def handleOrcaStart(self, context):
-        self.orca.registerEventScope(UserEventScope("u"))
-
-    def handleUserEvent(self, context, scopes):
-        self.count += 1
-
-
-def run_streaming_wall_clock(checkpoint_interval: float) -> float:
-    """CPU seconds to push a fixed keyed workload through.
-
-    Measured in process CPU time, not wall clock: the sim is
-    single-threaded, so preemption by unrelated load on a shared
-    machine would otherwise pollute the tight overhead ratio asserted
-    below.  GC is paused around the timed window (with a full
-    collection just before it) so collector pauses triggered by earlier
-    samples' garbage don't land inside this one.
-    """
-    system = SystemS(
-        hosts=6, config=SystemConfig(checkpoint_interval=checkpoint_interval)
-    )
-    job = system.submit_job(build_plain_app(period=0.01, limit=2000))
-    system.run_for(1.0)
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.process_time()
-        system.run_for(25.0)  # feed (20 s) + drain; ~50 checkpoint rounds
-        elapsed = time.process_time() - start
-    finally:
-        gc.enable()
-    sink_op = job.operator_instance("sink")
-    assert len(sink_op.seen) == 2000
-    return elapsed
-
-
-def run_event_throughput_with_checkpointing(n_events: int = 5000) -> float:
-    """The seed's event-delivery benchmark, with checkpointing active."""
-    system = SystemS(hosts=2, config=SystemConfig(checkpoint_interval=0.25))
-    system.submit_job(build_plain_app(period=0.01))
-    logic = _CountingOrca()
-    service = system.submit_orchestrator(
-        OrcaDescriptor(name="C", logic=lambda: logic, applications=[])
-    )
-    system.run_for(1.0)
-    start = time.perf_counter()
-    for i in range(n_events):
-        service.inject_user_event("tick", {"i": i})
-    system.run_for(0.1)
-    elapsed = time.perf_counter() - start
-    assert logic.count == n_events
-    return n_events / elapsed
-
-
-# ---------------------------------------------------------------------------
 # the benchmark
 # ---------------------------------------------------------------------------
 
@@ -294,30 +227,6 @@ def run_all():
     received, non_contiguous, mask, reclaim, reclaim_limit = (
         run_crash_detour_reclaim()
     )
-    # Timed pairs run back-to-back so a load window on a shared machine
-    # hits both sides of each ratio; the batch median rejects outlier
-    # pairs.  If the whole batch lands inside a contention window
-    # (inflating every pair at once), re-measure — a real overhead
-    # regression inflates every batch, so taking the best of up to
-    # three batches keeps the 10% bar strict without flaking on noise.
-    # The reported ms pair is the median pair of the winning batch, so
-    # the printed times and the printed percentage are the same
-    # measurement (ckpt_s / base_s - 1 == overhead exactly).
-    overhead = None
-    base_s = ckpt_s = None
-    for _ in range(3):
-        pairs = []
-        for _ in range(5):
-            base = run_streaming_wall_clock(0.0)
-            ckpt = run_streaming_wall_clock(0.5)
-            pairs.append((ckpt / base, base, ckpt))
-        ratio, base, ckpt = sorted(pairs)[len(pairs) // 2]
-        if overhead is None or ratio - 1.0 < overhead:
-            overhead = ratio - 1.0
-            base_s, ckpt_s = base, ckpt
-        if overhead < 0.10:
-            break
-    event_rate = run_event_throughput_with_checkpointing()
     return {
         "recovered": recovered,
         "total": total,
@@ -332,15 +241,11 @@ def run_all():
         "mask": mask,
         "reclaim": reclaim,
         "reclaim_limit": reclaim_limit,
-        "overhead": overhead,
-        "base_s": base_s,
-        "ckpt_s": ckpt_s,
-        "event_rate": event_rate,
     }
 
 
-def test_checkpoint_recovery(benchmark, results_dir):
-    r = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_checkpoint_recovery(results_dir):
+    r = run_all()
 
     migration = r["merge_op"].migration
     lines = [
@@ -367,13 +272,6 @@ def test_checkpoint_recovery(benchmark, results_dir):
         f"(purged: {r['reclaim'].keys_purged})",
         f"  keys with non-contiguous counts (state loss): "
         f"{len(r['non_contiguous'])}",
-        "",
-        "steady-state overhead (2000 tuples, ~50 checkpoint rounds):",
-        f"  no checkpointing: {r['base_s'] * 1000:.1f} ms, "
-        f"interval 0.5 s: {r['ckpt_s'] * 1000:.1f} ms "
-        f"(overhead {r['overhead'] * 100:+.1f}%)",
-        f"  event delivery with checkpointing active: "
-        f"{r['event_rate']:,.0f} events/s",
     ]
     emit(results_dir, "checkpoint_recovery", lines)
 
@@ -391,6 +289,3 @@ def test_checkpoint_recovery(benchmark, results_dir):
     assert r["non_contiguous"] == []
     assert r["mask"].seeded_keys > 0
     assert r["reclaim"].keys_reclaimed > 0 and r["reclaim"].keys_purged == 0
-    # steady-state checkpoint overhead < 10%, event path above the seed bar
-    assert r["overhead"] < 0.10
-    assert r["event_rate"] > 10_000

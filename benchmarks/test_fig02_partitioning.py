@@ -52,8 +52,8 @@ def run_fig2_scenario(horizon: float = 60.0) -> Fig2Result:
     )
 
 
-def test_fig2_partitioning(benchmark, results_dir):
-    result = benchmark.pedantic(run_fig2_scenario, rounds=1, iterations=1)
+def test_fig2_partitioning(results_dir):
+    result = run_fig2_scenario()
 
     lines = ["physical layout (Fig. 3):"]
     for index in sorted(result.layout):

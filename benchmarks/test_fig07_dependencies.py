@@ -117,8 +117,8 @@ def run_fig7_scenario() -> Fig7Result:
     )
 
 
-def test_fig7_dependency_schedule(benchmark, results_dir):
-    result = benchmark.pedantic(run_fig7_scenario, rounds=1, iterations=1)
+def test_fig7_dependency_schedule(results_dir):
+    result = run_fig7_scenario()
 
     lines = ["dependency graph of Fig. 7 (uptime requirements on arcs)", ""]
     for when, kind, config in result.timeline:

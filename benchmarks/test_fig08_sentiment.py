@@ -66,8 +66,8 @@ def run_fig8_scenario(
     )
 
 
-def test_fig8_ratio_series(benchmark, results_dir):
-    result = benchmark.pedantic(run_fig8_scenario, rounds=1, iterations=1)
+def test_fig8_ratio_series(results_dir):
+    result = run_fig8_scenario()
 
     lines = [f"{'epoch':>6}  {'unknown/known ratio':>20}"]
     for epoch, ratio in result.series:

@@ -72,8 +72,8 @@ def run_fig9_scenario(horizon_after: float = 700.0) -> Fig9Result:
     )
 
 
-def test_fig9_failover(benchmark, results_dir):
-    result = benchmark.pedantic(run_fig9_scenario, rounds=1, iterations=1)
+def test_fig9_failover(results_dir):
+    result = run_fig9_scenario()
 
     active = dict(result.active_series)
     failed = dict(result.failed_series)

@@ -73,8 +73,8 @@ def run_fig10_scenario(horizon: float = 400.0, rate: int = 15) -> Fig10Result:
     )
 
 
-def test_fig10_composition(benchmark, results_dir):
-    result = benchmark.pedantic(run_fig10_scenario, rounds=1, iterations=1)
+def test_fig10_composition(results_dir):
+    result = run_fig10_scenario()
 
     lines = [f"profile threshold: {THRESHOLD} new profiles per attribute", ""]
     lines.append(f"{'t':>7}  {'event':>7}  app")

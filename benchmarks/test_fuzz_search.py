@@ -103,10 +103,8 @@ def run_all():
     return results, weak_report, shrunk, results[name], repeat
 
 
-def test_fuzz_search(benchmark, results_dir):
-    results, weak_report, shrunk, first, repeat = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
+def test_fuzz_search(results_dir):
+    results, weak_report, shrunk, first, repeat = run_all()
 
     lines = ["== adversarial search over presets (healthy stack) =="]
     for name, report in results.items():

@@ -42,8 +42,8 @@ def run_loc_table() -> LocResult:
     return LocResult(rows=rows)
 
 
-def test_orca_logic_loc_table(benchmark, results_dir):
-    result = benchmark.pedantic(run_loc_table, rounds=1, iterations=1)
+def test_orca_logic_loc_table(results_dir):
+    result = run_loc_table()
 
     lines = [f"{'use case':<20} {'paper (C++)':>12} {'ours (Python)':>14}"]
     for name, (paper, ours) in result.rows.items():

@@ -101,8 +101,8 @@ def run_recovery_comparison() -> RecoveryResult:
     )
 
 
-def test_recovery_latency_overhead(benchmark, results_dir):
-    result = benchmark.pedantic(run_recovery_comparison, rounds=1, iterations=1)
+def test_recovery_latency_overhead(results_dir):
+    result = run_recovery_comparison()
 
     lines = [
         f"SAM auto-restart recovery latency:     {result.auto_restart_latency * 1000:8.1f} ms",
@@ -172,8 +172,8 @@ def run_hot_path_comparison() -> HotPathResult:
     )
 
 
-def test_metric_polling_off_hot_path(benchmark, results_dir):
-    result = benchmark.pedantic(run_hot_path_comparison, rounds=1, iterations=1)
+def test_metric_polling_off_hot_path(results_dir):
+    result = run_hot_path_comparison()
 
     lines = [
         f"throughput, no orchestrator:        {result.tuples_no_orca:8.2f} tuples/s",

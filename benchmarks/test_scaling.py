@@ -1,162 +1,26 @@
-"""Scale ablations for the design choices DESIGN.md calls out.
+"""Scale ablation for the dependency manager (Sec. 4.3).
 
-1. **Event delivery throughput** — the ORCA service delivers events one
-   at a time from a FIFO (Sec. 4.2); this measures deliveries/second of
-   the queue + dispatch machinery in isolation.
-2. **Tuple delivery throughput** — the transport's one-at-a-time hot
-   path vs the end-to-end batched path (``batch_max_size > 1``): same
-   wire, same tuples, kernel events and dispatch amortized across whole
-   batches.  The CI ``batch-perf-smoke`` job (``BATCH_PERF_STRICT=1``)
-   gates the batched rate at >= 5x the unbatched rate measured on the
-   same runner in the same run.
-3. **Dependency bring-up at scale** — the submission-thread algorithm
-   walks snapshots and sleeps per uptime requirement; this measures
-   bring-up latency and scheduling work for chains and fan-ins far
-   larger than Fig. 7's six applications.
+**Dependency bring-up at scale** — the submission-thread algorithm walks
+snapshots and sleeps per uptime requirement; this measures bring-up
+latency (in simulated seconds) for chains and fan-ins far larger than
+Fig. 7's six applications.
+
+Event- and tuple-delivery *rates* are wall time, so ``python3 -m bench``
+measures them: ``orca.dispatch_ns`` for the FIFO + dispatch path,
+``transport.send_ns`` / ``transport.send_batch_ns`` for the one-at-a-time
+vs batched wire (CI ``bench-ratios`` gates their ratio).
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from typing import List
 
-from repro import (
-    ManagedApplication,
-    Orchestrator,
-    OrcaDescriptor,
-    SystemConfig,
-    SystemS,
-)
-from repro.orca.scopes import UserEventScope
+from repro import ManagedApplication, Orchestrator, OrcaDescriptor, SystemS
 from repro.spl.application import Application
-from repro.spl.library import Beacon, Custom, Sink
-from repro.spl.tuples import StreamTuple
+from repro.spl.library import Beacon, Sink
 
-from benchmarks.conftest import best_of, emit
-
-#: strict speedup floor, enforced when BATCH_PERF_STRICT=1 (the CI
-#: batch-perf-smoke job); outside CI a lenient floor guards against
-#: gross regressions without flaking on loaded machines
-STRICT_SPEEDUP_FLOOR = 5.0
-LENIENT_SPEEDUP_FLOOR = 2.0
-
-
-class CountingOrca(Orchestrator):
-    def __init__(self):
-        super().__init__()
-        self.count = 0
-
-    def handleOrcaStart(self, context):
-        self.orca.registerEventScope(UserEventScope("u"))
-
-    def handleUserEvent(self, context, scopes):
-        self.count += 1
-
-
-def run_event_throughput(n_events: int = 5000, config=None) -> float:
-    """Wall-clock events/second through enqueue -> match -> deliver.
-
-    Args:
-        n_events: Events to inject.
-        config: Optional :class:`~repro.runtime.system.SystemConfig`
-            (the obs-overhead benchmark passes traced variants).
-    """
-    system = SystemS(hosts=1, config=config)
-    logic = CountingOrca()
-    service = system.submit_orchestrator(
-        OrcaDescriptor(name="C", logic=lambda: logic, applications=[])
-    )
-    system.run_for(0.1)
-    start = time.perf_counter()
-    for i in range(n_events):
-        service.inject_user_event("tick", {"i": i})
-    system.run_for(0.1)
-    elapsed = time.perf_counter() - start
-    assert logic.count == n_events
-    return n_events / elapsed
-
-
-def run_tuple_delivery_throughput(
-    batch_max_size: int = 1, n_tuples: int = 100_000, chunk: int = 64
-) -> float:
-    """Wall-clock tuples/second across one inter-PE wire.
-
-    A quiet two-PE pipeline (inert source, non-recording sink) is driven
-    by hand: pre-built tuples go to ``Transport.send_batch`` in runs of
-    ``chunk``, then the kernel drains the wire.  With
-    ``batch_max_size=1`` this is exactly today's one-event-per-tuple
-    path; with ``batch_max_size=chunk`` every run crosses as one
-    :class:`~repro.spl.tuples.TupleBatch` — one kernel event, one
-    delivery, one vectorized operator call.
-
-    Args:
-        batch_max_size: Transport batch size trigger (1 = unbatched).
-        n_tuples: Total tuples pushed across the wire.
-        chunk: Tuples per ``send_batch`` call.
-    """
-    system = SystemS(
-        hosts=2, config=SystemConfig(batch_max_size=batch_max_size)
-    )
-    app = Application("Wire")
-    g = app.graph
-    src = g.add_operator(
-        "src", Custom, params={"n_inputs": 0, "n_outputs": 1}, partition="a"
-    )
-    sink = g.add_operator("sink", Sink, params={"record": False}, partition="b")
-    g.connect(src.oport(0), sink.iport(0))
-    job = system.submit_job(app)
-    system.run_for(0.5)
-    src_pe = job.pe_of_operator("src")
-    sink_pe = job.pe_of_operator("sink")
-    transport = system.transport
-    tuples = [StreamTuple({"iter": i}) for i in range(n_tuples)]
-    delivered_before = transport.total_delivered
-    start = time.perf_counter()
-    for base in range(0, n_tuples, chunk):
-        transport.send_batch(
-            sink_pe, "sink", 0, tuples[base:base + chunk], src_pe=src_pe
-        )
-    system.run_for(1.0)
-    elapsed = time.perf_counter() - start
-    assert transport.total_delivered - delivered_before == n_tuples
-    return n_tuples / elapsed
-
-
-def test_event_delivery_throughput(benchmark, results_dir):
-    # Every rate is a best-of-3 (see conftest.best_of): this file is the
-    # committed baseline the obs-overhead CI gate enforces a 5% floor
-    # against, so a single round polluted by unrelated machine load
-    # would silently lower that floor for every future run.
-    rate = benchmark.pedantic(
-        lambda: best_of(run_event_throughput), rounds=1, iterations=1
-    )
-    unbatched = best_of(lambda: run_tuple_delivery_throughput(batch_max_size=1))
-    batched = best_of(lambda: run_tuple_delivery_throughput(batch_max_size=64))
-    speedup = batched / unbatched
-    emit(
-        results_dir,
-        "scaling_event_throughput",
-        [
-            f"one-at-a-time FIFO delivery rate: {rate:,.0f} events/s",
-            "",
-            "tuple delivery across one inter-PE wire (100k tuples):",
-            f"  one-at-a-time (batch_max_size=1):  {unbatched:,.0f} tuples/s",
-            f"  batched (batch_max_size=64):       {batched:,.0f} tuples/s",
-            f"  batched speedup: {speedup:.1f}x",
-        ],
-    )
-    assert rate > 10_000  # the queue must not be the bottleneck
-    floor = (
-        STRICT_SPEEDUP_FLOOR
-        if os.environ.get("BATCH_PERF_STRICT")
-        else LENIENT_SPEEDUP_FLOOR
-    )
-    assert speedup >= floor, (
-        f"batched delivery only {speedup:.1f}x the one-at-a-time rate "
-        f"(floor {floor:.0f}x)"
-    )
+from benchmarks.conftest import emit
 
 
 def tiny_app(name: str) -> Application:
@@ -247,8 +111,8 @@ def run_dependency_scale() -> DependencyScaleResult:
     )
 
 
-def test_dependency_bring_up_scale(benchmark, results_dir):
-    result = benchmark.pedantic(run_dependency_scale, rounds=1, iterations=1)
+def test_dependency_bring_up_scale(results_dir):
+    result = run_dependency_scale()
 
     lines = [f"{'chain depth':>12}  {'head submitted at (s)':>22}"]
     for depth, t in zip(result.depths, result.bring_up_times):

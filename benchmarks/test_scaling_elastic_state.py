@@ -12,9 +12,10 @@ the migration protocol guarantees, and records its latency numbers:
 * **zero keyed-state loss** — every key's observed counts are exactly
   1, 2, 3, ... with no reset or gap across both rescales (state moved
   transactionally with the routing change);
-* **migration latency** — keys/bytes moved, per-edge move counts, wall
-  time of extract+install, and the drain-to-resume duration of each
-  rescale, persisted under ``benchmarks/results/``.
+* **migration latency** — keys/bytes moved, per-edge move counts and the
+  drain-to-resume duration of each rescale in simulated ms, persisted
+  under ``benchmarks/results/`` (the real cost of extract+install is
+  ``state.migrate_ms`` of ``python3 -m bench``).
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ def _migration_lines(label: str, op: RescaleOperation) -> List[str]:
     lines += [
         f"  keys moved: {migration.keys_moved} "
         f"({migration.bytes_moved} bytes, {migration.keys_lost} lost)",
-        f"  extract+install wall time: {migration.wall_ms:.3f} ms",
         "  per-edge moves: "
         + ", ".join(
             f"c{src}->c{dst}:{n}" for (src, dst), n in sorted(migration.moves.items())
@@ -122,8 +122,8 @@ def _migration_lines(label: str, op: RescaleOperation) -> List[str]:
     return lines
 
 
-def test_live_rescale_zero_keyed_state_loss(benchmark, results_dir):
-    result = benchmark.pedantic(run_live_keyed_rescale, rounds=1, iterations=1)
+def test_live_rescale_zero_keyed_state_loss(results_dir):
+    result = run_live_keyed_rescale()
 
     received = result.received_seqs
     reset_keys = [
@@ -158,4 +158,3 @@ def test_live_rescale_zero_keyed_state_loss(benchmark, results_dir):
         assert op.migration is not None
         assert op.migration.keys_moved > 0
         assert op.migration.keys_lost == 0
-        assert op.migration.wall_ms >= 0.0

@@ -68,8 +68,8 @@ def run_fission_scaling(horizon: float = 30.0) -> FissionResult:
     return FissionResult(widths=widths, throughputs=throughputs)
 
 
-def test_fission_throughput_scales_with_width(benchmark, results_dir):
-    result = benchmark.pedantic(run_fission_scaling, rounds=1, iterations=1)
+def test_fission_throughput_scales_with_width(results_dir):
+    result = run_fission_scaling()
 
     lines = [f"{'channels':>8}  {'sink throughput (tuples/s)':>28}"]
     for width in result.widths:
@@ -119,8 +119,8 @@ def run_live_rescale(limit: int = 600) -> RescaleResult:
     )
 
 
-def test_live_rescale_zero_tuple_loss(benchmark, results_dir):
-    result = benchmark.pedantic(run_live_rescale, rounds=1, iterations=1)
+def test_live_rescale_zero_tuple_loss(results_dir):
+    result = run_live_rescale()
 
     received = result.received
     emit(

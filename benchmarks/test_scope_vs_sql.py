@@ -1,19 +1,19 @@
 """Sec. 4.1 claim — the scope API vs the SQL-equivalent recursive query.
 
 The paper argues the scope API is the simpler interface and shows the
-recursive CTE a developer would otherwise write.  This benchmark (i)
+recursive CTE a developer would otherwise write.  This benchmark
 verifies the two select identical rows on a family of synthetic nested
-applications, and (ii) times both, reporting the per-poll matching cost.
+applications.  (The matcher's per-scope cost is wall time:
+``orca.match_ns_per_scope`` of ``python3 -m bench``.)
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List
 
 from repro.orca.scopes import OperatorMetricScope
-from repro.orca.sqlbaseline import (
+from tests.sqlbaseline import (
     paper_scope_query,
     scope_match_reference,
     tables_from_adl,
@@ -56,13 +56,11 @@ def synthetic_model(n_composites: int, ops_per_composite: int, depth: int) -> AD
 @dataclass
 class ScopeVsSqlResult:
     sizes: List[int]
-    scope_times_ms: List[float]
-    sql_times_ms: List[float]
     all_equivalent: bool
 
 
-def run_scope_vs_sql(repeats: int = 20) -> ScopeVsSqlResult:
-    sizes, scope_times, sql_times = [], [], []
+def run_scope_vs_sql() -> ScopeVsSqlResult:
+    sizes = []
     equivalent = True
     for n_composites in (5, 20, 60):
         model = synthetic_model(n_composites, ops_per_composite=4, depth=3)
@@ -86,73 +84,37 @@ def run_scope_vs_sql(repeats: int = 20) -> ScopeVsSqlResult:
         scope.addOperatorMetric("queueSize")
         op_kind = {op.name: op.kind for op in model.operators}
 
-        start = time.perf_counter()
-        for _ in range(repeats):
-            scope_rows = {
-                (name, value)
-                for name, metric, value in metrics
-                if scope.matches(
-                    {
-                        "operator_type": op_kind[name],
-                        "composite_type": chains[name],
-                        "metric_name": metric,
-                    }
-                )
-            }
-        scope_ms = (time.perf_counter() - start) * 1000 / repeats
-
-        start = time.perf_counter()
-        for _ in range(repeats):
-            sql_rows = set(
-                paper_scope_query(
-                    tables, "queueSize", ["Split", "Merge"], "composite1"
-                ).rows
+        scope_rows = {
+            (name, value)
+            for name, metric, value in metrics
+            if scope.matches(
+                {
+                    "operator_type": op_kind[name],
+                    "composite_type": chains[name],
+                    "metric_name": metric,
+                }
             )
-        sql_ms = (time.perf_counter() - start) * 1000 / repeats
-
+        }
+        sql_rows = set(
+            paper_scope_query(
+                tables, "queueSize", ["Split", "Merge"], "composite1"
+            ).rows
+        )
         reference = scope_match_reference(
             model, metrics, "queueSize", ["Split", "Merge"], "composite1"
         )
         equivalent = equivalent and scope_rows == sql_rows == reference
         sizes.append(len(model.operators))
-        scope_times.append(scope_ms)
-        sql_times.append(sql_ms)
-    return ScopeVsSqlResult(sizes, scope_times, sql_times, equivalent)
+    return ScopeVsSqlResult(sizes, equivalent)
 
 
-def test_scope_vs_sql(benchmark, results_dir):
-    result = benchmark.pedantic(run_scope_vs_sql, rounds=1, iterations=1)
+def test_scope_vs_sql(results_dir):
+    result = run_scope_vs_sql()
 
-    lines = [
-        f"{'operators':>10}  {'scope API (ms)':>15}  {'recursive SQL (ms)':>19}  "
-        f"{'SQL/scope':>10}"
-    ]
-    for size, s_ms, q_ms in zip(
-        result.sizes, result.scope_times_ms, result.sql_times_ms
-    ):
-        lines.append(
-            f"{size:10d}  {s_ms:15.3f}  {q_ms:19.3f}  {q_ms / s_ms:10.1f}x"
-        )
+    lines = [f"{'operators':>10}"]
+    lines += [f"{size:10d}" for size in result.sizes]
     lines.append("")
     lines.append(f"result sets identical on all sizes: {result.all_equivalent}")
     emit(results_dir, "scope_vs_sql", lines)
 
     assert result.all_equivalent, "Sec. 4.1 equivalence must hold"
-    # Shape: the direct matcher should never lose to the recursive query.
-    for s_ms, q_ms in zip(result.scope_times_ms, result.sql_times_ms):
-        assert s_ms <= q_ms
-
-
-def test_scope_matching_microbenchmark(benchmark):
-    """Raw matching throughput of one registered subscope."""
-    scope = OperatorMetricScope("s")
-    scope.addOperatorTypeFilter(["Split", "Merge"])
-    scope.addCompositeTypeFilter("composite1")
-    scope.addOperatorMetric("queueSize")
-    attrs = {
-        "operator_type": "Split",
-        "composite_type": {"composite1", "wrapper"},
-        "metric_name": "queueSize",
-    }
-    result = benchmark(scope.matches, attrs)
-    assert result is True

@@ -16,7 +16,6 @@ state phase) and :mod:`repro.elastic.reroute` (seed and reclaim).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -61,10 +60,6 @@ class StateMigration:
     global_states_merged: int = 0
     #: True when a failed rewire reinstalled the partitions at the source
     rolled_back: bool = False
-    #: wall-clock cost of extract + install (the simulated protocol pays
-    #: its latency at the drain barrier; this measures the real state
-    #: shuffling work)
-    wall_ms: float = 0.0
 
 
 @dataclass
@@ -263,7 +258,6 @@ class RegionMigration:
             keyed: False skips the keyed extraction — regions without
                 keyed ownership whose shrink still wants the global merge.
         """
-        started = time.perf_counter()
         record, mover, new_width = self.record, self.mover, self.record.new_width
         owner = owner_at(new_width)
         for src, ops in enumerate(self.plan.channel_ops):
@@ -292,7 +286,6 @@ class RegionMigration:
                         self._globals.append((position, src, name, state.snapshot()))
                     else:
                         record.dropped_global_states += 1
-        record.wall_ms += (time.perf_counter() - started) * 1000.0
 
     def place_extracted(self, masked: Set[int]) -> None:
         """Install the extracted entries on their new owner channels.
@@ -309,7 +302,6 @@ class RegionMigration:
         Args:
             masked: The region's masked channels (the controller's set).
         """
-        started = time.perf_counter()
         owner, detour = owner_at(self.plan.width), detour_at(self.plan.width, masked)
         while self._extracted:
             placed, homeless = self.mover.place(self._extracted[0], owner)
@@ -323,7 +315,6 @@ class RegionMigration:
                 self._lost += lost
             self._installed += placed
             del self._extracted[0]  # only now: a failure above leaves an exact split
-        self.record.wall_ms += (time.perf_counter() - started) * 1000.0
 
     def merge_globals(self) -> None:
         """Fold captured doomed-channel global states into their survivors.

@@ -325,7 +325,6 @@ class RegionStateMigratedContext:
     moves: Dict[tuple, int]
     dropped_global_states: int
     skipped_channels: tuple  #: channels whose PE was down at extraction
-    wall_ms: float  #: real time spent extracting + installing partitions
     epoch: int  #: reconfiguration epoch of the enclosing rescale
     time: float
     #: global states folded into survivors by the region's user-defined

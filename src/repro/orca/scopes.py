@@ -11,8 +11,8 @@ attribute filters.  Filter semantics:
 * conditions on **different attributes are conjunctive** ("application A
   *and* contained within composite type composite1"),
 * composite filters match through **any nesting depth** — which is why the
-  equivalent SQL formulation needs a recursive query (see
-  :mod:`repro.orca.sqlbaseline`).
+  equivalent SQL formulation needs a recursive query (the paper's own,
+  which the tests run next to this matcher as its reference).
 
 The ``add*Filter`` method names follow the paper's Fig. 5 verbatim.  Which
 event types a scope class covers is not stated here: each kind names its

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import UnknownHostError
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.runtime.host import Host
 
 
@@ -77,7 +77,7 @@ class SRM:
         self._metrics: Dict[_Key, MetricSample] = {}
         #: SAM installs this to learn about host failures.
         self.on_host_failure: Optional[Callable[[str, float], None]] = None
-        self._sweeping = False
+        self._next_sweep: Optional[ScheduledEvent] = None
 
     # -- host registry ----------------------------------------------------------
 
@@ -97,26 +97,24 @@ class SRM:
 
     def start(self) -> None:
         """Begin the heartbeat sweep loop."""
-        if not self._sweeping:
-            self._sweeping = True
-            self.kernel.schedule(self.sweep_interval, self._sweep)
+        if self._next_sweep is None:
+            self._next_sweep = self.kernel.schedule(self.sweep_interval, self._sweep)
 
     def heartbeat(self, host_name: str, ts: float) -> None:
         self._heartbeats[host_name] = ts
 
     def _sweep(self) -> None:
         now = self.kernel.now
+        # an executor that ran this sweep late ran the heartbeats due after it
+        # late too (wall clock only; 0.0 on the sim): its stall is nobody's death
+        silence = self.heartbeat_timeout + (now - self._next_sweep.time)
         for name, host in self.hosts.items():
-            if not host.is_up:
-                continue
             last = self._heartbeats.get(name)
-            if last is None:
-                continue
-            if now - last > self.heartbeat_timeout:
+            if host.is_up and last is not None and now - last > silence:
                 host.mark_down()
                 if self.on_host_failure is not None:
                     self.on_host_failure(name, now)
-        self.kernel.schedule(self.sweep_interval, self._sweep)
+        self._next_sweep = self.kernel.schedule(self.sweep_interval, self._sweep)
 
     # -- metrics --------------------------------------------------------------------
 

@@ -75,8 +75,8 @@ class KeyedState:
         self._data: Dict[Any, Any] = {}
         #: bumped by install/restore/extract_partition/clear
         self.version = 0
-        #: keys touched (written, or handed out mutably) since mark_clean
-        self._dirty: Set[Any] = set()
+        #: keys touched since mark_clean, as an insertion-ordered set (hash-seed free)
+        self._dirty: Dict[Any, None] = {}
         #: keys removed since mark_clean (checkpoint deltas need deletions)
         self._dropped: Set[Any] = set()
         #: True until the first mark_clean, and again after any bulk
@@ -186,11 +186,11 @@ class KeyedState:
     # -- dirty tracking (repro.checkpoint) --------------------------------------
 
     def _touch(self, key: Any) -> None:
-        self._dirty.add(key)
+        self._dirty[key] = None
         self._dropped.discard(key)
 
     def _drop(self, key: Any) -> None:
-        self._dirty.discard(key)
+        self._dirty.pop(key, None)
         self._dropped.add(key)
 
     def _invalidate_deltas(self) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import time
 
 import pytest
 from hypothesis import settings
@@ -78,6 +79,35 @@ def where(root: pathlib.Path, matches, skip=()):
         for file, name, function in functions_under(root)
         if name not in skip and any(matches(node) for node in ast.walk(function))
     ]
+
+
+def hold(system, condition, what, ceiling_s: float = 30.0, slice_s: float = 0.25) -> None:
+    """Assert ``condition()`` on the sim; on the wall clock, wait for it.
+
+    The sim reaches a state at an exact virtual instant, so a false
+    condition fails at once.  A wall-clock executor reaches it when the
+    host gets round to it: ``system`` (a ``SystemS`` or a bare executor)
+    is advanced in ``slice_s`` steps of executor time until the condition
+    holds, and only ``ceiling_s`` *real* seconds without it is a failure —
+    so a loaded host makes a test slower, never red.  The one place under
+    ``tests/`` that reads the host clock (``TestOneStopwatch``).
+
+    Args:
+        system: Anything with ``run_for``; its ``kernel`` (or itself) says
+            whether time is real.
+        condition: Zero-argument predicate.
+        what: What was being waited for — text, or a zero-argument
+            callable rendered only on failure (for state worth logging).
+        ceiling_s: Real seconds to keep trying on the wall clock.
+        slice_s: Executor seconds per step.
+    """
+    real_time = getattr(system, "kernel", system).wall_clock
+    deadline = time.monotonic() + (ceiling_s if real_time else 0.0)
+    while not condition():
+        if time.monotonic() >= deadline:
+            waited = f" within {ceiling_s:g} real seconds" if real_time else ""
+            raise AssertionError(f"{what() if callable(what) else what}: not reached{waited}")
+        system.run_for(slice_s)
 
 
 @pytest.fixture

@@ -3,8 +3,10 @@
 The paper argues that the scope API "offers a much simpler interface to
 developers when compared to an SQL-based approach", because composite
 containment is recursive and the equivalent SQL needs a recursive common
-table expression.  To *verify* that claim (and to have a baseline for the
-scope-matching benchmark), this module implements
+table expression.  To *verify* that claim — it is the reference the scope
+matcher is compared against by ``tests/test_properties.py``,
+``tests/test_orca_descriptor_sql.py`` and ``benchmarks/test_scope_vs_sql.py``,
+and nothing in ``src/`` imports it — this module implements
 
 * a miniature in-memory relational engine — relations with named columns,
   selection, projection, theta-joins, union, distinct, and fixpoint

@@ -4,13 +4,13 @@
 ``elastic/controller.py`` was split into protocol / migration / reroute
 (PR 16) and must stay byte-identical.  For ``best_effort`` and
 ``exactly_once`` delivery it holds every :class:`BarrierEvent`,
-:class:`RescaleOperation` with its :class:`StateMigration` (minus the
-wall-clock ``wall_ms``), :class:`ChannelReroute` and
-:class:`StateReclaim` the controller produced, and — after every step —
-the per-channel keyed dicts and global values and the compiled plan's
-``pes`` / ``placement`` / inter-intra edge split.  Dicts are printed
-sorted: their stored order follows set iteration in
-``KeyedState.dirty_snapshot`` and so varies with ``PYTHONHASHSEED``.
+:class:`RescaleOperation` with its whole :class:`StateMigration`,
+:class:`ChannelReroute` and :class:`StateReclaim` the controller
+produced, and — after every step — the per-channel keyed dicts and
+global values and the compiled plan's ``pes`` / ``placement`` /
+inter-intra edge split.  Keyed dicts are printed in *stored* order
+(re-recorded at PR 22, when ``KeyedState``'s dirty set became
+insertion-ordered): the same under every ``PYTHONHASHSEED``.
 
 The script runs a partitioned, checkpointed, two-operator-per-channel
 region through: scale-out 2 -> 4; a channel crash (mask + seed from the
@@ -136,7 +136,7 @@ def _snapshot(label: str, system: SystemS, job) -> list:
                 continue
             for state_name, keyed in sorted(operator.state.keyed_states().items()):
                 lines.append(
-                    f"c{channel}/{position} {name} keyed {state_name} {sorted(keyed.items())}"
+                    f"c{channel}/{position} {name} keyed {state_name} {list(keyed.items())}"
                 )
             for state_name, gs in sorted(operator.state.global_states().items()):
                 lines.append(
@@ -164,7 +164,6 @@ def _operation_line(op) -> str:
     fields["state"] = op.state.value
     migration = fields.pop("migration")
     if migration is not None:
-        migration.pop("wall_ms")
         migration["moves"] = sorted(migration["moves"].items())
     return f"op {fields} migration={migration}"
 

@@ -718,7 +718,6 @@ class TestStateMetricsAndInspection:
         assert len(service.logic.migrated) == 1
         context = service.logic.migrated[0]
         assert context.keys_moved > 0 and context.new_width == 4
-        assert context.wall_ms >= 0.0
         journal_types = [e.event_type for e in service.event_journal]
         assert journal_types.index("region_state_migrated") < journal_types.index(
             "region_rescaled"

@@ -10,7 +10,11 @@ unmodified chaos campaign.
 
 Wall-clock cases run at ``time_scale=50`` (50 virtual seconds per real
 second), so the whole suite stays fast while every relative ordering is
-preserved.
+preserved.  A horizon of a few virtual seconds is then a few dozen real
+milliseconds, which a loaded host can swallow whole: wherever a case
+needs *progress* (a chain of timers, a feed draining, epochs committing)
+it waits for it with ``hold`` — exact on the sim, patient on the wall
+clock — instead of asserting at the horizon.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from repro.runtime.exec import (
 from repro.spl.application import Application
 from repro.spl.library import CallbackSource, KeyedCounter, Sink
 from repro.spl.parallel import parallel
+
+from tests.conftest import hold
 
 #: virtual seconds per real second for every wall-clock case
 SCALE = 50.0
@@ -118,11 +124,13 @@ class TestSchedulerContract:
     def test_events_run_in_deadline_then_schedule_order(self, executor):
         ran = []
         base = executor.now
-        executor.schedule(0.10, ran.append, "late")
-        executor.schedule(0.02, ran.append, "early")
+        executor.schedule(0.10, ran.append, "late")  # relative: base + 0.10 or later
+        # absolute, so that a stall between these lines cannot reorder them
+        executor.schedule_at(base + 0.02, ran.append, "early")
         executor.schedule_at(base + 0.06, ran.append, "mid-a")
         executor.schedule_at(base + 0.06, ran.append, "mid-b")  # same deadline
         executor.run_until(base + 0.2)
+        hold(executor, lambda: len(ran) == 4, "all four events", slice_s=0.05)
         assert ran == ["early", "mid-a", "mid-b", "late"]
         assert executor.events_processed == 4
         assert executor.now >= base + 0.2
@@ -180,7 +188,7 @@ class TestSchedulerContract:
 
         executor.schedule(0.01, tick)
         executor.run_for(0.2)
-        assert len(ticks) == 5
+        hold(executor, lambda: len(ticks) == 5, "five chained ticks", slice_s=0.05)
         assert ticks == sorted(ticks)
 
     def test_step_executes_one_event_then_reports_empty(self, executor):
@@ -240,7 +248,13 @@ class TestSystemConformance:
         system = backend_system(backend, **config_kwargs)
         job = system.submit_job(build_counter_app())
         system.run_for(8.0)  # feed exhausts at 5.0 virtual seconds
-        return system, job, job.operator_instance("sink")
+        sink = job.operator_instance("sink")
+        hold(system, lambda: len(sink.seen) == 100, "the 100-tuple feed to drain")
+        return system, job, sink
+
+    @staticmethod
+    def _committed(system):
+        return sum(1 for record in system.checkpoints.records if record.committed)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pipeline_delivers_every_tuple_exactly_once(self, backend):
@@ -277,12 +291,14 @@ class TestSystemConformance:
         )
         job = system.submit_job(build_counter_app(limit=200, period=0.02))
         system.run_for(1.0)  # several epochs committed
+        hold(system, lambda: self._committed(system) >= 2, "two committed epochs")
         target = job.pe_of_operator("work__c0")
         incarnation_before = system.transport._incarnations.get(target.pe_id, 0)
         target.crash("conformance")
         system.failures.restart_pe(job.job_id, target.pe_id, rehydrate=True)
         system.run_for(8.0)
         sink = job.operator_instance("sink")
+        hold(system, lambda: len(sink.seen) >= 200, "the 200-tuple feed to drain")
         assert system.transport._incarnations[target.pe_id] > incarnation_before
         assert sorted(t["seq"] for t in sink.seen) == list(range(200))
         for counts in per_key_counts(sink).values():
@@ -293,8 +309,25 @@ class TestSystemConformance:
         system = backend_system(backend, checkpoint_interval=0.25)
         system.submit_job(build_counter_app(limit=50, period=0.02))
         system.run_for(2.0)
-        committed = [r for r in system.checkpoints.records if r.committed]
-        assert len(committed) >= 4
+        hold(system, lambda: self._committed(system) >= 4, "four committed epochs")
+
+    def test_a_stalled_executor_is_nobodys_death(self):
+        """SRM's sweep and the host controllers' heartbeats share one
+        executor.  After a stall longer than the heartbeat timeout (60 real
+        ms at this scale: a loaded host, or a slow test body between two
+        ``run_for`` calls) the overdue sweep runs *before* the equally
+        overdue heartbeats, and used to declare every host dead for good —
+        which is what ``TestReplicaGraphs``' wall-clock cells died of (every
+        later rescale: "no hosts are up").  The sweep discounts its own
+        lateness; a controller that really stopped is still found."""
+        system = backend_system("wallclock")
+        system.run_for(2.0)
+        hosts = sorted(system.srm.hosts)
+        system.kernel.clock._origin -= 10.0 / SCALE  # the stall: 10 s pass, no event runs
+        system.run_for(2.0)
+        assert sorted(host.name for host in system.srm.up_hosts()) == hosts
+        system.failures.fail_host(hosts[0])
+        hold(system, lambda: len(system.srm.up_hosts()) == len(hosts) - 1, "the dead host found")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_chaos_campaign_runs_unmodified(self, backend):
@@ -332,9 +365,12 @@ class TestSystemConformance:
         )
         run = system.chaos.run_scenario(scenario, job=job, feed=feed)
         system.run_for(6.0)
-        assert run.done
+        hold(
+            system,
+            lambda: run.done and run.injections[0].recovery_time is not None,
+            "the scenario to finish and the flapped PE to recover",
+        )
         assert [i.kind for i in run.injections] == ["pe_flap", "rate_surge"]
-        assert run.injections[0].recovery_time is not None
         assert len(job.operator_instance("sink").seen) > 0
 
 

@@ -5,18 +5,18 @@ import pytest
 from repro import ManagedApplication, Orchestrator, OrcaDescriptor
 from repro.errors import DescriptorError
 from repro.orca.descriptor import resolve_dotted
-from repro.orca.sqlbaseline import (
+from repro.spl.adl import adl_model_of
+from repro.spl.compiler import SPLCompiler
+
+from repro.apps.figure2 import build_figure2_application
+from tests.conftest import make_linear_app
+from tests.sqlbaseline import (
     Relation,
     paper_scope_query,
     recursive_cte,
     scope_match_reference,
     tables_from_adl,
 )
-from repro.spl.adl import adl_model_of
-from repro.spl.compiler import SPLCompiler
-
-from repro.apps.figure2 import build_figure2_application
-from tests.conftest import make_linear_app
 
 
 class NamedOrca(Orchestrator):

@@ -7,8 +7,8 @@ stay byte-identical.  For every event the service raises — queued or
 dropped — it holds the type, the matched subscope keys and the scope
 attribute map exactly as ``ScopeRegistry.matching_keys`` received them
 (sorted, ``None`` entries dropped, sets sorted); for the queued ones also
-the transaction id and the context (minus the wall-clock ``wall_ms``);
-then the actuation log and ``queue.dropped_count``.
+the transaction id and the whole context; then the actuation log and
+``queue.dropped_count``.
 
 The script runs a composite-nested application with a partitioned,
 checkpointed region under an orchestrator that actuates from its
@@ -276,11 +276,7 @@ class Scripted(Orchestrator):
 def _canon(value):
     """A repr that does not depend on set or dict insertion order."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: getattr(value, f.name)
-            for f in dataclasses.fields(value)
-            if f.name != "wall_ms"
-        }
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
         body = ", ".join(f"{name}={_canon(v)}" for name, v in fields.items())
         return f"{type(value).__name__}({body})"
     if isinstance(value, dict):

@@ -20,12 +20,14 @@ from repro.elastic import QueueSizeScalingPolicy
 from repro.errors import InspectionError, OrcaPermissionError
 from repro.orca.scopes import ParallelRegionScope
 
+from tests.conftest import hold
 from tests.test_elastic import build_region_app
 from tests.test_orca_events_golden import nested_app
 from tests.test_properties_orchestration import (
     assert_inspection_equals_runtime,
     assert_metric_events_equal_runtime,
     tap_metric_events,
+    unmeasured,
 )
 
 
@@ -285,15 +287,32 @@ class TestReplicaGraphs:
             service.set_channel_width(job.job_id, "region", width)
             widths[job.job_id] = width
 
+        def live_widths():
+            return {job.job_id: service.channel_width(job.job_id, "region") for job in jobs}
+
+        def protocol_state():
+            """Where the rescale protocol stands, for a failing ``hold``."""
+            rescales = [(op.job_id, op.new_width, op.state.value, op.error)
+                        for op in system.elastic.history + system.elastic.active_operations()]
+            phases = [(e.job_id, e.phase) for e in system.elastic.barrier_events[-3:]]
+            return f"widths {live_widths()} for {widths}: rescales {rescales}, phases {phases}"
+
         def settle_and_check():
             system.run_for(4.0)
-            assert widths == {
-                job.job_id: service.channel_width(job.job_id, "region") for job in jobs
-            }
+            hold(
+                system,
+                lambda: live_widths() == widths and all(pe.is_running for j in jobs for pe in j.pes),
+                protocol_state,
+            )
             for job in jobs:
                 assert_inspection_equals_runtime(service, job)
             del seen[:]
             system.run_for(7.0)  # a metric push, then two polls
+            hold(
+                system,
+                lambda: not unmeasured(seen, jobs),
+                lambda: f"metric events from {sorted(unmeasured(seen, jobs))}",
+            )
             assert_metric_events_equal_runtime(seen, jobs)
             assert service.handler_errors == []
 

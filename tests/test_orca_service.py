@@ -1,6 +1,7 @@
 """Tests for the OrcaService: delivery, matching, actuation, inspection."""
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -641,3 +642,112 @@ class TestOneStreamGraph:
         # ... and nothing in repro.elastic names the ADL at all
         for path in sorted((self.src / "elastic").rglob("*.py")):
             assert not re.search(r"\badl", path.read_text()), path
+
+
+class TestOneStopwatch:
+    """The host clock is read to *run* (the wall-clock executor) and to
+    *measure* (``python3 -m bench``), and by nothing else.
+
+    Structural, like ``TestOneStreamGraph``: ``benchmarks/`` used to carry
+    a second stopwatch behind three switches, with committed wall-time
+    files that contradicted each other, and ``RegionMigration`` timed
+    itself on the sim path — the one field of any sim-side record that
+    differed run to run, which both goldens stripped by name.  A clock
+    read, a switch or an artifact nobody rewrites must fail here.
+    """
+
+    root = pathlib.Path(__file__).parent.parent
+    CLOCKS = {
+        "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
+        "monotonic", "monotonic_ns", "time", "time_ns",
+    }
+
+    @classmethod
+    def reads_host_clock(cls, node):
+        """``time.<clock>()`` (or ``_time.``), or a clock imported by name."""
+        if not isinstance(node, ast.Call):
+            return False
+        if isinstance(node.func, ast.Attribute):
+            module = getattr(node.func.value, "id", None)
+            return node.func.attr in cls.CLOCKS and module in ("time", "_time")
+        return getattr(node.func, "id", None) in cls.CLOCKS - {"time"}
+
+    def test_only_the_wall_clock_executor_and_hold_read_the_host_clock(self):
+        assert where(self.root / "src", self.reads_host_clock) == [
+            "wallclock.py:WallTimeClock.__init__",
+            "wallclock.py:WallTimeClock.now",
+            "wallclock.py:WallTimeClock._advance_to",
+        ]
+        assert where(self.root / "benchmarks", self.reads_host_clock) == []
+        assert where(self.root / "tests", self.reads_host_clock) == ["conftest.py:hold"]
+        # module level too: nothing else so much as imports a clock
+        importers = []
+        for top in ("src", "benchmarks", "tests"):
+            for path in sorted((self.root / top).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Import):
+                        modules = {alias.name for alias in node.names}
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = {node.module}
+                    else:
+                        continue
+                    if modules & {"time", "timeit", "datetime"}:
+                        importers.append(str(path.relative_to(self.root)))
+        assert importers == ["src/repro/runtime/exec/wallclock.py", "tests/conftest.py"]
+
+    def test_benchmarks_have_no_switch_and_no_timing_fixture(self):
+        def reads_environment(node):
+            return "environ" in (getattr(node, "attr", None), getattr(node, "id", None)) or (
+                calls("getenv")(node)
+            )
+
+        benchmarks = self.root / "benchmarks"
+        assert where(benchmarks, reads_environment) == []
+        assert where(benchmarks, calls("addoption")) == []
+        for file, name, function in functions_under(benchmarks):
+            assert "benchmark" not in [arg.arg for arg in function.args.args], (file, name)
+        assert "pytest-benchmark" not in (self.root / "pyproject.toml").read_text()
+
+    def test_every_artifact_has_exactly_one_writer(self):
+        """A file under ``benchmarks/results/`` that no benchmark rewrites
+        is stale by construction (five were): each is named by one
+        ``emit(results_dir, <name>, ...)`` or one ``results_dir / <name>``."""
+        written = []
+        for path in sorted((self.root / "benchmarks").glob("test_*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if calls("emit")(node):
+                    name, suffix = node.args[1], r"\.txt"
+                elif isinstance(node, ast.BinOp) and getattr(node.left, "id", "") == "results_dir":
+                    name, suffix = node.right, ""
+                else:
+                    continue
+                parts = name.values if isinstance(name, ast.JoinedStr) else [name]
+                written.append(
+                    "".join(
+                        re.escape(part.value) if isinstance(part, ast.Constant) else ".+"
+                        for part in parts
+                    )
+                    + suffix
+                )
+        artifacts = [p.name for p in (self.root / "benchmarks" / "results").iterdir() if p.is_file()]
+        assert len(artifacts) == 30
+        for artifact in sorted(artifacts):
+            writers = [pattern for pattern in written if re.fullmatch(pattern, artifact)]
+            assert len(writers) == 1, (artifact, writers)
+
+    def test_two_sim_runs_move_state_identically(self):
+        from repro.elastic.migration import StateMigration
+        from tests.test_elastic_golden import run_script
+
+        first, second = (run_script("exactly_once") for _ in range(2))
+        moved = [
+            line for line in first.splitlines()
+            if line.startswith("op ") and "migration=None" not in line
+        ]
+        assert moved and first == second
+        for field in dataclasses.fields(StateMigration):  # rendered whole: no field left out
+            assert f"'{field.name}':" in moved[0]
+        assert "wall_ms" not in {f.name for f in dataclasses.fields(StateMigration)}
+        assert "wall_ms" not in {
+            f.name for f in dataclasses.fields(contexts.RegionStateMigratedContext)
+        }

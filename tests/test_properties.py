@@ -12,18 +12,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.orca.epochs import FailureEpochTracker
 from repro.orca.scopes import OperatorMetricScope
-from repro.orca.sqlbaseline import (
-    Relation,
-    paper_scope_query,
-    scope_match_reference,
-    tables_from_adl,
-)
 from repro.sim.kernel import Kernel
 from repro.spl.adl import ADLComposite, ADLModel, ADLOperator
 from repro.spl.application import Application
 from repro.spl.compiler import SPLCompiler
 from repro.spl.library import Beacon, Functor, Merge, Sink, Split
 from repro.spl.windows import SlidingTimeWindow
+
+from tests.sqlbaseline import (
+    Relation,
+    paper_scope_query,
+    scope_match_reference,
+    tables_from_adl,
+)
 
 # ---------------------------------------------------------------------------
 # Random nested ADL models

@@ -293,14 +293,23 @@ def assert_metric_events_equal_runtime(seen, jobs):
         assert attrs.get("host") == expected["host"]
         assert attrs["composite_instance"] == expected["composites"]
         assert attrs["composite_type"] == expected["composite_types"]
-    measured_ops = {(a["job"], a["operator_instance"]) for t, a in seen if t == "operator_metric"}
-    measured_pes = {(a["job"], a["pe"]) for t, a in seen if t == "pe_metric"}
-    for job_id, view in views.items():
+    assert not unmeasured(seen, jobs)
+
+
+def unmeasured(seen, jobs):
+    """``(job, PE or operator)`` of every running PE of ``jobs``, and every
+    operator on one, that ``seen`` holds no metric event from."""
+    measured = {(a["job"], a["operator_instance"]) for t, a in seen if t == "operator_metric"}
+    measured |= {(a["job"], a["pe"]) for t, a in seen if t == "pe_metric"}
+    expected = set()
+    for job in jobs:
+        view = reference_view(job)
         running = {pe_id for pe_id, pe in view["pes"].items() if pe["running"]}
-        assert {(job_id, pe_id) for pe_id in running} <= measured_pes
-        assert {
-            (job_id, op) for op, placed in view["operators"].items() if placed["pe"] in running
-        } <= measured_ops
+        expected |= {(job.job_id, pe_id) for pe_id in running}
+        expected |= {
+            (job.job_id, op) for op, placed in view["operators"].items() if placed["pe"] in running
+        }
+    return expected - measured
 
 
 def _feed(now, count):

@@ -2,7 +2,6 @@
 
 import ast
 import pathlib
-import time
 
 import pytest
 
@@ -14,7 +13,7 @@ from repro.sim.kernel import OutstandingHandles
 from repro.spl.metrics import OperatorMetricName, PEMetricName
 from repro.spl.library import Beacon
 
-from tests.conftest import calls, functions_under, make_filter_app, make_linear_app
+from tests.conftest import calls, functions_under, hold, make_filter_app, make_linear_app
 
 
 def get_op(job, name):
@@ -125,7 +124,8 @@ class TestTimerBookkeeping:
         job = system.submit_job(make_linear_app(period=1e9))
         system.run_for(0.2)
         pe = job.pe_of_operator("sink")
-        assert pe.is_running and len(pe._timers) == 0
+        hold(system, lambda: pe.is_running, "the sink PE to start")
+        assert len(pe._timers) == 0
         return system, pe, get_op(job, "sink").ctx
 
     def test_fired_handles_leave_the_set(self, running):
@@ -140,10 +140,8 @@ class TestTimerBookkeeping:
 
         handles.append(ctx.schedule(0.0, step))
         keep = ctx.schedule(1e9, lambda: None)  # the one still to run
-        deadline = time.monotonic() + 30.0  # wall-clock: as long as it takes
-        while len(fired) < 5_000 and time.monotonic() < deadline:
-            system.run_for(1.0)
-        assert len(fired) == 5_000
+        system.run_for(1.0)
+        hold(system, lambda: len(fired) == 5_000, "5,000 chained zero-delay timers")
         assert all(h.fired for h in handles)
         # without forcing a sweep: bounded by a constant, not by 5,000
         assert len(pe._timers) <= OutstandingHandles.MIN_SCAN + 1
@@ -191,7 +189,7 @@ class TestTimerBookkeeping:
         handle.cancel()
         assert pe._timers.outstanding() == [kept]  # no longer tracked
         system.run_for(0.1)
-        assert ran == ["kept"]
+        hold(system, lambda: ran == ["kept"], "the kept timer to fire alone")
         assert pe._timers.outstanding() == []
 
 
