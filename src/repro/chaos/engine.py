@@ -214,18 +214,16 @@ class ChaosEngine:
                 )
             )
         self.runs.append(run)
-        obs = getattr(self.system, "obs", None)
-        if obs is not None:
-            # the scenario's t=0 lands in the flight recorder, so a dump
-            # shows where the campaign started relative to its injections
-            obs.record_control_event(
-                "chaos:scenario",
-                run.started_at,
-                run=run.run_id,
-                scenario=scenario.name,
-                steps=len(scenario.steps),
-                job="" if job is None else job.job_id,
-            )
+        # the scenario's t=0 lands in the flight recorder, so a dump
+        # shows where the campaign started relative to its injections
+        self.system.obs.record_control_event(
+            "chaos:scenario",
+            run.started_at,
+            run=run.run_id,
+            scenario=scenario.name,
+            steps=len(scenario.steps),
+            job="" if job is None else job.job_id,
+        )
         return run
 
     def cancel_run(self, run: ScenarioRun) -> int:

@@ -490,7 +490,8 @@ def evaluate_oracles(
             default=run.started_at,
         )
         commit_floor = max(run.started_at, fault_windows_end)
-        if commit_floor > system.now - 2.0 * max(service.interval, 0.001):
+        interval = system.config.checkpoint_interval
+        if commit_floor > system.now - 2.0 * max(interval, 0.001):
             skip_reason = "commit-fault window covered the run tail"
             report.checked.remove("checkpoint_liveness")
             skip("checkpoint_liveness", skip_reason)
@@ -517,11 +518,10 @@ def evaluate_oracles(
             pe_ids = tuple(injection.detail.get("pe_ids", ()))
             if pe_ids and not _victims_exist(system, pe_ids):
                 continue  # victims removed by a rescale: nothing to restart
-            restart_delay = getattr(system.config, "pe_restart_delay", 1.0)
             earliest_recovery = (
                 injection.time
                 + injection.detail.get("downtime", 0.0)
-                + restart_delay
+                + system.config.pe_restart_delay
             )
             if earliest_recovery >= system.now:
                 continue  # the recovery could not have completed in-window
@@ -612,7 +612,7 @@ def evaluate_oracles(
     for job in system.sam.running_jobs():
         for plan in job.compiled.parallel_regions.values():
             splitter = job.operator_instance(plan.splitter)
-            if splitter is not None and getattr(splitter, "is_quiesced", False):
+            if splitter is not None and splitter.is_quiesced:
                 violate(
                     "no_stuck_rescale",
                     f"splitter of {plan.name!r} ({job.job_id}) left quiesced",

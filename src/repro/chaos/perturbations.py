@@ -553,13 +553,13 @@ class KeySkewShift(Perturbation):
         open window is in force and expiries unwind to the newest
         surviving one, so overlapping windows — nested, staggered, or
         value-identical — always end at the uniform baseline once every
-        window has expired.  Feeds without the stack API fall back to a
-        one-shot ``set_skew`` with an unguarded restore.
+        window has expired.  A shift without a duration is a persistent
+        ``set_skew``.
         """
         feed = run.feed
         if feed is None:
             raise ChaosError("KeySkewShift needs a run with a feed")
-        if hasattr(feed, "push_skew") and self.duration is not None:
+        if self.duration is not None:
             token = feed.push_skew(self.hot_fraction, tuple(self.hot_keys))
             engine.kernel.schedule(
                 self.duration,
@@ -567,15 +567,7 @@ class KeySkewShift(Perturbation):
                 label="chaos-skew-end",
             )
         else:
-            previous = feed.set_skew(self.hot_fraction, tuple(self.hot_keys))
-            if self.duration is not None:
-                engine.kernel.schedule(
-                    self.duration,
-                    lambda: feed.set_skew(
-                        previous["hot_fraction"], previous["hot_keys"]
-                    ),
-                    label="chaos-skew-end",
-                )
+            feed.set_skew(self.hot_fraction, tuple(self.hot_keys))
         return "feed", {
             "hot_fraction": self.hot_fraction,
             "hot_keys": list(self.hot_keys) or list(feed.hot_keys),

@@ -1,7 +1,7 @@
 """The background checkpoint daemon.
 
-Every ``interval`` sim-seconds the service walks the running jobs and
-captures each stateful PE's operators into the
+Every ``SystemConfig.checkpoint_interval`` sim-seconds the service walks
+the running jobs and captures each stateful PE's operators into the
 :class:`~repro.checkpoint.store.CheckpointStore`:
 
 1. **Capture (incremental).**  For every keyed state it asks the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.checkpoint.store import CheckpointStore
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.spl.state import estimate_value_size
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.job import Job
     from repro.runtime.pe import PERuntime
     from repro.runtime.sam import SAM
+    from repro.runtime.system import SystemConfig
 
 
 @dataclass
@@ -69,26 +70,27 @@ class CheckpointService:
     def __init__(
         self,
         kernel: Kernel,
+        config: "SystemConfig",
         sam: "SAM",
         store: CheckpointStore,
         events: "RuntimeEvents",
-        interval: float = 0.0,
     ) -> None:
         """Create the daemon (call :meth:`start` to begin the loop).
 
         Args:
             kernel: The simulation kernel the loop is scheduled on.
+            config: The system's configuration; ``checkpoint_interval``
+                is the sim-seconds between rounds, 0 disables the loop
+                (the paper's no-checkpoint default).
             sam: Job registry — every running job's PEs are candidates.
             store: Destination for recorded/committed epochs.
             events: Runtime bus the attempts are published on.
-            interval: Sim-seconds between rounds; 0 disables the loop
-                (the paper's no-checkpoint default).
         """
         self.kernel = kernel
+        self.config = config
         self.sam = sam
         self.store = store
         self.events = events
-        self.interval = interval
         #: test hook: return True to skip the commit (simulates a crash
         #: between record and commit, leaving a torn epoch behind)
         self.commit_fault: Optional[Callable[["PERuntime"], bool]] = None
@@ -96,22 +98,20 @@ class CheckpointService:
         self.records: List[CheckpointRecord] = []
         #: (job, pe, op, state) -> last committed materialized keyed map
         self._materialized: Dict[Tuple[str, str, str, str], Dict] = {}
-        self._loop_handle = None
-        self._running = False
+        #: the pending round; None while the loop is stopped
+        self._loop_handle: Optional[ScheduledEvent] = None
 
     # -- lifecycle --------------------------------------------------------------
 
     def start(self) -> None:
-        """Begin the periodic loop (no-op when ``interval`` is 0)."""
-        if self.interval > 0 and not self._running:
-            self._running = True
+        """Begin the periodic loop (no-op when the interval is 0 or it runs)."""
+        if self.config.checkpoint_interval > 0 and self._loop_handle is None:
             self._loop_handle = self.kernel.schedule(
-                self.interval, self._loop, label="checkpoint-loop"
+                self.config.checkpoint_interval, self._loop, label="checkpoint-loop"
             )
 
     def stop(self) -> None:
         """Cancel the periodic loop."""
-        self._running = False
         if self._loop_handle is not None:
             self._loop_handle.cancel()
             self._loop_handle = None
@@ -124,17 +124,14 @@ class CheckpointService:
         """
         if seconds < 0:
             raise ValueError("checkpoint interval must be >= 0")
-        self.interval = seconds
+        self.config.checkpoint_interval = seconds
         self.stop()
         self.start()
 
     def _loop(self) -> None:
-        if not self._running:
-            return
+        self._loop_handle = None
         self.checkpoint_all()
-        self._loop_handle = self.kernel.schedule(
-            self.interval, self._loop, label="checkpoint-loop"
-        )
+        self.start()
 
     # -- capture ----------------------------------------------------------------
 
@@ -179,7 +176,7 @@ class CheckpointService:
         """
         if not pe.is_running:
             return None
-        declared = set(getattr(pe.spec, "stateful_ops", ()) or ())
+        declared = set(pe.spec.stateful_ops)
         payloads: Dict[str, dict] = {}
         any_full = False
         keys_dirty = 0
@@ -279,6 +276,6 @@ class CheckpointService:
     def __repr__(self) -> str:
         """Return a short debugging representation."""
         return (
-            f"CheckpointService(interval={self.interval}, "
+            f"CheckpointService(interval={self.config.checkpoint_interval}, "
             f"records={len(self.records)})"
         )

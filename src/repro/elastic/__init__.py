@@ -9,7 +9,7 @@ paper's ORCA orchestrators could observe but never actuate.
 
 * :class:`~repro.elastic.controller.ElasticController` — the protocol:
   quiesce the region's splitter on an epoch barrier (Fries-style, on the
-  epoch counters of :mod:`repro.orca.epochs`), drain every in-flight and
+  epoch clock of :mod:`repro.checkpoint.store`), drain every in-flight and
   buffered tuple into the merger, rewire channels (logical graph +
   compiled plan + live PEs), and resume.  Nothing is dropped, only held.
 * :mod:`~repro.elastic.migration` — the one mover of keyed state between

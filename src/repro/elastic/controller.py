@@ -4,8 +4,8 @@ Changing the channel width of a running parallel region must not lose,
 duplicate, or reorder tuples.  :class:`ElasticController` runs the
 epoch-aligned barrier protocol of Fries-style live reconfiguration
 (Wang et al., PAPERS.md) on this repo's epoch clock
-(:class:`repro.orca.epochs.MetricEpochCounter`, shared with checkpoint
-commits and reclaims when wired by ``SystemS``):
+(:class:`repro.checkpoint.store.EpochClock`, shared with checkpoint
+commits and reclaims):
 
 1. **Quiesce** — the region's splitter stops forwarding; new arrivals
    are buffered at the barrier.  Everything already forwarded belongs to
@@ -50,7 +50,6 @@ from repro.checkpoint.store import CheckpointStore
 from repro.elastic.migration import RegionMigration, StateMigration, migrates_keyed
 from repro.elastic.reroute import ChannelReroute, ChannelRerouter, StateReclaim  # noqa: F401
 from repro.errors import ElasticError
-from repro.orca.epochs import MetricEpochCounter
 from repro.sim.kernel import Kernel
 from repro.spl.compiler import CompiledApplication, SPLCompiler
 from repro.spl.parallel import ParallelRegionPlan, resize_region
@@ -61,6 +60,7 @@ from repro.runtime.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.sam import SAM
+    from repro.runtime.system import SystemConfig
 
 
 class RescaleState(enum.Enum):
@@ -136,9 +136,7 @@ class ElasticController(ChannelRerouter):
         kernel: Kernel,
         events: RuntimeEvents,
         checkpoint_store: CheckpointStore,
-        drain_poll_interval: float = 0.05,
-        drain_timeout: float = 60.0,
-        epochs: Optional[MetricEpochCounter] = None,
+        config: "SystemConfig",
     ) -> None:
         """Create the controller.
 
@@ -152,25 +150,16 @@ class ElasticController(ChannelRerouter):
                 hears ``pe_failure`` / ``pe_restart`` to mask / unmask
                 channels.
             checkpoint_store: Masked channels' detours are seeded from
-                the dead channel's last committed epoch held here.
-            drain_poll_interval: Seconds between drain-barrier polls.
-            drain_timeout: Give-up horizon for the drain barrier.
-            epochs: Reconfiguration epoch clock (shared across all
-                regions); pass the checkpoint store's clock to totally
-                order rescales, reclaims, and checkpoint commits (one
-                transactional state-epoch mechanism).  A private counter
-                is used when omitted.
+                the dead channel's last committed epoch held here; its
+                clock is the reconfiguration epoch clock, so rescales,
+                reclaims and checkpoint commits are totally ordered.
+            config: The system's configuration; ``elastic_drain_poll``
+                and ``elastic_drain_timeout`` are read at every poll.
         """
-        super().__init__(
-            kernel,
-            events,
-            epochs if epochs is not None else MetricEpochCounter(),
-            checkpoint_store,
-        )
+        super().__init__(kernel, events, checkpoint_store)
         self.sam = sam
         self.transport = transport
-        self.drain_poll_interval = drain_poll_interval
-        self.drain_timeout = drain_timeout
+        self.config = config
         self.history: List[RescaleOperation] = []
         self._active: Dict[Tuple[str, str], RescaleOperation] = {}
         #: timestamped rescale-phase transitions (quiesce / drain_clean /
@@ -341,13 +330,13 @@ class ElasticController(ChannelRerouter):
             self._mark_barrier(job.job_id, plan.name, "drain_clean")
             self._rewire_and_resume(job, plan, op, on_complete)
             return
-        if self.kernel.now - op.started_at > self.drain_timeout:
+        if self.kernel.now - op.started_at > self.config.elastic_drain_timeout:
             self._finish(
                 job,
                 plan,
                 op,
                 on_complete,
-                f"drain did not complete within {self.drain_timeout}s",
+                f"drain did not complete within {self.config.elastic_drain_timeout}s",
             )
             return
         self._schedule_poll(job, plan, op, on_complete)
@@ -365,7 +354,7 @@ class ElasticController(ChannelRerouter):
 
     def _schedule_poll(self, job: Job, plan: ParallelRegionPlan, *rest: Any) -> None:
         self.kernel.schedule(
-            self.drain_poll_interval,
+            self.config.elastic_drain_poll,
             self._poll_drain,
             job,
             plan,

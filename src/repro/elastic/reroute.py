@@ -33,7 +33,6 @@ from repro.elastic.migration import (
     migrates_keyed,
     owner_at,
 )
-from repro.orca.epochs import MetricEpochCounter
 from repro.runtime.events import RuntimeEvents
 from repro.runtime.job import Job, JobState
 from repro.runtime.pe import PERuntime, PEState
@@ -94,18 +93,20 @@ class ChannelRerouter:
         self,
         kernel: Kernel,
         events: RuntimeEvents,
-        epochs: MetricEpochCounter,
         checkpoint_store: CheckpointStore,
     ) -> None:
         """Subscribe to ``pe_failure`` / ``pe_restart`` on ``events``.
 
-        ``epochs`` stamps reclaims; ``checkpoint_store`` holds the
-        committed epochs detours are seeded from.
+        ``checkpoint_store`` holds the committed epochs detours are
+        seeded from, and the clock that stamps reclaims.
         """
         self.kernel = kernel
         self.events = events
-        self.epochs = epochs
         self.checkpoint_store = checkpoint_store
+        #: one transactional state-epoch clock for reconfiguration and
+        #: fault tolerance (Fries-style): rescale, reclaim and checkpoint
+        #: epochs are totally ordered
+        self.epochs = checkpoint_store.epochs
         #: channel mask/unmask records (crashed-channel rerouting)
         self.reroutes: List[ChannelReroute] = []
         #: unmask-time reclaim records, newest last

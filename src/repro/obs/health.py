@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.detect import Bottleneck, BottleneckDetector, PressureSample
-from repro.obs.slo import SEVERITY_RANK, HealthAlert, Slo, classify
+from repro.obs.slo import SEVERITY_RANK, SHORT_WINDOW, HealthAlert, Slo, classify
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.events import RuntimeEvents
-    from repro.runtime.system import SystemS
+    from repro.runtime.system import SystemConfig, SystemS
     from repro.sim.kernel import Kernel, ScheduledEvent
 
 #: default quantile bucket bounds for seconds-scale window signals
@@ -275,24 +275,17 @@ class HealthMonitor:
     Constructed (and attached) by :class:`repro.obs.hub.ObsHub`; a
     kernel-scheduled tick every ``interval`` sim-seconds samples the
     transport and delivery plane, updates the sliding windows, runs the
-    bottleneck detector, and evaluates registered SLOs.  With
-    ``interval <= 0`` the plane is disabled entirely (microbenchmarks).
+    bottleneck detector, and evaluates registered SLOs.  ``interval`` is
+    ``SystemConfig.health_interval``; ``<= 0`` disables the plane
+    entirely (microbenchmarks).
     """
 
     def __init__(
-        self,
-        kernel: "Kernel",
-        events: "RuntimeEvents",
-        *,
-        interval: float = 0.5,
-        short_window: float = 5.0,
-        long_window: float = 30.0,
+        self, kernel: "Kernel", events: "RuntimeEvents", config: "SystemConfig"
     ) -> None:
         self.kernel = kernel
         self.events = events
-        self.interval = interval
-        self.short_window = short_window
-        self.long_window = long_window
+        self.config = config
         self.slos: List[Slo] = []
         self.detector = BottleneckDetector()
         self._system: Optional["SystemS"] = None
@@ -323,18 +316,22 @@ class HealthMonitor:
         #: (scorecards report this: the verdict *at* peak pressure, not
         #: whatever the post-drain calm shows)
         self.peak_bottleneck = ""
-        self._signal_window("latency_p95", None, short_window)
-        self._signal_window("loss", None, short_window)
-        self._signal_window("lag", None, short_window)
+        self._signal_window("latency_p95", None, SHORT_WINDOW)
+        self._signal_window("loss", None, SHORT_WINDOW)
+        self._signal_window("lag", None, SHORT_WINDOW)
 
     # -- lifecycle ----------------------------------------------------------
 
     def attach(self, system: "SystemS") -> None:
         """Bind to a system and start the evaluation tick."""
         self._system = system
-        if self.interval > 0 and self._tick_event is None:
+        self._arm()
+
+    def _arm(self) -> None:
+        interval = self.config.health_interval
+        if interval > 0 and self._tick_event is None:
             self._tick_event = self.kernel.schedule(
-                self.interval, self._tick, label="health-tick"
+                interval, self._tick, label="health-tick"
             )
 
     def detach(self) -> None:
@@ -357,7 +354,7 @@ class HealthMonitor:
         """``<operator>@<pe>#<port>``; the port's history exists from here on."""
         name = f"{op_full_name}@{pe_id}#{port}"
         if name not in self._ports:
-            self._ports[name] = _PortHistory(pe_id, self.short_window)
+            self._ports[name] = _PortHistory(pe_id, SHORT_WINDOW)
         return name
 
     def on_transport_pressure(
@@ -387,11 +384,8 @@ class HealthMonitor:
         now = self.kernel.now
         transport = system.transport
         latency = transport.latency
-        ack_timeout = (
-            transport.reliability.ack_timeout
-            if transport.reliability is not None
-            else 0.25
-        )
+        interval = self.config.health_interval
+        ack_timeout = self.config.ack_timeout
 
         # open-batch residency per link (batching enabled only)
         open_age: Dict[str, float] = {}
@@ -440,7 +434,7 @@ class HealthMonitor:
                 self.peak_retry_pressure = retry
             history = self._ports[name]
             gwindow = history.growth
-            gwindow.observe(now, (depth - history.prev_depth) / self.interval)
+            gwindow.observe(now, (depth - history.prev_depth) / interval)
             history.prev_depth = depth
             ack = history.ack
             service_p95 = ack.quantile(now, 0.95) if ack.count(now) else latency
@@ -504,9 +498,7 @@ class HealthMonitor:
             self.peak_bottleneck = self.bottleneck.target
         self._evaluate_slos(now)
         self.ticks += 1
-        self._tick_event = self.kernel.schedule(
-            self.interval, self._tick, label="health-tick"
-        )
+        self._arm()
 
     def _op_regions(self, system: "SystemS") -> Dict[str, str]:
         """Channel-operator full name -> owning parallel region."""
@@ -614,16 +606,16 @@ class HealthMonitor:
         return HealthSnapshot(
             time=now,
             ticks=self.ticks,
-            interval=self.interval,
+            interval=self.config.health_interval,
             links=tuple(
                 link for _, link in sorted(self._links.items())
                 if link.depth or link.retry_pressure or link.open_age
             ),
             regions=tuple(sorted(self._region_lag.items())),
             ack_p95=self._signal_value(
-                "latency_p95", None, self.short_window, now
+                "latency_p95", None, SHORT_WINDOW, now
             ),
-            loss_rate=self._signal_value("loss", None, self.short_window, now),
+            loss_rate=self._signal_value("loss", None, SHORT_WINDOW, now),
             max_lag=self.max_lag,
             bottleneck=self.bottleneck,
             active_alerts=active,
@@ -636,7 +628,7 @@ class HealthMonitor:
         bottleneck = self.bottleneck
         return {
             "ticks": self.ticks,
-            "interval": self.interval,
+            "interval": self.config.health_interval,
             "alerts_fired": self.alerts_fired,
             "pages_fired": self.pages_fired,
             "active_alerts": {

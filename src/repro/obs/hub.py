@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
     )
     from repro.runtime.events import RuntimeEvents
     from repro.runtime.pe import PERuntime
-    from repro.runtime.system import SystemS
+    from repro.runtime.system import SystemConfig, SystemS
     from repro.sim.kernel import Kernel, ScheduledEvent
 
 
@@ -69,33 +69,29 @@ class ObsHub:
         self,
         kernel: "Kernel",
         events: "RuntimeEvents",
-        trace_enabled: bool = False,
-        trace_sample_every: int = 1,
-        flight_capacity: int = 2048,
-        health_interval: float = 0.5,
+        config: "SystemConfig",
     ) -> None:
         """Create the hub (call :meth:`attach` to wire it to a system).
 
         Args:
             kernel: The simulation kernel (clock source, event tap host).
             events: The runtime bus (the health plane publishes on it).
-            trace_enabled: Turn on data-plane tuple tracing and the
-                kernel event tap.
-            trace_sample_every: Trace every Nth created tuple.
-            flight_capacity: Flight-recorder ring capacity per job.
-            health_interval: Health-plane evaluation tick, sim-seconds
-                (``<= 0`` disables the always-on health plane).
+            config: The system's configuration: ``trace_enabled`` turns
+                on data-plane tuple tracing and the kernel event tap,
+                ``trace_sample_every`` and ``flight_capacity`` size the
+                tracer and the flight ring; the health plane reads the rest.
         """
         self.kernel = kernel
-        self.trace_enabled = trace_enabled
+        # read per ORCA event and per PE crash: bound here once
+        self.trace_enabled = config.trace_enabled
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(sample_every=trace_sample_every)
-        self.flight = FlightRecorder(capacity=flight_capacity)
+        self.tracer = Tracer(sample_every=config.trace_sample_every)
+        self.flight = FlightRecorder(capacity=config.flight_capacity)
         self.tracer.sinks.append(self.flight.record)
         #: the always-on health plane (windows, watermarks, SLO alerts);
         #: it registers no metric series and emits no spans on its own,
         #: so historical expositions stay byte-identical
-        self.health = HealthMonitor(kernel, events, interval=health_interval)
+        self.health = HealthMonitor(kernel, events, config)
         self._system: Optional["SystemS"] = None
         self._unsubscribe: Optional[Callable[[], None]] = None
         #: (job, region) -> quiesce time of the in-flight rescale
@@ -443,7 +439,7 @@ class ObsHub:
         ).inc(reclaim.keys_reclaimed)
 
     def _on_rescale(self, op: "RescaleOperation") -> None:
-        state = getattr(op.state, "name", str(op.state)).lower()
+        state = op.state.name.lower()
         self.metrics.counter(
             "repro_rescales_total",
             {"state": state},

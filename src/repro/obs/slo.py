@@ -29,6 +29,12 @@ from typing import Optional
 #: signals an SLO may target (see module docstring)
 VALID_SIGNALS = ("latency_p95", "loss", "lag")
 
+#: sim-seconds of the confirmation window ("is it still happening?") —
+#: an SLO's default and the horizon of the health plane's own signals
+SHORT_WINDOW = 5.0
+#: sim-seconds of an SLO's default sustain window ("a blip or a trend?")
+LONG_WINDOW = 30.0
+
 #: alert severity ordering: escalations fire, de-escalations do not
 SEVERITY_RANK = {"warn": 1, "page": 2}
 
@@ -44,9 +50,9 @@ class Slo:
     #: budget for the signal (seconds for latency/lag, fraction for loss)
     objective: float
     #: confirmation window, sim-seconds (is it still happening?)
-    short_window: float = 5.0
+    short_window: float = SHORT_WINDOW
     #: sustain window, sim-seconds (is it a blip or a trend?)
-    long_window: float = 30.0
+    long_window: float = LONG_WINDOW
     #: burn rate at which a ``warn`` raises (both windows)
     warn_burn: float = 1.0
     #: burn rate at which the alert escalates to ``page``

@@ -70,11 +70,9 @@ class Orchestrator:
         """
         if self._orca is None:
             return
-        obs = getattr(self._orca.system, "obs", None)
-        if obs is not None:
-            obs.record_control_event(
-                f"user:{name}", self._orca.now, orca=self._orca.orca_id, **attrs
-            )
+        self._orca.system.obs.record_control_event(
+            f"user:{name}", self._orca.now, orca=self._orca.orca_id, **attrs
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 

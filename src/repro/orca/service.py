@@ -26,8 +26,9 @@ logic shared library, invokes the start callback, and from then on
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.errors import (
     ActuationError,
@@ -70,6 +71,10 @@ from repro.runtime.job import Job, JobState
 from repro.runtime.pe import PERuntime
 from repro.runtime.srm import MetricSample
 from repro.runtime.system import SystemS
+
+#: entries each of the service's three logs (delivered events, actuations,
+#: handler errors) keeps; a long-running orchestrator's logs stay this size
+LOG_WINDOW = 4096
 
 
 @dataclass
@@ -114,11 +119,13 @@ class OrcaService:
         self.jobs: Dict[str, Job] = {}
         #: the stream graph's per-job side is a live view over ``jobs``
         self.graph = StreamGraph(self.jobs)
-        self.actuation_log: List[ActuationRecord] = []
-        #: every delivered event, in delivery order (Sec. 7 reliable-
-        #: delivery hook: replaying the journal re-derives the actuations)
-        self.event_journal: List[OrcaEvent] = []
-        self.handler_errors: List[tuple] = []
+        #: the newest ``LOG_WINDOW`` actuations, delivered events (in
+        #: delivery order — Sec. 7's transaction ids attribute the former
+        #: to the latter) and isolated handler failures; older entries
+        #: fall off, ``queue.delivered_count`` still counts every event
+        self.actuation_log: Deque[ActuationRecord] = deque(maxlen=LOG_WINDOW)
+        self.event_journal: Deque[OrcaEvent] = deque(maxlen=LOG_WINDOW)
+        self.handler_errors: Deque[tuple] = deque(maxlen=LOG_WINDOW)
         self._compiled: Dict[str, CompiledApplication] = {}
         self._poll_interval = (
             descriptor.metric_poll_interval
@@ -795,11 +802,11 @@ class OrcaService:
             )
 
     def actuations_for(self, txn_id: int) -> List[ActuationRecord]:
-        """All actuations attributed to one event transaction (Sec. 7)."""
+        """Actuations attributed to one event transaction (Sec. 7), within the log window."""
         return [r for r in self.actuation_log if r.txn_id == txn_id]
 
     def journal_entry(self, txn_id: int) -> Optional[OrcaEvent]:
-        """The delivered event with the given transaction id, if any."""
+        """The delivered event with the given transaction id, if within the log window."""
         for event in self.event_journal:
             if event.txn_id == txn_id:
                 return event

@@ -62,6 +62,7 @@ from repro.spl.tuples import TupleBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.pe import PERuntime
+    from repro.runtime.system import SystemConfig
     from repro.runtime.transport import Payload, Transport
 
 #: a link's key: (source PE id or "", destination PE id)
@@ -192,21 +193,18 @@ class DeliveryPlane:
     def __init__(
         self,
         transport: "Transport",
-        exactly_once: bool,
-        ack_timeout: float,
-        retry_backoff: float,
-        max_retry_interval: float,
-        replay_buffer_max_bytes: int = 0,
+        config: "SystemConfig",
     ) -> None:
         self.transport = transport
         self.kernel = transport.kernel
-        self.exactly_once = exactly_once
-        self.ack_timeout = ack_timeout
-        self.retry_backoff = retry_backoff
-        self.max_retry_interval = max_retry_interval
+        # read per wire unit: bound here once
+        self.exactly_once = config.delivery == "exactly_once"
+        self.ack_timeout = config.ack_timeout
+        self.retry_backoff = config.retry_backoff
+        self.max_retry_interval = config.max_retry_interval
         #: exactly-once: per-link cap on replay-buffer payload bytes
         #: (0 = unbounded, the historical behavior)
-        self.replay_buffer_max_bytes = replay_buffer_max_bytes
+        self.replay_buffer_max_bytes = config.replay_buffer_max_bytes
         #: (link key, first_seq) -> unacknowledged unit, in admission
         #: order: :meth:`expedite_pending` walks it, and that order is
         #: the order seeded drop rolls are drawn

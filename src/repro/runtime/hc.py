@@ -18,6 +18,10 @@ from repro.runtime.pe import PERuntime
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.srm import SRM, MetricSample
+    from repro.runtime.system import SystemConfig
+
+#: seconds between two liveness heartbeats to SRM
+HEARTBEAT_INTERVAL = 1.0
 
 
 class HostController:
@@ -28,30 +32,24 @@ class HostController:
         host: Host,
         kernel: Kernel,
         srm: "SRM",
-        metric_push_interval: float = 3.0,
-        heartbeat_interval: float = 1.0,
+        config: "SystemConfig",
     ) -> None:
         self.host = host
         self.kernel = kernel
         self.srm = srm
-        self.metric_push_interval = metric_push_interval
-        self.heartbeat_interval = heartbeat_interval
+        self.config = config
         self.pes: Dict[str, PERuntime] = {}
         #: SAM installs this to learn about local PE crashes.
         self.on_pe_crash: Optional[Callable[[PERuntime, str], None]] = None
-        self._loops: list[ScheduledEvent] = []
-        self._alive = False
+        #: loop name -> its one pending firing, empty while the host is
+        #: dead: ``kill`` cancels both, so neither loop runs on a dead host
+        self._loops: Dict[str, ScheduledEvent] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        self._alive = True
-        self._loops.append(
-            self.kernel.schedule(self.heartbeat_interval, self._heartbeat_loop)
-        )
-        self._loops.append(
-            self.kernel.schedule(self.metric_push_interval, self._metric_loop)
-        )
+        self._again(HEARTBEAT_INTERVAL, self._heartbeat_loop)
+        self._again(self.config.metric_push_interval, self._metric_loop)
         self.srm.heartbeat(self.host.name, self.kernel.now)
 
     def kill(self) -> None:
@@ -62,17 +60,16 @@ class HostController:
         through missed heartbeats and updates its host registry at
         detection time (the gap between death and detection is real).
         """
-        self._alive = False
-        for loop in self._loops:
+        for loop in self._loops.values():
             loop.cancel()
-        self._loops = []
+        self._loops = {}
         for pe in list(self.pes.values()):
             pe.on_crash = None
             pe.crash("host_failure")
 
     @property
     def alive(self) -> bool:
-        return self._alive
+        return bool(self._loops)
 
     def revive(self) -> None:
         """Bring the host (and its controller) back up, with no PEs."""
@@ -93,32 +90,22 @@ class HostController:
             pe.on_crash = None
 
     def _local_pe_crashed(self, pe: PERuntime, reason: str) -> None:
-        if self._alive and self.on_pe_crash is not None:
+        if self.alive and self.on_pe_crash is not None:
             self.on_pe_crash(pe, reason)
 
     # -- periodic loops ------------------------------------------------------------
 
+    def _again(self, interval: float, loop: Callable[[], None]) -> None:
+        """Schedule ``loop``'s next firing in place of the one that just ran."""
+        self._loops[loop.__name__] = self.kernel.schedule(interval, loop)
+
     def _heartbeat_loop(self) -> None:
-        if not self._alive:
-            return
         self.srm.heartbeat(self.host.name, self.kernel.now)
-        self._loops.append(
-            self.kernel.schedule(self.heartbeat_interval, self._heartbeat_loop)
-        )
-        self._trim_loops()
+        self._again(HEARTBEAT_INTERVAL, self._heartbeat_loop)
 
     def _metric_loop(self) -> None:
-        if not self._alive:
-            return
         self.collect_and_push()
-        self._loops.append(
-            self.kernel.schedule(self.metric_push_interval, self._metric_loop)
-        )
-        self._trim_loops()
-
-    def _trim_loops(self) -> None:
-        if len(self._loops) > 64:
-            self._loops = [h for h in self._loops if not h.cancelled]
+        self._again(self.config.metric_push_interval, self._metric_loop)
 
     def collect_and_push(self) -> int:
         """Snapshot metrics of all local running PEs into SRM.

@@ -224,7 +224,7 @@ class PERuntime:
         Custom operator may hold state without a STATEFUL class marker).
         The PE is stopping, so nothing can tear the capture.
         """
-        declared = set(getattr(self.spec, "stateful_ops", ()) or ())
+        declared = set(self.spec.stateful_ops)
         captured: Dict[str, dict] = {}
         for op_name, operator in self.operators.items():
             if op_name in declared or operator.state.in_use:

@@ -33,6 +33,11 @@ from repro.runtime.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.checkpoint.service import CheckpointService
+    from repro.runtime.system import SystemConfig
+
+#: seconds between a job's submission and its PEs starting (the fork/exec
+#: of the PE processes); every job's first tuple waits this long
+PE_SPAWN_DELAY = 0.1
 
 
 class SAM:
@@ -41,6 +46,7 @@ class SAM:
     def __init__(
         self,
         kernel: Kernel,
+        config: "SystemConfig",
         srm: SRM,
         hcs: Dict[str, HostController],
         transport: Transport,
@@ -48,12 +54,9 @@ class SAM:
         ids: IdRegistry,
         events: RuntimeEvents,
         checkpoint_store: CheckpointStore,
-        pe_spawn_delay: float = 0.1,
-        pe_restart_delay: float = 1.0,
-        failure_notification_delay: float = 0.05,
-        auto_restart_pes: bool = False,
     ) -> None:
         self.kernel = kernel
+        self.config = config
         self.srm = srm
         self.hcs = hcs
         self.transport = transport
@@ -70,10 +73,6 @@ class SAM:
         #: the background checkpoint daemon (used only for materialized-base
         #: cleanup); it is built over this SAM, so SystemS assigns it late
         self.checkpoint_service: "CheckpointService"
-        self.pe_spawn_delay = pe_spawn_delay
-        self.pe_restart_delay = pe_restart_delay
-        self.failure_notification_delay = failure_notification_delay
-        self.auto_restart_pes = auto_restart_pes
         self.scheduler = PlacementScheduler()
         self.jobs: Dict[str, Job] = {}
         #: host -> job id holding it through an exclusive pool
@@ -133,7 +132,7 @@ class SAM:
         for pe_spec in compiled.pes:
             self._create_pe(job, pe_spec, placement.assignment[pe_spec.index])
         self.jobs[job_id] = job
-        self.kernel.schedule(self.pe_spawn_delay, self._spawn_job_pes, job)
+        self.kernel.schedule(PE_SPAWN_DELAY, self._spawn_job_pes, job)
         return job
 
     def _create_pe(self, job: Job, pe_spec: PESpec, host_name: str) -> PERuntime:
@@ -217,7 +216,7 @@ class SAM:
             raise PEControlError(f"PE {pe_id} is running; cannot restart")
         self.restarts_issued += 1
         self.kernel.schedule(
-            self.pe_restart_delay, self._do_restart, job, pe, rehydrate
+            self.config.pe_restart_delay, self._do_restart, job, pe, rehydrate
         )
 
     def _do_restart(self, job: Job, pe: PERuntime, rehydrate: bool = False) -> None:
@@ -292,7 +291,7 @@ class SAM:
         """A host controller reports a local PE crash."""
         detection_ts = self.kernel.now
         self.kernel.schedule(
-            self.failure_notification_delay,
+            self.config.failure_notification_delay,
             self._dispatch_pe_failure,
             pe,
             reason,
@@ -327,7 +326,7 @@ class SAM:
             # One extra RPC from SAM to the ORCA service (Sec. 3): the
             # notification delay was already applied by the caller.
             sink(pe, reason, detection_ts)
-        elif self.auto_restart_pes:
+        elif self.config.auto_restart_pes:
             self.restart_pe(job.job_id, pe.pe_id)
 
     # -- orchestrator registry ------------------------------------------------------------

@@ -40,6 +40,11 @@ class MetricSample:
     is_custom: bool
 
 
+#: seconds of heartbeat silence after which a host is declared failed
+HEARTBEAT_TIMEOUT = 3.0
+#: seconds between two liveness sweeps over the host registry
+SWEEP_INTERVAL = 1.0
+
 #: Storage key: (job, pe, operator-or-None, port-or-None, metric name).
 _Key = Tuple[str, str, Optional[str], Optional[int], str]
 
@@ -63,15 +68,8 @@ class MetricAggregate:
 class SRM:
     """Host registry, liveness tracking, and the system-wide metric store."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        heartbeat_timeout: float = 3.0,
-        sweep_interval: float = 1.0,
-    ) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        self.heartbeat_timeout = heartbeat_timeout
-        self.sweep_interval = sweep_interval
         self.hosts: Dict[str, Host] = {}
         self._heartbeats: Dict[str, float] = {}
         self._metrics: Dict[_Key, MetricSample] = {}
@@ -98,7 +96,7 @@ class SRM:
     def start(self) -> None:
         """Begin the heartbeat sweep loop."""
         if self._next_sweep is None:
-            self._next_sweep = self.kernel.schedule(self.sweep_interval, self._sweep)
+            self._next_sweep = self.kernel.schedule(SWEEP_INTERVAL, self._sweep)
 
     def heartbeat(self, host_name: str, ts: float) -> None:
         self._heartbeats[host_name] = ts
@@ -107,14 +105,14 @@ class SRM:
         now = self.kernel.now
         # an executor that ran this sweep late ran the heartbeats due after it
         # late too (wall clock only; 0.0 on the sim): its stall is nobody's death
-        silence = self.heartbeat_timeout + (now - self._next_sweep.time)
+        silence = HEARTBEAT_TIMEOUT + (now - self._next_sweep.time)
         for name, host in self.hosts.items():
             last = self._heartbeats.get(name)
             if host.is_up and last is not None and now - last > silence:
                 host.mark_down()
                 if self.on_host_failure is not None:
                     self.on_host_failure(name, now)
-        self._next_sweep = self.kernel.schedule(self.sweep_interval, self._sweep)
+        self._next_sweep = self.kernel.schedule(SWEEP_INTERVAL, self._sweep)
 
     # -- metrics --------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ process).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.checkpoint import CheckpointService, CheckpointStore
@@ -125,7 +125,9 @@ class SystemS:
         config: Optional[SystemConfig] = None,
         seed: int = 42,
     ) -> None:
-        self.config = config or SystemConfig()
+        # a private copy: ``system.config`` is the one runtime truth every
+        # subsystem below reads, and two systems never share one
+        self.config = replace(config) if config is not None else SystemConfig()
         # the one control-plane notification mechanism: built first, handed
         # to every subsystem that publishes; subscription order per topic is
         # construction order below (elastic, chaos, obs), then orchestrators
@@ -142,43 +144,31 @@ class SystemS:
         self.srm = SRM(self.kernel)
         self.transport = Transport(
             self.kernel,
+            self.config,
             # seeded stream: probabilistic link faults (chaos campaigns)
             # stay deterministic per system seed
             rng=self.random.stream("transport"),
-            batch_max_size=self.config.batch_max_size,
-            batch_linger=self.config.batch_linger,
-            delivery=self.config.delivery,
-            ack_timeout=self.config.ack_timeout,
-            retry_backoff=self.config.retry_backoff,
-            max_retry_interval=self.config.max_retry_interval,
             # separate seeded stream: ack drop rolls must not perturb
             # the forward-path roll sequence
             ack_rng=self.random.stream("transport_acks"),
-            replay_buffer_max_bytes=self.config.replay_buffer_max_bytes,
         )
         self.import_export = ImportExportRegistry(self.kernel)
         self.hcs: Dict[str, HostController] = {}
         for host in host_list:
             self.srm.register_host(host)
-            hc = HostController(
-                host,
-                self.kernel,
-                self.srm,
-                metric_push_interval=self.config.metric_push_interval,
+            self.hcs[host.name] = HostController(
+                host, self.kernel, self.srm, self.config
             )
-            self.hcs[host.name] = hc
         self.checkpoint_store = CheckpointStore()
         self.sam = SAM(
             kernel=self.kernel,
+            config=self.config,
             srm=self.srm,
             hcs=self.hcs,
             transport=self.transport,
             import_export=self.import_export,
             ids=self.ids,
             events=self.events,
-            pe_restart_delay=self.config.pe_restart_delay,
-            failure_notification_delay=self.config.failure_notification_delay,
-            auto_restart_pes=self.config.auto_restart_pes,
             checkpoint_store=self.checkpoint_store,
         )
         self.failures = FailureInjector(self.kernel, self.sam)
@@ -188,21 +178,16 @@ class SystemS:
             sam=self.sam,
             transport=self.transport,
             kernel=self.kernel,
+            config=self.config,
             events=self.events,
-            drain_poll_interval=self.config.elastic_drain_poll,
-            drain_timeout=self.config.elastic_drain_timeout,
-            # one transactional state-epoch clock for reconfiguration AND
-            # fault tolerance (Fries-style): rescale epochs, checkpoint
-            # epochs, and reclaim epochs are totally ordered
-            epochs=self.checkpoint_store.epochs,
             checkpoint_store=self.checkpoint_store,
         )
         self.checkpoints = CheckpointService(
             kernel=self.kernel,
+            config=self.config,
             sam=self.sam,
             store=self.checkpoint_store,
             events=self.events,
-            interval=self.config.checkpoint_interval,
         )
         self.sam.checkpoint_service = self.checkpoints
         self.checkpoints.start()
@@ -217,14 +202,7 @@ class SystemS:
         # The observability hub: always constructed (control-plane spans,
         # metrics registry, flight recorder); data-plane tuple tracing is
         # wired only when config.trace_enabled (see repro.obs).
-        self.obs = ObsHub(
-            self.kernel,
-            self.events,
-            trace_enabled=self.config.trace_enabled,
-            trace_sample_every=self.config.trace_sample_every,
-            flight_capacity=self.config.flight_capacity,
-            health_interval=self.config.health_interval,
-        )
+        self.obs = ObsHub(self.kernel, self.events, self.config)
         self.obs.attach(self)
         self.orcas: Dict[str, "OrcaService"] = {}
         self.srm.start()

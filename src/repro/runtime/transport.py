@@ -64,11 +64,16 @@ from repro.spl.tuples import Punctuation, StreamTuple, TupleBatch
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.hub import ObsHub
     from repro.runtime.pe import PERuntime
+    from repro.runtime.system import SystemConfig
 
 Item = Union[StreamTuple, Punctuation]
 #: a wire unit's payload: one item (a unit of N = 1 members) or a
 #: coalesced batch (N = its length)
 Payload = Union[StreamTuple, Punctuation, TupleBatch]
+
+#: seconds one unimpeded hop between two PEs takes (the TCP hop between
+#: operating system processes)
+LINK_LATENCY = 0.001
 
 
 @dataclass(frozen=True)
@@ -230,27 +235,22 @@ class Transport:
     def __init__(
         self,
         kernel: Kernel,
-        latency: float = 0.001,
-        rng: Optional[random.Random] = None,
-        batch_max_size: int = 1,
-        batch_linger: float = 0.0,
-        delivery: str = "best_effort",
-        ack_timeout: float = 0.25,
-        retry_backoff: float = 2.0,
-        max_retry_interval: float = 2.0,
-        ack_rng: Optional[random.Random] = None,
-        replay_buffer_max_bytes: int = 0,
+        config: "SystemConfig",
+        rng: random.Random,
+        ack_rng: random.Random,
     ) -> None:
-        if delivery not in ("best_effort", "at_least_once", "exactly_once"):
-            raise ValueError(f"unknown delivery mode {delivery!r}")
+        if config.delivery not in ("best_effort", "at_least_once", "exactly_once"):
+            raise ValueError(f"unknown delivery mode {config.delivery!r}")
         self.kernel = kernel
-        self.latency = latency
+        # read per wire unit: bound here once, so the send path keeps its
+        # one attribute hop
+        self.latency = LINK_LATENCY
         #: the delivery-guarantee mode this transport runs under
-        self.delivery = delivery
+        self.delivery = config.delivery
         #: batch size that forces a flush; <= 1 disables batching
-        self.batch_max_size = batch_max_size
+        self.batch_max_size = config.batch_max_size
         #: sim-time linger before a partially filled batch flushes
-        self.batch_linger = batch_linger
+        self.batch_linger = config.batch_linger
         #: flow key -> open (unflushed) batch; only populated when
         #: batching is enabled
         self._open_batches: Dict[Tuple[str, str, str, int], _OpenBatch] = {}
@@ -259,12 +259,12 @@ class Transport:
         #: keeps the flush path at one check
         self.batch_observer: Optional[Callable[[int], None]] = None
         #: seeded stream for probabilistic link-fault drops (deterministic)
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
         #: dedicated seeded stream for reverse-link ack drop rolls — a
         #: separate stream so making acks lossy never perturbs the
         #: forward-path roll sequence (committed artifacts without
         #: reverse-link faults stay byte-identical)
-        self.ack_rng = ack_rng if ack_rng is not None else random.Random(10007)
+        self.ack_rng = ack_rng
         #: (pe_id, operator full name, port) -> items scheduled but not delivered
         self._in_flight: Dict[Tuple[str, str, int], int] = {}
         self.total_sent = 0
@@ -343,15 +343,8 @@ class Transport:
         #: the reliable-delivery plane; None in best-effort mode keeps
         #: every hot path at a single check
         self.reliability: Optional[DeliveryPlane] = None
-        if delivery != "best_effort":
-            self.reliability = DeliveryPlane(
-                self,
-                exactly_once=(delivery == "exactly_once"),
-                ack_timeout=ack_timeout,
-                retry_backoff=retry_backoff,
-                max_retry_interval=max_retry_interval,
-                replay_buffer_max_bytes=replay_buffer_max_bytes,
-            )
+        if config.delivery != "best_effort":
+            self.reliability = DeliveryPlane(self, config)
 
     # -- link faults --------------------------------------------------------
 

@@ -22,7 +22,8 @@ from repro.spl.tuples import Punctuation, StreamTuple
 #: ``tests/test_properties_orchestration.py`` under ``orca-ci`` and
 #: ``tests/test_batch_path_properties.py`` under ``batch-ci``; tier-1
 #: keeps each module's own small budget.  The ``wire-ci`` step also runs
-#: ``TestCancelCyclesLeakNothing`` at its long cycle count
+#: ``TestCancelCyclesLeakNothing`` at its long cycle count and
+#: ``TestControlPlaneStaysFlat`` at its long horizon
 settings.register_profile("wire-ci", max_examples=400, deadline=None)
 settings.register_profile("elastic-ci", max_examples=300, deadline=None)
 settings.register_profile("orca-ci", max_examples=1500, deadline=None)

@@ -678,7 +678,7 @@ class TestExternalRescaleVisibility:
         for op_name in (name for ops in new_channels for name in ops):
             pe_id = logic.job.pe_of_operator(op_name).pe_id
             assert (op_name, pe_id) in logic.measured
-        assert service.handler_errors == []
+        assert not service.handler_errors
 
     def test_staggered_identical_skew_windows_unwind_to_baseline(self):
         """Two value-identical, staggered skew windows: the skew holds

@@ -12,6 +12,8 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 import pathlib
 import re
 
@@ -131,3 +133,32 @@ class TestDocstringLint:
     def test_public_api_is_documented(self, rel_path):
         missing = _missing_docstrings(REPO_ROOT / rel_path)
         assert not missing, "undocumented public API:\n  " + "\n  ".join(missing)
+
+
+class TestConfigurationTables:
+    """``docs/architecture.md``'s Configuration section lists what the code has."""
+
+    @staticmethod
+    def _rows():
+        """``(name, value, third column)`` of every row of the section's two tables."""
+        text = (REPO_ROOT / "docs" / "architecture.md").read_text()
+        section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        return [
+            (name, ast.literal_eval(value), third.strip("` "))
+            for name, value, third in re.findall(
+                r"^\| `(\w+)` \| `([^`]+)` \| ([^|]+) \|", section, re.MULTILINE
+            )
+        ]
+
+    def test_one_row_per_field_in_order_with_its_default(self):
+        from repro import SystemConfig
+
+        fields = [(f.name, repr(f.default)) for f in dataclasses.fields(SystemConfig)]
+        rows = [(name, repr(value)) for name, value, _ in self._rows() if name.islower()]
+        assert rows == fields
+
+    def test_every_listed_constant_has_the_listed_value(self):
+        constants = [row for row in self._rows() if row[0].isupper()]
+        assert len(constants) == 8
+        for name, value, module in constants:
+            assert getattr(importlib.import_module(module), name) == value, name

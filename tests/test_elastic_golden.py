@@ -216,14 +216,14 @@ def run_script(delivery: str) -> str:
     rescale("scale-out 2->6 cannot be placed", 6)
 
     # a partitioned link into c0 holds tuples in flight: the drain times out
-    elastic.drain_timeout = 0.5
+    system.config.elastic_drain_timeout = 0.5
     wall = system.transport.install_link_fault(
         partition=True, dst_pe=channel_pe(0).pe_id
     )
     system.run_for(0.1)
     rescale("scale-out 2->3 drain timeout", 3, seconds=1.5)
     system.transport.clear_link_fault(wall)
-    elastic.drain_timeout = 60.0
+    system.config.elastic_drain_timeout = 60.0
     step("healed", 1.5)
 
     rescale("scale-out 2->4 again", 4)

@@ -19,7 +19,12 @@ from repro.elastic import (
     RescaleState,
     StateAwareScalingPolicy,
 )
-from repro.orca.scopes import ParallelRegionScope
+from repro.orca.scopes import (
+    OperatorMetricScope,
+    OperatorPortMetricScope,
+    ParallelRegionScope,
+)
+from repro.orca.service import LOG_WINDOW
 from repro.runtime.pe import PEState
 from repro.spl.application import Application
 from repro.spl.library import (
@@ -380,7 +385,7 @@ class TestCancelCyclesLeakNothing:
             cancels_with_units_in_flight += bool(transport._in_flight)
             system.cancel_job(job.job_id)
             retransmissions = transport.retransmissions
-            system.run_for(2 * health.interval)
+            system.run_for(2 * system.config.health_interval)
             assert health.max_lag == 0.0, f"cycle {cycle + 1}"
             assert health.link_lags() == {}, f"cycle {cycle + 1}"
             system.run_for(4.0)
@@ -394,6 +399,74 @@ class TestCancelCyclesLeakNothing:
         assert after_first["pending"] == 0 and after_first["health_ports"] == {}
         assert after_first["srm_samples"] == after_first["chains"] == {}
         assert after_first["materialized"] == {}
+
+
+class TestControlPlaneStaysFlat:
+    """A long-lived orchestrated job costs the control plane no memory.
+
+    The complement of the two cycle tests above: nothing is rescaled or
+    cancelled, time just passes.  Every host controller used to keep
+    every timer handle it ever made (its trim filtered on ``cancelled``,
+    which a fired handle is not), and the orchestrator appended every
+    delivered event, actuation and handler failure to a list for ever.
+    The routine here acts and then fails on every metric event — the
+    worst case for all three logs, which fill their window inside the
+    first 200 s.
+    """
+
+    #: virtual seconds; the CI ``delivery-matrix`` job runs 20,000
+    HORIZON = 20_000 if under_profile("wire-ci") else 2_000
+
+    class ActsThenFails(Orchestrator):
+        def handleOrcaStart(self, context):
+            self._orca.register_event_scope(OperatorMetricScope("ops"))
+            self._orca.register_event_scope(OperatorPortMetricScope("ports"))
+            self.job = self._orca.submit_application("KeyedElastic")
+
+        def handleOperatorMetricEvent(self, context, scopes):
+            self._orca.send_control(self.job.job_id, "sink", "look", {})
+            raise RuntimeError("every handler run fails")
+
+        handleOperatorPortMetricEvent = handleOperatorMetricEvent
+
+    @staticmethod
+    def _sizes(system, service):
+        return {
+            "hc_loops": {name: len(hc._loops) for name, hc in system.hcs.items()},
+            "event_journal": len(service.event_journal),
+            "actuation_log": len(service.actuation_log),
+            "handler_errors": len(service.handler_errors),
+            "srm_samples": len(system.srm._metrics),
+            "links": len(system.transport.links),
+            # the handles each PE could still cancel (its list of them is
+            # swept by doubling, so its raw length is a sawtooth)
+            "pe_timers": {
+                pe.pe_id: len(pe._timers.outstanding()) for pe in service.logic.job.pes
+            },
+        }
+
+    def test_a_polling_orchestrator_leaves_every_table_flat(self):
+        system = SystemS(
+            hosts=4,
+            config=SystemConfig(delivery="exactly_once", checkpoint_interval=0.5),
+        )
+        app = build_keyed_app(width=4, period=0.1)
+        service = system.submit_orchestrator(
+            OrcaDescriptor(
+                name="Watcher",
+                logic=self.ActsThenFails,
+                applications=[ManagedApplication(name=app.name, application=app)],
+                metric_poll_interval=3.0,
+            )
+        )
+        system.run_for(200.0)
+        after_first = self._sizes(system, service)
+        system.run_for(self.HORIZON - 200.0)
+        assert self._sizes(system, service) == after_first
+        assert after_first["event_journal"] == after_first["handler_errors"] == LOG_WINDOW
+        assert service.queue.delivered_count > 10 * LOG_WINDOW  # still counts everything
+        sink = service.logic.job.operator_instance("sink")
+        assert_contiguous_counts(sink)
 
 
 class TestRehydrateRestart:

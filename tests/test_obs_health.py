@@ -18,7 +18,7 @@ from repro.elastic import HealthAwareScalingPolicy
 from repro.elastic.policy import RegionObservation, ScalingPolicy
 from repro.obs import SlidingWindow, Slo
 from repro.obs.detect import BottleneckDetector, PressureSample
-from repro.obs.slo import classify
+from repro.obs.slo import SHORT_WINDOW, classify
 from repro.orca.scopes import HealthScope
 from repro.tools.healthwatch import parse_snapshot, render_dashboard
 
@@ -174,7 +174,7 @@ class TestHealthMonitor:
     def test_always_on_tick_runs(self, system):
         system.run_for(5.0)
         assert system.obs.health.ticks >= 9
-        assert system.obs.health.interval == 0.5
+        assert system.obs.health.snapshot().interval == 0.5
 
     def test_interval_zero_disables_the_plane(self):
         quiet = SystemS(
@@ -216,7 +216,7 @@ class TestHealthMonitor:
         system.run_for(1.0)
         health = system.obs.health
         p95 = health._signal_value(
-            "latency_p95", None, health.short_window, system.now
+            "latency_p95", None, SHORT_WINDOW, system.now
         )
         assert p95 > 0.0
         assert health.snapshot().ack_p95 == p95

@@ -372,7 +372,7 @@ def run_script() -> str:
         for a in service.actuation_log
     ]
     lines.append(f"dropped_count={service.queue.dropped_count}")
-    lines.append(f"handler_errors={service.handler_errors}")
+    lines.append(f"handler_errors={list(service.handler_errors)}")
     return "\n".join(lines) + "\n"
 
 

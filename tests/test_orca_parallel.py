@@ -314,7 +314,7 @@ class TestReplicaGraphs:
                 lambda: f"metric events from {sorted(unmeasured(seen, jobs))}",
             )
             assert_metric_events_equal_runtime(seen, jobs)
-            assert service.handler_errors == []
+            assert not service.handler_errors
 
         settle_and_check()
         steps = [(job_a, 4), (job_b, 1)]

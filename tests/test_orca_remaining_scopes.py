@@ -8,6 +8,7 @@ from repro.orca.scopes import (
     JobSubmissionScope,
     PEFailureScope,
 )
+from repro.runtime.srm import HEARTBEAT_TIMEOUT
 
 from tests.conftest import make_linear_app
 
@@ -62,7 +63,7 @@ class TestHostFailureScope:
         system.run_for(2.0)
         victim_host = logic.jobs[0].pes[0].host_name
         system.failures.fail_host(victim_host)
-        system.run_for(system.srm.heartbeat_timeout + 2.5)
+        system.run_for(HEARTBEAT_TIMEOUT + 2.5)
         assert len(logic.host_failures) == 1
         host, affected, scopes = logic.host_failures[0]
         assert host == victim_host

@@ -9,7 +9,8 @@ import re
 import pytest
 
 import repro.orca
-from repro import ManagedApplication, Orchestrator, OrcaDescriptor
+from repro import ManagedApplication, Orchestrator, OrcaDescriptor, SystemConfig, SystemS
+from repro.elastic import RescaleState
 from repro.errors import ActuationError, OrcaPermissionError, ScopeError
 from repro.orca import contexts, scopes
 from repro.orca.scopes import (
@@ -25,6 +26,7 @@ from repro.orca.scopes import (
 from repro.runtime.pe import PEState
 
 from tests.conftest import calls, functions_under, make_filter_app, make_linear_app, where
+from tests.test_elastic_state_migration import build_keyed_app
 
 
 class RecordingOrca(Orchestrator):
@@ -751,3 +753,107 @@ class TestOneStopwatch:
         assert "wall_ms" not in {
             f.name for f in dataclasses.fields(contexts.RegionStateMigratedContext)
         }
+
+
+class TestOneConfig:
+    """A runtime constant is named once: a ``SystemConfig`` field if
+    anyone sets it, a module constant beside its reader if no one does.
+
+    Every field used to be spelled up to five times — the field, a
+    keyword in ``SystemS.__init__``, a constructor parameter with its own
+    default, an ``Args:`` line and an attribute copy (four of them
+    renamed on the way) — so two values could disagree at runtime.  The
+    subsystems only ``SystemS`` builds take the config itself.
+    """
+
+    src = pathlib.Path(__file__).parent.parent / "src" / "repro"
+    FIELDS = {field.name for field in dataclasses.fields(SystemConfig)}
+    BUILT_BY_SYSTEM = (
+        "Transport", "DeliveryPlane", "SAM", "SRM", "HostController",
+        "ElasticController", "CheckpointService", "ObsHub", "HealthMonitor",
+    )
+
+    def test_no_subsystem_constructor_mirrors_a_field_or_carries_a_default(self):
+        constructors = {
+            name.split(".")[0]: node
+            for _file, name, node in functions_under(self.src)
+            if name.endswith(".__init__") and name.split(".")[0] in self.BUILT_BY_SYSTEM
+        }
+        assert sorted(constructors) == sorted(self.BUILT_BY_SYSTEM)
+        for owner, init in constructors.items():
+            arguments = init.args
+            names = {arg.arg for arg in arguments.args + arguments.kwonlyargs}
+            assert not names & self.FIELDS, owner
+            for default in arguments.defaults + arguments.kw_defaults:
+                literal = isinstance(default, ast.Constant) and default.value is not None
+                assert not literal, (owner, ast.unparse(default))
+
+    def test_system_hands_over_the_config_not_its_fields(self):
+        (init,) = (
+            node for _file, name, node in functions_under(self.src / "runtime" / "system.py")
+            if name == "SystemS.__init__"
+        )
+        spelled = {
+            getattr(node, "attr", None) or getattr(node, "arg", None)
+            for node in ast.walk(init)
+            if isinstance(node, (ast.Attribute, ast.keyword))
+        }
+        assert not spelled & self.FIELDS
+
+    def test_every_field_is_read_somewhere(self):
+        read = set()
+        for path in sorted(self.src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+        assert self.FIELDS <= read, self.FIELDS - read
+
+    def test_a_restart_waits_the_delay_set_after_construction(self, system):
+        job = system.submit_job(make_linear_app())
+        system.run_for(1.0)
+        pe = job.pes[0]
+        pe.crash("t")
+        system.config.pe_restart_delay = 4.0
+        system.sam.restart_pe(job.job_id, pe.pe_id)
+        system.run_for(3.99)
+        assert pe.state is PEState.CRASHED
+        system.run_for(0.02)
+        assert pe.state is PEState.RUNNING
+
+    def test_checkpoint_rounds_follow_the_config_whoever_moves_it(self):
+        system = SystemS(hosts=4)
+        system.submit_job(build_keyed_app(width=2))
+        system.run_for(1.0)
+
+        def rounds_in(seconds):
+            start = system.now
+            system.run_for(seconds)
+            return sorted({r.time - start for r in system.checkpoints.records if r.time > start})
+
+        assert rounds_in(1.0) == []
+        system.checkpoints.set_interval(0.25)
+        assert system.config.checkpoint_interval == 0.25
+        assert rounds_in(0.5) == [0.25, 0.5]
+        system.config.checkpoint_interval = 1.0  # read when the next round is scheduled
+        assert rounds_in(2.0) == [0.25, 1.25]
+
+    def test_a_drain_gives_up_at_the_timeout_set_after_construction(self):
+        system = SystemS(hosts=6)
+        job = system.submit_job(build_keyed_app(width=2))
+        system.run_for(1.0)
+        system.config.elastic_drain_timeout = 0.5
+        system.transport.install_link_fault(
+            partition=True, dst_pe=job.pe_of_operator("work__c0").pe_id
+        )
+        system.run_for(0.1)
+        operation = system.elastic.set_channel_width(job, "region", 3)
+        system.run_for(1.0)
+        assert operation.state is RescaleState.FAILED
+        assert operation.error == "drain did not complete within 0.5s"
+
+    def test_two_systems_built_from_one_config_do_not_share_it(self):
+        config = SystemConfig(checkpoint_interval=0.5)
+        first, second = SystemS(hosts=1, config=config), SystemS(hosts=1, config=config)
+        first.checkpoints.set_interval(2.0)
+        assert first.config.checkpoint_interval == 2.0
+        assert second.config.checkpoint_interval == config.checkpoint_interval == 0.5

@@ -422,4 +422,4 @@ def test_inspection_equals_the_runtime_after_every_step(steps):
     assert_metric_events_equal_runtime(
         seen, [job for job in replicas if service.job_is_running(job.job_id)]
     )
-    assert service.handler_errors == []
+    assert not service.handler_errors

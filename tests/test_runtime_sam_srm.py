@@ -12,6 +12,7 @@ from repro.errors import (
 )
 from repro.runtime.job import JobState
 from repro.runtime.pe import PEState
+from repro.runtime.srm import HEARTBEAT_TIMEOUT
 
 from tests.conftest import make_linear_app
 
@@ -192,7 +193,7 @@ class TestHostFailure:
         assert all(pe.last_crash_reason == "host_failure" for pe in affected)
         # ... but SRM only learns about it after missed heartbeats.
         assert system.srm.host(victim_host).is_up
-        system.run_for(system.srm.heartbeat_timeout + 2.0)
+        system.run_for(HEARTBEAT_TIMEOUT + 2.0)
         assert not system.srm.host(victim_host).is_up
 
     def test_unknown_host_rejected(self, system):

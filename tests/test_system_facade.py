@@ -10,6 +10,7 @@ from repro import (
 )
 from repro.orca.scopes import PEFailureScope
 from repro.runtime.job import JobState
+from repro.runtime.pe import PEState
 
 from tests.conftest import make_linear_app
 
@@ -27,8 +28,18 @@ class TestConstruction:
     def test_config_propagates(self):
         config = SystemConfig(metric_push_interval=1.0, pe_restart_delay=9.0)
         system = SystemS(hosts=2, config=config)
-        assert system.hcs["host1"].metric_push_interval == 1.0
-        assert system.sam.pe_restart_delay == 9.0
+        job = system.submit_job(make_linear_app())
+        system.run_for(0.99)
+        assert system.srm.get_metrics([job.job_id]) == []
+        system.run_for(0.02)  # the first push, at 1.0 s
+        assert system.srm.get_metrics([job.job_id])
+        pe = job.pes[0]
+        pe.crash("t")
+        system.sam.restart_pe(job.job_id, pe.pe_id)
+        system.run_for(8.99)
+        assert pe.state is PEState.CRASHED
+        system.run_for(0.02)  # the restart, 9.0 s after it was asked for
+        assert pe.state is PEState.RUNNING
 
     def test_now_and_run(self):
         system = SystemS(hosts=1)
