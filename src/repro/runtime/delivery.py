@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.spl.tuples import TupleBatch
+from repro.spl.tuples import TupleBatch, from_wire_form, to_wire_form
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.pe import PERuntime
@@ -96,10 +96,11 @@ class LinkRecord:
         self.delivered_wm = 0
         #: receiver: first_seq -> parked early arrival
         self.reorder: Dict[int, tuple] = {}
-        #: sender: first_seq -> acked unit, retained until its seq range
-        #: drops below every restorable epoch; ``replay_bytes`` is its
-        #: payload size, ``truncated_to`` the watermark it was last cut to
-        #: (the oldest retained committed epoch can replay from there)
+        #: sender: first_seq -> acked unit, its payload in wire form (see
+        #: :func:`~repro.spl.tuples.to_wire_form`), retained until its seq
+        #: range drops below every restorable epoch; ``replay_bytes`` is
+        #: its payload size, ``truncated_to`` the watermark it was last
+        #: cut to (the oldest retained committed epoch can replay from there)
         self.replay: Dict[int, "PendingEntry"] = {}
         self.replay_bytes = 0
         self.truncated_to = 0
@@ -137,6 +138,7 @@ class PendingEntry:
         "retry_event",
         "next_arrival",
         "sent_at",
+        "size_bytes",
     )
 
     def __init__(
@@ -180,6 +182,9 @@ class PendingEntry:
         #: sim-time the unit first hit the wire — the health plane's ack
         #: round-trip signal measures from here (set at registration)
         self.sent_at = 0.0
+        #: payload bytes, taken when the acked unit is retained for
+        #: replay (its payload is then in wire form and has no size)
+        self.size_bytes = 0
 
 
 class DeliveryPlane:
@@ -338,7 +343,9 @@ class DeliveryPlane:
         while queue and link.replay_bytes < cap:
             self._dispatch(link, *queue.pop(0))
 
-    def _transmit(self, entry: PendingEntry, redelivery: bool = False) -> None:
+    def _transmit(
+        self, entry: PendingEntry, replayed: Optional["Payload"] = None
+    ) -> None:
         """Put one wire copy of a unit on its link, unless a fault eats it.
 
         The drop policy is per unit: every lossy fault matching the link
@@ -347,9 +354,9 @@ class DeliveryPlane:
         only on the unit's first casualty).  A surviving copy goes
         through :meth:`Transport._put_on_wire` like any other unit,
         carrying the seq range :meth:`_dispatch` claimed.
-        ``redelivery=True`` marks a post-restart replay of an
-        already-processed unit: the receiver will suppress downstream
-        emissions when it lands.
+        ``replayed`` is the payload of a post-restart replay of an
+        already-processed unit, sent in place of ``entry.payload``: the
+        receiver will suppress downstream emissions when it lands.
         """
         t = self.transport
         faults = t._matching_faults(entry.src_pe, entry.dst_pe)
@@ -369,10 +376,10 @@ class DeliveryPlane:
             entry.dst_pe,
             entry.op_full_name,
             entry.port,
-            entry.payload,
+            entry.payload if replayed is None else replayed,
             t._incarnations.get(entry.dst_pe.pe_id, 0),
             entry.first_seq,
-            redelivery,
+            replayed is not None,
         )
 
     # -- retry timers -------------------------------------------------------
@@ -610,8 +617,12 @@ class DeliveryPlane:
         link = entry.link
         self.pending.pop((link.key, entry.first_seq), None)
         if self.exactly_once:
+            # retained history is data: the unit's tuple objects go, the
+            # fields a replay rebuilds them from stay
+            entry.size_bytes = getattr(entry.payload, "size_bytes", 0)
+            entry.payload = to_wire_form(entry.payload)
             link.replay[entry.first_seq] = entry
-            link.replay_bytes += getattr(entry.payload, "size_bytes", 0)
+            link.replay_bytes += entry.size_bytes
 
     # -- crash / restart / epochs -------------------------------------------
 
@@ -626,7 +637,9 @@ class DeliveryPlane:
         unit above it is re-sent in seq order: already-processed units
         replay with emissions suppressed (``redelivery``), undelivered
         units retransmit normally — so condemned in-flight tuples reach
-        the new incarnation instead of being counted as lost.
+        the new incarnation instead of being counted as lost.  An acked
+        unit's tuples are rebuilt from its wire form for the copy that is
+        sent; the retained entry keeps the wire form.
         """
         pe_id = pe.pe_id
         t = self.transport
@@ -658,7 +671,10 @@ class DeliveryPlane:
                     entry.retry_event = None
                 t.replayed += entry.count
                 self._observe("replay", entry.count, entry.op_full_name)
-                self._transmit(entry, redelivery=True)
+                payload = entry.payload
+                if entry.acked:
+                    payload = from_wire_form(payload)
+                self._transmit(entry, payload)
 
     def on_epoch_committed(self, pe_id: str, floor: Dict[str, int]) -> None:
         """Truncate replay buffers to the oldest restorable epoch's floor.
@@ -679,7 +695,7 @@ class DeliveryPlane:
             buf = link.replay
             freed = 0
             for seq in [s for s, e in buf.items() if s + e.count - 1 <= wm]:
-                freed += getattr(buf.pop(seq).payload, "size_bytes", 0)
+                freed += buf.pop(seq).size_bytes
             if freed:
                 link.replay_bytes -= freed
                 # truncation lifted the backpressure: let parked units

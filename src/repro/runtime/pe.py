@@ -102,7 +102,8 @@ class PERuntime:
         #: exactly-once replay depth: while > 0, operator emissions are
         #: swallowed in :meth:`_route`/:meth:`_route_batch` — the tuples
         #: being re-processed already sent their outputs downstream in a
-        #: previous incarnation, so only the state effect may recur
+        #: previous incarnation, so only the state effect may recur (an
+        #: operator reads it as ``ctx.replaying`` for its other effects)
         self._suppress_emissions = 0
         #: (src op, out port) -> resolved hops; filled whenever the PE
         #: (re)gains operator instances or the job's plan is rewired
@@ -183,6 +184,7 @@ class PERuntime:
                 punct_fn=route,
                 schedule_fn=self._schedule_guarded,
                 pe_id=self.pe_id,
+                replaying_fn=lambda: self._suppress_emissions > 0,
             )
             ctx.obs = self.obs
             if self.transport.batch_max_size > 1:

@@ -615,6 +615,10 @@ class Sink(Operator):
     so tests and display applications can inspect the stream. The built-in
     ``nFinalPunctsProcessed`` metric on sinks is what Sec. 5.3 uses to
     detect that a C3 application has consumed its whole input.
+
+    Under exactly-once, a restarted sink is replayed what its dead
+    incarnation already consumed: the replay rebuilds ``seen`` (state)
+    but does not call the ``consumer`` again (an effect).
     """
 
     N_OUTPUTS = 0
@@ -630,7 +634,7 @@ class Sink(Operator):
     def on_tuple(self, tup: StreamTuple, port: int) -> None:
         if self.record:
             self.seen.append(tup)
-        if self.consumer is not None:
+        if self.consumer is not None and not self.ctx.replaying:
             self.consumer(tup)
 
     def process_batch(self, tuples: List[StreamTuple], port: int) -> None:
@@ -638,7 +642,7 @@ class Sink(Operator):
         if self.record:
             self.seen.extend(tuples)
         consumer = self.consumer
-        if consumer is not None:
+        if consumer is not None and not self.ctx.replaying:
             for tup in tuples:
                 consumer(tup)
 
@@ -861,23 +865,29 @@ def stable_channel_of(value: Any, width: int) -> int:
     return _stable_hash(value) % width
 
 
-def detour_channel_of(value: Any, width: int, masked: "set") -> int:
-    """Channel a partition key routes to while some channels are masked.
+def _route(digest: int, width: int, masked: "set") -> int:
+    """The one detour rule: a key hash's owner channel, or its detour.
 
-    The owner channel when it is alive; otherwise the deterministic detour
-    over the surviving channels.  Used by the elastic controller's detour
-    state seeding; must stay in lockstep with
-    :meth:`ParallelSplitter._channel_of` (the per-tuple hot path keeps
-    its own single-hash copy of this logic), or state would be seeded
-    onto a channel the key never visits.
+    The owner when it is alive; otherwise the deterministic detour over
+    the surviving channels (the owner again if every channel is masked).
+    :class:`ParallelSplitter` routes by it and :func:`detour_channel_of`
+    seeds detour state by it, so state lands where the key is sent.
     """
-    digest = _stable_hash(value)
     channel = digest % width
     if channel in masked:
         alive = [c for c in range(width) if c not in masked]
         if alive:
             return alive[digest % len(alive)]
     return channel
+
+
+def detour_channel_of(value: Any, width: int, masked: "set") -> int:
+    """Channel a partition key routes to while some channels are masked.
+
+    Used by the elastic controller's detour state seeding; the splitter
+    routes by the same :func:`_route`.
+    """
+    return _route(_stable_hash(value), width, masked)
 
 
 class ParallelSplitter(Operator):
@@ -960,18 +970,7 @@ class ParallelSplitter(Operator):
     def masked_channels(self) -> set:
         return set(self._masked)
 
-    def _channel_of(self, tup: StreamTuple) -> int:
-        if self.partition_by is not None:
-            # single-hash copy of detour_channel_of(): this is the
-            # per-tuple hot path, and both must agree on the detour target
-            digest = _stable_hash(tup.get(self.partition_by))
-            channel = digest % self.width
-            if channel in self._masked:
-                alive = [c for c in range(self.width) if c not in self._masked]
-                if alive:
-                    channel = alive[digest % len(alive)]
-                    self.rerouted_counter.increment()
-            return channel
+    def _round_robin(self) -> int:
         for _ in range(self.width):
             channel = self._rr
             self._rr = (self._rr + 1) % self.width
@@ -979,12 +978,25 @@ class ParallelSplitter(Operator):
                 return channel
         return channel  # every channel masked: nowhere better to go
 
+    def _detour(self, digest: int) -> int:
+        """Route one key hash while some channel is masked, counting detours."""
+        channel = _route(digest, self.width, self._masked)
+        if channel != digest % self.width:
+            self.rerouted_counter.increment()
+        return channel
+
+    def _channel_of(self, tup: StreamTuple) -> int:
+        if self.partition_by is None:
+            return self._round_robin()
+        digest = _stable_hash(tup.get(self.partition_by))
+        if self._masked:
+            return self._detour(digest)
+        return digest % self.width
+
     def _forward(self, tup: StreamTuple) -> None:
         channel = self._channel_of(tup)
         if self.ordered:
-            stamped = StreamTuple(
-                {**tup.values, "_pseq": self._seq}, created_at=tup.created_at
-            )
+            stamped = tup.with_values(_pseq=self._seq)
             self._seq += 1
             self.submit(stamped, port=channel)
         else:
@@ -1001,34 +1013,40 @@ class ParallelSplitter(Operator):
         """Route a whole batch in one hash pass into per-channel sub-batches.
 
         Quiesced, the run joins the barrier buffer unchanged (a rescale
-        must not see tuples slip past).  Otherwise every member is hashed
-        exactly once, ordered regions stamp ``_pseq`` from one local
+        must not see tuples slip past).  Otherwise the partition
+        attribute, width and mask are read once for the run, every member
+        is hashed exactly once (the detour rule runs only while a channel
+        is masked), ordered regions stamp ``_pseq`` from one local
         counter in arrival order (identical stamps to the per-tuple
         path), and each channel receives its sub-batch through a single
-        batched submission — which the matching :class:`OrderedMerger`
-        consumes sub-batch by sub-batch.
+        batched submission, lowest channel first — which the matching
+        :class:`OrderedMerger` consumes sub-batch by sub-batch.
         """
         if self._quiesced:
             self._buffer.extend(tuples)
             self.quiesced_gauge.set(len(self._buffer))
             return
-        channel_of = self._channel_of
-        by_channel: Dict[int, List[StreamTuple]] = {}
+        key, width = self.partition_by, self.width
+        if key is None:
+            channels = [self._round_robin() for _ in tuples]
+        elif self._masked:
+            detour = self._detour
+            channels = [detour(_stable_hash(tup.values.get(key))) for tup in tuples]
+        else:
+            channels = [_stable_hash(tup.values.get(key)) % width for tup in tuples]
+        lanes: List[List[StreamTuple]] = [[] for _ in range(width)]
         if self.ordered:
             seq = self._seq
-            for tup in tuples:
-                channel = channel_of(tup)
-                stamped = StreamTuple(
-                    {**tup.values, "_pseq": seq}, created_at=tup.created_at
-                )
+            for tup, channel in zip(tuples, channels):
+                lanes[channel].append(tup.with_values(_pseq=seq))
                 seq += 1
-                by_channel.setdefault(channel, []).append(stamped)
             self._seq = seq
         else:
-            for tup in tuples:
-                by_channel.setdefault(channel_of(tup), []).append(tup)
-        for channel in sorted(by_channel):
-            self.submit_batch(by_channel[channel], port=channel)
+            for tup, channel in zip(tuples, channels):
+                lanes[channel].append(tup)
+        for channel, lane in enumerate(lanes):
+            if lane:
+                self.submit_batch(lane, port=channel)
 
     def _broadcast_window(self) -> None:
         for out_port in range(self.width):
@@ -1164,16 +1182,9 @@ class OrderedMerger(Operator):
             "sequence holes skipped after the reorder grace period",
         )
 
-    @staticmethod
-    def _strip(tup: StreamTuple) -> StreamTuple:
-        if "_pseq" not in tup.values:
-            return tup
-        values = {k: v for k, v in tup.values.items() if k != "_pseq"}
-        return StreamTuple(values, created_at=tup.created_at)
-
     def on_tuple(self, tup: StreamTuple, port: int) -> None:
         if not self.ordered:
-            self.submit(self._strip(tup))
+            self.submit(tup.without("_pseq"))
             return
         seq = tup.get("_pseq")
         if seq is None:
@@ -1181,9 +1192,13 @@ class OrderedMerger(Operator):
             return
         if seq < self._next:
             # straggler behind a skipped gap: deliver rather than drop
-            self.submit(self._strip(tup))
+            self.submit(tup.without("_pseq"))
             return
-        self._pending[seq] = (tup, self.now())
+        if seq == self._next:
+            self.submit(tup.without("_pseq"))
+            self._next += 1
+        else:
+            self._pending[seq] = (tup, self.now())
         self._release_ready()
 
     def process_batch(self, tuples: List[StreamTuple], port: int) -> None:
@@ -1191,29 +1206,32 @@ class OrderedMerger(Operator):
 
         Per-member semantics match :meth:`on_tuple` exactly (unstamped
         tuples and stragglers behind a skipped gap pass straight
-        through); every tuple that becomes releasable while the batch is
-        consumed leaves through a single batched submission, in the same
-        order the per-tuple path would have emitted.
+        through, an in-sequence arrival leaves without being parked);
+        every tuple that becomes releasable while the batch is consumed
+        leaves through a single batched submission, in the same order the
+        per-tuple path would have emitted.
         """
         if not self.ordered:
-            self.submit_batch([self._strip(tup) for tup in tuples])
+            self.submit_batch([tup.without("_pseq") for tup in tuples])
             return
         pending = self._pending
         now = self.now()
+        expected = self._next
         out: List[StreamTuple] = []
         for tup in tuples:
-            seq = tup.get("_pseq")
+            seq = tup.values.get("_pseq")
             if seq is None:
                 out.append(tup)
-                continue
-            if seq < self._next:
-                out.append(self._strip(tup))
-                continue
-            pending[seq] = (tup, now)
-            while self._next in pending:
-                ready, _ = pending.pop(self._next)
-                out.append(self._strip(ready))
-                self._next += 1
+            elif seq > expected:
+                pending[seq] = (tup, now)
+            else:
+                out.append(tup.without("_pseq"))
+                if seq == expected:
+                    expected += 1
+                    while expected in pending:
+                        out.append(pending.pop(expected)[0].without("_pseq"))
+                        expected += 1
+        self._next = expected
         if out:
             self.submit_batch(out)
         self.reorder_gauge.set(len(pending))
@@ -1222,7 +1240,7 @@ class OrderedMerger(Operator):
     def _release_ready(self) -> None:
         while self._next in self._pending:
             tup, _ = self._pending.pop(self._next)
-            self.submit(self._strip(tup))
+            self.submit(tup.without("_pseq"))
             self._next += 1
         self.reorder_gauge.set(len(self._pending))
         self._arm_guard()
@@ -1266,7 +1284,7 @@ class OrderedMerger(Operator):
             self._next = head
             while self._next in self._pending:
                 tup, _ = self._pending.pop(self._next)
-                self.submit(self._strip(tup))
+                self.submit(tup.without("_pseq"))
                 self._next += 1
         self.reorder_gauge.set(len(self._pending))
         self._arm_guard()
@@ -1280,7 +1298,7 @@ class OrderedMerger(Operator):
         for seq in sorted(self._pending):
             tup, _ = self._pending.pop(seq)
             self._next = max(self._next, seq + 1)
-            self.submit(self._strip(tup))
+            self.submit(tup.without("_pseq"))
         self.reorder_gauge.set(0)
 
     def pending_items(self) -> int:

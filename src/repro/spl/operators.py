@@ -49,12 +49,14 @@ class OperatorContext:
         punct_fn: Callable[[int, Punctuation], None],
         schedule_fn: Callable[[float, Callable[[], None]], Any],
         pe_id: Optional[str] = None,
+        replaying_fn: Callable[[], bool] = lambda: False,
     ) -> None:
         self.spec = spec
         self.job_id = job_id
         self.app_name = app_name
         self.submission_params = dict(submission_params)
         self.pe_id = pe_id
+        self._replaying_fn = replaying_fn
         #: the operator instance's partitioned state (see repro.spl.state)
         self.state = StateStore()
         #: observability hub when span tracing is on (set by the PE after
@@ -84,6 +86,16 @@ class OperatorContext:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now_fn()
+
+    @property
+    def replaying(self) -> bool:
+        """True while the PE re-processes an exactly-once replay.
+
+        The unit being processed already had its effects in a dead
+        incarnation: state may be rebuilt from it, but an effect outside
+        the operator (an emission, a consumer call) must not recur.
+        """
+        return self._replaying_fn()
 
     def get_submission_time_value(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """Submission-time parameter of the job (SPL's getSubmissionTimeValue)."""

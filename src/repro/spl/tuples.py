@@ -93,6 +93,19 @@ class StreamTuple:
             size += estimate_value_size(value)
         return self._derive({**values, **updates}, size)
 
+    def without(self, name: str) -> "StreamTuple":
+        """A copy without one attribute (this tuple itself if it has none).
+
+        The size drops by exactly what the attribute added, so the copy
+        reads the size a fresh tuple of the remaining values would.
+        """
+        values = self.values
+        if name not in values:
+            return self
+        kept = dict(values)
+        dropped = len(name) + estimate_value_size(kept.pop(name))
+        return self._derive(kept, self.size_bytes - dropped)
+
     def project(self, *names: str) -> "StreamTuple":
         """Return a copy containing only the named attributes."""
         values = self.values
@@ -149,6 +162,50 @@ class TupleBatch:
 
     def __repr__(self) -> str:
         return f"TupleBatch(n={len(self.tuples)}, bytes={self.size_bytes})"
+
+
+def _assemble(
+    values: dict, created_at: float, size_bytes: int, traced: bool
+) -> StreamTuple:
+    """A tuple from its four fields, ``values`` adopted and nothing estimated."""
+    tup = StreamTuple.__new__(StreamTuple)
+    tup.values = values
+    tup.created_at = created_at
+    tup.size_bytes = size_bytes
+    tup.traced = traced
+    return tup
+
+
+def to_wire_form(item: Any) -> Any:
+    """A wire unit as plain data: what replaying it needs, no tuple objects.
+
+    A :class:`StreamTuple` becomes the tuple ``(values, created_at,
+    size_bytes, traced)``; a :class:`TupleBatch` one flat list of those
+    four fields per member, in order; punctuation is already plain data
+    and stays as it is.  Values dicts are shared, not copied.  The form
+    holds one container per unit, so a retained unit costs the cyclic
+    collector one object instead of a batch, its list and every member.
+    :func:`from_wire_form` rebuilds an equal unit.
+    """
+    if isinstance(item, TupleBatch):
+        form: List[Any] = []
+        for tup in item.tuples:
+            form += (tup.values, tup.created_at, tup.size_bytes, tup.traced)
+        return form
+    if isinstance(item, StreamTuple):
+        return (item.values, item.created_at, item.size_bytes, item.traced)
+    return item
+
+
+def from_wire_form(form: Any) -> Any:
+    """The unit :func:`to_wire_form` packed: same members, fields and order."""
+    if type(form) is list:
+        return TupleBatch(
+            [_assemble(*form[i : i + 4]) for i in range(0, len(form), 4)]
+        )
+    if type(form) is tuple:
+        return _assemble(*form)
+    return form
 
 
 def estimate_value_size(value: Any) -> int:

@@ -14,6 +14,7 @@ from repro.obs import CONTROL, DATA, FlightRecorder, Span, Tracer
 from repro.runtime.system import SystemConfig, SystemS
 from repro.spl.application import Application
 from repro.spl.library import CallbackSource, KeyedCounter, Sink
+from repro.spl.parallel import parallel
 from repro.tools.timeline import main, parse_dump, render_timeline
 
 
@@ -148,6 +149,40 @@ class TestDataPlaneCapture:
         transport_spans = sum(1 for e in entries if e.name == "transport")
         process_spans = sum(1 for e in entries if e.name == "process")
         assert 0 < transport_spans < process_spans
+
+    @pytest.mark.parametrize("batch_max_size", [1, 8])
+    def test_a_traced_tuple_is_traced_through_a_region(self, batch_max_size):
+        """The flag rides the splitter's stamp and the merger's strip: a
+        sampled tuple records spans at its channel, the merger and the
+        sink, not only up to the region's entry."""
+        app = Application("TracedRegion")
+        g = app.graph
+        src = g.add_operator(
+            "src",
+            CallbackSource,
+            params={"generator": lambda now, count: [{"key": f"k{count % 8}"}], "period": 0.05},
+            partition="feed",
+        )
+        work = g.add_operator(
+            "work",
+            KeyedCounter,
+            params={"key": "key"},
+            parallel=parallel(width=2, name="region", partition_by="key"),
+        )
+        sink = g.add_operator("sink", Sink, partition="out")
+        g.connect(src.oport(0), work.iport(0))
+        g.connect(work.oport(0), sink.iport(0))
+        system = SystemS(
+            hosts=6,
+            config=SystemConfig(
+                trace_enabled=True, trace_sample_every=1, batch_max_size=batch_max_size
+            ),
+        )
+        job = system.submit_job(app)
+        system.run_for(2.0)
+        entries = system.obs.dump_flight("inspect", job_id=job.job_id).entries
+        processed = {e.attr("op") for e in entries if e.name == "process"}
+        assert {"region__split", "work__c0", "work__c1", "region__merge", "sink"} <= processed
 
 
 class TestOrchestratorMarkers:

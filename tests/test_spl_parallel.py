@@ -1,7 +1,11 @@
 """Tests for parallel-region annotation, expansion, and the channel operators."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.errors import ParallelRegionError
 from repro.spl.application import Application
 from repro.spl.compiler import SPLCompiler
@@ -16,7 +20,7 @@ from repro.spl.library import (
 from repro.spl.parallel import expand_parallel_regions, parallel, resize_region
 from repro.spl.tuples import Punctuation, StreamTuple
 
-from tests.conftest import make_operator_harness
+from tests.conftest import calls, make_operator_harness, where
 
 
 def build_app(width=3, chain_len=1, annotation=None, partition="work"):
@@ -388,3 +392,42 @@ class TestOrderedMerger:
         first_guard.fn()  # old guard fires after progress: no skip
         assert op.metric("nSeqGapsSkipped").value == 0
         assert [i["v"] for _, i in emitted] == ["a", "b"]
+
+
+class TestOneTupleConstructor:
+    """A dict becomes a tuple in one place, and a key finds its channel by
+    one rule.
+
+    Structural, like ``test_elastic.TestOneMover``: every other tuple is a
+    derived copy (``with_values`` / ``without`` / ``project``, or a
+    replay rebuilt from its wire form) that keeps the
+    size, creation time and trace flag exactly — the region plumbing once
+    rebuilt whole tuples and dropped ``traced`` on the way.  And the
+    splitter once kept its own copy of the detour rule that had to stay in
+    lockstep with the state seeding's.
+    """
+
+    src = pathlib.Path(repro.__file__).parent
+
+    def test_only_submission_constructs_tuples(self):
+        assert where(self.src, calls("StreamTuple")) == [
+            "operators.py:Operator.submit",
+            "operators.py:Operator.submit_batch",
+        ]
+
+    def test_one_function_holds_the_detour_rule(self):
+        library = self.src / "spl" / "library.py"
+
+        def alive_channels(node):
+            return isinstance(node, ast.ListComp) and any(
+                isinstance(op, ast.NotIn)
+                for compare in ast.walk(node)
+                if isinstance(compare, ast.Compare)
+                for op in compare.ops
+            )
+
+        assert where(library, alive_channels) == ["library.py:_route"]
+        assert where(library, calls("_route")) == [
+            "library.py:detour_channel_of",
+            "library.py:ParallelSplitter._detour",
+        ]

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchemaError
+from repro.spl.library import OrderedMerger, ParallelSplitter
 from repro.spl.schema import ANY_SCHEMA, Attribute, TupleSchema
 from repro.spl.tuples import FinalMarker, Punctuation, StreamTuple, WindowMarker
+
+from tests.conftest import make_operator_harness
 
 
 class TestSchema:
@@ -147,7 +150,10 @@ _attrs = st.dictionaries(st.sampled_from("abcdefgh"), _values, max_size=6)
 
 class TestDerivedSize:
     """Derived copies carry the size a fresh tuple of the same values
-    would estimate — ``nTupleBytesProcessed`` cannot tell them apart."""
+    would estimate — ``nTupleBytesProcessed`` cannot tell them apart —
+    and keep the creation time and trace flag: ``with_values``,
+    ``project``, and the region splitter's ``_pseq`` stamp and the
+    merger's strip."""
 
     @settings(max_examples=200, deadline=None)
     @given(base=_attrs, updates=_attrs)
@@ -172,6 +178,29 @@ class TestDerivedSize:
         assert derived.values == fresh.values
         assert derived.size_bytes == fresh.size_bytes
         assert (derived.created_at, derived.traced) == (3.0, True)
+
+    @staticmethod
+    def _through(op_class, tup, batched, **state):
+        """The one tuple a fresh width-1 region operator emits for ``tup``."""
+        op, emitted = make_operator_harness(op_class, params={"width": 1})
+        vars(op).update(state)
+        if batched:
+            op._process_batch([tup], 0)
+        else:
+            op._process(tup, 0)
+        [(_port, out)] = emitted
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(base=_attrs, seq=st.integers(0, 2**40), batched=st.booleans())
+    def test_region_stamp_and_strip_match_a_fresh_tuple(self, base, seq, batched):
+        sent = StreamTuple(base, created_at=3.0, traced=True)
+        stamped = self._through(ParallelSplitter, sent, batched, _seq=seq)
+        stripped = self._through(OrderedMerger, stamped, batched, _next=seq)
+        for derived, values in ((stamped, {**base, "_pseq": seq}), (stripped, base)):
+            assert derived.values == values
+            assert derived.size_bytes == StreamTuple(values).size_bytes
+            assert (derived.created_at, derived.traced) == (3.0, True)
 
 
 class TestPunctuation:

@@ -21,7 +21,14 @@ promises:
 * every mode — a run of ``send_batch([t])`` calls is indistinguishable
   from the same run of ``send(t)`` calls: same tap records, same
   counters, same seeded-RNG end states (a unit of one *is* the single
-  send, not a lookalike).
+  send, not a lookalike);
+* ``exactly_once`` — acknowledged history is data: no tuple object is
+  reachable from a link's replay buffer, and every tuple a restarted PE
+  is handed again equals the one sent (:class:`TestReplayHistoryIsData`).
+
+One application-level cell rides along: a restarted exactly-once sink
+replays into its record but calls its consumer once per tuple
+(:class:`TestRestartedSinkConsumesOnce`).
 
 Tier-1 runs a small example budget; the CI ``delivery-matrix`` job runs
 the same properties under ``--hypothesis-profile=wire-ci`` (registered in
@@ -36,11 +43,16 @@ faults first.
 
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+import gc
+
+from hypothesis import example, given, strategies as st
 
 from repro import SystemConfig, SystemS
 from repro.chaos.fuzz.oracles import FifoProbe
-from repro.spl.tuples import StreamTuple, WindowMarker
+from repro.runtime.delivery import PendingEntry
+from repro.spl.application import Application
+from repro.spl.library import CallbackSource, KeyedCounter, Sink
+from repro.spl.tuples import StreamTuple, TupleBatch, WindowMarker
 
 from tests.conftest import example_budget
 from tests.test_wire_golden import COUNTERS, DELIVERIES, _rng_hash, fan_in_app
@@ -112,6 +124,11 @@ class WireRun:
         self.fifo = FifoProbe(self.transport)
         self.faults = []
         self.sent = 0
+        #: every tuple sent, by its ``iter``
+        self.originals = {}
+        #: ``(redelivery, tuple)`` for every tuple the sink PE was handed
+        self.handed = []
+        self.sink_pe.receive = self._tee(self.sink_pe.receive)
         for step in schedule:
             getattr(self, "_" + step[0])(*step[1:])
             self.assert_removed_pes_are_forgotten()
@@ -121,6 +138,15 @@ class WireRun:
         self.system.run_for(30.0)
         self.assert_removed_pes_are_forgotten()
 
+    def _tee(self, receive):
+        def tee(op_full_name, port, item, suppress_emissions=False):
+            if isinstance(item, (StreamTuple, TupleBatch)):
+                members = item.tuples if isinstance(item, TupleBatch) else [item]
+                self.handed += [(suppress_emissions, tup) for tup in members]
+            receive(op_full_name, port, item, suppress_emissions)
+
+        return tee
+
     def _link_exists(self, link):
         """Both ends still in the job: a removed PE neither sends nor is sent to."""
         return not {self.sources[link].pe_id, self.sink_pe.pe_id} & self.removed
@@ -129,7 +155,12 @@ class WireRun:
         if not self._link_exists(link):
             return
         for _ in range(n):
-            tup = StreamTuple({"iter": self.sent})
+            tup = StreamTuple(
+                {"iter": self.sent},
+                created_at=self.system.now,
+                traced=self.sent % 2 == 0,
+            )
+            self.originals[self.sent] = tup
             self.sent += 1
             if self.via_send_batch:
                 self.transport.send_batch(
@@ -296,3 +327,112 @@ def test_a_batch_of_one_is_the_single_send(schedule, delivery, batch_max_size):
     single = WireRun(delivery, batch_max_size, schedule)
     batched = WireRun(delivery, batch_max_size, schedule, via_send_batch=True)
     assert batched.observed() == single.observed()
+
+
+#: traffic on both links, a sink crash, traffic toward the dead sink, and
+#: the restart every run ends with: acknowledged units replay from zero
+REPLAYING_SCHEDULE = [
+    ("send", 0, 3),
+    ("send", 1, 2),
+    ("run", 0.05),
+    ("crash",),
+    ("send", 0, 2),
+    ("run", 0.4),
+]
+
+
+def retained(link):
+    """Everything a link's replay buffer holds, through its containers and
+    its units (not through the PEs and links a unit names)."""
+    stack, seen = [link.replay], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, (dict, list, tuple)):
+            stack.extend(gc.get_referents(obj))
+        elif isinstance(obj, PendingEntry):
+            stack.append(obj.payload)
+
+
+class TestReplayHistoryIsData:
+    """Acknowledged exactly-once units are retained as their fields, and a
+    replay rebuilds tuples equal to the ones sent."""
+
+    @BUDGET
+    @example(schedule=REPLAYING_SCHEDULE, batch_max_size=4)
+    @given(schedule=schedules, batch_max_size=st.sampled_from((1, 4)))
+    def test_acknowledged_units_hold_no_tuple_objects(self, schedule, batch_max_size):
+        run = WireRun("exactly_once", batch_max_size, schedule)
+        for link in run.transport.links.values():
+            for obj in retained(link):
+                assert not isinstance(obj, (StreamTuple, TupleBatch)), link.key
+
+    @BUDGET
+    @example(schedule=REPLAYING_SCHEDULE, batch_max_size=4)
+    @given(schedule=schedules, batch_max_size=st.sampled_from((1, 4)))
+    def test_a_redelivery_hands_over_the_tuples_sent(self, schedule, batch_max_size):
+        run = WireRun("exactly_once", batch_max_size, schedule)
+        for _redelivery, tup in run.handed:
+            sent = run.originals[tup["iter"]]
+            assert (tup.values, tup.size_bytes, tup.created_at, tup.traced) == (
+                sent.values, sent.size_bytes, sent.created_at, sent.traced
+            )
+
+    def test_the_replaying_schedule_replays(self):
+        run = WireRun("exactly_once", 4, REPLAYING_SCHEDULE)
+        replayed = [tup["iter"] for redelivery, tup in run.handed if redelivery]
+        # everything consumed before the crash, link by link: 0-2 on the
+        # left (one batch), 3-4 on the right
+        assert replayed == [0, 1, 2, 3, 4]
+        assert run.transport.replayed == 5
+
+
+class TestRestartedSinkConsumesOnce:
+    """A redelivered unit rebuilds a restarted sink's record (state) but
+    does not call its consumer again (an effect)."""
+
+    N = 300
+
+    def run(self):
+        consumed = []
+        app = Application("SinkRestart")
+        g = app.graph
+        src = g.add_operator(
+            "src",
+            CallbackSource,
+            params={
+                "generator": lambda now, n: [{"key": f"k{n % 7}", "n": n}],
+                "period": 0.01,
+                "limit": self.N,
+            },
+            partition="feed",
+        )
+        count = g.add_operator("count", KeyedCounter, params={"key": "key"}, partition="work")
+        sink = g.add_operator(
+            "sink", Sink, params={"consumer": consumed.append}, partition="out"
+        )
+        g.connect(src.oport(0), count.iport(0))
+        g.connect(count.oport(0), sink.iport(0))
+        system = SystemS(
+            hosts=4,
+            seed=42,
+            config=SystemConfig(delivery="exactly_once", checkpoint_interval=0.5),
+        )
+        job = system.submit_job(app)
+        system.run_for(2.0 - system.now)
+        pe = job.pe_of_operator("sink")
+        before = len(consumed)
+        pe.crash("test")
+        system.sam.restart_pe(job.job_id, pe.pe_id, rehydrate=True)
+        system.run_for(10.0)
+        return system, job, before, consumed
+
+    def test_the_consumer_sees_each_tuple_once(self):
+        system, job, before, consumed = self.run()
+        assert 0 < before < self.N
+        assert system.transport.replayed >= before  # the history was replayed
+        assert sorted(t["n"] for t in consumed) == list(range(self.N))
+        assert len(job.operator_instance("sink").seen) == self.N
