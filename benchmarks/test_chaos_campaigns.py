@@ -5,8 +5,9 @@ Five seeded campaigns, each executed **twice** on fresh systems to prove
 determinism (the rendered scorecards must be byte-identical):
 
 * ``rolling_channel_outage`` — sequential crash-and-restart of region
-  channel PEs; checkpointed detour seeding + unmask reclaim must keep
-  zero tuple loss and >= 99% keyed-state recovery;
+  channel PEs; each channel's keyed tuples park at the splitter while
+  it is down and its checkpoint rehydrates it, which must keep zero
+  tuple loss and >= 99% keyed-state recovery;
 * ``gray_network`` — latency waves and short hold-and-flush partitions;
   delays only, so the drained run must account for every tuple;
 * ``flash_crowd`` — a 3x input surge with 80% of traffic on two hot
@@ -176,7 +177,7 @@ def run_checkpointed_campaign(
         "width": plan.width,
         "chaos_events_seen": len(logic.chaos_events),
         "reroutes": len(system.elastic.reroutes),
-        "reclaims": len(system.elastic.reclaims),
+        "parked": int(job.operator_instance("region__split").metric("nParkedTuples").value),
         "rescales": len(system.elastic.history),
         "fifo_violations": len(fifo.violations),
         # reliable-transport extras (0 on best_effort): link faults hit
@@ -421,7 +422,8 @@ def test_chaos_campaigns(results_dir):
 
     # campaign-specific shape assertions
     outage = results["rolling_channel_outage"]
-    assert outage["extras"]["reclaims"] >= 2  # both flaps reclaimed state
+    assert outage["extras"]["reroutes"] == 4  # both flaps masked, then unmasked
+    assert outage["extras"]["parked"] > 0  # the dead channels' keys waited
     assert outage["card"].recovery_times  # crash-to-recovered measured
     crowd = results["flash_crowd"]
     assert crowd["extras"]["width"] == 4  # the mid-surge rescale landed

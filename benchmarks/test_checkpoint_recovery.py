@@ -12,10 +12,12 @@ bench``):
 * **scale-in merge** — a region's user-defined ``global_merge`` hook
   folds the doomed channels' global state into survivors: zero tuples
   and zero global-state items lost across a 4 -> 2 shrink;
-* **unmask reclaim** — a crashed channel's keys continue from its
-  checkpoint on the detour channels (mask-time seeding) and the accrued
-  state returns home at unmask (reclaim): zero tuple loss and per-key
-  counts stay *contiguous* across the whole crash/detour/restart cycle.
+* **exactly-once channel crash** — a region channel crashes mid-stream
+  under ``delivery="exactly_once"``: its keyed tuples park at the
+  splitter while it is down, the restart rehydrates its epoch and
+  replays what it had not committed, and the parked tuples follow —
+  zero tuple loss and per-key counts stay *contiguous* across the whole
+  crash/park/restart cycle.
 """
 
 from __future__ import annotations
@@ -155,14 +157,14 @@ def run_scale_in_merge():
 
 
 # ---------------------------------------------------------------------------
-# 3. unmask reclaim: zero tuple loss, contiguous per-key counts
+# 3. exactly-once channel crash: zero tuple loss, contiguous per-key counts
 # ---------------------------------------------------------------------------
 
 
-def run_crash_detour_reclaim():
+def run_channel_crash_exactly_once():
     limit = 400
     period = 0.05
-    app = Application("CkptReclaim")
+    app = Application("CkptChannelCrash")
     g = app.graph
     src = g.add_operator(
         "src",
@@ -182,21 +184,17 @@ def run_crash_detour_reclaim():
 
     system = SystemS(
         hosts=12,
-        config=SystemConfig(
-            checkpoint_interval=0.25,
-            # near-instant failure detection keeps the crash window free
-            # of in-flight tuples (crash lands between source ticks)
-            failure_notification_delay=0.001,
-        ),
+        config=SystemConfig(checkpoint_interval=0.5, delivery="exactly_once"),
     )
     job = system.submit_job(app)
-    system.run_for(5.02)  # between ticks: region is empty of in-flight work
-    system.checkpoints.checkpoint_all()  # zero checkpoint lag at the crash
+    # mid-stream and mid-interval: the 5.25 tick is still on the wire and
+    # c1 has processed half an interval past its last committed epoch
+    system.run_for(5.2505)
     dead_pe = job.pe_of_operator("work__c1")
     dead_pe.crash("benchmark")
-    system.run_for(3.0)  # detour window: c1's keys flow (seeded) through c0
+    system.run_for(3.0)  # c1 is down: its keys park at the splitter
     system.sam.restart_pe(job.job_id, dead_pe.pe_id, rehydrate=True)
-    system.run_for(30.0)  # reclaim at unmask, feed finishes, region drains
+    system.run_for(30.0)  # replay, parked tuples released, feed finishes
 
     sink_op = job.operator_instance("sink")
     received = [t["seq"] for t in sink_op.seen]
@@ -208,9 +206,13 @@ def run_crash_detour_reclaim():
         for key, seq in counts.items()
         if seq != list(range(1, len(seq) + 1))
     ]
-    mask = [r for r in system.elastic.reroutes if r.masked][-1]
-    reclaim = system.elastic.reclaims[-1]
-    return received, non_contiguous, mask, reclaim, limit
+    splitter = job.operator_instance("region__split")
+    parked = int(splitter.metric("nParkedTuples").value)
+    transport = system.transport
+    return (
+        received, non_contiguous, parked, transport.replayed,
+        transport.retransmissions, limit,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +226,8 @@ def run_all():
     merge_op, merge_before, merge_after, merge_received, merge_limit = (
         run_scale_in_merge()
     )
-    received, non_contiguous, mask, reclaim, reclaim_limit = (
-        run_crash_detour_reclaim()
+    received, non_contiguous, parked, replayed, retransmitted, crash_limit = (
+        run_channel_crash_exactly_once()
     )
     return {
         "recovered": recovered,
@@ -238,9 +240,10 @@ def run_all():
         "merge_limit": merge_limit,
         "received": received,
         "non_contiguous": non_contiguous,
-        "mask": mask,
-        "reclaim": reclaim,
-        "reclaim_limit": reclaim_limit,
+        "parked": parked,
+        "replayed": replayed,
+        "retransmitted": retransmitted,
+        "crash_limit": crash_limit,
     }
 
 
@@ -264,12 +267,13 @@ def test_checkpoint_recovery(results_dir):
         f"  global items before: {len(r['merge_before'])}, retained after: "
         f"{len(r['merge_before'] & r['merge_after'])}",
         "",
-        "crash -> seeded detour -> restart -> reclaim (width 2):",
-        f"  tuples received: {len(r['received'])}/{r['reclaim_limit']} "
-        f"(in order: {r['received'] == sorted(r['received'])})",
-        f"  keys seeded onto detours at mask: {r['mask'].seeded_keys}",
-        f"  keys reclaimed at unmask: {r['reclaim'].keys_reclaimed} "
-        f"(purged: {r['reclaim'].keys_purged})",
+        "exactly-once: crash mid-stream -> park -> restart -> replay (width 2):",
+        f"  tuples received: {len(r['received'])}/{r['crash_limit']} "
+        f"(per-key order: {r['non_contiguous'] == []})",
+        f"  keyed tuples parked at the splitter while masked: {r['parked']}",
+        f"  tuples replayed to the restarted channel: {r['replayed']}",
+        f"  tuples retransmitted to it (in flight at the crash): "
+        f"{r['retransmitted']}",
         f"  keys with non-contiguous counts (state loss): "
         f"{len(r['non_contiguous'])}",
     ]
@@ -283,9 +287,9 @@ def test_checkpoint_recovery(results_dir):
     assert migration.dropped_global_states == 0
     assert migration.global_states_merged == 2
     assert r["merge_before"] <= r["merge_after"]
-    # reclaim: zero tuple loss, zero state loss, order preserved
-    assert sorted(r["received"]) == list(range(r["reclaim_limit"]))
-    assert r["received"] == sorted(r["received"])
+    # channel crash: zero tuple loss, zero state loss, per-key order kept
+    # (a parked key's tuples reach the sink after the outage, so the
+    # global order across keys is not)
+    assert sorted(r["received"]) == list(range(r["crash_limit"]))
     assert r["non_contiguous"] == []
-    assert r["mask"].seeded_keys > 0
-    assert r["reclaim"].keys_reclaimed > 0 and r["reclaim"].keys_purged == 0
+    assert r["parked"] > 0 and r["replayed"] > 0

@@ -1,21 +1,24 @@
 #!/usr/bin/env python
 """Periodic checkpointing & crash recovery walkthrough.
 
-A keyed counter runs inside a partitioned parallel region while the
-background checkpoint service snapshots its state every half second of
-simulated time (incremental: only dirty keys re-serialize).  Mid-stream
-we crash the PE of one channel and watch the full recovery cycle:
+A keyed counter runs inside a partitioned parallel region, with
+exactly-once delivery, while the background checkpoint service snapshots
+its state every half second of simulated time (incremental: only dirty
+keys re-serialize).  Mid-stream we crash the PE of one channel and watch
+the full recovery cycle:
 
-1. the splitter masks the dead channel and its keys detour — *seeded*
-   from the channel's last committed checkpoint epoch, so counting
-   continues instead of restarting from zero;
+1. the splitter masks the dead channel (``channel_rerouted`` event): a
+   key has one owner channel, so the dead channel's keyed tuples *park*
+   at the splitter while the other channel's keys flow on;
 2. ``restart_pe(rehydrate=True)`` rehydrates the PE from the latest
-   committed epoch (a crash on the seed semantics would restart empty);
-3. at unmask, the detour-accrued state is *reclaimed* back onto the
-   restarted channel (``state_reclaimed`` event).
+   committed epoch (a crash on the seed semantics would restart empty)
+   and replays what it had processed since, so its state is the state at
+   the crash;
+3. at unmask (``channel_rerouted`` again) the parked tuples follow the
+   replay, in arrival order: every key's count continues exactly.
 
-An orchestrator subscribed to a ``CheckpointScope`` narrates the
-``checkpoint_committed`` / ``state_reclaimed`` events as they happen.
+An orchestrator subscribed to a ``CheckpointScope`` and a
+``ParallelRegionScope`` narrates the events as they happen.
 
 See docs/state-and-recovery.md for the machinery.
 
@@ -23,7 +26,7 @@ Run:  python examples/checkpoint_recovery.py
 """
 
 from repro import ManagedApplication, Orchestrator, OrcaDescriptor, SystemS
-from repro.orca.scopes import CheckpointScope
+from repro.orca.scopes import CheckpointScope, ParallelRegionScope
 from repro.runtime.system import SystemConfig
 from repro.spl.application import Application
 from repro.spl.library import CallbackSource, KeyedCounter, Sink
@@ -67,6 +70,7 @@ class CheckpointNarrator(Orchestrator):
 
     def handleOrcaStart(self, context):
         self.orca.register_event_scope(CheckpointScope("state"))
+        self.orca.register_event_scope(ParallelRegionScope("region"))
         self.job_id = self.orca.submit_application("CheckpointDemo").job_id
 
     def handleCheckpointCommittedEvent(self, context, scopes):
@@ -79,11 +83,11 @@ class CheckpointNarrator(Orchestrator):
                 f"{context.bytes_written} B)"
             )
 
-    def handleStateReclaimedEvent(self, context, scopes):
+    def handleChannelReroutedEvent(self, context, scopes):
+        state = "masked" if context.masked else "unmasked"
         print(
-            f"  t={context.time:6.2f}  state_reclaimed: channel(s) "
-            f"{context.channels} got {context.keys_reclaimed} keys back "
-            f"(epoch {context.epoch})"
+            f"  t={context.time:6.2f}  channel_rerouted: channel "
+            f"{context.channel} {state} ({context.reason})"
         )
 
     def handleRehydrateSkippedEvent(self, context, scopes):
@@ -102,7 +106,9 @@ def counts_of(job, op_name):
 
 def main() -> None:
     system = SystemS(
-        hosts=10, seed=42, config=SystemConfig(checkpoint_interval=0.5)
+        hosts=10,
+        seed=42,
+        config=SystemConfig(checkpoint_interval=0.5, delivery="exactly_once"),
     )
     service = system.submit_orchestrator(
         OrcaDescriptor(
@@ -125,10 +131,12 @@ def main() -> None:
     pe = job.pe_of_operator("work__c1")
     print(f"\ncrashing {pe.pe_id} (channel 1) mid-stream ...")
     pe.crash("demo")
-    system.run_for(1.0)  # keys detour to channel 0, seeded from the epoch
+    system.run_for(1.0)  # channel 1's keys wait at the splitter
+    splitter = job.operator_instance("region__split")
     print(
-        "while masked, channel 0 carries channel 1's keys (seeded): "
-        f"{ {k: v for k, v in counts_of(job, 'work__c0').items() if k in before} }"
+        f"while masked, {splitter.pending_tuples()} of channel 1's tuples are "
+        "parked at the splitter; channel 0 holds none of its keys: "
+        f"{not set(counts_of(job, 'work__c0')) & set(before)}"
     )
 
     print("\nrestarting with rehydrate=True ...")
@@ -143,6 +151,11 @@ def main() -> None:
     print(f"channel 1 keyed counts after recovery:  {after}")
     regressed = [k for k, v in before.items() if after.get(k, 0) < v]
     print(f"keys that lost progress: {regressed or 'none'}")
+    counts = {}
+    for t in job.operator_instance("sink").seen:
+        counts.setdefault(t["key"], []).append(t["count"])
+    broken = [k for k, seq in counts.items() if seq != list(range(1, len(seq) + 1))]
+    print(f"keys whose emitted counts are not 1, 2, 3, ...: {broken or 'none'}")
 
     status = service.checkpoint_status(service.logic.job_id)
     print("\ncheckpoint status (newest committed epoch per PE):")

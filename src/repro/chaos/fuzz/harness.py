@@ -347,6 +347,7 @@ def run_fuzz_case(
 
     sink_op = job.operator_instance("sink")
     seqs = [t["seq"] for t in sink_op.seen]
+    sink_counts = [(t["key"], t["count"]) for t in sink_op.seen]
     plan = job.compiled.parallel_regions["region"]
     final_state = live_keyed_state(
         job, [op for ops in plan.channel_ops for op in ops]
@@ -371,6 +372,7 @@ def run_fuzz_case(
         profile,
         fifo_probe=probe,
         state_probes=state_probes,
+        sink_counts=sink_counts,
     )
     probe.detach()
     detach_barriers()

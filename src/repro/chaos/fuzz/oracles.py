@@ -17,14 +17,16 @@ same invariants:
 * **no duplicates** — no ``seq`` is delivered twice;
 * **keyed-state conservation** — each crash victim's *committed*
   checkpoint (its restore floor) is live right after its recovery,
-  through rehydration, detour seeding, and reclaims (checkpointed
-  stacks only);
+  through rehydration and replay (checkpointed stacks only);
+* **exact keyed counts** — every key's ``count`` sequence at the sink
+  is 1, 2, ..., n: no count emitted from state that missed a tuple or
+  saw one twice (checkpointed exactly-once stacks only);
 * **checkpoint liveness** — a stack configured to checkpoint actually
   commits epochs during the run;
 * **recovery completeness** — every flap-style fault whose victims still
   exist finished recovering;
 * **epoch-clock monotonicity** — checkpoint chains are strictly
-  increasing per PE and rescale/reclaim epochs are globally unique;
+  increasing per PE and rescale epochs are globally unique;
 * **per-connection FIFO** — a :class:`FifoProbe` tapped into the
   transport saw no link deliver items out of send order;
 * **no phantom reroutes** — splitter masks and unmasks alternate per
@@ -102,6 +104,10 @@ class OracleProfile:
         fifo_order: The transport promises per-connection FIFO.  An
             at-least-once receiver delivers retransmitted copies as
             they arrive, so its profile waives the FIFO probe.
+        keyed_counts_exact: Every key's ``count`` sequence at the sink
+            is 1..n.  Only a checkpointed exactly-once stack promises
+            this: each count is computed from state that saw every
+            earlier tuple of its key exactly once, through any crash.
     """
 
     name: str = "checkpointed"
@@ -113,6 +119,7 @@ class OracleProfile:
     loss_forgiveness: str = "condemned"
     at_crash_conservation: bool = False
     fifo_order: bool = True
+    keyed_counts_exact: bool = False
 
     @classmethod
     def for_config(
@@ -149,6 +156,7 @@ class OracleProfile:
                     state_recovery_bar=1.0,
                     loss_forgiveness="none",
                     at_crash_conservation=True,
+                    keyed_counts_exact=True,
                 )
             return cls(
                 name="exactly_once_restart_empty",
@@ -322,12 +330,14 @@ def _post_recovery_fraction(
     end-of-run scoring masks the loss — the same trap the PR 4 failover
     benchmark dodges by probing right after the restart.  The snapshot
     judged here is the victim's *committed* restore floor, so ordinary
-    checkpoint lag never trips the bar.
+    checkpoint lag never trips the bar.  A probe in the restart's own
+    instant is not "after": the exactly-once replay the restart put on
+    the wire has not landed yet.
 
     Returns None when no probe lands after the recovery.
     """
     for time, live in state_probes:
-        if time < recovered_at:
+        if time <= recovered_at:
             continue
         recovered = total = 0.0
         for state_name, entries in snapshot.items():
@@ -347,6 +357,7 @@ def evaluate_oracles(
     profile: OracleProfile,
     fifo_probe: Optional[FifoProbe] = None,
     state_probes: Sequence[StateProbe] = (),
+    sink_counts: Sequence[Tuple[Any, int]] = (),
 ) -> OracleReport:
     """Judge one finished run against every applicable invariant.
 
@@ -362,6 +373,8 @@ def evaluate_oracles(
             given, each crash snapshot is additionally judged at the
             first probe after its recovery completed (see
             :func:`_post_recovery_fraction`).
+        sink_counts: ``(key, count)`` of every sink tuple in arrival
+            order, judged by the exact-keyed-counts oracle.
 
     Returns:
         The populated :class:`OracleReport`, violations in oracle order.
@@ -476,6 +489,39 @@ def evaluate_oracles(
     else:
         skip("state_conservation", "restart-empty semantics (no promise)")
 
+    # -- exact keyed counts -------------------------------------------------
+    # A rescale that met a crashed channel drops that channel's keys (the
+    # dead channel's crash semantics): their counts restart by design.
+    dropped = [
+        op.migration
+        for op in system.elastic.history
+        if op.migration is not None
+        and (op.migration.skipped_channels or op.migration.keys_lost)
+    ]
+    if not profile.keyed_counts_exact:
+        skip("keyed_counts_exact", "profile makes no exact-count promise")
+    elif dropped:
+        skip(
+            "keyed_counts_exact",
+            f"{len(dropped)} rescale(s) dropped a crashed channel's keyed state",
+        )
+    else:
+        check("keyed_counts_exact")
+        last: Dict[Any, int] = {}
+        breaks: Dict[Any, Tuple[int, int]] = {}
+        for key, count in sink_counts:
+            expected = last.get(key, 0) + 1
+            if count != expected and key not in breaks:
+                breaks[key] = (expected, count)
+            last[key] = count
+        if breaks:
+            key, (expected, count) = next(iter(breaks.items()))  # the first to break
+            violate(
+                "keyed_counts_exact",
+                f"{len(breaks)} key(s) broke their count sequence; key "
+                f"{key!r} emitted count {count} where {expected} was due",
+            )
+
     # -- checkpoint liveness ------------------------------------------------
     if profile.checkpoint_liveness:
         check("checkpoint_liveness")
@@ -549,9 +595,6 @@ def evaluate_oracles(
         (op.epoch, f"rescale {op.region}->{op.new_width}")
         for op in system.elastic.history
         if op.epoch > 0
-    ] + [
-        (reclaim.epoch, f"reclaim {reclaim.region}ch{reclaim.channels}")
-        for reclaim in system.elastic.reclaims
     ]
     for epoch, label in labeled:
         if epoch in seen_epochs:

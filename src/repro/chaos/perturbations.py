@@ -65,7 +65,7 @@ def capture_committed_state(
     """The victim's latest *committed* checkpoint, merged per state name.
 
     Recorded on crash injections as the run's restore floor: whatever a
-    rehydrating recovery restores (plus detour continuation) must never
+    rehydrating recovery restores (plus exactly-once replay) must never
     fall below the state the store had durably committed at the instant
     of the crash — the exact guarantee the fuzzer's state-conservation
     oracle checks right after each recovery, immune to checkpoint-lag

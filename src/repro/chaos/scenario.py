@@ -336,9 +336,9 @@ def rolling_channel_outage(
 ) -> Scenario:
     """Flap parallel-region channel PEs one after another.
 
-    The canonical crash-detour-reclaim stress: each flap masks the
-    channel, seeds its detours from the last committed checkpoint, and
-    reclaims the accrued state at unmask.
+    The canonical crash-park-restore stress: each flap masks the channel
+    (its keyed tuples park at the splitter), rehydrates it from its last
+    committed checkpoint, and releases the parked tuples at unmask.
 
     Args:
         operators: Channel operator full names (e.g. ``work__c1``),

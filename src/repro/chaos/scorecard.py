@@ -99,7 +99,8 @@ def live_keyed_state(
     Values are merged *within* each keyed-state name (never across
     states — a ``count`` of 3 and a ``sum`` of 500 under the same key
     are unrelated quantities).  Keys owned by exactly one channel merge
-    trivially; if a key appears on several operators (mid-detour),
+    trivially; if a key appears on several operators (a stale copy left
+    on a channel restored after a rescale moved the key),
     numeric values keep the maximum (counters are monotone) and other
     values keep the last seen.
 

@@ -14,7 +14,7 @@ Two pieces:
   committed-or-torn snapshots per (job, PE).  The store owns the
   **shared epoch clock** (:class:`~repro.checkpoint.store.EpochClock`)
   that the elastic controller's reconfiguration protocol draws from too,
-  so checkpoints, rescales, and reclaims order on one monotone logical
+  so checkpoints and rescales order on one monotone logical
   clock (the Fries-style consolidation: fault tolerance and
   reconfiguration share one transactional state-epoch mechanism).
 * :class:`~repro.checkpoint.service.CheckpointService` — the background
@@ -29,8 +29,6 @@ Consumers:
 
 * ``PERuntime.restart(rehydrate=True)`` rehydrates from the latest
   committed epoch — after a crash too, not just after a graceful stop.
-* The elastic controller seeds detour channels from a crashed channel's
-  last committed epoch and reclaims the detour-accrued state on unmask.
 * The ORCA service turns commits into ``checkpoint_committed`` events
   and surfaces staleness through the ``checkpointLag`` PE gauge in SRM.
 """

@@ -7,8 +7,8 @@ which readers skip — they fall back to the newest committed epoch, so a
 partial snapshot can never be loaded.
 
 The store owns the :class:`EpochClock` shared with the elastic
-controller's reconfiguration protocol: checkpoint epochs, rescale epochs,
-and reclaim epochs are all drawn from one monotone counter, giving every
+controller's reconfiguration protocol: checkpoint epochs and rescale
+epochs are all drawn from one monotone counter, giving every
 state-bearing transition in the system a single total order.
 """
 

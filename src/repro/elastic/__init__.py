@@ -15,7 +15,7 @@ paper's ORCA orchestrators could observe but never actuate.
 * :mod:`~repro.elastic.migration` — the one mover of keyed state between
   channels, and the state phase of a rescale built on it.
 * :mod:`~repro.elastic.reroute` — masking crashed channels on their
-  splitter and unmasking them on restart, seeding and reclaiming state.
+  splitter (their keyed tuples park there) and unmasking them on restart.
 * :mod:`~repro.elastic.policy` — pluggable :class:`ScalingPolicy`
   implementations (queue-size watermarks, throughput targets) that ORCA
   logic can consult to decide target widths.
@@ -27,7 +27,6 @@ from repro.elastic.controller import (
     RescaleOperation,
     RescaleState,
     StateMigration,
-    StateReclaim,
 )
 from repro.elastic.policy import (
     HealthAwareScalingPolicy,
@@ -49,6 +48,5 @@ __all__ = [
     "ScalingPolicy",
     "StateAwareScalingPolicy",
     "StateMigration",
-    "StateReclaim",
     "ThroughputScalingPolicy",
 ]

@@ -5,7 +5,7 @@ duplicate, or reorder tuples.  :class:`ElasticController` runs the
 epoch-aligned barrier protocol of Fries-style live reconfiguration
 (Wang et al., PAPERS.md) on this repo's epoch clock
 (:class:`repro.checkpoint.store.EpochClock`, shared with checkpoint
-commits and reclaims):
+commits):
 
 1. **Quiesce** — the region's splitter stops forwarding; new arrivals
    are buffered at the barrier.  Everything already forwarded belongs to
@@ -35,9 +35,9 @@ discarded, so a rescale is tuple-loss-free by construction; the sequence
 stamps of an ordered region keep global order across the barrier.
 
 The controller is also a :class:`~repro.elastic.reroute.ChannelRerouter`:
-crashed channels are masked on their splitter and unmasked on restart,
-with keyed state seeded and reclaimed (see :mod:`repro.elastic.reroute`).
-This module keeps only the protocol and its records.
+crashed channels are masked on their splitter and unmasked on restart
+(see :mod:`repro.elastic.reroute`).  This module keeps only the protocol
+and its records.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tupl
 
 from repro.checkpoint.store import CheckpointStore
 from repro.elastic.migration import RegionMigration, StateMigration, migrates_keyed
-from repro.elastic.reroute import ChannelReroute, ChannelRerouter, StateReclaim  # noqa: F401
+from repro.elastic.reroute import ChannelReroute, ChannelRerouter  # noqa: F401
 from repro.errors import ElasticError
 from repro.sim.kernel import Kernel
 from repro.spl.compiler import CompiledApplication, SPLCompiler
@@ -145,18 +145,21 @@ class ElasticController(ChannelRerouter):
             transport: Tuple transport, polled for in-flight backlog.
             kernel: Simulation kernel the protocol is scheduled on.
             events: Runtime bus; the controller publishes ``barrier``,
-                ``reroute``, ``reclaim`` and ``rescale`` (every finished
+                ``reroute`` and ``rescale`` (every finished
                 rescale, COMPLETED or FAILED, whoever initiated it), and
                 hears ``pe_failure`` / ``pe_restart`` to mask / unmask
                 channels.
-            checkpoint_store: Masked channels' detours are seeded from
-                the dead channel's last committed epoch held here; its
-                clock is the reconfiguration epoch clock, so rescales,
-                reclaims and checkpoint commits are totally ordered.
+            checkpoint_store: Its clock is the reconfiguration epoch
+                clock, so rescales and checkpoint commits are totally
+                ordered.
             config: The system's configuration; ``elastic_drain_poll``
                 and ``elastic_drain_timeout`` are read at every poll.
         """
-        super().__init__(kernel, events, checkpoint_store)
+        super().__init__(kernel, events)
+        #: one transactional state-epoch clock for reconfiguration and
+        #: fault tolerance (Fries-style): rescale and checkpoint epochs
+        #: are totally ordered
+        self.epochs = checkpoint_store.epochs
         self.sam = sam
         self.transport = transport
         self.config = config
@@ -455,7 +458,7 @@ class ElasticController(ChannelRerouter):
                 # State must be in place before the first post-resume tuple
                 # reaches its rehashed channel; doomed channels' global
                 # state folds into the survivors (user-defined merge hook).
-                migration.place_extracted(self._masked_of(job, plan))
+                migration.place_extracted()
                 migration.merge_globals()
 
             # Live operator updates: merger first (its ports must exist
@@ -484,7 +487,9 @@ class ElasticController(ChannelRerouter):
         # masked channel must not leave a stale entry behind, or a later
         # graceful restart of a *new* PE at that index would emit the
         # phantom unmask the tracking exists to prevent.
-        self._masked_of(job, plan).intersection_update(range(op.new_width))
+        masked = self._masked_of(job, plan)
+        for channel in [c for c in masked if c >= op.new_width]:
+            del masked[channel]
         self._finish(job, plan, op, on_complete)
 
     def _shrink_compiled(

@@ -7,22 +7,22 @@ entries get onto or off the live operator at the same chain position*.
 (:meth:`~KeyedMover.take`) or :meth:`KeyedState.install
 <repro.spl.state.KeyedState.install>` (:meth:`~KeyedMover.place`).  Every
 caller states only its policy — the ownership function (:func:`owner_at`,
-:func:`detour_at`, or a constant origin channel for a rollback), whether
-incoming entries win, and what an unplaced bucket means (``keys_lost``,
-``keys_purged``, skip); the table is in ``docs/architecture.md``, "Elastic
-regions".  The callers are :class:`RegionMigration` below (a rescale's
-state phase) and :mod:`repro.elastic.reroute` (seed and reclaim).
+or a constant origin channel for a rollback) and what an unplaced bucket
+means (``keys_lost``, skip); the table is in ``docs/architecture.md``,
+"Elastic regions".  The only caller is :class:`RegionMigration` below (a
+rescale's state phase): keyed state moves during a rescale and at no
+other time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CompilationError, UnknownPEError
 from repro.runtime.job import Job
 from repro.runtime.pe import PEState
-from repro.spl.library import detour_channel_of, stable_channel_of
+from repro.spl.library import stable_channel_of
 from repro.spl.operators import Operator
 from repro.spl.parallel import ParallelRegionPlan
 from repro.spl.state import estimate_value_size
@@ -43,14 +43,9 @@ class StateMigration:
     #: already lost to the crash; nothing could be migrated off them)
     skipped_channels: List[int] = field(default_factory=list)
     #: keyed entries whose *new* owner channel was down at install time —
-    #: dropped with the crash semantics of the dead channel (it restarts
-    #: empty anyway), not treated as a rescale failure
+    #: dropped with the crash semantics of the dead channel, not treated
+    #: as a rescale failure
     keys_lost: int = 0
-    #: keyed entries whose new owner was down but *masked with a live
-    #: detour* at install time — installed on each key's detour channel
-    #: (where the splitter is already routing that key's traffic) so the
-    #: continuation survives; the unmask reclaim brings them home
-    keys_detoured: int = 0
     #: non-keyed (global) states dropped with removed channels — global
     #: state cannot be re-partitioned, mirroring the paper's no-checkpoint
     #: stance for anything that is not keyed (and not merged)
@@ -83,21 +78,6 @@ def migrates_keyed(plan: ParallelRegionPlan) -> bool:
 def owner_at(width: int) -> Callable[[Any], int]:
     """The ownership function at ``width``: each key's ``hash(key) % width`` channel."""
     return lambda key: stable_channel_of(key, width)
-
-
-def detour_at(width: int, masked: Set[int]) -> Callable[[Any], int]:
-    """Ownership while ``masked`` channels are down: the owner, or its detour."""
-    return lambda key: detour_channel_of(key, width, masked)
-
-
-def entries_bytes(entries: Dict[Any, Any]) -> int:
-    """Estimated byte footprint of keyed entries (keys and values)."""
-    return sum(estimate_value_size(k) + estimate_value_size(v) for k, v in entries.items())
-
-
-def count_keys(parcels: List[Parcel]) -> int:
-    """Total keyed entries across ``parcels``."""
-    return sum(len(parcel.entries) for parcel in parcels)
 
 
 class KeyedMover:
@@ -168,10 +148,7 @@ class KeyedMover:
         return taken
 
     def place(
-        self,
-        parcel: Parcel,
-        channel_of: Callable[[Any], int],
-        only_missing: bool = False,
+        self, parcel: Parcel, channel_of: Callable[[Any], int]
     ) -> Tuple[List[Parcel], List[Parcel]]:
         """Install a parcel's entries on the channels that own them.
 
@@ -181,8 +158,6 @@ class KeyedMover:
         Args:
             parcel: The entries to place (its ``channel`` is ignored).
             channel_of: Ownership function ``key -> channel``.
-            only_missing: Install only keys the target does not hold yet
-                (the others are left untouched and not reported).
 
         Returns:
             ``(placed, unplaced)``, one parcel per bucket, carrying the
@@ -196,12 +171,8 @@ class KeyedMover:
             if operator is None:
                 unplaced.append(replace(parcel, channel=channel, entries=bucket))
                 continue
-            keyed = operator.state.keyed(parcel.state_name)
-            if only_missing:
-                bucket = {k: v for k, v in bucket.items() if k not in keyed}
-            if bucket:
-                keyed.install(bucket)
-                placed.append(replace(parcel, channel=channel, entries=bucket))
+            operator.state.keyed(parcel.state_name).install(bucket)
+            placed.append(replace(parcel, channel=channel, entries=bucket))
         return placed, unplaced
 
 
@@ -270,7 +241,10 @@ class RegionMigration:
                 for parcel in mover.take(src, lambda key: doomed or owner(key) != src):
                     self._extracted.append(parcel)
                     record.keys_moved += len(parcel.entries)
-                    record.bytes_moved += entries_bytes(parcel.entries)
+                    record.bytes_moved += sum(
+                        estimate_value_size(k) + estimate_value_size(v)
+                        for k, v in parcel.entries.items()
+                    )
                     for dst, bucket in mover.split(parcel.entries, owner).items():
                         edge = (src, dst)
                         record.moves[edge] = record.moves.get(edge, 0) + len(bucket)
@@ -287,32 +261,20 @@ class RegionMigration:
                     else:
                         record.dropped_global_states += 1
 
-    def place_extracted(self, masked: Set[int]) -> None:
+    def place_extracted(self) -> None:
         """Install the extracted entries on their new owner channels.
 
         ``plan.channel_ops`` is the *new* layout by now and freshly added
-        channels have live operators.  A new owner that is down but
-        *masked* hands its entries to each key's detour channel — the
-        splitter is already routing those keys there, so dropping the
-        state would fork the continuation.  A down owner with no live
-        detour absorbs its entries the way the crash itself would have:
-        they are counted lost, but kept so a rollback can still return
-        them to their (alive) source channel.
-
-        Args:
-            masked: The region's masked channels (the controller's set).
+        channels have live operators.  A new owner that is down absorbs
+        its entries the way the crash itself would have: they are counted
+        lost, but kept so a rollback can still return them to their
+        (alive) source channel.
         """
-        owner, detour = owner_at(self.plan.width), detour_at(self.plan.width, masked)
+        owner = owner_at(self.plan.width)
         while self._extracted:
-            placed, homeless = self.mover.place(self._extracted[0], owner)
-            for parcel in homeless:
-                lost = [parcel]
-                if parcel.channel in masked:
-                    detoured, lost = self.mover.place(parcel, detour)
-                    self.record.keys_detoured += count_keys(detoured)
-                    placed += detoured
-                self.record.keys_lost += count_keys(lost)
-                self._lost += lost
+            placed, lost = self.mover.place(self._extracted[0], owner)
+            self.record.keys_lost += sum(len(parcel.entries) for parcel in lost)
+            self._lost += lost
             self._installed += placed
             del self._extracted[0]  # only now: a failure above leaves an exact split
 
@@ -351,7 +313,7 @@ class RegionMigration:
                 parcel.state_name,
             )
             returning += [replace(p, origin=parcel.origin) for p in pulled]
-        self.record.keys_lost -= count_keys(self._lost)
+        self.record.keys_lost -= sum(len(parcel.entries) for parcel in self._lost)
         returning += self._extracted + self._lost
         for parcel in returning:
             self.mover.place(parcel, lambda key: parcel.origin)

@@ -6,7 +6,7 @@ A :class:`SystemS` always constructs an :class:`ObsHub` and attaches it
 * **Control plane, always on** — the hub subscribes to the runtime bus
   (:class:`repro.runtime.events.RuntimeEvents`) and records rescale
   barrier phases, channel mask/unmask reroutes (with mask-time
-  attribution), state reclaims, checkpoint attempts, chaos injections,
+  attribution), checkpoint attempts, chaos injections,
   and PE crash/restart transitions as control spans and registry
   metrics.  These are rare events; the cost is negligible.
 * **Data plane, gated by ``SystemConfig.trace_enabled``** — per-tuple
@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
         BarrierEvent,
         ChannelReroute,
         RescaleOperation,
-        StateReclaim,
     )
     from repro.runtime.events import RuntimeEvents
     from repro.runtime.pe import PERuntime
@@ -138,7 +137,6 @@ class ObsHub:
         self._unsubscribe = system.events.subscribe(
             barrier=self._on_barrier,
             reroute=self._on_reroute,
-            reclaim=self._on_reclaim,
             rescale=self._on_rescale,
             checkpoint=self._on_checkpoint_attempt,
             pe_failure=self._on_pe_failure,
@@ -422,21 +420,6 @@ class ObsHub:
                     {"region": reroute.region},
                     help_text="mask-to-unmask time of rerouted channels",
                 ).observe(reroute.time - masked_at)
-
-    def _on_reclaim(self, reclaim: "StateReclaim") -> None:
-        self.tracer.event(
-            "state:reclaim",
-            reclaim.time,
-            job=reclaim.job_id,
-            region=reclaim.region,
-            pe=reclaim.pe_id,
-            keys=reclaim.keys_reclaimed,
-            epoch=reclaim.epoch,
-        )
-        self.metrics.counter(
-            "repro_state_keys_reclaimed_total",
-            help_text="keyed entries returned to unmasked channels",
-        ).inc(reclaim.keys_reclaimed)
 
     def _on_rescale(self, op: "RescaleOperation") -> None:
         state = op.state.name.lower()

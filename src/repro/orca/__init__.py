@@ -27,7 +27,6 @@ from repro.orca.contexts import (
     RegionRescaledContext,
     RegionStateMigratedContext,
     RehydrateSkippedContext,
-    StateReclaimedContext,
     TimerContext,
     UserEventContext,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "RegionRescaledContext",
     "RegionStateMigratedContext",
     "RehydrateSkippedContext",
-    "StateReclaimedContext",
     "TimerContext",
     "TimerScope",
     "UserEventContext",

@@ -340,9 +340,10 @@ class RegionStateMigratedContext:
 class ChannelReroutedContext:
     """A parallel-region channel was masked (or unmasked) on its splitter.
 
-    Emitted when a channel's PE crashes — the splitter routes its keys to
-    the surviving channels until ``restart_pe`` completes — and again,
-    with ``masked=False``, once the restarted channel rejoined the ring.
+    Emitted when a channel's PE crashes — the splitter parks its keyed
+    tuples (a round-robin region skips it) until ``restart_pe`` completes
+    — and again, with ``masked=False``, once the restarted channel
+    rejoined and its parked tuples were released.
     """
 
     job_id: str
@@ -354,12 +355,6 @@ class ChannelReroutedContext:
     width: int
     pe_id: str
     time: float
-    #: on unmask: detour entries that could not be reclaimed (dropped)
-    purged_keys: int = 0
-    #: on unmask: detour entries returned to the restarted channel
-    reclaimed_keys: int = 0
-    #: on mask: entries seeded onto detours from the last committed epoch
-    seeded_keys: int = 0
 
 
 @EventKind(
@@ -373,7 +368,7 @@ class CheckpointCommittedContext:
     Produced by the background :class:`~repro.checkpoint.service.
     CheckpointService` on every committed epoch of a managed job's PE.
     ``epoch`` is drawn from the clock shared with reconfiguration, so
-    handlers can order checkpoints against rescales and reclaims.
+    handlers can order checkpoints against rescales.
     """
 
     job_id: str
@@ -386,32 +381,6 @@ class CheckpointCommittedContext:
     keys_dirty: int  #: keys actually re-serialized (incremental capture)
     keys_total: int
     bytes_written: int
-    time: float
-
-
-@EventKind(
-    "state_reclaimed", "handleStateReclaimedEvent", ("ParallelRegionScope", "CheckpointScope"),
-    **_REGION, channel="channels", pe="pe_id",
-)
-@dataclass(frozen=True)
-class StateReclaimedContext:
-    """Detour-accrued keyed state returned to a restarted channel.
-
-    Delivered when a masked channel rejoined its region's ring and the
-    elastic controller moved the state its keys accrued on the detour
-    channels back to it (instead of purging it, which is what the
-    no-checkpoint semantics would do).
-    """
-
-    job_id: str
-    app_name: str
-    region: str
-    channels: tuple  #: the channel indices that rejoined the ring
-    pe_id: str
-    keys_reclaimed: int
-    keys_purged: int  #: entries dropped because their owner was not live
-    bytes_reclaimed: int
-    epoch: int  #: shared state-epoch clock (orders against checkpoints)
     time: float
 
 

@@ -34,7 +34,6 @@ from repro.orca.contexts import (
     RegionRescaledContext,
     RegionStateMigratedContext,
     RehydrateSkippedContext,
-    StateReclaimedContext,
     TimerContext,
     UserEventContext,
 )
@@ -149,11 +148,6 @@ class Orchestrator:
         self, context: CheckpointCommittedContext, scopes: List[str]
     ) -> None:
         """A managed PE's state store was checkpointed (epoch committed)."""
-
-    def handleStateReclaimedEvent(  # noqa: N802
-        self, context: StateReclaimedContext, scopes: List[str]
-    ) -> None:
-        """A restarted channel got its detour-accrued keyed state back."""
 
     def handleRehydrateSkippedEvent(  # noqa: N802
         self, context: RehydrateSkippedContext, scopes: List[str]

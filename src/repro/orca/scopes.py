@@ -295,9 +295,7 @@ class ParallelRegionScope(_JobScopedMixin, _RegionFilterMixin, _EventTypeFilterM
         return self
 
 
-class CheckpointScope(
-    _JobScopedMixin, _PEFilterMixin, _RegionFilterMixin, _EventTypeFilterMixin
-):
+class CheckpointScope(_JobScopedMixin, _PEFilterMixin, _EventTypeFilterMixin):
     """Checkpoint / recovery lifecycle events (the state subsystem).
 
     Covers the related event types with one subscope, so ORCA logic that
@@ -305,8 +303,6 @@ class CheckpointScope(
 
     * ``checkpoint_committed`` — a PE's state store was captured and the
       epoch committed (carries incremental-capture statistics);
-    * ``state_reclaimed`` — a restarted channel got its detour-accrued
-      keyed state back at unmask time;
     * ``rehydrate_skipped`` — a ``restart_pe(rehydrate=True)`` found no
       committed epoch (checkpoint or graceful-stop snapshot) and the PE
       restarted empty.

@@ -54,7 +54,6 @@ from repro.orca.contexts import (
     RegionRescaledContext,
     RegionStateMigratedContext,
     RehydrateSkippedContext,
-    StateReclaimedContext,
     TimerContext,
     UserEventContext,
 )
@@ -153,7 +152,6 @@ class OrcaService:
         self._unsubscribe = self.system.events.subscribe(
             reroute=self._on_channel_rerouted,
             rescale=self._on_region_rescaled,
-            reclaim=self._on_state_reclaimed,
             checkpoint=self._on_checkpoint_committed,
             pe_restart=self._on_pe_restarted,
             injection=self._on_chaos_injected,
@@ -675,17 +673,6 @@ class OrcaService:
                 app_name=job.app_name,
                 host=self.graph.host_of_pe(record.pe_id),
                 time=self.now,
-            )
-        )
-
-    def _on_state_reclaimed(self, record) -> None:
-        """``reclaim`` event: an unmask reclaimed detour state."""
-        job = self.jobs.get(record.job_id)
-        if job is None:
-            return
-        self._emit(
-            _context_from(
-                StateReclaimedContext, record, app_name=job.app_name, time=self.now
             )
         )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List
 
 TOPICS = (
-    "barrier", "reroute", "reclaim", "rescale", "checkpoint",
+    "barrier", "reroute", "rescale", "checkpoint",
     "pe_failure", "pe_restart", "injection", "health_alert",
 )
 

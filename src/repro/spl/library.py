@@ -653,7 +653,9 @@ class Export(Operator):
     Parameters: ``stream_id`` (explicit name) and/or ``properties`` (a dict
     of values importers can match on).  The PE hands exported tuples to the
     runtime's import/export registry, which routes them to every matching
-    Import operator of every running job.
+    Import operator of every running job.  An exactly-once replay
+    (``ctx.replaying``) publishes nothing: the dead incarnation already
+    handed those items to the importers.
     """
 
     N_OUTPUTS = 0
@@ -673,11 +675,11 @@ class Export(Operator):
         self._export_fn = export_fn
 
     def on_tuple(self, tup: StreamTuple, port: int) -> None:
-        if self._export_fn is not None:
+        if self._export_fn is not None and not self.ctx.replaying:
             self._export_fn(tup)
 
     def on_punct(self, punct: Punctuation, port: int) -> None:
-        if self._export_fn is not None:
+        if self._export_fn is not None and not self.ctx.replaying:
             self._export_fn(punct)
 
 
@@ -865,29 +867,16 @@ def stable_channel_of(value: Any, width: int) -> int:
     return _stable_hash(value) % width
 
 
-def _route(digest: int, width: int, masked: "set") -> int:
-    """The one detour rule: a key hash's owner channel, or its detour.
+class _Lane(list):
+    """A masked channel's parked tuples, in arrival order, and ``since``:
+    the splitter's stream position (``arrived``) when the mask took effect
+    (None: set while the splitter was down, which parked nothing for it)."""
 
-    The owner when it is alive; otherwise the deterministic detour over
-    the surviving channels (the owner again if every channel is masked).
-    :class:`ParallelSplitter` routes by it and :func:`detour_channel_of`
-    seeds detour state by it, so state lands where the key is sent.
-    """
-    channel = digest % width
-    if channel in masked:
-        alive = [c for c in range(width) if c not in masked]
-        if alive:
-            return alive[digest % len(alive)]
-    return channel
+    __slots__ = ("since",)
 
-
-def detour_channel_of(value: Any, width: int, masked: "set") -> int:
-    """Channel a partition key routes to while some channels are masked.
-
-    Used by the elastic controller's detour state seeding; the splitter
-    routes by the same :func:`_route`.
-    """
-    return _route(_stable_hash(value), width, masked)
+    def __init__(self, since: Optional[int]) -> None:
+        super().__init__()
+        self.since = since
 
 
 class ParallelSplitter(Operator):
@@ -908,18 +897,23 @@ class ParallelSplitter(Operator):
     epoch, and flushes the buffer through the new routing — which is what
     makes a live rescale tuple-loss-free by construction.
 
-    Channels whose PE crashed can be *masked* (``maskChannel`` /
-    ``unmaskChannel`` control commands, driven by the elastic controller
-    on ``pe_failure`` / ``restart_pe``): a masked channel is taken out of
-    the hash ring and round-robin rotation, so tuples are rerouted to the
-    surviving channels instead of being fed to a dead PE.  The mask held
-    here is a copy — the controller's set is the authority and is sent
-    again when this operator's PE restarts (a fresh instance starts with
-    an empty mask).  Keyed state accrued on the detour channels is
-    *reclaimed* onto the restarted owner at unmask
-    (:mod:`repro.elastic.reroute`), so no detour entry outlives the
-    detour and a later rescale cannot migrate a stale one over the
-    owner's state.
+    Channels whose PE crashed are *masked* (``maskChannel`` /
+    ``unmaskChannel`` control commands, driven by
+    :mod:`repro.elastic.reroute` on ``pe_failure`` / ``pe_restart``).  A
+    round-robin region skips a masked channel.  A keyed tuple goes only to
+    its owner channel, ``hash(key) % width``: while the owner is masked
+    the tuple waits, unstamped and in arrival order, in that channel's
+    *parked lane*.  ``unmaskChannel`` releases the lane and stamps each
+    tuple as it leaves, after the restarted channel restored its epoch and
+    replayed its link history, so the merger never waits on an outage and
+    each key's tuples reach one channel in order.  ``resume`` re-forwards
+    the lanes ahead of the barrier buffer through the new routing.  The
+    mask held here is a copy: the rerouter's set is the authority and is
+    sent again, with each lane's ``since`` position, when this operator's
+    PE restarts.  The fresh instance's exactly-once replay then refills
+    the lanes; a channel that rejoins before the replay is through is
+    released at the first arrival that is not a replay, once ``_pseq`` has
+    caught up with the dead incarnation's.
     """
 
     N_INPUTS = 1
@@ -940,8 +934,15 @@ class ParallelSplitter(Operator):
         self._rr = 0
         self._seq = 0
         self._quiesced = False
-        #: channels currently routed around (their PE is down)
-        self._masked: set = set()
+        #: data tuples received, replays included: the stream position
+        #: a mask takes effect at (see :class:`_Lane`)
+        self.arrived = 0
+        #: masked channel -> its parked lane (keyed tuples waiting for it)
+        self._masked: Dict[int, _Lane] = {}
+        #: a restarted instance is re-walking its input: unmasks wait
+        self._catching_up = False
+        #: channels unmasked while catching up, released once caught up
+        self._rejoined: List[int] = []
         #: items held at the barrier: tuples and WINDOW puncts, in order
         self._buffer: List[Union[StreamTuple, Punctuation]] = []
         self._final_pending = False
@@ -959,9 +960,9 @@ class ParallelSplitter(Operator):
         self.masked_gauge = self.create_custom_metric(
             "nMaskedChannels", MetricKind.GAUGE, "channels routed around"
         )
-        self.rerouted_counter = self.create_custom_metric(
-            "nReroutedTuples", MetricKind.COUNTER,
-            "tuples diverted off a masked channel",
+        self.parked_counter = self.create_custom_metric(
+            "nParkedTuples", MetricKind.COUNTER,
+            "keyed tuples parked for a masked owner channel",
         )
 
     # -- routing ---------------------------------------------------------------
@@ -978,31 +979,30 @@ class ParallelSplitter(Operator):
                 return channel
         return channel  # every channel masked: nowhere better to go
 
-    def _detour(self, digest: int) -> int:
-        """Route one key hash while some channel is masked, counting detours."""
-        channel = _route(digest, self.width, self._masked)
-        if channel != digest % self.width:
-            self.rerouted_counter.increment()
-        return channel
-
-    def _channel_of(self, tup: StreamTuple) -> int:
-        if self.partition_by is None:
-            return self._round_robin()
-        digest = _stable_hash(tup.get(self.partition_by))
-        if self._masked:
-            return self._detour(digest)
-        return digest % self.width
-
     def _forward(self, tup: StreamTuple) -> None:
-        channel = self._channel_of(tup)
-        if self.ordered:
-            stamped = tup.with_values(_pseq=self._seq)
-            self._seq += 1
-            self.submit(stamped, port=channel)
+        if self.partition_by is None:
+            channel = self._round_robin()
         else:
-            self.submit(tup, port=channel)
+            channel = _stable_hash(tup.get(self.partition_by)) % self.width
+            if self._masked and not self._park([tup], [channel])[0]:
+                return
+        if self.ordered:
+            tup = tup.with_values(_pseq=self._seq)
+            self._seq += 1
+        self.submit(tup, port=channel)
+
+    def _arrive(self, count: int) -> None:
+        """Count ``count`` arrivals; the first that is not a replay ends a
+        restarted instance's catch-up and releases the rejoined lanes."""
+        self.arrived += count
+        if self._catching_up and not self.ctx.replaying:
+            self._catching_up = False
+            rejoined, self._rejoined = self._rejoined, []
+            for channel in rejoined:
+                self._unmask(channel)
 
     def on_tuple(self, tup: StreamTuple, port: int) -> None:
+        self._arrive(1)
         if self._quiesced:
             self._buffer.append(tup)
             self.quiesced_gauge.set(len(self._buffer))
@@ -1013,27 +1013,33 @@ class ParallelSplitter(Operator):
         """Route a whole batch in one hash pass into per-channel sub-batches.
 
         Quiesced, the run joins the barrier buffer unchanged (a rescale
-        must not see tuples slip past).  Otherwise the partition
-        attribute, width and mask are read once for the run, every member
-        is hashed exactly once (the detour rule runs only while a channel
-        is masked), ordered regions stamp ``_pseq`` from one local
-        counter in arrival order (identical stamps to the per-tuple
-        path), and each channel receives its sub-batch through a single
-        batched submission, lowest channel first — which the matching
-        :class:`OrderedMerger` consumes sub-batch by sub-batch.
+        must not see tuples slip past).  Otherwise :meth:`_route_run`.
         """
+        self._arrive(len(tuples))
         if self._quiesced:
             self._buffer.extend(tuples)
             self.quiesced_gauge.set(len(self._buffer))
             return
+        self._route_run(tuples)
+
+    def _route_run(self, tuples: List[StreamTuple]) -> None:
+        """Route a run of tuples exactly as :meth:`_forward` would, one by one.
+
+        The partition attribute, width and mask are read once for the
+        run, every member is hashed exactly once, members whose owner is
+        masked join its lane, ordered regions stamp ``_pseq`` from one
+        local counter in arrival order (identical stamps to the per-tuple
+        path), and each channel receives its sub-batch through a single
+        batched submission, lowest channel first — which the matching
+        :class:`OrderedMerger` consumes sub-batch by sub-batch.
+        """
         key, width = self.partition_by, self.width
         if key is None:
             channels = [self._round_robin() for _ in tuples]
-        elif self._masked:
-            detour = self._detour
-            channels = [detour(_stable_hash(tup.values.get(key))) for tup in tuples]
         else:
             channels = [_stable_hash(tup.values.get(key)) % width for tup in tuples]
+            if self._masked:
+                tuples, channels = self._park(tuples, channels)
         lanes: List[List[StreamTuple]] = [[] for _ in range(width)]
         if self.ordered:
             seq = self._seq
@@ -1048,6 +1054,34 @@ class ParallelSplitter(Operator):
             if lane:
                 self.submit_batch(lane, port=channel)
 
+    def _park(
+        self, tuples: List[StreamTuple], channels: List[int]
+    ) -> Tuple[List[StreamTuple], List[int]]:
+        """Move the members owned by a masked channel into its lane.
+
+        The run just arrived: its members sit at the last ``len(tuples)``
+        stream positions.  An exactly-once replay toward a restarted
+        splitter re-walks the dead incarnation's input with emissions
+        suppressed, so a replayed member parks again only if the dead
+        incarnation parked it (at or after its lane's ``since``).  Returns
+        the rest of the run and their channels, in order.
+        """
+        kept: List[StreamTuple] = []
+        kept_channels: List[int] = []
+        masked = self._masked
+        replaying = self.ctx.replaying
+        position = self.arrived - len(tuples)
+        for tup, channel in zip(tuples, channels):
+            lane = masked.get(channel)
+            if lane is None or replaying and (lane.since is None or position < lane.since):
+                kept.append(tup)
+                kept_channels.append(channel)
+            else:
+                lane.append(tup)
+            position += 1
+        self.parked_counter.increment(len(tuples) - len(kept))
+        return kept, kept_channels
+
     def _broadcast_window(self) -> None:
         for out_port in range(self.width):
             self.submit_punct(Punctuation.WINDOW, port=out_port)
@@ -1055,6 +1089,7 @@ class ParallelSplitter(Operator):
     def on_punct(self, punct: Punctuation, port: int) -> None:
         if punct is not Punctuation.WINDOW:
             return
+        self._arrive(0)
         if self._quiesced:
             # window boundaries are held at the barrier alongside tuples so
             # a rescale never merges two windows into one
@@ -1064,22 +1099,34 @@ class ParallelSplitter(Operator):
             self._broadcast_window()
 
     def on_all_ports_final(self) -> None:
-        if self._quiesced or self._buffer:
-            self._final_pending = True
+        if self.ctx.replaying:  # the re-walk reached the end: catch up after it
+            self.ctx.schedule(0.0, lambda: self._arrive(0))
         else:
+            self._arrive(0)
+        self._final_pending = True
+        self._release_final()
+
+    def _release_final(self) -> None:
+        """Forward a held FINAL once no barrier or lane holds anything."""
+        if self._final_pending and not self._quiesced and not self.pending_items():
+            self._final_pending = False
             self.submit_final()
 
     @property
     def is_quiesced(self) -> bool:
         return self._quiesced
 
+    def _n_parked(self) -> int:
+        return sum(map(len, self._masked.values()))
+
     def pending_items(self) -> int:
-        return len(self._buffer)
+        return len(self._buffer) + self._n_parked()
 
     def pending_tuples(self) -> int:
         # the quiesce buffer holds WINDOW punctuations alongside tuples;
         # crash-loss accounting must not count those as condemned data
-        return sum(1 for item in self._buffer if isinstance(item, StreamTuple))
+        held = sum(1 for item in self._buffer if isinstance(item, StreamTuple))
+        return held + self._n_parked()
 
     # -- control (driven by the ElasticController) -----------------------------
 
@@ -1091,24 +1138,41 @@ class ParallelSplitter(Operator):
         self.n_outputs = width
         self._bind_port_metrics()
         self._rr %= width
-        self._masked = {c for c in self._masked if c < width}
+        self._masked = {c: lane for c, lane in self._masked.items() if c < width}
         self.width_gauge.set(width)
         self.masked_gauge.set(len(self._masked))
+
+    def _unmask(self, channel: int) -> None:
+        """Release ``channel``'s lane in arrival order, stamping as it goes."""
+        lane = self._masked.pop(channel, [])
+        self.masked_gauge.set(len(self._masked))
+        if self._quiesced:
+            self._buffer[:0] = lane  # parked before anything at the barrier
+        elif lane:
+            self._route_run(lane)
+            self._release_final()
 
     def on_control(self, command: str, payload: Mapping[str, Any]) -> None:
         if command == "maskChannel":
             channel = int(payload["channel"])
-            if 0 <= channel < self.width:
-                self._masked.add(channel)
+            if 0 <= channel < self.width and channel not in self._masked:
+                self._masked[channel] = _Lane(payload.get("since", self.arrived))
+                # a position comes only with the set sent again to a restart
+                self._catching_up |= "since" in payload
                 self.masked_gauge.set(len(self._masked))
         elif command == "unmaskChannel":
-            self._masked.discard(int(payload["channel"]))
-            self.masked_gauge.set(len(self._masked))
+            channel = int(payload["channel"])
+            if self._catching_up and channel in self._masked:
+                self._rejoined.append(channel)
+            else:
+                self._unmask(channel)
         elif command == "quiesce":
             self._quiesced = True
-        elif command == "setWidth":
-            self._set_width(int(payload["width"]))
         elif command == "resume":
+            # the lanes re-route through the new width, ahead of the buffer
+            parked = [tup for lane in self._masked.values() for tup in lane]
+            for lane in self._masked.values():
+                lane.clear()
             if "width" in payload:
                 self._set_width(int(payload["width"]))
             if "epoch" in payload:
@@ -1116,15 +1180,15 @@ class ParallelSplitter(Operator):
                 self.epoch_gauge.set(self.epoch)
             self._quiesced = False
             buffered, self._buffer = self._buffer, []
+            if parked:
+                self._route_run(parked)
             for item in buffered:
                 if isinstance(item, StreamTuple):
                     self._forward(item)
                 else:
                     self._broadcast_window()
             self.quiesced_gauge.set(0)
-            if self._final_pending:
-                self._final_pending = False
-                self.submit_final()
+            self._release_final()
 
 
 class OrderedMerger(Operator):

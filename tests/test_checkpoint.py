@@ -1,6 +1,6 @@
 """Tests for the repro.checkpoint subsystem: dirty tracking, the epoch
 store (commit/retention/torn fallback), the background service, crash
-rehydration from committed epochs, detour seeding + unmask reclaim, the
+rehydration from committed epochs, a crashed channel's parked keys, the
 scale-in global-merge hook, and the new ORCA events."""
 
 import pytest
@@ -10,7 +10,7 @@ from repro.checkpoint import CheckpointStore
 from repro.orca.scopes import CheckpointScope
 from repro.runtime.system import SystemConfig
 from repro.spl.application import Application
-from repro.spl.library import CallbackSource, KeyedCounter, Sink, stable_channel_of
+from repro.spl.library import CallbackSource, KeyedCounter, Sink
 from repro.spl.operators import Operator
 from repro.spl.parallel import parallel
 from repro.spl.state import KeyedState
@@ -345,70 +345,44 @@ class TestTornEpochFallback:
         assert retry.committed and retry.keys_dirty == 1
 
 
-class TestDetourSeedingAndReclaim:
-    def test_mask_seeds_detours_from_checkpoint(self):
-        system = SystemS(hosts=12, config=SystemConfig(checkpoint_interval=0.5))
-        job = system.submit_job(build_region_app(width=2))
-        system.run_for(2.0)
-        system.checkpoints.checkpoint_all()
-        dead_pe = job.pe_of_operator("work__c1")
-        checkpointed = system.checkpoint_store.latest_committed(
-            job.job_id, dead_pe.pe_id
-        ).payloads["work__c1"]["store"]["keyed"]["counts"]
-        assert checkpointed
-        dead_pe.crash("test")
-        system.run_for(0.1)  # failure notification -> mask + seed
-        survivor = job.operator_instance("work__c0")
-        for key, count in checkpointed.items():
-            assert survivor.state.keyed("counts").get(key, 0) >= count
-        mask = [r for r in system.elastic.reroutes if r.masked][-1]
-        assert mask.seeded_keys == len(checkpointed)
-        # detoured traffic continues incrementing the seeded counts
-        system.run_for(2.0)
-        for key, count in checkpointed.items():
-            assert survivor.state.keyed("counts").get(key, 0) > count
+class TestCrashedChannelParks:
+    """A crashed channel's keys wait for it at the splitter: no state is
+    installed anywhere else, and the rehydrated channel counts on."""
 
-    def test_unmask_reclaims_seeded_and_accrued_state(self):
-        system = SystemS(hosts=12, config=SystemConfig(checkpoint_interval=0.5))
+    def _crash_c1(self, config):
+        system = SystemS(hosts=12, config=config)
         job = system.submit_job(build_region_app(width=2))
         system.run_for(2.0)
-        system.checkpoints.checkpoint_all()
         dead_pe = job.pe_of_operator("work__c1")
+        at_crash = dict(dead_pe.operators["work__c1"].state.keyed("counts").items())
         dead_pe.crash("test")
-        system.run_for(2.0)  # detour accrues on c0 (seeded base + traffic)
-        survivor = job.operator_instance("work__c0")
-        c1_keys = {
-            f"k{i}" for i in range(N_KEYS) if stable_channel_of(f"k{i}", 2) == 1
-        }
-        detoured = {
-            key: survivor.state.keyed("counts").get(key)
-            for key in c1_keys
-            if key in survivor.state.keyed("counts")
-        }
-        assert detoured
+        return system, job, dead_pe, at_crash
+
+    def test_masked_channel_keys_park_and_move_no_state(self):
+        system, job, _, at_crash = self._crash_c1(SystemConfig(checkpoint_interval=0.5))
+        system.run_for(2.0)
+        splitter = job.operator_instance("region__split")
+        assert splitter.masked_channels == {1}
+        assert splitter.pending_tuples() > 0  # c1's keys wait at the splitter
+        survivor = job.operator_instance("work__c0").state.keyed("counts")
+        assert at_crash and not any(key in survivor for key in at_crash)
+
+    def test_restart_releases_parked_onto_rehydrated_state(self):
+        system, job, dead_pe, at_crash = self._crash_c1(
+            SystemConfig(checkpoint_interval=0.5, delivery="exactly_once")
+        )
+        system.run_for(2.0)
         system.sam.restart_pe(job.job_id, dead_pe.pe_id, rehydrate=True)
         system.run_for(2.0)
-        restarted = job.operator_instance("work__c1")
-        for key, count in detoured.items():
-            # the reclaimed (detour) value supersedes the rehydrated
-            # checkpoint: counting continued from the detour value
-            assert restarted.state.keyed("counts").get(key, 0) >= count
-        assert not any(
-            key in survivor.state.keyed("counts") for key in c1_keys
-        )
-        reclaim = system.elastic.reclaims[-1]
-        assert reclaim.keys_reclaimed == len(detoured)
-        assert reclaim.keys_purged == 0
-
-    def test_no_store_means_no_seeding(self):
-        system = SystemS(hosts=12)  # checkpointing disabled
-        job = system.submit_job(build_region_app(width=2))
-        system.run_for(2.0)
-        dead_pe = job.pe_of_operator("work__c1")
-        dead_pe.crash("test")
-        system.run_for(0.2)
-        mask = [r for r in system.elastic.reroutes if r.masked][-1]
-        assert mask.seeded_keys == 0
+        splitter = job.operator_instance("region__split")
+        assert splitter.masked_channels == set() and splitter.pending_tuples() == 0
+        restarted = job.operator_instance("work__c1").state.keyed("counts")
+        for key, count in at_crash.items():
+            assert restarted.get(key, 0) > count  # counting went on from the crash
+        counts = {}
+        for t in job.operator_instance("sink").seen:
+            counts.setdefault(t["key"], []).append(t["count"])
+        assert all(seq == list(range(1, len(seq) + 1)) for seq in counts.values())
 
 
 class _GlobalCollector(Operator):
@@ -519,7 +493,6 @@ class _CheckpointWatcher(Orchestrator):
     def __init__(self):
         super().__init__()
         self.committed = []
-        self.reclaimed = []
         self.skipped = []
         self.rerouted = []
         self.job_id = None
@@ -537,9 +510,6 @@ class _CheckpointWatcher(Orchestrator):
 
     def handleCheckpointCommittedEvent(self, context, scopes):
         self.committed.append(context)
-
-    def handleStateReclaimedEvent(self, context, scopes):
-        self.reclaimed.append(context)
 
     def handleRehydrateSkippedEvent(self, context, scopes):
         self.skipped.append(context)
@@ -574,7 +544,7 @@ class TestOrcaCheckpointEvents:
         for info in status.values():
             assert info["age"] >= 0.0 and info["epoch"] > 0
 
-    def test_state_reclaimed_event_delivered_on_unmask(self):
+    def test_channel_rerouted_events_bracket_the_outage(self):
         system, service = self.make_orchestrated()
         system.run_for(2.0)
         job = service.jobs[service.logic.job_id]
@@ -583,15 +553,11 @@ class TestOrcaCheckpointEvents:
         system.run_for(2.0)
         service.restart_pe(dead_pe.pe_id, rehydrate=True)
         system.run_for(3.0)
-        assert service.logic.reclaimed
-        context = service.logic.reclaimed[-1]
-        assert context.keys_reclaimed > 0 and context.channels == (1,)
+        assert [(c.channel, c.masked) for c in service.logic.rerouted] == [
+            (1, True), (1, False)
+        ]
         assert not service.logic.skipped  # the restore succeeded
-        # the reroute contexts carry the seeding/reclaim counters too
-        mask = [c for c in service.logic.rerouted if c.masked][-1]
-        unmask = [c for c in service.logic.rerouted if not c.masked][-1]
-        assert mask.seeded_keys > 0
-        assert unmask.reclaimed_keys == context.keys_reclaimed
+        assert dead_pe.last_restore.source == "checkpoint"
 
     def test_rehydrate_skipped_event_when_nothing_restorable(self):
         system, service = self.make_orchestrated(checkpoint_interval=0.0)

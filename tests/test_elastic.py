@@ -362,10 +362,17 @@ class TestOneMover:
             "migration.py:KeyedMover.place"
         ]
 
+    def test_keyed_state_moves_only_in_a_rescale(self):
+        # a crashed channel's keys wait for it at the splitter: the
+        # rerouter never moves state, only the rescale's migration does
+        assert self._where(self.elastic, self._calls("KeyedMover")) == [
+            "migration.py:RegionMigration.__init__"
+        ]
+
     def test_ownership_functions_are_built_in_one_place(self):
         assert sorted(
-            self._where(self.elastic, self._names("stable_channel_of", "detour_channel_of"))
-        ) == ["migration.py:detour_at", "migration.py:owner_at"]
+            self._where(self.elastic, self._names("stable_channel_of"))
+        ) == ["migration.py:owner_at"]
 
     def test_pe_specs_are_built_by_the_compiler_alone(self):
         src = self.elastic.parent
@@ -391,6 +398,9 @@ class TestOneMover:
             "_reinstall_extracted",
             "_reclaim_detour_state",
             "_seed_detour_state",
+            "_seed",
+            "_reclaim",
+            "detour_at",
         ):
             assert gone not in names, gone
         # ``migrate_state`` is a dataclass field with a default: no guards

@@ -4,25 +4,31 @@
 ``elastic/controller.py`` was split into protocol / migration / reroute
 (PR 16) and must stay byte-identical.  For ``best_effort`` and
 ``exactly_once`` delivery it holds every :class:`BarrierEvent`,
-:class:`RescaleOperation` with its whole :class:`StateMigration`,
-:class:`ChannelReroute` and :class:`StateReclaim` the controller
-produced, and — after every step — the per-channel keyed dicts and
+:class:`RescaleOperation` with its whole :class:`StateMigration` and
+:class:`ChannelReroute` the controller produced, and — after every step — the per-channel keyed dicts and
 global values and the compiled plan's ``pes`` / ``placement`` /
 inter-intra edge split.  Keyed dicts are printed in *stored* order
 (re-recorded at PR 22, when ``KeyedState``'s dirty set became
 insertion-ordered): the same under every ``PYTHONHASHSEED``.
 
 The script runs a partitioned, checkpointed, two-operator-per-channel
-region through: scale-out 2 -> 4; a channel crash (mask + seed from the
-committed epoch); a rescale while that channel is masked (migrated keys
-land on their detours); a second crash, then restarts one at a time
-(unmask + reclaim, and deferred ``only_missing`` seeding for the channel
-still down); scale-in 4 -> 2 folding global state through a
+region through: scale-out 2 -> 4; a channel crash (masked: its keys park
+at the splitter); a rescale while that channel is masked (its state is
+skipped, the keys it owns at the new width are ``keys_lost``); a second
+crash, then rehydrating restarts one at a time (unmask releases each
+lane); scale-in 4 -> 2 folding global state through a
 ``global_merge`` hook; a scale-out whose new PEs cannot be placed
 (rollback + reinstall at the source); a drain that times out behind a
 partitioned link; a scale-in whose new owner died mid-drain and is not
 masked yet (``keys_lost``); and the same with a hook that raises after
 the install (uninstall, un-lose, reinstall at the surviving sources).
+
+Re-recorded when detour seeding and unmask reclaim were deleted: from
+"crash c1" on, keyed state no longer appears on a masked channel's
+survivors, the rescale while c1 is masked skips c1 and counts its keys
+lost instead of detouring them, the reroute records lost their three key
+counters, the ``reclaim`` lines are gone, and every later epoch is lower
+by the reclaims that no longer draw one.
 
 Re-record (only when a change *means* to alter elastic behaviour) with
 ``PYTHONPATH=src python -m tests.test_elastic_golden``.
@@ -195,13 +201,13 @@ def run_script(delivery: str) -> str:
     step("boot", 2.0)
     rescale("scale-out 2->4", 4)
 
-    # channel crash: mask + seed from the committed epoch
+    # channel crash: c1 is masked, its keys park at the splitter
     channel_pe(1).crash("golden")
     step("crash c1", 0.6)
-    # rescale while c1 is masked: keys owned by c1 at width 3 go via detour
+    # rescale while c1 is masked: c1 is skipped, keys it owns at width 3 lost
     rescale("scale-in 4->3 while c1 masked", 3)
-    # second channel down, then restarts one at a time: the first unmask
-    # reclaims and seeds the still-dead channel's state ``only_missing``
+    # second channel down, then restarts one at a time, each unmask
+    # releasing only its own lane
     channel_pe(0).crash("golden")
     step("crash c0", 0.6)
     system.sam.restart_pe(job.job_id, channel_pe(1).pe_id, rehydrate=True)
@@ -247,7 +253,6 @@ def run_script(delivery: str) -> str:
     lines += [f"barrier {dataclasses.asdict(e)}" for e in elastic.barrier_events]
     lines += [_operation_line(op) for op in elastic.history]
     lines += [f"reroute {dataclasses.asdict(r)}" for r in elastic.reroutes]
-    lines += [f"reclaim {dataclasses.asdict(r)}" for r in elastic.reclaims]
     return "\n".join(lines) + "\n"
 
 
@@ -277,15 +282,16 @@ def test_script_reaches_every_path_it_claims():
         def some(lines, *needles):
             return any(all(needle in line for needle in needles) for line in lines)
 
-        assert some(ops, "'state': 'completed'", "'keys_detoured': 2")  # via detour
+        # owner down and masked: the dead channel is skipped, its keys lost
+        assert some(ops, "'state': 'completed'", "'skipped_channels': [1]", "'keys_lost': 2")
         assert some(ops, "'state': 'completed'", "'keys_lost': 4")  # owner down, unmasked
         assert some(ops, "'state': 'completed'", "'global_states_merged': 2")
         assert some(ops, "cannot place additional PEs", "'rolled_back': True")
         assert some(ops, "drain did not complete", "migration=None")
         assert some(ops, "merge hook refused", "'rolled_back': True", "'keys_lost': 0")
-        assert some(reroutes, "'masked': True", "'seeded_keys': 4")  # mask-time seed
-        assert some(reroutes, "'masked': False", "'reclaimed_keys': 2", "'seeded_keys': 6")
-        assert section.count("\nreclaim ") == 3
+        assert [line.split("'masked': ")[1][:4] for line in reroutes[:4]] == [
+            "True", "True", "Fals", "Fals"  # two down at once, then one at a time
+        ]
 
 
 if __name__ == "__main__":

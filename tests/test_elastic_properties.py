@@ -5,9 +5,10 @@ set of crashed (masked) channels; the region carries no traffic, so what
 the keyed stores hold afterwards is exactly what the rescale's state
 movement did.  Judged by the ownership rule the splitter routes by:
 
-* after a completed rescale every key lives on exactly one channel —
-  ``detour_channel_of(key, new_width, masked)``: its owner, or its detour
-  while the owner is masked — and the union of entries is what it was;
+* after a completed rescale every key lives on exactly its owner channel
+  ``stable_channel_of(key, new_width)``, or is counted in ``keys_lost``
+  when that owner is masked (crashed) — and the two together are what
+  the region held;
 * a rescale forced to roll back (the new channels cannot be placed)
   leaves every channel's dict exactly as it found it.
 
@@ -18,13 +19,13 @@ in ``tests/conftest.py``).
 
 from __future__ import annotations
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from repro import SystemS
 from repro.elastic import RescaleState
 from repro.runtime.host import Host
 from repro.spl.application import Application
-from repro.spl.library import Custom, KeyedCounter, Sink, detour_channel_of
+from repro.spl.library import Custom, KeyedCounter, Sink, stable_channel_of
 from repro.spl.parallel import parallel
 
 from tests.conftest import example_budget
@@ -66,8 +67,8 @@ def idle_region_app(width: int) -> Application:
 
 
 def _start(hosts, width, masked, keys):
-    """A region at ``width`` with ``masked`` crashed and ``keys`` where the
-    splitter would have routed them."""
+    """A region at ``width`` with ``masked`` crashed and each of ``keys``
+    on its owner channel — or nowhere, when that owner crashed."""
     system = SystemS(hosts=hosts, seed=3)
     job = system.sam.submit_job(system.compile(idle_region_app(width)))
     system.run_for(0.5)
@@ -77,9 +78,10 @@ def _start(hosts, width, masked, keys):
     splitter = job.operator_instance("region__split")
     assert splitter.masked_channels == masked
     for key in sorted(keys):
-        channel = detour_channel_of(f"k{key}", width, masked)
-        counts = job.operator_instance(f"work__c{channel}").state.keyed("counts")
-        counts.put(f"k{key}", key + 1)
+        channel = stable_channel_of(f"k{key}", width)
+        if channel not in masked:
+            counts = job.operator_instance(f"work__c{channel}").state.keyed("counts")
+            counts.put(f"k{key}", key + 1)
     return system, job
 
 
@@ -96,32 +98,31 @@ def _channel_dicts(job) -> dict:
 @BUDGET
 @given(keys=key_sets, width=widths, shift=st.integers(1, MAX_WIDTH - 1),
        mask=mask_sets)
-def test_rescale_leaves_every_key_on_its_owner_or_detour(keys, width, shift, mask):
+def test_rescale_leaves_every_key_on_its_owner_or_counts_it_lost(keys, width, shift, mask):
     new_width = (width - 1 + shift) % MAX_WIDTH + 1  # any width but the old
     masked = _masked(mask, width)
     still_masked = {c for c in masked if c < new_width}
-    assume(len(still_masked) < new_width)
     system, job = _start(12, width, masked, keys)
     before = {}
     for entries in _channel_dicts(job).values():
         before.update(entries)
-    assert len(before) == len(keys)
 
     operation = system.elastic.set_channel_width(job, "region", new_width)
     system.run_for(1.0)
 
     assert operation.state is RescaleState.COMPLETED
-    assert operation.migration.keys_lost == 0
     after = _channel_dicts(job)
     assert set(after) == set(range(new_width)) - still_masked
     for channel, entries in after.items():
         for key in entries:
-            assert detour_channel_of(key, new_width, still_masked) == channel
+            assert stable_channel_of(key, new_width) == channel
     union = {}
     for entries in after.values():
         assert not set(entries) & set(union)  # exactly one channel per key
         union.update(entries)
-    assert union == before
+    lost = {k: v for k, v in before.items() if stable_channel_of(k, new_width) in still_masked}
+    assert operation.migration.keys_lost == len(lost)
+    assert {**union, **lost} == before and not set(union) & set(lost)
 
 
 @BUDGET

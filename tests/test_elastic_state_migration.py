@@ -533,6 +533,8 @@ class TestRehydrateRestart:
 
 class TestCrashedChannelRerouting:
     def test_splitter_masks_dead_channel_and_traffic_flows(self):
+        """The live channel's keys keep flowing; the dead channel's keys
+        wait for it at the splitter instead of moving to a survivor."""
         system = SystemS(hosts=12)
         job = system.submit_job(build_keyed_app(width=2, limit=None, period=0.05))
         system.run_for(2.0)
@@ -543,12 +545,12 @@ class TestCrashedChannelRerouting:
         assert splitter.masked_channels == {1}
         assert [r for r in system.elastic.reroutes if r.masked]
         sink = job.operator_instance("sink")
-        seen_before = len(sink.seen)
+        seen_before, parked_before = len(sink.seen), splitter.pending_tuples()
         system.run_for(5.0)
-        # every key still flows (rerouted off the dead channel)
-        fresh = [t for t in sink.seen[seen_before:]]
-        assert {t["key"] for t in fresh} == {f"k{i}" for i in range(N_KEYS)}
-        assert splitter.metric("nReroutedTuples").value > 0
+        fresh = {t["key"] for t in sink.seen[seen_before:]}
+        assert fresh == {f"k{i}" for i in range(N_KEYS) if stable_channel_of(f"k{i}", 2) == 0}
+        assert splitter.pending_tuples() > parked_before > 0
+        assert splitter.metric("nParkedTuples").value == splitter.pending_tuples()
 
     def test_restart_unmasks_the_channel(self):
         system = SystemS(hosts=12)
@@ -605,8 +607,8 @@ class TestCrashedChannelRerouting:
 
     def test_channel_restarted_while_splitter_was_down_rejoins_with_it(self):
         """A channel whose restart completed while the splitter was down
-        missed its unmask; it rejoins (reclaim + unmask) when the splitter
-        comes back, instead of staying masked for good."""
+        missed its unmask; it rejoins when the splitter comes back,
+        instead of staying masked for good."""
         system = SystemS(hosts=12)
         job = system.submit_job(build_keyed_app(width=3, limit=None, period=0.02))
         system.run_for(2.0)
@@ -630,97 +632,134 @@ class TestCrashedChannelRerouting:
         system.run_for(2.0)
         assert len(job.operator_instance("work__c1").state.keyed("counts")) > 0
 
-    def test_unmask_reclaims_detour_state(self):
-        """Keyed entries accrued on detour channels while a channel was
-        masked are *reclaimed* at unmask time: extracted from the detours
-        and installed back on the restarted owner, so per-key computation
-        continues from the detour values instead of restarting — and a
-        later rescale cannot migrate stale duplicates over the owner."""
-        system = SystemS(hosts=12)
+    @pytest.mark.parametrize("channel_back_first", [False, True])
+    @pytest.mark.parametrize("limit", [400, 125])
+    def test_splitter_replay_reparks_what_the_dead_splitter_parked(self, channel_back_first, limit):
+        """Both orders of a splitter outage inside a channel outage, exactly
+        once, with the feed still running (400) or already finished (125):
+        the restarted splitter's replay parks again what the dead one had
+        parked (from the mask's stream position), and a channel already
+        back when the splitter restarts is released only after that
+        replay — at its replayed FINAL if nothing newer comes.  No tuple
+        lost or doubled, counts contiguous."""
+        system = SystemS(
+            hosts=12, config=SystemConfig(delivery="exactly_once", checkpoint_interval=0.5)
+        )
+        job = system.submit_job(build_keyed_app(width=3, limit=limit, period=0.02))
+        system.run_for(2.0)
+        channel_pe = job.pe_of_operator("work__c1")
+        splitter_pe = job.pe_of_operator("region__split")
+        channel_pe.crash("test")
+        system.run_for(1.0)
+        splitter_pe.crash("test")
+        system.run_for(0.2)
+        restarts = [splitter_pe, channel_pe]
+        if channel_back_first:
+            restarts.reverse()
+        for pe in restarts:
+            system.sam.restart_pe(job.job_id, pe.pe_id, rehydrate=True)
+            system.run_for(1.5)
+        system.run_for(10.0)
+        sink = job.operator_instance("sink")
+        assert sorted(t["seq"] for t in sink.seen) == list(range(limit))
+        assert_contiguous_counts(sink)
+
+    def test_channel_crashed_while_splitter_was_down_is_masked_by_its_restart(self):
+        """A channel that dies while its splitter is down is recorded as
+        masked all the same, so the restarted splitter is sent its mask
+        and parks its keys instead of feeding the dead channel until it
+        returns — exactly once, counts contiguous."""
+        system = SystemS(
+            hosts=12, config=SystemConfig(delivery="exactly_once", checkpoint_interval=0.5)
+        )
+        job = system.submit_job(build_keyed_app(width=3, limit=400, period=0.02))
+        system.run_for(2.0)
+        splitter_pe = job.pe_of_operator("region__split")
+        channel_pe = job.pe_of_operator("work__c1")
+        splitter_pe.crash("test")
+        system.run_for(0.2)
+        channel_pe.crash("test")
+        system.run_for(0.2)
+        assert [(r.channel, r.masked) for r in system.elastic.reroutes] == [(1, True)]
+        system.sam.restart_pe(job.job_id, splitter_pe.pe_id)
+        system.run_for(2.0)
+        splitter = job.operator_instance("region__split")
+        assert splitter.masked_channels == {1} and splitter.pending_tuples() > 0
+        system.sam.restart_pe(job.job_id, channel_pe.pe_id, rehydrate=True)
+        system.run_for(10.0)
+        assert [(r.channel, r.masked) for r in system.elastic.reroutes] == [
+            (1, True), (1, False)
+        ]
+        sink = job.operator_instance("sink")
+        assert sorted(t["seq"] for t in sink.seen) == list(range(400))
+        assert_contiguous_counts(sink)
+
+    def test_unmask_releases_parked_in_order(self):
+        """The restarted channel gets its parked tuples behind its own
+        replay, oldest first; no keyed entry ever lived anywhere else, so
+        a later rescale has no stale copy to migrate over the owner."""
+        system = SystemS(hosts=12, config=SystemConfig(delivery="exactly_once"))
         job = system.submit_job(build_keyed_app(width=2, limit=None, period=0.02))
         system.run_for(2.0)
         dead_pe = job.pe_of_operator("work__c1")
         dead_pe.crash("test")
-        system.run_for(3.0)  # detour traffic accrues c1's keys on c0
-        c1_keys = {f"k{i}" for i in range(N_KEYS)
-                   if stable_channel_of(f"k{i}", 2) == 1}
-        survivor = job.operator_instance("work__c0")
-        detour_counts = {
-            key: survivor.state.keyed("counts").get(key)
-            for key in c1_keys
-            if key in survivor.state.keyed("counts")
-        }
-        assert detour_counts
+        system.run_for(3.0)
+        c1_keys = {f"k{i}" for i in range(N_KEYS) if stable_channel_of(f"k{i}", 2) == 1}
+        survivor = job.operator_instance("work__c0").state.keyed("counts")
+        assert not any(key in survivor for key in c1_keys)
+        splitter = job.operator_instance("region__split")
+        parked = splitter.pending_tuples()
+        assert parked > 0
+        sink = job.operator_instance("sink")
+        seen_before = len(sink.seen)
         system.sam.restart_pe(job.job_id, dead_pe.pe_id)
         system.run_for(3.0)
-        # detour entries moved off the survivor and onto the restarted
-        # channel, where counting continues from the reclaimed values
-        assert not any(key in survivor.state.keyed("counts") for key in c1_keys)
-        restarted = job.operator_instance("work__c1")
-        for key, count in detour_counts.items():
-            assert restarted.state.keyed("counts").get(key, 0) >= count
-        unmask = [r for r in system.elastic.reroutes if not r.masked][-1]
-        assert unmask.reclaimed_keys == len(detour_counts)
-        assert unmask.purged_keys == 0
-        reclaim = system.elastic.reclaims[-1]
-        assert reclaim.keys_reclaimed == len(detour_counts)
-        assert reclaim.channels == (1,)
-        assert reclaim.epoch > 0
-        # a follow-up rescale does not resurrect stale entries: the
-        # restarted channel's counts keep growing monotonically afterwards
-        # (the drain must first wait out the merger's reorder grace on the
-        # seq holes the crash left, hence the long horizon)
+        assert splitter.pending_tuples() == 0
+        released = [t["seq"] for t in sink.seen[seen_before:] if t["key"] in c1_keys]
+        assert len(released) >= parked and released == sorted(released)
         operation = system.elastic.set_channel_width(job, "region", 4)
-        system.run_for(40.0)
+        system.run_for(10.0)
         assert operation.state is RescaleState.COMPLETED
-        sink = job.operator_instance("sink")
-        post = {}
-        for t in sink.seen:
-            if t["key"] in c1_keys:
-                post.setdefault(t["key"], []).append(t["count"])
-        for key, counts in post.items():
+        for key, counts in counts_by_key(sink).items():
             tail = counts[-20:]
             assert tail == sorted(tail)  # no backwards jump from stale state
 
-
-    def test_rescale_reroutes_migrated_state_to_detour_of_masked_owner(self):
-        """Regression: a rescale completing while a channel is masked
-        must not drop the entries whose *new* owner is that dead channel.
-        They are installed on each key's detour channel (where the
-        splitter is already routing that key's traffic), so the per-key
-        continuation survives the rescale and the unmask reclaim later
-        brings the grown values home instead of a from-zero fork."""
-        system = SystemS(hosts=12)
-        job = system.submit_job(build_keyed_app(width=3, limit=None, period=0.02))
+    def test_resume_reforwards_parked_lanes(self):
+        """A rescale that starts while a keyed channel is masked re-routes
+        the parked lanes at resume, ahead of the barrier buffer: keys the
+        new width gives to a live channel go there, the rest park again
+        for the (surviving) masked channel — and no tuple is lost."""
+        system = SystemS(hosts=12, config=SystemConfig(delivery="exactly_once"))
+        job = system.submit_job(build_keyed_app(width=3, limit=3000, period=0.02))
         system.run_for(2.0)
-        dead_pe = job.pe_of_operator("work__c0")
+        dead_pe = job.pe_of_operator("work__c1")
         dead_pe.crash("test")
-        system.run_for(2.0)  # mask lands; detour traffic accrues c0's keys
-        moved_keys = {f"k{i}" for i in range(N_KEYS)
-                      if stable_channel_of(f"k{i}", 2) == 0
-                      and stable_channel_of(f"k{i}", 3) != 0}
-        assert moved_keys  # keys alive on survivors, owned by c0 at width 2
-        pre = {}
-        for channel in (1, 2):
-            counts = job.operator_instance(f"work__c{channel}").state.keyed("counts")
-            pre.update({k: counts.get(k) for k in moved_keys if k in counts})
+        system.run_for(2.0)
+        splitter = job.operator_instance("region__split")
+        parked = splitter.pending_tuples()
+        assert parked > 0
+        c1_keys = {f"k{i}" for i in range(N_KEYS) if stable_channel_of(f"k{i}", 3) == 1}
+        stay = {key for key in c1_keys if stable_channel_of(key, 2) == 1}
+        assert stay and stay != c1_keys
+        sink = job.operator_instance("sink")
         operation = system.elastic.set_channel_width(job, "region", 2)
         system.run_for(30.0)
         assert operation.state is RescaleState.COMPLETED
-        migration = operation.migration
-        assert migration is not None
-        assert migration.keys_detoured > 0
-        assert migration.keys_lost == 0
-        # with c0 still masked the only live detour at width 2 is c1:
-        # every moved key kept (and grew) its pre-rescale value there
-        survivor = job.operator_instance("work__c1")
-        for key, count in pre.items():
-            assert survivor.state.keyed("counts").get(key, 0) >= count
-        system.sam.restart_pe(job.job_id, dead_pe.pe_id)
-        system.run_for(3.0)
-        restarted = job.operator_instance("work__c0")
-        for key, count in pre.items():
-            assert restarted.state.keyed("counts").get(key, 0) >= count
+        assert operation.migration.skipped_channels == [1]
+        assert splitter.masked_channels == {1}
+        # c1's keys that width 2 gives to c0 left the lane at resume: every
+        # one of their tuples from mask (2.05) to rescale (4.0) is through
+        parked_seqs = {
+            seq for seq in range(int(2.1 / 0.02), int(4.0 / 0.02) - 1)
+            if f"k{seq % N_KEYS}" in c1_keys - stay
+        }
+        assert parked_seqs <= {t["seq"] for t in sink.seen}
+        assert 0 < splitter.pending_tuples() < parked + 30.0 / 0.02
+        system.sam.restart_pe(job.job_id, dead_pe.pe_id, rehydrate=True)
+        system.run_for(40.0)
+        assert splitter.masked_channels == set() and splitter.pending_tuples() == 0
+        seqs = sorted(t["seq"] for t in sink.seen)
+        assert seqs == list(range(3000))  # exactly once through it all
 
 
 class TestStateMetricsAndInspection:

@@ -305,6 +305,40 @@ class TestSystemConformance:
             assert counts == list(range(1, len(counts) + 1))
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_channel_crash_mid_stream_keeps_keyed_counts_exact(self, backend):
+        """Exactly-once with 0.5 s checkpoints: a channel crashes between
+        two commits with units in flight and restarts rehydrating after a
+        real outage.  Its keys wait at the splitter, its epoch and replay
+        rebuild it, and every count the region emits is the count a plain
+        dict would have: contiguous per key, final state equal."""
+        system = backend_system(
+            backend, checkpoint_interval=0.5, delivery="exactly_once",
+            failure_notification_delay=0.05,
+        )
+        job = system.submit_job(build_counter_app(limit=400, period=0.02))
+        system.run_for(1.3)
+        hold(system, lambda: self._committed(system) >= 2, "two committed epochs")
+        target = job.pe_of_operator("work__c1")
+        target.crash("conformance")
+        system.sam.restart_pe(job.job_id, target.pe_id, rehydrate=True)
+        system.run_for(10.0)
+        sink = job.operator_instance("sink")
+        hold(system, lambda: len(sink.seen) >= 400, "the 400-tuple feed to drain")
+        reference = {}
+        for seq in range(400):
+            key = f"k{seq % 4}"
+            reference[key] = reference.get(key, 0) + 1
+        assert sorted(t["seq"] for t in sink.seen) == list(range(400))
+        for counts in per_key_counts(sink).values():
+            assert counts == list(range(1, len(counts) + 1))
+        final = {}
+        for channel in (0, 1):
+            counts = job.operator_instance(f"work__c{channel}").state.keyed("counts")
+            assert not set(final) & set(counts.keys())  # one owner per key
+            final.update(counts.items())
+        assert final == reference
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_checkpoint_timers_fire_on_cadence(self, backend):
         system = backend_system(backend, checkpoint_interval=0.25)
         system.submit_job(build_counter_app(limit=50, period=0.02))

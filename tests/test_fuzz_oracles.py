@@ -1,7 +1,7 @@
 """Invariant-oracle suite tests: profile conditioning (no false
 positives on restart-empty stacks — the PR 4 failover semantics), the
 FIFO probe and its transport regression, the new barrier/attempt
-instrumentation taps, and the deferred detour seeding the fuzzer's
+instrumentation taps, and the all-channels-down race the fuzzer's
 state-conservation oracle flushed out."""
 
 from __future__ import annotations
@@ -396,49 +396,35 @@ class TestBarrierTaps:
 
 
 # ---------------------------------------------------------------------------
-# the deferred-seeding fix (found by the state-conservation oracle)
+# every channel down at once (found by the state-conservation oracle)
 # ---------------------------------------------------------------------------
 
 
-class TestDeferredSeeding:
+class TestAllChannelsDown:
+    RACE = (
+        Scenario("race")
+        .add(1.02, PEFlap(operator="work__c0", downtime=1.0))
+        .add(1.99, PEFlap(operator="work__c1", downtime=1.0))
+    )
+
     def test_all_channels_down_race_conserves_committed_state(self):
-        """Both channels of a width-2 region down at once: the second
-        victim's mask found no live detour to seed.  When the first
-        channel rejoins, the still-dead channel's committed state must be
-        seeded onto it — without that, the eventual unmask reclaim
-        overwrites rehydrated state with base-less detour accruals
-        (counts collapsing 12 -> 1), the exact loss the fuzzer found."""
-        scenario = (
-            Scenario("race")
-            .add(1.02, PEFlap(operator="work__c0", downtime=1.0))
-            .add(1.99, PEFlap(operator="work__c1", downtime=1.0))
-        )
-        outcome = run_fuzz_case(scenario, FuzzHarnessConfig(duration=11.0))
+        """Both channels of a width-2 region down at once: each lane parks
+        its own keys and each rejoin releases only its own, onto the state
+        its checkpoint restored.  (Detour seeding once lost this race: the
+        unmask reclaim overwrote rehydrated state with base-less detour
+        accruals, counts collapsing 12 -> 1.)"""
+        outcome = run_fuzz_case(self.RACE, FuzzHarnessConfig(duration=11.0))
         assert outcome.report.ok, [v.detail for v in outcome.violations]
         # every tuple lost in the all-masked window is crash-accounted
         assert outcome.scorecard.tuples_lost <= outcome.scorecard.accounted_losses
 
-    def test_unmask_record_reports_deferred_seeding(self):
-        system = SystemS(
-            hosts=10,
-            seed=42,
-            config=SystemConfig(
-                checkpoint_interval=0.25, failure_notification_delay=0.001
-            ),
+    def test_all_channels_down_race_is_exact_under_exactly_once(self):
+        outcome = run_fuzz_case(
+            self.RACE, FuzzHarnessConfig(duration=11.0, delivery="exactly_once")
         )
-        feed = ChaosFeed(n_keys=12, base_rate=2, seed=5)
-        job = system.submit_job(build_region_app(feed))
-        system.run_for(3.0)
-        scenario = (
-            Scenario("race")
-            .add(1.02, PEFlap(operator="work__c0", downtime=1.0))
-            .add(1.99, PEFlap(operator="work__c1", downtime=1.0))
-        )
-        system.chaos.run_scenario(scenario, job=job, feed=feed)
-        system.run_for(6.0)
-        unmasks = [r for r in system.elastic.reroutes if not r.masked]
-        # the first channel to rejoin deferred-seeded the still-dead one
-        assert unmasks and unmasks[0].seeded_keys > 0
+        assert "keyed_counts_exact" in outcome.report.checked
+        assert outcome.report.ok, [v.detail for v in outcome.violations]
+        assert outcome.scorecard.tuples_lost == outcome.scorecard.duplicates == 0
 
 
 # ---------------------------------------------------------------------------

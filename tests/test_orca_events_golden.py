@@ -1,4 +1,4 @@
-"""Every ORCA event kind, pinned: one seeded script, all nineteen kinds.
+"""Every ORCA event kind, pinned: one seeded script, all eighteen kinds.
 
 ``tests/golden/orca_events.txt`` was recorded at the commit *before*
 ``orca/service.py``'s fifteen hand-written emitters were folded into one
@@ -16,7 +16,7 @@ handlers: start; submit and cancel, direct and through the dependency
 manager (``config`` absent and present); operator / port / PE metric
 polls; congestion; scale-out and scale-in with keyed state; a rescale
 that cannot be placed; a channel crash and its rehydrating restart
-(reroute, reclaim); a rehydrating restart with nothing to restore; a
+(mask, unmask); a rehydrating restart with nothing to restore; a
 host failure; a one-shot and a periodic timer; user events; chaos
 injections on an owned job, on a foreign job and on none; SLO alerts
 with and without a region.
@@ -31,6 +31,13 @@ And one more (PR 20): the ``metric_event_skips=0`` footer.  The stream
 graph is a live view over the service's jobs, so no metric sample can name
 an operator it does not know, and the counter that excused a lagging copy
 no longer exists; no event line moved.
+
+And the ``state_reclaimed`` kind.  A crashed channel's keyed tuples wait
+for it at the splitter, so an unmask moves no state: the t=11.052
+``state_reclaimed`` line is gone, every later transaction id is one
+lower, every later epoch is one lower (the reclaim drew one), the
+``channel_rerouted`` contexts lost their three key counters, and the
+splitter's ``nReroutedTuples`` metric is ``nParkedTuples``.
 
 Re-record (only when a change *means* to alter what the service emits)
 with ``PYTHONPATH=src python -m tests.test_orca_events_golden``.
@@ -82,7 +89,7 @@ ALL_KINDS = (
     "pe_failure", "host_failure", "job_submission", "job_cancellation",
     "timer", "user", "channel_congested", "region_rescaled",
     "region_state_migrated", "channel_rerouted", "checkpoint_committed",
-    "state_reclaimed", "rehydrate_skipped", "chaos_injected", "health_alert",
+    "rehydrate_skipped", "chaos_injected", "health_alert",
 )
 
 
@@ -220,13 +227,10 @@ class Scripted(Orchestrator):
             ParallelRegionScope("rescales")
             .addEventTypeFilter(["region_rescaled", "region_state_migrated"])
             .addJobFilter(job_id),
-            CheckpointScope("ckpt-recovery").addEventTypeFilter(
-                ["state_reclaimed", "rehydrate_skipped"]
-            ),
+            CheckpointScope("ckpt-recovery").addEventTypeFilter("rehydrate_skipped"),
             CheckpointScope("ckpt-c0")
             .addPEFilter(c0_pe)
             .addEventTypeFilter("checkpoint_committed"),
-            CheckpointScope("ckpt-region").addRegionFilter(REGION),
             ChaosScope("chaos"),
             ChaosScope("chaos-mine").addApplicationFilter("Nested"),
             ChaosScope("chaos-job").addJobFilter(job_id),
@@ -398,7 +402,7 @@ def _drive(system, service, logic) -> None:
     service.command_tool.submit_event("scale-in", {"width": 2})
     system.run_for(2.0)
 
-    # channel crash -> pe_failure -> rehydrating restart: mask, unmask, reclaim
+    # channel crash -> pe_failure -> rehydrating restart: mask, unmask
     channel_pe(1).crash("golden")
     system.run_for(3.0)
     # a stateless PE has no epoch and no snapshot: the rehydrating restart

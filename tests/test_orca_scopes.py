@@ -230,9 +230,9 @@ COVERS = {
     UserEventScope: {"user"},
     ParallelRegionScope: {
         "channel_congested", "region_rescaled", "region_state_migrated",
-        "channel_rerouted", "state_reclaimed",
+        "channel_rerouted",
     },
-    CheckpointScope: {"checkpoint_committed", "state_reclaimed", "rehydrate_skipped"},
+    CheckpointScope: {"checkpoint_committed", "rehydrate_skipped"},
     ChaosScope: {"chaos_injected"},
     HealthScope: {"health_alert"},
 }

@@ -454,7 +454,7 @@ class TestOneEventTable:
             for name, cls in vars(contexts).items()
             if inspect.isclass(cls) and name.endswith("Context")
         ]
-        assert len(classes) == len(contexts.EVENT_KINDS) == 19
+        assert len(classes) == len(contexts.EVENT_KINDS) == 18
         for cls in classes:
             assert contexts.EVENT_KINDS[cls.KIND.event_type] is cls.KIND
             assert cls.KIND.context is cls
@@ -600,7 +600,7 @@ class TestOneStreamGraph:
     def test_there_is_no_topology_topic(self):
         from repro.runtime.events import TOPICS
 
-        assert len(TOPICS) == 9
+        assert len(TOPICS) == 8
         for path in sorted(self.src.rglob("*.py")):
             assert "topology" not in path.read_text(), path
 
@@ -634,7 +634,7 @@ class TestOneStreamGraph:
             node for node in ast.walk(methods["_boot"]) if calls("subscribe")(node)
         )
         reached = [keyword.value.attr for keyword in subscribe.keywords]
-        assert len(reached) == 7
+        assert len(reached) == 6
         for name in reached:  # grows while iterating: the transitive closure
             for node in ast.walk(methods[name]):
                 callee = getattr(getattr(node, "func", None), "attr", None)

@@ -72,11 +72,11 @@ class TestPublishSubscribe:
     def test_detach_twice_is_a_noop(self):
         events = RuntimeEvents()
         keep = events.subscribe(pe_failure=lambda pe, reason: None)
-        detach = events.subscribe(pe_failure=print, reclaim=print)
+        detach = events.subscribe(pe_failure=print, rescale=print)
         detach()
         detach()
         assert len(events.subscribers["pe_failure"]) == 1
-        assert events.subscribers["reclaim"] == []
+        assert events.subscribers["rescale"] == []
         keep()
         assert events.subscribers["pe_failure"] == []
 

@@ -308,6 +308,34 @@ class TestImportExport:
         assert len(c1.operator_instance("sink").seen) > 0
         assert len(c2.operator_instance("sink").seen) > 0
 
+    def test_restarted_exactly_once_export_publishes_nothing_twice(self):
+        """An exactly-once restart replays the Export PE's input with its
+        emissions suppressed; the replay must not reach the importers of
+        another job either (``ctx.replaying``), or they see it twice."""
+        from repro import SystemConfig, SystemS
+        from repro.spl.application import Application
+        from repro.spl.library import CallbackSource, Export
+
+        system = SystemS(hosts=6, config=SystemConfig(delivery="exactly_once"))
+        app = Application("Producer")
+        g = app.graph
+        src = g.add_operator(
+            "src", CallbackSource, partition="feed",
+            params={"generator": lambda now, count: [{"seq": count}], "period": 0.1},
+        )
+        exp = g.add_operator("exp", Export, params={"stream_id": "feed"}, partition="out")
+        g.connect(src.oport(0), exp.iport(0))
+        producer = system.submit_job(app)
+        consumer = system.submit_job(self.build_consumer(stream_id="feed"))
+        system.run_for(3.0)
+        export_pe = producer.pe_of_operator("exp")
+        export_pe.crash("test")
+        system.sam.restart_pe(producer.job_id, export_pe.pe_id, rehydrate=True)
+        system.run_for(3.0)
+        assert system.transport.replayed > 0  # the restart did replay
+        seqs = [t["seq"] for t in consumer.operator_instance("sink").seen]
+        assert seqs and len(seqs) == len(set(seqs))
+
     def test_connections_introspection(self, system):
         system.submit_job(self.build_producer(stream_id="feed"))
         system.submit_job(self.build_consumer(stream_id="feed"))

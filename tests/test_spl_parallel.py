@@ -402,9 +402,10 @@ class TestOneTupleConstructor:
     derived copy (``with_values`` / ``without`` / ``project``, or a
     replay rebuilt from its wire form) that keeps the
     size, creation time and trace flag exactly — the region plumbing once
-    rebuilt whole tuples and dropped ``traced`` on the way.  And the
-    splitter once kept its own copy of the detour rule that had to stay in
-    lockstep with the state seeding's.
+    rebuilt whole tuples and dropped ``traced`` on the way.  And a keyed
+    tuple once had a second channel — a detour over the surviving ones
+    while its owner was masked — whose rule the splitter and the state
+    seeding each had to follow.
     """
 
     src = pathlib.Path(repro.__file__).parent
@@ -415,7 +416,7 @@ class TestOneTupleConstructor:
             "operators.py:Operator.submit_batch",
         ]
 
-    def test_one_function_holds_the_detour_rule(self):
+    def test_a_key_has_one_channel_its_owner(self):
         library = self.src / "spl" / "library.py"
 
         def alive_channels(node):
@@ -426,8 +427,10 @@ class TestOneTupleConstructor:
                 for op in compare.ops
             )
 
-        assert where(library, alive_channels) == ["library.py:_route"]
-        assert where(library, calls("_route")) == [
-            "library.py:detour_channel_of",
-            "library.py:ParallelSplitter._detour",
+        assert where(library, alive_channels) == []  # no list of survivors
+        # the owner rule is ``hash(key) % width`` and nothing else
+        assert where(library, calls("_stable_hash")) == [
+            "library.py:stable_channel_of",
+            "library.py:ParallelSplitter._forward",
+            "library.py:ParallelSplitter._route_run",
         ]
