@@ -184,7 +184,6 @@ def run_checkpointed_campaign(
         # the ack path too, so a lossy campaign drops acks and the
         # sender must retransmit-and-dedup its way back to exactly-once
         "acks_dropped": system.transport.acks_dropped,
-        "replay_stalls": system.transport.replay_stalls,
     }
     return scorecard, extras
 

@@ -1,8 +1,9 @@
 """The background checkpoint daemon.
 
 Every ``SystemConfig.checkpoint_interval`` sim-seconds the service walks
-the running jobs and captures each stateful PE's operators into the
-:class:`~repro.checkpoint.store.CheckpointStore`:
+the running jobs and captures each PE whose epoch has something to carry
+— operator state, or under exactly-once only its links' watermarks — into
+the :class:`~repro.checkpoint.store.CheckpointStore`:
 
 1. **Capture (incremental).**  For every keyed state it asks the
    :class:`~repro.spl.state.KeyedState` for its dirty delta — deep copies
@@ -32,7 +33,6 @@ checkpointer would do.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Tuple
 
@@ -166,9 +166,10 @@ class CheckpointService:
         """Capture, record, and commit one PE's stateful operators.
 
         Args:
-            pe: The PE to capture; skipped unless it is running and hosts
-                at least one stateful operator (declared in the PE spec or
-                holding live state).
+            pe: The PE to capture; skipped unless it is running and has
+                an operator declared stateful, holding live state or
+                returning an ``on_snapshot()`` extra — or, under
+                exactly-once, a link toward it (its watermark commits).
 
         Returns:
             The :class:`CheckpointRecord` of this attempt, or None when
@@ -185,7 +186,8 @@ class CheckpointService:
         cleaners: List[Callable[[], None]] = []
         commits: List[Tuple[Tuple[str, str, str, str], Dict]] = []
         for op_name, operator in pe.operators.items():
-            if op_name not in declared and not operator.state.in_use:
+            extra = operator.on_snapshot()
+            if extra is None and op_name not in declared and not operator.state.in_use:
                 continue
             keyed_payload: Dict[str, Dict] = {}
             for state_name, keyed in operator.state.keyed_states().items():
@@ -218,15 +220,13 @@ class CheckpointService:
                 name: state.snapshot()
                 for name, state in operator.state.global_states().items()
             }
-            extra = copy.deepcopy(operator.on_snapshot())
             bytes_written += sum(
                 estimate_value_size(v) for v in global_payload.values()
             ) + estimate_value_size(extra)
-            payloads[op_name] = {
-                "store": {"keyed": keyed_payload, "global": global_payload},
-                "extra": extra,
-            }
-        if not payloads:
+            payloads[op_name] = operator.snapshot(
+                {"keyed": keyed_payload, "global": global_payload}
+            )
+        if not payloads and pe.transport.checkpoint_watermarks(pe.pe_id) is None:
             return None
         entry = self.store.write_epoch(
             pe,

@@ -15,15 +15,16 @@ restarts).
 
 The rerouter's mask set is the single authority: the splitter's own set
 is a copy, sent again when the splitter's PE restarts, each channel with
-the splitter's stream position at its mask so the restarted splitter's
-replay parks exactly what the dead one had parked.  A channel that
-crashes while the splitter is down is recorded all the same, with no
-position (the dead splitter parked nothing for it), so that re-send
-covers it too.
+its mask's token and the splitter's stream position at the mask, so the
+restarted splitter keeps only its epoch's lanes of the same masks and
+its replay parks what the dead one had parked.  A channel that crashes
+while the splitter is down is recorded all the same, with no position
+(the dead splitter parked nothing for it), so that re-send covers it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -32,6 +33,9 @@ from repro.runtime.job import Job, JobState
 from repro.runtime.pe import PERuntime, PEState
 from repro.sim.kernel import Kernel
 from repro.spl.parallel import ParallelRegionPlan
+
+#: a masked channel's (splitter position at the mask or None, mask token)
+Mask = Tuple[Optional[int], int]
 
 
 @dataclass
@@ -61,13 +65,14 @@ class ChannelRerouter:
         self.reroutes: List[ChannelReroute] = []
         #: (job_id, region) -> channels currently masked, each with the
         #: splitter's stream position at its mask (None: splitter was
-        #: down).  A PE restart only unmasks (and reports) channels found
-        #: here, so a graceful stop_pe + restart_pe never emits phantom
-        #: reroutes.
-        self._masked: Dict[Tuple[str, str], Dict[int, Optional[int]]] = {}
+        #: down) and a token per mask.  A PE restart only unmasks (and
+        #: reports) channels found here, so a graceful stop_pe +
+        #: restart_pe never emits phantom reroutes.
+        self._masked: Dict[Tuple[str, str], Dict[int, Mask]] = {}
+        self._tokens = itertools.count(1)
         events.subscribe(pe_failure=self.mask, pe_restart=self.unmask)
 
-    def _masked_of(self, job: Job, plan: ParallelRegionPlan) -> Dict[int, Optional[int]]:
+    def _masked_of(self, job: Job, plan: ParallelRegionPlan) -> Dict[int, Mask]:
         """The live mask set of one region (mutate it in place)."""
         return self._masked.setdefault((job.job_id, plan.name), {})
 
@@ -97,22 +102,24 @@ class ChannelRerouter:
             channels = [c for c in self._channels_of(plan, pe) if c not in masked]
             if not channels:
                 continue
-            since = None
+            since, token = None, next(self._tokens)
             splitter_pe = self._splitter_pe(job, plan)
             if splitter_pe is not None:
                 since = splitter_pe.operators[plan.splitter].arrived
                 for channel in channels:
-                    splitter_pe.send_control(plan.splitter, "maskChannel", {"channel": channel})
-            masked.update(dict.fromkeys(channels, since))
+                    splitter_pe.send_control(
+                        plan.splitter, "maskChannel", {"channel": channel, "mask": token}
+                    )
+            masked.update(dict.fromkeys(channels, (since, token)))
             self._publish(job, plan, pe, channels, reason, masked=True)
 
     def unmask(self, pe: PERuntime) -> None:
         """``pe_restart`` event: ``pe`` is back — its channels rejoin.
 
-        A restarted splitter is a fresh instance with an empty mask: it is
-        first sent the region's mask set again, and channels that came
-        back while it was down (and so missed their unmask) rejoin now —
-        the splitter releases them once its replay is through.
+        A restarted splitter holds its epoch's lanes at most: it is first
+        sent the region's mask set again, and channels that came back
+        while it was down (and so missed their unmask) rejoin now — the
+        splitter releases them once its replay is through.
         """
         job = pe.job
         if job.state is not JobState.RUNNING:
@@ -120,10 +127,9 @@ class ChannelRerouter:
         for plan in job.compiled.parallel_regions.values():
             rejoining = [pe]
             if self._splitter_pe(job, plan) is pe:
-                for channel, since in sorted(self._masked_of(job, plan).items()):
-                    pe.send_control(
-                        plan.splitter, "maskChannel", {"channel": channel, "since": since}
-                    )
+                pe.send_control(
+                    plan.splitter, "remask", {"masked": dict(self._masked_of(job, plan))}
+                )
                 rejoining = list(job.pes)
             for candidate in rejoining:
                 self._rejoin(job, plan, candidate)

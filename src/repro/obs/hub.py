@@ -270,10 +270,9 @@ class ObsHub:
         """Record one reliable-delivery transport event.
 
         ``kind`` is one of ``retransmit``, ``ack``,
-        ``duplicate_suppressed``, ``replay``, ``ack_dropped``,
-        ``replay_stall``; counts land in the matching
-        ``repro_transport_*_total`` counter (created lazily so
-        best-effort expositions stay byte-identical).  Retransmits are
+        ``duplicate_suppressed``, ``replay``, ``ack_dropped``; counts
+        land in the matching ``repro_transport_*_total`` counter
+        (created lazily so best-effort expositions stay byte-identical).  Retransmits are
         additionally recorded as control-plane retry events carrying the
         attempt number, so a flight-recorder timeline shows every backoff
         step of a struggling link.
@@ -284,7 +283,6 @@ class ObsHub:
             "duplicate_suppressed": "repro_transport_duplicates_suppressed_total",
             "replay": "repro_transport_replays_total",
             "ack_dropped": "repro_transport_acks_dropped_total",
-            "replay_stall": "repro_transport_replay_stalls_total",
         }
         helps = {
             "retransmit": "wire units re-sent after an ack timeout",
@@ -294,9 +292,6 @@ class ObsHub:
             ),
             "replay": "units replayed from the buffer after a PE restart",
             "ack_dropped": "acknowledgements lost to reverse-link faults",
-            "replay_stall": (
-                "items parked by replay-buffer byte-cap backpressure"
-            ),
         }
         counter = self._reliability_counters.get(kind)
         if counter is None:
@@ -526,9 +521,8 @@ class ObsHub:
     def scrape_transport(self) -> None:
         """Refresh transport-level gauges (exactly-once replay buffers).
 
-        The ROADMAP flags the replay buffer as unbounded between epoch
-        commits; these per-link gauges make that growth observable:
-        ``repro_transport_replay_buffer_items`` / ``_bytes`` track the
+        The epoch bounds each replay buffer; these per-link gauges show
+        it: ``repro_transport_replay_buffer_items`` / ``_bytes`` track the
         retained units above each link's truncation floor, and
         ``repro_transport_replay_truncated_seq`` tracks the floor itself
         (so a shrink at epoch commit shows as items down, floor up).

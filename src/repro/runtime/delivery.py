@@ -35,14 +35,13 @@ the ``delivery`` config axis on
   left the PE before the crash), and condemned in-flight units are
   re-sent instead of being counted in ``dropped_in_flight``.
 
-Replay buffers are bounded: ``replay_buffer_max_bytes`` (0 = unbounded)
-caps the payload bytes retained per link between epoch commits.  A link
-at its cap applies *sender-side backpressure*: new units park in a
-per-link stall queue before their link sequence is allocated (so FIFO is
-preserved — sequences are claimed at release, in park order), the
-``replay_stalls`` counter moves, and the units still count as in flight
-so drain barriers and the health plane see the backlog.  The next epoch
-commit truncates the buffer and releases the queue in order.
+Replay history is bounded by the epoch alone: every PE on an
+exactly-once path commits one in each checkpoint round (its operators'
+state, or only its ``"__transport__"`` watermarks), and each commit
+truncates the links toward it to the oldest retained epoch's floor.  A
+replay copy is registered for retry like any other unit — it stays
+pending until the new incarnation acknowledges it — so a lossy fault at
+the restart instant delays the replay instead of stalling the link.
 
 Loss attribution is **first-cause-wins**: a unit that loses a wire copy
 to a seeded drop fault counts in ``dropped_by_fault`` exactly once, on
@@ -56,7 +55,7 @@ byte-identically.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.spl.tuples import TupleBatch, from_wire_form, to_wire_form
 
@@ -73,14 +72,14 @@ class LinkRecord:
     """Everything the runtime remembers about one connection.
 
     Made by :meth:`Transport._open_link` when the link first carries a
-    unit, dropped only by :meth:`Transport.forget_pe`.  ``send_seq`` and
+    unit, dropped only by :meth:`Transport._retire`.  ``send_seq`` and
     ``horizon`` are used in every delivery mode; the rest is exactly-once
     state and stays empty otherwise.
     """
 
     __slots__ = (
         "key", "send_seq", "horizon", "delivered_wm", "reorder", "replay",
-        "truncated_to", "replay_bytes", "stalled",
+        "truncated_to", "replay_bytes",
     )
 
     def __init__(self, key: Link) -> None:
@@ -104,11 +103,6 @@ class LinkRecord:
         self.replay: Dict[int, "PendingEntry"] = {}
         self.replay_bytes = 0
         self.truncated_to = 0
-        #: sender: units parked by the replay cap *before* link-seq
-        #: allocation (claimed at release, in park order, so FIFO survives
-        #: the stall), as ``(src_pe, dst_pe, op_full_name, port, payload,
-        #: count)``
-        self.stalled: List[tuple] = []
 
 
 class PendingEntry:
@@ -171,9 +165,10 @@ class PendingEntry:
         self.attempts = 0
         #: the unit has been counted in a loss counter (first-cause-wins)
         self.loss_attributed = False
-        #: the most recent ack attempt was lost to a reverse-link fault;
-        #: the retry timer must retransmit (provoking a re-ack) instead
-        #: of waiting for an ack that will never land
+        #: the most recent ack attempt was lost to a reverse-link fault,
+        #: or the unit is a replay no ack of the restarted incarnation
+        #: has answered yet: the retry timer must retransmit (provoking
+        #: an ack) instead of waiting for one that will never land
         self.ack_lost = False
         self.retry_event = None
         #: scheduled arrival time of the newest live wire copy (None:
@@ -207,21 +202,10 @@ class DeliveryPlane:
         self.ack_timeout = config.ack_timeout
         self.retry_backoff = config.retry_backoff
         self.max_retry_interval = config.max_retry_interval
-        #: exactly-once: per-link cap on replay-buffer payload bytes
-        #: (0 = unbounded, the historical behavior)
-        self.replay_buffer_max_bytes = config.replay_buffer_max_bytes
         #: (link key, first_seq) -> unacknowledged unit, in admission
         #: order: :meth:`expedite_pending` walks it, and that order is
         #: the order seeded drop rolls are drawn
         self.pending: Dict[Tuple[Link, int], PendingEntry] = {}
-        #: PEs that have committed at least one epoch — the only
-        #: destinations the replay cap may stall.  A link toward a PE
-        #: that never commits (stateless sink, splitter, checkpointing
-        #: disabled) can never truncate its replay buffer, so stalling
-        #: it would deadlock the flow; those links keep the historical
-        #: unbounded retention their replay-from-zero restart semantics
-        #: require anyway.
-        self.committing_pes: Set[str] = set()
 
     @property
     def replay_bytes(self) -> Dict[Link, int]:
@@ -275,38 +259,15 @@ class DeliveryPlane:
         payload: "Payload",
         count: int,
     ) -> None:
-        """Dispatch one unit, or queue it behind replay-cap backpressure.
+        """Allocate the unit's seq range, register it, and transmit.
 
-        A parked unit already counts as in flight, so drain barriers and
-        the health plane see the stalled backlog; its link seq is *not*
-        allocated until :meth:`_release_stalled` dispatches it.
+        The single commit point of the reliable send path: the unit
+        already counts as sent and in flight, and its link sequences are
+        claimed here, before any drop roll.
         """
         t = self.transport
         key = (src_pe.pe_id if src_pe is not None else "", dst_pe.pe_id)
         link = t.links.get(key) or t._open_link(key)
-        if self._must_stall(link):
-            link.stalled.append((src_pe, dst_pe, op_full_name, port, payload, count))
-            t.replay_stalls += count
-            self._observe("replay_stall", count, op_full_name)
-        else:
-            self._dispatch(link, src_pe, dst_pe, op_full_name, port, payload, count)
-
-    def _dispatch(
-        self,
-        link: LinkRecord,
-        src_pe: Optional["PERuntime"],
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
-        payload: "Payload",
-        count: int,
-    ) -> None:
-        """Allocate the unit's seq range, register it, and transmit.
-
-        The single commit point of the reliable send path: link
-        sequences are claimed here — after any stall — so parked units
-        keep per-link FIFO when released.
-        """
         base = link.send_seq
         link.send_seq = base + count
         entry = PendingEntry(
@@ -317,35 +278,7 @@ class DeliveryPlane:
         self._transmit(entry)
         self._arm_retry(entry)
 
-    # -- replay-buffer backpressure -----------------------------------------
-
-    def _must_stall(self, link: LinkRecord) -> bool:
-        """True when the link's replay buffer is at its byte cap.
-
-        A link with parked units stalls unconditionally — newer units
-        must queue behind the backlog or FIFO would break at release.
-        Only links toward a destination that has *committed an epoch*
-        are ever stalled: backpressure is released exclusively by
-        epoch-commit truncation, so stalling a never-committing
-        destination (stateless PE, checkpointing off) would deadlock
-        the flow rather than bound it.
-        """
-        if not self.exactly_once or self.replay_buffer_max_bytes <= 0:
-            return False
-        if link.key[1] not in self.committing_pes:
-            return False
-        return bool(link.stalled) or link.replay_bytes >= self.replay_buffer_max_bytes
-
-    def _release_stalled(self, link: LinkRecord) -> None:
-        """Dispatch parked units in order while the link is under its cap."""
-        queue = link.stalled
-        cap = self.replay_buffer_max_bytes
-        while queue and link.replay_bytes < cap:
-            self._dispatch(link, *queue.pop(0))
-
-    def _transmit(
-        self, entry: PendingEntry, replayed: Optional["Payload"] = None
-    ) -> None:
+    def _transmit(self, entry: PendingEntry) -> None:
         """Put one wire copy of a unit on its link, unless a fault eats it.
 
         The drop policy is per unit: every lossy fault matching the link
@@ -353,10 +286,10 @@ class DeliveryPlane:
         the unit pending for retransmission (``dropped_by_fault`` moves
         only on the unit's first casualty).  A surviving copy goes
         through :meth:`Transport._put_on_wire` like any other unit,
-        carrying the seq range :meth:`_dispatch` claimed.
-        ``replayed`` is the payload of a post-restart replay of an
-        already-processed unit, sent in place of ``entry.payload``: the
-        receiver will suppress downstream emissions when it lands.
+        carrying the seq range :meth:`_admit` claimed.  A copy of a unit
+        the destination already processed is a *redelivery*: its tuples
+        are rebuilt from the retained wire form, and the receiver
+        suppresses downstream emissions when it lands.
         """
         t = self.transport
         faults = t._matching_faults(entry.src_pe, entry.dst_pe)
@@ -369,6 +302,7 @@ class DeliveryPlane:
                     t.dropped_by_fault += entry.count
                 entry.next_arrival = None
                 return
+        redelivery = entry.delivered
         entry.next_arrival = t._put_on_wire(
             faults,
             entry.link,
@@ -376,10 +310,10 @@ class DeliveryPlane:
             entry.dst_pe,
             entry.op_full_name,
             entry.port,
-            entry.payload if replayed is None else replayed,
+            from_wire_form(entry.payload) if redelivery else entry.payload,
             t._incarnations.get(entry.dst_pe.pe_id, 0),
             entry.first_seq,
-            replayed is not None,
+            redelivery,
         )
 
     # -- retry timers -------------------------------------------------------
@@ -616,9 +550,10 @@ class DeliveryPlane:
             entry.retry_event = None
         link = entry.link
         self.pending.pop((link.key, entry.first_seq), None)
-        if self.exactly_once:
+        if self.exactly_once and link.replay.get(entry.first_seq) is not entry:
             # retained history is data: the unit's tuple objects go, the
-            # fields a replay rebuilds them from stay
+            # fields a replay rebuilds them from stay (a replayed unit is
+            # retained already)
             entry.size_bytes = getattr(entry.payload, "size_bytes", 0)
             entry.payload = to_wire_form(entry.payload)
             link.replay[entry.first_seq] = entry
@@ -637,9 +572,11 @@ class DeliveryPlane:
         unit above it is re-sent in seq order: already-processed units
         replay with emissions suppressed (``redelivery``), undelivered
         units retransmit normally — so condemned in-flight tuples reach
-        the new incarnation instead of being counted as lost.  An acked
-        unit's tuples are rebuilt from its wire form for the copy that is
-        sent; the retained entry keeps the wire form.
+        the new incarnation instead of being counted as lost.  A replayed
+        unit is pending again, with a fresh backoff, until the new
+        incarnation acks it: a lossy fault at the restart instant delays
+        the replay, it cannot stall the link.  The retained entry keeps
+        its wire form; each copy sent rebuilds the tuples.
         """
         pe_id = pe.pe_id
         t = self.transport
@@ -654,13 +591,15 @@ class DeliveryPlane:
             # a restart is a fresh connection: do not inherit the dead
             # incarnation's FIFO horizon (stale copies no-op on arrival)
             link.horizon = 0.0
-            units: List[PendingEntry] = [
-                entry for seq, entry in link.replay.items() if seq > base
-            ]
-            units.extend(
-                entry for entry in self.pending.values() if entry.link is link
+            # a unit replayed by an earlier restart and not yet re-acked
+            # is both retained and pending: key by seq so it goes once
+            units = {seq: entry for seq, entry in link.replay.items() if seq > base}
+            units.update(
+                (entry.first_seq, entry)
+                for entry in self.pending.values()
+                if entry.link is link
             )
-            for entry in sorted(units, key=lambda e: e.first_seq):
+            for _seq, entry in sorted(units.items()):
                 if entry.delivered and entry.first_seq + entry.count - 1 <= base:
                     continue  # covered by the restored state; ack will clear
                 if not entry.delivered:
@@ -668,48 +607,22 @@ class DeliveryPlane:
                     continue
                 if entry.retry_event is not None:
                     entry.retry_event.cancel()
-                    entry.retry_event = None
                 t.replayed += entry.count
                 self._observe("replay", entry.count, entry.op_full_name)
-                payload = entry.payload
-                if entry.acked:
-                    payload = from_wire_form(payload)
-                self._transmit(entry, payload)
-
-    def on_epoch_committed(self, pe_id: str, floor: Dict[str, int]) -> None:
-        """Truncate replay buffers to the oldest restorable epoch's floor.
-
-        ``floor`` maps source keys to the watermarks of the *oldest*
-        retained committed epoch — any retained epoch can still be chosen
-        for rehydration (torn-commit fallback), so replay must be able to
-        start from the oldest one, not the newest.
-        """
-        if not self.exactly_once:
-            return
-        self.committing_pes.add(pe_id)
-        for link in self.transport.links_toward(pe_id):
-            wm = floor.get(link.key[0], 0)
-            if wm <= link.truncated_to or not link.replay:
-                continue
-            link.truncated_to = wm
-            buf = link.replay
-            freed = 0
-            for seq in [s for s, e in buf.items() if s + e.count - 1 <= wm]:
-                freed += buf.pop(seq).size_bytes
-            if freed:
-                link.replay_bytes -= freed
-                # truncation lifted the backpressure: let parked units
-                # claim their sequences and hit the wire, in park order
-                self._release_stalled(link)
+                entry.acked = False
+                entry.ack_lost = True  # no ack from this incarnation yet
+                entry.attempts = 0
+                entry.sent_at = self.kernel.now
+                self.pending[(link.key, entry.first_seq)] = entry
+                self._transmit(entry)
+                self._arm_retry(entry)
 
     def condemn(self, links: List[LinkRecord]) -> None:
-        """Condemn every unit on links :meth:`Transport.forget_pe` dropped.
+        """Condemn every unit on links :meth:`Transport._retire` dropped.
 
         Undelivered units count in ``dropped_in_flight`` — unless a drop
         fault already claimed them (first-cause-wins); delivered units
-        were counted on delivery and are simply discarded.  Parked units
-        never reached the wire; they are counted in flight since parking
-        and are condemned like pending ones.
+        were counted on delivery and are simply discarded.
         """
         t = self.transport
         for key in [k for k, e in self.pending.items() if e.link in links]:
@@ -725,11 +638,6 @@ class DeliveryPlane:
                 if not entry.loss_attributed:
                     entry.loss_attributed = True
                     t.dropped_in_flight += entry.count
-        for link in links:
-            for _src, _dst, op_full_name, port, _payload, count in link.stalled:
-                t._dec_in_flight((link.key[1], op_full_name, port), count)
-                t.dropped_in_flight += count
-            link.stalled.clear()
 
     # -- observability ------------------------------------------------------
 

@@ -21,6 +21,10 @@ use cases rely on:
   :class:`~repro.checkpoint.store.RestoreReport` in ``last_restore`` so
   observers can distinguish a restored PE from an empty one (the
   ``rehydrate_skipped`` ORCA event).
+
+Under exactly-once every PE a unit reaches commits epochs, so a restart
+replays at most one retention window: from the restored epoch, or from
+the truncation floor without rehydration.
 """
 
 from __future__ import annotations
@@ -222,14 +226,15 @@ class PERuntime:
         """Commit a full snapshot of every stateful operator as one epoch.
 
         An operator is snapshotted when the compiler declared it stateful
-        (``PESpec.stateful_ops``) or when its state store is in use (a
-        Custom operator may hold state without a STATEFUL class marker).
-        The PE is stopping, so nothing can tear the capture.
+        (``PESpec.stateful_ops``), its state store is in use (a Custom
+        operator may hold state without a STATEFUL class marker) or it
+        returns an ``on_snapshot()`` extra — the periodic checkpoint's
+        rule.  The PE is stopping, so nothing can tear the capture.
         """
         declared = set(self.spec.stateful_ops)
         captured: Dict[str, dict] = {}
         for op_name, operator in self.operators.items():
-            if op_name in declared or operator.state.in_use:
+            if op_name in declared or operator.state.in_use or operator.on_snapshot() is not None:
                 captured[op_name] = operator.snapshot()
         if captured:
             n_keys = sum(

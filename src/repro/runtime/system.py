@@ -81,14 +81,6 @@ class SystemConfig:
     retry_backoff: float = 2.0
     #: reliable modes: ceiling on the backed-off retry interval
     max_retry_interval: float = 2.0
-    #: exactly-once: per-link byte cap on the replay buffer retained
-    #: between epoch commits; a link at the cap parks new units in a
-    #: sender-side stall queue (backpressure) until the next commit
-    #: truncates the buffer; 0 = unbounded (the historical behavior).
-    #: Only links toward PEs that commit epochs (stateful, checkpointed)
-    #: are capped — a never-committing destination could never release
-    #: the stall, so those links keep unbounded retention
-    replay_buffer_max_bytes: int = 0
     pe_restart_delay: float = 1.0
     failure_notification_delay: float = 0.05
     orca_rpc_latency: float = 0.002

@@ -39,6 +39,10 @@ their drop policy and in when a unit's ``link_seq`` range is claimed;
 batching differs only in N.  What a link does to a unit
 (:meth:`Transport._put_on_wire`) and what happens when it arrives
 (:meth:`Transport._deliver`) is written once.
+
+One rule retires a link's record (:meth:`Transport.forget_pe`): it goes
+with its destination, or once its source is gone and the destination's
+committed epoch covers all it carried — the one bound on replay history.
 """
 
 from __future__ import annotations
@@ -295,10 +299,6 @@ class Transport:
         #: reliable modes: acknowledgements lost to a reverse-link fault
         #: (the sender retransmits; the receiver re-acks the duplicate)
         self.acks_dropped = 0
-        #: exactly-once: items parked by replay-buffer backpressure
-        #: (``replay_buffer_max_bytes``) until an epoch commit truncates
-        #: the link's buffer
-        self.replay_stalls = 0
         #: destination PE id -> incarnation number; bumped on every crash
         #: so in-flight items addressed to the dead incarnation are dropped
         self._incarnations: Dict[str, int] = {}
@@ -310,10 +310,11 @@ class Transport:
         self._next_fault_id = 1
         #: the link table: (src pe id or "", dst pe id) -> everything
         #: remembered about that connection, in every delivery mode;
-        #: records enter in :meth:`_open_link`, leave in :meth:`forget_pe`
+        #: records enter in :meth:`_open_link`, leave in :meth:`_retire`
         self.links: Dict[Link, LinkRecord] = {}
         #: the table by destination (dst -> src -> record) and by source
-        #: (src -> dst -> record): a PE's links are a lookup, not a scan
+        #: (src -> dst -> record): a PE's links are a lookup, not a scan;
+        #: a forgotten PE has no entry in ``_from``
         self._toward: Dict[str, Dict[str, LinkRecord]] = {}
         self._from: Dict[str, Dict[str, LinkRecord]] = {}
         #: (operator, port) -> kernel label of deliveries to that input
@@ -328,7 +329,7 @@ class Transport:
         self.obs: Optional["ObsHub"] = None
         #: reliability event callback ``(kind, count, op, attempt, time)``
         #: with kind in {"retransmit", "ack", "duplicate_suppressed",
-        #: "replay", "ack_dropped", "replay_stall"} — the obs hub
+        #: "replay", "ack_dropped"} — the obs hub
         #: registers here (lazily created series keep best-effort
         #: expositions byte-identical)
         self.reliability_observer: Optional[
@@ -917,26 +918,36 @@ class Transport:
         Exactly-once mode persists each link's delivered watermark into
         every checkpoint epoch — at capture time they cover exactly the
         units whose effects are in the captured operator snapshots — so
-        crash recovery replays precisely what the restored state lacks.
+        crash recovery replays precisely what the restored state lacks
+        (None also for a PE nothing has reached yet).
         """
-        if self.delivery != "exactly_once":
+        links = self.links_toward(pe_id)
+        if self.delivery != "exactly_once" or not links:
             return None
-        watermarks = {
-            link.key[0]: link.delivered_wm for link in self.links_toward(pe_id)
-        }
-        return {"watermarks": watermarks}
+        return {"watermarks": {link.key[0]: link.delivered_wm for link in links}}
 
     def on_epoch_committed(self, pe_id: str, floor: Dict[str, int]) -> None:
-        """A checkpoint epoch committed: truncate replay buffers.
+        """An exactly-once epoch committed: truncate the replay buffers
+        toward the PE, then apply the retention rule (:meth:`forget_pe`).
 
         Args:
             pe_id: The checkpointed PE.
             floor: Per-source-key watermarks of the *oldest* retained
                 committed epoch (see
-                :meth:`~repro.checkpoint.store.CheckpointStore.committed_watermark_floor`).
+                :meth:`~repro.checkpoint.store.CheckpointStore.committed_watermark_floor`):
+                any retained epoch can still be chosen for rehydration
+                (the torn-commit fallback), so replay must be able to
+                start from the oldest one.
         """
-        if self.reliability is not None:
-            self.reliability.on_epoch_committed(pe_id, floor)
+        if self.reliability is None or not self.reliability.exactly_once:
+            return
+        for link in self.links_toward(pe_id):
+            wm = floor.get(link.key[0], 0)
+            if wm > link.truncated_to and link.replay:
+                link.truncated_to = wm
+                for seq in [s for s, e in link.replay.items() if s + e.count - 1 <= wm]:
+                    link.replay_bytes -= link.replay.pop(seq).size_bytes
+        self._retire([link for link in self.links_toward(pe_id) if self._spent(link)])
 
     def on_pe_restarted(
         self, pe: "PERuntime", restored: Optional[Dict[str, int]] = None
@@ -968,30 +979,36 @@ class Transport:
     def forget_pe(self, pe_id: str) -> None:
         """Forget a PE removed for good (scale-in, job cancellation).
 
-        The one way out of the link table, and the one retention rule:
-        every link with the PE at either end goes — PE ids are allocated
-        fresh, so it can never carry a new unit — except, under
-        ``exactly_once``, a link *from* the PE toward a destination that
-        never committed an epoch.  That link's replay buffer is the
-        replay-from-zero history that rebuilds the destination's sequence
-        cursor on a restart; it goes when the destination does.  Open
-        batches at either end are committed first, so their tuples are
-        units like any other, and the reliable plane condemns the units
-        of every dropped link.
+        One retention rule for every link: it goes with its destination
+        (PE ids are fresh), or once its source is gone and it is
+        :meth:`_spent` — its replay is what a restart of the destination
+        replays.  Open batches at either end are committed first.
         """
         for flow in [flow for flow in self._open_batches if pe_id in flow[:2]]:
             self._flush_flow(flow)
-        plane = self.reliability
-        dropped = list(self._toward.pop(pe_id, {}).values())
-        for link in dropped:
-            self._from.get(link.key[0], {}).pop(pe_id, None)
-        for dst, link in self._from.pop(pe_id, {}).items():
-            if plane is None or not plane.exactly_once or dst in plane.committing_pes:
-                self._toward.get(dst, {}).pop(pe_id, None)
-                dropped.append(link)
-        for link in dropped:
-            self.links.pop(link.key, None)
-        if plane is not None:
-            plane.condemn(dropped)
-            plane.committing_pes.discard(pe_id)
+        toward = list(self._toward.pop(pe_id, {}).values())
+        sent = list(self._from.pop(pe_id, {}).values())
+        self._retire(toward + [link for link in sent if self._spent(link)])
         self._incarnations.pop(pe_id, None)
+
+    def _spent(self, link: LinkRecord) -> bool:
+        """Its source is gone and, under exactly-once, every seq it
+        claimed is at or below its destination's committed floor."""
+        src, _dst = link.key
+        exactly_once = self.reliability is not None and self.reliability.exactly_once
+        return src not in self._from and (
+            not exactly_once or link.truncated_to >= link.send_seq
+        )
+
+    def _retire(self, links: List[LinkRecord]) -> None:
+        """The one way out of the link table; the reliable plane condemns
+        the units of every retired link."""
+        if not links:
+            return
+        for link in links:
+            src, dst = link.key
+            del self.links[link.key]
+            self._toward.get(dst, {}).pop(src, None)
+            self._from.get(src, {}).pop(dst, None)
+        if self.reliability is not None:
+            self.reliability.condemn(links)

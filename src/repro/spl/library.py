@@ -616,9 +616,9 @@ class Sink(Operator):
     ``nFinalPunctsProcessed`` metric on sinks is what Sec. 5.3 uses to
     detect that a C3 application has consumed its whole input.
 
-    Under exactly-once, a restarted sink is replayed what its dead
-    incarnation already consumed: the replay rebuilds ``seen`` (state)
-    but does not call the ``consumer`` again (an effect).
+    The record is state and rides every checkpoint epoch; an exactly-once
+    replay of what came after the epoch rebuilds ``seen`` but does not
+    call the ``consumer`` again (an effect).
     """
 
     N_OUTPUTS = 0
@@ -645,6 +645,25 @@ class Sink(Operator):
         if consumer is not None and not self.ctx.replaying:
             for tup in tuples:
                 consumer(tup)
+
+    def on_snapshot(self) -> Any:
+        return _Record(self.seen) if self.record else None
+
+    def on_restore(self, extra: Any) -> None:
+        self.seen = extra.tuples[: extra.n]
+
+
+class _Record:
+    """An epoch's view of a growing sink record, its first ``n`` tuples:
+    it never changes, so it is its own deep copy and an epoch costs O(1)."""
+
+    __slots__ = ("tuples", "n")
+
+    def __init__(self, tuples: List[StreamTuple]) -> None:
+        self.tuples, self.n = tuples, len(tuples)
+
+    def __deepcopy__(self, memo: dict) -> "_Record":
+        return self
 
 
 class Export(Operator):
@@ -868,15 +887,16 @@ def stable_channel_of(value: Any, width: int) -> int:
 
 
 class _Lane(list):
-    """A masked channel's parked tuples, in arrival order, and ``since``:
-    the splitter's stream position (``arrived``) when the mask took effect
-    (None: set while the splitter was down, which parked nothing for it)."""
+    """A masked channel's parked tuples in arrival order, its ``mask``
+    token, and ``since``: the stream position (``arrived``) it parks from
+    (None: masked while the splitter was down, until its replay is done)."""
 
-    __slots__ = ("since",)
+    __slots__ = ("since", "mask")
 
-    def __init__(self, since: Optional[int]) -> None:
+    def __init__(self, since: Optional[int], mask: Optional[int] = None) -> None:
         super().__init__()
         self.since = since
+        self.mask = mask
 
 
 class ParallelSplitter(Operator):
@@ -907,13 +927,15 @@ class ParallelSplitter(Operator):
     tuple as it leaves, after the restarted channel restored its epoch and
     replayed its link history, so the merger never waits on an outage and
     each key's tuples reach one channel in order.  ``resume`` re-forwards
-    the lanes ahead of the barrier buffer through the new routing.  The
-    mask held here is a copy: the rerouter's set is the authority and is
-    sent again, with each lane's ``since`` position, when this operator's
-    PE restarts.  The fresh instance's exactly-once replay then refills
-    the lanes; a channel that rejoins before the replay is through is
-    released at the first arrival that is not a replay, once ``_pseq`` has
-    caught up with the dead incarnation's.
+    the lanes ahead of the barrier buffer through the new routing.
+
+    The cursor (``_seq``, ``_rr``, ``arrived``, ``epoch``) and the lanes
+    ride every epoch.  The rerouter's mask set is the authority, sent
+    again (``remask``) when this PE restarts; the replay of what arrived
+    after the epoch re-parks from each lane's ``since``, and a channel
+    that rejoins before it is through is released at the first arrival
+    that is not a replay.  Without rehydration ``_pseq`` restarts low and
+    the merger passes what follows through as stragglers.
     """
 
     N_INPUTS = 1
@@ -993,13 +1015,17 @@ class ParallelSplitter(Operator):
 
     def _arrive(self, count: int) -> None:
         """Count ``count`` arrivals; the first that is not a replay ends a
-        restarted instance's catch-up and releases the rejoined lanes."""
-        self.arrived += count
+        restarted instance's catch-up: lanes without a ``since`` park from
+        here on, and the rejoined lanes are released."""
         if self._catching_up and not self.ctx.replaying:
             self._catching_up = False
+            for lane in self._masked.values():
+                if lane.since is None:
+                    lane.since = self.arrived
             rejoined, self._rejoined = self._rejoined, []
             for channel in rejoined:
                 self._unmask(channel)
+        self.arrived += count
 
     def on_tuple(self, tup: StreamTuple, port: int) -> None:
         self._arrive(1)
@@ -1152,14 +1178,41 @@ class ParallelSplitter(Operator):
             self._route_run(lane)
             self._release_final()
 
+    def on_snapshot(self) -> Any:
+        return dict(seq=self._seq, rr=self._rr, arrived=self.arrived, epoch=self.epoch,
+                    final=self._final_pending, lanes=self._masked)
+
+    def on_restore(self, extra: Any) -> None:
+        self._seq, self._rr, self.arrived = extra["seq"], extra["rr"] % self.width, extra["arrived"]
+        self.epoch, self._final_pending, self._masked = extra["epoch"], extra["final"], extra["lanes"]
+        self.epoch_gauge.set(self.epoch)
+
+    def _remask(self, masked: Mapping[int, Tuple[Optional[int], int]]) -> None:
+        """Install the rerouter's ``{channel: (since, mask token)}`` on a
+        restarted instance.  A restored lane of another mask was released
+        after the epoch: its tuples are downstream, ``_seq`` moves past
+        their stamps.  Input whose FINAL is in the epoch replays nothing."""
+        restored, self._masked = self._masked, {}
+        for channel, (since, mask) in sorted(masked.items()):
+            lane = restored.get(channel)
+            if lane is not None and lane.mask == mask:
+                del restored[channel]
+            else:
+                lane = _Lane(since, mask)
+            self._masked[channel] = lane
+        self._seq += sum(map(len, restored.values()))
+        self._catching_up = bool(self._masked) and not self._finalized
+        self.masked_gauge.set(len(self._masked))
+        self._release_final()
+
     def on_control(self, command: str, payload: Mapping[str, Any]) -> None:
         if command == "maskChannel":
             channel = int(payload["channel"])
             if 0 <= channel < self.width and channel not in self._masked:
-                self._masked[channel] = _Lane(payload.get("since", self.arrived))
-                # a position comes only with the set sent again to a restart
-                self._catching_up |= "since" in payload
+                self._masked[channel] = _Lane(self.arrived, payload.get("mask"))
                 self.masked_gauge.set(len(self._masked))
+        elif command == "remask":
+            self._remask(payload["masked"])
         elif command == "unmaskChannel":
             channel = int(payload["channel"])
             if self._catching_up and channel in self._masked:
@@ -1214,6 +1267,8 @@ class OrderedMerger(Operator):
     channels are never flushed past, so they cannot later surface out of
     order.  A straggler arriving after its seq was skipped is still emitted
     immediately rather than dropped.
+    ``_next`` and the buffer ride every checkpoint epoch; a restart
+    without rehydration starts at ``_next = 0`` and waits out one grace.
     """
 
     N_OUTPUTS = 1
@@ -1367,6 +1422,14 @@ class OrderedMerger(Operator):
 
     def pending_items(self) -> int:
         return len(self._pending)
+
+    def on_snapshot(self) -> Any:
+        return {"next": self._next, "pending": self._pending} if self.ordered else None
+
+    def on_restore(self, extra: Any) -> None:
+        self._next, self._pending = extra["next"], extra["pending"]
+        self.reorder_gauge.set(len(self._pending))
+        self._arm_guard()
 
     def set_width(self, width: int) -> None:
         width = int(width)

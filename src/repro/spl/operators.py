@@ -390,18 +390,19 @@ class Operator:
 
     # -- state snapshot / restore (framework entry points) ------------------------
 
-    def snapshot(self) -> Dict[str, Any]:
+    def snapshot(self, store: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """Capture this instance's state as a plain, detached payload.
 
         Only meaningful when the operator is quiesced or drained (the
-        callers — PE graceful stop, the elastic migration phase — ensure
-        that); a crash never produces a snapshot (Sec. 5.2 semantics).
-        The ``extra`` returned by :meth:`on_snapshot` is deep-copied so
-        the payload never aliases live operator internals.
+        callers — PE graceful stop, the checkpoint service with its
+        incremental ``store`` — ensure that); a crash never produces one.
+        ``extra`` (:meth:`on_snapshot`) is deep-copied, never aliased; the
+        ports FINAL closed ride along, as a FINAL is not replayed.
         """
         return {
-            "store": self.state.snapshot(),
+            "store": self.state.snapshot() if store is None else store,
             "extra": copy.deepcopy(self.on_snapshot()),
+            "final": sorted(self._final_ports),
         }
 
     def restore(self, payload: Mapping[str, Any]) -> None:
@@ -412,6 +413,8 @@ class Operator:
         as a live buffer must not mutate the committed snapshot in place.
         """
         self.state.restore(payload.get("store", {}))
+        self._final_ports = set(payload.get("final", ()))
+        self._finalized = len(self._final_ports) >= self.n_inputs > 0
         self.on_restore(copy.deepcopy(payload.get("extra")))
 
     # -- framework entry points (called by the PE) --------------------------------

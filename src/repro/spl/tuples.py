@@ -117,6 +117,10 @@ class StreamTuple:
         )
         return self._derive(kept, self.size_bytes - dropped)
 
+    def __deepcopy__(self, memo: dict) -> "StreamTuple":
+        """A tuple is a value (every change is a derived copy): itself."""
+        return self
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StreamTuple):
             return NotImplemented

@@ -241,7 +241,10 @@ class TestRescaleCyclesLeakNothing:
     drop the links of a PE removed for good or it grows by the region's
     width each cycle — and so must everything else the control plane
     keeps per PE (``SAM._discard_pes``): SRM's samples, the checkpoint
-    store's chains, the checkpoint service's materialized bases.
+    store's chains, the checkpoint service's materialized bases.  Under
+    exactly-once the links a removed channel left toward the merger
+    retire at the merger's next covering commit, and the bytes every link
+    retains for replay stay flat: the epoch bounds them.
     """
 
     CYCLES = 20
@@ -252,21 +255,11 @@ class TestRescaleCyclesLeakNothing:
         transport = system.transport
         plane = transport.reliability
         live = {pe.pe_id for pe in job.pes}
-        # Toward a removed PE nothing may remain.  Links *from* one
-        # toward a live, never-committing destination (the merger) are
-        # retained under exactly-once by design — they are the
-        # replay-from-zero history that rebuilds its sequence cursor on a
-        # restart — so only links with both ends alive are compared.
-        assert all(
-            dst in live and (src in live or plane is not None)
-            for src, dst in transport.links
-        )
+        assert all(dst in live for _src, dst in transport.links)
         sizes = {
-            "links": sum(1 for src, _dst in transport.links if src in live),
-            "replaying": sum(
-                1 for (src, _dst), link in transport.links.items()
-                if src in live and link.replay
-            ),
+            "links": len(transport.links),
+            "replaying": sum(1 for link in transport.links.values() if link.replay),
+            "replay_bytes": sum(link.replay_bytes for link in transport.links.values()),
             "held": sum(len(units) for units in transport._held.values()),
             "srm_samples": len(system.srm._metrics),
             "chains": sorted(system.checkpoint_store._chains),
@@ -693,6 +686,105 @@ class TestCrashedChannelRerouting:
         sink = job.operator_instance("sink")
         assert sorted(t["seq"] for t in sink.seen) == list(range(400))
         assert_contiguous_counts(sink)
+
+    @pytest.mark.parametrize(
+        "gap",
+        [
+            1.0,
+            pytest.param(
+                0.05,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the second crash comes before the restarted splitter's "
+                    "first commit: the tuples it parked after its replay are in no "
+                    "epoch, and the next incarnation's replay cannot tell them from "
+                    "the ones the first splitter forwarded",
+                ),
+            ),
+        ],
+    )
+    def test_channel_masked_while_splitter_down_survives_a_second_splitter_crash(
+        self, gap
+    ):
+        """Item 1's first known limit: a channel dies while its splitter
+        is down, the restarted splitter parks its keys, and crashes again
+        ``gap`` seconds after its restart.  The lane rides the splitter's
+        epoch, so the third incarnation restores it and its replay parks
+        from where the second began — exactly once, counts contiguous."""
+        system = SystemS(
+            hosts=12, config=SystemConfig(delivery="exactly_once", checkpoint_interval=0.5)
+        )
+        job = system.submit_job(build_keyed_app(width=3, limit=400, period=0.02))
+        system.run_for(2.0)
+        splitter_pe = job.pe_of_operator("region__split")
+        channel_pe = job.pe_of_operator("work__c1")
+        splitter_pe.crash("test")
+        system.run_for(0.2)
+        channel_pe.crash("test")
+        system.run_for(0.2)
+        system.sam.restart_pe(job.job_id, splitter_pe.pe_id, rehydrate=True)
+        system.run_for(system.config.pe_restart_delay + gap)
+        assert job.operator_instance("region__split").pending_tuples() > 0
+        splitter_pe.crash("again")
+        system.run_for(0.2)
+        system.sam.restart_pe(job.job_id, splitter_pe.pe_id, rehydrate=True)
+        system.run_for(1.5)
+        system.sam.restart_pe(job.job_id, channel_pe.pe_id, rehydrate=True)
+        system.run_for(12.0)
+        sink = job.operator_instance("sink")
+        assert sorted(t["seq"] for t in sink.seen) == list(range(400))
+        assert_contiguous_counts(sink)
+
+    @pytest.mark.parametrize(
+        "gap",
+        [
+            1.0,
+            pytest.param(
+                0.1,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the splitter crashes before its first commit after the "
+                    "rescale: its epoch holds the lanes from before the resume "
+                    "re-forwarded them, and the replay re-walks the old width",
+                ),
+            ),
+        ],
+    )
+    def test_mask_across_a_rescale_survives_a_splitter_crash(self, gap):
+        """Item 1's second known limit: a channel is masked, the region
+        rescales around it (the rescale skips its state), and the splitter
+        crashes ``gap`` seconds after the resume.  Its epoch holds the
+        post-rescale lanes, so the restart parks exactly what the dead
+        splitter had parked: every tuple reaches the sink exactly once."""
+        system = SystemS(
+            hosts=12,
+            config=SystemConfig(
+                delivery="exactly_once", checkpoint_interval=0.5,
+                failure_notification_delay=0.001,
+            ),
+        )
+        job = system.submit_job(build_keyed_app(width=3, limit=500, period=0.02))
+        # crash between two ticks: masked before anything is sent its way,
+        # so the drain does not wait for the channel to come back
+        system.run_for(2.005)
+        channel_pe = job.pe_of_operator("work__c1")
+        channel_pe.crash("test")
+        system.run_for(0.3)
+        operation = system.elastic.set_channel_width(job, "region", 4)
+        system.run_for(0.1)
+        assert operation.state is RescaleState.COMPLETED
+        assert operation.migration.skipped_channels == [1]
+        assert job.operator_instance("region__split").masked_channels == {1}
+        system.run_for(gap - 0.1)
+        splitter_pe = job.pe_of_operator("region__split")
+        splitter_pe.crash("test")
+        system.run_for(0.2)
+        system.sam.restart_pe(job.job_id, splitter_pe.pe_id, rehydrate=True)
+        system.run_for(1.5)
+        system.sam.restart_pe(job.job_id, channel_pe.pe_id, rehydrate=True)
+        system.run_for(15.0)
+        seqs = [t["seq"] for t in job.operator_instance("sink").seen]
+        assert sorted(seqs) == list(range(500))
 
     def test_unmask_releases_parked_in_order(self):
         """The restarted channel gets its parked tuples behind its own

@@ -623,12 +623,12 @@ class TestOneLinkTable:
     _calls = staticmethod(calls)
 
     def test_the_table_is_the_only_link_keyed_container(self):
-        from repro.runtime.delivery import DeliveryPlane
+        from repro.runtime.delivery import DeliveryPlane, LinkRecord
 
         system = SystemS(
             hosts=4,
             seed=42,
-            config=SystemConfig(delivery="exactly_once", replay_buffer_max_bytes=64),
+            config=SystemConfig(delivery="exactly_once", checkpoint_interval=0.25),
         )
         job = system.submit_job(make_linear_app(period=0.01, per_tick=4))
         system.run_for(1.0)
@@ -645,11 +645,18 @@ class TestOneLinkTable:
             (transport, ("_fifo_horizon", "_link_send_seq")),
             (
                 transport.reliability,
-                ("delivered_wm", "reorder", "replay_buffer", "truncated_to", "stalled"),
+                (
+                    "delivered_wm", "reorder", "replay_buffer", "truncated_to",
+                    "stalled", "committing_pes", "replay_buffer_max_bytes",
+                ),
             ),
         ):
             for name in gone:
                 assert not hasattr(owner, name), name
+        # the epoch is the one bound on replay history: no byte cap, no
+        # stall queue on the record
+        assert "stalled" not in LinkRecord.__slots__
+        assert not hasattr(transport, "replay_stalls")
         # kept readable for the frozen benchmark, derived from the table
         assert isinstance(vars(DeliveryPlane)["replay_bytes"], property)
         assert transport.reliability.replay_bytes == {
@@ -695,7 +702,7 @@ class TestOneLinkTable:
                 for target in node.targets
             )
 
-        assert self._where(removes) == ["Transport.forget_pe"]
+        assert self._where(removes) == ["Transport._retire"]
         assert self._where(stores) == ["Transport._open_link"]
         assert self._where(self._calls("LinkRecord")) == ["Transport._open_link"]
         assert sorted(self._where(self._calls("_open_link"))) == [

@@ -1,14 +1,20 @@
 """Tests for tuple schemas and stream data items."""
 
+import ast
+import copy
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import repro
 
 from repro.errors import SchemaError
 from repro.spl.library import OrderedMerger, ParallelSplitter
 from repro.spl.schema import ANY_SCHEMA, Attribute, TupleSchema
 from repro.spl.tuples import FinalMarker, Punctuation, StreamTuple, WindowMarker
 
-from tests.conftest import make_operator_harness
+from tests.conftest import make_operator_harness, where
 
 
 class TestSchema:
@@ -124,6 +130,51 @@ class TestStreamTuple:
 
     def test_repr_contains_values(self):
         assert "a=1" in repr(StreamTuple({"a": 1}))
+
+
+class TestTupleIsAValue:
+    """A snapshot of parked, reordered or recorded tuples copies the list
+    that holds them, not the tuples: ``copy.deepcopy`` of a tuple is the
+    tuple.  That is sound only while nothing changes a tuple after it is
+    made — the invariant the exactly-once wire form (which shares values
+    dicts between a retained unit and the tuples sent) relies on too."""
+
+    def test_deepcopy_of_a_tuple_is_the_tuple(self):
+        tup = StreamTuple({"a": [1, 2]})
+        lane = [tup, tup.with_values(b=1)]
+        copied = copy.deepcopy({"lane": lane})["lane"]
+        assert copied is not lane and all(x is y for x, y in zip(copied, lane))
+
+    def test_nothing_in_src_mutates_a_tuples_values(self):
+        """No assignment into, deletion from, or mutating call on any
+        ``.values`` mapping in ``src/``; ``.values`` itself is bound only
+        where a tuple is made (``repro.spl.tuples``)."""
+        mutators = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__"}
+
+        def on_values(node):
+            return isinstance(node, ast.Attribute) and node.attr == "values"
+
+        def mutates(node):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = getattr(node, "targets", None) or [node.target]
+                return any(isinstance(t, ast.Subscript) and on_values(t.value) for t in targets)
+            return (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in mutators
+                and on_values(node.func.value)
+            )
+
+        def binds(node):
+            return isinstance(node, ast.Assign) and any(on_values(t) for t in node.targets)
+
+        src = pathlib.Path(repro.__file__).parent
+        assert where(src, mutates) == []
+        assert sorted(where(src, binds)) == [
+            "tuples.py:StreamTuple.__init__",
+            "tuples.py:StreamTuple._derive",
+            "tuples.py:_assemble",
+        ]
 
 
 #: attribute values of every kind the size estimate distinguishes,

@@ -1,12 +1,17 @@
 """Tests for the reliable delivery plane: ack/retry/backoff timers,
 exactly-once duplicate-suppression watermarks, retransmit-under-batching
 FIFO, drain-barrier quiescence of pending retries, epoch-aligned replay
-into restarted PEs, and first-cause-wins loss attribution."""
+into restarted PEs (retried under loss like any unit), the one retention
+rule, replay history bounded by the epoch alone, and first-cause-wins
+loss attribution."""
 
 import pytest
 
 from repro import SystemConfig, SystemS
 from repro.elastic import RescaleState
+from repro.spl.application import Application
+from repro.spl.library import CallbackSource, KeyedCounter, Sink
+from repro.spl.parallel import parallel
 
 from tests.test_elastic import build_region_app
 from tests.test_transport_batching import job_sink, tup, wire_fixture
@@ -20,7 +25,6 @@ def reliable_system(
     retry_backoff=2.0,
     max_retry_interval=2.0,
     hosts=4,
-    replay_buffer_max_bytes=0,
 ):
     return SystemS(
         hosts=hosts,
@@ -32,7 +36,6 @@ def reliable_system(
             ack_timeout=ack_timeout,
             retry_backoff=retry_backoff,
             max_retry_interval=max_retry_interval,
-            replay_buffer_max_bytes=replay_buffer_max_bytes,
         ),
     )
 
@@ -310,6 +313,28 @@ class TestExactlyOnceRestart:
         # replayed units rebuild the fresh instance's state
         assert [t["iter"] for t in job_sink(system)] == [2, 3]
 
+    def test_replay_copies_retry_through_a_lossy_fault_at_the_restart(self):
+        """Every link toward the restarted sink loses every copy at the
+        restart instant: the replay copies are pending like any unit and
+        retry until the new incarnation acks them, so each unit arrives
+        exactly once, in order, once the fault is gone."""
+        system = reliable_system("exactly_once")
+        transport, src_pe, sink_pe, sink = wire_fixture(system)
+        for i in range(4):
+            transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
+        system.run_for(0.5)
+        sink_pe.crash("test")
+        fault = transport.install_link_fault(drop_probability=1.0, dst_pe=sink_pe.pe_id)
+        sink_pe.restart()
+        transport.send(sink_pe, "sink", 0, tup(4), src_pe=src_pe)
+        system.run_for(0.3)
+        assert job_sink(system) == []  # nothing got through the fault
+        transport.clear_link_fault(fault)
+        system.run_for(5.0)
+        assert [t["iter"] for t in job_sink(system)] == [0, 1, 2, 3, 4]
+        assert transport.replayed == 4
+        assert transport.reliability.pending == {}
+
 
 class TestFirstCauseWins:
     def test_fault_drop_then_condemnation_counts_once(self):
@@ -344,18 +369,17 @@ class TestFirstCauseWins:
 
 
 class TestForgetPeRetentionRule:
-    """``Transport.forget_pe``: every link with the PE at either end goes,
-    except — exactly-once — one *from* it toward a never-committing PE."""
+    """One rule for every link: it goes when its destination goes, or when
+    its source is gone and nothing it carried is above the destination's
+    committed floor — checked at ``forget_pe`` and again at every commit."""
 
     @staticmethod
-    def _forget_sender_with_a_unit_on_the_wire(delivery, sink_commits=False):
+    def _forget_sender_with_a_unit_on_the_wire(delivery):
         system = reliable_system(delivery)
         transport, src_pe, sink_pe, sink = wire_fixture(system)
         for i in range(2):
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(0.5)
-        if sink_commits:
-            transport.on_epoch_committed(sink_pe.pe_id, {})
         transport.send(sink_pe, "sink", 0, tup(2), src_pe=src_pe)
         src_pe.stop(capture_state=False)
         transport.forget_pe(src_pe.pe_id)
@@ -367,15 +391,9 @@ class TestForgetPeRetentionRule:
         transport, key, seen = self._forget_sender_with_a_unit_on_the_wire("best_effort")
         assert transport.links == {} and seen == [0, 1, 2]
 
-    @pytest.mark.parametrize(
-        "delivery, sink_commits",
-        [("at_least_once", False), ("exactly_once", True)],
-    )
-    def test_a_dropped_link_takes_its_unacknowledged_units_along(
-        self, delivery, sink_commits
-    ):
+    def test_a_dropped_link_takes_its_unacknowledged_units_along(self):
         transport, key, seen = self._forget_sender_with_a_unit_on_the_wire(
-            delivery, sink_commits
+            "at_least_once"
         )
         assert transport.links == {}
         assert transport.reliability.pending == {}
@@ -383,14 +401,26 @@ class TestForgetPeRetentionRule:
         assert seen == [0, 1]  # the late copy finds no record and is ignored
         assert transport.retransmissions == 0
 
-    def test_exactly_once_keeps_the_replay_history_of_a_never_committing_sink(self):
+    def test_exactly_once_keeps_a_forgotten_senders_link_until_an_epoch_covers_it(self):
         transport, key, seen = self._forget_sender_with_a_unit_on_the_wire(
             "exactly_once"
         )
-        assert list(transport.links) == [key]
+        # the unit on the wire lands: the link outlives its source
+        assert list(transport.links) == [key] and seen == [0, 1, 2]
+        assert transport.dropped_in_flight == 0
+        link = transport.links[key]
+        # a commit below what the link carried truncates and keeps it ...
+        transport.on_epoch_committed(key[1], {key[0]: 2})
+        assert sorted(link.replay) == [3] and list(transport.links) == [key]
+        # ... a commit covering all of it retires it
+        transport.on_epoch_committed(key[1], {key[0]: 3})
+        assert transport.links == {} and transport.reliability.pending == {}
+
+    def test_exactly_once_drops_a_link_with_its_destination(self):
+        transport, key, seen = self._forget_sender_with_a_unit_on_the_wire(
+            "exactly_once"
+        )
         assert sorted(transport.links[key].replay) == [1, 2, 3]
-        assert transport.dropped_in_flight == 0 and seen == [0, 1, 2]
-        # ... and it goes when the destination does
         transport.forget_pe(key[1])
         assert transport.links == {} and transport._toward == {} == transport._from
 
@@ -471,133 +501,89 @@ class TestLossyAcks:
         assert transport.acks == 5
 
 
-class TestReplayBufferCap:
-    """``replay_buffer_max_bytes`` bounds the exactly-once replay buffer
-    with sender-side backpressure (delivery.py bugfix)."""
+class TestTheEpochBoundsReplay:
+    """Every PE on an exactly-once path commits an epoch — the region's
+    splitter and merger their cursors, a stateless sink its watermarks
+    only — so the epoch, and nothing else, bounds replay history."""
 
-    def test_cap_stalls_sender_and_commit_releases_in_order(self):
-        system = reliable_system("exactly_once", replay_buffer_max_bytes=1)
-        transport, src_pe, sink_pe, sink = wire_fixture(system)
-        # the cap only stalls links toward destinations that commit
-        # epochs; mark the sink as one (an empty floor truncates nothing)
-        transport.on_epoch_committed(sink_pe.pe_id, {})
-        # two units deliver, ack, and land in the replay buffer: the
-        # 1-byte cap is now exceeded
-        for i in range(2):
-            transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
-        system.run_for(0.5)
-        link = transport.links[src_pe.pe_id, sink_pe.pe_id]
-        assert link.replay_bytes >= 1
-        assert transport.reliability.replay_bytes == {link.key: link.replay_bytes}
-        # the next three sends park before seq allocation
-        for i in range(2, 5):
-            transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
-        system.run_for(0.5)
-        assert transport.replay_stalls == 3
-        assert len(link.stalled) == 3
-        assert [t["iter"] for t in sink.seen] == [0, 1]
-        # the backlog stays visible to drain barriers / the health plane
-        assert transport.queue_size(sink_pe.pe_id, "sink", 0) == 3
-        # an epoch commit truncates the buffer and releases the queue
-        transport.on_epoch_committed(sink_pe.pe_id, {src_pe.pe_id: 2})
-        assert link.stalled == []
-        system.run_for(1.0)
-        # zero loss, strict FIFO across the stall boundary
-        assert [t["iter"] for t in sink.seen] == [0, 1, 2, 3, 4]
-        assert transport.dropped_in_flight == 0
-        assert transport.queue_size(sink_pe.pe_id, "sink", 0) == 0
+    INTERVAL = 0.5
 
-    def test_unbounded_default_never_stalls(self):
-        system = reliable_system("exactly_once")
-        transport, src_pe, sink_pe, sink = wire_fixture(system)
-        for i in range(50):
-            transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
-        system.run_for(1.0)
-        assert transport.replay_stalls == 0
-        assert not any(link.stalled for link in transport.links.values())
-        assert len(sink.seen) == 50
-
-    def test_never_committing_destination_is_never_stalled(self):
-        """A destination that never commits an epoch could never release
-        the stall, so its links keep the historical unbounded retention
-        instead of deadlocking."""
-        system = reliable_system("exactly_once", replay_buffer_max_bytes=1)
-        transport, src_pe, sink_pe, sink = wire_fixture(system)
-        for i in range(20):
-            transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
-        system.run_for(1.0)
-        assert transport.replay_stalls == 0
-        assert not any(link.stalled for link in transport.links.values())
-        assert len(sink.seen) == 20
-
-    def test_forget_pe_condemns_stalled_units(self):
-        system = reliable_system("exactly_once", replay_buffer_max_bytes=1)
-        transport, src_pe, sink_pe, sink = wire_fixture(system)
-        transport.on_epoch_committed(sink_pe.pe_id, {})
-        for i in range(2):
-            transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
-        system.run_for(0.5)
-        transport.send(sink_pe, "sink", 0, tup(2), src_pe=src_pe)
-        assert transport.replay_stalls == 1
-        transport.forget_pe(sink_pe.pe_id)
-        assert transport.dropped_in_flight == 1
-        assert transport.links == {}
-        assert transport.queue_size(sink_pe.pe_id, "sink", 0) == 0
-
-    def test_commit_starved_pipeline_stalls_without_loss(self):
-        """Acceptance gate: a live pipeline whose epoch commits are rare
-        (commit-starved) hits the cap toward its stateful region, applies
-        backpressure, and still loses nothing once commits catch up."""
-        from repro.spl.application import Application
-        from repro.spl.library import CallbackSource, KeyedCounter, Sink
-        from repro.spl.parallel import parallel
-
-        limit = 200
-
+    def _region(self, limit=None, consumer=None):
         def feed(now, count):
-            if count >= limit:
+            if limit is not None and count >= limit:
                 return []
-            return [
-                {"key": f"k{(count + i) % 4}", "seq": count + i}
-                for i in range(min(5, limit - count))
-            ]
+            return [{"key": f"k{(count + i) % 16}", "seq": count + i} for i in range(5)]
 
-        app = Application("Starved")
+        app = Application("Bounded")
         g = app.graph
         src = g.add_operator(
-            "src",
-            CallbackSource,
-            params={"generator": feed, "period": 0.05},
+            "src", CallbackSource, params={"generator": feed, "period": 0.05},
             partition="feed",
         )
         work = g.add_operator(
-            "work",
-            KeyedCounter,
-            params={"key": "key"},
+            "work", KeyedCounter, params={"key": "key"},
             parallel=parallel(width=2, name="region", partition_by="key"),
         )
-        snk = g.add_operator("sink", Sink, partition="out")
+        snk = g.add_operator(
+            "sink", Sink, params={"record": False, "consumer": consumer},
+            partition="out",
+        )
         g.connect(src.oport(0), work.iport(0))
         g.connect(work.oport(0), snk.iport(0))
-
         system = SystemS(
             hosts=6,
             seed=42,
             config=SystemConfig(
-                delivery="exactly_once",
-                # starved: one commit per 2 sim-seconds against a cap
-                # that a fraction of a second of traffic exceeds
-                checkpoint_interval=2.0,
-                replay_buffer_max_bytes=500,
+                delivery="exactly_once", checkpoint_interval=self.INTERVAL
             ),
         )
-        job = system.submit_job(app)
-        # run past several commit cycles so parked units drain at each
-        # truncation; the feed itself finishes in ~2 sim-seconds
+        return system, system.submit_job(app)
+
+    def test_every_pe_a_unit_reaches_commits(self):
+        system, job = self._region()
+        system.run_for(3.0)
+        store = system.checkpoint_store
+        payloads = {
+            pe.spec.operators[0]: store.latest_committed(job.job_id, pe.pe_id)
+            for pe in job.pes
+        }
+        assert payloads["src"] is None  # nothing reaches it: nothing to carry
+        split = payloads["region__split"].payloads["region__split"]["extra"]
+        assert split["seq"] > 0 and split["arrived"] == split["seq"]
+        merge = payloads["region__merge"].payloads["region__merge"]["extra"]
+        assert merge["next"] > 0
+        # a sink that keeps no record commits its watermarks and nothing else
+        assert set(payloads["sink"].payloads) == {"__transport__"}
+        for name, entry in payloads.items():
+            if name != "src":
+                assert entry.payloads["__transport__"]["watermarks"], name
+
+    def test_replay_history_stays_within_one_retention_window(self):
+        """The successor of the byte cap: no sender waits, and what every
+        link retains is at most the traffic since the oldest retained
+        epoch — flat, however long the pipeline runs."""
+        system, job = self._region()
+        transport = system.transport
+        # 100 tuples/s enter; the oldest of two retained epochs is at most
+        # two intervals old, plus the interval being filled
+        window = 100 * self.INTERVAL * (system.checkpoint_store.retention + 1)
+        peaks = []
+        for _ in range(40):
+            system.run_for(0.37)
+            retained = [
+                sum(entry.count for entry in link.replay.values())
+                for link in transport.links.values()
+            ]
+            assert max(retained) <= window
+            peaks.append(sum(transport.reliability.replay_bytes.values()))
+        assert max(peaks[20:]) <= 1.2 * max(peaks[:20])
+
+    def test_a_bounded_pipeline_loses_nothing_and_duplicates_nothing(self):
+        limit = 400
+        seen = []
+        system, job = self._region(limit=limit, consumer=seen.append)
         system.run_for(20.0)
-        sink = job.operator_instance("sink")
-        assert system.transport.replay_stalls > 0  # the cap engaged
-        seqs = sorted(t["seq"] for t in sink.seen)
-        assert seqs == list(range(limit))  # zero loss, zero duplicates
+        assert sorted(t["seq"] for t in seen) == list(range(limit))
         assert system.transport.dropped_in_flight == 0
-        assert system.transport.dropped_by_fault == 0
+        # once the feed stops, two more epochs empty every buffer
+        assert not any(link.replay for link in system.transport.links.values())

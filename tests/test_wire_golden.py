@@ -14,8 +14,10 @@ link, a latency spike, a timed partition, two overlapping untimed
 partitions cleared in install order and in reverse (with sends between
 the installs, so the re-held merge sees non-empty queues on both sides),
 a destination crash and restart in the middle of a partition, a crash
-on open links, lossy / delayed / partitioned *reverse* links under the
-acks, and punctuation between tuples on two links into one input port.
+on open links — both under the lossy fault, so exactly-once replay
+copies are dropped and retried — lossy / delayed / partitioned *reverse*
+links under the acks, and punctuation between tuples on two links into
+one input port.
 
 Re-record (only when a change *means* to alter wire behaviour) with
 ``PYTHONPATH=src python -m tests.test_wire_golden``.
@@ -47,7 +49,6 @@ COUNTERS = (
     "duplicates_suppressed",
     "replayed",
     "acks_dropped",
-    "replay_stalls",
 )
 
 
@@ -131,12 +132,9 @@ def run_script(delivery: str, batch_max_size: int) -> str:
     burst(right, 2)
     system.run_for(0.4)
 
-    # the loss-free middle: a replayed copy is sent once, unretried, so
-    # the crash phases run on links that hold and delay but do not drop
-    transport.clear_link_fault(lossy)
-
     # overlapping partitions again, cleared oldest first, with the
-    # destination crashing and restarting while both are open
+    # destination crashing and restarting while both are open — and the
+    # lossy fault still up: replay copies retry like any unit
     p_host = fault(partition=True, src_host=left.host_name)
     burst(left, 7)
     p_dst = fault(partition=True, dst_pe=sink_pe.pe_id)
