@@ -591,14 +591,14 @@ class KeyedCounter(Operator):
 
     def on_tuple(self, tup: StreamTuple, port: int) -> None:
         count = self._counts.update(tup.values.get(self.key), _increment, 0)
-        self.submit(tup.with_values(**{self.count_attr: count}))
+        self.submit(tup.with_value(self.count_attr, count))
 
     def process_batch(self, tuples: List[StreamTuple], port: int) -> None:
         """Count every member in arrival order, re-emit the run as one batch."""
         key, count_attr, update = self.key, self.count_attr, self._counts.update
         self.submit_batch(
             [
-                tup.with_values(**{count_attr: update(tup.values.get(key), _increment, 0)})
+                tup.with_value(count_attr, update(tup.values.get(key), _increment, 0))
                 for tup in tuples
             ]
         )
@@ -1009,7 +1009,7 @@ class ParallelSplitter(Operator):
             if self._masked and not self._park([tup], [channel])[0]:
                 return
         if self.ordered:
-            tup = tup.with_values(_pseq=self._seq)
+            tup = tup.with_value("_pseq", self._seq)
             self._seq += 1
         self.submit(tup, port=channel)
 
@@ -1070,7 +1070,7 @@ class ParallelSplitter(Operator):
         if self.ordered:
             seq = self._seq
             for tup, channel in zip(tuples, channels):
-                lanes[channel].append(tup.with_values(_pseq=seq))
+                lanes[channel].append(tup.with_value("_pseq", seq))
                 seq += 1
             self._seq = seq
         else:

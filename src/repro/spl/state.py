@@ -187,7 +187,8 @@ class KeyedState:
 
     def _touch(self, key: Any) -> None:
         self._dirty[key] = None
-        self._dropped.discard(key)
+        if self._dropped:
+            self._dropped.discard(key)
 
     def _drop(self, key: Any) -> None:
         self._dirty.pop(key, None)
@@ -206,16 +207,19 @@ class KeyedState:
             the per-key delta is unavailable (first capture, or a bulk
             restore/clear happened) and ``changed`` holds a deep copy of
             the *entire* state; otherwise ``changed`` holds deep copies of
-            only the dirty keys' values and ``dropped`` the keys removed
-            since the last clean point.
+            only the dirty keys' values (an immutable scalar is its own
+            copy) and ``dropped`` the keys removed since the last clean
+            point.
         """
+        data = self._data
         if self._full_dirty:
-            return True, copy.deepcopy(self._data), set()
-        changed = {
-            key: copy.deepcopy(self._data[key])
-            for key in self._dirty
-            if key in self._data
-        }
+            return True, copy.deepcopy(data), set()
+        deepcopy = copy.deepcopy
+        changed = {}
+        for key in self._dirty:
+            value = data.get(key, _MISSING)
+            if value is not _MISSING:
+                changed[key] = value if type(value) in _SCALARS else deepcopy(value)
         return False, changed, set(self._dropped)
 
     def mark_clean(self) -> None:
@@ -307,6 +311,9 @@ class KeyedState:
 
 
 _MISSING = object()
+
+#: exact types whose values cannot change in place: a snapshot may share them
+_SCALARS = frozenset({int, float, str, bool, type(None)})
 
 
 class KeyedSeqIndex:

@@ -34,6 +34,12 @@ class StreamTuple:
     both via item syntax (``t["price"]``) and :meth:`get`.  Tuples estimate
     their serialized size once at construction so the runtime can maintain
     the ``nTupleBytesProcessed`` built-in PE metric cheaply.
+
+    The estimate is :func:`estimate_value_size` per value plus each name's
+    length.  The constructor, :meth:`with_value` and :meth:`without` size
+    exact ``float`` / ``int`` / ``str`` values inline, by type identity,
+    and hand every other value to :func:`estimate_value_size` — the same
+    numbers, without a call per attribute on the tuple path.
     """
 
     __slots__ = ("values", "created_at", "size_bytes", "traced")
@@ -48,10 +54,18 @@ class StreamTuple:
         size_bytes: Optional[int] = None,
         traced: bool = False,
     ) -> None:
-        self.values = dict(values)
+        self.values = values = dict(values)
         self.created_at = created_at
         if size_bytes is None:
-            size_bytes = self.FRAME_OVERHEAD + _estimate_size(self.values)
+            size_bytes = self.FRAME_OVERHEAD
+            for key, value in values.items():
+                kind = type(value)
+                if kind is float or kind is int:
+                    size_bytes += len(key) + 8
+                elif kind is str:
+                    size_bytes += len(key) + len(value)
+                else:
+                    size_bytes += len(key) + estimate_value_size(value)
         self.size_bytes = size_bytes
         #: sampled for span tracing (repro.obs); decided once at creation
         #: and propagated through derived copies so a traced tuple's whole
@@ -67,14 +81,28 @@ class StreamTuple:
     def get(self, name: str, default: Any = None) -> Any:
         return self.values.get(name, default)
 
-    def _derive(self, values: dict, size_bytes: int) -> "StreamTuple":
-        """A copy around ``values`` (adopted, not copied) of known size."""
-        derived = StreamTuple.__new__(StreamTuple)
-        derived.values = values
-        derived.created_at = self.created_at
-        derived.size_bytes = size_bytes
-        derived.traced = self.traced
-        return derived
+    def with_value(self, name: str, value: Any) -> "StreamTuple":
+        """A copy with one attribute set: :meth:`with_values` for one name.
+
+        One dict copy and one object, with no keyword dict to build and
+        unpack — the form the runtime's own stamps and counts use.
+        """
+        values = self.values
+        size = self.size_bytes
+        if name in values:
+            size -= estimate_value_size(values[name])
+        else:
+            size += len(name)
+        kind = type(value)
+        if kind is float or kind is int:
+            size += 8
+        elif kind is str:
+            size += len(value)
+        else:
+            size += estimate_value_size(value)
+        derived = values.copy()
+        derived[name] = value
+        return _assemble(derived, self.created_at, size, self.traced)
 
     def with_values(self, **updates: Any) -> "StreamTuple":
         """Return a copy of this tuple with some attributes replaced/added.
@@ -91,7 +119,7 @@ class StreamTuple:
             else:
                 size += len(name)
             size += estimate_value_size(value)
-        return self._derive({**values, **updates}, size)
+        return _assemble({**values, **updates}, self.created_at, size, self.traced)
 
     def without(self, name: str) -> "StreamTuple":
         """A copy without one attribute (this tuple itself if it has none).
@@ -102,9 +130,17 @@ class StreamTuple:
         values = self.values
         if name not in values:
             return self
-        kept = dict(values)
-        dropped = len(name) + estimate_value_size(kept.pop(name))
-        return self._derive(kept, self.size_bytes - dropped)
+        kept = values.copy()
+        value = kept.pop(name)
+        size = self.size_bytes - len(name)
+        kind = type(value)
+        if kind is float or kind is int:
+            size -= 8
+        elif kind is str:
+            size -= len(value)
+        else:
+            size -= estimate_value_size(value)
+        return _assemble(kept, self.created_at, size, self.traced)
 
     def project(self, *names: str) -> "StreamTuple":
         """Return a copy containing only the named attributes."""
@@ -115,7 +151,7 @@ class StreamTuple:
             for name, value in values.items()
             if name not in kept
         )
-        return self._derive(kept, self.size_bytes - dropped)
+        return _assemble(kept, self.created_at, self.size_bytes - dropped, self.traced)
 
     def __deepcopy__(self, memo: dict) -> "StreamTuple":
         """A tuple is a value (every change is a derived copy): itself."""
@@ -127,7 +163,9 @@ class StreamTuple:
         return self.values == other.values
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((k, repr(v)) for k, v in self.values.items())))
+        """Equal tuples hash equal: ``1``, ``1.0`` and ``True`` hash alike,
+        and an unhashable value is hashed by its contents."""
+        return hash(frozenset((k, _hashable(v)) for k, v in self.values.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.values.items())
@@ -171,13 +209,37 @@ class TupleBatch:
 def _assemble(
     values: dict, created_at: float, size_bytes: int, traced: bool
 ) -> StreamTuple:
-    """A tuple from its four fields, ``values`` adopted and nothing estimated."""
+    """A tuple from its four fields, ``values`` adopted and nothing estimated:
+    every derived copy, and every tuple rebuilt from its wire form."""
     tup = StreamTuple.__new__(StreamTuple)
     tup.values = values
     tup.created_at = created_at
     tup.size_bytes = size_bytes
     tup.traced = traced
     return tup
+
+
+def _hashable(value: Any) -> Any:
+    """A hashable stand-in for ``value``, equal-hashing for equal values.
+
+    Hashable values stand for themselves; the unhashable builtins become
+    their hashable counterparts (a list its tuple, a dict the frozenset of
+    its items, a set its frozenset, a bytearray its bytes); any other
+    unhashable value stands in as ``None``.
+    """
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_hashable, value))
+    if isinstance(value, dict):
+        return frozenset((k, _hashable(v)) for k, v in value.items())
+    if isinstance(value, (set, frozenset)):
+        return frozenset(value)
+    if isinstance(value, bytearray):
+        return bytes(value)
+    try:
+        hash(value)
+    except TypeError:
+        return None
+    return value
 
 
 def to_wire_form(item: Any) -> Any:
@@ -249,10 +311,3 @@ def estimate_value_size(value: Any) -> int:
     if isinstance(size_bytes, int):
         return size_bytes
     return 16
-
-
-def _estimate_size(values: Mapping[str, Any]) -> int:
-    """Size estimate of a tuple's attribute map (keys + values)."""
-    return sum(
-        len(key) + estimate_value_size(value) for key, value in values.items()
-    )

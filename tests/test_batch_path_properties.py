@@ -35,7 +35,7 @@ from repro.spl.operators import Operator
 from repro.spl.tuples import StreamTuple, estimate_value_size
 
 from tests.conftest import example_budget, make_operator_harness
-from tests.test_spl_schema_tuples import _scalars as _plain_scalars
+from tests.test_spl_schema_tuples import _Float, _Str, _scalars as _plain_scalars
 
 BUDGET = example_budget("batch-ci", tier1=40)
 
@@ -286,14 +286,6 @@ def _ladder(value: Any) -> int:
 
 
 class _Int(int):
-    pass
-
-
-class _Float(float):
-    pass
-
-
-class _Str(str):
     pass
 
 

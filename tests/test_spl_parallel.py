@@ -399,9 +399,10 @@ class TestOneTupleConstructor:
     one rule.
 
     Structural, like ``test_elastic.TestOneMover``: every other tuple is a
-    derived copy (``with_values`` / ``without`` / ``project``, or a
-    replay rebuilt from its wire form) that keeps the
-    size, creation time and trace flag exactly — the region plumbing once
+    derived copy (``with_value`` / ``with_values`` / ``without`` /
+    ``project``, or a replay rebuilt from its wire form), all made by one
+    primitive, ``tuples._assemble``, and each keeps the size, creation
+    time and trace flag exactly — the region plumbing once
     rebuilt whole tuples and dropped ``traced`` on the way.  And a keyed
     tuple once had a second channel — a detour over the surviving ones
     while its owner was masked — whose rule the splitter and the state

@@ -2,19 +2,30 @@
 
 import ast
 import copy
+import enum
 import pathlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import repro
 
 from repro.errors import SchemaError
 from repro.spl.library import OrderedMerger, ParallelSplitter
 from repro.spl.schema import ANY_SCHEMA, Attribute, TupleSchema
-from repro.spl.tuples import FinalMarker, Punctuation, StreamTuple, WindowMarker
+from repro.spl.tuples import (
+    FinalMarker,
+    Punctuation,
+    StreamTuple,
+    WindowMarker,
+    estimate_value_size,
+)
 
-from tests.conftest import make_operator_harness, where
+from tests.conftest import example_budget, make_operator_harness, where
+
+#: tier-1's budget; the CI ``delivery-matrix`` job runs this file under
+#: ``--hypothesis-profile=batch-ci``
+BUDGET = example_budget("batch-ci", tier1=200)
 
 
 class TestSchema:
@@ -103,6 +114,14 @@ class TestStreamTuple:
     def test_hashable(self):
         assert len({StreamTuple({"a": 1}), StreamTuple({"a": 1})}) == 1
 
+    def test_equal_tuples_of_different_spellings_are_one_set_member(self):
+        assert len({StreamTuple({"a": 1}), StreamTuple({"a": 1.0})}) == 1
+        assert len({StreamTuple({"x": True}), StreamTuple({"x": 1})}) == 1
+
+    def test_unhashable_values_stay_hashable_in_a_tuple(self):
+        nested = {"l": [1, {"d": [2.0]}], "s": {3}, "b": bytearray(b"x")}
+        assert hash(StreamTuple(nested)) == hash(StreamTuple(copy.deepcopy(nested)))
+
     def test_size_estimate_positive_and_monotone(self):
         small = StreamTuple({"a": 1})
         big = StreamTuple({"a": 1, "text": "x" * 1000})
@@ -148,7 +167,8 @@ class TestTupleIsAValue:
     def test_nothing_in_src_mutates_a_tuples_values(self):
         """No assignment into, deletion from, or mutating call on any
         ``.values`` mapping in ``src/``; ``.values`` itself is bound only
-        where a tuple is made (``repro.spl.tuples``)."""
+        by the constructor and by ``_assemble``, the one primitive every
+        derived copy and every tuple rebuilt from its wire form comes from."""
         mutators = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__"}
 
         def on_values(node):
@@ -172,7 +192,6 @@ class TestTupleIsAValue:
         assert where(src, mutates) == []
         assert sorted(where(src, binds)) == [
             "tuples.py:StreamTuple.__init__",
-            "tuples.py:StreamTuple._derive",
             "tuples.py:_assemble",
         ]
 
@@ -187,8 +206,31 @@ _scalars = st.one_of(
     st.binary(max_size=12),
     st.none(),
 )
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 22
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+#: values the type-identity sizing must *not* take: each is an ``int``,
+#: ``float`` or ``str`` by ``isinstance`` but not by type (``bool`` is in
+#: ``_scalars``)
+_subclassed = st.one_of(
+    st.sampled_from(_Level),
+    st.floats(allow_nan=False).map(_Float),
+    st.text(max_size=12).map(_Str),
+)
 _values = st.recursive(
-    _scalars,
+    st.one_of(_scalars, _subclassed),
     lambda inner: st.one_of(
         st.lists(inner, max_size=3),
         st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -196,38 +238,69 @@ _values = st.recursive(
     ),
     max_leaves=8,
 )
-_attrs = st.dictionaries(st.sampled_from("abcdefgh"), _values, max_size=6)
+_names = st.sampled_from("abcdefgh")
+_attrs = st.dictionaries(_names, _values, max_size=6)
+
+
+def _reference_size(values):
+    """The size a tuple of ``values`` must read, from the ladder alone:
+    independent of the inlined sizing in the constructor and derivations."""
+    return StreamTuple.FRAME_OVERHEAD + sum(
+        len(name) + estimate_value_size(value) for name, value in values.items()
+    )
 
 
 class TestDerivedSize:
-    """Derived copies carry the size a fresh tuple of the same values
-    would estimate — ``nTupleBytesProcessed`` cannot tell them apart —
-    and keep the creation time and trace flag: ``with_values``,
+    """Every tuple — made or derived — carries the size the ladder gives
+    its values (``nTupleBytesProcessed`` cannot tell a derived copy from
+    a fresh one), and a derived copy keeps the creation time and trace
+    flag: the constructor, ``with_value``, ``with_values``, ``without``,
     ``project``, and the region splitter's ``_pseq`` stamp and the
     merger's strip."""
 
-    @settings(max_examples=200, deadline=None)
+    @BUDGET
+    @given(base=_attrs)
+    def test_construction_matches_the_reference(self, base):
+        assert StreamTuple(base).size_bytes == _reference_size(base)
+
+    @BUDGET
+    @given(base=_attrs, name=_names, value=_values)
+    def test_with_value_matches_the_reference(self, base, name, value):
+        derived = StreamTuple(base, created_at=3.0, traced=True).with_value(name, value)
+        assert derived.values == {**base, name: value}
+        assert derived.size_bytes == _reference_size(derived.values)
+        assert (derived.created_at, derived.traced) == (3.0, True)
+
+    @BUDGET
     @given(base=_attrs, updates=_attrs)
     def test_with_values_matches_a_fresh_tuple(self, base, updates):
         # ``updates`` over the same small alphabet both adds and replaces
         derived = StreamTuple(base, created_at=3.0, traced=True).with_values(**updates)
         fresh = StreamTuple({**base, **updates})
         assert derived.values == fresh.values
-        assert derived.size_bytes == fresh.size_bytes
+        assert derived.size_bytes == fresh.size_bytes == _reference_size(fresh.values)
         assert (derived.created_at, derived.traced) == (3.0, True)
         # and again off the derived copy: errors must not accumulate
-        assert derived.with_values(**base).size_bytes == StreamTuple(
-            {**updates, **base}
-        ).size_bytes
+        again = derived.with_values(**base)
+        assert again.size_bytes == _reference_size({**updates, **base})
 
-    @settings(max_examples=200, deadline=None)
+    @BUDGET
+    @given(base=_attrs, name=_names)
+    def test_without_matches_the_reference(self, base, name):
+        # ``name`` may be absent: the tuple itself comes back
+        derived = StreamTuple(base, created_at=3.0, traced=True).without(name)
+        assert derived.values == {n: v for n, v in base.items() if n != name}
+        assert derived.size_bytes == _reference_size(derived.values)
+        assert (derived.created_at, derived.traced) == (3.0, True)
+
+    @BUDGET
     @given(base=_attrs, data=st.data())
     def test_project_matches_a_fresh_tuple(self, base, data):
         names = data.draw(st.lists(st.sampled_from(sorted(base)), max_size=8)) if base else []
         derived = StreamTuple(base, created_at=3.0, traced=True).project(*names)
         fresh = StreamTuple({n: base[n] for n in names})
         assert derived.values == fresh.values
-        assert derived.size_bytes == fresh.size_bytes
+        assert derived.size_bytes == fresh.size_bytes == _reference_size(fresh.values)
         assert (derived.created_at, derived.traced) == (3.0, True)
 
     @staticmethod
@@ -242,7 +315,7 @@ class TestDerivedSize:
         [(_port, out)] = emitted
         return out
 
-    @settings(max_examples=200, deadline=None)
+    @BUDGET
     @given(base=_attrs, seq=st.integers(0, 2**40), batched=st.booleans())
     def test_region_stamp_and_strip_match_a_fresh_tuple(self, base, seq, batched):
         sent = StreamTuple(base, created_at=3.0, traced=True)
@@ -250,8 +323,44 @@ class TestDerivedSize:
         stripped = self._through(OrderedMerger, stamped, batched, _next=seq)
         for derived, values in ((stamped, {**base, "_pseq": seq}), (stripped, base)):
             assert derived.values == values
-            assert derived.size_bytes == StreamTuple(values).size_bytes
+            assert derived.size_bytes == StreamTuple(values).size_bytes == _reference_size(values)
             assert (derived.created_at, derived.traced) == (3.0, True)
+
+
+#: a nested shape of 0s and 1s; each leaf is spelled ``n``, ``float(n)``
+#: or ``bool(n)`` — equal values of three types
+_shapes = st.recursive(
+    st.sampled_from([0, 1]),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from("xy"), inner, max_size=2),
+    ),
+    max_leaves=6,
+)
+
+
+def _spell(shape, draw):
+    """One spelling of ``shape``, every leaf's type drawn independently."""
+    if isinstance(shape, list):
+        return [_spell(leaf, draw) for leaf in shape]
+    if isinstance(shape, dict):
+        return {k: _spell(leaf, draw) for k, leaf in shape.items()}
+    return draw(st.sampled_from([shape, float(shape), bool(shape)]))
+
+
+class TestTupleHash:
+    """``a == b`` implies ``hash(a) == hash(b)``: a set or dict keyed by
+    tuples holds one of two equal tuples, however their values are
+    spelled, and unhashable values (lists, dicts) stay allowed."""
+
+    @BUDGET
+    @given(shapes=st.dictionaries(st.sampled_from("abc"), _shapes, max_size=3), data=st.data())
+    def test_equal_tuples_hash_equal(self, shapes, data):
+        a = StreamTuple({k: _spell(shape, data.draw) for k, shape in shapes.items()})
+        b = StreamTuple({k: _spell(shape, data.draw) for k, shape in shapes.items()})
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 class TestPunctuation:
