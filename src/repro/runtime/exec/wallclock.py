@@ -109,6 +109,6 @@ class WallClockExecutor(Kernel):
         clock has already advanced.
         """
         event = ScheduledEvent(time, self._seq, callback, args, label)
+        heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         return event

@@ -30,6 +30,7 @@ the truncation floor without rehydration.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
@@ -39,7 +40,7 @@ from repro.sim.kernel import Kernel, OutstandingHandles, ScheduledEvent
 from repro.spl.compiler import PESpec
 from repro.spl.library import Export, Import
 from repro.spl.metrics import MetricKind, MetricRegistry, PEMetricName, OperatorMetricName
-from repro.spl.operators import Operator, OperatorContext
+from repro.spl.operators import Operator, OperatorContext, PortMap
 from repro.spl.tuples import Punctuation, StreamTuple, TupleBatch
 from repro.runtime.transport import Transport
 
@@ -52,6 +53,8 @@ Item = Union[StreamTuple, Punctuation]
 #: input port, then the live operator object when the destination is fused
 #: into this PE, else the remote PE runtime the transport must reach
 _Hop = Tuple[str, int, Optional[Operator], Optional["PERuntime"]]
+#: one call that carries a tuple along an output port's hops or into an input port
+_Dispatch = Callable[[StreamTuple], None]
 
 
 class PEState(enum.Enum):
@@ -104,14 +107,13 @@ class PERuntime:
         self.last_crash_reason: Optional[str] = None
         self.on_crash: Optional[Callable[["PERuntime", str], None]] = None
         #: exactly-once replay depth: while > 0, operator emissions are
-        #: swallowed in :meth:`_route`/:meth:`_route_batch` — the tuples
+        #: swallowed by every route out of an operator — the tuples
         #: being re-processed already sent their outputs downstream in a
         #: previous incarnation, so only the state effect may recur (an
         #: operator reads it as ``ctx.replaying`` for its other effects)
         self._suppress_emissions = 0
-        #: (src op, out port) -> resolved hops; filled whenever the PE
-        #: (re)gains operator instances or the job's plan is rewired
-        self._routes: Dict[Tuple[str, int], List[_Hop]] = {}
+        #: op name -> (operator, port map of deliveries); see rebuild_routes()
+        self._inbound: Dict[str, Tuple[Optional[Operator], Optional[PortMap]]] = {}
         self._create_pe_metrics()
 
     # -- construction helpers -------------------------------------------------
@@ -134,32 +136,40 @@ class PERuntime:
         create(PEMetricName.N_RESTARTS, MetricKind.COUNTER)
 
     def rebuild_routes(self) -> None:
-        """Resolve every edge out of a local operator to its live target.
+        """Resolve every edge out of a local operator and compile the tuple path.
 
         Runs whenever the targets may have changed identity: at
         :meth:`start` and :meth:`restart` (fresh operator instances), and
         from the elastic controller after a parallel region is rewired
         (the splitter's PE gains/loses channel PEs while every operator
-        instance keeps running).  Between those calls the tuple path
-        uses the resolved objects as they are — no per-tuple name or
-        index lookup.
-        """
+        instance keeps running).  Contexts get port maps of compiled hops
+        (``ctx.hops``) and punctuation / batch routes over the same hops,
+        :meth:`receive` port maps of deliveries; a port compiles on its
+        first tuple — no per-tuple name or index lookup."""
         compiled = self.job.compiled
         operators = self.operators
-        routes: Dict[Tuple[str, int], List[_Hop]] = {}
+        self._inbound = PortMap(self._inbound_of)
+        routes: Dict[str, Dict[int, List[_Hop]]] = {name: defaultdict(list) for name in operators}
         for edge in compiled.application.graph.edges:
-            src_name = edge.src.full_name
-            if src_name not in operators:
+            ports = routes.get(edge.src.full_name)
+            if ports is None:
                 continue
             dst_name = edge.dst.full_name
             dst_index = compiled.pe_of(dst_name)
-            hop: _Hop
             if dst_index == self.index:
                 hop = (dst_name, edge.dst_port, operators[dst_name], None)
             else:
                 hop = (dst_name, edge.dst_port, None, self.job.pe_by_index(dst_index))
-            routes.setdefault((src_name, edge.src_port), []).append(hop)
-        self._routes = routes
+            ports[edge.src_port].append(hop)
+        batching = self.transport.batch_max_size > 1
+        for name, ports in routes.items():
+            ctx = operators[name].ctx
+            ctx.hops = PortMap(partial(self._compile_port, ports))
+            ctx.punct_fn = partial(self._route_punct, ports)
+            if batching:
+                # no batch route with batching off: sources then emit
+                # tuple by tuple and ``process_batch`` is never entered
+                ctx.submit_batch_fn = partial(self._route_batch, ports)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -177,24 +187,19 @@ class PERuntime:
         self.operators = {}
         for op_name in self.spec.operators:
             spec = graph.operators[op_name]
-            route = partial(self._route, op_name)
             ctx = OperatorContext(
                 spec=spec,
                 job_id=self.job.job_id,
                 app_name=self.job.app_name,
                 submission_params=self.job.params,
                 now_fn=lambda: self.kernel.now,
-                submit_fn=route,
-                punct_fn=route,
+                submit_fn=None,  # both rebound by rebuild_routes() below
+                punct_fn=None,
                 schedule_fn=self._schedule_guarded,
                 pe_id=self.pe_id,
                 replaying_fn=lambda: self._suppress_emissions > 0,
             )
             ctx.obs = self.obs
-            if self.transport.batch_max_size > 1:
-                # no batch route with batching off: sources then emit
-                # tuple by tuple and ``process_batch`` is never entered
-                ctx.submit_batch_fn = partial(self._route_batch, op_name)
             operator = spec.op_class(ctx)
             if isinstance(operator, Export):
                 operator.bind_export(
@@ -254,7 +259,7 @@ class PERuntime:
             return
         self._timers.cancel_all()
         self.operators = {}
-        self._routes = {}
+        self._inbound = {}
         self.state = PEState.CRASHED
         self.last_crash_reason = reason
         # Items in flight toward this PE die with the process: they are
@@ -325,41 +330,87 @@ class PERuntime:
 
     # -- tuple routing ---------------------------------------------------------
 
-    def _route(self, src_op: str, src_port: int, item: Item) -> None:
-        """Carry one emitted tuple or punctuation along its resolved hops."""
+    def _compile(self, operator: Operator, port: int, emitted: bool = False) -> _Dispatch:
+        """The one per-tuple delivery body (PE counters, traced span, then —
+        unless finalized — the operator's counters and ``on_tuple``), bound
+        to ``operator``'s input ``port``.  ``emitted``: also the whole hop of
+        a port whose one target is this fused operator (swallowed while the
+        PE is down or replaying, else counted in ``nTuplesSubmitted``)."""
+        pe, running = self, PEState.RUNNING
+        n_submitted, n_processed, n_bytes = self._n_submitted, self._n_processed, self._n_bytes
+        op_processed, on_tuple = operator._n_processed, operator.on_tuple
+        obs, kernel = self.obs, self.kernel
+        full_name, pe_id, job_id = operator.ctx.full_name, self.pe_id, self.job.job_id
+
+        def deliver(tup: StreamTuple) -> None:
+            if emitted:
+                if pe.state is not running or pe._suppress_emissions:
+                    return
+                n_submitted.value += 1
+            n_processed.value += 1
+            n_bytes.value += tup.size_bytes
+            if obs is not None and tup.traced:
+                obs.record_process(full_name, pe_id, job_id, tup.created_at, kernel.now)
+            if operator._finalized:
+                return
+            op_processed.value += 1
+            operator._processed_by_port[port].value += 1
+            on_tuple(tup, port)
+
+        return deliver
+
+    def _inbound_of(self, op_full_name: str) -> Tuple[Optional[Operator], Optional[PortMap]]:
+        """A local operator and its port map of deliveries (Nones if not local)."""
+        operator = self.operators.get(op_full_name)
+        return operator, operator and PortMap(partial(self._compile, operator))
+
+    def _compile_port(self, ports: Dict[int, List[_Hop]], port: int) -> _Dispatch:
+        """Output ``port``'s tuple dispatch: a lone fused target's delivery,
+        else the same emission half, then each hop in edge order."""
+        hops = ports[port]
+        if len(hops) == 1 and hops[0][2] is not None:
+            _, dst_port, operator, _ = hops[0]
+            return self._compile(operator, dst_port, emitted=True)
+        pe, running, n_submitted = self, PEState.RUNNING, self._n_submitted
+        targets = [
+            self._compile(operator, dst_port)
+            if operator is not None
+            else partial(self.transport.send, dst_pe, dst_name, dst_port, src_pe=self)
+            for dst_name, dst_port, operator, dst_pe in hops
+        ]
+
+        def fan_out(tup: StreamTuple) -> None:
+            if pe.state is not running or pe._suppress_emissions:
+                return
+            n_submitted.value += 1
+            for target in targets:
+                target(tup)
+
+        return fan_out
+
+    def _route_punct(self, ports: Dict[int, List[_Hop]], port: int, punct: Punctuation) -> None:
+        """Carry one punctuation along an output port's resolved hops."""
         if self.state is not PEState.RUNNING or self._suppress_emissions:
             return
-        if isinstance(item, StreamTuple):
-            self._n_submitted.increment()
-        for dst_name, dst_port, operator, dst_pe in self._routes.get(
-            (src_op, src_port), ()
-        ):
+        for dst_name, dst_port, operator, dst_pe in ports[port]:
             if operator is not None:
-                self._deliver_local(operator, dst_port, item)
+                operator._process(punct, dst_port)
             else:
-                self.transport.send(dst_pe, dst_name, dst_port, item, src_pe=self)
+                self.transport.send(dst_pe, dst_name, dst_port, punct, src_pe=self)
 
     def _route_batch(
-        self, src_op: str, src_port: int, tuples: List[StreamTuple]
+        self, ports: Dict[int, List[_Hop]], port: int, tuples: List[StreamTuple]
     ) -> None:
-        """Batched twin of :meth:`_route`: metrics and sends move in bulk.
-
-        Local edges hand the run straight to the destination operator's
-        ``process_batch``; remote edges use :meth:`Transport.send_batch`
-        (one open-batch append for the whole run).
-        """
+        """Batched twin of the compiled hops: one ``process_batch`` per fused
+        target, one :meth:`Transport.send_batch` per remote one."""
         if self.state is not PEState.RUNNING or self._suppress_emissions or not tuples:
             return
-        self._n_submitted.increment(len(tuples))
-        for dst_name, dst_port, operator, dst_pe in self._routes.get(
-            (src_op, src_port), ()
-        ):
+        self._n_submitted.value += len(tuples)
+        for dst_name, dst_port, operator, dst_pe in ports[port]:
             if operator is not None:
                 self._deliver_local_batch(operator, dst_port, tuples)
             else:
-                self.transport.send_batch(
-                    dst_pe, dst_name, dst_port, tuples, src_pe=self
-                )
+                self.transport.send_batch(dst_pe, dst_name, dst_port, tuples, src_pe=self)
 
     def receive(
         self,
@@ -378,35 +429,23 @@ class PERuntime:
         """
         if self.state is not PEState.RUNNING:
             return
-        operator = self.operators.get(op_full_name)
+        operator, deliveries = self._inbound[op_full_name]
         if operator is None:
             return
         if suppress_emissions:
             self._suppress_emissions += 1
         try:
-            if isinstance(item, TupleBatch):
+            if isinstance(item, StreamTuple):
+                deliveries[port](item)
+            elif isinstance(item, TupleBatch):
                 self._deliver_local_batch(
                     operator, port, item.tuples, item.size_bytes, item.traced
                 )
             else:
-                self._deliver_local(operator, port, item)
+                operator._process(item, port)
         finally:
             if suppress_emissions:
                 self._suppress_emissions -= 1
-
-    def _deliver_local(self, operator: Operator, port: int, item: Item) -> None:
-        if isinstance(item, StreamTuple):
-            self._n_processed.increment()
-            self._n_bytes.increment(item.size_bytes)
-            if self.obs is not None and item.traced:
-                self.obs.record_process(
-                    operator.ctx.full_name,
-                    self.pe_id,
-                    self.job.job_id,
-                    item.created_at,
-                    self.kernel.now,
-                )
-        operator._process(item, port)
 
     def _deliver_local_batch(
         self,
@@ -416,7 +455,7 @@ class PERuntime:
         size_bytes: Optional[int] = None,
         traced: bool = True,
     ) -> None:
-        """Batched twin of :meth:`_deliver_local`.
+        """Batched twin of the compiled delivery (:meth:`_compile`).
 
         PE counters move once per batch; traced members still record
         per-tuple process spans (the end-to-end latency histogram keeps
@@ -427,10 +466,10 @@ class PERuntime:
         """
         if not tuples:
             return
-        self._n_processed.increment(len(tuples))
+        self._n_processed.value += len(tuples)
         if size_bytes is None:
             size_bytes = sum(tup.size_bytes for tup in tuples)
-        self._n_bytes.increment(size_bytes)
+        self._n_bytes.value += size_bytes
         if traced and self.obs is not None:
             now = self.kernel.now
             op_full_name = operator.ctx.full_name
@@ -452,8 +491,8 @@ class PERuntime:
         operator = self.operators.get(op_full_name)
         if isinstance(operator, Import):
             if isinstance(item, StreamTuple):
-                self._n_processed.increment()
-                self._n_bytes.increment(item.size_bytes)
+                self._n_processed.value += 1
+                self._n_bytes.value += item.size_bytes
             operator.deliver(item)
 
     # -- metrics ------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 The kernel owns a priority queue of scheduled callbacks keyed by
 ``(time, sequence)``.  Ties in time are broken by scheduling order, which
-makes runs fully deterministic.  Components schedule work with
-:meth:`Kernel.schedule` (relative delay) or :meth:`Kernel.schedule_at`
-(absolute time) and may cancel the returned handle.
+makes runs fully deterministic.  Heap entries are ``(time, sequence,
+handle)`` tuples, so ``heapq`` orders them by comparing tuples in C;
+sequence numbers are unique, so a handle is never compared.  Components
+schedule work with :meth:`Kernel.schedule` (relative delay) or
+:meth:`Kernel.schedule_at` (absolute time) and may cancel the returned
+handle.
 
 The kernel deliberately has no notion of threads: the "application
 submission thread" and "cancellation thread" of the paper's Sec. 4.4, PE
@@ -50,13 +53,6 @@ class ScheduledEvent:
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
         self.cancelled = True
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        # heap comparisons dominate the scheduler hot path; comparing the
-        # fields directly avoids two tuple allocations per comparison
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "fired" if self.fired else "pending"
@@ -126,10 +122,10 @@ class Kernel:
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock if clock is not None else Clock()
-        self._heap: list[ScheduledEvent] = []
+        #: ``(time, seq, handle)`` entries (see the module docstring)
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = 0
         self._events_processed = 0
-        self._running = False
         #: optional observer of every executed event (repro.obs installs
         #: one when tracing is enabled); None keeps the loop at a single
         #: attribute check per event
@@ -172,8 +168,8 @@ class Kernel:
                 f"cannot schedule in the past: {time} < {self.clock.now}"
             )
         event = ScheduledEvent(time, self._seq, callback, args, label)
+        heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         return event
 
     def call_soon(
@@ -187,10 +183,10 @@ class Kernel:
     def step(self) -> bool:
         """Run the single next pending event.  Returns False if none remain."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            due, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self.clock._advance_to(event.time)
+            self.clock._advance_to(due)
             self._events_processed += 1
             event.fired = True
             if self.event_tap is not None:
@@ -208,32 +204,29 @@ class Kernel:
         clock's to judge: the simulated one raises ``ValueError``, a
         real-time one has nothing left to wait for.
         """
-        self._running = True
         # hoisted locals: this loop executes every event in the
         # simulation, so each attribute lookup shaved here is paid back
         # millions of times (self._heap is only ever mutated in place,
-        # never rebound, so the local alias stays valid)
+        # never rebound, so the local alias stays valid; an entry is
+        # ``(time, seq, handle)``: the deadline is read off the entry)
         heap = self._heap
         heappop = heapq.heappop
         advance = self.clock._advance_to
-        try:
-            while heap:
-                event = heap[0]
-                if event.cancelled:
-                    heappop(heap)
-                    continue
-                if event.time > time:
-                    break
+        while heap:
+            due, _, event = heap[0]
+            if event.cancelled:
                 heappop(heap)
-                advance(event.time)
-                self._events_processed += 1
-                event.fired = True
-                if self.event_tap is not None:
-                    self.event_tap(event)
-                event.callback(*event.args)
-            advance(time)
-        finally:
-            self._running = False
+                continue
+            if due > time:
+                break
+            heappop(heap)
+            advance(due)
+            self._events_processed += 1
+            event.fired = True
+            if self.event_tap is not None:
+                self.event_tap(event)
+            event.callback(*event.args)
+        advance(time)
 
     def run_for(self, duration: float) -> None:
         """Convenience wrapper: run ``duration`` seconds past the current time."""
@@ -252,4 +245,4 @@ class Kernel:
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)

@@ -67,9 +67,9 @@ class PEMetricName:
 
 
 class Metric:
-    """A single named counter or gauge."""
+    """A single named counter or gauge (the tuple path adds to ``value`` in place)."""
 
-    __slots__ = ("name", "kind", "description", "_value")
+    __slots__ = ("name", "kind", "description", "value")
 
     def __init__(
         self,
@@ -81,23 +81,19 @@ class Metric:
         self.name = name
         self.kind = kind
         self.description = description
-        self._value = value
-
-    @property
-    def value(self) -> float:
-        return self._value
+        self.value = value
 
     def set(self, value: float) -> None:
-        self._value = value
+        self.value = value
 
     def increment(self, amount: float = 1) -> None:
-        self._value += amount
+        self.value += amount
 
     def reset(self) -> None:
-        self._value = 0
+        self.value = 0
 
     def __repr__(self) -> str:
-        return f"Metric({self.name}={self._value}, {self.kind.value})"
+        return f"Metric({self.name}={self.value}, {self.kind.value})"
 
 
 class MetricRegistry:

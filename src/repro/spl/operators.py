@@ -15,6 +15,7 @@ before delegating to the hooks.
 from __future__ import annotations
 
 import copy
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple, Union
 
 from repro.errors import GraphError
@@ -31,6 +32,20 @@ _REQUIRED = object()
 Submittable = Union[StreamTuple, Mapping[str, Any]]
 
 
+class PortMap(dict):
+    """``port -> callable`` (or any key), each made by ``make(key)`` on its
+    first lookup: a context's ``hops``, a PE's inbound deliveries."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:  # dict.__new__ made it empty
+        self._make = make
+
+    def __missing__(self, key: Any) -> Any:
+        made = self[key] = self._make(key)
+        return made
+
+
 class OperatorContext:
     """Everything an operator instance needs from its surrounding PE.
 
@@ -45,8 +60,8 @@ class OperatorContext:
         app_name: str,
         submission_params: Mapping[str, str],
         now_fn: Callable[[], float],
-        submit_fn: Callable[[int, StreamTuple], None],
-        punct_fn: Callable[[int, Punctuation], None],
+        submit_fn: Optional[Callable[[int, StreamTuple], None]],
+        punct_fn: Optional[Callable[[int, Punctuation], None]],
         schedule_fn: Callable[[float, Callable[[], None]], Any],
         pe_id: Optional[str] = None,
         replaying_fn: Callable[[], bool] = lambda: False,
@@ -63,8 +78,10 @@ class OperatorContext:
         #: construction; None keeps Operator.submit at one check)
         self.obs = None
         self._now_fn = now_fn
-        self._submit_fn = submit_fn
-        self._punct_fn = punct_fn
+        #: ``hops[port](tup)`` and ``punct_fn(port, punct)`` emit; the PE
+        #: rebinds both (compiled hops) at every ``rebuild_routes()``
+        self.hops = PortMap(lambda port: partial(submit_fn, port))
+        self.punct_fn = punct_fn
         self._schedule_fn = schedule_fn
         #: batched submission callback, set by the PE after construction
         #: (like ``obs``) when the transport batches — a source reads it
@@ -101,20 +118,14 @@ class OperatorContext:
         """Submission-time parameter of the job (SPL's getSubmissionTimeValue)."""
         return self.submission_params.get(name, default)
 
-    def submit(self, port: int, tup: StreamTuple) -> None:
-        self._submit_fn(port, tup)
-
-    def submit_punct(self, port: int, punct: Punctuation) -> None:
-        self._punct_fn(port, punct)
-
     def submit_batch(self, port: int, tuples: "list[StreamTuple]") -> None:
         """Emit a run of tuples on one port as a single unit of work."""
         if self.submit_batch_fn is not None:
             self.submit_batch_fn(port, tuples)
             return
-        submit = self._submit_fn
+        hop = self.hops[port]
         for tup in tuples:
-            submit(port, tup)
+            hop(tup)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Any:
         """Schedule operator-local work; cancelled automatically on PE stop."""
@@ -258,9 +269,9 @@ class Operator:
                     self.ctx.job_id,
                     tup.created_at,
                 )
-        self._n_submitted.increment()
-        self._submitted_by_port[port].increment()
-        self.ctx.submit(port, tup)
+        self._n_submitted.value += 1
+        self._submitted_by_port[port].value += 1
+        self.ctx.hops[port](tup)
 
     def submit_batch(self, items: "list[Submittable]", port: int = 0) -> None:
         """Emit a run of tuples on an output port as one unit of work.
@@ -299,8 +310,8 @@ class Operator:
                 )
             tuples.append(tup)
         n = len(tuples)
-        self._n_submitted.increment(n)
-        self._submitted_by_port[port].increment(n)
+        self._n_submitted.value += n
+        self._submitted_by_port[port].value += n
         self.ctx.submit_batch(port, tuples)
 
     def submit_punct(self, punct: Punctuation, port: int = 0) -> None:
@@ -309,12 +320,12 @@ class Operator:
                 f"{self.ctx.full_name}: invalid output port {port} "
                 f"(operator has {self.n_outputs})"
             )
-        self.ctx.submit_punct(port, punct)
+        self.ctx.punct_fn(port, punct)
 
     def submit_final(self) -> None:
         """Send FINAL punctuation on every output port."""
         for port in range(self.n_outputs):
-            self.ctx.submit_punct(port, Punctuation.FINAL)
+            self.ctx.punct_fn(port, Punctuation.FINAL)
 
     # -- hooks for subclasses ------------------------------------------------------
 
@@ -420,16 +431,17 @@ class Operator:
     # -- framework entry points (called by the PE) --------------------------------
 
     def _process(self, item: Union[StreamTuple, Punctuation], port: int) -> None:
+        """One item; the PE's compiled delivery inlines the tuple half."""
         if self._finalized:
             return
         if isinstance(item, StreamTuple):
-            self._n_processed.increment()
-            self._processed_by_port[port].increment()
+            self._n_processed.value += 1
+            self._processed_by_port[port].value += 1
             self.on_tuple(item, port)
             return
-        self._n_puncts.increment()
+        self._n_puncts.value += 1
         if item is Punctuation.FINAL:
-            self._n_final_puncts.increment()
+            self._n_final_puncts.value += 1
         self.on_punct(item, port)
         if item is Punctuation.FINAL:
             self._final_ports.add(port)
@@ -449,8 +461,8 @@ class Operator:
         if self._finalized or not tuples:
             return
         n = len(tuples)
-        self._n_processed.increment(n)
-        self._processed_by_port[port].increment(n)
+        self._n_processed.value += n
+        self._processed_by_port[port].value += n
         self.process_batch(tuples, port)
 
     @property

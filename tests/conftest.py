@@ -23,8 +23,10 @@ from repro.spl.tuples import Punctuation, StreamTuple
 #: ``tests/test_batch_path_properties.py``, ``tests/test_spl_schema_tuples.py``
 #: and ``tests/test_spl_state_properties.py`` under ``batch-ci``; tier-1
 #: keeps each module's own small budget.  The ``wire-ci`` step also runs
-#: ``TestCancelCyclesLeakNothing`` at its long cycle count and
-#: ``TestControlPlaneStaysFlat`` at its long horizon
+#: ``TestCancelCyclesLeakNothing`` at its long cycle count,
+#: ``TestControlPlaneStaysFlat`` at its long horizon,
+#: ``tests/test_sim_kernel.py::TestKernelOrderProperty`` at its CI budget and
+#: ``tests/test_runtime_pe_transport.py::TestCompiledHops``
 settings.register_profile("wire-ci", max_examples=400, deadline=None)
 settings.register_profile("elastic-ci", max_examples=300, deadline=None)
 settings.register_profile("orca-ci", max_examples=1500, deadline=None)

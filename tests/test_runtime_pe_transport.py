@@ -1,7 +1,10 @@
 """Tests for PE lifecycle, tuple routing, and the transport."""
 
 import ast
+import inspect
 import pathlib
+from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -10,10 +13,15 @@ from repro.errors import PEControlError
 from repro.runtime.job import JobState
 from repro.runtime.pe import PEState
 from repro.sim.kernel import OutstandingHandles
+from repro.spl.application import Application
 from repro.spl.metrics import OperatorMetricName, PEMetricName
-from repro.spl.library import Beacon
+from repro.spl.library import Beacon, Custom, Functor, Sink, Split
+from repro.spl.operators import Operator
+from repro.spl.tuples import Punctuation
 
-from tests.conftest import calls, functions_under, hold, make_filter_app, make_linear_app
+from tests.conftest import (
+    CollectingOperator, calls, functions_under, hold, make_filter_app, make_linear_app,
+)
 
 
 def get_op(job, name):
@@ -282,15 +290,255 @@ class TestResolvedDispatch:
         assert splitter.metric(submitted).value == self.N
         assert merger.metric(processed).value == self.N
 
-        # every resolved hop points at a live object of the current plan
-        for pe in job.pes:
-            for hops in pe._routes.values():
-                for dst_name, _, operator, dst_pe in hops:
-                    if operator is not None:
-                        assert operator is pe.operators[dst_name]
+        # every resolved hop, and every compiled dispatch, points at a live
+        # object of the current plan
+        assert_hops_live(job)
+
+
+def hop_targets(hop):
+    """What one compiled dispatch reaches: ``("local", operator)`` for a
+    fused delivery, ``("remote", pe, operator name)`` for a send."""
+    free = inspect.getclosurevars(hop).nonlocals
+    if "targets" not in free:
+        return [("local", free["operator"])]
+    reached = []
+    for target in free["targets"]:
+        if isinstance(target, partial):
+            reached.append(("remote", target.args[0], target.args[1]))
+        else:
+            reached += hop_targets(target)
+    return reached
+
+
+def assert_hops_live(job):
+    """Every running PE's routes — resolved hops, compiled tuple dispatch
+    and inbound deliveries — reach live objects of the current plan only."""
+    for pe in job.pes:
+        if not pe.is_running:
+            continue
+        for name, (operator, deliveries) in pe._inbound.items():
+            assert operator is pe.operators.get(name)
+            if operator is None:
+                continue
+            assert all(
+                hop_targets(deliver) == [("local", operator)] for deliver in deliveries.values()
+            )
+        for operator in pe.operators.values():
+            ports = operator.ctx.punct_fn.args[0]  # out port -> resolved hops
+            planned = {e.src_port for e in job.compiled.application.graph.edges
+                       if e.src.full_name == operator.ctx.full_name}
+            assert planned <= {port for port, hops in ports.items() if hops}
+            for port, hops in list(ports.items()):
+                compiled = operator.ctx.hops[port]
+                for dst_name, _, local, dst_pe in hops:
+                    if local is not None:
+                        assert local is pe.operators[dst_name]
                     else:
                         assert dst_pe in job.pes
                         assert dst_pe.operators.get(dst_name) is not None
+                reached = hop_targets(compiled)
+                assert len(reached) == len(hops)
+                for target in reached:
+                    if target[0] == "local":
+                        assert target[1] is pe.operators[target[1].ctx.full_name]
+                    else:
+                        assert target[1] in job.pes and target[1].is_running
+                        assert target[1].operators.get(target[2]) is not None
+
+
+class Traffic:
+    """A counting reference for the compiled per-tuple path, recorded
+    outside the PE: every ``Operator.submit`` (swallowed or not, by
+    whether the PE was replaying) and every ``on_tuple`` entry with the
+    tuple's size, by operator instance and port.  Installed before the
+    system is built: compiled hops bind ``on_tuple`` at ``rebuild_routes()``.
+    """
+
+    def __init__(self, monkeypatch):
+        self.emitted, self.muted, self.entered = Counter(), Counter(), Counter()
+        self.bytes = Counter()  # pe id -> bytes of the tuples that entered there
+        submit = Operator.submit
+
+        def recording_submit(op, values, port=0):
+            (self.muted if op.ctx.replaying else self.emitted)[op, port] += 1
+            submit(op, values, port)
+
+        monkeypatch.setattr(Operator, "submit", recording_submit)
+        for cls in (CollectingOperator, Custom, Functor, Sink, Split):
+
+            def entering(op, tup, port, _on_tuple=vars(cls)["on_tuple"]):
+                self.entered[op, port] += 1
+                self.bytes[op.ctx.pe_id] += tup.size_bytes
+                _on_tuple(op, tup, port)
+
+            monkeypatch.setattr(cls, "on_tuple", entering)
+
+    def of_pe(self, counter, pe):
+        return sum(n for (op, _), n in counter.items() if op.ctx.pe_id == pe.pe_id)
+
+    def check(self, job, swallowed=None):
+        """Every PE and operator counter equals the reference.
+
+        ``swallowed``: pe id -> (tuples, bytes) delivered to a finalized
+        operator — counted by the PE, never entering ``on_tuple``.
+        """
+        for pe in job.pes:
+            extra, extra_bytes = (swallowed or {}).get(pe.pe_id, (0, 0))
+            value = lambda name: pe.metrics.get(name).value  # noqa: E731
+            assert value(PEMetricName.N_TUPLES_PROCESSED) == self.of_pe(self.entered, pe) + extra
+            assert value(PEMetricName.N_TUPLE_BYTES_PROCESSED) == self.bytes[pe.pe_id] + extra_bytes
+            assert value(PEMetricName.N_TUPLES_SUBMITTED) == self.of_pe(self.emitted, pe)
+            for op in pe.operators.values():
+                processed = [self.entered[op, port] for port in range(op.n_inputs)]
+                submitted = [
+                    self.emitted[op, port] + self.muted[op, port] for port in range(op.n_outputs)
+                ]
+                for port, n in enumerate(processed):
+                    assert op.metric(OperatorMetricName.N_TUPLES_PROCESSED, port=port).value == n
+                for port, n in enumerate(submitted):
+                    assert op.metric(OperatorMetricName.N_TUPLES_SUBMITTED, port=port).value == n
+                assert op.metric(OperatorMetricName.N_TUPLES_PROCESSED).value == sum(processed)
+                assert op.metric(OperatorMetricName.N_TUPLES_SUBMITTED).value == sum(submitted)
+
+
+@pytest.fixture
+def traffic(monkeypatch):
+    return Traffic(monkeypatch)
+
+
+class TestCompiledHops:
+    """``rebuild_routes()`` compiles each output port into one dispatch
+    (a fused hop is one call from ``Operator.submit`` to ``on_tuple``) and
+    each input port into one delivery that ``receive`` shares.  Judged by
+    the counters they move against :class:`Traffic`, and by where they
+    point after a crash and restart."""
+
+    N = 40
+
+    def test_fan_out_split_and_punctuation(self, traffic):
+        """One port fanning out to a fused and a remote operator, a
+        three-port ``Split``, WINDOW and FINAL through compiled hops, and a
+        traced span per delivery."""
+        system = SystemS(
+            hosts=4, seed=42, config=SystemConfig(trace_enabled=True, trace_sample_every=1)
+        )
+
+        def windows(op, tup, port):
+            op.submit(tup)
+            if tup["iter"] % 5 == 4:
+                op.submit_punct(Punctuation.WINDOW)
+
+        app = Application("Fan")
+        g = app.graph
+        src = g.add_operator(
+            "src", Beacon, params={"values": {"k": 1}, "limit": self.N, "period": 0.1},
+            partition="head",
+        )
+        win = g.add_operator("win", Custom, params={"on_tuple_fn": windows}, partition="head")
+        split = g.add_operator(
+            "split", Split,
+            params={"n_outputs": 3,
+                    "router": lambda t: [0, 2] if t["iter"] % 4 == 0 else t["iter"] % 3},
+            partition="head",
+        )
+        near = g.add_operator("near", CollectingOperator, partition="head")
+        solo = g.add_operator("solo", CollectingOperator, partition="head")
+        far = g.add_operator("far", CollectingOperator, params={"n_inputs": 2}, partition="tail")
+        g.connect(src.oport(0), win.iport(0))
+        g.connect(win.oport(0), split.iport(0))
+        g.connect(split.oport(0), near.iport(0))
+        g.connect(split.oport(0), far.iport(0))
+        g.connect(split.oport(1), far.iport(1))
+        g.connect(split.oport(2), solo.iport(0))
+        job = system.submit_job(app)
+        system.run_for(10.0)
+
+        traffic.check(job)
+        ops = {name: get_op(job, name) for name in ("split", "near", "far", "solo")}
+        out = [traffic.emitted[ops["split"], port] for port in range(3)]
+        assert out[0] and out[1] and out[2]
+        assert traffic.entered[ops["near"], 0] == traffic.entered[ops["far"], 0] == out[0]
+        assert traffic.entered[ops["far"], 1] == out[1]
+        assert traffic.entered[ops["solo"], 0] == out[2]
+        window, final = Punctuation.WINDOW, Punctuation.FINAL
+        assert ops["near"].puncts == [(window, 0)] * (self.N // 5) + [(final, 0)]
+        assert Counter(ops["far"].puncts) == {
+            (window, 0): self.N // 5, (window, 1): self.N // 5, (final, 0): 1, (final, 1): 1,
+        }
+        for name, finals in (("near", 1), ("far", 2), ("solo", 1)):
+            op = ops[name]
+            assert op.finalized_called == 1 and op.is_finalized
+            assert op.metric(OperatorMetricName.N_FINAL_PUNCTS_PROCESSED).value == finals
+            assert op.metric(OperatorMetricName.N_PUNCTS_PROCESSED).value == len(op.puncts)
+        for name in ("win", "split", "near", "far", "solo"):
+            spans = system.obs.metrics.histogram("repro_tuple_latency_seconds", {"op": name})
+            assert spans.total == sum(
+                n for (op, _), n in traffic.entered.items() if op.ctx.full_name == name
+            )
+
+    @pytest.mark.parametrize("placement", ["fused", "remote"])
+    def test_a_finalized_destination_counts_in_the_pe_only(self, traffic, placement):
+        system = SystemS(hosts=4, seed=42)
+        app = Application("Closed")
+        g = app.graph
+        a = g.add_operator(
+            "a", Beacon, params={"limit": 3, "period": 0.1}, partition="one"
+        )
+        b = g.add_operator("b", Beacon, params={"period": 0.1}, partition="one")
+        dst = g.add_operator(
+            "dst", CollectingOperator, partition="one" if placement == "fused" else "two"
+        )
+        g.connect(a.oport(0), dst.iport(0))
+        g.connect(b.oport(0), dst.iport(0))
+        job = system.submit_job(app)
+        system.run_for(3.0)
+
+        closed = get_op(job, "dst")
+        assert closed.is_finalized
+        sent = sum(
+            n for (op, _), n in traffic.emitted.items() if op.ctx.full_name in ("a", "b")
+        )
+        late = sent - traffic.entered[closed, 0]
+        assert late > 10  # b kept sending after the FINAL closed dst's one port
+        size = closed.tuples[0][0].size_bytes  # a Beacon tuple's size does not vary
+        traffic.check(job, swallowed={closed.ctx.pe_id: (late, late * size)})
+        assert closed.metric(OperatorMetricName.N_TUPLES_PROCESSED).value == len(closed.tuples)
+
+    def test_replayed_emissions_are_swallowed_and_no_hop_outlives_a_crash(self, traffic):
+        system = SystemS(
+            hosts=4,
+            seed=42,
+            config=SystemConfig(delivery="exactly_once", checkpoint_interval=0.5),
+        )
+        app = Application("Replayed")
+        g = app.graph
+        src = g.add_operator(
+            "src", Beacon, params={"limit": self.N * 2, "period": 0.05}, partition="feed"
+        )
+        mid = g.add_operator("mid", Functor, params={"fn": lambda t: t}, partition="work")
+        post = g.add_operator("post", Functor, params={"fn": lambda t: t}, partition="work")
+        sink = g.add_operator("sink", Sink, partition="out")
+        g.connect(src.oport(0), mid.iport(0))
+        g.connect(mid.oport(0), post.iport(0))
+        g.connect(post.oport(0), sink.iport(0))
+        job = system.submit_job(app)
+        system.run_for(1.7)
+        work = job.pe_of_operator("mid")
+        dead = (get_op(job, "mid"), get_op(job, "post"))
+        work.crash("test")
+        system.failures.restart_pe(job.job_id, work.pe_id, rehydrate=True)
+        system.run_for(8.0)
+
+        live_mid = get_op(job, "mid")
+        assert live_mid is not dead[0]
+        assert traffic.muted[live_mid, 0] > 0  # the replay re-ran mid; its emissions stayed home
+        traffic.check(job)
+        assert sorted(t["iter"] for t in get_op(job, "sink").seen) == list(range(self.N * 2))
+        assert hop_targets(live_mid.ctx.hops[0]) == [("local", get_op(job, "post"))]
+        assert_hops_live(job)
+        for old in dead:
+            assert all(target[1] is not old for pe in job.pes for op in pe.operators.values()
+                       for hop in op.ctx.hops.values() for target in hop_targets(hop))
 
 
 class TestRouting:

@@ -1,10 +1,17 @@
 """Tests for the discrete-event kernel and clock."""
 
-import pytest
+from collections import defaultdict
+from functools import partial
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.runtime.exec.wallclock import WallClockExecutor
 from repro.sim.clock import Clock
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.sim.rand import RandomStreams
+
+from tests.conftest import example_budget
 
 
 class TestClock:
@@ -192,6 +199,76 @@ class TestKernelScheduling:
             return log
 
         assert run() == run()
+
+
+#: one step of a schedule program: the index of the handle whose callback
+#: runs it (-1: before the run), the call, a delay / offset, and which
+#: earlier handle a ``cancel`` picks
+STEPS = st.tuples(
+    st.integers(-1, 11),
+    st.sampled_from(("schedule", "schedule_at", "call_soon", "cancel")),
+    st.sampled_from((0.0, 0.25, 1.0)),
+    st.integers(0, 63),
+)
+
+
+class TestKernelOrderProperty:
+    """The heap holds ``(time, seq, handle)`` entries: whatever the
+    interleaving of ``schedule`` / ``schedule_at`` / ``call_soon`` /
+    ``cancel``, from outside the loop or from callbacks, the handles that
+    run are every handle not cancelled before it ran, in ``(time, seq)``
+    order.  On the wall clock every ``schedule_at`` deadline is overdue
+    (absolute times near 0, or the firing event's own deadline), so the
+    heap, not the clock, decides the order there too."""
+
+    @pytest.mark.parametrize("backend", ["sim", "wallclock"])
+    @example_budget("wire-ci", 60)
+    @given(program=st.lists(STEPS, max_size=40))
+    def test_dispatch_is_time_then_sequence_order(self, backend, program):
+        kernel = Kernel() if backend == "sim" else WallClockExecutor(time_scale=1000.0)
+        handles, fired, tapped, doomed = [], [], [], set()
+        kernel.event_tap = tapped.append
+        steps_of = defaultdict(list)
+        for parent, call, delay, pick in program:
+            steps_of[parent].append((call, delay, pick))
+
+        def apply(steps, base):
+            for call, delay, pick in steps:
+                if call == "cancel":
+                    if handles:
+                        handle = handles[pick % len(handles)]
+                        if not handle.fired:
+                            doomed.add(handle)
+                        handle.cancel()
+                    continue
+                callback = partial(fire, len(handles))
+                if call == "schedule":
+                    handles.append(kernel.schedule(delay, callback))
+                elif call == "schedule_at":
+                    handles.append(kernel.schedule_at(base + delay, callback))
+                else:
+                    handles.append(kernel.call_soon(callback))
+
+        def fire(index):
+            handle = handles[index]
+            fired.append(handle)
+            apply(steps_of[index], handle.time)
+
+        def outstanding():
+            return sum(1 for handle in handles if not (handle.fired or handle.cancelled))
+
+        apply(steps_of[-1], 0.0)
+        assert kernel.pending_count() == outstanding()
+        kernel.run_until(kernel.now + 0.5)
+        assert kernel.pending_count() == outstanding()
+        while kernel.pending_count():
+            kernel.run_until(kernel.now + 2.0)
+
+        expected = [handle for handle in handles if handle not in doomed]
+        assert fired == sorted(expected, key=lambda handle: (handle.time, handle.seq))
+        assert tapped == fired
+        assert all(type(handle) is ScheduledEvent for handle in tapped)
+        assert outstanding() == 0
 
 
 class TestRandomStreams:
