@@ -8,10 +8,11 @@ the :class:`~repro.checkpoint.store.CheckpointStore`:
 1. **Capture (incremental).**  For every keyed state it asks the
    :class:`~repro.spl.state.KeyedState` for its dirty delta — deep copies
    of only the keys touched since the last committed checkpoint, plus the
-   dropped-key set — and merges it over the previous epoch's materialized
-   view.  Cold partitions are carried forward by reference (they are
-   detached copies already), so a hot loop hammering a few keys never
-   forces the whole map to be re-serialized.  Global states and the
+   dropped-key set — and merges it over the PE's latest committed epoch
+   in the store, which holds the materialized map of every keyed state.
+   Cold partitions are carried forward by reference (they are detached
+   copies already), so a hot loop hammering a few keys never forces the
+   whole map to be re-serialized.  Global states and the
    operator's ``on_snapshot()`` extra are small by convention and are
    captured in full.
 2. **Record.**  The payloads are written to the store as a new epoch
@@ -34,7 +35,7 @@ checkpointer would do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.checkpoint.store import CheckpointStore
 from repro.sim.kernel import Kernel, ScheduledEvent
@@ -96,8 +97,6 @@ class CheckpointService:
         self.commit_fault: Optional[Callable[["PERuntime"], bool]] = None
         #: every checkpoint attempt, committed or torn, in order
         self.records: List[CheckpointRecord] = []
-        #: (job, pe, op, state) -> last committed materialized keyed map
-        self._materialized: Dict[Tuple[str, str, str, str], Dict] = {}
         #: the pending round; None while the loop is stopped
         self._loop_handle: Optional[ScheduledEvent] = None
 
@@ -184,20 +183,23 @@ class CheckpointService:
         keys_total = 0
         bytes_written = 0
         cleaners: List[Callable[[], None]] = []
-        commits: List[Tuple[Tuple[str, str, str, str], Dict]] = []
+        # the bases: a restored or fresh keyed state is full-dirty, so a
+        # delta always extends the epoch this PE committed last
+        latest = self.store.latest_committed(pe.job.job_id, pe.pe_id)
+        committed = latest.payloads if latest is not None else {}
         for op_name, operator in pe.operators.items():
             extra = operator.on_snapshot()
             if extra is None and op_name not in declared and not operator.state.in_use:
                 continue
             keyed_payload: Dict[str, Dict] = {}
+            bases = committed.get(op_name, {}).get("store", {}).get("keyed", {})
             for state_name, keyed in operator.state.keyed_states().items():
-                base_key = (pe.job.job_id, pe.pe_id, op_name, state_name)
                 full, changed, dropped = keyed.dirty_snapshot()
-                base = self._materialized.get(base_key)
+                base = bases.get(state_name)
                 if full or base is None:
                     if not full:
-                        # delta without a base (e.g. the service was
-                        # reset): fall back to a full capture
+                        # delta without a committed base: fall back to
+                        # a full capture
                         changed, dropped = keyed.snapshot(), set()
                     materialized = changed
                     any_full = True
@@ -214,7 +216,6 @@ class CheckpointService:
                 )
                 keys_total += len(materialized)
                 keyed_payload[state_name] = materialized
-                commits.append((base_key, materialized))
                 cleaners.append(keyed.mark_clean)
             global_payload = {
                 name: state.snapshot()
@@ -237,9 +238,7 @@ class CheckpointService:
             keys_total=keys_total,
             bytes_written=bytes_written,
         )
-        if entry.committed:  # a torn epoch leaves dirty tracking and bases as they are
-            for base_key, materialized in commits:
-                self._materialized[base_key] = materialized
+        if entry.committed:  # a torn epoch leaves dirty tracking as it is
             for clean in cleaners:
                 clean()
         record = CheckpointRecord(
@@ -257,21 +256,6 @@ class CheckpointService:
         self.records.append(record)
         self.events.publish("checkpoint", record)
         return record
-
-    # -- cleanup ----------------------------------------------------------------
-
-    def forget_pes(self, job_id: str, pe_ids: Collection[str]) -> None:
-        """Drop the materialized bases of PEs gone for good.
-
-        Args:
-            job_id: Owning job.
-            pe_ids: The removed PEs (scale-in) or all of a cancelled job's.
-        """
-        self._materialized = {
-            key: value
-            for key, value in self._materialized.items()
-            if not (key[0] == job_id and key[1] in pe_ids)
-        }
 
     def __repr__(self) -> str:
         """Return a short debugging representation."""

@@ -78,14 +78,14 @@ class RescaleState(enum.Enum):
 class BarrierEvent:
     """One timestamped phase transition of the rescale protocol.
 
-    The controller records these for every rescale — ``quiesce`` (the
+    The controller publishes these for every rescale — ``quiesce`` (the
     splitter stopped forwarding), ``drain_clean`` (the region proved
     empty), ``migrate`` (keyed extraction began), ``rewire`` (graph/PE
     surgery began), ``resume`` (the splitter resumed at the new width,
-    ``epoch`` assigned), and ``failed`` — and publishes them as
-    ``barrier`` events.  They are the instrumentation tap the chaos
-    fuzzer (:mod:`repro.chaos.fuzz`) mines for adversarial step times:
-    the nastiest fault interleavings land *exactly at* these instants.
+    ``epoch`` assigned), and ``failed`` — as ``barrier`` events.  They
+    are the instrumentation tap the chaos fuzzer (:mod:`repro.chaos.fuzz`)
+    mines for adversarial step times: the nastiest fault interleavings
+    land *exactly at* these instants.
     """
 
     job_id: str
@@ -165,24 +165,21 @@ class ElasticController(ChannelRerouter):
         self.config = config
         self.history: List[RescaleOperation] = []
         self._active: Dict[Tuple[str, str], RescaleOperation] = {}
-        #: timestamped rescale-phase transitions (quiesce / drain_clean /
-        #: migrate / rewire / resume / failed), newest last — the barrier
-        #: tap the chaos fuzzer targets mutations at
-        self.barrier_events: List[BarrierEvent] = []
 
     def _mark_barrier(
         self, job_id: str, region: str, phase: str, epoch: int = 0
     ) -> None:
-        """Record one rescale-phase transition and publish it."""
-        event = BarrierEvent(
-            job_id=job_id,
-            region=region,
-            phase=phase,
-            time=self.kernel.now,
-            epoch=epoch,
+        """Publish one rescale-phase transition (the ``barrier`` topic)."""
+        self.events.publish(
+            "barrier",
+            BarrierEvent(
+                job_id=job_id,
+                region=region,
+                phase=phase,
+                time=self.kernel.now,
+                epoch=epoch,
+            ),
         )
-        self.barrier_events.append(event)
-        self.events.publish("barrier", event)
 
     # -- public API --------------------------------------------------------------
 

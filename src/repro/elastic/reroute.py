@@ -88,7 +88,7 @@ class ChannelRerouter:
         channels = {plan.channel_of(name) for name in pe.spec.operators}
         return sorted(channels - {None})
 
-    def mask(self, pe: PERuntime, reason: str) -> None:
+    def mask(self, pe: PERuntime, reason: str, detection_ts: float) -> None:
         """``pe_failure`` event: ``pe`` crashed — mask its channels.
 
         The mask is recorded even while the splitter is down: the

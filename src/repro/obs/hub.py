@@ -449,7 +449,7 @@ class ObsHub:
                 buckets=(64, 256, 1024, 4096, 16384, 65536, float("inf")),
             ).observe(record.bytes_written)
 
-    def _on_pe_failure(self, pe: "PERuntime", reason: str) -> None:
+    def _on_pe_failure(self, pe: "PERuntime", reason: str, detection_ts: float) -> None:
         self.tracer.event(
             "pe:crash",
             self.kernel.now,

@@ -485,18 +485,3 @@ class UserEventContext:
     name: str
     time: float
     payload: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class EventTransaction:
-    """Transaction id attached to every delivered event.
-
-    This implements the paper's *future work* item (Sec. 7): "adding
-    transaction IDs to delivered events, and associating actuations taking
-    place via the ORCA service to the event transaction ID", enabling
-    reliable delivery and actuation replay.
-    """
-
-    txn_id: int
-    event_type: str
-    enqueued_at: float

@@ -6,9 +6,9 @@ logic shared library, invokes the start callback, and from then on
 
 * **generates events**: from itself (start, job submission/cancellation,
   timers), from SRM metric polls (default every 15 s, adjustable), from
-  SAM failure push notifications (one extra RPC), from the runtime event
-  bus (rescales, reroutes, checkpoints, chaos, health), and from the
-  command tool (user events).  An emitter is *ownership check → context →
+  the runtime event bus (PE failures, one extra RPC later; host failures,
+  rescales, reroutes, checkpoints, chaos, health), and from the command
+  tool (user events).  An emitter is *ownership check → context →
   ``_emit``*, the one place an event is matched, stamped and queued; what
   a kind is — type, handler, which context fields are scope attributes —
   is declared on the context class (``repro.orca.contexts.EVENT_KINDS``);
@@ -71,8 +71,8 @@ from repro.runtime.pe import PERuntime
 from repro.runtime.srm import MetricSample
 from repro.runtime.system import SystemS
 
-#: entries each of the service's three logs (delivered events, actuations,
-#: handler errors) keeps; a long-running orchestrator's logs stay this size
+#: entries each of the service's two logs (actuations, handler errors)
+#: keeps; a long-running orchestrator's logs stay this size
 LOG_WINDOW = 4096
 
 
@@ -118,12 +118,11 @@ class OrcaService:
         self.jobs: Dict[str, Job] = {}
         #: the stream graph's per-job side is a live view over ``jobs``
         self.graph = StreamGraph(self.jobs)
-        #: the newest ``LOG_WINDOW`` actuations, delivered events (in
-        #: delivery order — Sec. 7's transaction ids attribute the former
-        #: to the latter) and isolated handler failures; older entries
-        #: fall off, ``queue.delivered_count`` still counts every event
+        #: the newest ``LOG_WINDOW`` actuations (each with the transaction
+        #: id of the event whose handler issued it, Sec. 7) and isolated
+        #: handler failures; older entries fall off,
+        #: ``queue.delivered_count`` still counts every event
         self.actuation_log: Deque[ActuationRecord] = deque(maxlen=LOG_WINDOW)
-        self.event_journal: Deque[OrcaEvent] = deque(maxlen=LOG_WINDOW)
         self.handler_errors: Deque[tuple] = deque(maxlen=LOG_WINDOW)
         self._compiled: Dict[str, CompiledApplication] = {}
         self._poll_interval = (
@@ -150,6 +149,8 @@ class OrcaService:
         # outside this service (autoscalers, chaos campaigns, direct
         # controller calls).
         self._unsubscribe = self.system.events.subscribe(
+            pe_failure=self._on_pe_failure,
+            host_failure=self._on_host_failure,
             reroute=self._on_channel_rerouted,
             rescale=self._on_region_rescaled,
             checkpoint=self._on_checkpoint_committed,
@@ -185,8 +186,11 @@ class OrcaService:
     def shutdown(self) -> None:
         """Stop raising *and delivering* events: a handler must not actuate
         for an orchestrator that no longer exists, so what is still queued
-        is dropped (and counted in ``queue.dropped_count``)."""
+        is dropped (and counted in ``queue.dropped_count``).  Its jobs lose
+        their owner, so SAM's ``auto_restart_pes`` fallback covers them."""
         self._alive = False
+        for job in self.jobs.values():
+            job.owner_orca = None
         self.queue.drop_all()
         if self._poll_handle is not None:
             self._poll_handle.cancel()
@@ -267,7 +271,6 @@ class OrcaService:
             obs.record_orca_event(
                 self.orca_id, event.event_type, event.enqueued_at, self.now
             )
-        self.event_journal.append(event)
         self._current_txn = event.txn_id
         try:
             if kind.scopes:
@@ -369,12 +372,14 @@ class OrcaService:
 
     # -- failure events -----------------------------------------------------------------------------
 
-    def _receive_pe_failure(self, pe: PERuntime, reason: str, detection_ts: float) -> None:
-        """SAM pushes a PE crash of a managed job (Sec. 4.2).
+    def _on_pe_failure(self, pe: PERuntime, reason: str, detection_ts: float) -> None:
+        """``pe_failure`` event: a PE of an owned job crashed (Sec. 4.2).
 
         The reaction is delayed by one extra remote procedure call from SAM
         to the ORCA service (Sec. 3) — modelled as ``orca_rpc_latency``.
         """
+        if pe.job.job_id not in self.jobs:
+            return  # not a job this orchestrator owns
         self.kernel.schedule(
             self.system.config.orca_rpc_latency,
             self._emit_pe_failure,
@@ -386,8 +391,6 @@ class OrcaService:
 
     def _emit_pe_failure(self, pe: PERuntime, reason: str, detection_ts: float) -> None:
         job = pe.job
-        if job.job_id not in self.jobs:
-            return
         context = PEFailureContext(
             pe_id=pe.pe_id,
             pe_index=pe.index,
@@ -401,7 +404,8 @@ class OrcaService:
         )
         self._emit(context, **self.graph.pe_event_attrs(job.job_id, pe.pe_id))
 
-    def _receive_host_failure(self, host_name: str, detection_ts: float) -> None:
+    def _on_host_failure(self, host_name: str, detection_ts: float) -> None:
+        """``host_failure`` event: every live orchestrator hears it."""
         affected = tuple(
             pe.pe_id
             for job in self.jobs.values()
@@ -791,13 +795,6 @@ class OrcaService:
     def actuations_for(self, txn_id: int) -> List[ActuationRecord]:
         """Actuations attributed to one event transaction (Sec. 7), within the log window."""
         return [r for r in self.actuation_log if r.txn_id == txn_id]
-
-    def journal_entry(self, txn_id: int) -> Optional[OrcaEvent]:
-        """The delivered event with the given transaction id, if within the log window."""
-        for event in self.event_journal:
-            if event.txn_id == txn_id:
-                return event
-        return None
 
     # -- inspection API (Sec. 4.2) -----------------------------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, List
 
 TOPICS = (
     "barrier", "reroute", "rescale", "checkpoint",
-    "pe_failure", "pe_restart", "injection", "health_alert",
+    "pe_failure", "host_failure", "pe_restart", "injection", "health_alert",
 )
 
 

@@ -3,14 +3,14 @@
 Sec. 2.2 of the paper: SAM receives application submission and cancellation
 requests, spawns all PEs of a job according to their placement constraints,
 and can stop and restart PEs.  Our extension for orchestration (Sec. 3):
-SAM "keeps track of all orchestrators running in the system and their
-associated jobs" and, on a PE crash notification, identifies which ORCA
-service manages the crashed PE and pushes the failure to it.
+each job records the orchestrator that owns it (``Job.owner_orca``), and
+PE and host failures are published on the runtime bus, where every ORCA
+service picks out the failures of the jobs it owns.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.checkpoint.store import CheckpointStore
 from repro.errors import (
@@ -32,7 +32,6 @@ from repro.runtime.srm import SRM
 from repro.runtime.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.checkpoint.service import CheckpointService
     from repro.runtime.system import SystemConfig
 
 #: seconds between a job's submission and its PEs starting (the fork/exec
@@ -41,7 +40,7 @@ PE_SPAWN_DELAY = 0.1
 
 
 class SAM:
-    """Job lifecycle manager and orchestrator registry."""
+    """Job lifecycle manager."""
 
     def __init__(
         self,
@@ -62,25 +61,19 @@ class SAM:
         self.transport = transport
         self.import_export = import_export
         self.ids = ids
-        #: the runtime bus: SAM publishes ``pe_failure`` (PE, reason)
-        #: and ``pe_restart`` (PE)
+        #: the runtime bus: SAM publishes ``pe_failure`` (PE, reason,
+        #: detection_ts), ``host_failure`` (host, detection_ts) and
+        #: ``pe_restart`` (PE)
         self.events = events
         # the frozen benchmark appends to this name (bench/workloads.py):
         # it is the bus's own ``pe_restart`` subscriber list, not a copy
         self.pe_restart_observers = events.subscribers["pe_restart"]
         #: committed-epoch snapshots handed to every PE runtime
         self.checkpoint_store = checkpoint_store
-        #: the background checkpoint daemon (used only for materialized-base
-        #: cleanup); it is built over this SAM, so SystemS assigns it late
-        self.checkpoint_service: "CheckpointService"
         self.scheduler = PlacementScheduler()
         self.jobs: Dict[str, Job] = {}
         #: host -> job id holding it through an exclusive pool
         self.reserved_hosts: Dict[str, str] = {}
-        #: orca id -> failure callback installed by the ORCA service
-        self._orca_failure_sinks: Dict[str, Callable] = {}
-        #: orca id -> host failure callback installed by the ORCA service
-        self._orca_host_sinks: Dict[str, Callable] = {}
         srm.on_host_failure = self._on_host_failure
         for hc in hcs.values():
             hc.on_pe_crash = self._on_local_pe_crash
@@ -178,10 +171,10 @@ class SAM:
 
         Stop them (no snapshot: nothing will rehydrate from them), then
         let the wire, SRM (no ghost samples for the ORCA metric poll) and
-        the checkpoint store and service (a chain or a materialized base
-        would only ever rehydrate a ghost) forget them.  All stop before
-        any is forgotten, so a shutdown hook's last emission cannot reopen
-        a link :meth:`Transport.forget_pe` already dropped.
+        the checkpoint store (a chain would only ever rehydrate a ghost)
+        forget them.  All stop before any is forgotten, so a shutdown
+        hook's last emission cannot reopen a link
+        :meth:`Transport.forget_pe` already dropped.
         """
         for pe in pes:
             pe.stop(capture_state=False)
@@ -190,9 +183,7 @@ class SAM:
         for pe in pes:
             self.transport.forget_pe(pe.pe_id)
             self.checkpoint_store.drop_pe(job.job_id, pe.pe_id)
-        pe_ids = {pe.pe_id for pe in pes}
-        self.srm.drop_pe_metrics(job.job_id, pe_ids)
-        self.checkpoint_service.forget_pes(job.job_id, pe_ids)
+        self.srm.drop_pe_metrics(job.job_id, {pe.pe_id for pe in pes})
 
     def _release_reservations(self, job_id: str) -> None:
         self.reserved_hosts = {
@@ -309,8 +300,7 @@ class SAM:
             for pe in job.pes:
                 if pe.host_name == host_name and pe.state is PEState.CRASHED:
                     self._dispatch_pe_failure(pe, "host_failure", detection_ts)
-        for sink in self._orca_host_sinks.values():
-            sink(host_name, detection_ts)
+        self.events.publish("host_failure", host_name, detection_ts)
 
     def _dispatch_pe_failure(
         self, pe: PERuntime, reason: str, detection_ts: float
@@ -318,33 +308,11 @@ class SAM:
         job = pe.job
         if job.state is not JobState.RUNNING:
             return
-        self.events.publish("pe_failure", pe, reason)
-        sink = None
-        if job.owner_orca is not None:
-            sink = self._orca_failure_sinks.get(job.owner_orca)
-        if sink is not None:
-            # One extra RPC from SAM to the ORCA service (Sec. 3): the
-            # notification delay was already applied by the caller.
-            sink(pe, reason, detection_ts)
-        elif self.config.auto_restart_pes:
+        # the ORCA service owning the job hears it here (Sec. 3); the
+        # notification delay was already applied by the caller
+        self.events.publish("pe_failure", pe, reason, detection_ts)
+        if job.owner_orca is None and self.config.auto_restart_pes:
             self.restart_pe(job.job_id, pe.pe_id)
-
-    # -- orchestrator registry ------------------------------------------------------------
-
-    def register_orca(
-        self,
-        orca_id: str,
-        failure_sink: Callable,
-        host_failure_sink: Optional[Callable] = None,
-    ) -> None:
-        """An ORCA service subscribes to failures of the jobs it owns."""
-        self._orca_failure_sinks[orca_id] = failure_sink
-        if host_failure_sink is not None:
-            self._orca_host_sinks[orca_id] = host_failure_sink
-
-    def unregister_orca(self, orca_id: str) -> None:
-        self._orca_failure_sinks.pop(orca_id, None)
-        self._orca_host_sinks.pop(orca_id, None)
 
     # -- queries ------------------------------------------------------------------------------
 

@@ -181,7 +181,6 @@ class SystemS:
             store=self.checkpoint_store,
             events=self.events,
         )
-        self.sam.checkpoint_service = self.checkpoints
         self.checkpoints.start()
         from repro.chaos.engine import ChaosEngine  # late: layer cycle
 
@@ -252,9 +251,6 @@ class SystemS:
         orca_id = self.ids.orcas.allocate()
         service = OrcaService(orca_id=orca_id, system=self, descriptor=descriptor)
         self.orcas[orca_id] = service
-        self.sam.register_orca(
-            orca_id, service._receive_pe_failure, service._receive_host_failure
-        )
         service._boot()
         return service
 
@@ -262,4 +258,3 @@ class SystemS:
         service = self.orcas.pop(orca_id, None)
         if service is not None:
             service.shutdown()
-            self.sam.unregister_orca(orca_id)

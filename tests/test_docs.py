@@ -162,3 +162,27 @@ class TestConfigurationTables:
         assert len(constants) == 8
         for name, value, module in constants:
             assert getattr(importlib.import_module(module), name) == value, name
+
+
+class TestRuntimeEventsTable:
+    """``docs/architecture.md``'s Runtime events section lists the bus's topics."""
+
+    NUMBERS = ("zero", "one", "two", "three", "four", "five", "six", "seven",
+               "eight", "nine", "ten", "eleven", "twelve")
+
+    @staticmethod
+    def _section():
+        text = (REPO_ROOT / "docs" / "architecture.md").read_text()
+        return text.split("\n## Runtime events\n", 1)[1].split("\n## ", 1)[0]
+
+    def test_one_row_per_topic_in_order(self):
+        from repro.runtime.events import TOPICS
+
+        rows = re.findall(r"^\| `(\w+)` \|", self._section(), re.MULTILINE)
+        assert tuple(rows) == TOPICS
+
+    def test_the_prose_counts_the_topics(self):
+        from repro.runtime.events import TOPICS
+
+        counts = re.findall(r"(\w+) topics\)", self._section())
+        assert counts == [self.NUMBERS[len(TOPICS)]]

@@ -245,7 +245,16 @@ class TestHostFailureFailover:
         app = build_trend_application(
             lambda: TradeWorkload(seed=11), hub=hub, window_span=60.0
         )
-        logic = FailoverOrca(n_replicas=3, status_stream=io.StringIO())
+        class RecordingFailover(FailoverOrca):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                self.pe_failures = []
+
+            def handlePEFailureEvent(self, context, scopes):
+                self.pe_failures.append(context)
+                super().handlePEFailureEvent(context, scopes)
+
+        logic = RecordingFailover(n_replicas=3, status_stream=io.StringIO())
         service = system.submit_orchestrator(
             OrcaDescriptor(
                 name="F",
@@ -268,8 +277,5 @@ class TestHostFailureFailover:
         promoted_job = service.job(promoted)
         assert all(pe.state is PEState.RUNNING for pe in promoted_job.pes)
         # PE failure events of the one host failure shared an epoch
-        pe_events = [
-            e for e in service.event_journal if e.event_type == "pe_failure"
-        ]
-        epochs = {e.context.epoch for e in pe_events}
-        assert len(epochs) == 1
+        assert logic.pe_failures
+        assert len({context.epoch for context in logic.pe_failures}) == 1

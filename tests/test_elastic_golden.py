@@ -185,6 +185,8 @@ def run_script(delivery: str) -> str:
     )
     job = system.sam.submit_job(system.compile(region_app(hook)))
     elastic = system.elastic
+    barriers = []
+    system.events.subscribe(barrier=barriers.append)
     lines = [f"== delivery={delivery}"]
 
     def step(label: str, seconds: float) -> None:
@@ -250,7 +252,7 @@ def run_script(delivery: str) -> str:
     channel_pe(2).crash("golden")
     step("scale-in 4->3 hook raises", 2.0)
 
-    lines += [f"barrier {dataclasses.asdict(e)}" for e in elastic.barrier_events]
+    lines += [f"barrier {dataclasses.asdict(e)}" for e in barriers]
     lines += [_operation_line(op) for op in elastic.history]
     lines += [f"reroute {dataclasses.asdict(r)}" for r in elastic.reroutes]
     return "\n".join(lines) + "\n"

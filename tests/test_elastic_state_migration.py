@@ -240,8 +240,8 @@ class TestRescaleCyclesLeakNothing:
     PE ids are allocated fresh on every scale-out, so the table must
     drop the links of a PE removed for good or it grows by the region's
     width each cycle — and so must everything else the control plane
-    keeps per PE (``SAM._discard_pes``): SRM's samples, the checkpoint
-    store's chains, the checkpoint service's materialized bases.  Under
+    keeps per PE (``SAM._discard_pes``): SRM's samples and the checkpoint
+    store's chains.  Under
     exactly-once the links a removed channel left toward the merger
     retire at the merger's next covering commit, and the bytes every link
     retains for replay stay flat: the epoch bounds them.
@@ -263,7 +263,6 @@ class TestRescaleCyclesLeakNothing:
             "held": sum(len(units) for units in transport._held.values()),
             "srm_samples": len(system.srm._metrics),
             "chains": sorted(system.checkpoint_store._chains),
-            "materialized": sorted(system.checkpoints._materialized),
         }
         assert {pe_id for _job, pe_id in sizes["chains"]} <= live
         assert {sample.pe_id for sample in system.srm._metrics.values()} == live
@@ -345,7 +344,6 @@ class TestCancelCyclesLeakNothing:
             # what SAM._discard_pes makes the control plane forget per PE
             "srm_samples": dict(system.srm._metrics),
             "chains": dict(system.checkpoint_store._chains),
-            "materialized": dict(system.checkpoints._materialized),
         }
 
     @pytest.mark.parametrize("batch_max_size", [1, 8])
@@ -391,7 +389,6 @@ class TestCancelCyclesLeakNothing:
         assert after_first["links"] == {} and after_first["in_flight"] == {}
         assert after_first["pending"] == 0 and after_first["health_ports"] == {}
         assert after_first["srm_samples"] == after_first["chains"] == {}
-        assert after_first["materialized"] == {}
 
 
 class TestControlPlaneStaysFlat:
@@ -401,10 +398,9 @@ class TestControlPlaneStaysFlat:
     cancelled, time just passes.  Every host controller used to keep
     every timer handle it ever made (its trim filtered on ``cancelled``,
     which a fired handle is not), and the orchestrator appended every
-    delivered event, actuation and handler failure to a list for ever.
-    The routine here acts and then fails on every metric event — the
-    worst case for all three logs, which fill their window inside the
-    first 200 s.
+    actuation and handler failure to a list for ever.  The routine here
+    acts and then fails on every metric event — the worst case for both
+    logs, which fill their window inside the first 200 s.
     """
 
     #: virtual seconds; the CI ``delivery-matrix`` job runs 20,000
@@ -426,7 +422,6 @@ class TestControlPlaneStaysFlat:
     def _sizes(system, service):
         return {
             "hc_loops": {name: len(hc._loops) for name, hc in system.hcs.items()},
-            "event_journal": len(service.event_journal),
             "actuation_log": len(service.actuation_log),
             "handler_errors": len(service.handler_errors),
             "srm_samples": len(system.srm._metrics),
@@ -456,7 +451,7 @@ class TestControlPlaneStaysFlat:
         after_first = self._sizes(system, service)
         system.run_for(self.HORIZON - 200.0)
         assert self._sizes(system, service) == after_first
-        assert after_first["event_journal"] == after_first["handler_errors"] == LOG_WINDOW
+        assert after_first["actuation_log"] == after_first["handler_errors"] == LOG_WINDOW
         assert service.queue.delivered_count > 10 * LOG_WINDOW  # still counts everything
         sink = service.logic.job.operator_instance("sink")
         assert_contiguous_counts(sink)
@@ -864,6 +859,7 @@ class TestStateMetricsAndInspection:
                 super().__init__()
                 self.migrated = []
                 self.rerouted = []
+                self.region_events = []
                 self.job_id = None
 
             def handleOrcaStart(self, context):
@@ -875,6 +871,10 @@ class TestStateMetricsAndInspection:
 
             def handleRegionStateMigratedEvent(self, context, scopes):
                 self.migrated.append(context)
+                self.region_events.append("region_state_migrated")
+
+            def handleRegionRescaledEvent(self, context, scopes):
+                self.region_events.append("region_rescaled")
 
             def handleChannelReroutedEvent(self, context, scopes):
                 self.rerouted.append(context)
@@ -922,10 +922,7 @@ class TestStateMetricsAndInspection:
         assert len(service.logic.migrated) == 1
         context = service.logic.migrated[0]
         assert context.keys_moved > 0 and context.new_width == 4
-        journal_types = [e.event_type for e in service.event_journal]
-        assert journal_types.index("region_state_migrated") < journal_types.index(
-            "region_rescaled"
-        )
+        assert service.logic.region_events == ["region_state_migrated", "region_rescaled"]
 
     def test_channel_rerouted_events_reach_the_logic(self):
         system, service = self.make_orchestrated()

@@ -363,18 +363,15 @@ class TestBarrierTaps:
         feed = ChaosFeed(seed=3, base_rate=2)
         job = system.submit_job(build_region_app(feed))
         seen = []
-        system.events.subscribe(barrier=lambda event: seen.append(event.phase))
+        system.events.subscribe(barrier=seen.append)
         system.run_for(2.0)
         system.elastic.set_channel_width(job, "region", 4)
         system.run_for(3.0)
-        phases = [
-            e.phase for e in system.elastic.barrier_events if e.region == "region"
-        ]
+        phases = [e.phase for e in seen if e.region == "region"]
         assert phases == ["quiesce", "drain_clean", "migrate", "rewire", "resume"]
-        assert seen == phases  # subscribers saw the same timeline
-        resume = system.elastic.barrier_events[-1]
+        resume = seen[-1]
         assert resume.epoch > 0 and resume.job_id == job.job_id
-        times = [e.time for e in system.elastic.barrier_events]
+        times = [e.time for e in seen]
         assert times == sorted(times)
 
     def test_checkpoint_subscribers_see_torn_records(self):

@@ -90,9 +90,8 @@ class TestQueueLatency:
         stats = service.queue_latency_stats()
         assert stats.delivered == 6  # orca_start + 5 user events
         assert stats.mean >= 0.0 and stats.maximum >= stats.last
-        # every journaled event carries its delivery stamp
-        assert all(e.delivered_at is not None for e in service.event_journal)
-        assert all(e.queue_latency is not None for e in service.event_journal)
+        # every queued event was delivered: none waits, none was dropped
+        assert not service.queue and service.queue.dropped_count == 0
 
 
 class TestContextAliases:

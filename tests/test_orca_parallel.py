@@ -281,6 +281,8 @@ class TestReplicaGraphs:
         job_a, job_b = jobs[:2]
         assert [system.sam.get_job(job.job_id) for job in jobs] == jobs
         seen = tap_metric_events(service)
+        barriers = []
+        system.events.subscribe(barrier=barriers.append)
         widths = {job.job_id: 2 for job in jobs}
 
         def rescale(job, width):
@@ -294,7 +296,7 @@ class TestReplicaGraphs:
             """Where the rescale protocol stands, for a failing ``hold``."""
             rescales = [(op.job_id, op.new_width, op.state.value, op.error)
                         for op in system.elastic.history + system.elastic.active_operations()]
-            phases = [(e.job_id, e.phase) for e in system.elastic.barrier_events[-3:]]
+            phases = [(e.job_id, e.phase) for e in barriers[-3:]]
             return f"widths {live_widths()} for {widths}: rescales {rescales}, phases {phases}"
 
         def settle_and_check():

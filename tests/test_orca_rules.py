@@ -198,10 +198,10 @@ class TestRuleDispatch:
         restarts = [r for r in service.actuation_log if r.action == "restart_pe"]
         assert restarts
         txn = restarts[0].txn_id
-        # the journal ties the actuation back to the delivered event
-        event = service.journal_entry(txn)
-        assert event is not None and event.event_type == "pe_failure"
-        assert service.actuations_for(txn) == restarts
+        # the one pe_failure delivery is the transaction that restarted
+        [(_rule, kind, context)] = logic.firings
+        assert kind == "pe_failure" and restarts[0].detail == context.pe_id
+        assert txn > 1 and service.actuations_for(txn) == restarts
 
 
 class TestEveryDeliverableEventReachesTheRules:
@@ -240,18 +240,26 @@ class TestEveryDeliverableEventReachesTheRules:
             assert own.__name__ == kind.handler
 
 
-class TestJournal:
-    def test_journal_records_delivery_order(self, system):
-        logic = RuleOrchestrator(rules=(), submit=["Linear"])
+class TestTransactionIds:
+    def test_transaction_ids_follow_delivery_order(self, system):
+        rules = [
+            when("tick", TimerScope("tick"))
+            .then(lambda orca, ctx: orca.run_external(lambda: None)),
+        ]
+        logic = RuleOrchestrator(rules, submit=["Linear"])
         service = submit_rules(system, logic)
-        system.run_for(5.0)
-        kinds = [e.event_type for e in service.event_journal]
-        assert kinds[0] == "orca_start"
-        txns = [e.txn_id for e in service.event_journal]
-        assert txns == sorted(txns)
+        system.run_for(0.1)
+        service.create_timer(1.0, timer_id="t1")
+        service.create_timer(2.0, timer_id="t2")
+        system.run_for(3.0)
+        txns = [(r.action, r.txn_id) for r in service.actuation_log]
+        # orca_start is delivered first, as txn 1, and submits the job
+        assert txns[0] == ("submit", 1)
+        externals = [txn for action, txn in txns if action == "external"]
+        assert len(externals) == 2 and 1 < externals[0] < externals[1]
 
-    def test_journal_entry_lookup_missing(self, system):
+    def test_actuations_for_an_unknown_txn_is_empty(self, system):
         logic = RuleOrchestrator(rules=(), submit=())
         service = submit_rules(system, logic)
         system.run_for(1.0)
-        assert service.journal_entry(99999) is None
+        assert service.actuations_for(99999) == []

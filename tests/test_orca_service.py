@@ -458,7 +458,6 @@ class TestOneEventTable:
         for cls in classes:
             assert contexts.EVENT_KINDS[cls.KIND.event_type] is cls.KIND
             assert cls.KIND.context is cls
-        assert not hasattr(contexts.EventTransaction, "KIND")
 
     def test_table_handlers_are_exactly_the_orchestrator_stubs(self):
         stubs = {name for name in vars(Orchestrator) if name.startswith("handle")}
@@ -600,7 +599,7 @@ class TestOneStreamGraph:
     def test_there_is_no_topology_topic(self):
         from repro.runtime.events import TOPICS
 
-        assert len(TOPICS) == 8
+        assert len(TOPICS) == 9
         for path in sorted(self.src.rglob("*.py")):
             assert "topology" not in path.read_text(), path
 
@@ -634,7 +633,7 @@ class TestOneStreamGraph:
             node for node in ast.walk(methods["_boot"]) if calls("subscribe")(node)
         )
         reached = [keyword.value.attr for keyword in subscribe.keywords]
-        assert len(reached) == 6
+        assert len(reached) == 8
         for name in reached:  # grows while iterating: the transitive closure
             for node in ast.walk(methods[name]):
                 callee = getattr(getattr(node, "func", None), "attr", None)

@@ -1,12 +1,14 @@
 """Tests for the runtime event bus (:mod:`repro.runtime.events`): the
 publish/subscribe semantics every control-plane notification relies on,
-and the structural guarantee that no subsystem keeps a callback list of
-its own."""
+the structural guarantee that no subsystem keeps a callback list of its
+own, and the delivery of PE and host failures to orchestrators over it."""
 
 import pytest
 
-from repro import SystemS
+from repro import ManagedApplication, Orchestrator, OrcaDescriptor, SystemConfig, SystemS
+from repro.orca.scopes import HostFailureScope, PEFailureScope
 from repro.runtime.events import TOPICS, RuntimeEvents
+from repro.runtime.pe import PEState
 from tests.conftest import make_linear_app
 from tests.test_elastic import build_region_app
 from tests.test_orca_parallel import RecordingRegionOrca, submit_orca
@@ -123,11 +125,22 @@ class TestSystemWiring:
 
 
 class TestOneMechanism:
+    @staticmethod
+    def _holds_callbacks(attr, value):
+        """A callback list by name, or a dict / list holding a callable."""
+        if attr.endswith(("_listeners", "_observers")):
+            return True
+        if not isinstance(value, (dict, list)):
+            return False
+        members = value.values() if isinstance(value, dict) else value
+        return any(callable(m) and not isinstance(m, type) for m in members)
+
     def test_no_subsystem_keeps_a_callback_list(self):
         system = SystemS(hosts=12, seed=42)
         submit_orca(system, RecordingRegionOrca(), build_region_app(width=1))
         system.run_for(1.0)
         publishers = {
+            "system": system,
             "sam": system.sam,
             "elastic": system.elastic,
             "checkpoints": system.checkpoints,
@@ -137,8 +150,8 @@ class TestOneMechanism:
         lists = [
             f"{name}.{attr}"
             for name, publisher in publishers.items()
-            for attr in vars(publisher)
-            if attr.endswith(("_listeners", "_observers"))
+            for attr, value in vars(publisher).items()
+            if self._holds_callbacks(attr, value)
         ]
         # the one survivor is the name the frozen benchmark appends to
         assert lists == ["sam.pe_restart_observers"]
@@ -152,3 +165,110 @@ class TestOneMechanism:
         assert system.events.subscribers != before
         system.cancel_orchestrator(service.orca_id)
         assert system.events.subscribers == before
+
+
+class FailureRecorder(Orchestrator):
+    """Submits one ``Linear`` job; records each failure delivery and when."""
+
+    def __init__(self):
+        super().__init__()
+        self.job = None
+        self.pe_failures = []
+        self.host_failures = []
+
+    def handleOrcaStart(self, context):
+        self.orca.register_event_scope(PEFailureScope("pe"))
+        self.orca.register_event_scope(HostFailureScope("host"))
+        self.job = self.orca.submit_application("Linear")
+
+    def handlePEFailureEvent(self, context, scopes):
+        self.pe_failures.append((self.orca.now, context))
+
+    def handleHostFailureEvent(self, context, scopes):
+        self.host_failures.append((self.orca.now, context))
+
+
+def submit_recorder(system, name):
+    logic = FailureRecorder()
+    app = make_linear_app()
+    service = system.submit_orchestrator(
+        OrcaDescriptor(
+            name=name,
+            logic=lambda: logic,
+            applications=[ManagedApplication(name=app.name, application=app)],
+        )
+    )
+    return service, logic
+
+
+class TestFailureDelivery:
+    """A failure reaches the orchestrators that should hear it, once, with
+    the detection time, epoch and delay of the paper's owner-routed push
+    (Sec. 3): the notification delay, then one RPC to the owner."""
+
+    def test_a_pe_crash_reaches_only_its_owner(self):
+        system = SystemS(hosts=4, seed=42)
+        (_, a), (_, b) = submit_recorder(system, "A"), submit_recorder(system, "B")
+        system.run_for(2.0)
+        victim = b.job.pes[0]
+        victim.crash("test")
+        system.run_for(1.0)
+        assert a.pe_failures == []
+        [(delivered_at, context)] = b.pe_failures
+        assert (context.pe_id, context.job_id, context.reason) == (
+            victim.pe_id, b.job.job_id, "test"
+        )
+        assert (context.detection_ts, context.epoch) == (2.0, 1)
+        config = system.config
+        assert delivered_at == pytest.approx(
+            2.0 + config.failure_notification_delay + config.orca_rpc_latency
+        )
+        # the other owner's crash is its own first epoch; b hears nothing
+        a.job.pes[1].crash("test")
+        system.run_for(1.0)
+        [(_, context)] = a.pe_failures
+        assert (context.job_id, context.detection_ts, context.epoch) == (
+            a.job.job_id, 3.0, 1
+        )
+        assert len(b.pe_failures) == 1
+
+    def test_a_host_failure_reaches_each_live_orchestrator_once(self):
+        system = SystemS(hosts=4, seed=42)
+        (_, a), (_, b) = submit_recorder(system, "A"), submit_recorder(system, "B")
+        system.run_for(2.0)
+        host = b.job.pes[0].host_name
+        system.failures.fail_host(host)
+        system.run_for(10.0)
+        for logic in (a, b):
+            [(_, context)] = logic.host_failures
+            assert context.host == host
+            # the host's PE failures reach their owners only, sharing its epoch
+            assert all(c.job_id == logic.job.job_id for _, c in logic.pe_failures)
+            assert {c.epoch for _, c in logic.pe_failures} <= {context.epoch}
+        assert b.pe_failures
+
+    def test_nothing_reaches_a_cancelled_orchestrator(self):
+        system = SystemS(hosts=4, seed=42)
+        (service, a), (_, b) = submit_recorder(system, "A"), submit_recorder(system, "B")
+        system.run_for(2.0)
+        system.cancel_orchestrator(service.orca_id)
+        a.job.pes[0].crash("after cancel")
+        system.failures.fail_host(b.job.pes[0].host_name)
+        system.run_for(10.0)
+        assert a.pe_failures == a.host_failures == []
+        assert len(b.host_failures) == 1
+
+    @pytest.mark.parametrize("cancelled", [False, True])
+    def test_sam_restarts_a_pe_no_live_orchestrator_owns(self, cancelled):
+        system = SystemS(hosts=4, seed=42, config=SystemConfig(auto_restart_pes=True))
+        service, logic = submit_recorder(system, "A")
+        system.run_for(2.0)
+        if cancelled:
+            system.cancel_orchestrator(service.orca_id)
+        victim = logic.job.pes[0]
+        victim.crash("test")
+        system.run_for(3.0)
+        # a live owner decides (this one does nothing); without one, SAM restarts
+        assert (victim.state is PEState.RUNNING) is cancelled
+        assert system.sam.restarts_issued == int(cancelled)
+        assert len(logic.pe_failures) == int(not cancelled)
