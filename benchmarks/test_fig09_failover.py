@@ -16,6 +16,7 @@ from repro import ManagedApplication, OrcaDescriptor, SystemS
 from repro.apps.orchestrators import FailoverOrca
 from repro.apps.trend import TrendRecorderHub, build_trend_application
 from repro.apps.workloads import TradeWorkload
+from repro.chaos import CrashPE
 
 from benchmarks.conftest import emit
 
@@ -53,7 +54,7 @@ def run_fig9_scenario(horizon_after: float = 700.0) -> Fig9Result:
     active = logic.active_job_id()
     job = service.job(active)
     failed_replica = logic.replicas[active]["replica"]
-    system.failures.crash_pe(active, pe_index=job.compiled.pe_of("calc"))
+    system.chaos.inject(CrashPE(operator="calc"), job=job)
     system.run_for(horizon_after)
 
     promoted = logic.failovers[0][2]

@@ -16,6 +16,7 @@ Run:  python examples/quickstart.py
 
 from repro import ManagedApplication, Orchestrator, OrcaDescriptor, SystemS
 from repro.apps.figure2 import build_figure2_application
+from repro.chaos import CrashPE
 from repro.orca import OperatorMetricScope, PEFailureScope
 
 
@@ -74,7 +75,7 @@ def main() -> None:
 
     print("== crashing the shared PE (c1.op4/op6 + c2.op4/op6, Fig. 3) ==")
     job = service.logic.job
-    system.failures.crash_pe(job.job_id, pe_index=2)
+    system.chaos.inject(CrashPE(pe_index=2, reason="injected_fault"), job=job)
     system.run_for(20.0)
 
     print("== done ==")

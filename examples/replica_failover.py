@@ -18,6 +18,7 @@ from repro import ManagedApplication, OrcaDescriptor, SystemS
 from repro.apps.orchestrators import FailoverOrca
 from repro.apps.trend import TrendRecorderHub, build_trend_application
 from repro.apps.workloads import TradeWorkload
+from repro.chaos import CrashPE
 
 
 def main() -> None:
@@ -48,7 +49,7 @@ def main() -> None:
     active = logic.active_job_id()
     job = service.job(active)
     print(f"\nkilling the calculator PE of the ACTIVE replica ({active}) ...")
-    system.failures.crash_pe(active, pe_index=job.compiled.pe_of("calc"))
+    system.chaos.inject(CrashPE(operator="calc"), job=job)
     system.run_for(60.0)
 
     for when, failed, promoted in logic.failovers:

@@ -17,6 +17,7 @@ Run:  python examples/rule_based_adaptation.py
 
 from repro import ManagedApplication, OrcaDescriptor, SystemS
 from repro.apps.figure2 import build_figure2_application
+from repro.chaos import CrashPE
 from repro.orca.rules import RuleOrchestrator, when
 from repro.orca.scopes import OperatorMetricScope, PEFailureScope
 
@@ -69,13 +70,13 @@ def main() -> None:
 
     job = logic.jobs[0]
     print("\nkilling PE 1 (contains c1 operators -> matched by the c1 rule)")
-    system.failures.crash_pe(job.job_id, pe_index=1)
+    system.chaos.inject(CrashPE(pe_index=1), job=job)
     system.run_for(5.0)
     print(f"c1 rule handled: {c1_failovers}")
     print(f"defaulted failures so far: {len(logic.defaulted)}")
 
     print("\nkilling PE 3 (only c2 operators -> default auto-restart)")
-    system.failures.crash_pe(job.job_id, pe_index=3)
+    system.chaos.inject(CrashPE(pe_index=3), job=job)
     system.run_for(5.0)
     print(f"defaulted failures now: {len(logic.defaulted)}")
     states = {pe.pe_id: pe.state.value for pe in job.pes}

@@ -2,21 +2,22 @@
 
 The paper's evaluation triggers a *single* fault; user-defined adaptation
 earns its keep under *combinations* of runtime disturbances with
-adversarial timing.  This package turns the one-shot
-:class:`~repro.runtime.failures.FailureInjector` into a seeded
-campaign engine:
+adversarial timing.  This package is the one fault layer, from a single
+hand-made fault (``system.chaos.inject(CrashPE(operator=...), job=job)``)
+to seeded campaigns:
 
-* :mod:`repro.chaos.perturbations` — the disturbance library: PE/host
-  crash-and-flap, transport latency spikes / partitions / loss, input
-  rate surges and key-skew shifts, torn checkpoint commits, and live
-  rescales;
+* :mod:`repro.chaos.perturbations` — the fault library, one class per
+  kind: PE/host crash-and-flap, transport latency spikes / partitions /
+  loss, input rate surges and key-skew shifts, torn checkpoint commits,
+  and live rescales;
 * :mod:`repro.chaos.scenario` — the declarative ``Scenario`` /
   ``Campaign`` DSL (timed steps, seeded jitter) plus composable presets
   (``rolling_host_outage``, ``gray_network``, ``flash_crowd``, ...);
-* :mod:`repro.chaos.engine` — the ``ChaosEngine`` executing scenarios on
-  the simulation kernel, journaling every injection, publishing
-  ``chaos_injected`` ORCA events and ``chaos*`` SRM gauges, and stamping
-  recovery times;
+* :mod:`repro.chaos.engine` — the ``ChaosEngine``: applies, counts and
+  schedules every fault (no-ops recorded, undos cancellable), runs
+  scenarios on the simulation kernel, journals every injection,
+  publishes ``chaos_injected`` ORCA events and ``chaos*`` SRM gauges,
+  and stamps recovery times;
 * :mod:`repro.chaos.scorecard` — the ``ResilienceScorecard``: exact
   tuple loss/duplicates, state-recovery fraction, recovery latency, and
   ORCA event latency, rendered as byte-stable text for determinism

@@ -1,4 +1,11 @@
-"""The deterministic chaos-campaign engine.
+"""The deterministic chaos engine: the one fault layer.
+
+:class:`ChaosEngine` applies every
+:class:`~repro.chaos.perturbations.Perturbation` — a direct
+``system.chaos.inject(...)`` or a scenario step — counts the kills,
+restarts and revives that landed, records the no-ops
+(:class:`NoopInjection`), and schedules each windowed fault's undo as a
+cancellable handle.
 
 The engine executes :class:`~repro.chaos.scenario.Scenario` objects on a
 running :class:`~repro.runtime.system.SystemS`: every step is scheduled
@@ -24,13 +31,13 @@ injections, which is where scorecard recovery times come from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.chaos.perturbations import detail_public_view
+from repro.chaos.perturbations import Perturbation, detail_public_view
 from repro.chaos.scenario import Scenario
 from repro.runtime.pe import PERuntime, PEState
 from repro.runtime.srm import MetricSample
-from repro.sim.kernel import ScheduledEvent
+from repro.sim.kernel import OutstandingHandles, ScheduledEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.job import Job
@@ -46,6 +53,22 @@ RECOVERABLE_KINDS = frozenset(
 #: job id the engine's SRM gauges are stored under (never a real job, so
 #: orchestrator metric polls scoped to managed jobs are not polluted)
 CHAOS_JOB_ID = "__chaos__"
+
+
+@dataclass(frozen=True)
+class NoopInjection:
+    """A fault that fired but found nothing left to do.
+
+    A crash aimed at a PE that already crashed (or was stopped) is not an
+    error — concurrent faults race by design — but it must not disappear
+    either, or a campaign could not tell "the fault landed" from "the
+    fault was a ghost".
+    """
+
+    kind: str
+    target: str
+    reason: str
+    time: float
 
 
 @dataclass
@@ -132,7 +155,7 @@ class ScenarioRun:
 
 
 class ChaosEngine:
-    """Schedules and journals chaos scenarios on one simulated system."""
+    """Applies, counts and schedules every fault; journals scenarios."""
 
     def __init__(self, system: "SystemS") -> None:
         """Wire the engine into a system (done by ``SystemS.__init__``).
@@ -151,7 +174,87 @@ class ChaosEngine:
         #: while > 0; the pre-campaign hook is restored when it hits 0)
         self._ckpt_fault_depth = 0
         self._ckpt_fault_previous = None
+        #: kills, restarts and revives that landed
+        self.injected = 0
+        #: ``crash_pe`` / ``restart_pe`` / ``fail_host`` / ``revive_host``
+        #: -> landed count
+        self.by_kind: Dict[str, int] = {}
+        #: faults that found their target already down (or up), in order
+        self.noops: List[NoopInjection] = []
+        #: timed faults and undos that have neither fired nor been cancelled
+        self._pending = OutstandingHandles()
         system.events.subscribe(pe_restart=self._on_pe_restarted)
+
+    # -- applying faults ----------------------------------------------------
+
+    def inject(
+        self,
+        perturbation: Perturbation,
+        job: Optional["Job"] = None,
+        feed: Optional[Any] = None,
+        at: Optional[float] = None,
+    ) -> Optional[ScheduledEvent]:
+        """Apply one fault by hand, now or at an absolute sim time.
+
+        Nothing is journaled or published; the fault only shows in the
+        counters.  A fault aimed at a target that is already down is a
+        recorded no-op (see :class:`NoopInjection`), never an error.
+
+        Args:
+            perturbation: The fault (e.g. ``CrashPE(operator="work")``).
+            job: The job PE- and operator-targeted faults resolve against.
+            feed: The feed load faults control.
+            at: Absolute sim time to fire (None: immediately).  The target
+                is resolved now, for the kernel label, and again at fire
+                time.
+
+        Returns:
+            The cancellable handle when ``at`` is given, else None.
+        """
+        if at is None:
+            self._apply(perturbation, job, feed)
+            return None
+        handle = self.kernel.schedule_at(
+            at, self._apply, perturbation, job, feed,
+            label=perturbation.label(self.system, job),
+        )
+        self._pending.add(handle)
+        return handle
+
+    def _apply(
+        self, perturbation: Perturbation, job: Optional["Job"], feed: Optional[Any]
+    ) -> Tuple[str, Dict[str, Any]]:
+        """Apply ``perturbation``; schedule its undo, if it has a window."""
+        target, detail = perturbation.apply(self.system, job, feed)
+        undo = detail.pop("_undo", None)
+        if undo is not None:
+            delay, label, callback = undo
+            self._pending.add(self.kernel.schedule(delay, callback, label=label))
+        return target, detail
+
+    def record(self, kind: str) -> None:
+        """Count one kill, restart or revive that landed."""
+        self.injected += 1
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+
+    def record_noop(self, kind: str, target: str, reason: str) -> None:
+        """Record a fault that found nothing to do (e.g. ``pe_crashed``)."""
+        self.noops.append(NoopInjection(kind, target, reason, self.kernel.now))
+
+    def pending_count(self) -> int:
+        """Timed faults and undos that have neither fired nor been cancelled."""
+        return len(self._pending.outstanding())
+
+    def cancel_all(self) -> int:
+        """Cancel every pending timed fault and undo.
+
+        A cancelled undo leaves its fault in place: a host stays down, a
+        surge or skew stays on, commits stay torn.
+
+        Returns:
+            How many handles were actually retracted.
+        """
+        return self._pending.cancel_all()
 
     # -- scheduling ---------------------------------------------------------
 
@@ -188,7 +291,7 @@ class ChaosEngine:
             feed=feed,
             started_at=self.kernel.now + start_in,
             baselines={
-                "noops": len(self.system.failures.noops),
+                "noops": len(self.noops),
                 "dropped_in_flight": self.system.transport.dropped_in_flight,
                 "dropped_by_fault": self.system.transport.dropped_by_fault,
                 "total_dropped": self.system.transport.total_dropped,
@@ -250,9 +353,9 @@ class ChaosEngine:
         return cancelled
 
     def _fire(self, run: ScenarioRun, index: int) -> None:
-        scenario_step = run.scenario.steps[index]
+        perturbation = run.scenario.steps[index].perturbation
         try:
-            target, detail = scenario_step.perturbation.inject(self, run)
+            target, detail = self._apply(perturbation, run.job, run.feed)
         except Exception as exc:  # record, never crash the kernel
             run.errors.append((index, repr(exc)))
             return
@@ -260,7 +363,7 @@ class ChaosEngine:
             run_id=run.run_id,
             scenario=run.scenario.name,
             step_index=index,
-            kind=scenario_step.perturbation.KIND,
+            kind=perturbation.KIND,
             target=target,
             time=self.kernel.now,
             job_id=run.job.job_id if run.job is not None else None,
@@ -299,9 +402,9 @@ class ChaosEngine:
 
     # -- recovery tracking --------------------------------------------------
 
-    def _pe_anywhere(self, pe_id: str) -> Optional[PERuntime]:
-        """Find a PE by id across every job SAM knows (crashed host faults
-        can span jobs)."""
+    def find_pe(self, pe_id: str) -> Optional[PERuntime]:
+        """Find a PE by id across every job SAM knows (host faults can span
+        jobs; a rescale may have removed it: None)."""
         for job in self.system.sam.jobs.values():
             for pe in job.pes:
                 if pe.pe_id == pe_id:
@@ -323,7 +426,7 @@ class ChaosEngine:
             pe_ids = injection.detail.get("pe_ids", ())
             if pe.pe_id not in pe_ids:
                 continue
-            victims = [self._pe_anywhere(pe_id) for pe_id in pe_ids]
+            victims = [self.find_pe(pe_id) for pe_id in pe_ids]
             all_up = all(
                 victim.state is PEState.RUNNING
                 for victim in victims
@@ -406,14 +509,14 @@ class ChaosEngine:
     def status(self) -> Dict[str, Any]:
         """Snapshot served by the ORCA ``chaos_status()`` inspection.
 
-        Beyond the injector's :meth:`~repro.runtime.failures.FailureInjector.stats`
-        counters and the journal summary, the snapshot breaks active link
+        Beyond the fault counters (``injector``: landed kills, restarts
+        and revives by kind, recorded no-ops, pending timed faults and
+        undos) and the journal summary, the snapshot breaks active link
         faults down by effect (``latency``/``partition``/``loss`` — one
         fault can count toward several) and totals run progress
         (``runs_done``, ``step_errors``, ``cancelled_steps``) so long
         fuzz searches are inspectable from ORCA mid-flight.
         """
-        injector = self.system.failures.stats()
         link_faults = self.system.transport.active_link_faults()
         by_effect = {"latency": 0, "partition": 0, "loss": 0}
         for fault in link_faults:
@@ -432,10 +535,10 @@ class ChaosEngine:
             "active_link_faults": len(link_faults),
             "active_link_faults_by_effect": by_effect,
             "injector": {
-                "injected": injector.injected,
-                "by_kind": injector.by_kind,
-                "noops": injector.noops,
-                "pending": injector.pending,
+                "injected": self.injected,
+                "by_kind": dict(self.by_kind),
+                "noops": len(self.noops),
+                "pending": self.pending_count(),
             },
             "last_injection": (
                 {

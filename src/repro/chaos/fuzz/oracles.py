@@ -297,21 +297,6 @@ class FifoProbe:
             pass
 
 
-def _victims_exist(system: "SystemS", pe_ids) -> bool:
-    """Whether any of the injection's victim PEs still exists in a job.
-
-    A rescale may legitimately remove a crashed channel's PE before its
-    flap restart fires; a victim that no longer exists can never be
-    restarted, so holding it to recovery completeness would be a false
-    positive (the crash was absorbed by the reconfiguration).
-    """
-    for job in system.sam.jobs.values():
-        for pe in job.pes:
-            if pe.pe_id in pe_ids:
-                return True
-    return False
-
-
 #: one timestamped live-keyed-state observation: (sim time, state map)
 StateProbe = Tuple[float, Dict[str, Dict[Any, Any]]]
 
@@ -379,8 +364,6 @@ def evaluate_oracles(
     Returns:
         The populated :class:`OracleReport`, violations in oracle order.
     """
-    from repro.chaos.engine import RECOVERABLE_KINDS  # late: import order
-
     report = OracleReport(profile=profile)
 
     def check(name: str) -> None:
@@ -557,13 +540,14 @@ def evaluate_oracles(
         for injection in run.injections:
             if injection.kind not in _FLAP_KINDS:
                 continue
-            if injection.kind not in RECOVERABLE_KINDS:
-                continue  # pragma: no cover - flap kinds are recoverable
             if injection.recovered_at is not None:
                 continue
-            pe_ids = tuple(injection.detail.get("pe_ids", ()))
-            if pe_ids and not _victims_exist(system, pe_ids):
-                continue  # victims removed by a rescale: nothing to restart
+            # a rescale may remove a crashed channel's PE before its flap
+            # restart fires: a victim that no longer exists can never be
+            # restarted (the reconfiguration absorbed the crash)
+            pe_ids = injection.detail.get("pe_ids", ())
+            if pe_ids and all(system.chaos.find_pe(p) is None for p in pe_ids):
+                continue
             earliest_recovery = (
                 injection.time
                 + injection.detail.get("downtime", 0.0)

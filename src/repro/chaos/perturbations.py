@@ -1,15 +1,17 @@
-"""The chaos perturbation library.
+"""The chaos perturbation library: one class per fault kind.
 
-Each perturbation is a declarative description of one runtime
-disturbance; the :class:`~repro.chaos.engine.ChaosEngine` fires it at its
-scheduled step time by calling :meth:`Perturbation.inject`.  Perturbations
-are thin adapters over machinery the system already has:
+A perturbation is the fault itself: :meth:`Perturbation.apply` disturbs
+a running :class:`~repro.runtime.system.SystemS` *now* and returns
+``(target, detail)``.  Its one caller is the
+:class:`~repro.chaos.engine.ChaosEngine` — for a scenario step or a
+direct ``system.chaos.inject(...)`` — which counts what landed, records
+the no-ops and schedules every undo.  The kinds act on machinery the
+system already has:
 
-* process/host faults ride the hardened
-  :class:`~repro.runtime.failures.FailureInjector` (so they share its
-  per-kind counters and recorded no-ops);
+* process/host faults crash PEs, kill hosts and issue SAM restarts;
 * network faults install :class:`~repro.runtime.transport.LinkFault`
-  modifiers (latency spikes, seeded loss, hold-until-heal partitions);
+  modifiers (latency spikes, seeded loss, hold-until-heal partitions)
+  that expire on their own;
 * load faults drive a :class:`~repro.apps.workloads.ChaosFeed`'s live
   rate/skew controls;
 * durability faults arm the checkpoint service's ``commit_fault`` hook
@@ -17,7 +19,7 @@ are thin adapters over machinery the system already has:
 * reconfiguration faults start a live rescale, so campaigns can race
   crashes against migration barriers.
 
-Crash-class perturbations capture the victim's keyed state *at the
+Crash-class perturbations capture their victims' keyed state *at the
 instant of the crash* into the injection record, which is what the
 resilience scorecard later compares against live state to compute the
 state-recovery fraction.
@@ -27,123 +29,129 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ReproError, UnknownHostError
 from repro.runtime.pe import PERuntime, PEState
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.chaos.engine import ChaosEngine, ScenarioRun
+    from repro.runtime.job import Job
+    from repro.runtime.system import SystemS
 
 
 class ChaosError(ReproError):
     """A perturbation could not resolve or apply its target."""
 
 
-def buffered_item_count(pe: PERuntime) -> int:
-    """Data tuples held in a PE's operator buffers (punctuations excluded).
+def _capture_victims(system: "SystemS", victims: List[PERuntime]) -> Dict[str, Any]:
+    """The crash-time evidence of the RUNNING PEs a fault is about to kill.
 
-    Crash-class perturbations record this on the injection so scorecards
-    and the fuzzer's loss-accounting oracle can tell a tuple that died in
-    an operator buffer (restart-empty semantics, legitimate) from one
-    the system lost without any crash explanation (a bug).  Counting
-    punctuations would inflate ``accounted_losses`` and let the
-    unaccounted-loss oracle mask that many real losses.
-
-    Args:
-        pe: The PE about to be disturbed.
-
-    Returns:
-        Total ``pending_tuples()`` over the PE's operators.
-    """
-    return sum(op.pending_tuples() for op in pe.operators.values())
-
-
-def capture_committed_state(
-    engine: "ChaosEngine", pe: PERuntime
-) -> Dict[str, Dict[Any, Any]]:
-    """The victim's latest *committed* checkpoint, merged per state name.
-
-    Recorded on crash injections as the run's restore floor: whatever a
-    rehydrating recovery restores (plus exactly-once replay) must never
-    fall below the state the store had durably committed at the instant
-    of the crash — the exact guarantee the fuzzer's state-conservation
-    oracle checks right after each recovery, immune to checkpoint-lag
-    false positives that judging against live at-crash state would give.
+    * ``buffered_at_crash`` — data tuples in their operator buffers
+      (punctuations excluded): a tuple that died there is accounted
+      crash loss, not a bug, for scorecards and the loss oracle;
+    * ``_state_at_crash`` — their live keyed state, merged per state
+      name (the "at crash" side of the state-recovery fraction);
+    * ``_committed_at_crash`` — their newest *committed* checkpoints,
+      merged per state name: the restore floor the state-conservation
+      oracle holds each recovery to, immune to checkpoint lag.
 
     Args:
-        engine: The chaos engine (reaches the system's checkpoint store).
-        pe: The crashing PE.
+        system: The system (reaches the checkpoint store).
+        victims: The PEs about to crash (empty: nothing is captured).
 
     Returns:
-        ``state_name -> {key: value}`` from the newest committed epoch
-        (empty when none exists — e.g. restart-empty stacks).
+        The detail keys above; the state maps only when non-empty.
     """
-    entry = engine.system.checkpoint_store.latest_committed(
-        pe.job.job_id, pe.pe_id
-    )
-    if entry is None:
+    if not victims:
         return {}
-    merged: Dict[str, Dict[Any, Any]] = {}
-    for payload in entry.payloads.values():
-        for state_name, entries in payload.get("store", {}).get("keyed", {}).items():
-            merged.setdefault(state_name, {}).update(entries)
-    return copy.deepcopy(merged)
+    state: Dict[str, Dict[Any, Any]] = {}
+    committed: Dict[str, Dict[Any, Any]] = {}
+    for pe in victims:
+        for operator in pe.operators.values():
+            if operator.state.in_use:
+                for name, keyed in operator.state.keyed_states().items():
+                    state.setdefault(name, {}).update(keyed.snapshot())
+        entry = system.checkpoint_store.latest_committed(pe.job.job_id, pe.pe_id)
+        for payload in entry.payloads.values() if entry is not None else ():
+            for name, entries in payload.get("store", {}).get("keyed", {}).items():
+                committed.setdefault(name, {}).update(entries)
+    detail: Dict[str, Any] = {
+        "buffered_at_crash": sum(
+            op.pending_tuples() for pe in victims for op in pe.operators.values()
+        )
+    }
+    if state:
+        detail["_state_at_crash"] = state
+    if committed:
+        detail["_committed_at_crash"] = copy.deepcopy(committed)
+    return detail
 
 
-def capture_keyed_state(pe: PERuntime) -> Dict[str, Dict[Any, Any]]:
-    """Deep-copy every keyed state currently held by a PE's operators.
+def _crash(system: "SystemS", pe: PERuntime, reason: str) -> None:
+    """Crash a RUNNING PE; any other state is a recorded ``pe_<state>`` no-op."""
+    if pe.state is PEState.RUNNING:
+        system.chaos.record("crash_pe")
+        pe.crash(reason)
+    else:
+        system.chaos.record_noop("crash_pe", pe.pe_id, f"pe_{pe.state.value}")
 
-    Args:
-        pe: The (running) PE about to be disturbed.
 
-    Returns:
-        ``state_name -> {key: value}`` merged over the PE's operators —
-        the "at crash" side of the scorecard's state-recovery fraction.
+def _restart(system: "SystemS", job: "Job", pe: PERuntime, rehydrate: bool) -> None:
+    """Issue a SAM restart for a downed PE of ``job``.
+
+    A PE that is RUNNING again (``pe_running``) or that a rescale removed
+    from its job (``pe_removed``) is a recorded no-op, never an exception
+    into the kernel.
     """
-    captured: Dict[str, Dict[Any, Any]] = {}
-    for operator in pe.operators.values():
-        if not operator.state.in_use:
-            continue
-        for state_name, keyed in operator.state.keyed_states().items():
-            captured.setdefault(state_name, {}).update(keyed.snapshot())
-    return captured
+    if pe.state is PEState.RUNNING:
+        system.chaos.record_noop("restart_pe", pe.pe_id, "pe_running")
+    elif all(p.pe_id != pe.pe_id for p in job.pes):
+        system.chaos.record_noop("restart_pe", pe.pe_id, "pe_removed")
+    else:
+        system.chaos.record("restart_pe")
+        system.sam.restart_pe(job.job_id, pe.pe_id, rehydrate=rehydrate)
+
+
+def _running(pes) -> List[PERuntime]:
+    """The PEs a crash would kill (one already down is not a victim)."""
+    return [pe for pe in pes if pe.state is PEState.RUNNING]
 
 
 class Perturbation:
     """Base class: one injectable runtime disturbance.
 
-    Subclasses set :attr:`KIND` and implement :meth:`inject`, returning
+    Subclasses set :attr:`KIND` and implement :meth:`apply`, returning
     ``(target, detail)`` — a human-readable target name and a detail map
     recorded on the :class:`~repro.chaos.engine.ChaosInjection`.  Detail
     keys starting with ``_`` are engine-internal (e.g. captured state
-    snapshots) and are not published into ORCA event contexts.
+    snapshots) and are not published into ORCA event contexts.  A
+    perturbation with a window returns its undo as
+    ``detail["_undo"] = (delay, kernel label, callback)``; the engine
+    takes it out and schedules it, cancellable, right after the apply.
     """
 
     #: injection kind recorded on ChaosInjection and matched by ChaosScope
     KIND = "perturbation"
 
-    def inject(
-        self, engine: "ChaosEngine", run: "ScenarioRun"
+    def apply(
+        self, system: "SystemS", job: Optional["Job"], feed: Optional[Any]
     ) -> Tuple[str, Dict[str, Any]]:
         """Apply the disturbance now; return ``(target, detail)``."""
         raise NotImplementedError
 
-    # -- shared resolution helpers ------------------------------------------
+    def label(self, system: "SystemS", job: Optional["Job"]) -> str:
+        """Kernel label of a timed ``system.chaos.inject`` of this fault."""
+        return f"chaos-{self.KIND}"
 
     def _resolve_pe(
         self,
-        run: "ScenarioRun",
+        job: Optional["Job"],
         operator: Optional[str] = None,
         pe_index: Optional[int] = None,
-        pe_id: Optional[str] = None,
     ) -> PERuntime:
-        """Find the target PE of the run's job by operator/index/id."""
-        job = run.job
+        """Find the target PE of ``job`` by operator or index."""
         if job is None:
             raise ChaosError(f"{type(self).__name__} needs a job-scoped run")
-        if pe_id is not None:
-            return job.pe_by_id(pe_id)
         if operator is not None:
             return job.pe_of_operator(operator)
         if pe_index is not None:
@@ -163,9 +171,23 @@ class Perturbation:
 # ---------------------------------------------------------------------------
 
 
+class _OnePE(Perturbation):
+    """A fault on one PE of the job, named by ``operator`` or ``pe_index``."""
+
+    #: kernel-label prefix of a timed direct apply (``crash-<pe id>``)
+    VERB = "crash"
+
+    def _pe(self, job: Optional["Job"]) -> PERuntime:
+        return self._resolve_pe(job, self.operator, self.pe_index)
+
+    def label(self, system, job):
+        """``<verb>-<pe id>``, the target resolved when the fault is timed."""
+        return f"{self.VERB}-{self._pe(job).pe_id}"
+
+
 @dataclass(repr=False)
-class CrashPE(Perturbation):
-    """Crash one PE of the run's job (no scheduled recovery).
+class CrashPE(_OnePE):
+    """Crash one PE of the job (no scheduled recovery).
 
     Attributes:
         operator: Resolve the PE as the one hosting this operator.
@@ -179,23 +201,18 @@ class CrashPE(Perturbation):
 
     KIND = "crash_pe"
 
-    def inject(self, engine, run):
-        """Capture keyed state, then crash the PE through the injector."""
-        pe = self._resolve_pe(run, self.operator, self.pe_index)
+    def apply(self, system, job, feed):
+        """Capture the victim's state, then crash it."""
+        pe = self._pe(job)
         detail: Dict[str, Any] = {"pe_ids": [pe.pe_id], "reason": self.reason}
-        if pe.state is PEState.RUNNING:
-            detail["_state_at_crash"] = capture_keyed_state(pe)
-            detail["_committed_at_crash"] = capture_committed_state(engine, pe)
-            detail["buffered_at_crash"] = buffered_item_count(pe)
-        engine.system.failures.crash_pe(
-            run.job.job_id, pe_id=pe.pe_id, reason=self.reason
-        )
+        detail.update(_capture_victims(system, _running([pe])))
+        _crash(system, pe, self.reason)
         return pe.pe_id, detail
 
 
 @dataclass(repr=False)
-class RestartPE(Perturbation):
-    """Restart a downed PE of the run's job (the recovery half of a flap).
+class RestartPE(_OnePE):
+    """Restart a downed PE of the job (the recovery half of a flap).
 
     Attributes:
         operator: Resolve the PE as the one hosting this operator.
@@ -208,18 +225,17 @@ class RestartPE(Perturbation):
     rehydrate: bool = True
 
     KIND = "restart_pe"
+    VERB = "restart"
 
-    def inject(self, engine, run):
-        """Issue the SAM restart through the failure injector."""
-        pe = self._resolve_pe(run, self.operator, self.pe_index)
-        engine.system.failures.restart_pe(
-            run.job.job_id, pe.pe_id, rehydrate=self.rehydrate
-        )
+    def apply(self, system, job, feed):
+        """Issue the SAM restart."""
+        pe = self._pe(job)
+        _restart(system, job, pe, self.rehydrate)
         return pe.pe_id, {"pe_ids": [pe.pe_id], "rehydrate": self.rehydrate}
 
 
 @dataclass(repr=False)
-class PEFlap(Perturbation):
+class PEFlap(_OnePE):
     """Crash a PE now and restart it after ``downtime`` seconds.
 
     Attributes:
@@ -238,25 +254,24 @@ class PEFlap(Perturbation):
 
     KIND = "pe_flap"
 
-    def inject(self, engine, run):
-        """Crash, then schedule the cancellable restart injection."""
-        pe = self._resolve_pe(run, self.operator, self.pe_index)
+    def apply(self, system, job, feed):
+        """Crash now; the undo restarts the PE it crashed.
+
+        The undo holds the crashed PE itself, never the operator: after a
+        rescale the operator can live on a different PE.
+        """
+        pe = self._pe(job)
         detail: Dict[str, Any] = {
             "pe_ids": [pe.pe_id],
             "downtime": self.downtime,
             "rehydrate": self.rehydrate,
         }
-        if pe.state is PEState.RUNNING:
-            detail["_state_at_crash"] = capture_keyed_state(pe)
-            detail["_committed_at_crash"] = capture_committed_state(engine, pe)
-            detail["buffered_at_crash"] = buffered_item_count(pe)
-        injector = engine.system.failures
-        injector.crash_pe(run.job.job_id, pe_id=pe.pe_id, reason=self.reason)
-        injector.restart_pe(
-            run.job.job_id,
-            pe.pe_id,
-            rehydrate=self.rehydrate,
-            at=engine.kernel.now + self.downtime,
+        detail.update(_capture_victims(system, _running([pe])))
+        _crash(system, pe, self.reason)
+        detail["_undo"] = (
+            self.downtime,
+            f"restart-{pe.pe_id}",
+            lambda: _restart(system, job, pe, self.rehydrate),
         )
         return pe.pe_id, detail
 
@@ -268,7 +283,7 @@ class FailHost(Perturbation):
     Attributes:
         host: The host name to kill.
         host_of: Alternative: kill the host of this operator, resolved
-            at injection time against the run's job.
+            at injection time against the job.
     """
 
     host: Optional[str] = None
@@ -276,41 +291,38 @@ class FailHost(Perturbation):
 
     KIND = "fail_host"
 
-    def _target_host(self, engine, run) -> str:
+    def _target_host(self, job: Optional["Job"]) -> str:
         if self.host is not None:
             return self.host
         if self.host_of is not None:
-            pe = self._resolve_pe(run, operator=self.host_of)
+            pe = self._resolve_pe(job, operator=self.host_of)
             if pe.host_name is None:
                 raise ChaosError(f"operator {self.host_of!r} has no host")
             return pe.host_name
         raise ChaosError("FailHost needs host or host_of")
 
-    def inject(self, engine, run):
-        """Capture local keyed state, then kill the host."""
-        host = self._target_host(engine, run)
-        hc = engine.system.hcs.get(host)
-        detail: Dict[str, Any] = {"pe_ids": []}
-        state: Dict[str, Dict[Any, Any]] = {}
-        committed: Dict[str, Dict[Any, Any]] = {}
-        buffered = 0
-        if hc is not None:
-            for pe in hc.pes.values():
-                if pe.state is not PEState.RUNNING:
-                    continue  # not a victim: it was already down
-                detail["pe_ids"].append(pe.pe_id)
-                buffered += buffered_item_count(pe)
-                for name, entries in capture_keyed_state(pe).items():
-                    state.setdefault(name, {}).update(entries)
-                for name, entries in capture_committed_state(engine, pe).items():
-                    committed.setdefault(name, {}).update(entries)
-        if detail["pe_ids"]:
-            detail["buffered_at_crash"] = buffered
-        if state:
-            detail["_state_at_crash"] = state
-        if committed:
-            detail["_committed_at_crash"] = committed
-        engine.system.failures.fail_host(host)
+    def label(self, system, job):
+        """``fail-<host>``, the host resolved when the fault is timed."""
+        return f"fail-{self._target_host(job)}"
+
+    def apply(self, system, job, feed):
+        """Capture the local PEs' state, then kill the host.
+
+        Killing a host whose controller is already dead is a recorded
+        ``host_down`` no-op.
+        """
+        host = self._target_host(job)
+        hc = system.hcs.get(host)
+        if hc is None:
+            raise UnknownHostError(f"unknown host {host!r}")
+        victims = _running(hc.pes.values())
+        detail: Dict[str, Any] = {"pe_ids": [pe.pe_id for pe in victims]}
+        detail.update(_capture_victims(system, victims))
+        if hc.alive:
+            system.chaos.record("fail_host")
+            hc.kill()
+        else:
+            system.chaos.record_noop("fail_host", host, "host_down")
         return host, detail
 
 
@@ -332,27 +344,31 @@ class HostFlap(FailHost):
 
     KIND = "host_flap"
 
-    def inject(self, engine, run):
-        """Kill now; schedule revive + PE restarts at ``downtime``."""
-        host, detail = super().inject(engine, run)
+    def apply(self, system, job, feed):
+        """Kill now; the undo revives the host and restarts its PEs.
+
+        Reviving a host that is already up is a recorded ``host_up``
+        no-op; its crashed PEs are restarted all the same.
+        """
+        host, detail = super().apply(system, job, feed)
         detail["downtime"] = self.downtime
         detail["rehydrate"] = self.rehydrate
-        system = engine.system
 
-        def recover() -> None:
-            system.failures.revive_host(host)
+        def revive() -> None:
+            hc = system.hcs[host]
+            if hc.alive:
+                system.chaos.record_noop("revive_host", host, "host_up")
+            else:
+                system.chaos.record("revive_host")
+                hc.revive()
             if not self.restart_pes:
                 return
-            for job in system.sam.running_jobs():
-                for pe in job.pes:
+            for running in system.sam.running_jobs():
+                for pe in running.pes:
                     if pe.host_name == host and pe.state is PEState.CRASHED:
-                        system.failures.restart_pe(
-                            job.job_id, pe.pe_id, rehydrate=self.rehydrate
-                        )
+                        _restart(system, running, pe, self.rehydrate)
 
-        engine.kernel.schedule(
-            self.downtime, recover, label=f"chaos-revive-{host}"
-        )
+        detail["_undo"] = (self.downtime, f"chaos-revive-{host}", revive)
         return host, detail
 
 
@@ -381,12 +397,12 @@ class LatencySpike(Perturbation):
 
     KIND = "latency_spike"
 
-    def inject(self, engine, run):
+    def apply(self, system, job, feed):
         """Install the timed latency fault on the transport."""
         dst_pe = None
         if self.dst_operator is not None:
-            dst_pe = self._resolve_pe(run, operator=self.dst_operator).pe_id
-        fault = engine.system.transport.install_link_fault(
+            dst_pe = self._resolve_pe(job, operator=self.dst_operator).pe_id
+        fault = system.transport.install_link_fault(
             extra_latency=self.extra,
             src_host=self.src_host,
             dst_host=self.dst_host,
@@ -422,12 +438,12 @@ class LinkPartition(Perturbation):
 
     KIND = "link_partition"
 
-    def inject(self, engine, run):
+    def apply(self, system, job, feed):
         """Install the timed hold-until-heal fault on the transport."""
         dst_pe = None
         if self.dst_operator is not None:
-            dst_pe = self._resolve_pe(run, operator=self.dst_operator).pe_id
-        fault = engine.system.transport.install_link_fault(
+            dst_pe = self._resolve_pe(job, operator=self.dst_operator).pe_id
+        fault = system.transport.install_link_fault(
             partition=True,
             src_host=self.src_host,
             dst_host=self.dst_host,
@@ -464,9 +480,9 @@ class LinkLoss(Perturbation):
 
     KIND = "link_loss"
 
-    def inject(self, engine, run):
+    def apply(self, system, job, feed):
         """Install the timed lossy fault on the transport."""
-        fault = engine.system.transport.install_link_fault(
+        fault = system.transport.install_link_fault(
             drop_probability=self.drop_probability,
             src_host=self.src_host,
             dst_host=self.dst_host,
@@ -487,7 +503,7 @@ class LinkLoss(Perturbation):
 
 @dataclass(repr=False)
 class RateSurge(Perturbation):
-    """Multiply the run's feed rate for a while, then restore it.
+    """Multiply the feed rate for a while, then restore it.
 
     Attributes:
         factor: Rate multiplier during the surge.
@@ -500,14 +516,13 @@ class RateSurge(Perturbation):
 
     KIND = "rate_surge"
 
-    def inject(self, engine, run):
-        """Scale the feed; schedule the restore when ``duration`` is set.
+    def apply(self, system, job, feed):
+        """Scale the feed; the undo (when ``duration`` is set) restores it.
 
         The surge composes *multiplicatively* with the current rate
         factor and its restore divides it back out, so overlapping
         surges stack and unwind correctly in any order.
         """
-        feed = run.feed
         if feed is None:
             raise ChaosError("RateSurge needs a run with a feed")
         if self.factor <= 0.0:
@@ -515,17 +530,18 @@ class RateSurge(Perturbation):
                              " feed.set_rate_factor(0) to stop a feed)")
         previous = feed.rate_factor
         feed.set_rate_factor(previous * self.factor)
-        if self.duration is not None:
-            engine.kernel.schedule(
-                self.duration,
-                lambda: feed.set_rate_factor(feed.rate_factor / self.factor),
-                label="chaos-surge-end",
-            )
-        return "feed", {
+        detail: Dict[str, Any] = {
             "factor": self.factor,
             "previous": previous,
             "duration": self.duration,
         }
+        if self.duration is not None:
+            detail["_undo"] = (
+                self.duration,
+                "chaos-surge-end",
+                lambda: feed.set_rate_factor(feed.rate_factor / self.factor),
+            )
+        return "feed", detail
 
 
 @dataclass(repr=False)
@@ -545,8 +561,8 @@ class KeySkewShift(Perturbation):
 
     KIND = "key_skew"
 
-    def inject(self, engine, run):
-        """Skew the feed; schedule the restore when ``duration`` is set.
+    def apply(self, system, job, feed):
+        """Skew the feed; the undo (when ``duration`` is set) restores it.
 
         Windowed shifts ride the feed's skew *stack*
         (:meth:`~repro.apps.workloads.ChaosFeed.push_skew`): the newest
@@ -556,23 +572,22 @@ class KeySkewShift(Perturbation):
         window has expired.  A shift without a duration is a persistent
         ``set_skew``.
         """
-        feed = run.feed
         if feed is None:
             raise ChaosError("KeySkewShift needs a run with a feed")
-        if self.duration is not None:
-            token = feed.push_skew(self.hot_fraction, tuple(self.hot_keys))
-            engine.kernel.schedule(
-                self.duration,
-                lambda: feed.pop_skew(token),
-                label="chaos-skew-end",
-            )
-        else:
+        if self.duration is None:
             feed.set_skew(self.hot_fraction, tuple(self.hot_keys))
-        return "feed", {
+        else:
+            token = feed.push_skew(self.hot_fraction, tuple(self.hot_keys))
+        detail: Dict[str, Any] = {
             "hot_fraction": self.hot_fraction,
             "hot_keys": list(self.hot_keys) or list(feed.hot_keys),
             "duration": self.duration,
         }
+        if self.duration is not None:
+            detail["_undo"] = (
+                self.duration, "chaos-skew-end", lambda: feed.pop_skew(token)
+            )
+        return "feed", detail
 
 
 # ---------------------------------------------------------------------------
@@ -598,23 +613,25 @@ class CheckpointFault(Perturbation):
 
     KIND = "checkpoint_fault"
 
-    def inject(self, engine, run):
+    def apply(self, system, job, feed):
         """Arm the commit fault via the engine's refcounted window.
 
         Overlapping windows stack: commits stay torn until *every*
         window has expired, and the pre-campaign hook (if any) is
         restored exactly once.
         """
-        engine.arm_checkpoint_fault()
-        engine.kernel.schedule(
-            self.duration, engine.disarm_checkpoint_fault, label="chaos-ckpt-heal"
-        )
-        return "checkpoints", {"duration": self.duration}
+        system.chaos.arm_checkpoint_fault()
+        return "checkpoints", {
+            "duration": self.duration,
+            "_undo": (
+                self.duration, "chaos-ckpt-heal", system.chaos.disarm_checkpoint_fault
+            ),
+        }
 
 
 @dataclass(repr=False)
 class Rescale(Perturbation):
-    """Start a live re-parallelization of one region of the run's job.
+    """Start a live re-parallelization of one region of the job.
 
     Lets campaigns race crashes and network faults against the rescale
     protocol's drain/migrate/rewire phases.
@@ -629,13 +646,11 @@ class Rescale(Perturbation):
 
     KIND = "rescale"
 
-    def inject(self, engine, run):
+    def apply(self, system, job, feed):
         """Kick off ``set_channel_width`` on the elastic controller."""
-        if run.job is None:
+        if job is None:
             raise ChaosError("Rescale needs a job-scoped run")
-        operation = engine.system.elastic.set_channel_width(
-            run.job, self.region, self.width
-        )
+        operation = system.elastic.set_channel_width(job, self.region, self.width)
         return f"{self.region}->{self.width}", {
             "region": self.region,
             "width": self.width,

@@ -360,7 +360,7 @@ def collect_scorecard(
         duration=system.now - run.started_at,
         injections=len(run.injections),
         injections_by_kind=by_kind,
-        noop_injections=len(system.failures.noops) - base.get("noops", 0),
+        noop_injections=len(system.chaos.noops) - base.get("noops", 0),
         step_errors=len(run.errors),
         tuples_expected=expected,
         tuples_received=received,

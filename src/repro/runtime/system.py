@@ -1,11 +1,11 @@
 """SystemS — the facade wiring the whole simulated middleware together.
 
 Constructing a :class:`SystemS` builds the kernel, SRM, per-host HCs, the
-transport, the import/export registry, SAM and the failure injector, and
-starts the periodic daemon loops.  Orchestrators are submitted through
-:meth:`SystemS.submit_orchestrator`, mirroring the paper's Fig. 4 flow
-(user submits the ORCA descriptor to SAM, which forks the ORCA service
-process).
+transport, the import/export registry, SAM and the chaos engine (the one
+fault layer, :mod:`repro.chaos`), and starts the periodic daemon loops.
+Orchestrators are submitted through :meth:`SystemS.submit_orchestrator`,
+mirroring the paper's Fig. 4 flow (user submits the ORCA descriptor to
+SAM, which forks the ORCA service process).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.runtime.events import RuntimeEvents
 from repro.runtime.exec import build_executor
 from repro.spl.application import Application
 from repro.spl.compiler import CompiledApplication, SPLCompiler
-from repro.runtime.failures import FailureInjector
 from repro.runtime.hc import HostController
 from repro.runtime.host import Host
 from repro.runtime.ids import IdRegistry
@@ -163,7 +162,6 @@ class SystemS:
             events=self.events,
             checkpoint_store=self.checkpoint_store,
         )
-        self.failures = FailureInjector(self.kernel, self.sam)
         from repro.elastic.controller import ElasticController  # late: layer cycle
 
         self.elastic: "ElasticController" = ElasticController(
@@ -184,9 +182,10 @@ class SystemS:
         self.checkpoints.start()
         from repro.chaos.engine import ChaosEngine  # late: layer cycle
 
-        # The chaos-campaign engine: schedules scenario steps on the
-        # kernel, journals injections, and feeds chaos_injected events to
-        # every orchestrator (see repro.chaos).
+        # The chaos engine, the one fault layer: applies, counts and
+        # schedules every injected fault (``system.chaos.inject``), runs
+        # scenario campaigns, journals their injections, and feeds
+        # chaos_injected events to every orchestrator (see repro.chaos).
         self.chaos: "ChaosEngine" = ChaosEngine(self)
         from repro.obs.hub import ObsHub  # late: obs observes every layer
 

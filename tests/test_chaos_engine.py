@@ -1,7 +1,11 @@
-"""Tests for the repro.chaos subsystem: perturbations, DSL, engine,
-scorecards, the hardened failure injector, and the ORCA chaos surface."""
+"""Tests for the repro.chaos subsystem: the fault layer, perturbations,
+DSL, engine, scorecards, and the ORCA chaos surface."""
 
 from __future__ import annotations
+
+import ast
+import importlib
+import pathlib
 
 import pytest
 
@@ -16,10 +20,13 @@ from repro.apps.workloads import ChaosFeed
 from repro.chaos import (
     CheckpointFault,
     CrashPE,
+    FailHost,
+    HostFlap,
     KeySkewShift,
     LatencySpike,
     PEFlap,
     RateSurge,
+    RestartPE,
     Scenario,
     collect_scorecard,
     flash_crowd,
@@ -32,6 +39,7 @@ from repro.chaos import (
     torn_checkpoints,
     tuple_accounting,
 )
+from repro.chaos import perturbations
 from repro.orca.scopes import ChaosScope
 from repro.runtime.pe import PEState
 from repro.spl.application import Application
@@ -78,23 +86,24 @@ def chaos_system(hosts=10, seed=42, checkpoint_interval=0.25):
 
 
 # ---------------------------------------------------------------------------
-# hardened failure injector
+# the fault layer: apply, count, record no-ops, schedule undos
 # ---------------------------------------------------------------------------
 
 
-class TestFailureInjector:
+class TestFaultLayer:
     def test_per_kind_counters(self):
         system = chaos_system()
         feed = ChaosFeed(seed=3)
         job = system.submit_job(build_keyed_app(feed))
         system.run_for(1.0)
         pe = job.pe_of_operator("work__c0")
-        system.failures.crash_pe(job.job_id, pe_id=pe.pe_id)
-        system.failures.restart_pe(job.job_id, pe.pe_id)
+        system.chaos.inject(CrashPE(operator="work__c0"), job=job)
+        system.chaos.inject(RestartPE(pe_index=pe.index, rehydrate=False), job=job)
         system.run_for(2.0)
-        stats = system.failures.stats()
-        assert stats.by_kind == {"crash_pe": 1, "restart_pe": 1}
-        assert stats.injected == 2
+        assert system.chaos.by_kind == {"crash_pe": 1, "restart_pe": 1}
+        assert system.chaos.injected == 2
+        # a direct inject counts, but journals and publishes nothing
+        assert system.chaos.injections == []
 
     def test_crash_on_non_running_pe_is_recorded_noop(self):
         system = chaos_system()
@@ -103,11 +112,11 @@ class TestFailureInjector:
         system.run_for(1.0)
         pe = job.pe_of_operator("work__c0")
         pe.crash("first")
-        before = system.failures.injected
-        system.failures.crash_pe(job.job_id, pe_id=pe.pe_id)
-        assert system.failures.injected == before
-        assert len(system.failures.noops) == 1
-        noop = system.failures.noops[0]
+        before = system.chaos.injected
+        system.chaos.inject(CrashPE(pe_index=pe.index), job=job)
+        assert system.chaos.injected == before
+        assert len(system.chaos.noops) == 1
+        noop = system.chaos.noops[0]
         assert noop.kind == "crash_pe"
         assert noop.target == pe.pe_id
         assert noop.reason == "pe_crashed"
@@ -118,60 +127,113 @@ class TestFailureInjector:
         job = system.submit_job(build_keyed_app(feed))
         system.run_for(1.0)
         pe = job.pe_of_operator("work__c0")
-        handle = system.failures.crash_pe(job.job_id, pe_id=pe.pe_id, at=5.0)
+        handle = system.chaos.inject(CrashPE(pe_index=pe.index), job=job, at=5.0)
         assert handle is not None
-        assert system.failures.pending_count() == 1
+        assert handle.label == f"crash-{pe.pe_id}"
+        assert system.chaos.pending_count() == 1
         handle.cancel()
         system.run_for(6.0)
         assert pe.state is PEState.RUNNING
-        assert system.failures.injected == 0
+        assert system.chaos.injected == 0
 
     def test_cancel_all_retracts_pending(self):
         system = chaos_system()
         feed = ChaosFeed(seed=3)
         job = system.submit_job(build_keyed_app(feed))
         system.run_for(1.0)
-        system.failures.crash_pe(job.job_id, pe_id=job.pes[0].pe_id, at=5.0)
-        system.failures.fail_host(job.pes[0].host_name, at=6.0)
-        assert system.failures.cancel_all() == 2
+        host = job.pes[0].host_name
+        system.chaos.inject(CrashPE(pe_index=job.pes[0].index), job=job, at=5.0)
+        handle = system.chaos.inject(FailHost(host=host), at=6.0)
+        assert handle.label == f"fail-{host}"
+        assert system.chaos.cancel_all() == 2
         system.run_for(7.0)
-        assert system.failures.injected == 0
+        assert system.chaos.injected == 0
         assert all(pe.state is PEState.RUNNING for pe in job.pes)
 
     def test_scheduled_restart_of_removed_pe_is_recorded_noop(self):
         """A flap's scheduled restart racing a rescale that removed the
         PE must be a recorded no-op, never an exception into the kernel
-        (found by the corpus replay of the doomed-channel race)."""
+        (found by the corpus replay of the doomed-channel race): the undo
+        restarts the PE it crashed, by id, never the operator again."""
         system = chaos_system()
         feed = ChaosFeed(seed=3)
         job = system.submit_job(build_keyed_app(feed, width=3))
         system.run_for(1.0)
         doomed = job.pe_of_operator("work__c2")
-        doomed.crash("chaos")
-        system.failures.restart_pe(
-            job.job_id, doomed.pe_id, at=system.now + 3.0
-        )
+        system.chaos.inject(PEFlap(operator="work__c2", downtime=3.0), job=job)
+        assert doomed.state is PEState.CRASHED
         system.elastic.set_channel_width(job, "region", 2)
         system.run_for(5.0)  # the rescale removes the PE, then the restart fires
         assert job.compiled.parallel_regions["region"].width == 2
-        noop = system.failures.noops[-1]
+        noop = system.chaos.noops[-1]
         assert noop.kind == "restart_pe"
+        assert noop.target == doomed.pe_id
         assert noop.reason == "pe_removed"
 
     def test_revive_host_roundtrip_and_noops(self):
+        """Reviving a host is a host flap's undo: counted as
+        ``revive_host``, or a ``host_up`` no-op when the host is up."""
         system = chaos_system()
         host = next(iter(system.hcs))
-        system.failures.fail_host(host)
+        system.chaos.inject(HostFlap(host=host, downtime=1.0))
         assert not system.hcs[host].alive
-        system.failures.fail_host(host)  # second kill: recorded no-op
-        system.failures.revive_host(host)
-        assert system.hcs[host].alive
-        system.failures.revive_host(host)  # second revive: recorded no-op
-        assert [n.kind for n in system.failures.noops] == [
-            "fail_host",
-            "revive_host",
+        system.chaos.inject(HostFlap(host=host, downtime=2.0))  # already down
+        system.run_for(1.5)
+        assert system.hcs[host].alive  # the first undo revived it
+        system.run_for(1.0)  # the second undo finds it up
+        assert [(n.kind, n.reason) for n in system.chaos.noops] == [
+            ("fail_host", "host_down"),
+            ("revive_host", "host_up"),
         ]
-        assert system.failures.by_kind == {"fail_host": 1, "revive_host": 1}
+        assert system.chaos.by_kind == {"fail_host": 1, "revive_host": 1}
+
+    def test_every_undo_is_pending_until_it_runs(self):
+        system = chaos_system()
+        host = next(iter(system.hcs))
+        scenario = Scenario("flap").add(0.5, HostFlap(host=host, downtime=2.0))
+        system.chaos.run_scenario(scenario)
+        system.run_for(1.0)
+        assert not system.hcs[host].alive
+        assert system.chaos.status()["injector"]["pending"] == 1
+        system.run_for(2.0)
+        assert system.hcs[host].alive
+        assert system.chaos.status()["injector"]["pending"] == 0
+
+    def test_cancel_all_cancels_a_host_flaps_revive(self):
+        system = chaos_system()
+        host = next(iter(system.hcs))
+        scenario = Scenario("flap").add(0.5, HostFlap(host=host, downtime=2.0))
+        system.chaos.run_scenario(scenario)
+        system.run_for(1.0)
+        assert system.chaos.cancel_all() == 1
+        system.run_for(5.0)
+        assert not system.hcs[host].alive  # the revive never ran
+        assert system.chaos.status()["injector"]["pending"] == 0
+
+
+class TestOneFaultLayer:
+    """Faults have one home: the perturbations, applied by the engine."""
+
+    def test_the_injector_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.runtime.failures")
+
+    def test_the_system_has_no_second_injector(self):
+        assert not hasattr(SystemS(hosts=1), "failures")
+
+    def test_no_perturbation_schedules_itself(self):
+        """Undos go back to the engine, which schedules and tracks them."""
+        tree = ast.parse(pathlib.Path(perturbations.__file__).read_text())
+        calls = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (
+                getattr(node.func, "attr", None) in ("schedule", "schedule_at")
+                or getattr(node.func, "id", None) in ("schedule", "schedule_at")
+            )
+        ]
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,18 @@ class TestConfigurationTables:
             assert getattr(importlib.import_module(module), name) == value, name
 
 
+class TestPerturbationTable:
+    """``docs/chaos.md``'s perturbation table lists every fault kind."""
+
+    def test_one_row_per_kind_in_order(self):
+        from repro.chaos import PERTURBATION_KINDS
+
+        text = (REPO_ROOT / "docs" / "chaos.md").read_text()
+        section = text.split("\n## The perturbation library\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)\(.*?\)` \| `(\w+)` \|", section, re.MULTILINE)
+        assert rows == [(cls.__name__, kind) for kind, cls in PERTURBATION_KINDS.items()]
+
+
 class TestRuntimeEventsTable:
     """``docs/architecture.md``'s Runtime events section lists the bus's topics."""
 

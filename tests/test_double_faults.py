@@ -17,6 +17,7 @@ import pytest
 
 from repro import SystemConfig, SystemS
 from repro.apps.workloads import ChaosFeed
+from repro.chaos import FailHost, RestartPE
 from repro.elastic.controller import RescaleState
 from repro.runtime.pe import PEState
 from repro.spl.application import Application
@@ -82,7 +83,7 @@ class TestHostFailureDuringRescale:
         doomed_pe = job.pe_of_operator("work__c2")
         operation = system.elastic.set_channel_width(job, "region", 2)
         # the host dies before the first drain poll (poll interval 0.05)
-        system.failures.fail_host(doomed_pe.host_name, at=system.now + 0.01)
+        system.chaos.inject(FailHost(host=doomed_pe.host_name), at=system.now + 0.01)
         system.run_for(20.0)
         assert operation.state is RescaleState.COMPLETED
         assert operation.error is None
@@ -118,7 +119,7 @@ class TestHostFailureDuringRescale:
         survivor_pe = job.pe_of_operator("work__c0")
         epochs_before = system.checkpoint_store.epochs.current
         operation = system.elastic.set_channel_width(job, "region", 2)
-        system.failures.fail_host(survivor_pe.host_name, at=system.now + 0.01)
+        system.chaos.inject(FailHost(host=survivor_pe.host_name), at=system.now + 0.01)
         system.run_for(20.0)
         assert operation.state is RescaleState.COMPLETED
         assert operation.migration is not None
@@ -137,7 +138,7 @@ class TestHostFailureDuringRescale:
         plan = job.compiled.parallel_regions["region"]
         splitter_pe = job.pe_of_operator(plan.splitter)
         operation = system.elastic.set_channel_width(job, "region", 2)
-        system.failures.fail_host(splitter_pe.host_name, at=system.now + 0.01)
+        system.chaos.inject(FailHost(host=splitter_pe.host_name), at=system.now + 0.01)
         system.run_for(20.0)
         assert operation.state is RescaleState.FAILED
         assert operation.error is not None
@@ -185,8 +186,8 @@ class TestHostFailureDuringCheckpointCommit:
         assert latest_committed.epoch < torn.epoch
 
         host = pe.host_name
-        system.failures.revive_host(host)
-        system.failures.restart_pe(job.job_id, pe.pe_id, rehydrate=True)
+        system.hcs[host].revive()
+        system.chaos.inject(RestartPE(pe_index=pe.index), job=job)
         system.run_for(2.0)
         assert pe.state is PEState.RUNNING
         report = pe.last_restore
@@ -232,8 +233,8 @@ class TestHostFailureDuringCheckpointCommit:
         system.checkpoints.commit_fault = None
         store = system.checkpoint_store
         torn_epoch = store.latest(job.job_id, pe.pe_id).epoch
-        system.failures.revive_host(pe.host_name)
-        system.failures.restart_pe(job.job_id, pe.pe_id, rehydrate=True)
+        system.hcs[pe.host_name].revive()
+        system.chaos.inject(RestartPE(pe_index=pe.index), job=job)
         system.run_for(3.0)  # new rounds commit after recovery
         newest = store.latest_committed(job.job_id, pe.pe_id)
         assert newest is not None

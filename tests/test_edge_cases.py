@@ -11,6 +11,7 @@ from repro import (
     SystemS,
 )
 from repro import errors as errors_module
+from repro.chaos import FailHost
 from repro.errors import (
     ActuationError,
     DependencyCycleError,
@@ -266,7 +267,7 @@ class TestHostFailureFailover:
         active = logic.active_job_id()
         job = service.job(active)
         victim_host = job.pe_by_index(job.compiled.pe_of("calc")).host_name
-        system.failures.fail_host(victim_host)
+        system.chaos.inject(FailHost(host=victim_host))
         system.run_for(30.0)
         # failover happened and every crashed PE was restarted... but the
         # host is still down, so restarts go nowhere until it revives;

@@ -22,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro import SystemConfig, SystemS
-from repro.chaos import PEFlap, RateSurge, Scenario
+from repro.chaos import FailHost, PEFlap, RateSurge, RestartPE, Scenario
 from repro.apps.workloads import ChaosFeed
 from repro.runtime.exec import (
     EXECUTOR_BACKENDS,
@@ -295,7 +295,7 @@ class TestSystemConformance:
         target = job.pe_of_operator("work__c0")
         incarnation_before = system.transport._incarnations.get(target.pe_id, 0)
         target.crash("conformance")
-        system.failures.restart_pe(job.job_id, target.pe_id, rehydrate=True)
+        system.chaos.inject(RestartPE(pe_index=target.index), job=job)
         system.run_for(8.0)
         sink = job.operator_instance("sink")
         hold(system, lambda: len(sink.seen) >= 200, "the 200-tuple feed to drain")
@@ -404,7 +404,7 @@ class TestSystemConformance:
         system.kernel.clock._origin -= 10.0 / SCALE  # the stall: 10 s pass, no event runs
         system.run_for(2.0)
         assert sorted(host.name for host in system.srm.up_hosts()) == hosts
-        system.failures.fail_host(hosts[0])
+        system.chaos.inject(FailHost(host=hosts[0]))
         hold(system, lambda: len(system.srm.up_hosts()) == len(hosts) - 1, "the dead host found")
 
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -7,7 +7,7 @@ campaign replayed twice produces a byte-identical flight-recorder dump
 
 import pytest
 
-from repro.chaos import Campaign, Scenario
+from repro.chaos import Campaign, CrashPE, Scenario
 from repro.chaos.fuzz import FuzzHarnessConfig, run_fuzz_case
 from repro.chaos.perturbations import LatencySpike, PEFlap
 from repro.obs import CONTROL, DATA, FlightRecorder, Span, Tracer
@@ -114,7 +114,7 @@ class TestDataPlaneCapture:
         job = system.submit_job(build_app())
         system.run_for(1.0)
         pe = job.pes[0]
-        system.failures.crash_pe(job.job_id, pe_id=pe.pe_id)
+        system.chaos.inject(CrashPE(pe_index=pe.index), job=job)
         system.run_for(0.5)
         assert not system.obs.flight.dumps
         dump = system.obs.dump_flight("inspect", job_id=job.job_id)
@@ -124,7 +124,7 @@ class TestDataPlaneCapture:
         system, job = traced_system()
         system.run_for(1.0)
         pe = job.pes[0]
-        system.failures.crash_pe(job.job_id, pe_id=pe.pe_id)
+        system.chaos.inject(CrashPE(pe_index=pe.index), job=job)
         system.run_for(0.5)
         reasons = [d.reason for d in system.obs.flight.dumps]
         assert f"pe_crash:{pe.pe_id}" in reasons

@@ -55,7 +55,7 @@ from repro import (
     SystemConfig,
     SystemS,
 )
-from repro.chaos import CheckpointFault, LatencySpike, Scenario
+from repro.chaos import CheckpointFault, FailHost, LatencySpike, Scenario
 from repro.obs.slo import Slo
 from repro.orca.events import EventQueue
 from repro.orca.scopes import (
@@ -429,7 +429,7 @@ def _drive(system, service, logic) -> None:
     system.run_for(2.0)
 
     # the host under an.core.parse dies: host_failure, then its pe_failure
-    system.failures.fail_host(logic.job.pe_of_operator("an.core.parse").host_name)
+    system.chaos.inject(FailHost(host=logic.job.pe_of_operator("an.core.parse").host_name))
     system.run_for(7.0)
 
     service.inject_user_event("cancel", {})

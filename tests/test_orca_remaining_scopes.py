@@ -2,6 +2,7 @@
 HostFailureScope, config-filtered job scopes, reason-filtered failures."""
 
 from repro import ManagedApplication, Orchestrator, OrcaDescriptor
+from repro.chaos import CrashPE, FailHost
 from repro.orca.scopes import (
     HostFailureScope,
     JobCancellationScope,
@@ -62,7 +63,7 @@ class TestHostFailureScope:
         submit(system, logic)
         system.run_for(2.0)
         victim_host = logic.jobs[0].pes[0].host_name
-        system.failures.fail_host(victim_host)
+        system.chaos.inject(FailHost(host=victim_host))
         system.run_for(HEARTBEAT_TIMEOUT + 2.5)
         assert len(logic.host_failures) == 1
         host, affected, scopes = logic.host_failures[0]
@@ -75,7 +76,7 @@ class TestHostFailureScope:
         logic = ScopedOrca([scope])
         submit(system, logic)
         system.run_for(2.0)
-        system.failures.fail_host(logic.jobs[0].pes[0].host_name)
+        system.chaos.inject(FailHost(host=logic.jobs[0].pes[0].host_name))
         system.run_for(6.0)
         assert logic.host_failures == []
 
@@ -88,13 +89,14 @@ class TestReasonFilteredFailures:
         system.run_for(2.0)
         job = logic.jobs[0]
         # an injected crash does NOT match the reason filter
-        system.failures.crash_pe(job.job_id, pe_id=job.pes[0].pe_id,
-                                 reason="injected_fault")
+        system.chaos.inject(
+            CrashPE(pe_index=job.pes[0].index, reason="injected_fault"), job=job
+        )
         system.run_for(2.0)
         assert logic.pe_failures == []
         # a host failure does
         host = job.pes[1].host_name
-        system.failures.fail_host(host)
+        system.chaos.inject(FailHost(host=host))
         system.run_for(6.0)
         assert logic.pe_failures
         assert all(reason == "host_failure" for _, reason in logic.pe_failures)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ManagedApplication, OrcaDescriptor, SystemConfig, SystemS
+from repro.chaos import CrashPE
 from repro.errors import ScopeError
 from repro.obs import Slo
 from repro.orca.orchestrator import Orchestrator
@@ -136,7 +137,7 @@ class TestRuleDispatch:
         system.run_for(2.0)
         job = logic.jobs[0]
         victim = job.pes[0]
-        system.failures.crash_pe(job.job_id, pe_id=victim.pe_id)
+        system.chaos.inject(CrashPE(pe_index=victim.index), job=job)
         system.run_for(3.0)
         assert handled == [victim.pe_id]
         assert logic.defaulted == []  # user rule took it
@@ -149,7 +150,7 @@ class TestRuleDispatch:
         system.run_for(2.0)
         job = logic.jobs[0]
         victim = job.pes[0]
-        system.failures.crash_pe(job.job_id, pe_id=victim.pe_id)
+        system.chaos.inject(CrashPE(pe_index=victim.index), job=job)
         system.run_for(3.0)
         assert len(logic.defaulted) == 1
         assert victim.state is PEState.RUNNING
@@ -162,7 +163,7 @@ class TestRuleDispatch:
         system.run_for(2.0)
         job = logic.jobs[0]
         victim = job.pes[0]
-        system.failures.crash_pe(job.job_id, pe_id=victim.pe_id)
+        system.chaos.inject(CrashPE(pe_index=victim.index), job=job)
         system.run_for(3.0)
         assert victim.state is PEState.CRASHED
         assert logic.defaulted == []
@@ -193,7 +194,7 @@ class TestRuleDispatch:
         service = submit_rules(system, logic)
         system.run_for(2.0)
         job = logic.jobs[0]
-        system.failures.crash_pe(job.job_id, pe_id=job.pes[0].pe_id)
+        system.chaos.inject(CrashPE(pe_index=job.pes[0].index), job=job)
         system.run_for(3.0)
         restarts = [r for r in service.actuation_log if r.action == "restart_pe"]
         assert restarts

@@ -10,6 +10,7 @@ import pytest
 
 import repro.orca
 from repro import ManagedApplication, Orchestrator, OrcaDescriptor, SystemConfig, SystemS
+from repro.chaos import CrashPE, FailHost
 from repro.elastic import RescaleState
 from repro.errors import ActuationError, OrcaPermissionError, ScopeError
 from repro.orca import contexts, scopes
@@ -204,7 +205,9 @@ class TestFailureEvents:
         system.run_for(5.0)
         job = logic.jobs[0]
         victim = job.pe_of_operator("sink")
-        system.failures.crash_pe(job.job_id, pe_id=victim.pe_id)
+        system.chaos.inject(
+            CrashPE(pe_index=victim.index, reason="injected_fault"), job=job
+        )
         system.run_for(1.0)
         events = logic.events("pe_failure")
         assert len(events) == 1
@@ -222,7 +225,7 @@ class TestFailureEvents:
         service = submit_orca(system, logic)
         system.run_for(5.0)
         host = logic.jobs[0].pes[0].host_name
-        system.failures.fail_host(host)
+        system.chaos.inject(FailHost(host=host))
         system.run_for(10.0)
         events = logic.events("pe_failure")
         assert events
@@ -235,7 +238,7 @@ class TestFailureEvents:
         submit_orca(system, logic)
         foreign = system.submit_job(make_filter_app())
         system.run_for(5.0)
-        system.failures.crash_pe(foreign.job_id, pe_index=1)
+        system.chaos.inject(CrashPE(pe_index=1), job=foreign)
         system.run_for(5.0)
         assert not logic.events("pe_failure")
 
@@ -332,7 +335,7 @@ class TestActuation:
         service = submit_orca(system, logic)
         system.run_for(2.0)
         job = logic.jobs[0]
-        system.failures.crash_pe(job.job_id, pe_id=job.pes[0].pe_id)
+        system.chaos.inject(CrashPE(pe_index=job.pes[0].index), job=job)
         system.run_for(2.0)
         restarts = [r for r in service.actuation_log if r.action == "restart_pe"]
         assert restarts and restarts[0].txn_id > 0

@@ -4,6 +4,7 @@ import/export across restarts, and orchestrator resilience."""
 import pytest
 
 from repro import ManagedApplication, Orchestrator, OrcaDescriptor, SystemS
+from repro.chaos import CrashPE
 from repro.orca.scopes import OperatorMetricScope, PEFailureScope
 from repro.runtime.pe import PEState
 from repro.spl.application import Application
@@ -117,7 +118,7 @@ class TestOrchestratorUnderRestarts:
         system.run_for(20.0)
         job = logic.job
         pe = job.pe_of_operator("sink")
-        system.failures.crash_pe(job.job_id, pe_id=pe.pe_id)
+        system.chaos.inject(CrashPE(pe_index=pe.index), job=job)
         system.run_for(20.0)
         assert pe.state is PEState.RUNNING
         assert any(d < 0 for d in logic.deltas)
@@ -152,7 +153,7 @@ class TestOrchestratorUnderRestarts:
         system.run_for(60.0)
         job = logic.job
         pe = job.pe_of_operator("op5")
-        system.failures.crash_pe(job.job_id, pe_id=pe.pe_id)
+        system.chaos.inject(CrashPE(pe_index=pe.index), job=job)
         system.run_for(2.0)
         system.sam.restart_pe(job.job_id, pe.pe_id)
         system.run_for(60.0)

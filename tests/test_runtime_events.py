@@ -6,6 +6,7 @@ own, and the delivery of PE and host failures to orchestrators over it."""
 import pytest
 
 from repro import ManagedApplication, Orchestrator, OrcaDescriptor, SystemConfig, SystemS
+from repro.chaos import FailHost
 from repro.orca.scopes import HostFailureScope, PEFailureScope
 from repro.runtime.events import TOPICS, RuntimeEvents
 from repro.runtime.pe import PEState
@@ -237,7 +238,7 @@ class TestFailureDelivery:
         (_, a), (_, b) = submit_recorder(system, "A"), submit_recorder(system, "B")
         system.run_for(2.0)
         host = b.job.pes[0].host_name
-        system.failures.fail_host(host)
+        system.chaos.inject(FailHost(host=host))
         system.run_for(10.0)
         for logic in (a, b):
             [(_, context)] = logic.host_failures
@@ -253,7 +254,7 @@ class TestFailureDelivery:
         system.run_for(2.0)
         system.cancel_orchestrator(service.orca_id)
         a.job.pes[0].crash("after cancel")
-        system.failures.fail_host(b.job.pes[0].host_name)
+        system.chaos.inject(FailHost(host=b.job.pes[0].host_name))
         system.run_for(10.0)
         assert a.pe_failures == a.host_failures == []
         assert len(b.host_failures) == 1

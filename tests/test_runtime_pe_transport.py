@@ -9,6 +9,7 @@ from functools import partial
 import pytest
 
 from repro import SystemConfig, SystemS
+from repro.chaos import RestartPE
 from repro.errors import PEControlError
 from repro.runtime.job import JobState
 from repro.runtime.pe import PEState
@@ -257,7 +258,7 @@ class TestResolvedDispatch:
         assert out.completed_at is not None
         victim = job.pe_of_operator("work__c1")
         victim.crash("test")
-        system.failures.restart_pe(job.job_id, victim.pe_id, rehydrate=True)
+        system.chaos.inject(RestartPE(pe_index=victim.index), job=job)
         system.run_for(3.0)
         assert victim.is_running and victim.last_restore is not None
         back = system.elastic.set_channel_width(job.job_id, "region", 2)
@@ -526,7 +527,7 @@ class TestCompiledHops:
         work = job.pe_of_operator("mid")
         dead = (get_op(job, "mid"), get_op(job, "post"))
         work.crash("test")
-        system.failures.restart_pe(job.job_id, work.pe_id, rehydrate=True)
+        system.chaos.inject(RestartPE(pe_index=work.index), job=job)
         system.run_for(8.0)
 
         live_mid = get_op(job, "mid")

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.chaos import ChaosError, CrashPE, FailHost
 from repro.errors import (
     CancellationError,
     PEControlError,
     SubmissionError,
     UnknownHostError,
     UnknownJobError,
-    UnknownPEError,
 )
 from repro.runtime.job import JobState
 from repro.runtime.pe import PEState
@@ -186,7 +186,7 @@ class TestHostFailure:
         job = system.submit_job(make_linear_app())
         system.run_for(2.0)
         victim_host = job.pes[0].host_name
-        system.failures.fail_host(victim_host)
+        system.chaos.inject(FailHost(host=victim_host))
         # PEs die with the host immediately ...
         affected = [pe for pe in job.pes if pe.host_name == victim_host]
         assert all(pe.state is PEState.CRASHED for pe in affected)
@@ -198,13 +198,13 @@ class TestHostFailure:
 
     def test_unknown_host_rejected(self, system):
         with pytest.raises(UnknownHostError):
-            system.failures.fail_host("ghost")
+            system.chaos.inject(FailHost(host="ghost"))
 
     def test_scheduled_failure(self, system):
         job = system.submit_job(make_linear_app())
         system.run_for(1.0)
         victim = job.pes[0]
-        system.failures.crash_pe(job.job_id, pe_id=victim.pe_id, at=5.0)
+        system.chaos.inject(CrashPE(pe_index=victim.index), job=job, at=5.0)
         system.run_for(3.0)
         assert victim.state is PEState.RUNNING
         system.run_for(2.0)
@@ -212,14 +212,14 @@ class TestHostFailure:
 
     def test_crash_pe_requires_identifier(self, system):
         job = system.submit_job(make_linear_app())
-        with pytest.raises(UnknownPEError):
-            system.failures.crash_pe(job.job_id)
+        with pytest.raises(ChaosError):
+            system.chaos.inject(CrashPE(), job=job)
 
     def test_host_revive(self, system):
         job = system.submit_job(make_linear_app())
         system.run_for(1.0)
         victim_host = job.pes[0].host_name
-        system.failures.fail_host(victim_host)
+        system.chaos.inject(FailHost(host=victim_host))
         system.run_for(5.0)
         system.hcs[victim_host].revive()
         system.run_for(5.0)

@@ -8,6 +8,7 @@ from repro import (
     SystemConfig,
     SystemS,
 )
+from repro.chaos import CrashPE
 from repro.orca.scopes import PEFailureScope
 from repro.runtime.job import JobState
 from repro.runtime.pe import PEState
@@ -69,7 +70,7 @@ class TestDeterminism:
         system = SystemS(hosts=4, seed=7)
         job = system.submit_job(make_linear_app(per_tick=3, period=0.5))
         system.run_for(20.0)
-        system.failures.crash_pe(job.job_id, pe_index=1)
+        system.chaos.inject(CrashPE(pe_index=1), job=job)
         system.run_for(20.0)
         sink = job.operator_instance("sink")
         return (
@@ -125,7 +126,7 @@ class TestMultipleOrchestrators:
             )
         )
         system.run_for(2.0)
-        system.failures.crash_pe(logic_a.job.job_id, pe_index=1)
+        system.chaos.inject(CrashPE(pe_index=1), job=logic_a.job)
         system.run_for(5.0)
         assert len(logic_a.failures) == 1
         assert logic_b.failures == []

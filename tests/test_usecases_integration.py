@@ -17,6 +17,7 @@ from repro.apps.sentiment import build_sentiment_application
 from repro.apps.socialmedia import build_all_socialmedia_applications
 from repro.apps.trend import TrendRecorderHub, build_trend_application
 from repro.apps.workloads import TradeWorkload, TweetWorkload
+from repro.chaos import CrashPE
 from repro.runtime.pe import PEState
 
 
@@ -140,7 +141,7 @@ class TestFailoverUseCase:
         system.run_for(650.0)
         active = logic.active_job_id()
         job = service.job(active)
-        system.failures.crash_pe(active, pe_index=job.compiled.pe_of("calc"))
+        system.chaos.inject(CrashPE(operator="calc"), job=job)
         system.run_for(10.0)
         assert len(logic.failovers) == 1
         _, failed, promoted = logic.failovers[0]
@@ -154,7 +155,7 @@ class TestFailoverUseCase:
         active = logic.active_job_id()
         job = service.job(active)
         victim = job.pe_by_index(job.compiled.pe_of("calc"))
-        system.failures.crash_pe(active, pe_id=victim.pe_id)
+        system.chaos.inject(CrashPE(pe_index=victim.index), job=job)
         system.run_for(10.0)
         assert victim.state is PEState.RUNNING
 
@@ -165,7 +166,7 @@ class TestFailoverUseCase:
         active = logic.active_job_id()
         failed_replica = logic.replicas[active]["replica"]
         job = service.job(active)
-        system.failures.crash_pe(active, pe_index=job.compiled.pe_of("calc"))
+        system.chaos.inject(CrashPE(operator="calc"), job=job)
         system.run_for(60.0)
         promoted = logic.failovers[0][2]
         promoted_replica = logic.replicas[promoted]["replica"]
@@ -193,7 +194,7 @@ class TestFailoverUseCase:
             if r["status"] == "backup"
         )
         job = service.job(backup)
-        system.failures.crash_pe(backup, pe_index=job.compiled.pe_of("calc"))
+        system.chaos.inject(CrashPE(operator="calc"), job=job)
         system.run_for(10.0)
         assert logic.failovers == []
         assert logic.replicas[backup]["status"] == "backup"
@@ -203,7 +204,7 @@ class TestFailoverUseCase:
         system.run_for(650.0)
         active = logic.active_job_id()
         job = service.job(active)
-        system.failures.crash_pe(active, pe_index=job.compiled.pe_of("calc"))
+        system.chaos.inject(CrashPE(operator="calc"), job=job)
         system.run_for(10.0)
         lines = status.getvalue().splitlines()
         assert any("status=active" in line for line in lines)
