@@ -156,7 +156,7 @@ class Perturbation:
             return job.pe_of_operator(operator)
         if pe_index is not None:
             return job.pe_by_index(pe_index)
-        raise ChaosError(f"{type(self).__name__} needs operator, pe_index, or pe_id")
+        raise ChaosError(f"{type(self).__name__} needs operator or pe_index")
 
     def __repr__(self) -> str:
         """Short debugging representation (kind + public fields)."""
