@@ -19,9 +19,9 @@ stream), fired through its perturbation, and recorded as a
   (subject to :class:`~repro.orca.scopes.ChaosScope` matching, so a
   routine can equally be tested *blind* to injected faults by simply not
   registering the scope),
-* reflected into SRM as ``chaos*`` gauges under the synthetic
-  ``__chaos__`` job, so campaign progress is queryable through the same
-  metric store as everything else.
+* counted in ``repro_chaos_*`` gauges of the system's metrics registry,
+  labeled with the synthetic ``__chaos__`` job, so campaign progress
+  shows in the same exposition as every runtime metric.
 
 Recovery is tracked automatically: the engine observes SAM's completed
 PE restarts and stamps ``recovered_at`` on the matching crash-class
@@ -36,10 +36,11 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.chaos.perturbations import Perturbation, detail_public_view
 from repro.chaos.scenario import Scenario
 from repro.runtime.pe import PERuntime, PEState
-from repro.runtime.srm import MetricSample
+from repro.runtime.srm import SRM_HELP
 from repro.sim.kernel import OutstandingHandles, ScheduledEvent
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.metrics import MetricsRegistry
     from repro.runtime.job import Job
     from repro.runtime.system import SystemS
 
@@ -50,8 +51,7 @@ RECOVERABLE_KINDS = frozenset(
     {"crash_pe", "pe_flap", "fail_host", "host_flap"}
 )
 
-#: job id the engine's SRM gauges are stored under (never a real job, so
-#: orchestrator metric polls scoped to managed jobs are not polluted)
+#: ``job`` label of the engine's gauges (never a real job's id)
 CHAOS_JOB_ID = "__chaos__"
 
 
@@ -157,14 +157,16 @@ class ScenarioRun:
 class ChaosEngine:
     """Applies, counts and schedules every fault; journals scenarios."""
 
-    def __init__(self, system: "SystemS") -> None:
+    def __init__(self, system: "SystemS", metrics: "MetricsRegistry") -> None:
         """Wire the engine into a system (done by ``SystemS.__init__``).
 
         Args:
             system: The simulated middleware instance to disturb.
+            metrics: The system's registry, where the campaign gauges live.
         """
         self.system = system
         self.kernel = system.kernel
+        self.metrics = metrics
         #: every fired injection across all runs, in firing order
         self.injections: List[ChaosInjection] = []
         #: every scenario run ever scheduled, in creation order
@@ -435,74 +437,41 @@ class ChaosEngine:
             if all_up:
                 injection.recovered_at = self.kernel.now
 
-    # -- SRM gauges ---------------------------------------------------------
+    # -- registry gauges --------------------------------------------------
 
     def _publish_gauges(self, run: ScenarioRun) -> None:
-        """Reflect one run's progress into SRM under the ``__chaos__`` job.
+        """Set one run's progress gauges.
 
-        Counts cover the *run* only (the gauges are stored per scenario,
+        Counts cover the *run* only (the gauges are labeled per scenario,
         and concurrent campaigns must not clobber each other's numbers).
         """
-        now = self.kernel.now
         by_kind: Dict[str, int] = {}
         for injection in run.injections:
             by_kind[injection.kind] = by_kind.get(injection.kind, 0) + 1
-        samples = [
-            self._gauge(run, "chaosInjections", float(len(run.injections)), now),
-            self._gauge(
-                run,
-                "chaosActiveLinkFaults",
-                float(len(self.system.transport.active_link_faults())),
-                now,
+        values = {
+            "repro_chaos_injections": len(run.injections),
+            "repro_chaos_active_link_faults": len(
+                self.system.transport.active_link_faults()
             ),
-        ]
-        for kind, count in sorted(by_kind.items()):
-            samples.append(
-                self._gauge(run, f"chaosInjections.{kind}", float(count), now)
-            )
-        self.system.srm.store_metrics(samples)
+        }
+        for kind, count in by_kind.items():
+            values[f"repro_chaos_injections_{kind}"] = count
+        self.publish_scorecard_gauges(run.scenario.name, values)
 
     def publish_scorecard_gauges(
         self, scenario_name: str, values: Dict[str, float]
     ) -> None:
-        """Push scorecard measurements into SRM as ``chaos*`` gauges.
+        """Set ``repro_chaos_*`` gauges labeled with one scenario.
 
         Args:
-            scenario_name: Stored as the sample's PE id suffix, so
-                concurrent campaigns do not clobber each other.
-            values: Gauge name -> value (e.g. ``{"chaosTuplesLost": 0}``).
+            scenario_name: The ``pe`` label is ``chaos:<scenario_name>``,
+                so concurrent campaigns do not clobber each other.
+            values: Exported gauge name -> value (e.g.
+                ``{"repro_chaos_tuples_lost": 0}``).
         """
-        now = self.kernel.now
-        samples = [
-            MetricSample(
-                job_id=CHAOS_JOB_ID,
-                app_name="chaos",
-                pe_id=f"chaos:{scenario_name}",
-                operator=None,
-                port=None,
-                name=name,
-                value=float(value),
-                collection_ts=now,
-                is_custom=True,
-            )
-            for name, value in sorted(values.items())
-        ]
-        self.system.srm.store_metrics(samples)
-
-    def _gauge(
-        self, run: ScenarioRun, name: str, value: float, now: float
-    ) -> MetricSample:
-        return MetricSample(
-            job_id=CHAOS_JOB_ID,
-            app_name="chaos",
-            pe_id=f"chaos:{run.scenario.name}",
-            operator=None,
-            port=None,
-            name=name,
-            value=value,
-            collection_ts=now,
-            is_custom=True,
-        )
+        labels = {"job": CHAOS_JOB_ID, "pe": f"chaos:{scenario_name}"}
+        for name, value in values.items():
+            self.metrics.gauge(name, labels, help_text=SRM_HELP).set(float(value))
 
     # -- inspection ---------------------------------------------------------
 

@@ -278,15 +278,15 @@ class ResilienceScorecard:
         return "\n".join(self.lines()) + "\n"
 
     def gauges(self) -> Dict[str, float]:
-        """The scorecard as SRM gauge values (``chaos*`` names)."""
+        """The scorecard as exported gauge values (``repro_chaos_*`` names)."""
         return {
-            "chaosTuplesExpected": float(self.tuples_expected),
-            "chaosTuplesLost": float(self.tuples_lost),
-            "chaosDuplicates": float(self.duplicates),
-            "chaosStateRecovery": self.state_recovery,
-            "chaosMeanRecovery": self.mean_recovery,
-            "chaosMaxRecovery": self.max_recovery,
-            "chaosOrcaLatencyMax": self.orca_latency_max,
+            "repro_chaos_tuples_expected": float(self.tuples_expected),
+            "repro_chaos_tuples_lost": float(self.tuples_lost),
+            "repro_chaos_duplicates": float(self.duplicates),
+            "repro_chaos_state_recovery": self.state_recovery,
+            "repro_chaos_mean_recovery": self.mean_recovery,
+            "repro_chaos_max_recovery_seconds": self.max_recovery,
+            "repro_chaos_orca_latency_max_seconds": self.orca_latency_max,
         }
 
 

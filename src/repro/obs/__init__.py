@@ -7,10 +7,11 @@ constructed by :class:`~repro.runtime.system.SystemS` as
 * :mod:`repro.obs.trace` — allocation-light :class:`Span` objects for
   data-plane hops and control-plane operations, sampled
   deterministically so traced runs stay byte-stable;
-* :mod:`repro.obs.metrics` — a labeled counter/gauge/histogram
-  registry with Prometheus-text and JSONL renders;
+* :mod:`repro.obs.metrics` — the system's one labeled
+  counter/gauge/histogram registry with Prometheus-text and JSONL
+  renders; SRM's pushes write the runtime's series into it;
 * :mod:`repro.obs.naming` — the canonical ``repro_*`` metric-name
-  catalog, applied at export;
+  catalog, applied once per SRM key when SRM first stores it;
 * :mod:`repro.obs.flight` — bounded per-job span rings that dump
   deterministic timeline artifacts on PE crash, stuck rescale, or
   fuzz-oracle violation;
@@ -40,12 +41,7 @@ from repro.obs.health import (
 )
 from repro.obs.hub import ObsHub
 from repro.obs.slo import HealthAlert, Slo
-from repro.obs.metrics import (
-    MetricsRegistry,
-    ObsCounter,
-    ObsGauge,
-    ObsHistogram,
-)
+from repro.obs.metrics import MetricsRegistry, ObsHistogram
 from repro.obs.naming import (
     CANONICAL_BY_LEGACY,
     canonical_metric_name,
@@ -66,8 +62,6 @@ __all__ = [
     "HealthSnapshot",
     "LinkHealth",
     "MetricsRegistry",
-    "ObsCounter",
-    "ObsGauge",
     "ObsHistogram",
     "ObsHub",
     "PressureSample",

@@ -387,40 +387,18 @@ class HealthMonitor:
         interval = self.config.health_interval
         ack_timeout = self.config.ack_timeout
 
-        # open-batch residency per link (batching enabled only)
-        open_age: Dict[str, float] = {}
-        for (_src, pe_id, op, port), batch in transport._open_batches.items():
-            name = self._port(op, pe_id, port)
-            age = now - batch.opened_at
-            if age > open_age.get(name, 0.0):
-                open_age[name] = age
-
-        # retry pressure per link (reliable modes only)
-        retries: Dict[str, int] = {}
-        if transport.reliability is not None:
-            for entry in transport.reliability.pending.values():
-                if entry.acked or entry.condemned or entry.attempts == 0:
-                    continue
-                name = self._port(
-                    entry.op_full_name, entry.dst_pe.pe_id, entry.port
-                )
-                retries[name] = retries.get(name, 0) + entry.attempts
-
-        # per-link depth, growth, and the rolled-up lag watermark
+        # per-link depth, open-batch residency (batching only), retry
+        # pressure (reliable modes only), and the rolled-up lag watermark
         links: Dict[str, LinkHealth] = {}
-        names = set(open_age) | set(retries)
-        depth_by_name: Dict[str, int] = {}
-        for (pe_id, op, port), depth in transport._in_flight.items():
-            name = self._port(op, pe_id, port)
-            depth_by_name[name] = depth_by_name.get(name, 0) + depth
-        names |= set(depth_by_name)
+        pressure = {
+            self._port(op, pe_id, port): reading
+            for (pe_id, op, port), reading in transport.port_pressure(now).items()
+        }
         samples: List[PressureSample] = []
         max_lag = 0.0
         new_peak = False
-        for name in sorted(names):
-            depth = depth_by_name.get(name, 0)
-            age = open_age.get(name, 0.0)
-            retry = retries.get(name, 0)
+        for name in sorted(pressure):
+            depth, age, retry = pressure[name]
             lag = depth * latency + age + retry * ack_timeout
             links[name] = LinkHealth(name, depth, age, retry, lag)
             if lag > max_lag:
@@ -456,7 +434,7 @@ class HealthMonitor:
         self._ports = {
             name: history
             for name, history in self._ports.items()
-            if history.pe_id in transport._toward or name in links
+            if transport.knows_pe(history.pe_id) or name in links
         }
 
         # region watermarks: max over the links feeding a region's ops

@@ -29,8 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.obs.flight import FlightDump, FlightRecorder
 from repro.obs.health import HealthMonitor
-from repro.obs.metrics import MetricsRegistry, ObsCounter, ObsHistogram
-from repro.obs.naming import canonical_metric_name
+from repro.obs.metrics import MetricsRegistry, ObsHistogram
 from repro.obs.trace import CONTROL, DATA, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.events import RuntimeEvents
     from repro.runtime.pe import PERuntime
     from repro.runtime.system import SystemConfig, SystemS
+    from repro.spl.metrics import Metric
     from repro.sim.kernel import Kernel, ScheduledEvent
 
 
@@ -69,6 +69,7 @@ class ObsHub:
         kernel: "Kernel",
         events: "RuntimeEvents",
         config: "SystemConfig",
+        metrics: MetricsRegistry,
     ) -> None:
         """Create the hub (call :meth:`attach` to wire it to a system).
 
@@ -79,11 +80,13 @@ class ObsHub:
                 on data-plane tuple tracing and the kernel event tap,
                 ``trace_sample_every`` and ``flight_capacity`` size the
                 tracer and the flight ring; the health plane reads the rest.
+            metrics: The system's one registry (SRM and the chaos engine
+                write their gauges there; the hub its control-plane series).
         """
         self.kernel = kernel
         # read per ORCA event and per PE crash: bound here once
         self.trace_enabled = config.trace_enabled
-        self.metrics = MetricsRegistry()
+        self.metrics = metrics
         self.tracer = Tracer(sample_every=config.trace_sample_every)
         self.flight = FlightRecorder(capacity=config.flight_capacity)
         self.tracer.sinks.append(self.flight.record)
@@ -100,7 +103,7 @@ class ObsHub:
         #: kernel label -> family (memoized; labels repeat heavily)
         self._families: Dict[str, str] = {}
         #: family -> its counter series (hot-path cache)
-        self._kernel_counters: Dict[str, ObsCounter] = {}
+        self._kernel_counters: Dict[str, "Metric"] = {}
         #: operator full name -> tuple-latency histogram (hot-path cache)
         self._latency_hists: Dict[str, ObsHistogram] = {}
         #: transport batch-size histogram, created lazily on the first
@@ -111,7 +114,7 @@ class ObsHub:
         #: first event for the same byte-stability reason: a best-effort
         #: system never fires the hook and renders the historical
         #: exposition unchanged
-        self._reliability_counters: Dict[str, ObsCounter] = {}
+        self._reliability_counters: Dict[str, "Metric"] = {}
         #: replay-buffer gauge triple, created lazily at the first scrape
         #: that sees a non-empty exactly-once replay buffer (best-effort
         #: and at-least-once systems render unchanged)
@@ -298,7 +301,7 @@ class ObsHub:
             counter = self._reliability_counters[kind] = self.metrics.counter(
                 names[kind], help_text=helps[kind]
             )
-        counter.inc(count)
+        counter.increment(count)
         if kind == "retransmit":
             self.record_control_event(
                 "transport:retry", time, op=op, attempt=attempt
@@ -325,7 +328,7 @@ class ObsHub:
                 {"family": family},
                 help_text="kernel callbacks executed per label family",
             )
-        counter.inc()
+        counter.increment()
 
     # -- control plane -------------------------------------------------------
 
@@ -358,7 +361,7 @@ class ObsHub:
             "repro_rescale_barriers_total",
             {"phase": event.phase},
             help_text="rescale protocol phase transitions",
-        ).inc()
+        ).increment()
         key = (event.job_id, event.region)
         if event.phase == "quiesce":
             self._quiesce_open[key] = event.time
@@ -394,7 +397,7 @@ class ObsHub:
             "repro_channel_reroutes_total",
             {"action": action},
             help_text="splitter mask/unmask reroutes of region channels",
-        ).inc()
+        ).increment()
         key = (reroute.job_id, reroute.channel, reroute.region)
         if reroute.masked:
             self._mask_open[key] = reroute.time
@@ -422,7 +425,7 @@ class ObsHub:
             "repro_rescales_total",
             {"state": state},
             help_text="finished rescale operations by outcome",
-        ).inc()
+        ).increment()
         if state == "failed":
             self.flight.dump(
                 f"stuck_rescale:{op.region}", self.kernel.now, job_id=op.job_id
@@ -441,7 +444,7 @@ class ObsHub:
             "repro_checkpoint_attempts_total",
             {"outcome": outcome},
             help_text="checkpoint attempts by outcome",
-        ).inc()
+        ).increment()
         if record.committed:
             self.metrics.histogram(
                 "repro_checkpoint_bytes",
@@ -459,7 +462,7 @@ class ObsHub:
         )
         self.metrics.counter(
             "repro_pe_crashes_total", help_text="PE crash notifications"
-        ).inc()
+        ).increment()
         if self.trace_enabled:
             self.flight.dump(
                 f"pe_crash:{pe.pe_id}", self.kernel.now, job_id=pe.job.job_id
@@ -472,7 +475,7 @@ class ObsHub:
         self.metrics.counter(
             "repro_pe_restarts_completed_total",
             help_text="completed PE restarts",
-        ).inc()
+        ).increment()
 
     def _on_injection(self, injection: "ChaosInjection") -> None:
         self.tracer.event(
@@ -486,37 +489,9 @@ class ObsHub:
             "repro_chaos_injections_total",
             {"kind": injection.kind},
             help_text="fired chaos perturbations by kind",
-        ).inc()
+        ).increment()
 
     # -- export --------------------------------------------------------------
-
-    def scrape_srm(self) -> int:
-        """Mirror every SRM sample into the registry as a canonical gauge.
-
-        Sample names translate through
-        :func:`repro.obs.naming.canonical_metric_name`; labels carry
-        the SRM storage key (job, pe, operator, port).
-
-        Returns:
-            The number of samples mirrored.
-        """
-        system = self._system
-        if system is None:
-            return 0
-        samples = system.srm.get_metrics()
-        for sample in samples:
-            labels = {"job": sample.job_id, "pe": sample.pe_id}
-            if sample.operator is not None:
-                labels["operator"] = sample.operator
-            if sample.port is not None:
-                labels["port"] = str(sample.port)
-            self.metrics.gauge(
-                canonical_metric_name(sample.name),
-                labels,
-                help_text="mirrored SRM sample",
-            ).set(sample.value)
-        self.scrape_transport()
-        return len(samples)
 
     def scrape_transport(self) -> None:
         """Refresh transport-level gauges (exactly-once replay buffers).
@@ -572,30 +547,25 @@ class ObsHub:
             floor_gauge(labels).set(link.truncated_to if link else 0)
         self._replay_links = retaining
 
-    def render_prometheus(self, scrape: bool = True) -> str:
-        """The hub's metrics in Prometheus text format (byte-stable).
+    def render_prometheus(self) -> str:
+        """The registry in Prometheus text format (byte-stable).
 
-        Args:
-            scrape: Refresh the SRM mirror first.
+        SRM's series read as of the last host-controller push; the
+        replay-buffer gauges are refreshed first (nothing pushes them).
 
         Returns:
             The exposition text.
         """
-        if scrape:
-            self.scrape_srm()
+        self.scrape_transport()
         return self.metrics.render_prometheus()
 
-    def render_jsonl(self, scrape: bool = True) -> str:
-        """The hub's metrics as JSONL (includes histogram p50/p95/p99).
-
-        Args:
-            scrape: Refresh the SRM mirror first.
+    def render_jsonl(self) -> str:
+        """The registry as JSONL (includes histogram p50/p95/p99).
 
         Returns:
             Newline-delimited JSON.
         """
-        if scrape:
-            self.scrape_srm()
+        self.scrape_transport()
         return self.metrics.render_jsonl()
 
     def dump_flight(

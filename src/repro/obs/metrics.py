@@ -1,4 +1,4 @@
-"""The observability metrics registry: counters, gauges, histograms.
+"""The one metrics registry: counters, gauges, histograms.
 
 A :class:`MetricsRegistry` holds labeled series under Prometheus-style
 family names and renders them to the Prometheus text exposition format
@@ -9,18 +9,22 @@ identically across platforms — the registry's renders participate in
 the repo's byte-stable artifact discipline (chaos scorecards, flight
 timelines), so nothing here may consult wall clocks or hash order.
 
-Unlike the per-operator :class:`repro.spl.metrics.MetricRegistry`
-(which models the paper's SPL metric accessors and is scraped by host
-controllers into SRM), this registry is system-wide and export-facing;
-:class:`repro.obs.hub.ObsHub` mirrors SRM samples into it at scrape
-time under canonical names (see :mod:`repro.obs.naming`).
+:class:`~repro.runtime.system.SystemS` builds one registry and hands it
+to SRM, the chaos engine and the :class:`~repro.obs.hub.ObsHub`.
+Counter and gauge series are :class:`repro.spl.metrics.Metric`, the
+runtime's own value type.  SRM owns one gauge per stored sample key,
+created under its canonical name (:mod:`repro.obs.naming`) when the key
+is first pushed, set by every host-controller push and removed with the
+PE; the exposition renders the registry as it stands.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+
+from repro.spl.metrics import Metric, MetricKind
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -65,36 +69,6 @@ def _render_labels(items: LabelItems) -> str:
         return ""
     inner = ",".join(f'{k}="{_escape_label(v)}"' for k, v in items)
     return "{" + inner + "}"
-
-
-class ObsCounter:
-    """A monotonically increasing counter series."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0) to the counter."""
-        self.value += amount
-
-
-class ObsGauge:
-    """A point-in-time gauge series."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the gauge's value."""
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Adjust the gauge by ``amount`` (may be negative)."""
-        self.value += amount
 
 
 class ObsHistogram:
@@ -163,17 +137,27 @@ class ObsHistogram:
         return self.max if self.max != -math.inf else 0.0
 
 
+#: one series: counters and gauges are the runtime's own value type
+Series = Union[Metric, ObsHistogram]
+
+
 class MetricsRegistry:
     """Labeled metric families with Prometheus-text and JSONL renders."""
 
     def __init__(self) -> None:
         #: family name -> (type, help text), in registration order
         self._families: Dict[str, Tuple[str, str]] = {}
-        self._counters: Dict[Tuple[str, LabelItems], ObsCounter] = {}
-        self._gauges: Dict[Tuple[str, LabelItems], ObsGauge] = {}
-        self._histograms: Dict[Tuple[str, LabelItems], ObsHistogram] = {}
+        #: (family, label items) -> its series: a Metric or an ObsHistogram
+        self._series: Dict[Tuple[str, LabelItems], Series] = {}
 
-    def _family(self, name: str, kind: str, help_text: str) -> None:
+    def _get(
+        self,
+        name: str,
+        labels: Optional[Dict[str, str]],
+        kind: str,
+        help_text: str,
+        make: Callable[[], Series],
+    ) -> Series:
         existing = self._families.get(name)
         if existing is None:
             self._families[name] = (kind, help_text)
@@ -182,13 +166,18 @@ class MetricsRegistry:
                 f"metric family {name!r} registered as {existing[0]}, "
                 f"requested as {kind}"
             )
+        key = (name, _label_items(labels))
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = make()
+        return series
 
     def counter(
         self,
         name: str,
         labels: Optional[Dict[str, str]] = None,
         help_text: str = "",
-    ) -> ObsCounter:
+    ) -> Metric:
         """Get or create one counter series.
 
         Args:
@@ -199,26 +188,22 @@ class MetricsRegistry:
         Returns:
             The (shared) series object.
         """
-        self._family(name, "counter", help_text)
-        key = (name, _label_items(labels))
-        series = self._counters.get(key)
-        if series is None:
-            series = self._counters[key] = ObsCounter()
-        return series
+        return self._get(
+            name, labels, "counter", help_text,
+            lambda: Metric(name, MetricKind.COUNTER, help_text, 0.0),
+        )
 
     def gauge(
         self,
         name: str,
         labels: Optional[Dict[str, str]] = None,
         help_text: str = "",
-    ) -> ObsGauge:
+    ) -> Metric:
         """Get or create one gauge series (see :meth:`counter`)."""
-        self._family(name, "gauge", help_text)
-        key = (name, _label_items(labels))
-        series = self._gauges.get(key)
-        if series is None:
-            series = self._gauges[key] = ObsGauge()
-        return series
+        return self._get(
+            name, labels, "gauge", help_text,
+            lambda: Metric(name, MetricKind.GAUGE, help_text, 0.0),
+        )
 
     def histogram(
         self,
@@ -239,25 +224,25 @@ class MetricsRegistry:
         Returns:
             The (shared) series object.
         """
-        self._family(name, "histogram", help_text)
-        key = (name, _label_items(labels))
-        series = self._histograms.get(key)
-        if series is None:
-            series = self._histograms[key] = ObsHistogram(buckets)
-        return series
+        return self._get(
+            name, labels, "histogram", help_text, lambda: ObsHistogram(buckets)
+        )
+
+    def remove(self, name: str, labels: Optional[Dict[str, str]] = None) -> None:
+        """Drop one series; a family left with none renders nothing."""
+        self._series.pop((name, _label_items(labels)), None)
 
     # -- rendering ----------------------------------------------------------
 
-    def _series_of(self, name: str, kind: str) -> List[Tuple[LabelItems, object]]:
-        store = {
-            "counter": self._counters,
-            "gauge": self._gauges,
-            "histogram": self._histograms,
-        }[kind]
-        return sorted(
-            ((key[1], series) for key, series in store.items() if key[0] == name),
-            key=lambda entry: entry[0],
-        )
+    def _sorted(self) -> List[Tuple[str, str, str, LabelItems, Series]]:
+        """Every series as ``(family, kind, help, labels, series)``, sorted
+        by family name, then by label items."""
+        return [
+            (name, *self._families[name], items, series)
+            for (name, items), series in sorted(
+                self._series.items(), key=lambda entry: entry[0]
+            )
+        ]
 
     def render_prometheus(self) -> str:
         """The registry in the Prometheus text exposition format.
@@ -271,19 +256,18 @@ class MetricsRegistry:
             non-empty).
         """
         lines: List[str] = []
-        for name in sorted(self._families):
-            kind, help_text = self._families[name]
-            if help_text:
-                lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            for items, series in self._series_of(name, kind):
-                if kind == "histogram":
-                    lines.extend(self._render_histogram(name, items, series))
-                else:
-                    labels = _render_labels(items)
-                    lines.append(
-                        f"{name}{labels} {_format_value(series.value)}"
-                    )
+        family = None
+        for name, kind, help_text, items, series in self._sorted():
+            if name != family:
+                family = name
+                if help_text:
+                    lines.append(f"# HELP {name} {help_text}")
+                lines.append(f"# TYPE {name} {kind}")
+            if kind == "histogram":
+                lines.extend(self._render_histogram(name, items, series))
+            else:
+                labels = _render_labels(items)
+                lines.append(f"{name}{labels} {_format_value(series.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     @staticmethod
@@ -313,25 +297,23 @@ class MetricsRegistry:
             Newline-delimited JSON (trailing newline when non-empty).
         """
         lines: List[str] = []
-        for name in sorted(self._families):
-            kind, _ = self._families[name]
-            for items, series in self._series_of(name, kind):
-                record: Dict[str, object] = {
-                    "name": name,
-                    "type": kind,
-                    "labels": dict(items),
-                }
-                if kind == "histogram":
-                    record.update(
-                        count=series.total,
-                        sum=series.sum,
-                        min=series.min if series.total else 0.0,
-                        max=series.max if series.total else 0.0,
-                        p50=series.quantile(0.50),
-                        p95=series.quantile(0.95),
-                        p99=series.quantile(0.99),
-                    )
-                else:
-                    record["value"] = series.value
-                lines.append(json.dumps(record, sort_keys=True))
+        for name, kind, _help, items, series in self._sorted():
+            record: Dict[str, object] = {
+                "name": name,
+                "type": kind,
+                "labels": dict(items),
+            }
+            if kind == "histogram":
+                record.update(
+                    count=series.total,
+                    sum=series.sum,
+                    min=series.min if series.total else 0.0,
+                    max=series.max if series.total else 0.0,
+                    p50=series.quantile(0.50),
+                    p95=series.quantile(0.95),
+                    p99=series.quantile(0.99),
+                )
+            else:
+                record["value"] = series.value
+            lines.append(json.dumps(record, sort_keys=True))
         return "\n".join(lines) + ("\n" if lines else "")

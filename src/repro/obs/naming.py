@@ -1,18 +1,18 @@
-"""Canonical (namespaced) metric names: the one translation, at export.
+"""Canonical (namespaced) metric names: the one translation.
 
-The runtime grew its metric vocabulary incrementally: PEs and operators
-push camelCase names inherited from the paper (``nTuplesProcessed``,
-``queueSize``), the chaos engine publishes ``chaos*`` gauges, and each
-looks nothing like the ``repro_*`` Prometheus style the observability
-layer exports.  This module is the single place that drift is resolved:
+The runtime's metric vocabulary is the paper's: PEs and operators push
+camelCase names (``nTuplesProcessed``, ``queueSize``) that look nothing
+like the ``repro_*`` Prometheus style the registry exports.  This module
+is the single place that drift is resolved:
 
-* :data:`CANONICAL_BY_LEGACY` maps every built-in legacy name to its
+* :data:`CANONICAL_BY_LEGACY` maps every built-in paper name to its
   namespaced canonical form (``stateBytes`` -> ``repro_pe_state_bytes``);
 * :func:`canonical_metric_name` translates *any* name (catalog hit or
-  sanitized fallback) for export.
+  sanitized fallback).
 
-SRM storage, SRM queries and orchestrator scope filters keep the paper's
-names; only the export layer speaks canonical.
+SRM calls it once per sample key, when it first stores the key and
+creates the key's exported gauge.  SRM storage, SRM queries and
+orchestrator scope filters keep the paper's names.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from __future__ import annotations
 import re
 
 #: legacy (stored) name -> canonical namespaced name.  The catalog covers
-#: every built-in PE/operator metric, the gauges
-#: :meth:`~repro.runtime.pe.PERuntime.update_queue_metrics` pushes, and
-#: the chaos engine's scorecard gauges.
+#: every built-in PE/operator metric and the gauges
+#: :meth:`~repro.runtime.pe.PERuntime.update_queue_metrics` pushes.
 CANONICAL_BY_LEGACY = {
     # operator / PE built-ins (repro.spl.metrics)
     "nTuplesProcessed": "repro_tuples_processed_total",
@@ -36,15 +35,6 @@ CANONICAL_BY_LEGACY = {
     "stateBytes": "repro_pe_state_bytes",
     "nStateKeys": "repro_pe_state_keys",
     "checkpointLag": "repro_pe_checkpoint_lag_seconds",
-    # chaos engine / scorecard gauges (repro.chaos)
-    "chaosInjections": "repro_chaos_injections",
-    "chaosActiveLinkFaults": "repro_chaos_active_link_faults",
-    "chaosTuplesLost": "repro_chaos_tuples_lost",
-    "chaosDuplicates": "repro_chaos_duplicates",
-    "chaosStateRecovery": "repro_chaos_state_recovery",
-    "chaosUnrecovered": "repro_chaos_unrecovered_faults",
-    "chaosMaxRecovery": "repro_chaos_max_recovery_seconds",
-    "chaosOrcaLatencyMax": "repro_chaos_orca_latency_max_seconds",
 }
 
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
@@ -88,9 +78,6 @@ def canonical_metric_name(name: str) -> str:
     hit = CANONICAL_BY_LEGACY.get(name)
     if hit is not None:
         return hit
-    if name.startswith("chaosInjections."):
-        kind = sanitize_metric_name(name.split(".", 1)[1])
-        return f"repro_chaos_injections_{kind}"
     sanitized = sanitize_metric_name(name)
     if sanitized.startswith("repro_"):
         return sanitized

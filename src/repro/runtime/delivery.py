@@ -214,6 +214,17 @@ class DeliveryPlane:
 
     # -- send path ----------------------------------------------------------
 
+    def retry_pressure(self) -> Dict[Tuple[str, str, int], int]:
+        """Retransmission attempts of the unacknowledged units, summed per
+        destination ``(pe_id, op_full_name, port)``."""
+        retries: Dict[Tuple[str, str, int], int] = {}
+        for entry in self.pending.values():
+            if entry.acked or entry.condemned or entry.attempts == 0:
+                continue
+            key = (entry.dst_pe.pe_id, entry.op_full_name, entry.port)
+            retries[key] = retries.get(key, 0) + entry.attempts
+        return retries
+
     def send(
         self,
         src_pe: Optional["PERuntime"],

@@ -15,9 +15,9 @@ from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.spl.metrics import OperatorMetricName, PEMetricName
 from repro.runtime.host import Host
 from repro.runtime.pe import PERuntime
+from repro.runtime.srm import SRM, MetricSample
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.srm import SRM, MetricSample
     from repro.runtime.system import SystemConfig
 
 #: seconds between two liveness heartbeats to SRM
@@ -31,7 +31,7 @@ class HostController:
         self,
         host: Host,
         kernel: Kernel,
-        srm: "SRM",
+        srm: SRM,
         config: "SystemConfig",
     ) -> None:
         self.host = host
@@ -48,6 +48,7 @@ class HostController:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
+        """Start the heartbeat and metric-push loops, beating once now."""
         self._again(HEARTBEAT_INTERVAL, self._heartbeat_loop)
         self._again(self.config.metric_push_interval, self._metric_loop)
         self.srm.heartbeat(self.host.name, self.kernel.now)
@@ -69,6 +70,7 @@ class HostController:
 
     @property
     def alive(self) -> bool:
+        """True while the controller's loops run (its host is up)."""
         return bool(self._loops)
 
     def revive(self) -> None:
@@ -80,11 +82,13 @@ class HostController:
     # -- PE supervision ----------------------------------------------------------
 
     def add_pe(self, pe: PERuntime) -> None:
+        """Supervise ``pe`` on this host: its crashes report here."""
         self.pes[pe.pe_id] = pe
         pe.host_name = self.host.name
         pe.on_crash = self._local_pe_crashed
 
     def remove_pe(self, pe_id: str) -> None:
+        """Stop supervising a PE (no-op for an unknown id)."""
         pe = self.pes.pop(pe_id, None)
         if pe is not None:
             pe.on_crash = None
@@ -112,44 +116,34 @@ class HostController:
 
         Returns the number of samples pushed (handy in tests).
         """
-        from repro.runtime.srm import MetricSample  # local import: cycle guard
-
         now = self.kernel.now
         pushed = 0
         for pe in self.pes.values():
             if not pe.is_running:
                 continue
             pe.update_queue_metrics()
-            samples = []
-            for port, name, metric in pe.metrics:
-                samples.append(
-                    MetricSample(
-                        job_id=pe.job.job_id,
-                        app_name=pe.job.app_name,
-                        pe_id=pe.pe_id,
-                        operator=None,
-                        port=port,
-                        name=name,
-                        value=metric.value,
-                        collection_ts=now,
-                        is_custom=name not in PEMetricName.ALL,
-                    )
+            job = pe.job
+            # the PE's own metrics (operator None), then each operator's
+            scopes = [(None, pe.metrics, PEMetricName.ALL)]
+            scopes.extend(
+                (op_name, operator.metrics, OperatorMetricName.ALL)
+                for op_name, operator in pe.operators.items()
+            )
+            samples = [
+                MetricSample(
+                    job_id=job.job_id,
+                    app_name=job.app_name,
+                    pe_id=pe.pe_id,
+                    operator=op_name,
+                    port=port,
+                    name=name,
+                    value=metric.value,
+                    collection_ts=now,
+                    is_custom=name not in builtins,
                 )
-            for op_name, operator in pe.operators.items():
-                for port, name, metric in operator.metrics:
-                    samples.append(
-                        MetricSample(
-                            job_id=pe.job.job_id,
-                            app_name=pe.job.app_name,
-                            pe_id=pe.pe_id,
-                            operator=op_name,
-                            port=port,
-                            name=name,
-                            value=metric.value,
-                            collection_ts=now,
-                            is_custom=name not in OperatorMetricName.ALL,
-                        )
-                    )
+                for op_name, registry, builtins in scopes
+                for port, name, metric in registry
+            ]
             self.srm.store_metrics(samples)
             pushed += len(samples)
         return pushed

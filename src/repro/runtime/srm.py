@@ -9,6 +9,14 @@ The ORCA service periodically *pulls* metric snapshots from SRM (default
 every 15 seconds, Sec. 4.2); that pull "does not generate further remote
 calls to operators" because host controllers push updated values on their
 own fixed 3-second cadence.
+
+SRM is also the one writer of the runtime's exported series: each
+stored sample key owns a gauge in the system's
+:class:`~repro.obs.metrics.MetricsRegistry`, created under the key's
+canonical name (:func:`~repro.obs.naming.canonical_metric_name`) when
+the key is first pushed, set by every push, and removed with the PE.
+The exposition therefore shows what SRM holds, as of the last push.
+Stores and queries speak the paper's names only.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import UnknownHostError
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.naming import canonical_metric_name
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.runtime.host import Host
 
@@ -48,31 +58,35 @@ SWEEP_INTERVAL = 1.0
 #: Storage key: (job, pe, operator-or-None, port-or-None, metric name).
 _Key = Tuple[str, str, Optional[str], Optional[int], str]
 
+#: HELP text of every family SRM exports, and of the chaos engine's
+#: gauges: recorded expositions pin it byte for byte
+SRM_HELP = "mirrored SRM sample"
 
-@dataclass
-class MetricAggregate:
-    """Aggregation of one metric over a set of operators (Sec. 4.2 extended).
 
-    Used for parallel regions: the per-channel backlog of a region is the
-    aggregate of the channel's operators' values.  Operators with no stored
-    sample contribute 0.0 (a channel whose PE has not pushed yet is empty).
-    """
-
-    per_operator: Dict[str, float]
-    total: float
-    mean: float
-    maximum: float
-    minimum: float
+def _labels(key: _Key) -> Dict[str, str]:
+    """The exported labels of one storage key."""
+    job_id, pe_id, operator, port, _name = key
+    labels = {"job": job_id, "pe": pe_id}
+    if operator is not None:
+        labels["operator"] = operator
+    if port is not None:
+        labels["port"] = str(port)
+    return labels
 
 
 class SRM:
     """Host registry, liveness tracking, and the system-wide metric store."""
 
-    def __init__(self, kernel: Kernel) -> None:
+    def __init__(self, kernel: Kernel, metrics: MetricsRegistry) -> None:
+        """Create the store; its exported gauges live in ``metrics``."""
         self.kernel = kernel
+        self.metrics = metrics
         self.hosts: Dict[str, Host] = {}
         self._heartbeats: Dict[str, float] = {}
-        self._metrics: Dict[_Key, MetricSample] = {}
+        #: key -> [latest sample, its exported gauge]; a key keeps the
+        #: place its first push gave it (ORCA emits one event per row,
+        #: in this order)
+        self._rows: Dict[_Key, List] = {}
         #: SAM installs this to learn about host failures.
         self.on_host_failure: Optional[Callable[[str, float], None]] = None
         self._next_sweep: Optional[ScheduledEvent] = None
@@ -80,15 +94,18 @@ class SRM:
     # -- host registry ----------------------------------------------------------
 
     def register_host(self, host: Host) -> None:
+        """Add a host to the registry."""
         self.hosts[host.name] = host
 
     def host(self, name: str) -> Host:
+        """The registered host called ``name``."""
         try:
             return self.hosts[name]
         except KeyError:
             raise UnknownHostError(f"unknown host {name!r}") from None
 
     def up_hosts(self) -> List[Host]:
+        """Every host that is up, in registration order."""
         return [h for h in self.hosts.values() if h.is_up]
 
     # -- liveness -----------------------------------------------------------------
@@ -99,6 +116,7 @@ class SRM:
             self._next_sweep = self.kernel.schedule(SWEEP_INTERVAL, self._sweep)
 
     def heartbeat(self, host_name: str, ts: float) -> None:
+        """Record a host controller's liveness beat at ``ts``."""
         self._heartbeats[host_name] = ts
 
     def _sweep(self) -> None:
@@ -118,6 +136,7 @@ class SRM:
 
     def store_metrics(self, samples: Iterable[MetricSample]) -> None:
         """Upsert the latest value of each metric (host controllers push here)."""
+        rows = self._rows
         for sample in samples:
             key = (
                 sample.job_id,
@@ -126,7 +145,16 @@ class SRM:
                 sample.port,
                 sample.name,
             )
-            self._metrics[key] = sample
+            row = rows.get(key)
+            if row is None:
+                # a key's series is named once, when the key is first stored
+                gauge = self.metrics.gauge(
+                    canonical_metric_name(sample.name), _labels(key), help_text=SRM_HELP
+                )
+                row = rows[key] = [sample, gauge]
+            else:
+                row[0] = sample
+            row[1].value = sample.value
 
     def get_metrics(self, job_ids: Optional[Iterable[str]] = None) -> List[MetricSample]:
         """Snapshot of all stored metrics, optionally restricted to some jobs.
@@ -135,55 +163,28 @@ class SRM:
         "contains all metrics associated with a set of jobs" (Sec. 4.2).
         """
         if job_ids is None:
-            return list(self._metrics.values())
+            return [sample for sample, _gauge in self._rows.values()]
         wanted = set(job_ids)
-        return [s for s in self._metrics.values() if s.job_id in wanted]
+        return [
+            sample for sample, _gauge in self._rows.values() if sample.job_id in wanted
+        ]
 
     def drop_pe_metrics(self, job_id: str, pe_ids: Collection[str]) -> None:
         """Forget the metrics of PEs gone for good (scale-in, cancellation).
 
         Without this, a parallel-region scale-in would leave ghost samples
-        of the removed channels behind, and the ORCA metric poll would keep
-        emitting events for operators that no longer exist.
+        of the removed channels behind, the ORCA metric poll would keep
+        emitting events for operators that no longer exist, and the
+        exposition would keep their series.
         """
-        self._metrics = {
-            key: sample
-            for key, sample in self._metrics.items()
-            if not (sample.job_id == job_id and sample.pe_id in pe_ids)
-        }
-
-    def aggregate_operator_metric(
-        self,
-        job_id: str,
-        operator_names: Iterable[str],
-        name: str,
-        port: Optional[int] = None,
-    ) -> MetricAggregate:
-        """Aggregate one metric's latest values over a set of operators.
-
-        This is the per-channel metrics query of the elastic subsystem: the
-        ORCA service and scaling policies call it with the operator names of
-        one channel (or of a whole region) to judge backlog/throughput.
-        ``name`` is the stored (paper) spelling, e.g. ``queueSize``.
-        """
-        per: Dict[str, float] = {op: 0.0 for op in operator_names}
-        if per:
-            for sample in self._metrics.values():
-                if (
-                    sample.job_id == job_id
-                    and sample.operator in per
-                    and sample.name == name
-                    and sample.port == port
-                ):
-                    per[sample.operator] = sample.value
-        values = list(per.values()) or [0.0]
-        return MetricAggregate(
-            per_operator=per,
-            total=sum(values),
-            mean=sum(values) / len(values),
-            maximum=max(values),
-            minimum=min(values),
-        )
+        doomed = [
+            key
+            for key, (sample, _gauge) in self._rows.items()
+            if sample.job_id == job_id and sample.pe_id in pe_ids
+        ]
+        for key in doomed:
+            gauge = self._rows.pop(key)[1]
+            self.metrics.remove(gauge.name, _labels(key))
 
     def sum_operator_metric_by_group(
         self,
@@ -202,7 +203,7 @@ class SRM:
             op: key for key, ops in groups.items() for op in ops
         }
         totals: Dict[int, float] = {key: 0.0 for key in groups}
-        for sample in self._metrics.values():
+        for sample, _gauge in self._rows.values():
             if (
                 sample.job_id == job_id
                 and sample.name == name
@@ -222,5 +223,5 @@ class SRM:
         port: Optional[int] = None,
     ) -> Optional[float]:
         """Point query (tests and tools)."""
-        sample = self._metrics.get((job_id, pe_id, operator, port, name))
-        return sample.value if sample else None
+        row = self._rows.get((job_id, pe_id, operator, port, name))
+        return row[0].value if row else None

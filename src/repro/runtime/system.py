@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.checkpoint import CheckpointService, CheckpointStore
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.rand import RandomStreams
 from repro.runtime.events import RuntimeEvents
 from repro.runtime.exec import build_executor
@@ -132,7 +133,10 @@ class SystemS:
             host_list: List[Host] = [Host(f"host{i + 1}") for i in range(hosts)]
         else:
             host_list = list(hosts)
-        self.srm = SRM(self.kernel)
+        # the one metrics registry: SRM's pushes write the runtime's
+        # series, the chaos engine its gauges, the obs hub the rest
+        metrics = MetricsRegistry()
+        self.srm = SRM(self.kernel, metrics)
         self.transport = Transport(
             self.kernel,
             self.config,
@@ -186,13 +190,13 @@ class SystemS:
         # schedules every injected fault (``system.chaos.inject``), runs
         # scenario campaigns, journals their injections, and feeds
         # chaos_injected events to every orchestrator (see repro.chaos).
-        self.chaos: "ChaosEngine" = ChaosEngine(self)
+        self.chaos: "ChaosEngine" = ChaosEngine(self, metrics)
         from repro.obs.hub import ObsHub  # late: obs observes every layer
 
         # The observability hub: always constructed (control-plane spans,
         # metrics registry, flight recorder); data-plane tuple tracing is
         # wired only when config.trace_enabled (see repro.obs).
-        self.obs = ObsHub(self.kernel, self.events, self.config)
+        self.obs = ObsHub(self.kernel, self.events, self.config, metrics)
         self.obs.attach(self)
         self.orcas: Dict[str, "OrcaService"] = {}
         self.srm.start()

@@ -902,6 +902,29 @@ class Transport:
         """Items currently in flight toward one input port."""
         return self._in_flight.get((pe_id, op_full_name, port), 0)
 
+    def port_pressure(self, now: float) -> Dict[Tuple[str, str, int], List]:
+        """Pressure on every input port with anything toward it.
+
+        Returns:
+            ``(pe_id, op_full_name, port) -> [depth, open_age, retries]``:
+            items in flight or buffered toward the port, the age of its
+            oldest open batch at ``now`` (batching only), and the
+            retransmission attempts of its unacknowledged units (reliable
+            modes only).
+        """
+        pressure = {key: [depth, 0.0, 0] for key, depth in self._in_flight.items()}
+        for (_src, pe_id, op, port), batch in self._open_batches.items():
+            reading = pressure.setdefault((pe_id, op, port), [0, 0.0, 0])
+            reading[1] = max(reading[1], now - batch.opened_at)
+        if self.reliability is not None:
+            for key, attempts in self.reliability.retry_pressure().items():
+                pressure.setdefault(key, [0, 0.0, 0])[2] += attempts
+        return pressure
+
+    def knows_pe(self, pe_id: str) -> bool:
+        """Whether any link toward ``pe_id`` is still in the table."""
+        return pe_id in self._toward
+
     def _dec_in_flight(self, key: Tuple[str, str, int], n: int = 1) -> None:
         """Drop one port's in-flight count by ``n`` (never below zero)."""
         count = self._in_flight.get(key, 0)

@@ -10,7 +10,9 @@ SPL exposes two families of metrics (Sec. 2.1 of the paper):
 
 Metrics are plain counters/gauges updated synchronously by operator and PE
 code.  Host controllers snapshot them periodically and push them to SRM,
-from which the ORCA service polls (Sec. 3).
+from which the ORCA service polls (Sec. 3).  :class:`Metric` is also the
+value type of the exported registry's counters and gauges
+(:mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
@@ -84,12 +86,15 @@ class Metric:
         self.value = value
 
     def set(self, value: float) -> None:
+        """Replace the value."""
         self.value = value
 
     def increment(self, amount: float = 1) -> None:
+        """Add ``amount`` to the value."""
         self.value += amount
 
     def reset(self) -> None:
+        """Set the value back to 0."""
         self.value = 0
 
     def __repr__(self) -> str:
@@ -115,6 +120,7 @@ class MetricRegistry:
         description: str = "",
         port: Optional[int] = None,
     ) -> Metric:
+        """Create a metric; an existing ``(port, name)`` raises ``ValueError``."""
         key = (port, name)
         if key in self._metrics:
             raise ValueError(f"metric {name!r} (port={port}) already exists")
@@ -128,6 +134,7 @@ class MetricRegistry:
         kind: MetricKind = MetricKind.COUNTER,
         port: Optional[int] = None,
     ) -> Metric:
+        """The metric at ``(port, name)``, created on first use."""
         key = (port, name)
         metric = self._metrics.get(key)
         if metric is None:
@@ -136,12 +143,14 @@ class MetricRegistry:
         return metric
 
     def get(self, name: str, port: Optional[int] = None) -> Metric:
+        """The metric at ``(port, name)``; a missing one raises ``KeyError``."""
         try:
             return self._metrics[(port, name)]
         except KeyError:
             raise KeyError(f"no metric {name!r} (port={port})") from None
 
     def has(self, name: str, port: Optional[int] = None) -> bool:
+        """Whether a metric exists at ``(port, name)``."""
         return (port, name) in self._metrics
 
     def __iter__(self) -> Iterator[Tuple[Optional[int], str, Metric]]:
@@ -152,5 +161,5 @@ class MetricRegistry:
         return len(self._metrics)
 
     def snapshot(self) -> Dict[Tuple[Optional[int], str], float]:
-        """Point-in-time copy of all values (used by the host controller)."""
+        """Point-in-time copy of all values, keyed ``(port, name)``."""
         return {key: metric.value for key, metric in self._metrics.items()}

@@ -332,7 +332,7 @@ class TestEngine:
         # private keys never leak into the public/event view
         assert "_state_at_crash" not in run.injections[0].public_detail()
 
-    def test_srm_gauges_published(self):
+    def test_chaos_gauges_published(self):
         system = chaos_system()
         feed = ChaosFeed(seed=3)
         job = system.submit_job(build_keyed_app(feed))
@@ -342,18 +342,13 @@ class TestEngine:
         )
         system.chaos.run_scenario(scenario, job=job, feed=feed)
         system.run_for(3.0)
-        assert (
-            system.srm.metric_value(
-                "__chaos__", "chaos:gauged", None, "chaosInjections"
-            )
-            == 1.0
-        )
-        assert (
-            system.srm.metric_value(
-                "__chaos__", "chaos:gauged", None, "chaosInjections.pe_flap"
-            )
-            == 1.0
-        )
+        lines = system.obs.render_prometheus().splitlines()
+        labels = '{job="__chaos__",pe="chaos:gauged"}'
+        assert f"repro_chaos_injections{labels} 1" in lines
+        assert f"repro_chaos_injections_pe_flap{labels} 1" in lines
+        assert f"repro_chaos_active_link_faults{labels} 0" in lines
+        # the engine's gauges skip SRM: ORCA never polls the pseudo-job
+        assert system.srm.get_metrics(["__chaos__"]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +612,7 @@ class TestScorecard:
         assert first == second  # byte-identical across repeat runs
         assert "scenario: score" in first
 
-    def test_scorecard_gauges_in_srm(self):
+    def test_scorecard_gauges_exported(self):
         system = chaos_system()
         feed = ChaosFeed(seed=3)
         job = system.submit_job(build_keyed_app(feed))
@@ -635,12 +630,12 @@ class TestScorecard:
             [t["seq"] for t in sink_op.seen],
             feed.emitted,
         )
-        assert (
-            system.srm.metric_value(
-                "__chaos__", "chaos:gauges", None, "chaosStateRecovery"
-            )
-            is not None
-        )
+        text = system.obs.render_prometheus()
+        for name in (
+            "tuples_expected", "tuples_lost", "duplicates", "state_recovery",
+            "mean_recovery", "max_recovery_seconds", "orca_latency_max_seconds",
+        ):
+            assert f'repro_chaos_{name}{{job="__chaos__",pe="chaos:gauges"}} ' in text
 
 
 class TestOverlapSafety:

@@ -59,7 +59,10 @@ DOCSTYLE_FILES = [
     "src/repro/obs/detect.py",
     "src/repro/runtime/delivery.py",
     "src/repro/runtime/events.py",
+    "src/repro/runtime/hc.py",
+    "src/repro/runtime/srm.py",
     "src/repro/runtime/transport.py",
+    "src/repro/spl/metrics.py",
     "src/repro/tools/timeline.py",
     "src/repro/tools/healthwatch.py",
 ]

@@ -4,6 +4,8 @@ PE restart rehydration, crashed-channel rerouting (splitter masking), the
 state metrics flowing through SRM, and the ORCA state inspection surface
 and events."""
 
+import json
+
 import pytest
 
 from repro import (
@@ -234,6 +236,12 @@ class TestLiveStateMigration:
         assert 1 in operation.migration.skipped_channels
 
 
+def _srm_series(system):
+    """The exported series SRM's pushes own (every one carries a ``pe`` label)."""
+    rows = (json.loads(line) for line in system.obs.render_jsonl().splitlines())
+    return sum(1 for row in rows if "pe" in row["labels"])
+
+
 class TestRescaleCyclesLeakNothing:
     """The link table stays flat across rescale cycles.
 
@@ -261,11 +269,12 @@ class TestRescaleCyclesLeakNothing:
             "replaying": sum(1 for link in transport.links.values() if link.replay),
             "replay_bytes": sum(link.replay_bytes for link in transport.links.values()),
             "held": sum(len(units) for units in transport._held.values()),
-            "srm_samples": len(system.srm._metrics),
+            "srm_samples": len(system.srm.get_metrics()),
+            "srm_series": _srm_series(system),
             "chains": sorted(system.checkpoint_store._chains),
         }
         assert {pe_id for _job, pe_id in sizes["chains"]} <= live
-        assert {sample.pe_id for sample in system.srm._metrics.values()} == live
+        assert {sample.pe_id for sample in system.srm.get_metrics()} == live
         if plane is not None:
             # the source never pauses: at most the tick on the wire at
             # the sampling instant is unacknowledged
@@ -342,7 +351,8 @@ class TestCancelCyclesLeakNothing:
             "health_ports": dict(health._ports),
             "replay_links": set(system.obs._replay_links),
             # what SAM._discard_pes makes the control plane forget per PE
-            "srm_samples": dict(system.srm._metrics),
+            "srm_samples": system.srm.get_metrics(),
+            "srm_series": _srm_series(system),
             "chains": dict(system.checkpoint_store._chains),
         }
 
@@ -388,7 +398,8 @@ class TestCancelCyclesLeakNothing:
         assert cancels_with_units_in_flight >= 1
         assert after_first["links"] == {} and after_first["in_flight"] == {}
         assert after_first["pending"] == 0 and after_first["health_ports"] == {}
-        assert after_first["srm_samples"] == after_first["chains"] == {}
+        assert after_first["srm_samples"] == [] and after_first["srm_series"] == 0
+        assert after_first["chains"] == {}
 
 
 class TestControlPlaneStaysFlat:
@@ -424,7 +435,8 @@ class TestControlPlaneStaysFlat:
             "hc_loops": {name: len(hc._loops) for name, hc in system.hcs.items()},
             "actuation_log": len(service.actuation_log),
             "handler_errors": len(service.handler_errors),
-            "srm_samples": len(system.srm._metrics),
+            "srm_samples": len(system.srm.get_metrics()),
+            "srm_series": _srm_series(system),
             "links": len(system.transport.links),
             # the handles each PE could still cancel (its list of them is
             # swept by doubling, so its raw length is a sawtooth)

@@ -23,7 +23,7 @@ from repro.orca.scopes import HealthScope
 from repro.tools.healthwatch import parse_snapshot, render_dashboard
 
 from tests.conftest import make_linear_app
-from tests.test_transport_batching import tup, wire_fixture
+from tests.test_transport_batching import batched_system, tup, wire_fixture
 from tests.test_transport_delivery import reliable_system
 
 
@@ -200,6 +200,30 @@ class TestHealthMonitor:
         assert name in lags and lags[name] > 0.0
         assert health.peak_link_lag >= lags[name]
         assert health.peak_retry_pressure > 0
+
+    def test_open_batch_age_reaches_the_tick_through_the_transport(self):
+        """The tick reads ports through ``Transport.port_pressure``: an
+        open batch's age feeds the link's lag, and ``knows_pe`` tracks
+        the links toward a PE."""
+        system = batched_system(batch_max_size=100, batch_linger=5.0)
+        transport, src_pe, sink_pe, sink = wire_fixture(system)
+        opened = system.now
+        for i in range(2):
+            transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
+        system.run_for(1.0)
+        depth, age, retries = transport.port_pressure(system.now)[(sink_pe.pe_id, "sink", 0)]
+        assert (depth, retries) == (2, 0)
+        assert age == pytest.approx(system.now - opened)
+        (link,) = system.obs.health.snapshot().links
+        assert link.name == f"sink@{sink_pe.pe_id}#0"
+        assert link.depth == 2 and link.open_age > 0.0
+        assert link.lag >= link.open_age
+        transport.flush_open_batches()
+        system.run_for(0.1)
+        assert [t["iter"] for t in sink.seen] == [0, 1]
+        assert transport.knows_pe(sink_pe.pe_id)
+        transport.forget_pe(sink_pe.pe_id)
+        assert not transport.knows_pe(sink_pe.pe_id)
 
     def test_bottleneck_attributes_the_faulted_link(self):
         system, job, sink_pe = pressured_system()

@@ -1,10 +1,12 @@
 """Tests for the repro.obs metrics registry and naming catalog: counter/
 gauge/histogram semantics, deterministic quantiles, Prometheus and
-JSONL rendering, the paper-name -> canonical ``repro_*`` translation at
-export (SRM stores and answers the paper's names), and the hub's SRM
-export."""
+JSONL rendering, the paper-name -> canonical ``repro_*`` translation
+(SRM stores and answers the paper's names), SRM's push as the writer of
+the exported series, and the one-path structure of the metric plane."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +26,8 @@ class TestRegistry:
         b = reg.counter("repro_hits_total", {"op": "x"})
         c = reg.counter("repro_hits_total", {"op": "y"})
         assert a is b and a is not c
-        a.inc()
-        a.inc(2)
+        a.increment()
+        a.increment(2)
         assert a.value == 3 and c.value == 0
 
     def test_gauge_set(self):
@@ -72,8 +74,8 @@ class TestRendering:
         reg = MetricsRegistry()
         reg.counter(
             "repro_hits_total", {"op": "b"}, help_text="hits"
-        ).inc(2)
-        reg.counter("repro_hits_total", {"op": "a"}, help_text="hits").inc()
+        ).increment(2)
+        reg.counter("repro_hits_total", {"op": "a"}, help_text="hits").increment()
         reg.gauge("repro_depth", help_text="queue depth").set(3)
         h = reg.histogram(
             "repro_lat_seconds",
@@ -131,11 +133,6 @@ class TestNaming:
         assert canonical_metric_name("stateBytes") == "repro_pe_state_bytes"
         assert canonical_metric_name("queueSize") == "repro_queue_depth"
 
-    def test_per_kind_injection_counters(self):
-        assert canonical_metric_name("chaosInjections.crash_pe") == (
-            "repro_chaos_injections_crash_pe"
-        )
-
     def test_unknown_names_sanitize(self):
         assert canonical_metric_name("nDiscarded") == "repro_n_discarded"
         assert sanitize_metric_name("my.metric-2") == "my_metric_2"
@@ -164,14 +161,26 @@ class TestSRMStorage:
 
 
 class TestHubExport:
-    def test_scrape_mirrors_srm_under_canonical_names(self, system):
+    def test_push_appears_under_canonical_names(self, system):
+        """A host-controller push writes the exported series: the
+        registry's own render shows it, canonical and current."""
         job = system.submit_job(make_linear_app())
         system.run_for(system.config.metric_push_interval + 1.0)
-        assert system.obs.scrape_srm() > 0
-        text = system.obs.render_prometheus(scrape=False)
-        assert "repro_tuples_processed_total{" in text
-        assert f'job="{job.job_id}"' in text
+        pe = job.pe_of_operator("sink")
+        text = system.obs.metrics.render_prometheus()
+        labels = f'job="{job.job_id}",operator="sink",pe="{pe.pe_id}"'
+        value = system.srm.metric_value(job.job_id, pe.pe_id, "sink", "nTuplesProcessed")
+        assert value > 0
+        assert f"repro_tuples_processed_total{{{labels}}} {value}" in text.splitlines()
         assert "nTuplesProcessed" not in text
+        # a later push moves the series; no render step is involved
+        system.run_for(system.config.metric_push_interval)
+        later = system.srm.metric_value(job.job_id, pe.pe_id, "sink", "nTuplesProcessed")
+        assert later > value
+        assert system.obs.metrics.gauge(
+            "repro_tuples_processed_total",
+            {"job": job.job_id, "operator": "sink", "pe": pe.pe_id},
+        ).value == later
 
     def test_jsonl_export_parses(self, system):
         system.submit_job(make_linear_app())
@@ -206,3 +215,66 @@ class TestHubExport:
             "repro_transport_batch_size"
         )
         assert hist.total > 0 and hist.max <= 8
+
+
+class TestGoneSeriesLeave:
+    """The exposition shows what SRM holds: PEs removed by a scale-in and
+    the PEs of a cancelled job take their series with them."""
+
+    def test_scale_in_and_cancel_leave_no_series(self):
+        from repro import SystemS
+        from tests.test_elastic import build_region_app
+
+        system = SystemS(hosts=8, seed=42)
+        job = system.submit_job(build_region_app(width=4))
+        system.run_for(5.0)
+        before = system.obs.render_prometheus()
+        assert 'pe="pe_6"' in before and 'pe="pe_7"' in before
+        operation = system.elastic.set_channel_width(job, "region", 2)
+        system.run_for(2 * system.config.metric_push_interval + 4.0)
+        assert operation.state.name == "COMPLETED"
+        after = system.obs.render_prometheus()
+        assert 'pe="pe_6"' not in after and 'pe="pe_7"' not in after
+        assert 'pe="pe_5"' in after  # the kept channels still export
+        system.cancel_job(job.job_id)
+        assert f'job="{job.job_id}"' not in system.obs.render_prometheus()
+
+
+class TestOneMetricPath:
+    """One registry, one writer per series, and the transport's layout
+    known only to ``runtime/``."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+    @staticmethod
+    def _is_transport(node):
+        """An expression naming a transport or its delivery plane."""
+        names = {"transport", "reliability", "plane", "delivery"}
+        if isinstance(node, ast.Name):
+            return node.id in names
+        return isinstance(node, ast.Attribute) and node.attr in names
+
+    def test_no_private_transport_read_outside_runtime(self):
+        found = []
+        for path in sorted(self.SRC.rglob("*.py")):
+            if "runtime" in path.relative_to(self.SRC).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                private = node.attr.startswith("_") and self._is_transport(node.value)
+                if private or node.attr == "pending":
+                    found.append(f"{path.relative_to(self.SRC)}:{node.lineno} .{node.attr}")
+        assert not found, found
+
+    def test_the_mirrors_are_gone(self):
+        import repro.obs.metrics as obs_metrics
+        from repro.obs import ObsHub
+        from repro.runtime import srm
+
+        assert not hasattr(ObsHub, "scrape_srm")
+        assert not hasattr(obs_metrics, "ObsCounter")
+        assert not hasattr(obs_metrics, "ObsGauge")
+        assert not hasattr(srm.SRM, "aggregate_operator_metric")
+        engine = (self.SRC / "chaos" / "engine.py").read_text()
+        assert "MetricSample" not in engine
