@@ -90,7 +90,7 @@ def test_campaign_artifacts_are_byte_stable(results_dir):
     assert first_prom == second_prom
     assert first_timeline == second_timeline
     assert first_timeline.startswith("# flight-recorder dump")
-    # the campaign actually produced data-plane spans and mirrored SRM
+    # the campaign actually produced data-plane spans and SRM series
     assert "] data" in first_timeline
     assert "repro_tuples_processed_total{" in first_prom
     assert "repro_chaos_injections_total" in first_prom

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.chaos.perturbations import Perturbation, detail_public_view
 from repro.chaos.scenario import Scenario
 from repro.runtime.pe import PERuntime, PEState
-from repro.runtime.srm import SRM_HELP
 from repro.sim.kernel import OutstandingHandles, ScheduledEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,6 +52,39 @@ RECOVERABLE_KINDS = frozenset(
 
 #: ``job`` label of the engine's gauges (never a real job's id)
 CHAOS_JOB_ID = "__chaos__"
+
+#: HELP text of the engine's gauges by family: its run progress, then the
+#: scorecard a campaign publishes (every value is per scenario run)
+CHAOS_HELP = {
+    "repro_chaos_injections": "faults the chaos engine injected in the scenario run",
+    "repro_chaos_active_link_faults": "link faults in force when the chaos engine last published",
+    "repro_chaos_tuples_expected": "tuples the scenario's scorecard expected at the sink",
+    "repro_chaos_tuples_lost": "expected tuples the scenario's scorecard found missing",
+    "repro_chaos_duplicates": "duplicate tuples the scenario's scorecard found",
+    "repro_chaos_state_recovery": "share of keyed state the scenario's crashed PEs recovered",
+    "repro_chaos_mean_recovery": "mean crash-to-recovered seconds in the scenario run",
+    "repro_chaos_max_recovery_seconds": "worst crash-to-recovered seconds in the scenario run",
+    "repro_chaos_orca_latency_max_seconds": "worst ORCA event queueing latency in the scenario run",
+}
+
+
+def chaos_help(name: str) -> str:
+    """The HELP text of one of the engine's gauge families.
+
+    Args:
+        name: The exported gauge name (``repro_chaos_*``).
+
+    Returns:
+        Its entry in :data:`CHAOS_HELP`; a per-kind injection count says
+        its kind; any other name says only who sets it.
+    """
+    help_text = CHAOS_HELP.get(name)
+    if help_text is not None:
+        return help_text
+    prefix = "repro_chaos_injections_"
+    if name.startswith(prefix):
+        return f"{name[len(prefix):]} faults the chaos engine injected in the scenario run"
+    return "set by the chaos engine for one scenario run"
 
 
 @dataclass(frozen=True)
@@ -471,7 +503,7 @@ class ChaosEngine:
         """
         labels = {"job": CHAOS_JOB_ID, "pe": f"chaos:{scenario_name}"}
         for name, value in values.items():
-            self.metrics.gauge(name, labels, help_text=SRM_HELP).set(float(value))
+            self.metrics.gauge(name, labels, help_text=chaos_help(name)).set(float(value))
 
     # -- inspection ---------------------------------------------------------
 

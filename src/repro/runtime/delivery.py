@@ -62,7 +62,7 @@ from repro.spl.tuples import TupleBatch, from_wire_form, to_wire_form
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.pe import PERuntime
     from repro.runtime.system import SystemConfig
-    from repro.runtime.transport import Payload, Transport
+    from repro.runtime.transport import Flow, Payload, Transport
 
 #: a link's key: (source PE id or "", destination PE id)
 Link = Tuple[str, str]
@@ -111,14 +111,13 @@ class PendingEntry:
     A unit is a single item or a whole flushed batch: it occupies the
     contiguous ``link_seq`` range ``[first_seq, first_seq + count - 1]``
     on its link, is retransmitted atomically, and is acknowledged by one
-    ack — "one ack per flushed TupleBatch".
+    ack — "one ack per flushed TupleBatch".  Its
+    :class:`~repro.runtime.transport.Flow` names both ends, the operator
+    and the port.
     """
 
     __slots__ = (
-        "src_pe",
-        "dst_pe",
-        "op_full_name",
-        "port",
+        "flow",
         "payload",
         "link",
         "first_seq",
@@ -137,19 +136,13 @@ class PendingEntry:
 
     def __init__(
         self,
-        src_pe: Optional["PERuntime"],
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
+        flow: "Flow",
         payload: "Payload",
         link: LinkRecord,
         first_seq: int,
         count: int,
     ) -> None:
-        self.src_pe = src_pe
-        self.dst_pe = dst_pe
-        self.op_full_name = op_full_name
-        self.port = port
+        self.flow = flow
         self.payload = payload
         self.link = link
         self.first_seq = first_seq
@@ -221,18 +214,11 @@ class DeliveryPlane:
         for entry in self.pending.values():
             if entry.acked or entry.condemned or entry.attempts == 0:
                 continue
-            key = (entry.dst_pe.pe_id, entry.op_full_name, entry.port)
+            key = entry.flow.in_flight_key
             retries[key] = retries.get(key, 0) + entry.attempts
         return retries
 
-    def send(
-        self,
-        src_pe: Optional["PERuntime"],
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
-        item: "Payload",
-    ) -> None:
+    def send(self, flow: "Flow", item: "Payload") -> None:
         """Admit one single-item unit (already counted sent and in flight).
 
         Unlike the best-effort commit, the link sequence is allocated and
@@ -240,9 +226,9 @@ class DeliveryPlane:
         copy keeps its seq and retries, so the in-order receiver stalls
         the link until the retransmit fills the gap (FIFO preserved).
         """
-        self._admit(src_pe, dst_pe, op_full_name, port, item, 1)
+        self._admit(flow, item, 1)
 
-    def send_flushed_batch(self, open_batch, flow: Tuple[str, str, str, int]) -> None:
+    def send_flushed_batch(self, open_batch) -> None:
         """Admit one open batch as a single reliable unit.
 
         The whole batch takes one contiguous seq range, one pending
@@ -256,20 +242,9 @@ class DeliveryPlane:
             return
         if self.transport.batch_observer is not None:
             self.transport.batch_observer(len(items))
-        self._admit(
-            open_batch.src_pe, open_batch.dst_pe, flow[2], flow[3],
-            TupleBatch(items), len(items),
-        )
+        self._admit(open_batch.flow, TupleBatch(items), len(items))
 
-    def _admit(
-        self,
-        src_pe: Optional["PERuntime"],
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
-        payload: "Payload",
-        count: int,
-    ) -> None:
+    def _admit(self, flow: "Flow", payload: "Payload", count: int) -> None:
         """Allocate the unit's seq range, register it, and transmit.
 
         The single commit point of the reliable send path: the unit
@@ -277,13 +252,10 @@ class DeliveryPlane:
         claimed here, before any drop roll.
         """
         t = self.transport
-        key = (src_pe.pe_id if src_pe is not None else "", dst_pe.pe_id)
-        link = t.links.get(key) or t._open_link(key)
+        link = t.links.get(flow.link_key) or t._open_link(flow.link_key)
         base = link.send_seq
         link.send_seq = base + count
-        entry = PendingEntry(
-            src_pe, dst_pe, op_full_name, port, payload, link, base + 1, count
-        )
+        entry = PendingEntry(flow, payload, link, base + 1, count)
         entry.sent_at = self.kernel.now
         self.pending[(link.key, base + 1)] = entry
         self._transmit(entry)
@@ -303,7 +275,8 @@ class DeliveryPlane:
         suppresses downstream emissions when it lands.
         """
         t = self.transport
-        faults = t._matching_faults(entry.src_pe, entry.dst_pe)
+        flow = entry.flow
+        faults = t._matching_faults(flow.src_pe, flow.dst_pe)
         for fault in faults:
             if fault.drop_probability > 0.0 and (
                 t.rng.random() < fault.drop_probability
@@ -317,12 +290,9 @@ class DeliveryPlane:
         entry.next_arrival = t._put_on_wire(
             faults,
             entry.link,
-            entry.src_pe,
-            entry.dst_pe,
-            entry.op_full_name,
-            entry.port,
+            flow,
             from_wire_form(entry.payload) if redelivery else entry.payload,
-            t._incarnations.get(entry.dst_pe.pe_id, 0),
+            t._incarnations.get(flow.dst_pe.pe_id, 0),
             entry.first_seq,
             redelivery,
         )
@@ -349,7 +319,7 @@ class DeliveryPlane:
             # an ack copy survived the reverse-link fault pipeline and
             # is on its way; it will land
             return
-        if entry.dst_pe.is_running:
+        if entry.flow.dst_pe.is_running:
             self._retransmit(entry)
         else:
             # destination down: hold fire, keep the timer as a fallback
@@ -361,7 +331,7 @@ class DeliveryPlane:
         """Send one more copy of an unacknowledged unit and restart its timer."""
         entry.attempts += 1
         self.transport.retransmissions += 1
-        self._observe("retransmit", entry.count, entry.op_full_name, entry.attempts)
+        self._observe("retransmit", entry.count, entry.flow.op_full_name, entry.attempts)
         if entry.retry_event is not None:
             entry.retry_event.cancel()
         self._transmit(entry)
@@ -379,17 +349,18 @@ class DeliveryPlane:
         now = self.kernel.now
         t = self.transport
         for entry in list(self.pending.values()):
-            if dst_pe_id is not None and entry.dst_pe.pe_id != dst_pe_id:
+            flow = entry.flow
+            if dst_pe_id is not None and flow.dst_pe.pe_id != dst_pe_id:
                 continue
             if entry.delivered or entry.acked or entry.condemned:
                 continue
-            if not entry.dst_pe.is_running:
+            if not flow.dst_pe.is_running:
                 continue
             if entry.next_arrival is not None and now < entry.next_arrival:
                 continue
             if any(
                 fault.partition
-                for fault in t._matching_faults(entry.src_pe, entry.dst_pe)
+                for fault in t._matching_faults(flow.src_pe, flow.dst_pe)
             ):
                 continue
             self._retransmit(entry)
@@ -398,12 +369,9 @@ class DeliveryPlane:
 
     def on_arrival(
         self,
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
+        flow: "Flow",
         payload: "Payload",
         incarnation: int,
-        src_key: str,
         first_seq: int,
         redelivery: bool,
     ) -> None:
@@ -417,42 +385,31 @@ class DeliveryPlane:
         when :meth:`Transport.forget_pe` dropped the link.
         """
         t = self.transport
+        dst_pe = flow.dst_pe
         if incarnation != t._incarnations.get(dst_pe.pe_id, 0):
             return
         if not dst_pe.is_running:
             return
-        link = t.links.get((src_key, dst_pe.pe_id))
+        link = t.links.get(flow.link_key)
         if link is None:
             return
         count = len(payload.tuples) if isinstance(payload, TupleBatch) else 1
         if self.exactly_once:
             self._arrive_exactly_once(
-                link, dst_pe, op_full_name, port, payload, first_seq, count,
-                redelivery,
+                link, flow, payload, first_seq, count, redelivery
             )
         else:
             # naive receiver: deliver every copy that arrives, dup or not
-            self._accept(
-                link, dst_pe, op_full_name, port, payload, first_seq, count,
-                False,
-            )
+            self._accept(link, flow, payload, first_seq, count, False)
 
     def _arrive_exactly_once(
-        self,
-        link,
-        dst_pe,
-        op_full_name,
-        port,
-        payload,
-        first_seq,
-        count,
-        redelivery,
+        self, link, flow, payload, first_seq, count, redelivery
     ) -> None:
         """In-order receiver: strict per-link seq delivery with dedup."""
         wm = link.delivered_wm
         if first_seq + count - 1 <= wm:
             self.transport.duplicates_suppressed += count
-            self._observe("duplicate_suppressed", count, op_full_name)
+            self._observe("duplicate_suppressed", count, flow.op_full_name)
             # re-ack a duplicate whose original ack was lost: every copy
             # is suppressed here, so only a fresh ack stops the retransmits
             entry = self.pending.get((link.key, first_seq))
@@ -463,25 +420,19 @@ class DeliveryPlane:
         if first_seq != wm + 1:
             if first_seq in buf:
                 self.transport.duplicates_suppressed += count
-                self._observe("duplicate_suppressed", count, op_full_name)
+                self._observe("duplicate_suppressed", count, flow.op_full_name)
             else:
-                buf[first_seq] = (
-                    op_full_name, port, payload, first_seq, count, redelivery
-                )
+                buf[first_seq] = (flow, payload, first_seq, count, redelivery)
             return
-        self._accept(
-            link, dst_pe, op_full_name, port, payload, first_seq, count,
-            redelivery,
-        )
+        self._accept(link, flow, payload, first_seq, count, redelivery)
         while buf:
             parked = buf.pop(link.delivered_wm + 1, None)
             if parked is None:
                 break
-            self._accept(link, dst_pe, *parked)
+            self._accept(link, *parked)
 
     def _accept(
-        self, link, dst_pe, op_full_name, port, payload, first_seq, count,
-        redelivery,
+        self, link, flow, payload, first_seq, count, redelivery
     ) -> None:
         """Hand one arrived copy to the application, acking as needed.
 
@@ -497,16 +448,11 @@ class DeliveryPlane:
         if entry is not None:
             if not entry.delivered:
                 entry.delivered = True
-                self.transport._dec_in_flight(
-                    (dst_pe.pe_id, op_full_name, port), count
-                )
+                self.transport._dec_in_flight(flow.in_flight_key, count)
                 self._schedule_ack(entry)
             elif entry.ack_lost:
                 self._schedule_ack(entry)
-        self.transport._hand_over(
-            dst_pe, op_full_name, port, payload, link.key[0], first_seq, count,
-            redelivery,
-        )
+        self.transport._hand_over(flow, payload, first_seq, count, redelivery)
 
     # -- acks ---------------------------------------------------------------
 
@@ -523,10 +469,11 @@ class DeliveryPlane:
         resulting duplicate, so delivery converges.
         """
         t = self.transport
+        flow = entry.flow
         entry.ack_lost = False
         arrive_at = self.kernel.now + t.latency
-        if t._link_faults and entry.src_pe is not None:
-            faults = t._matching_faults(entry.dst_pe, entry.src_pe)
+        if t._link_faults and flow.src_pe is not None:
+            faults = t._matching_faults(flow.dst_pe, flow.src_pe)
             for fault in faults:
                 # an untimed partition swallows the ack where it stands
                 # (later faults draw no roll): the retransmit after heal
@@ -537,7 +484,7 @@ class DeliveryPlane:
                 ) or (fault.partition and fault.until is None):
                     entry.ack_lost = True
                     t.acks_dropped += 1
-                    self._observe("ack_dropped", 1, entry.op_full_name)
+                    self._observe("ack_dropped", 1, flow.op_full_name)
                     return
             arrive_at = t._compose(faults)[0]
         self.kernel.schedule_at(
@@ -550,11 +497,12 @@ class DeliveryPlane:
         entry.acked = True
         t = self.transport
         t.acks += 1
-        self._observe("ack", entry.count, entry.op_full_name)
+        flow = entry.flow
+        self._observe("ack", entry.count, flow.op_full_name)
         if t.pressure_observer is not None:
             t.pressure_observer(
                 "ack_rtt", self.kernel.now - entry.sent_at,
-                entry.op_full_name, entry.dst_pe.pe_id, entry.port,
+                flow.op_full_name, flow.dst_pe.pe_id, flow.port,
             )
         if entry.retry_event is not None:
             entry.retry_event.cancel()
@@ -619,7 +567,7 @@ class DeliveryPlane:
                 if entry.retry_event is not None:
                     entry.retry_event.cancel()
                 t.replayed += entry.count
-                self._observe("replay", entry.count, entry.op_full_name)
+                self._observe("replay", entry.count, entry.flow.op_full_name)
                 entry.acked = False
                 entry.ack_lost = True  # no ack from this incarnation yet
                 entry.attempts = 0
@@ -643,9 +591,7 @@ class DeliveryPlane:
                 entry.retry_event.cancel()
                 entry.retry_event = None
             if not entry.delivered:
-                t._dec_in_flight(
-                    (key[0][1], entry.op_full_name, entry.port), entry.count
-                )
+                t._dec_in_flight(entry.flow.in_flight_key, entry.count)
                 if not entry.loss_attributed:
                     entry.loss_attributed = True
                     t.dropped_in_flight += entry.count

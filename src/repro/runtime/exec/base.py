@@ -61,7 +61,15 @@ class Executor(abc.ABC):
     @property
     @abc.abstractmethod
     def now(self) -> float:
-        """Current time in seconds (virtual or scaled-monotonic)."""
+        """Current time in seconds (virtual or scaled-monotonic).
+
+        Both backends read it off their ``clock``: on the sim
+        :class:`~repro.sim.clock.Clock` ``now`` is a plain slot the
+        dispatch loop writes (a per-tuple reader binds
+        ``partial(getattr, kernel.clock, "now")`` and pays no Python
+        frame), on the wall clock's ``WallTimeClock`` it is a property
+        that reads the monotonic clock.
+        """
 
     @property
     @abc.abstractmethod

@@ -42,7 +42,7 @@ from repro.spl.library import Export, Import
 from repro.spl.metrics import MetricKind, MetricRegistry, PEMetricName, OperatorMetricName
 from repro.spl.operators import Operator, OperatorContext, PortMap
 from repro.spl.tuples import Punctuation, StreamTuple, TupleBatch
-from repro.runtime.transport import Transport
+from repro.runtime.transport import Flow, Transport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.job import Job
@@ -51,13 +51,16 @@ Item = Union[StreamTuple, Punctuation]
 
 #: one resolved edge out of a local operator: destination operator name and
 #: input port, then the live operator object when the destination is fused
-#: into this PE, else the remote PE runtime the transport must reach
-_Hop = Tuple[str, int, Optional[Operator], Optional["PERuntime"]]
+#: into this PE, else the :class:`~repro.runtime.transport.Flow` toward the
+#: remote PE the transport must reach
+_Hop = Tuple[str, int, Optional[Operator], Optional[Flow]]
 #: one call that carries a tuple along an output port's hops or into an input port
 _Dispatch = Callable[[StreamTuple], None]
 
 
 class PEState(enum.Enum):
+    """A PE's lifecycle: only a running PE processes tuples or emits."""
+
     CONSTRUCTED = "constructed"
     RUNNING = "running"
     STOPPED = "stopped"
@@ -98,6 +101,8 @@ class PERuntime:
         #: what the last ``restart(rehydrate=True)`` restored (None when
         #: the last restart did not request rehydration)
         self.last_restore: Optional[RestoreReport] = None
+        #: the executor's clock: ``clock.now`` is a plain slot on the sim
+        self._clock = kernel.clock
         #: operator timers that have neither fired nor been cancelled
         self._timers = OutstandingHandles()
         self._opwork_label = f"{pe_id}-opwork"
@@ -120,10 +125,12 @@ class PERuntime:
 
     @property
     def index(self) -> int:
+        """The PE's position in its job's compiled plan (``PESpec.index``)."""
         return self.spec.index
 
     @property
     def is_running(self) -> bool:
+        """Whether the PE is up (started or restarted, not stopped or crashed)."""
         return self.state is PEState.RUNNING
 
     def _create_pe_metrics(self) -> None:
@@ -145,7 +152,9 @@ class PERuntime:
         instance keeps running).  Contexts get port maps of compiled hops
         (``ctx.hops``) and punctuation / batch routes over the same hops,
         :meth:`receive` port maps of deliveries; a port compiles on its
-        first tuple — no per-tuple name or index lookup."""
+        first tuple — no per-tuple name or index lookup.  Each remote hop
+        is resolved here into a fresh :class:`~repro.runtime.transport.Flow`,
+        so no flow outlives the routes it was made for."""
         compiled = self.job.compiled
         operators = self.operators
         self._inbound = PortMap(self._inbound_of)
@@ -159,7 +168,8 @@ class PERuntime:
             if dst_index == self.index:
                 hop = (dst_name, edge.dst_port, operators[dst_name], None)
             else:
-                hop = (dst_name, edge.dst_port, None, self.job.pe_by_index(dst_index))
+                dst_pe = self.job.pe_by_index(dst_index)
+                hop = (dst_name, edge.dst_port, None, Flow(self, dst_pe, dst_name, edge.dst_port))
             ports[edge.src_port].append(hop)
         batching = self.transport.batch_max_size > 1
         for name, ports in routes.items():
@@ -174,6 +184,7 @@ class PERuntime:
     # -- lifecycle --------------------------------------------------------------
 
     def start(self) -> None:
+        """Instantiate the operators, compile the routes, and run them."""
         if self.state is PEState.RUNNING:
             raise PEControlError(f"PE {self.pe_id} already running")
         self._instantiate_operators()
@@ -192,7 +203,8 @@ class PERuntime:
                 job_id=self.job.job_id,
                 app_name=self.job.app_name,
                 submission_params=self.job.params,
-                now_fn=lambda: self.kernel.now,
+                # one C-level read of the clock: no Python frame per call
+                now_fn=partial(getattr, self._clock, "now"),
                 submit_fn=None,  # both rebound by rebuild_routes() below
                 punct_fn=None,
                 schedule_fn=self._schedule_guarded,
@@ -259,7 +271,7 @@ class PERuntime:
             return
         self._timers.cancel_all()
         self.operators = {}
-        self._inbound = {}
+        self._inbound = PortMap(self._inbound_of)  # every operator: (None, None)
         self.state = PEState.CRASHED
         self.last_crash_reason = reason
         # Items in flight toward this PE die with the process: they are
@@ -316,10 +328,13 @@ class PERuntime:
 
         O(1) amortised however many timers are live or have fired (see
         :class:`~repro.sim.kernel.OutstandingHandles`); ``stop`` and
-        ``crash`` cancel whatever is still outstanding.
+        ``crash`` cancel whatever is still outstanding.  Scheduled at an
+        absolute time read off the clock, as ``Kernel.schedule`` would.
         """
-        handle = self.kernel.schedule(
-            delay, self._guard, callback, label=self._opwork_label
+        if delay < 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        handle = self.kernel.schedule_at(
+            self._clock.now + delay, self._guard, callback, label=self._opwork_label
         )
         self._timers.add(handle)
         return handle
@@ -365,18 +380,32 @@ class PERuntime:
         return operator, operator and PortMap(partial(self._compile, operator))
 
     def _compile_port(self, ports: Dict[int, List[_Hop]], port: int) -> _Dispatch:
-        """Output ``port``'s tuple dispatch: a lone fused target's delivery,
-        else the same emission half, then each hop in edge order."""
+        """Output ``port``'s tuple dispatch, compiled on the port's first tuple.
+
+        A lone fused target's delivery is the whole hop.  A lone remote
+        target is one call too: the emission half (swallowed while the PE
+        is down or replaying, else counted in ``nTuplesSubmitted``), then
+        :meth:`Transport.send_on` with the hop's flow, resolved by
+        :meth:`rebuild_routes`.  Any other port runs the same emission
+        half, then each hop in edge order."""
         hops = ports[port]
-        if len(hops) == 1 and hops[0][2] is not None:
-            _, dst_port, operator, _ = hops[0]
-            return self._compile(operator, dst_port, emitted=True)
         pe, running, n_submitted = self, PEState.RUNNING, self._n_submitted
+        send = self.transport.send_on
+        if len(hops) == 1:
+            _, dst_port, operator, flow = hops[0]
+            if operator is not None:
+                return self._compile(operator, dst_port, emitted=True)
+
+            def hop(tup: StreamTuple) -> None:
+                if pe.state is not running or pe._suppress_emissions:
+                    return
+                n_submitted.value += 1
+                send(flow, tup)
+
+            return hop
         targets = [
-            self._compile(operator, dst_port)
-            if operator is not None
-            else partial(self.transport.send, dst_pe, dst_name, dst_port, src_pe=self)
-            for dst_name, dst_port, operator, dst_pe in hops
+            self._compile(operator, dst_port) if operator is not None else partial(send, flow)
+            for _, dst_port, operator, flow in hops
         ]
 
         def fan_out(tup: StreamTuple) -> None:
@@ -392,25 +421,25 @@ class PERuntime:
         """Carry one punctuation along an output port's resolved hops."""
         if self.state is not PEState.RUNNING or self._suppress_emissions:
             return
-        for dst_name, dst_port, operator, dst_pe in ports[port]:
+        for _, dst_port, operator, flow in ports[port]:
             if operator is not None:
                 operator._process(punct, dst_port)
             else:
-                self.transport.send(dst_pe, dst_name, dst_port, punct, src_pe=self)
+                self.transport.send_on(flow, punct)
 
     def _route_batch(
         self, ports: Dict[int, List[_Hop]], port: int, tuples: List[StreamTuple]
     ) -> None:
         """Batched twin of the compiled hops: one ``process_batch`` per fused
-        target, one :meth:`Transport.send_batch` per remote one."""
+        target, one :meth:`Transport.send_batch_on` per remote one."""
         if self.state is not PEState.RUNNING or self._suppress_emissions or not tuples:
             return
         self._n_submitted.value += len(tuples)
-        for dst_name, dst_port, operator, dst_pe in ports[port]:
+        for _, dst_port, operator, flow in ports[port]:
             if operator is not None:
                 self._deliver_local_batch(operator, dst_port, tuples)
             else:
-                self.transport.send_batch(dst_pe, dst_name, dst_port, tuples, src_pe=self)
+                self.transport.send_batch_on(flow, tuples)
 
     def receive(
         self,
@@ -419,8 +448,13 @@ class PERuntime:
         item: Item,
         suppress_emissions: bool = False,
     ) -> None:
-        """Entry point for the transport and the import registry.
+        """Entry point for a unit that is not a lone fresh tuple.
 
+        The transport hands a single tuple straight to the compiled
+        delivery of its port (``_inbound[op][1][port]``, built by
+        :meth:`rebuild_routes`), and everything else here: a run, a
+        punctuation, a replay.  A caller outside the transport (the
+        micro benchmarks) reaches the same deliveries through it.
         ``suppress_emissions=True`` marks an exactly-once replay of a
         unit this PE already processed in a dead incarnation: it is
         re-processed so operator state rebuilds, but anything the

@@ -58,9 +58,9 @@ SWEEP_INTERVAL = 1.0
 #: Storage key: (job, pe, operator-or-None, port-or-None, metric name).
 _Key = Tuple[str, str, Optional[str], Optional[int], str]
 
-#: HELP text of every family SRM exports, and of the chaos engine's
-#: gauges: recorded expositions pin it byte for byte
-SRM_HELP = "mirrored SRM sample"
+#: HELP text of every family SRM exports: each gauge holds the value of
+#: its key's latest push (the family name says which metric)
+SRM_HELP = "latest value a host-controller push stored in SRM"
 
 
 def _labels(key: _Key) -> Dict[str, str]:

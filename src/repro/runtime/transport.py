@@ -38,7 +38,11 @@ a *wire unit of N members* (see :class:`Transport`).  Modes differ in
 their drop policy and in when a unit's ``link_seq`` range is claimed;
 batching differs only in N.  What a link does to a unit
 (:meth:`Transport._put_on_wire`) and what happens when it arrives
-(:meth:`Transport._deliver`) is written once.
+(:meth:`Transport._deliver`) is written once.  Every one of those
+routines is handed one :class:`Flow` — the (source PE, destination PE,
+operator, input port) a unit travels on, with its keys and kernel label
+resolved once when a PE compiles its routes — instead of re-deriving
+them per unit.
 
 One rule retires a link's record (:meth:`Transport.forget_pe`): it goes
 with its destination, or once its source is gone and the destination's
@@ -166,25 +170,77 @@ class LinkFault:
         return True
 
 
-class _OpenBatch:
-    """One flow's not-yet-flushed tuple run (batching enabled only).
+class Flow:
+    """One flow: a (source PE, destination PE, operator, input port), resolved once.
 
-    A *flow* is ``(src_key, dst_pe_id, op_full_name, port)`` — the finest
-    unit on which ordering matters.  The source/destination PE handles
-    ride along so the flush can re-match link faults exactly like an
-    ordinary send would have.
+    A flow is the finest unit on which ordering matters.  Everything the
+    wire needs to know about it that holds as long as the routes stand
+    is computed here, once: the keys of its in-flight count, of its link
+    and of its open batch, and the kernel label of its arrivals.
+    :meth:`PERuntime.rebuild_routes` makes one per remote hop; the public
+    :meth:`Transport.send` / :meth:`Transport.send_batch` make one per
+    call.  From then on the flow is the one argument every wire routine
+    passes — sending, buffering, committing, the scheduled arrival, the
+    hand-over, held and open units, the reliable plane's pending and
+    replay records.
+
+    A flow holds facts, not state: no link record (a link enters the
+    table at its first commit and may retire before the flow is dropped)
+    and no delivery (the destination's compiled delivery is looked up at
+    hand-over, so a restart or a rewire of the destination is seen at
+    once).  A PE's next ``rebuild_routes`` makes new flows.
+
+    Attributes:
+        src_pe: Sending PE (None for registry-less senders).
+        dst_pe: Receiving PE.
+        op_full_name: Destination operator full name.
+        port: Destination input port.
+        src_key: ``src_pe``'s id, "" when there is none.
+        key: ``(src_key, dst PE id, operator, port)``: the open-batch key.
+        in_flight_key: ``(dst PE id, operator, port)``: the in-flight key.
+        link_key: ``(src_key, dst PE id)``: the link-table key.
+        label: Kernel label of the flow's arrivals.
     """
 
-    __slots__ = ("src_pe", "dst_pe", "tuples", "flush_event", "opened_at")
+    __slots__ = (
+        "src_pe", "dst_pe", "op_full_name", "port", "src_key", "key",
+        "in_flight_key", "link_key", "label",
+    )
 
     def __init__(
         self,
         src_pe: Optional["PERuntime"],
         dst_pe: "PERuntime",
-        opened_at: float = 0.0,
+        op_full_name: str,
+        port: int,
     ) -> None:
         self.src_pe = src_pe
         self.dst_pe = dst_pe
+        self.op_full_name = op_full_name
+        self.port = port
+        src_key = self.src_key = src_pe.pe_id if src_pe is not None else ""
+        dst_id = dst_pe.pe_id
+        self.key = (src_key, dst_id, op_full_name, port)
+        self.in_flight_key = (dst_id, op_full_name, port)
+        self.link_key = (src_key, dst_id)
+        self.label = f"transport->{op_full_name}[{port}]"
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        dst = f"{self.dst_pe.pe_id} {self.op_full_name}[{self.port}]"
+        return f"Flow({self.src_key or '-'} -> {dst})"
+
+
+class _OpenBatch:
+    """One flow's not-yet-flushed tuple run (batching enabled only).
+
+    The flow rides along so the flush can re-match link faults exactly
+    like an ordinary send would have.
+    """
+
+    __slots__ = ("flow", "tuples", "flush_event", "opened_at")
+
+    def __init__(self, flow: Flow, opened_at: float = 0.0) -> None:
+        self.flow = flow
         self.tuples: List[StreamTuple] = []
         self.flush_event: Optional[ScheduledEvent] = None
         #: sim-time the first tuple was buffered — the health plane's
@@ -203,10 +259,7 @@ class _HeldUnit(NamedTuple):
     """
 
     link: LinkRecord
-    src_pe: Optional["PERuntime"]
-    dst_pe: "PERuntime"
-    op_full_name: str
-    port: int
+    flow: Flow
     payload: Payload
     incarnation: int
     first_seq: int
@@ -223,8 +276,19 @@ class Transport:
     and one kernel event; every counter moves by N.  There is one way
     onto a link (:meth:`_put_on_wire`: fault composition, the partition
     hold queue, per-link FIFO, the scheduled arrival) and one way off it
-    (:meth:`_deliver`, ending in :meth:`_hand_over`: taps, then
-    ``PERuntime.receive``), in all three delivery modes.
+    (:meth:`_deliver`, ending in :meth:`_hand_over`: taps, then the
+    destination PE), in all three delivery modes.
+
+    Every routine on the way is handed the unit's :class:`Flow`, whose
+    keys and label were resolved when the sending PE compiled its
+    routes.  A compiled remote hop calls :meth:`send_on` with its flow;
+    :meth:`send` and :meth:`send_batch` resolve a flow per call and
+    reach the same body.  What a unit still carries per hop is only what
+    varies per unit: its payload, the destination incarnation and the
+    first ``link_seq`` stamped at commit, and whether it is a replay.
+    An arrival hands a single tuple straight to the destination's
+    compiled delivery; runs, punctuation and replays go through
+    ``PERuntime.receive``.
 
     ``batch_max_size`` only decides how many members a unit has.  With
     ``batch_max_size > 1`` same-flow tuples append to a per-flow open
@@ -247,16 +311,19 @@ class Transport:
             raise ValueError(f"unknown delivery mode {config.delivery!r}")
         self.kernel = kernel
         # read per wire unit: bound here once, so the send path keeps its
-        # one attribute hop
+        # one attribute hop (the sim clock's ``now`` is a plain slot)
         self.latency = LINK_LATENCY
+        self._clock = kernel.clock
+        #: the scheduled arrival's callback, bound once
+        self._arrive = self._deliver
         #: the delivery-guarantee mode this transport runs under
         self.delivery = config.delivery
         #: batch size that forces a flush; <= 1 disables batching
         self.batch_max_size = config.batch_max_size
         #: sim-time linger before a partially filled batch flushes
         self.batch_linger = config.batch_linger
-        #: flow key -> open (unflushed) batch; only populated when
-        #: batching is enabled
+        #: flow key (:attr:`Flow.key`) -> open (unflushed) batch; only
+        #: populated when batching is enabled
         self._open_batches: Dict[Tuple[str, str, str, int], _OpenBatch] = {}
         #: observer invoked with the member count of every flushed batch
         #: (the obs hub points this at its batch-size histogram); None
@@ -317,9 +384,6 @@ class Transport:
         #: a forgotten PE has no entry in ``_from``
         self._toward: Dict[str, Dict[str, LinkRecord]] = {}
         self._from: Dict[str, Dict[str, LinkRecord]] = {}
-        #: (operator, port) -> kernel label of deliveries to that input
-        #: port, built once instead of per scheduled delivery
-        self._deliver_labels: Dict[Tuple[str, int], str] = {}
         #: callbacks invoked with a :class:`DeliveryRecord` after every
         #: successful delivery — the chaos fuzzer's FIFO oracle registers
         #: here; the hot path skips record construction while empty
@@ -418,7 +482,7 @@ class Transport:
         reheld: Dict[int, List[_HeldUnit]] = {}
         for unit in held:
             self._put_on_wire(
-                self._matching_faults(unit.src_pe, unit.dst_pe),
+                self._matching_faults(unit.flow.src_pe, unit.flow.dst_pe),
                 *unit,
                 park_into=reheld,
             )
@@ -496,9 +560,8 @@ class Transport:
     ) -> None:
         """Send ``item`` toward an input port of a remote PE.
 
-        With batching on, a tuple joins its flow's open batch (a run of
-        one, see :meth:`send_batch`); otherwise — and for punctuation
-        always — the item is committed at once as a unit of one member.
+        Resolves the flow for this one call and goes on as
+        :meth:`send_on` — the body every compiled remote hop calls.
 
         Args:
             dst_pe: Destination PE runtime.
@@ -509,24 +572,7 @@ class Transport:
                 matching and per-connection FIFO (None for registry-less
                 senders such as tests).
         """
-        if self.batch_max_size > 1:
-            if isinstance(item, StreamTuple):
-                self._buffer(src_pe, dst_pe, op_full_name, port, (item,))
-                return
-            # punctuation never rides in a batch: flush the flow's open
-            # batch first so the marker cannot overtake tuples buffered
-            # ahead of it, then commit the marker on its own
-            src_key = src_pe.pe_id if src_pe is not None else ""
-            flow = (src_key, dst_pe.pe_id, op_full_name, port)
-            if flow in self._open_batches:
-                self._flush_flow(flow)
-        self.total_sent += 1
-        key = (dst_pe.pe_id, op_full_name, port)
-        self._in_flight[key] = self._in_flight.get(key, 0) + 1
-        if self.reliability is not None:
-            self.reliability.send(src_pe, dst_pe, op_full_name, port, item)
-        else:
-            self._commit(src_pe, dst_pe, op_full_name, port, item)
+        self.send_on(Flow(src_pe, dst_pe, op_full_name, port), item)
 
     def send_batch(
         self,
@@ -538,12 +584,8 @@ class Transport:
     ) -> None:
         """Send a run of tuples toward one input port in a single call.
 
-        With batching disabled every tuple is its own unit (a loop over
-        :meth:`send`, one kernel event per tuple); with batching enabled
-        the whole run lands on the flow's open batch in one append and
-        flushes by the usual size/linger rules.  A bulk append larger
-        than ``batch_max_size`` flushes as one oversized batch: size is a
-        flush trigger, not a hard cap.
+        Resolves the flow for this one call and goes on as
+        :meth:`send_batch_on`.
 
         Args:
             dst_pe: Destination PE runtime.
@@ -552,25 +594,54 @@ class Transport:
             tuples: Tuples to deliver, in order.
             src_pe: Sending PE, when known (see :meth:`send`).
         """
+        self.send_batch_on(Flow(src_pe, dst_pe, op_full_name, port), tuples)
+
+    def send_on(self, flow: Flow, item: Item) -> None:
+        """Send one item along a resolved flow.
+
+        With batching on, a tuple joins its flow's open batch (a run of
+        one, see :meth:`send_batch_on`); otherwise — and for punctuation
+        always — the item is committed at once as a unit of one member.
+        """
+        if self.batch_max_size > 1:
+            if isinstance(item, StreamTuple):
+                self._buffer(flow, (item,))
+                return
+            # punctuation never rides in a batch: flush the flow's open
+            # batch first so the marker cannot overtake tuples buffered
+            # ahead of it, then commit the marker on its own
+            if flow.key in self._open_batches:
+                self._flush_flow(flow.key)
+        self.total_sent += 1
+        key = flow.in_flight_key
+        self._in_flight[key] = self._in_flight.get(key, 0) + 1
+        if self.reliability is not None:
+            self.reliability.send(flow, item)
+        else:
+            self._commit(flow, item)
+
+    def send_batch_on(self, flow: Flow, tuples: Sequence[StreamTuple]) -> None:
+        """Send a run of tuples along a resolved flow.
+
+        With batching disabled every tuple is its own unit (a loop over
+        :meth:`send_on`, one kernel event per tuple); with batching
+        enabled the whole run lands on the flow's open batch in one
+        append and flushes by the usual size/linger rules.  A bulk append
+        larger than ``batch_max_size`` flushes as one oversized batch:
+        size is a flush trigger, not a hard cap.
+        """
         if self.batch_max_size <= 1:
             for tup in tuples:
-                self.send(dst_pe, op_full_name, port, tup, src_pe=src_pe)
+                self.send_on(flow, tup)
         elif tuples:
-            self._buffer(src_pe, dst_pe, op_full_name, port, tuples)
+            self._buffer(flow, tuples)
 
-    def _buffer(
-        self,
-        src_pe: Optional["PERuntime"],
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
-        tuples: Sequence[StreamTuple],
-    ) -> None:
+    def _buffer(self, flow: Flow, tuples: Sequence[StreamTuple]) -> None:
         """Append a non-empty run to its flow's open batch, flushing at size.
 
-        The one body behind :meth:`send` (a run of one) and
-        :meth:`send_batch` when batching is on; kept off the public names
-        so that neither entry point is reached through the other.
+        The one body behind :meth:`send_on` (a run of one) and
+        :meth:`send_batch_on` when batching is on; kept off the public
+        names so that neither entry point is reached through the other.
         Buffered tuples count as sent and in flight from this moment, so
         ``queue_size`` (and through it the elastic drain barrier's
         backlog probe) sees open-batch occupants.
@@ -585,45 +656,40 @@ class Transport:
         """
         n = len(tuples)
         self.total_sent += n
-        key = (dst_pe.pe_id, op_full_name, port)
+        key = flow.in_flight_key
         self._in_flight[key] = self._in_flight.get(key, 0) + n
-        src_key = src_pe.pe_id if src_pe is not None else ""
-        flow = (src_key, dst_pe.pe_id, op_full_name, port)
-        batch = self._open_batches.get(flow)
+        batch = self._open_batches.get(flow.key)
         if batch is None:
-            batch = _OpenBatch(src_pe, dst_pe, opened_at=self.kernel.now)
-            self._open_batches[flow] = batch
+            batch = _OpenBatch(flow, opened_at=self._clock.now)
+            self._open_batches[flow.key] = batch
             if self.batch_linger > 0.0:
                 batch.flush_event = self.kernel.schedule(
                     self.batch_linger,
                     self._flush_flow,
-                    flow,
+                    flow.key,
                     label="transport-batch-linger",
                 )
             else:
                 batch.flush_event = self.kernel.call_soon(
                     self._flush_flow,
-                    flow,
+                    flow.key,
                     label="transport-batch-flush",
                 )
         batch.tuples.extend(tuples)
         if len(batch.tuples) >= self.batch_max_size:
-            self._flush_flow(flow)
+            self._flush_flow(flow.key)
 
-    def _flush_flow(self, flow: Tuple[str, str, str, int]) -> None:
+    def _flush_flow(self, key: Tuple[str, str, str, int]) -> None:
         """Commit one flow's open batch as a single wire unit (idempotent)."""
-        open_batch = self._open_batches.pop(flow, None)
+        open_batch = self._open_batches.pop(key, None)
         if open_batch is None:
             return
         if open_batch.flush_event is not None:
             open_batch.flush_event.cancel()
         if self.reliability is not None:
-            self.reliability.send_flushed_batch(open_batch, flow)
+            self.reliability.send_flushed_batch(open_batch)
         else:
-            self._commit(
-                open_batch.src_pe, open_batch.dst_pe, flow[2], flow[3], None,
-                open_batch.tuples,
-            )
+            self._commit(open_batch.flow, None, open_batch.tuples)
 
     def flush_open_batches(self, dst_pe_id: Optional[str] = None) -> None:
         """Force every open batch (optionally: toward one PE) onto the wire.
@@ -648,10 +714,7 @@ class Transport:
 
     def _commit(
         self,
-        src_pe: Optional["PERuntime"],
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
+        flow: Flow,
         item: Optional[Item],
         members: Optional[List[StreamTuple]] = None,
     ) -> None:
@@ -671,7 +734,7 @@ class Transport:
         n = 1 if members is None else len(members)
         faults: Sequence[LinkFault] = ()
         if self._link_faults:
-            faults = self._matching_faults(src_pe, dst_pe)
+            faults = self._matching_faults(flow.src_pe, flow.dst_pe)
             kept = [item] if members is None else members
             for fault in faults:
                 p = fault.drop_probability
@@ -681,7 +744,7 @@ class Transport:
             lost = n - len(kept)
             if lost:
                 self.dropped_by_fault += lost
-                self._dec_in_flight((dst_pe.pe_id, op_full_name, port), lost)
+                self._dec_in_flight(flow.in_flight_key, lost)
                 if not kept:
                     return
                 members, n = kept, len(kept)
@@ -689,14 +752,12 @@ class Transport:
             if self.batch_observer is not None:
                 self.batch_observer(n)
             item = TupleBatch(members)
-        dst_pe_id = dst_pe.pe_id
-        key = (src_pe.pe_id if src_pe is not None else "", dst_pe_id)
-        link = self.links.get(key) or self._open_link(key)
+        link = self.links.get(flow.link_key) or self._open_link(flow.link_key)
         base = link.send_seq
         link.send_seq = base + n
         self._put_on_wire(
-            faults, link, src_pe, dst_pe, op_full_name, port, item,
-            self._incarnations.get(dst_pe_id, 0), base + 1,
+            faults, link, flow, item,
+            self._incarnations.get(flow.dst_pe.pe_id, 0), base + 1,
         )
 
     def _open_link(self, key: Link) -> LinkRecord:
@@ -741,10 +802,7 @@ class Transport:
         self,
         faults: Sequence[LinkFault],
         link: LinkRecord,
-        src_pe: Optional["PERuntime"],
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
+        flow: Flow,
         payload: Payload,
         incarnation: int,
         first_seq: int,
@@ -762,7 +820,9 @@ class Transport:
         hold queue (``park_into`` collects re-held units during a flush,
         see :meth:`clear_link_fault`); otherwise its arrival is scheduled
         at the composed time, clamped so a link never reorders (a fault
-        expiring mid-stream cannot let a later unit overtake).
+        expiring mid-stream cannot let a later unit overtake).  The
+        arrival event carries ``(flow, payload, incarnation, first_seq,
+        redelivery)`` under the flow's label.
 
         Returns:
             The scheduled (post-FIFO-clamp) arrival time, ``inf`` for a
@@ -774,50 +834,39 @@ class Transport:
             if wall is not None:
                 held = self._held if park_into is None else park_into
                 held.setdefault(wall.fault_id, []).append(
-                    _HeldUnit(
-                        link, src_pe, dst_pe, op_full_name, port, payload,
-                        incarnation, first_seq, redelivery,
-                    )
+                    _HeldUnit(link, flow, payload, incarnation, first_seq, redelivery)
                 )
                 return float("inf")
         else:
-            arrive_at = self.kernel.now + self.latency
+            arrive_at = self._clock.now + self.latency
         if arrive_at < link.horizon:
             arrive_at = link.horizon
         else:
             link.horizon = arrive_at
-        src_key = link.key[0]
         if self.obs is not None and getattr(payload, "traced", False):
             # one span per scheduled hop: covers fresh sends and
             # partition flushes alike; arrive_at is post-FIFO-clamp, so
             # the span end is the true arrival time.  A traced batch
             # records ONE span for the whole hop — tracing overhead
             # shrinks alongside dispatch overhead
+            dst_pe = flow.dst_pe
             self.obs.record_transport(
-                op_full_name,
-                src_key,
+                flow.op_full_name,
+                flow.src_key,
                 dst_pe.pe_id,
                 dst_pe.job.job_id,
-                self.kernel.now,
+                self._clock.now,
                 arrive_at,
-            )
-        label = self._deliver_labels.get((op_full_name, port))
-        if label is None:
-            label = self._deliver_labels[(op_full_name, port)] = (
-                f"transport->{op_full_name}[{port}]"
             )
         self.kernel.schedule_at(
             arrive_at,
-            self._deliver,
-            dst_pe,
-            op_full_name,
-            port,
+            self._arrive,
+            flow,
             payload,
             incarnation,
-            src_key,
             first_seq,
             redelivery,
-            label=label,
+            label=flow.label,
         )
         return arrive_at
 
@@ -825,14 +874,11 @@ class Transport:
 
     def _deliver(
         self,
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
+        flow: Flow,
         payload: Payload,
-        incarnation: int = 0,
-        src_key: str = "",
-        first_seq: int = 0,
-        redelivery: bool = False,
+        incarnation: int,
+        first_seq: int,
+        redelivery: bool,
     ) -> None:
         """One wire unit arrives: the only way off the wire.
 
@@ -845,12 +891,12 @@ class Transport:
         """
         if self.reliability is not None:
             self.reliability.on_arrival(
-                dst_pe, op_full_name, port, payload, incarnation, src_key,
-                first_seq, redelivery,
+                flow, payload, incarnation, first_seq, redelivery
             )
             return
         count = len(payload.tuples) if isinstance(payload, TupleBatch) else 1
-        self._dec_in_flight((dst_pe.pe_id, op_full_name, port), count)
+        self._dec_in_flight(flow.in_flight_key, count)
+        dst_pe = flow.dst_pe
         if incarnation != self._incarnations.get(dst_pe.pe_id, 0):
             # The destination crashed after this unit was sent: it died
             # with the process and must not leak into the restarted
@@ -861,17 +907,12 @@ class Transport:
             # Sec. 5.2: crashes of stateless PEs "may lead to tuple loss").
             self.total_dropped += count
         else:
-            self._hand_over(
-                dst_pe, op_full_name, port, payload, src_key, first_seq, count
-            )
+            self._hand_over(flow, payload, first_seq, count)
 
     def _hand_over(
         self,
-        dst_pe: "PERuntime",
-        op_full_name: str,
-        port: int,
+        flow: Flow,
         payload: Payload,
-        src_key: str,
         first_seq: int,
         count: int,
         redelivery: bool = False,
@@ -880,23 +921,33 @@ class Transport:
 
         Taps observe one :class:`DeliveryRecord` per member, with the
         unit's contiguous seq range unrolled, so FIFO oracles need no
-        batch awareness.  ``redelivery=True`` (exactly-once replay)
-        re-processes with downstream emissions suppressed: the unit's
-        outputs already left the PE in a previous incarnation, so only
-        the state effect must be rebuilt.
+        batch awareness.  The one place a unit enters a PE: a single
+        tuple goes straight to the destination operator's compiled
+        delivery (its caller already found the PE running); a run, a
+        punctuation or a replay goes through ``PERuntime.receive``.
+        ``redelivery=True`` (exactly-once replay) re-processes with
+        downstream emissions suppressed: the unit's outputs already left
+        the PE in a previous incarnation, so only the state effect must
+        be rebuilt.
         """
         self.total_delivered += count
+        dst_pe = flow.dst_pe
         if self.delivery_taps:
-            now = self.kernel.now
+            now = self._clock.now
             taps = list(self.delivery_taps)
             for link_seq in range(first_seq, first_seq + count):
                 record = DeliveryRecord(
-                    src_key, dst_pe.pe_id, op_full_name, port, link_seq, now,
-                    redelivery,
+                    flow.src_key, dst_pe.pe_id, flow.op_full_name, flow.port,
+                    link_seq, now, redelivery,
                 )
                 for tap in taps:
                     tap(record)
-        dst_pe.receive(op_full_name, port, payload, redelivery)
+        if redelivery or not isinstance(payload, StreamTuple):
+            dst_pe.receive(flow.op_full_name, flow.port, payload, redelivery)
+            return
+        operator, deliveries = dst_pe._inbound[flow.op_full_name]
+        if operator is not None:
+            deliveries[flow.port](payload)
 
     def queue_size(self, pe_id: str, op_full_name: str, port: int) -> int:
         """Items currently in flight toward one input port."""

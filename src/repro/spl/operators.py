@@ -77,12 +77,18 @@ class OperatorContext:
         #: observability hub when span tracing is on (set by the PE after
         #: construction; None keeps Operator.submit at one check)
         self.obs = None
-        self._now_fn = now_fn
+        #: ``now()`` is the current time in seconds: the PE binds one
+        #: C-level read of its executor's clock, a hand-built context any
+        #: callable
+        self.now = now_fn
         #: ``hops[port](tup)`` and ``punct_fn(port, punct)`` emit; the PE
         #: rebinds both (compiled hops) at every ``rebuild_routes()``
         self.hops = PortMap(lambda port: partial(submit_fn, port))
         self.punct_fn = punct_fn
-        self._schedule_fn = schedule_fn
+        #: ``schedule(delay, callback)`` runs operator-local work later,
+        #: cancelled automatically on PE stop: the PE's callback itself,
+        #: bound here so a timer costs no extra frame
+        self.schedule = schedule_fn
         #: batched submission callback, set by the PE after construction
         #: (like ``obs``) when the transport batches — a source reads it
         #: to decide whether a tick leaves as one run; with batching off,
@@ -99,10 +105,6 @@ class OperatorContext:
     @property
     def params(self) -> Dict[str, Any]:
         return self.spec.params
-
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now_fn()
 
     @property
     def replaying(self) -> bool:
@@ -126,10 +128,6 @@ class OperatorContext:
         hop = self.hops[port]
         for tup in tuples:
             hop(tup)
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Any:
-        """Schedule operator-local work; cancelled automatically on PE stop."""
-        return self._schedule_fn(delay, callback)
 
 
 class Operator:
@@ -256,7 +254,7 @@ class Operator:
         if isinstance(values, StreamTuple):
             tup = values
         else:
-            tup = StreamTuple(values, created_at=self.now())
+            tup = StreamTuple(values, created_at=self.ctx.now())
             obs = self.ctx.obs
             if obs is not None and obs.sample_tuple():
                 # sampling is decided once, here, at tuple creation; the

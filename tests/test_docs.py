@@ -60,9 +60,15 @@ DOCSTYLE_FILES = [
     "src/repro/runtime/delivery.py",
     "src/repro/runtime/events.py",
     "src/repro/runtime/hc.py",
+    "src/repro/runtime/pe.py",
     "src/repro/runtime/srm.py",
     "src/repro/runtime/transport.py",
     "src/repro/spl/metrics.py",
+    # the whole package: the kernel, its clock, the seeded streams
+    *sorted(
+        str(path.relative_to(REPO_ROOT))
+        for path in (REPO_ROOT / "src/repro/sim").glob("*.py")
+    ),
     "src/repro/tools/timeline.py",
     "src/repro/tools/healthwatch.py",
 ]

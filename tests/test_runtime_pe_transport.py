@@ -13,6 +13,7 @@ from repro.chaos import RestartPE
 from repro.errors import PEControlError
 from repro.runtime.job import JobState
 from repro.runtime.pe import PEState
+from repro.runtime.transport import Flow
 from repro.sim.kernel import OutstandingHandles
 from repro.spl.application import Application
 from repro.spl.metrics import OperatorMetricName, PEMetricName
@@ -298,17 +299,31 @@ class TestResolvedDispatch:
 
 def hop_targets(hop):
     """What one compiled dispatch reaches: ``("local", operator)`` for a
-    fused delivery, ``("remote", pe, operator name)`` for a send."""
+    fused delivery, ``("remote", pe, operator name)`` for a send — read
+    off the send's flow, whose destination PE must be the live one."""
     free = inspect.getclosurevars(hop).nonlocals
+    if "flow" in free:  # a port whose only target is remote
+        return [remote_target(free["flow"])]
     if "targets" not in free:
         return [("local", free["operator"])]
     reached = []
     for target in free["targets"]:
         if isinstance(target, partial):
-            reached.append(("remote", target.args[0], target.args[1]))
+            (flow,) = target.args
+            reached.append(remote_target(flow))
         else:
             reached += hop_targets(target)
     return reached
+
+
+def remote_target(flow):
+    """``("remote", pe, operator name)`` for a flow; its keys name that PE."""
+    assert isinstance(flow, Flow)
+    dst_id = flow.dst_pe.pe_id
+    assert flow.key == (flow.src_key, dst_id, flow.op_full_name, flow.port)
+    assert flow.in_flight_key == (dst_id, flow.op_full_name, flow.port)
+    assert flow.link_key == (flow.src_key, dst_id)
+    return ("remote", flow.dst_pe, flow.op_full_name)
 
 
 def assert_hops_live(job):
@@ -331,12 +346,15 @@ def assert_hops_live(job):
             assert planned <= {port for port, hops in ports.items() if hops}
             for port, hops in list(ports.items()):
                 compiled = operator.ctx.hops[port]
-                for dst_name, _, local, dst_pe in hops:
+                for dst_name, dst_port, local, flow in hops:
                     if local is not None:
                         assert local is pe.operators[dst_name]
                     else:
-                        assert dst_pe in job.pes
-                        assert dst_pe.operators.get(dst_name) is not None
+                        assert (flow.src_pe, flow.op_full_name, flow.port) == (
+                            pe, dst_name, dst_port
+                        )
+                        assert flow.dst_pe in job.pes
+                        assert flow.dst_pe.operators.get(dst_name) is not None
                 reached = hop_targets(compiled)
                 assert len(reached) == len(hops)
                 for target in reached:
@@ -410,7 +428,8 @@ def traffic(monkeypatch):
 class TestCompiledHops:
     """``rebuild_routes()`` compiles each output port into one dispatch
     (a fused hop is one call from ``Operator.submit`` to ``on_tuple``) and
-    each input port into one delivery that ``receive`` shares.  Judged by
+    each input port into one delivery that an arrival off the wire and
+    ``receive`` share.  Judged by
     the counters they move against :class:`Traffic`, and by where they
     point after a crash and restart."""
 
@@ -831,7 +850,17 @@ class TestOneWire:
 
     def test_one_hand_over_and_one_in_flight_decrement(self):
         assert self._where(self._calls("DeliveryRecord")) == ["Transport._hand_over"]
-        assert self._where(self._calls("receive")) == ["Transport._hand_over"]
+
+        def hands_to_a_pe(node):
+            """A call of a PE's ``receive``, or a read of the compiled
+            deliveries of an object other than ``self``."""
+            return self._calls("receive")(node) or (
+                isinstance(node, ast.Attribute)
+                and node.attr == "_inbound"
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            )
+
+        assert self._where(hands_to_a_pe) == ["Transport._hand_over"]
         pops_in_flight = self._where(
             lambda node: self._calls("pop")(node)
             and isinstance(node.func.value, ast.Attribute)

@@ -23,6 +23,9 @@ promises:
   from the same run of ``send(t)`` calls: same tap records, same
   counters, same seeded-RNG end states (a unit of one *is* the single
   send, not a lookalike);
+* every mode — so is the same run sent through the source PEs' compiled
+  port hops and punctuation routes, which carry the flow their PE
+  resolved once: the compiled remote hop *is* ``Transport.send``;
 * ``exactly_once`` — acknowledged history is data: no tuple object is
   reachable from a link's replay buffer, and every tuple a restarted PE
   is handed again equals the one sent (:class:`TestReplayHistoryIsData`).
@@ -98,7 +101,11 @@ schedules = st.lists(steps, min_size=8, max_size=40)
 class WireRun:
     """One schedule interpreted on a fresh system, run to quiescence."""
 
-    def __init__(self, delivery, batch_max_size, schedule, via_send_batch=False):
+    #: the three ways a tuple gets onto the wire: the public single send,
+    #: the public run of one, and the source PE's compiled port hop
+    VIAS = ("send", "send_batch", "hop")
+
+    def __init__(self, delivery, batch_max_size, schedule, via="send"):
         self.system = SystemS(
             hosts=4,
             seed=42,
@@ -113,17 +120,20 @@ class WireRun:
         self.sink_pe = job.pe_of_operator("sink")
         #: ids of the PEs a ``remove_pe`` step took out of the job
         self.removed = set()
-        self.via_send_batch = via_send_batch
+        self.via = via
         self.records = []
         self.transport.delivery_taps.append(self.records.append)
         self.fifo = FifoProbe(self.transport)
+        if via == "hop":
+            # the compiled routes must not reach through the public entry
+            self.transport.send = self.transport.send_batch = self._not_a_hop
         self.faults = []
         self.sent = 0
         #: every tuple sent, by its ``iter``
         self.originals = {}
         #: ``(redelivery, tuple)`` for every tuple the sink PE was handed
         self.handed = []
-        self.sink_pe.receive = self._tee(self.sink_pe.receive)
+        self.transport._hand_over = self._tee(self.transport._hand_over)
         for step in schedule:
             getattr(self, "_" + step[0])(*step[1:])
             self.assert_removed_pes_are_forgotten()
@@ -133,14 +143,24 @@ class WireRun:
         self.system.run_for(30.0)
         self.assert_removed_pes_are_forgotten()
 
-    def _tee(self, receive):
-        def tee(op_full_name, port, item, suppress_emissions=False):
-            if isinstance(item, (StreamTuple, TupleBatch)):
-                members = item.tuples if isinstance(item, TupleBatch) else [item]
-                self.handed += [(suppress_emissions, tup) for tup in members]
-            receive(op_full_name, port, item, suppress_emissions)
+    def _tee(self, hand_over):
+        """Record every tuple the transport hands to the sink PE."""
+
+        def tee(flow, payload, first_seq, count, redelivery=False):
+            if flow.dst_pe is self.sink_pe and isinstance(payload, (StreamTuple, TupleBatch)):
+                members = payload.tuples if isinstance(payload, TupleBatch) else [payload]
+                self.handed += [(redelivery, tup) for tup in members]
+            hand_over(flow, payload, first_seq, count, redelivery)
 
         return tee
+
+    @staticmethod
+    def _not_a_hop(*_args, **_kwargs):
+        raise AssertionError("a compiled hop went through Transport.send")
+
+    def _source_ctx(self, link):
+        """The context of the source operator on ``link`` (its PE's routes)."""
+        return self.sources[link].operators[("left", "right")[link]].ctx
 
     def _link_exists(self, link):
         """Both ends still in the job: a removed PE neither sends nor is sent to."""
@@ -157,7 +177,9 @@ class WireRun:
             )
             self.originals[self.sent] = tup
             self.sent += 1
-            if self.via_send_batch:
+            if self.via == "hop":
+                self._source_ctx(link).hops[0](tup)
+            elif self.via == "send_batch":
                 self.transport.send_batch(
                     self.sink_pe, "sink", 0, [tup], src_pe=self.sources[link]
                 )
@@ -168,6 +190,9 @@ class WireRun:
 
     def _punct(self, link):
         if not self._link_exists(link):
+            return
+        if self.via == "hop":
+            self._source_ctx(link).punct_fn(0, WindowMarker)
             return
         self.transport.send(
             self.sink_pe, "sink", 0, WindowMarker, src_pe=self.sources[link]
@@ -317,8 +342,26 @@ def test_exactly_once_is_fifo_lossless_and_duplicate_free(schedule, batch_max_si
 )
 def test_a_batch_of_one_is_the_single_send(schedule, delivery, batch_max_size):
     single = WireRun(delivery, batch_max_size, schedule)
-    batched = WireRun(delivery, batch_max_size, schedule, via_send_batch=True)
+    batched = WireRun(delivery, batch_max_size, schedule, via="send_batch")
     assert batched.observed() == single.observed()
+
+
+@BUDGET
+@given(
+    schedule=schedules,
+    delivery=st.sampled_from(DELIVERIES),
+    batch_max_size=st.sampled_from((1, 8)),
+)
+def test_the_compiled_hop_is_the_single_send(schedule, delivery, batch_max_size):
+    """A source PE's compiled port hop and punctuation route carry the
+    flow its ``rebuild_routes`` resolved; ``Transport.send`` resolves one
+    per call.  Both must put the same units on the same links: same tap
+    records, counters, in-flight map, RNG end states and kernel events —
+    and hand the sink the same tuples."""
+    single = WireRun(delivery, batch_max_size, schedule)
+    hopped = WireRun(delivery, batch_max_size, schedule, via="hop")
+    assert hopped.observed() == single.observed()
+    assert hopped.handed == single.handed
 
 
 #: traffic on both links, a sink crash, traffic toward the dead sink, and
