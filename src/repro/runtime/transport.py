@@ -41,7 +41,7 @@ batching differs only in N.  What a link does to a unit
 (:meth:`Transport._deliver`) is written once.  Every one of those
 routines is handed one :class:`Flow` — the (source PE, destination PE,
 operator, input port) a unit travels on, with its keys and kernel label
-resolved once when a PE compiles its routes — instead of re-deriving
+resolved once when a PE compiles its routes, so no routine re-derives
 them per unit.
 
 One rule retires a link's record (:meth:`Transport.forget_pe`): it goes
