@@ -28,11 +28,9 @@ Two deliberate contract relaxations versus the sim twin, documented in
 
 from __future__ import annotations
 
-import heapq
 import time as _time
-from typing import Any, Callable
 
-from repro.sim.kernel import Kernel, ScheduledEvent
+from repro.sim.kernel import Kernel
 
 #: longest single sleep while idling toward a horizon; keeps the loop
 #: responsive to KeyboardInterrupt without measurable busy-wait cost
@@ -44,7 +42,8 @@ class WallTimeClock:
 
     Mirrors the :class:`repro.sim.clock.Clock` interface (``now`` and
     ``_advance_to``) so the kernel's dispatch loops work unchanged, but
-    time advances on its own: ``_advance_to`` waits for it.
+    time advances on its own: ``_advance_to`` waits for it, and so does
+    assigning ``now`` (the dispatch loop's per-event advance).
     """
 
     __slots__ = ("time_scale", "_origin")
@@ -59,6 +58,11 @@ class WallTimeClock:
     def now(self) -> float:
         """Scaled seconds since this clock was created."""
         return (_time.monotonic() - self._origin) * self.time_scale
+
+    @now.setter
+    def now(self, time: float) -> None:
+        """Real time cannot be set: wait until the clock reads ``time``."""
+        self._advance_to(time)
 
     def _advance_to(self, time: float) -> None:
         """Sleep until the clock reads ``time``; return at once if overdue."""
@@ -76,12 +80,15 @@ class WallClockExecutor(Kernel):
     """Executor backend where ``now`` is scaled real time.
 
     Inherits the heap, :class:`~repro.sim.kernel.ScheduledEvent`
-    handles, ``event_tap``, ``pending_count`` and both dispatch loops
-    (``step`` / ``run_until``) from the kernel; overrides the time
-    source and the past-deadline policy.  A ``run_until`` horizon that
-    has already passed is not an error here either (the monotonic clock
-    advances between a caller computing it and the loop reading it): the
-    events due by then run and the call returns.  Overdue events —
+    handles, ``event_tap``, ``pending_count``, the scheduling body
+    (``schedule_at``) and both dispatch loops (``step`` /
+    ``run_until``) from the kernel; overrides the time source, and
+    ``wall_clock = True`` selects the past-deadline policy: a deadline
+    already passed runs as soon as possible instead of raising.  A
+    ``run_until`` horizon that has already passed is not an error here
+    either (the monotonic clock advances between a caller computing it
+    and the loop reading it): the events due by then run and the call
+    returns.  Overdue events —
     deadlines the loop could not honor exactly because callbacks take
     real time — are executed rather than dropped, so ``run_until``'s
     post-condition matches the sim kernel's.
@@ -90,25 +97,9 @@ class WallClockExecutor(Kernel):
     wall_clock = True
     backend_name = "wallclock"
 
+    #: the kernel's one scheduling body, also entered under this class's
+    #: own name (``bench/trace.py`` attributes it to this layer)
+    schedule_at = Kernel.schedule_at
+
     def __init__(self, time_scale: float = 1.0) -> None:
         super().__init__(WallTimeClock(time_scale))
-
-    # -- scheduling ---------------------------------------------------------
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        label: str = "",
-    ) -> ScheduledEvent:
-        """Schedule at absolute ``time``; overdue deadlines run ASAP.
-
-        Unlike the sim kernel this never raises for past times — between
-        a caller computing ``now + delay`` and this check, the monotonic
-        clock has already advanced.
-        """
-        event = ScheduledEvent(time, self._seq, callback, args, label)
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
-        return event

@@ -24,6 +24,20 @@ class JobState(enum.Enum):
     CANCELLED = "cancelled"
 
 
+class PEState(enum.Enum):
+    """A PE's lifecycle: only a running PE processes tuples or emits.
+
+    Defined beside :class:`JobState` (and re-exported by
+    :mod:`repro.runtime.pe`) so the transport, which the PE module
+    imports, can test a destination's state without a call.
+    """
+
+    CONSTRUCTED = "constructed"
+    RUNNING = "running"
+    STOPPED = "stopped"
+    CRASHED = "crashed"
+
+
 class Job:
     """A submitted application instance."""
 

@@ -29,7 +29,6 @@ the truncation floor without rehydration.
 
 from __future__ import annotations
 
-import enum
 from collections import defaultdict
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
@@ -39,9 +38,10 @@ from repro.errors import PEControlError
 from repro.sim.kernel import Kernel, OutstandingHandles, ScheduledEvent
 from repro.spl.compiler import PESpec
 from repro.spl.library import Export, Import
-from repro.spl.metrics import MetricKind, MetricRegistry, PEMetricName, OperatorMetricName
+from repro.spl.metrics import Metric, MetricKind, MetricRegistry, PEMetricName, OperatorMetricName
 from repro.spl.operators import Operator, OperatorContext, PortMap
 from repro.spl.tuples import Punctuation, StreamTuple, TupleBatch
+from repro.runtime.job import PEState
 from repro.runtime.transport import Flow, Transport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,15 +56,10 @@ Item = Union[StreamTuple, Punctuation]
 _Hop = Tuple[str, int, Optional[Operator], Optional[Flow]]
 #: one call that carries a tuple along an output port's hops or into an input port
 _Dispatch = Callable[[StreamTuple], None]
-
-
-class PEState(enum.Enum):
-    """A PE's lifecycle: only a running PE processes tuples or emits."""
-
-    CONSTRUCTED = "constructed"
-    RUNNING = "running"
-    STOPPED = "stopped"
-    CRASHED = "crashed"
+#: read once: on CPython 3.11 a member read through its enum class
+#: (``PEState.RUNNING``) costs several plain attribute reads, and the
+#: tuple path tests a PE's state per tick and per arrival
+_RUNNING = PEState.RUNNING
 
 
 class PERuntime:
@@ -131,7 +126,7 @@ class PERuntime:
     @property
     def is_running(self) -> bool:
         """Whether the PE is up (started or restarted, not stopped or crashed)."""
-        return self.state is PEState.RUNNING
+        return self.state is _RUNNING
 
     def _create_pe_metrics(self) -> None:
         create = self.metrics.create
@@ -173,8 +168,9 @@ class PERuntime:
             ports[edge.src_port].append(hop)
         batching = self.transport.batch_max_size > 1
         for name, ports in routes.items():
-            ctx = operators[name].ctx
-            ctx.hops = PortMap(partial(self._compile_port, ports))
+            operator = operators[name]
+            ctx = operator.ctx
+            ctx.hops = PortMap(partial(self._compile_port, operator, ports))
             ctx.punct_fn = partial(self._route_punct, ports)
             if batching:
                 # no batch route with batching off: sources then emit
@@ -340,63 +336,87 @@ class PERuntime:
         return handle
 
     def _run_guarded(self, callback: Callable[[], None]) -> None:
-        if self.state is PEState.RUNNING:
+        if self.state is _RUNNING:
             callback()
 
     # -- tuple routing ---------------------------------------------------------
 
-    def _compile(self, operator: Operator, port: int, emitted: bool = False) -> _Dispatch:
+    def _compile(
+        self, operator: Operator, port: int, emitter: Optional[Metric] = None
+    ) -> _Dispatch:
         """The one per-tuple delivery body (PE counters, traced span, then —
-        unless finalized — the operator's counters and ``on_tuple``), bound
-        to ``operator``'s input ``port``.  ``emitted``: also the whole hop of
-        a port whose one target is this fused operator (swallowed while the
-        PE is down or replaying, else counted in ``nTuplesSubmitted``)."""
-        pe, running = self, PEState.RUNNING
+        unless finalized — ``operator``'s input ``port`` counter and
+        ``on_tuple``), bound to that port.  Two closures of the same body:
+        an arrival, and — given the emitting operator's output port counter
+        as ``emitter`` — the whole hop of a port whose one target is this
+        fused operator (counted in ``emitter``, then swallowed while the PE
+        is down or replaying, else counted in ``nTuplesSubmitted``)."""
+        pe, running = self, _RUNNING
         n_submitted, n_processed, n_bytes = self._n_submitted, self._n_processed, self._n_bytes
-        op_processed, on_tuple = operator._n_processed, operator.on_tuple
+        processed, on_tuple = operator._processed_by_port[port], operator.on_tuple
         obs, kernel = self.obs, self.kernel
         full_name, pe_id, job_id = operator.ctx.full_name, self.pe_id, self.job.job_id
 
-        def deliver(tup: StreamTuple) -> None:
-            if emitted:
-                if pe.state is not running or pe._suppress_emissions:
+        if emitter is None:
+
+            def deliver(tup: StreamTuple) -> None:
+                n_processed.value += 1
+                n_bytes.value += tup.size_bytes
+                if obs is not None and tup.traced:
+                    obs.record_process(full_name, pe_id, job_id, tup.created_at, kernel.now)
+                if operator._finalized:
                     return
-                n_submitted.value += 1
+                processed.value += 1
+                on_tuple(tup, port)
+
+            return deliver
+
+        def emit(tup: StreamTuple) -> None:
+            emitter.value += 1
+            if pe.state is not running or pe._suppress_emissions:
+                return
+            n_submitted.value += 1
             n_processed.value += 1
             n_bytes.value += tup.size_bytes
             if obs is not None and tup.traced:
                 obs.record_process(full_name, pe_id, job_id, tup.created_at, kernel.now)
             if operator._finalized:
                 return
-            op_processed.value += 1
-            operator._processed_by_port[port].value += 1
+            processed.value += 1
             on_tuple(tup, port)
 
-        return deliver
+        return emit
 
     def _inbound_of(self, op_full_name: str) -> Tuple[Optional[Operator], Optional[PortMap]]:
         """A local operator and its port map of deliveries (Nones if not local)."""
         operator = self.operators.get(op_full_name)
         return operator, operator and PortMap(partial(self._compile, operator))
 
-    def _compile_port(self, ports: Dict[int, List[_Hop]], port: int) -> _Dispatch:
-        """Output ``port``'s tuple dispatch, compiled on the port's first tuple.
+    def _compile_port(
+        self, source: Operator, ports: Dict[int, List[_Hop]], port: int
+    ) -> _Dispatch:
+        """``source``'s output ``port`` dispatch, compiled on the port's first tuple.
 
-        A lone fused target's delivery is the whole hop.  A lone remote
-        target is one call too: the emission half (swallowed while the PE
-        is down or replaying, else counted in ``nTuplesSubmitted``), then
-        :meth:`Transport.send_on` with the hop's flow, resolved by
-        :meth:`rebuild_routes`.  Any other port runs the same emission
-        half, then each hop in edge order."""
+        Compiling checks the port's range (:meth:`Operator.output_counter`
+        raises ``GraphError``), once per port, and binds the port's
+        ``nTuplesSubmitted``, which the dispatch bumps first — also for an
+        emission it swallows.  A lone fused target's emission closure is
+        the whole hop.  A lone remote target is one call too: the emission
+        half (swallowed while the PE is down or replaying, else counted in
+        the PE's ``nTuplesSubmitted``), then :meth:`Transport.send_on` with
+        the hop's flow, resolved by :meth:`rebuild_routes`.  Any other port
+        runs the same emission half, then each hop in edge order."""
+        submitted = source.output_counter(port)
         hops = ports[port]
-        pe, running, n_submitted = self, PEState.RUNNING, self._n_submitted
+        pe, running, n_submitted = self, _RUNNING, self._n_submitted
         send = self.transport.send_on
         if len(hops) == 1:
             _, dst_port, operator, flow = hops[0]
             if operator is not None:
-                return self._compile(operator, dst_port, emitted=True)
+                return self._compile(operator, dst_port, submitted)
 
             def hop(tup: StreamTuple) -> None:
+                submitted.value += 1
                 if pe.state is not running or pe._suppress_emissions:
                     return
                 n_submitted.value += 1
@@ -409,6 +429,7 @@ class PERuntime:
         ]
 
         def fan_out(tup: StreamTuple) -> None:
+            submitted.value += 1
             if pe.state is not running or pe._suppress_emissions:
                 return
             n_submitted.value += 1
@@ -419,7 +440,7 @@ class PERuntime:
 
     def _route_punct(self, ports: Dict[int, List[_Hop]], port: int, punct: Punctuation) -> None:
         """Carry one punctuation along an output port's resolved hops."""
-        if self.state is not PEState.RUNNING or self._suppress_emissions:
+        if self.state is not _RUNNING or self._suppress_emissions:
             return
         for _, dst_port, operator, flow in ports[port]:
             if operator is not None:
@@ -432,7 +453,7 @@ class PERuntime:
     ) -> None:
         """Batched twin of the compiled hops: one ``process_batch`` per fused
         target, one :meth:`Transport.send_batch_on` per remote one."""
-        if self.state is not PEState.RUNNING or self._suppress_emissions or not tuples:
+        if self.state is not _RUNNING or self._suppress_emissions or not tuples:
             return
         self._n_submitted.value += len(tuples)
         for _, dst_port, operator, flow in ports[port]:
@@ -461,7 +482,7 @@ class PERuntime:
         processing tries to emit is swallowed — its outputs already left
         the PE before the crash and must not propagate twice.
         """
-        if self.state is not PEState.RUNNING:
+        if self.state is not _RUNNING:
             return
         operator, deliveries = self._inbound[op_full_name]
         if operator is None:
@@ -520,7 +541,7 @@ class PERuntime:
 
     def deliver_import(self, op_full_name: str, item: Item) -> None:
         """Deliver an item from the import/export registry to an Import op."""
-        if self.state is not PEState.RUNNING:
+        if self.state is not _RUNNING:
             return
         operator = self.operators.get(op_full_name)
         if isinstance(operator, Import):

@@ -52,6 +52,7 @@ committed epoch covers all it carried — the one bound on replay history.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -66,6 +67,7 @@ from typing import (
 )
 
 from repro.runtime.delivery import DeliveryPlane, Link, LinkRecord
+from repro.runtime.job import PEState
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.spl.tuples import Punctuation, StreamTuple, TupleBatch
 
@@ -78,6 +80,9 @@ Item = Union[StreamTuple, Punctuation]
 #: a wire unit's payload: one item (a unit of N = 1 members) or a
 #: coalesced batch (N = its length)
 Payload = Union[StreamTuple, Punctuation, TupleBatch]
+#: read once, as in :mod:`repro.runtime.pe`: on CPython 3.11 a member
+#: read through its enum class costs several plain attribute reads
+_RUNNING = PEState.RUNNING
 
 #: seconds one unimpeded hop between two PEs takes (the TCP hop between
 #: operating system processes)
@@ -336,8 +341,10 @@ class Transport:
         #: forward-path roll sequence (committed artifacts without
         #: reverse-link faults stay byte-identical)
         self.ack_rng = ack_rng
-        #: (pe_id, operator full name, port) -> items scheduled but not delivered
-        self._in_flight: Dict[Tuple[str, str, int], int] = {}
+        #: (pe_id, operator full name, port) -> items scheduled but not
+        #: delivered; a send adds with one ``+=`` (a missing port reads 0),
+        #: :meth:`_dec_in_flight` removes a port whose count reaches 0
+        self._in_flight: Dict[Tuple[str, str, int], int] = defaultdict(int)
         self.total_sent = 0
         self.total_delivered = 0
         #: items that arrived at a non-running PE and were discarded
@@ -613,8 +620,7 @@ class Transport:
             if flow.key in self._open_batches:
                 self._flush_flow(flow.key)
         self.total_sent += 1
-        key = flow.in_flight_key
-        self._in_flight[key] = self._in_flight.get(key, 0) + 1
+        self._in_flight[flow.in_flight_key] += 1
         if self.reliability is not None:
             self.reliability.send(flow, item)
         else:
@@ -656,8 +662,7 @@ class Transport:
         """
         n = len(tuples)
         self.total_sent += n
-        key = flow.in_flight_key
-        self._in_flight[key] = self._in_flight.get(key, 0) + n
+        self._in_flight[flow.in_flight_key] += n
         batch = self._open_batches.get(flow.key)
         if batch is None:
             batch = _OpenBatch(flow, opened_at=self._clock.now)
@@ -894,7 +899,7 @@ class Transport:
                 flow, payload, incarnation, first_seq, redelivery
             )
             return
-        count = len(payload.tuples) if isinstance(payload, TupleBatch) else 1
+        count = len(payload.tuples) if type(payload) is TupleBatch else 1
         self._dec_in_flight(flow.in_flight_key, count)
         dst_pe = flow.dst_pe
         if incarnation != self._incarnations.get(dst_pe.pe_id, 0):
@@ -902,7 +907,7 @@ class Transport:
             # with the process and must not leak into the restarted
             # incarnation.
             self.dropped_in_flight += count
-        elif not dst_pe.is_running:
+        elif dst_pe.state is not _RUNNING:
             # Receiving process is down: the unit is lost (the paper's
             # Sec. 5.2: crashes of stateless PEs "may lead to tuple loss").
             self.total_dropped += count
@@ -942,7 +947,7 @@ class Transport:
                 )
                 for tap in taps:
                     tap(record)
-        if redelivery or not isinstance(payload, StreamTuple):
+        if redelivery or type(payload) is not StreamTuple:
             dst_pe.receive(flow.op_full_name, flow.port, payload, redelivery)
             return
         operator, deliveries = dst_pe._inbound[flow.op_full_name]

@@ -19,7 +19,9 @@ class Clock:
 
     Attributes:
         now: Current simulated time in seconds; read it freely, move it
-            only through :meth:`_advance_to`.
+            only through :meth:`_advance_to` — except the kernel's
+            dispatch loop, which assigns each event's deadline (never
+            before ``now``: the kernel refuses past deadlines).
     """
 
     __slots__ = ("now",)

@@ -22,33 +22,32 @@ from typing import Any, Callable, Optional
 
 from repro.sim.clock import Clock
 
+#: a handle without an ``__init__`` frame (see :meth:`Kernel.schedule_at`)
+_new_handle = object.__new__
+_heappush = heapq.heappush
+
 
 class ScheduledEvent:
     """Handle for a scheduled callback; supports cancellation.
 
-    ``fired`` is set by the executor's dispatch loop just before the
-    callback runs, so a holder of the handle can tell "already ran" from
-    "still pending at this very instant" — a handle is *outstanding*
-    while it is neither ``fired`` nor ``cancelled``.
+    Made only by :meth:`Kernel.schedule_at`, which fills the slots
+    itself: ``time``, ``seq``, ``callback(*args)`` and ``label`` as
+    scheduled, ``cancelled`` and ``fired`` False.  ``fired`` is set by
+    the executor's dispatch loop just before the callback runs, so a
+    holder of the handle can tell "already ran" from "still pending at
+    this very instant" — a handle is *outstanding* while it is neither
+    ``fired`` nor ``cancelled``.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "label")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        label: str = "",
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self.label = label
+    time: float
+    seq: int
+    callback: Callable[..., Any]
+    args: tuple
+    cancelled: bool
+    fired: bool
+    label: str
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
@@ -162,14 +161,30 @@ class Kernel:
         *args: Any,
         label: str = "",
     ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.clock.now:
+        """Schedule ``callback(*args)`` at absolute ``time``.
+
+        The one scheduling body of both executors, which differ only in
+        the past-deadline policy: the sim refuses a ``time`` before
+        ``now``; a wall clock runs it as soon as possible, since its
+        ``now`` moves on between a caller computing a deadline and this
+        check.  Runs a few times per tuple, so the handle's slots are
+        filled here rather than in an ``__init__`` frame, and the policy
+        is read only for a deadline already past.
+        """
+        if time < self.clock.now and not self.wall_clock:
             raise ValueError(
                 f"cannot schedule in the past: {time} < {self.clock.now}"
             )
-        event = ScheduledEvent(time, self._seq, callback, args, label)
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        event = _new_handle(ScheduledEvent)
+        event.time = time
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = event.fired = False
+        event.label = label
+        _heappush(self._heap, (time, seq, event))
         return event
 
     def call_soon(
@@ -209,24 +224,32 @@ class Kernel:
         # millions of times (self._heap is only ever mutated in place,
         # never rebound, so the local alias stays valid; an entry is
         # ``(time, seq, handle)``: the deadline is read off the entry)
+        # ``clock.now = due`` is the per-event advance: a slot store on the
+        # sim clock (no deadline in the heap is ever before now, so there
+        # is nothing to check), a wait on the wall clock (its ``now``
+        # setter); the horizon goes through the checked ``_advance_to``
         heap = self._heap
         heappop = heapq.heappop
-        advance = self.clock._advance_to
-        while heap:
-            due, _, event = heap[0]
-            if event.cancelled:
+        clock = self.clock
+        count = 0  # written back once, however the loop ends
+        try:
+            while heap:
+                due, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if due > time:
+                    break
                 heappop(heap)
-                continue
-            if due > time:
-                break
-            heappop(heap)
-            advance(due)
-            self._events_processed += 1
-            event.fired = True
-            if self.event_tap is not None:
-                self.event_tap(event)
-            event.callback(*event.args)
-        advance(time)
+                clock.now = due
+                count += 1
+                event.fired = True
+                if self.event_tap is not None:
+                    self.event_tap(event)
+                event.callback(*event.args)
+        finally:
+            self._events_processed += count
+        clock._advance_to(time)
 
     def run_for(self, duration: float) -> None:
         """Convenience wrapper: run ``duration`` seconds past the current time."""

@@ -49,9 +49,12 @@ class Source(Operator):
         self.initial_delay = float(self.param("initial_delay", self.period))
         self._emitted = 0
         self._stopped = False
+        #: bound once: a bound method per tick would be one more GC-tracked
+        #: allocation on the tick path
+        self._next_tick = self._tick
 
     def on_initialize(self) -> None:
-        self.ctx.schedule(self.initial_delay, self._tick)
+        self.ctx.schedule(self.initial_delay, self._next_tick)
 
     def generate(self) -> List[Dict[str, Any]]:
         """Produce the values for one tick (override in subclasses)."""
@@ -77,7 +80,7 @@ class Source(Operator):
         if self.limit is not None and self._emitted >= self.limit:
             self._stop_and_finalize()
             return
-        self.ctx.schedule(self.period, self._tick)
+        self.ctx.schedule(self.period, self._next_tick)
 
     def _stop_and_finalize(self) -> None:
         if not self._stopped:
@@ -132,7 +135,7 @@ class CallbackSource(Source):
             self.generator = self.param("generator")
 
     def generate(self) -> List[Dict[str, Any]]:
-        return self.generator(self.now(), self._emitted)
+        return self.generator(self.ctx.now(), self._emitted)
 
 
 class Filter(Operator):
@@ -634,7 +637,7 @@ class Sink(Operator):
     def on_tuple(self, tup: StreamTuple, port: int) -> None:
         if self.record:
             self.seen.append(tup)
-        if self.consumer is not None and not self.ctx.replaying:
+        if self.consumer is not None and not self.ctx.replaying_fn():
             self.consumer(tup)
 
     def process_batch(self, tuples: List[StreamTuple], port: int) -> None:

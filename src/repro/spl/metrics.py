@@ -9,8 +9,11 @@ SPL exposes two families of metrics (Sec. 2.1 of the paper):
   counts of tweets with known and unknown causes).
 
 Metrics are plain counters/gauges updated synchronously by operator and PE
-code.  Host controllers snapshot them periodically and push them to SRM,
-from which the ORCA service polls (Sec. 3).  :class:`Metric` is also the
+code, except an operator's ``nTuplesProcessed`` / ``nTuplesSubmitted``
+totals: those are read-only sums (:class:`SumMetric`) of the per-port
+counters, which are the only ones the tuple path bumps.  Host controllers
+snapshot them periodically and push them to SRM, from which the ORCA
+service polls (Sec. 3).  :class:`Metric` is also the
 value type of the exported registry's counters and gauges
 (:mod:`repro.obs.metrics`).
 """
@@ -18,7 +21,7 @@ value type of the exported registry's counters and gauges
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class MetricKind(enum.Enum):
@@ -101,6 +104,36 @@ class Metric:
         return f"Metric({self.name}={self.value}, {self.kind.value})"
 
 
+class SumMetric(Metric):
+    """A read-only total: the sum of its parts' values, read on demand.
+
+    An operator's ``nTuplesProcessed`` and ``nTuplesSubmitted`` are sums
+    of every same-named port counter its registry ever held (ports a
+    scale-in took away included), so each hop bumps one counter and the
+    total cannot drift from its ports.  Assigning ``value`` (and so
+    :meth:`~Metric.set`, :meth:`~Metric.increment`,
+    :meth:`~Metric.reset`) raises ``AttributeError``.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, name: str, kind: MetricKind, parts: List[Metric]) -> None:
+        self.name = name
+        self.kind = kind
+        self.description = ""
+        self._parts = parts
+
+    @property
+    def value(self) -> float:
+        """The sum of the parts' current values."""
+        return sum(part.value for part in self._parts)
+
+    @value.setter
+    def value(self, _value: float) -> None:
+        """Refuse: a sum moves only with its parts."""
+        raise AttributeError(f"{self.name} is a sum of port counters and cannot be set")
+
+
 class MetricRegistry:
     """Set of metrics owned by one operator instance or one PE.
 
@@ -112,6 +145,8 @@ class MetricRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[Optional[int], str], Metric] = {}
+        #: name -> the port-scoped metrics its :class:`SumMetric` adds up
+        self._parts: Dict[str, List[Metric]] = {}
 
     def create(
         self,
@@ -124,9 +159,18 @@ class MetricRegistry:
         key = (port, name)
         if key in self._metrics:
             raise ValueError(f"metric {name!r} (port={port}) already exists")
-        metric = Metric(name, kind, description)
-        self._metrics[key] = metric
-        return metric
+        return self._add(port, name, Metric(name, kind, description))
+
+    def create_sum(self, name: str, kind: MetricKind = MetricKind.COUNTER) -> Metric:
+        """Create the operator/PE-scope ``name`` as a :class:`SumMetric` of the
+        port-scoped metrics named ``name``, present and future; an existing
+        one raises ``ValueError``."""
+        if (None, name) in self._metrics:
+            raise ValueError(f"metric {name!r} (port=None) already exists")
+        parts = self._parts[name] = [
+            metric for (port, n), metric in self._metrics.items() if n == name and port is not None
+        ]
+        return self._add(None, name, SumMetric(name, kind, parts))
 
     def get_or_create(
         self,
@@ -138,8 +182,14 @@ class MetricRegistry:
         key = (port, name)
         metric = self._metrics.get(key)
         if metric is None:
-            metric = Metric(name, kind)
-            self._metrics[key] = metric
+            metric = self._add(port, name, Metric(name, kind))
+        return metric
+
+    def _add(self, port: Optional[int], name: str, metric: Metric) -> Metric:
+        """Register a new metric, as a part of its name's sum if it has one."""
+        self._metrics[(port, name)] = metric
+        if port is not None and name in self._parts:
+            self._parts[name].append(metric)
         return metric
 
     def get(self, name: str, port: Optional[int] = None) -> Metric:

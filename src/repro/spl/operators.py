@@ -9,13 +9,15 @@ state (the window-refill behaviour of Fig. 9).
 
 Subclasses override the ``on_*`` hooks; the framework entry points
 (prefixed ``_``) maintain built-in metrics and final-punctuation bookkeeping
-before delegating to the hooks.
+before delegating to the hooks.  A hop counts once, per port: the hop an
+emission takes (``ctx.hops[port]``) bumps the emitting operator's
+per-port ``nTuplesSubmitted``, the delivery the per-port
+``nTuplesProcessed``, and the operator totals are their sums.
 """
 
 from __future__ import annotations
 
 import copy
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple, Union
 
 from repro.errors import GraphError
@@ -53,6 +55,11 @@ class OperatorContext:
     in isolation: unit tests drive operators with a hand-built context.
     """
 
+    #: ``hops[port](tup)`` emits a tuple on ``port`` and counts it in the
+    #: operator's port counter: the operator binds hops over ``submit_fn``
+    #: at construction, the PE compiles its own at every ``rebuild_routes()``
+    hops: PortMap
+
     def __init__(
         self,
         spec: "OperatorSpec",
@@ -71,7 +78,9 @@ class OperatorContext:
         self.app_name = app_name
         self.submission_params = dict(submission_params)
         self.pe_id = pe_id
-        self._replaying_fn = replaying_fn
+        #: ``replaying_fn()`` is :attr:`replaying` in one call, for a
+        #: per-tuple reader
+        self.replaying_fn = replaying_fn
         #: the operator instance's partitioned state (see repro.spl.state)
         self.state = StateStore()
         #: observability hub when span tracing is on (set by the PE after
@@ -81,9 +90,10 @@ class OperatorContext:
         #: C-level read of its executor's clock, a hand-built context any
         #: callable
         self.now = now_fn
-        #: ``hops[port](tup)`` and ``punct_fn(port, punct)`` emit; the PE
-        #: rebinds both (compiled hops) at every ``rebuild_routes()``
-        self.hops = PortMap(lambda port: partial(submit_fn, port))
+        #: ``submit_fn(port, tup)``: where a hand-built context's hops lead
+        self.submit_fn = submit_fn
+        #: ``punct_fn(port, punct)`` emits a punctuation; the PE rebinds it
+        #: with the hops at every ``rebuild_routes()``
         self.punct_fn = punct_fn
         #: ``schedule(delay, callback)`` runs operator-local work later,
         #: cancelled automatically on PE stop: the PE's callback itself,
@@ -100,10 +110,12 @@ class OperatorContext:
 
     @property
     def full_name(self) -> str:
+        """The operator's full name in the application graph."""
         return self.spec.full_name
 
     @property
     def params(self) -> Dict[str, Any]:
+        """The operator's parameters from the logical graph."""
         return self.spec.params
 
     @property
@@ -114,14 +126,19 @@ class OperatorContext:
         incarnation: state may be rebuilt from it, but an effect outside
         the operator (an emission, a consumer call) must not recur.
         """
-        return self._replaying_fn()
+        return self.replaying_fn()
 
     def get_submission_time_value(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """Submission-time parameter of the job (SPL's getSubmissionTimeValue)."""
         return self.submission_params.get(name, default)
 
     def submit_batch(self, port: int, tuples: "list[StreamTuple]") -> None:
-        """Emit a run of tuples on one port as a single unit of work."""
+        """Emit a run of tuples on one port as a single unit of work.
+
+        Without a batch route the run goes tuple by tuple through the
+        port's hop, which counts each emission; :meth:`Operator.submit_batch`
+        counts the run itself only when ``submit_batch_fn`` is set.
+        """
         if self.submit_batch_fn is not None:
             self.submit_batch_fn(port, tuples)
             return
@@ -160,11 +177,13 @@ class Operator:
         self._finalized = False
         self.n_inputs, self.n_outputs = self.port_counts(ctx.params)
         self._create_builtin_metrics()
+        ctx.hops = PortMap(self._direct_hop)
 
     # -- class-level descriptors ---------------------------------------------
 
     @classmethod
     def kind(cls) -> str:
+        """The kind name: ``KIND``, else the class name."""
         return cls.KIND or cls.__name__
 
     @classmethod
@@ -194,16 +213,17 @@ class Operator:
         return value
 
     def now(self) -> float:
+        """The current time in seconds (the executor's clock)."""
         return self.ctx.now()
 
     # -- metrics ---------------------------------------------------------------
 
     def _create_builtin_metrics(self) -> None:
         create = self.metrics.create
-        # the aggregate counters are bound once; the tuple path increments
-        # them (and the per-port lists below) without a registry lookup
-        self._n_processed = create(OperatorMetricName.N_TUPLES_PROCESSED, MetricKind.COUNTER)
-        self._n_submitted = create(OperatorMetricName.N_TUPLES_SUBMITTED, MetricKind.COUNTER)
+        # the tuple totals are sums of the per-port counters bound below:
+        # the tuple path bumps one port counter per hop, never a total
+        self.metrics.create_sum(OperatorMetricName.N_TUPLES_PROCESSED)
+        self.metrics.create_sum(OperatorMetricName.N_TUPLES_SUBMITTED)
         self._n_puncts = create(OperatorMetricName.N_PUNCTS_PROCESSED, MetricKind.COUNTER)
         self._n_final_puncts = create(
             OperatorMetricName.N_FINAL_PUNCTS_PROCESSED, MetricKind.COUNTER
@@ -218,8 +238,9 @@ class Operator:
         port number.  Operators whose port count changes at runtime (the
         parallel-region splitter and merger) call this again after
         updating ``n_inputs`` / ``n_outputs``: a port that comes back
-        after a scale-in finds its old counter, so per-port values keep
-        summing to the aggregate.
+        after a scale-in finds its old counter — the very object a hop
+        compiled before the rebind still bumps — and every port counter
+        ever made stays a part of the total.
         """
         metric = self.metrics.get_or_create
         self._processed_by_port = []
@@ -240,56 +261,79 @@ class Operator:
         return self.metrics.create(name, kind, description)
 
     def metric(self, name: str, port: Optional[int] = None) -> Metric:
+        """The metric ``name`` at operator scope, or at ``port``'s scope."""
         return self.metrics.get(name, port=port)
 
     # -- submission --------------------------------------------------------------
 
-    def submit(self, values: Submittable, port: int = 0) -> None:
-        """Emit a tuple on an output port."""
-        if port < 0 or port >= self.n_outputs:
+    def output_counter(self, port: int) -> Metric:
+        """Output ``port``'s ``nTuplesSubmitted`` counter, for a hop to bind.
+
+        Whoever compiles a port's hop calls this once per port, so the
+        port's range is checked there: a port outside
+        ``0 <= port < n_outputs`` raises :class:`GraphError`.
+        """
+        self._check_output_port(port)
+        return self._submitted_by_port[port]
+
+    def _check_output_port(self, port: int) -> None:
+        if not 0 <= port < self.n_outputs:
             raise GraphError(
                 f"{self.ctx.full_name}: invalid output port {port} "
                 f"(operator has {self.n_outputs})"
             )
-        if isinstance(values, StreamTuple):
-            tup = values
-        else:
-            tup = StreamTuple(values, created_at=self.ctx.now())
+
+    def _direct_hop(self, port: int) -> Callable[[StreamTuple], None]:
+        """A hand-built context's hop: count the emission, then ``submit_fn``."""
+        counter, submit_fn = self.output_counter(port), self.ctx.submit_fn
+
+        def hop(tup: StreamTuple) -> None:
+            counter.value += 1
+            submit_fn(port, tup)
+
+        return hop
+
+    def submit(self, values: Submittable, port: int = 0) -> None:
+        """Emit a tuple on an output port.
+
+        A :class:`StreamTuple` goes straight to the port's hop
+        (``ctx.hops[port]``), which counts it in the port's
+        ``nTuplesSubmitted`` — also while the PE is down or replaying and
+        the emission goes no further — and whose compilation checked the
+        port's range.  A dict first becomes a tuple stamped with the
+        current time, and trace sampling is decided for it.
+        """
+        if type(values) is not StreamTuple:
+            values = StreamTuple(values, created_at=self.ctx.now())
             obs = self.ctx.obs
             if obs is not None and obs.sample_tuple():
                 # sampling is decided once, here, at tuple creation; the
                 # flag rides the tuple (and its derived copies) so every
                 # downstream hop records a span without re-deciding
-                tup.traced = True
+                values.traced = True
                 obs.record_emit(
                     self.ctx.full_name,
                     self.ctx.pe_id,
                     self.ctx.job_id,
-                    tup.created_at,
+                    values.created_at,
                 )
-        self._n_submitted.value += 1
-        self._submitted_by_port[port].value += 1
-        self.ctx.hops[port](tup)
+        self.ctx.hops[port](values)
 
     def submit_batch(self, items: "list[Submittable]", port: int = 0) -> None:
         """Emit a run of tuples on an output port as one unit of work.
 
         The batched twin of :meth:`submit`: per-tuple semantics (dict
-        wrapping, trace sampling) are identical, but the submission
-        metrics move once per batch and the whole run travels downstream
-        through one routing/transport call.  Sources call it once per
-        tick and ``process_batch`` overrides once per run; the run only
-        travels as a unit when batching is enabled in the transport —
-        otherwise the PE wires no batch route and it is emitted tuple by
-        tuple.
+        wrapping, trace sampling) are identical, and the run counts once
+        in the port's ``nTuplesSubmitted`` on its way through one
+        routing/transport call.  Sources call it once per tick and
+        ``process_batch`` overrides once per run; the run only travels as
+        a unit when batching is enabled in the transport — otherwise the
+        PE wires no batch route and it is emitted tuple by tuple through
+        the port's hop, which counts each tuple instead.
         """
         if not items:
             return
-        if port < 0 or port >= self.n_outputs:
-            raise GraphError(
-                f"{self.ctx.full_name}: invalid output port {port} "
-                f"(operator has {self.n_outputs})"
-            )
+        self._check_output_port(port)
         obs = self.ctx.obs
         now = self.now()
         tuples: "list[StreamTuple]" = []
@@ -307,17 +351,13 @@ class Operator:
                     tup.created_at,
                 )
             tuples.append(tup)
-        n = len(tuples)
-        self._n_submitted.value += n
-        self._submitted_by_port[port].value += n
+        if self.ctx.submit_batch_fn is not None:
+            self._submitted_by_port[port].value += len(tuples)
         self.ctx.submit_batch(port, tuples)
 
     def submit_punct(self, punct: Punctuation, port: int = 0) -> None:
-        if port < 0 or port >= self.n_outputs:
-            raise GraphError(
-                f"{self.ctx.full_name}: invalid output port {port} "
-                f"(operator has {self.n_outputs})"
-            )
+        """Emit a punctuation on an output port (out of range: GraphError)."""
+        self._check_output_port(port)
         self.ctx.punct_fn(port, punct)
 
     def submit_final(self) -> None:
@@ -433,7 +473,6 @@ class Operator:
         if self._finalized:
             return
         if isinstance(item, StreamTuple):
-            self._n_processed.value += 1
             self._processed_by_port[port].value += 1
             self.on_tuple(item, port)
             return
@@ -458,9 +497,7 @@ class Operator:
         """
         if self._finalized or not tuples:
             return
-        n = len(tuples)
-        self._n_processed.value += n
-        self._processed_by_port[port].value += n
+        self._processed_by_port[port].value += len(tuples)
         self.process_batch(tuples, port)
 
     @property

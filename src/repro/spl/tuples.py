@@ -79,6 +79,7 @@ class StreamTuple:
         return name in self.values
 
     def get(self, name: str, default: Any = None) -> Any:
+        """The value of attribute ``name``, or ``default`` when it has none."""
         return self.values.get(name, default)
 
     def with_value(self, name: str, value: Any) -> "StreamTuple":

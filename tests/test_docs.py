@@ -64,6 +64,8 @@ DOCSTYLE_FILES = [
     "src/repro/runtime/srm.py",
     "src/repro/runtime/transport.py",
     "src/repro/spl/metrics.py",
+    "src/repro/spl/operators.py",
+    "src/repro/spl/tuples.py",
     # the whole package: the kernel, its clock, the seeded streams
     *sorted(
         str(path.relative_to(REPO_ROOT))

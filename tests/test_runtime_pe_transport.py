@@ -3,6 +3,7 @@
 import ast
 import inspect
 import pathlib
+import sys
 from collections import Counter
 from functools import partial
 
@@ -10,16 +11,18 @@ import pytest
 
 from repro import SystemConfig, SystemS
 from repro.chaos import RestartPE
-from repro.errors import PEControlError
+from repro.errors import GraphError, PEControlError
 from repro.runtime.job import JobState
 from repro.runtime.pe import PEState
 from repro.runtime.transport import Flow
 from repro.sim.kernel import OutstandingHandles
 from repro.spl.application import Application
 from repro.spl.metrics import OperatorMetricName, PEMetricName
-from repro.spl.library import Beacon, Custom, Functor, Sink, Split
+from repro.spl.library import (
+    Beacon, CallbackSource, Custom, Filter, Functor, KeyedCounter, Sink, Split,
+)
 from repro.spl.operators import Operator
-from repro.spl.tuples import Punctuation
+from repro.spl.tuples import Punctuation, StreamTuple
 
 from tests.conftest import (
     CollectingOperator, calls, functions_under, hold, make_filter_app, make_linear_app,
@@ -285,12 +288,18 @@ class TestResolvedDispatch:
                 assert op._processed_by_port[port] is op.metric(processed, port=port)
             for port in range(op.n_outputs):
                 assert op._submitted_by_port[port] is op.metric(submitted, port=port)
-            if name == "work__c1":
-                continue  # restarted: its counters restart with the instance
-            assert sum(self.per_port(op, processed).values()) == op.metric(processed).value
-            assert sum(self.per_port(op, submitted).values()) == op.metric(submitted).value
+            # the restarted channel too: its counters restart with the instance
+            for metric_name in (processed, submitted):
+                total = op.metric(metric_name)
+                assert sum(self.per_port(op, metric_name).values()) == total.value
+                # a total is read-only: the tuple path bumps port counters only
+                with pytest.raises(AttributeError):
+                    total.value = 0
+                with pytest.raises(AttributeError):
+                    total.increment()
         assert splitter.metric(submitted).value == self.N
         assert merger.metric(processed).value == self.N
+        assert get_op(job, "src").metric(submitted).value == self.N
 
         # every resolved hop, and every compiled dispatch, points at a live
         # object of the current plan
@@ -559,6 +568,93 @@ class TestCompiledHops:
         for old in dead:
             assert all(target[1] is not old for pe in job.pes for op in pe.operators.values()
                        for hop in op.ctx.hops.values() for target in hop_targets(hop))
+
+
+class TestHopCounting:
+    """A hop counts once, where it is compiled: the port's range is checked
+    when its hop is compiled, for every way an operator emits."""
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_a_pe_hosted_operator_rejects_ports_out_of_range(self, batch):
+        system = SystemS(hosts=4, seed=42, config=SystemConfig(batch_max_size=batch))
+        job = system.submit_job(make_linear_app())
+        system.run_for(2.0)
+        op = get_op(job, "src")
+        assert op.n_outputs == 1 and get_op(job, "sink").metric(
+            OperatorMetricName.N_TUPLES_PROCESSED
+        ).value > 0
+        before = op.metric(OperatorMetricName.N_TUPLES_SUBMITTED).value
+        for port in (op.n_outputs, -1):
+            for item in ({"x": 1}, StreamTuple({"x": 1})):
+                with pytest.raises(GraphError):
+                    op.submit(item, port=port)
+                with pytest.raises(GraphError):
+                    op.submit_batch([item], port=port)
+            with pytest.raises(GraphError):
+                op.submit_punct(Punctuation.WINDOW, port=port)
+            assert port not in op.ctx.hops  # a refused port compiles nothing
+        assert op.metric(OperatorMetricName.N_TUPLES_SUBMITTED).value == before
+
+
+class TestHopBudget:
+    """Python calls per tuple on the per-tuple path, counted with
+    ``sys.setprofile`` over bench's pipe shape: ``CallbackSource ->
+    Functor -> Filter`` on one PE, ``KeyedCounter`` on a second and
+    ``Sink`` on a third, best effort, one tuple per tick and per unit.
+    Each hop counts once, in the hop compiled for its port; a check or
+    counter back in ``submit``, or a frame per scheduled handle, per
+    dispatched event's clock advance or per arrival's state test, shows
+    here.  47.37 on CPython 3.11 (56.68 while ``submit`` checked and
+    counted every emission and a handle had an ``__init__``); the
+    budget is that count rounded up."""
+
+    N = 2_000
+    BUDGET = 48
+
+    def test_calls_per_tuple(self):
+        def feed(now, count):
+            return [{"key": f"k{count % 64}", "v": count % 10}]
+
+        app = Application("Budget")
+        g = app.graph
+        src = g.add_operator(
+            "src", CallbackSource, params={"generator": feed, "period": 0.001}, partition="feed"
+        )
+        parse = g.add_operator(
+            "parse", Functor, params={"fn": lambda t: t.with_values(w=t["v"] * 2)},
+            partition="feed",
+        )
+        keep = g.add_operator(
+            "keep", Filter, params={"predicate": lambda t: t["v"] < 9}, partition="feed"
+        )
+        count = g.add_operator("count", KeyedCounter, params={"key": "key"}, partition="work")
+        sink = g.add_operator(
+            "sink", Sink, params={"record": False, "consumer": lambda t: None}, partition="out"
+        )
+        for up, down in ((src, parse), (parse, keep), (keep, count), (count, sink)):
+            g.connect(up.oport(0), down.iport(0))
+        system = SystemS(hosts=4, seed=42, config=SystemConfig(batch_max_size=1))
+        job = system.submit_job(app)
+        system.run_for(0.5)  # deploy, and the first tuples through
+        source, counted = get_op(job, "src"), get_op(job, "count")
+        start = (source.emitted, counted.metric(OperatorMetricName.N_TUPLES_PROCESSED).value)
+        assert start[1] > 0
+
+        events = Counter()
+
+        def profile(frame, event, arg):
+            events[event] += 1
+
+        sys.setprofile(profile)
+        try:
+            system.run_for(self.N * 0.001)
+        finally:
+            sys.setprofile(None)
+        emitted = source.emitted - start[0]
+        assert abs(emitted - self.N) <= 1  # tick instants against the horizon
+        assert counted.metric(OperatorMetricName.N_TUPLES_PROCESSED).value - start[1] > 0.85 * emitted
+        per_tuple = events["call"] / emitted
+        assert per_tuple <= self.BUDGET, f"{per_tuple:.2f} Python calls per tuple"
 
 
 class TestRouting:
