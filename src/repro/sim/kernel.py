@@ -223,7 +223,7 @@ class Kernel:
         # simulation, so each attribute lookup shaved here is paid back
         # millions of times (self._heap is only ever mutated in place,
         # never rebound, so the local alias stays valid; an entry is
-        # ``(time, seq, handle)``: the deadline is read off the entry)
+        # ``(time, seq, handle)``: the deadline is read off the entry).
         # ``clock.now = due`` is the per-event advance: a slot store on the
         # sim clock (no deadline in the heap is ever before now, so there
         # is nothing to check), a wait on the wall clock (its ``now``

@@ -162,7 +162,7 @@ class MetricRegistry:
         return self._add(port, name, Metric(name, kind, description))
 
     def create_sum(self, name: str, kind: MetricKind = MetricKind.COUNTER) -> Metric:
-        """Create the operator/PE-scope ``name`` as a :class:`SumMetric` of the
+        """Create ``name`` at ``port=None`` as a :class:`SumMetric` of the
         port-scoped metrics named ``name``, present and future; an existing
         one raises ``ValueError``."""
         if (None, name) in self._metrics:
