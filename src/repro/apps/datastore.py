@@ -123,6 +123,3 @@ class ProfileDataStore:
             for pid, attrs in self._profiles.items()
             if attribute in attrs
         ]
-
-    def count_with_attribute(self, attribute: str) -> int:
-        return sum(1 for attrs in self._profiles.values() if attribute in attrs)

@@ -246,9 +246,6 @@ class ChaosFeed:
         #: or staggered) unwind once all are popped
         self._skew_stack: list = []
         self._next_push_token = 1
-        #: the skew windows unwind *to*: the uniform distribution, or
-        #: whatever a direct (persistent) set_skew call installed last
-        self._base_skew: tuple = (0.0, ())
 
     @property
     def emitted(self) -> int:
@@ -274,41 +271,14 @@ class ChaosFeed:
             self.hot_keys = tuple(hot_keys)
         self.skew_token += 1
 
-    def set_skew(
-        self, hot_fraction: float, hot_keys: Sequence[str] = ()
-    ) -> Dict[str, Any]:
-        """Concentrate ``hot_fraction`` of the traffic on ``hot_keys``.
-
-        This is the *persistent* control: it also becomes the baseline
-        that windowed shifts (:meth:`push_skew`) unwind back to.
-
-        Args:
-            hot_fraction: Probability in [0, 1] a tuple draws a hot key.
-            hot_keys: The hot key set (default: the first two keys).
-
-        Returns:
-            The previous skew settings, for restoration.
-        """
-        previous = {"hot_fraction": self.hot_fraction, "hot_keys": self.hot_keys}
-        self._apply_skew(hot_fraction, hot_keys)
-        self._base_skew = (self.hot_fraction, self.hot_keys)
-        return previous
-
-    def clear_skew(self) -> None:
-        """Return to the uniform key distribution (drops pushed shifts)."""
-        self._skew_stack = []
-        self._base_skew = (0.0, ())
-        self._apply_skew(0.0, ())
-
     def push_skew(self, hot_fraction: float, hot_keys: Sequence[str] = ()) -> int:
         """Apply a *windowed* skew shift; returns a token for :meth:`pop_skew`.
 
         Pushed shifts form a stack: the newest entry is in force, and
         popping any entry (in whatever order the windows expire —
         nested, staggered, or value-identical) re-applies the newest
-        surviving one, falling back to the baseline (the last persistent
-        :meth:`set_skew`, or uniform) when none remain.  This is what
-        chaos ``KeySkewShift`` windows use.
+        surviving one, falling back to uniform when none remain.  This
+        is what chaos ``KeySkewShift`` windows use.
         """
         token = self._next_push_token
         self._next_push_token += 1
@@ -318,7 +288,7 @@ class ChaosFeed:
 
     def pop_skew(self, token: int) -> None:
         """Retire one pushed shift; the newest surviving shift (or the
-        baseline) takes over.  Unknown tokens are ignored."""
+        uniform distribution) takes over.  Unknown tokens are ignored."""
         before = len(self._skew_stack)
         self._skew_stack = [e for e in self._skew_stack if e[0] != token]
         if len(self._skew_stack) == before:
@@ -327,7 +297,7 @@ class ChaosFeed:
             _, fraction, keys = self._skew_stack[-1]
             self._apply_skew(fraction, keys)
         else:
-            self._apply_skew(*self._base_skew)
+            self._apply_skew(0.0, ())
 
     # -- generation ---------------------------------------------------------
 

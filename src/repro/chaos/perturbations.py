@@ -28,6 +28,7 @@ state-recovery fraction.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -507,17 +508,16 @@ class RateSurge(Perturbation):
 
     Attributes:
         factor: Rate multiplier during the surge.
-        duration: Seconds until the previous rate factor is restored
-            (None: the surge persists).
+        duration: Seconds until the previous rate factor is restored.
     """
 
     factor: float = 4.0
-    duration: Optional[float] = 5.0
+    duration: float = 5.0
 
     KIND = "rate_surge"
 
     def apply(self, system, job, feed):
-        """Scale the feed; the undo (when ``duration`` is set) restores it.
+        """Scale the feed; the undo restores it after ``duration``.
 
         The surge composes *multiplicatively* with the current rate
         factor and its restore divides it back out, so overlapping
@@ -530,18 +530,16 @@ class RateSurge(Perturbation):
                              " feed.set_rate_factor(0) to stop a feed)")
         previous = feed.rate_factor
         feed.set_rate_factor(previous * self.factor)
-        detail: Dict[str, Any] = {
+        return "feed", {
             "factor": self.factor,
             "previous": previous,
             "duration": self.duration,
-        }
-        if self.duration is not None:
-            detail["_undo"] = (
+            "_undo": (
                 self.duration,
                 "chaos-surge-end",
                 lambda: feed.set_rate_factor(feed.rate_factor / self.factor),
-            )
-        return "feed", detail
+            ),
+        }
 
 
 @dataclass(repr=False)
@@ -551,43 +549,36 @@ class KeySkewShift(Perturbation):
     Attributes:
         hot_fraction: Fraction of tuples drawn from the hot keys.
         hot_keys: The hot key set (empty: the feed's default).
-        duration: Seconds until the previous skew is restored (None:
-            the shift persists).
+        duration: Seconds until the previous skew is restored.
     """
 
     hot_fraction: float = 0.8
     hot_keys: Sequence[str] = field(default_factory=tuple)
-    duration: Optional[float] = 5.0
+    duration: float = 5.0
 
     KIND = "key_skew"
 
     def apply(self, system, job, feed):
-        """Skew the feed; the undo (when ``duration`` is set) restores it.
+        """Skew the feed; the undo restores it after ``duration``.
 
-        Windowed shifts ride the feed's skew *stack*
+        Shifts ride the feed's skew *stack*
         (:meth:`~repro.apps.workloads.ChaosFeed.push_skew`): the newest
         open window is in force and expiries unwind to the newest
         surviving one, so overlapping windows — nested, staggered, or
-        value-identical — always end at the uniform baseline once every
-        window has expired.  A shift without a duration is a persistent
-        ``set_skew``.
+        value-identical — always end at the uniform distribution once
+        every window has expired.
         """
         if feed is None:
             raise ChaosError("KeySkewShift needs a run with a feed")
-        if self.duration is None:
-            feed.set_skew(self.hot_fraction, tuple(self.hot_keys))
-        else:
-            token = feed.push_skew(self.hot_fraction, tuple(self.hot_keys))
-        detail: Dict[str, Any] = {
+        token = feed.push_skew(self.hot_fraction, tuple(self.hot_keys))
+        return "feed", {
             "hot_fraction": self.hot_fraction,
             "hot_keys": list(self.hot_keys) or list(feed.hot_keys),
             "duration": self.duration,
-        }
-        if self.duration is not None:
-            detail["_undo"] = (
+            "_undo": (
                 self.duration, "chaos-skew-end", lambda: feed.pop_skew(token)
-            )
-        return "feed", detail
+            ),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +708,9 @@ def perturbation_from_dict(data: Dict[str, Any]) -> Perturbation:
         The reconstructed perturbation.
 
     Raises:
-        ChaosError: Unknown kind or parameters the kind does not accept.
+        ChaosError: Unknown kind, parameters the kind does not accept,
+            or a ``duration`` that is not a finite number > 0 (every
+            windowed fault ends on its own).
     """
     kind = data.get("kind")
     cls = PERTURBATION_KINDS.get(kind)
@@ -730,9 +723,16 @@ def perturbation_from_dict(data: Dict[str, Any]) -> Perturbation:
     if isinstance(params.get("hot_keys"), list):
         params["hot_keys"] = tuple(params["hot_keys"])
     try:
-        return cls(**params)
+        perturbation = cls(**params)
     except TypeError as exc:
         raise ChaosError(f"bad parameters for {kind!r}: {exc}") from exc
+    if hasattr(perturbation, "duration"):
+        duration = perturbation.duration
+        if not (isinstance(duration, (int, float)) and 0.0 < duration < math.inf):
+            raise ChaosError(
+                f"{kind!r} needs a finite duration > 0, got {duration!r}"
+            )
+    return perturbation
 
 
 def detail_public_view(detail: Dict[str, Any]) -> Dict[str, Any]:

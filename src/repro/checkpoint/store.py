@@ -239,19 +239,6 @@ class CheckpointStore:
                 return entry
         return None
 
-    def latest(self, job_id: str, pe_id: str) -> Optional[CheckpointEpoch]:
-        """Return the newest recorded epoch, committed or torn.
-
-        Args:
-            job_id: Owning job.
-            pe_id: The PE to look up.
-
-        Returns:
-            The newest :class:`CheckpointEpoch`, or None.
-        """
-        chain = self._chains.get((job_id, pe_id), [])
-        return chain[-1] if chain else None
-
     def committed_watermark_floor(
         self, job_id: str, pe_id: str
     ) -> Optional[Dict[str, int]]:
@@ -279,18 +266,6 @@ class CheckpointStore:
                     return None
                 return dict(payload.get("watermarks", {}))
         return None
-
-    def epochs_of(self, job_id: str, pe_id: str) -> List[CheckpointEpoch]:
-        """Return every retained epoch of one PE, oldest first.
-
-        Args:
-            job_id: Owning job.
-            pe_id: The PE to look up.
-
-        Returns:
-            The retained epochs (committed and torn), oldest first.
-        """
-        return list(self._chains.get((job_id, pe_id), []))
 
     def all_chains(self) -> Dict[Tuple[str, str], List[CheckpointEpoch]]:
         """Every retained epoch chain, keyed by ``(job_id, pe_id)``.

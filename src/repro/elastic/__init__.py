@@ -17,8 +17,8 @@ paper's ORCA orchestrators could observe but never actuate.
 * :mod:`~repro.elastic.reroute` — masking crashed channels on their
   splitter (their keyed tuples park there) and unmasking them on restart.
 * :mod:`~repro.elastic.policy` — pluggable :class:`ScalingPolicy`
-  implementations (queue-size watermarks, throughput targets) that ORCA
-  logic can consult to decide target widths.
+  implementations (queue-size watermarks, state-aware and health-aware
+  sizing) that ORCA logic can consult to decide target widths.
 """
 
 from repro.elastic.controller import (
@@ -34,7 +34,6 @@ from repro.elastic.policy import (
     RegionObservation,
     ScalingPolicy,
     StateAwareScalingPolicy,
-    ThroughputScalingPolicy,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "ScalingPolicy",
     "StateAwareScalingPolicy",
     "StateMigration",
-    "ThroughputScalingPolicy",
 ]

@@ -1,7 +1,7 @@
 """Pluggable scaling policies for parallel regions.
 
 A policy is a pure decision function: given a :class:`RegionObservation`
-(current width, per-channel backlog, optional throughput) it returns the
+(current width, per-channel backlog and state) it returns the
 desired channel width, or ``None`` when no change is warranted.  Policies
 never actuate; the caller (typically ORCA logic reacting to a timer or a
 ``channel_congested`` event) passes the decision to
@@ -11,7 +11,6 @@ trivially unit-testable and composable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -25,8 +24,6 @@ class RegionObservation:
     width: int
     #: channel index -> aggregated congestion-metric value of that channel
     channel_backlogs: Dict[int, float] = field(default_factory=dict)
-    #: region-wide output rate (tuples/second), when the caller tracked one
-    throughput: Optional[float] = None
     #: channel index -> aggregated ``stateBytes`` of the channel's operators
     #: (filled by ``OrcaService.region_observation`` from SRM; the input for
     #: state-aware policies that weigh migration cost against load)
@@ -37,11 +34,6 @@ class RegionObservation:
     def max_backlog(self) -> float:
         """The busiest channel's backlog (0.0 with no channels observed)."""
         return max(self.channel_backlogs.values()) if self.channel_backlogs else 0.0
-
-    @property
-    def total_backlog(self) -> float:
-        """Backlog summed over the region's channels."""
-        return sum(self.channel_backlogs.values())
 
     @property
     def total_state_bytes(self) -> float:
@@ -97,42 +89,6 @@ class QueueSizeScalingPolicy(ScalingPolicy):
         else:
             return None
         return target if target != width else None
-
-
-class ThroughputScalingPolicy(ScalingPolicy):
-    """Capacity policy: width = ceil(observed throughput / per-channel target).
-
-    ``headroom`` inflates the demand estimate so the region is sized with
-    spare capacity (1.2 = 20% slack).
-    """
-
-    def __init__(
-        self,
-        target_per_channel: float,
-        min_width: int = 1,
-        max_width: int = 8,
-        headroom: float = 1.0,
-    ) -> None:
-        if target_per_channel <= 0:
-            raise ValueError("target_per_channel must be positive")
-        if headroom < 1.0:
-            raise ValueError("headroom must be >= 1.0")
-        self.target_per_channel = target_per_channel
-        self.min_width = min_width
-        self.max_width = max_width
-        self.headroom = headroom
-
-    def decide(self, observation: RegionObservation) -> Optional[int]:
-        """The width whose per-channel capacity covers the observed throughput."""
-        if observation.throughput is None:
-            return None
-        demand = observation.throughput * self.headroom
-        target = self._clamp(
-            max(1, math.ceil(demand / self.target_per_channel)),
-            self.min_width,
-            self.max_width,
-        )
-        return target if target != observation.width else None
 
 
 class StateAwareScalingPolicy(ScalingPolicy):

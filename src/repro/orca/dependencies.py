@@ -225,13 +225,16 @@ class DependencyManager:
         """Request cancellation; garbage-collect now-unused dependencies.
 
         Raises :class:`StarvationError` if the application is feeding
-        another *running* application (Sec. 4.4's consistency guard).
+        another *running* application (Sec. 4.4's consistency guard); the
+        error names the first such dependent registered.
         """
         self.config(config_id)
         record = self._records.get(config_id)
         if record is None or not self._service.job_is_running(record.job_id):
             raise DependencyError(f"app config {config_id!r} is not running")
-        for dependent in self.dependents_of(config_id):
+        for dependent in sorted(
+            self.dependents_of(config_id), key=lambda c: self._order[c]
+        ):
             if self.is_running(dependent):
                 raise StarvationError(
                     f"cannot cancel {config_id!r}: running application "

@@ -12,9 +12,10 @@ the ``delivery`` config axis on
   it is first delivered; acks travel the *reverse* link and are subject
   to the same seeded link faults as data (a ``LinkLoss`` covering the
   reverse direction drops acks on the transport's dedicated ack rng
-  stream; partitions hold or swallow them).  A lost ack leaves the unit
-  pending, so the retry timer retransmits it and the receiver re-acks
-  the duplicate — delivery converges without a lossless side channel.
+  stream; a partition delays them until it heals).  A lost ack leaves
+  the unit pending, so the retry timer retransmits it and the receiver
+  re-acks the duplicate — delivery converges without a lossless side
+  channel.
   Until the ack lands, a sim-time retry timer retransmits the unit with
   exponential backoff, so a lossy link delays tuples instead of losing
   them.  The receiver stays naive: every copy that arrives is
@@ -165,7 +166,7 @@ class PendingEntry:
         self.ack_lost = False
         self.retry_event = None
         #: scheduled arrival time of the newest live wire copy (None:
-        #: the last copy was dropped; +inf: held by an untimed partition)
+        #: the last copy was dropped)
         self.next_arrival: Optional[float] = None
         #: sim-time the unit first hit the wire — the health plane's ack
         #: round-trip signal measures from here (set at registration)
@@ -463,10 +464,11 @@ class DeliveryPlane:
         matching the *reverse* direction (receiver back to sender) apply.
         Drop rolls draw from the transport's dedicated ``ack_rng`` stream
         so forward-path rolls — and therefore every committed sim
-        artifact without reverse-link faults — are untouched.  A dropped
-        or partition-swallowed ack marks the entry ``ack_lost``, which
-        re-arms the sender's retransmit path; the receiver re-acks the
-        resulting duplicate, so delivery converges.
+        artifact without reverse-link faults — are untouched.  A
+        partition delays the ack like a data unit
+        (:meth:`Transport._compose`).  A dropped ack marks the entry
+        ``ack_lost``, which re-arms the sender's retransmit path; the
+        receiver re-acks the resulting duplicate, so delivery converges.
         """
         t = self.transport
         flow = entry.flow
@@ -475,18 +477,13 @@ class DeliveryPlane:
         if t._link_faults and flow.src_pe is not None:
             faults = t._matching_faults(flow.dst_pe, flow.src_pe)
             for fault in faults:
-                # an untimed partition swallows the ack where it stands
-                # (later faults draw no roll): the retransmit after heal
-                # provokes a fresh one
-                if (
-                    fault.drop_probability > 0.0
-                    and t.ack_rng.random() < fault.drop_probability
-                ) or (fault.partition and fault.until is None):
+                p = fault.drop_probability
+                if p > 0.0 and t.ack_rng.random() < p:
                     entry.ack_lost = True
                     t.acks_dropped += 1
                     self._observe("ack_dropped", 1, flow.op_full_name)
                     return
-            arrive_at = t._compose(faults)[0]
+            arrive_at = t._compose(faults)
         self.kernel.schedule_at(
             arrive_at, self._on_ack, entry, label="transport-ack"
         )

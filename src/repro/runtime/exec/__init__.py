@@ -1,18 +1,18 @@
-"""Executor backends: the scheduler contract and its implementations.
+"""Executor backends: the one kernel, on virtual or real time.
 
-See :mod:`repro.runtime.exec.base` for the contract,
-:mod:`repro.runtime.exec.sim` for the deterministic twin, and
-:mod:`repro.runtime.exec.wallclock` for the real-time backend.
-Backends are selected by ``SystemConfig(executor=...)`` and constructed
-through :func:`build_executor`.
+Both backends are :class:`repro.sim.kernel.Kernel`: the deterministic
+discrete-event kernel itself, and
+:class:`repro.runtime.exec.wallclock.WallClockExecutor`, the same kernel
+over a scaled ``time.monotonic()`` clock.  Backends are selected by
+``SystemConfig(executor=...)`` and constructed through
+:func:`build_executor`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.runtime.exec.base import Executor
-from repro.runtime.exec.sim import SimExecutor, build_sim_executor
+from repro.sim.kernel import Kernel
 from repro.runtime.exec.wallclock import WallClockExecutor, WallTimeClock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,17 +22,17 @@ if TYPE_CHECKING:  # pragma: no cover
 EXECUTOR_BACKENDS = ("sim", "wallclock")
 
 
-def build_executor(config: "SystemConfig") -> Executor:
+def build_executor(config: "SystemConfig") -> Kernel:
     """Build the executor backend selected by ``config.executor``.
 
-    ``"sim"`` (default) returns the deterministic discrete-event kernel;
-    ``"wallclock"`` returns a :class:`WallClockExecutor` whose time
-    source is ``time.monotonic()`` scaled by
+    ``"sim"`` (default) returns the deterministic discrete-event kernel
+    at time 0; ``"wallclock"`` returns a :class:`WallClockExecutor`
+    whose time source is ``time.monotonic()`` scaled by
     ``config.wallclock_time_scale``.
     """
     kind = config.executor
     if kind == "sim":
-        return build_sim_executor()
+        return Kernel()
     if kind == "wallclock":
         return WallClockExecutor(time_scale=config.wallclock_time_scale)
     raise ValueError(
@@ -42,10 +42,7 @@ def build_executor(config: "SystemConfig") -> Executor:
 
 __all__ = [
     "EXECUTOR_BACKENDS",
-    "Executor",
-    "SimExecutor",
     "WallClockExecutor",
     "WallTimeClock",
     "build_executor",
-    "build_sim_executor",
 ]

@@ -5,7 +5,7 @@ type, tie-breaking, cancellation semantics *and dispatch loops* — it
 subclasses :class:`repro.sim.kernel.Kernel` — but its clock is a scaled
 ``time.monotonic()`` reading, and where the sim clock warps virtual time
 forward, :meth:`WallTimeClock._advance_to` *sleeps* until the next event
-is due.  Everything built against the executor contract (transport
+is due.  Everything built on the kernel (transport
 retry timers, checkpoint cadence, chaos scenario steps, health-plane
 ticks) therefore runs unmodified in real time.
 
@@ -14,8 +14,8 @@ a 0.25 s ack timeout takes 250 real milliseconds; at ``time_scale=50`` a
 60-virtual-second chaos campaign finishes in ~1.2 s of wall time while
 every relative ordering is preserved.  Benchmarks report at scale 1.0.
 
-Two deliberate contract relaxations versus the sim twin, documented in
-:mod:`repro.runtime.exec.base`:
+Two deliberate relaxations versus the sim twin (see
+:class:`~repro.sim.kernel.Kernel`):
 
 * ``schedule_at`` clamps past deadlines to "now" instead of raising —
   the monotonic clock advances between a caller computing a deadline

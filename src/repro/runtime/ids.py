@@ -20,10 +20,6 @@ class IdAllocator:
         self._next += 1
         return value
 
-    def peek(self) -> str:
-        """The id the next allocation would return (for tests)."""
-        return f"{self.prefix}_{self._next}"
-
 
 class IdRegistry:
     """The allocators one System S instance needs."""

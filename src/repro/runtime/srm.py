@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import UnknownHostError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.naming import canonical_metric_name
 from repro.sim.kernel import Kernel, ScheduledEvent
@@ -96,17 +95,6 @@ class SRM:
     def register_host(self, host: Host) -> None:
         """Add a host to the registry."""
         self.hosts[host.name] = host
-
-    def host(self, name: str) -> Host:
-        """The registered host called ``name``."""
-        try:
-            return self.hosts[name]
-        except KeyError:
-            raise UnknownHostError(f"unknown host {name!r}") from None
-
-    def up_hosts(self) -> List[Host]:
-        """Every host that is up, in registration order."""
-        return [h for h in self.hosts.values() if h.is_up]
 
     # -- liveness -----------------------------------------------------------------
 

@@ -15,11 +15,12 @@ Two fault surfaces extend the plain hop model for chaos experiments
 
 * **Link faults** — :class:`LinkFault` modifiers installed per link
   (selected by source/destination PE or host) add latency, drop a seeded
-  fraction of items, or *partition* the link: partitioned items are held
-  and flushed when the fault heals, modelling TCP retransmission rather
-  than silent loss.  Delivery stays FIFO per (source PE, destination PE)
-  pair even when a fault expires mid-stream, exactly like a TCP
-  connection.
+  fraction of items, or *partition* the link: partitioned items arrive
+  one hop after the fault heals, modelling TCP retransmission rather
+  than silent loss.  Every fault's lifetime is fixed when it is
+  installed, so a unit's arrival time is known the moment it goes onto
+  the wire.  Delivery stays FIFO per (source PE, destination PE) pair
+  even when a fault expires mid-stream, exactly like a TCP connection.
 * **Crash accounting** — when a PE crashes, everything in flight toward
   it is condemned: each such item is counted in ``dropped_in_flight``
   instead of being silently delivered to the next incarnation of the
@@ -51,6 +52,7 @@ committed epoch covers all it carried — the one bound on replay history.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -59,7 +61,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -97,11 +98,10 @@ class DeliveryRecord:
     ``(source PE id or "", destination PE id)``): the transport assigns
     it when the item is committed to the wire — at send time for single
     items, at flush time for batch members (one contiguous range per
-    batch) — and always before any partition holds or flush
-    re-scheduling, so a tap observing deliveries whose ``link_seq``
-    ever decreases on one link has caught a genuine per-connection FIFO
-    violation, exactly what the chaos fuzzer's
-    :class:`~repro.chaos.fuzz.oracles.FifoProbe` checks.
+    batch) — and always before any partition hold, so a tap observing
+    deliveries whose ``link_seq`` ever decreases on one link has caught
+    a genuine per-connection FIFO violation, exactly what the chaos
+    fuzzer's :class:`~repro.chaos.fuzz.oracles.FifoProbe` checks.
 
     Attributes:
         src_key: Sending PE id ("" for registry-less senders).
@@ -138,15 +138,15 @@ class LinkFault:
 
     Attributes:
         fault_id: Registry key, allocated by :meth:`Transport.install_link_fault`.
+        until: Absolute sim time the fault expires.
         extra_latency: Seconds added to the base transport latency.
         drop_probability: Chance (seeded, deterministic) the item is lost.
         partition: When True, items are held until the fault heals and
             then delivered in order (TCP-retransmit semantics, no loss).
-        until: Absolute sim time the fault expires on its own; None means
-            it lasts until :meth:`Transport.clear_link_fault`.
     """
 
     fault_id: int
+    until: float
     extra_latency: float = 0.0
     drop_probability: float = 0.0
     partition: bool = False
@@ -154,7 +154,6 @@ class LinkFault:
     dst_pe: Optional[str] = None
     src_host: Optional[str] = None
     dst_host: Optional[str] = None
-    until: Optional[float] = None
 
     def matches(
         self,
@@ -186,8 +185,8 @@ class Flow:
     :meth:`Transport.send` / :meth:`Transport.send_batch` make one per
     call.  From then on the flow is the one argument every wire routine
     passes — sending, buffering, committing, the scheduled arrival, the
-    hand-over, held and open units, the reliable plane's pending and
-    replay records.
+    hand-over, open units, the reliable plane's pending and replay
+    records.
 
     A flow holds facts, not state: no link record (a link enters the
     table at its first commit and may retire before the flow is dropped)
@@ -253,24 +252,6 @@ class _OpenBatch:
         self.opened_at = opened_at
 
 
-class _HeldUnit(NamedTuple):
-    """One wire unit parked behind an untimed partition.
-
-    The fields are :meth:`Transport._put_on_wire`'s unit parameters in
-    order, so a healed fault re-sends each with ``_put_on_wire(faults,
-    *unit)``.  ``incarnation`` and ``first_seq`` are the values stamped
-    when the unit first went onto the link: a crash during the partition
-    still condemns the held unit, and flushed queues merge in send order.
-    """
-
-    link: LinkRecord
-    flow: Flow
-    payload: Payload
-    incarnation: int
-    first_seq: int
-    redelivery: bool
-
-
 class Transport:
     """Delivers wire units between PEs with latency and in-flight accounting.
 
@@ -279,10 +260,10 @@ class Transport:
     :class:`~repro.spl.tuples.TupleBatch` (N = its length).  A unit takes
     the contiguous ``link_seq`` range ``[first_seq, first_seq + N - 1]``
     and one kernel event; every counter moves by N.  There is one way
-    onto a link (:meth:`_put_on_wire`: fault composition, the partition
-    hold queue, per-link FIFO, the scheduled arrival) and one way off it
-    (:meth:`_deliver`, ending in :meth:`_hand_over`: taps, then the
-    destination PE), in all three delivery modes.
+    onto a link (:meth:`_put_on_wire`: fault composition, per-link FIFO,
+    the scheduled arrival) and one way off it (:meth:`_deliver`, ending
+    in :meth:`_hand_over`: taps, then the destination PE), in all three
+    delivery modes.
 
     Every routine on the way is handed the unit's :class:`Flow`, whose
     keys and label were resolved when the sending PE compiled its
@@ -378,9 +359,6 @@ class Transport:
         self._incarnations: Dict[str, int] = {}
         #: installed link faults by id
         self._link_faults: Dict[int, LinkFault] = {}
-        #: fault id -> units held by an *untimed* partition, flushed in
-        #: order when the fault is cleared
-        self._held: Dict[int, List[_HeldUnit]] = {}
         self._next_fault_id = 1
         #: the link table: (src pe id or "", dst pe id) -> everything
         #: remembered about that connection, in every delivery mode;
@@ -431,7 +409,10 @@ class Transport:
         dst_host: Optional[str] = None,
         duration: Optional[float] = None,
     ) -> LinkFault:
-        """Install a per-link perturbation and return its handle.
+        """Install a per-link perturbation for ``duration`` seconds.
+
+        A fault's lifetime is fixed here, so ``duration`` is required:
+        nothing heals a fault earlier.
 
         Args:
             extra_latency: Seconds added to every matching delivery.
@@ -441,12 +422,18 @@ class Transport:
             dst_pe: Only sends toward this PE id (None: any).
             src_host: Only sends from PEs on this host (None: any).
             dst_host: Only sends toward PEs on this host (None: any).
-            duration: Seconds until self-expiry (None: until cleared).
+            duration: Seconds until the fault expires; finite and > 0.
 
         Returns:
-            The installed :class:`LinkFault` (pass to
-            :meth:`clear_link_fault` to heal it early).
+            The installed :class:`LinkFault`.
+
+        Raises:
+            ValueError: ``duration`` is not a finite number > 0.
         """
+        if duration is None or not 0.0 < duration < math.inf:
+            raise ValueError(
+                f"a link fault needs a finite duration > 0, got {duration!r}"
+            )
         fault = LinkFault(
             fault_id=self._next_fault_id,
             extra_latency=extra_latency,
@@ -456,48 +443,11 @@ class Transport:
             dst_pe=dst_pe,
             src_host=src_host,
             dst_host=dst_host,
-            until=None if duration is None else self.kernel.now + duration,
+            until=self.kernel.now + duration,
         )
         self._next_fault_id += 1
         self._link_faults[fault.fault_id] = fault
         return fault
-
-    def clear_link_fault(self, fault: Union[LinkFault, int]) -> None:
-        """Heal one link fault now (idempotent).
-
-        Timed partitions' items were scheduled against the fault's
-        ``until`` and keep those delivery times; an *untimed* partition's
-        held items are flushed now, in order, with the base latency.
-
-        Args:
-            fault: The handle (or id) returned by :meth:`install_link_fault`.
-        """
-        fault_id = fault.fault_id if isinstance(fault, LinkFault) else fault
-        installed = self._link_faults.pop(fault_id, None)
-        held = self._held.pop(fault_id, [])
-        if installed is None and not held:
-            return
-        # Each flushed unit goes back through the faults active *now*: a
-        # timed partition or latency spike still in force delays it, an
-        # unimpeded link delivers it with the base latency, and drop
-        # faults are not re-applied (the unit already survived its send).
-        # Units re-held by a *still-open* untimed partition are collected
-        # per target fault and merged into its queue by original per-link
-        # send sequence: with overlapping partitions either fault may be
-        # cleared first, so neither plain append nor plain prepend keeps
-        # a link's units in send order — the send-time stamp does.
-        reheld: Dict[int, List[_HeldUnit]] = {}
-        for unit in held:
-            self._put_on_wire(
-                self._matching_faults(unit.flow.src_pe, unit.flow.dst_pe),
-                *unit,
-                park_into=reheld,
-            )
-        for target_id, group in reheld.items():
-            merged = group + self._held.get(target_id, [])
-            merged.sort(key=lambda unit: unit.first_seq)
-            self._held[target_id] = merged
-        self._prune_faults()
 
     def active_link_faults(self) -> List[LinkFault]:
         """Snapshot of the faults currently in force (expired ones pruned)."""
@@ -509,7 +459,7 @@ class Transport:
         expired = [
             fault_id
             for fault_id, fault in self._link_faults.items()
-            if fault.until is not None and fault.until <= now
+            if fault.until <= now
         ]
         for fault_id in expired:
             del self._link_faults[fault_id]
@@ -777,31 +727,23 @@ class Transport:
         """The records of the links into one PE, oldest first."""
         return list(self._toward.get(pe_id, {}).values())
 
-    def _compose(
-        self, faults: Sequence[LinkFault]
-    ) -> Tuple[float, Optional[LinkFault]]:
-        """Fold one link's matching faults into ``(arrival time, wall)``.
+    def _compose(self, faults: Sequence[LinkFault]) -> float:
+        """Fold one link's matching faults into an arrival time.
 
-        Latencies add to the base hop; timed partitions hold until the
-        latest ``until`` and then pay the base hop again (the retransmit
-        after the heal).  ``wall`` is the untimed partition a data unit
-        must park behind (None: the arrival time stands) — there is no
-        time to compute for it, only a heal to wait for.
+        Latencies add to the base hop; partitions hold until the latest
+        ``until`` and then pay the base hop again (the retransmit after
+        the heal).
         """
         latency = self.latency
         hold_until: Optional[float] = None
-        wall: Optional[LinkFault] = None
         for fault in faults:
             latency += fault.extra_latency
             if fault.partition:
-                if fault.until is None:
-                    wall = fault
-                else:
-                    hold_until = max(hold_until or 0.0, fault.until)
+                hold_until = max(hold_until or 0.0, fault.until)
         arrive_at = self.kernel.now + latency
         if hold_until is not None:
             arrive_at = max(arrive_at, hold_until + self.latency)
-        return arrive_at, wall
+        return arrive_at
 
     def _put_on_wire(
         self,
@@ -812,36 +754,26 @@ class Transport:
         incarnation: int,
         first_seq: int,
         redelivery: bool = False,
-        park_into: Optional[Dict[int, List[_HeldUnit]]] = None,
     ) -> float:
         """Put one wire unit on its link: the only way onto the wire.
 
         Every copy of every unit passes here — a best-effort commit, a
-        reliable (re)transmission or replay, a unit flushed from a healed
-        partition — already past its caller's drop policy and carrying
-        its stamped ``first_seq`` and destination ``incarnation``.
-        ``faults`` are the link's matching faults (empty on a clean
-        link): behind an untimed partition the unit parks in the fault's
-        hold queue (``park_into`` collects re-held units during a flush,
-        see :meth:`clear_link_fault`); otherwise its arrival is scheduled
+        reliable (re)transmission or replay — already past its caller's
+        drop policy and carrying its stamped ``first_seq`` and
+        destination ``incarnation``.  ``faults`` are the link's matching
+        faults (empty on a clean link).  The unit's arrival is scheduled
         at the composed time, clamped so a link never reorders (a fault
         expiring mid-stream cannot let a later unit overtake).  The
         arrival event carries ``(flow, payload, incarnation, first_seq,
         redelivery)`` under the flow's label.
 
         Returns:
-            The scheduled (post-FIFO-clamp) arrival time, ``inf`` for a
-            parked unit — the reliable plane records it so barrier
-            expediting can tell a copy still on the wire from a lost one.
+            The scheduled (post-FIFO-clamp) arrival time — the reliable
+            plane records it so barrier expediting can tell a copy still
+            on the wire from a lost one.
         """
         if faults:
-            arrive_at, wall = self._compose(faults)
-            if wall is not None:
-                held = self._held if park_into is None else park_into
-                held.setdefault(wall.fault_id, []).append(
-                    _HeldUnit(link, flow, payload, incarnation, first_seq, redelivery)
-                )
-                return float("inf")
+            arrive_at = self._compose(faults)
         else:
             arrive_at = self._clock.now + self.latency
         if arrive_at < link.horizon:
@@ -850,7 +782,7 @@ class Transport:
             link.horizon = arrive_at
         if self.obs is not None and getattr(payload, "traced", False):
             # one span per scheduled hop: covers fresh sends and
-            # partition flushes alike; arrive_at is post-FIFO-clamp, so
+            # retransmissions alike; arrive_at is post-FIFO-clamp, so
             # the span end is the true arrival time.  A traced batch
             # records ONE span for the whole hop — tracing overhead
             # shrinks alongside dispatch overhead

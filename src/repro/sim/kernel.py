@@ -108,15 +108,27 @@ class OutstandingHandles:
 class Kernel:
     """Deterministic discrete-event scheduler over a shared :class:`Clock`.
 
-    Also the reference implementation of the executor contract
-    (:class:`repro.runtime.exec.base.Executor`, where it is registered
-    as a virtual subclass — this module must not import upward).
+    The executor every component of the middleware schedules on —
+    transport, SAM, the elastic controller, the checkpoint service and
+    the obs hub.  Both backends are this class: the sim backend is the
+    kernel itself, and
+    :class:`repro.runtime.exec.wallclock.WallClockExecutor` subclasses
+    it with a clock that reads scaled ``time.monotonic()`` and sleeps
+    where this one jumps.  They differ in one policy, selected by
+    ``wall_clock``: the sim refuses a deadline before ``now``
+    (determinism demands a total order); the wall clock runs an overdue
+    deadline as soon as possible, since real time moves between a caller
+    computing a deadline and the kernel checking it.
+
+    ``event_tap`` is None or a callable invoked with each executed
+    handle before its callback runs (the obs hub installs one when
+    tracing is enabled).
     """
 
-    #: executor contract: virtual time, not the host's monotonic clock
+    #: virtual time, not the host's monotonic clock (the wall clock sets True)
     wall_clock = False
 
-    #: executor contract: short backend name for logs and artifacts
+    #: short backend name for logs and artifacts
     backend_name = "sim"
 
     def __init__(self, clock: Optional[Clock] = None) -> None:

@@ -122,7 +122,7 @@ class TestStores:
         store.upsert("p1", {"gender": "f"})
         store.upsert("p2", {"age": 30})
         store.upsert("p3", {"gender": "m", "age": 40})
-        assert store.count_with_attribute("gender") == 2
+        assert len(store.profiles_with_attribute("gender")) == 2
         names = {pid for pid, _ in store.profiles_with_attribute("age")}
         assert names == {"p2", "p3"}
 

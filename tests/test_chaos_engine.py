@@ -755,26 +755,3 @@ class TestExternalRescaleVisibility:
         system.run_for(1.0)  # window 2 expired too
         assert feed.hot_fraction == 0.0
         assert feed.hot_keys == ()
-
-
-class TestPersistentSkewBaseline:
-    def test_persistent_skew_survives_window_unwind(self):
-        """A persistent (duration=None) KeySkewShift becomes the baseline
-        windowed shifts unwind back to — an expiring window must not wipe
-        it (regression: pop_skew used to reset to uniform)."""
-        system = chaos_system()
-        feed = ChaosFeed(seed=3, base_rate=2)
-        job = system.submit_job(build_keyed_app(feed))
-        system.run_for(1.0)
-        scenario = Scenario("mixed_skews").add(
-            0.5, KeySkewShift(hot_fraction=0.9, hot_keys=("k1",), duration=3.0)
-        ).add(
-            1.5,
-            KeySkewShift(hot_fraction=0.5, hot_keys=("k2",), duration=None),
-        )
-        system.chaos.run_scenario(scenario, job=job, feed=feed)
-        system.run_for(3.0)  # persistent shift is the last writer
-        assert feed.hot_fraction == 0.5
-        system.run_for(2.0)  # window expired: the persistent shift holds
-        assert feed.hot_fraction == 0.5
-        assert feed.hot_keys == ("k2",)

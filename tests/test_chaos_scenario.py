@@ -116,7 +116,7 @@ ALL_PERTURBATIONS = [
     LatencySpike(extra=0.05, duration=2.0, dst_host="host1"),
     LinkPartition(duration=0.8, dst_operator="work__c1"),
     LinkLoss(drop_probability=0.2, duration=1.0),
-    RateSurge(factor=3.0, duration=None),
+    RateSurge(factor=3.0, duration=6.0),
     KeySkewShift(hot_fraction=0.9, hot_keys=("k1", "k2"), duration=4.0),
     CheckpointFault(duration=2.5),
     Rescale(region="region", width=4),
@@ -141,6 +141,23 @@ class TestSerialization:
     def test_bad_params_rejected(self):
         with pytest.raises(ChaosError, match="bad parameters"):
             perturbation_from_dict({"kind": "rescale", "params": {"nope": 1}})
+
+    @pytest.mark.parametrize("duration", [None, 0.0, -1.0, float("inf")])
+    @pytest.mark.parametrize(
+        "kind",
+        ["rate_surge", "key_skew", "latency_spike", "link_partition", "link_loss"],
+    )
+    def test_a_fault_without_a_finite_positive_duration_is_rejected(
+        self, kind, duration
+    ):
+        """Every windowed fault ends on its own: a stored scenario cannot
+        ask for one that lasts until someone heals it."""
+        data = {"kind": kind, "params": {"duration": duration}}
+        with pytest.raises(ChaosError, match="finite duration"):
+            perturbation_from_dict(data)
+        stored = {"name": "s", "steps": [{"at": 1.0, "perturbation": data}]}
+        with pytest.raises(ChaosError, match="finite duration"):
+            Scenario.from_dict(stored)
 
     def test_scenario_round_trip_through_json(self):
         scenario = torn_checkpoints("work__c0", start=1.0, crash_after=1.02)

@@ -128,7 +128,7 @@ class TestCheckpointStore:
         store = CheckpointStore()
         entry = store.record("j", "pe", {"op": {"store": {}}}, time=1.0)
         assert store.latest_committed("j", "pe") is None  # torn until commit
-        assert store.latest("j", "pe") is entry
+        assert store.all_chains()["j", "pe"][-1] is entry
         store.commit("j", "pe", entry.epoch)
         assert store.latest_committed("j", "pe") is entry
 
@@ -144,7 +144,7 @@ class TestCheckpointStore:
             entry = store.record("j", "pe", {}, time=float(t))
             store.commit("j", "pe", entry.epoch)
             epochs.append(entry.epoch)
-        retained = [e.epoch for e in store.epochs_of("j", "pe")]
+        retained = [e.epoch for e in store.all_chains()["j", "pe"]]
         assert retained == epochs[-2:]
 
     def test_torn_epoch_older_than_commit_is_trimmed(self):
@@ -152,7 +152,7 @@ class TestCheckpointStore:
         torn = store.record("j", "pe", {}, time=0.0)
         fresh = store.record("j", "pe", {}, time=1.0)
         store.commit("j", "pe", fresh.epoch)
-        retained = [e.epoch for e in store.epochs_of("j", "pe")]
+        retained = [e.epoch for e in store.all_chains()["j", "pe"]]
         assert torn.epoch not in retained
 
     def test_epoch_clock_is_monotone_across_pes(self):
@@ -306,7 +306,7 @@ class TestTornEpochFallback:
         torn = system.checkpoints.checkpoint_pe(pe)
         system.checkpoints.commit_fault = None
         assert not torn.committed
-        torn_entry = system.checkpoint_store.latest(job.job_id, pe.pe_id)
+        torn_entry = system.checkpoint_store.all_chains()[job.job_id, pe.pe_id][-1]
         assert torn_entry.epoch == torn.epoch and not torn_entry.committed
         torn_counts = torn_entry.payloads["work"]["store"]["keyed"]["counts"]
         assert torn_counts != committed_counts

@@ -179,7 +179,7 @@ class TestHostFailureDuringCheckpointCommit:
         system.checkpoints.commit_fault = None
         assert killed and pe.state is PEState.CRASHED
         store = system.checkpoint_store
-        torn = store.latest(job.job_id, pe.pe_id)
+        torn = store.all_chains()[job.job_id, pe.pe_id][-1]
         latest_committed = store.latest_committed(job.job_id, pe.pe_id)
         assert torn is not None and not torn.committed
         assert latest_committed is not None
@@ -232,12 +232,12 @@ class TestHostFailureDuringCheckpointCommit:
         system.run_for(1.0)
         system.checkpoints.commit_fault = None
         store = system.checkpoint_store
-        torn_epoch = store.latest(job.job_id, pe.pe_id).epoch
+        torn_epoch = store.all_chains()[job.job_id, pe.pe_id][-1].epoch
         system.hcs[pe.host_name].revive()
         system.chaos.inject(RestartPE(pe_index=pe.index), job=job)
         system.run_for(3.0)  # new rounds commit after recovery
         newest = store.latest_committed(job.job_id, pe.pe_id)
         assert newest is not None
         assert newest.epoch > torn_epoch
-        history = [e.epoch for e in store.epochs_of(job.job_id, pe.pe_id)]
+        history = [e.epoch for e in store.all_chains()[job.job_id, pe.pe_id]]
         assert history == sorted(history)

@@ -13,7 +13,6 @@ from repro.elastic import (
     QueueSizeScalingPolicy,
     RegionObservation,
     RescaleState,
-    ThroughputScalingPolicy,
 )
 from repro.errors import ElasticError, PEControlError
 from repro.runtime.pe import PEState
@@ -272,13 +271,12 @@ class TestRescaleProtocol:
 
 
 class TestScalingPolicies:
-    def obs(self, width, backlogs, throughput=None):
+    def obs(self, width, backlogs):
         return RegionObservation(
             job_id="job_1",
             region="region",
             width=width,
             channel_backlogs=backlogs,
-            throughput=throughput,
         )
 
     def test_queue_policy_scales_out_above_high_watermark(self):
@@ -300,27 +298,9 @@ class TestScalingPolicies:
         assert policy.decide(self.obs(3, {0: 99.0})) is None  # at max
         assert policy.decide(self.obs(2, {0: 0.0, 1: 0.0})) is None  # at min
 
-    def test_throughput_policy_sizes_by_demand(self):
-        policy = ThroughputScalingPolicy(target_per_channel=10.0, max_width=8)
-        assert policy.decide(self.obs(1, {}, throughput=35.0)) == 4
-        assert policy.decide(self.obs(4, {}, throughput=35.0)) is None
-        assert policy.decide(self.obs(4, {}, throughput=5.0)) == 1
-
-    def test_throughput_policy_headroom(self):
-        policy = ThroughputScalingPolicy(
-            target_per_channel=10.0, max_width=8, headroom=1.5
-        )
-        assert policy.decide(self.obs(1, {}, throughput=35.0)) == 6
-
-    def test_throughput_policy_without_observation_is_none(self):
-        policy = ThroughputScalingPolicy(target_per_channel=10.0)
-        assert policy.decide(self.obs(2, {0: 5.0})) is None
-
     def test_policy_constructor_validation(self):
         with pytest.raises(ValueError):
             QueueSizeScalingPolicy(high_watermark=1, low_watermark=2)
-        with pytest.raises(ValueError):
-            ThroughputScalingPolicy(target_per_channel=0)
 
 
 class TestOneMover:

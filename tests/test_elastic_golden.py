@@ -225,12 +225,11 @@ def run_script(delivery: str) -> str:
 
     # a partitioned link into c0 holds tuples in flight: the drain times out
     system.config.elastic_drain_timeout = 0.5
-    wall = system.transport.install_link_fault(
-        partition=True, dst_pe=channel_pe(0).pe_id
+    system.transport.install_link_fault(
+        partition=True, dst_pe=channel_pe(0).pe_id, duration=1.6
     )
     system.run_for(0.1)
     rescale("scale-out 2->3 drain timeout", 3, seconds=1.5)
-    system.transport.clear_link_fault(wall)
     system.config.elastic_drain_timeout = 60.0
     step("healed", 1.5)
 

@@ -268,7 +268,6 @@ class TestRescaleCyclesLeakNothing:
             "links": len(transport.links),
             "replaying": sum(1 for link in transport.links.values() if link.replay),
             "replay_bytes": sum(link.replay_bytes for link in transport.links.values()),
-            "held": sum(len(units) for units in transport._held.values()),
             "srm_samples": len(system.srm.get_metrics()),
             "srm_series": _srm_series(system),
             "chains": sorted(system.checkpoint_store._chains),
@@ -346,7 +345,6 @@ class TestCancelCyclesLeakNothing:
             "links": dict(transport.links),
             "index": (dict(transport._toward), dict(transport._from)),
             "open_batches": dict(transport._open_batches),
-            "held": {fault: units for fault, units in transport._held.items() if units},
             "incarnations": dict(transport._incarnations),
             "health_ports": dict(health._ports),
             "replay_links": set(system.obs._replay_links),

@@ -2,7 +2,7 @@
 
 Both backends — the deterministic sim kernel and the wall-clock
 executor — are held to the same observable semantics through the exact
-surface documented in :mod:`repro.runtime.exec.base`: event ordering,
+surface of :class:`repro.sim.kernel.Kernel`, which both are: event ordering,
 timer scheduling and cancellation, the event tap, drain behavior, and
 (at the system level) identical pipeline results, batch barrier
 flushes, crash condemnation with checkpoint rehydration, and an
@@ -24,13 +24,8 @@ import pytest
 from repro import SystemConfig, SystemS
 from repro.chaos import FailHost, PEFlap, RateSurge, RestartPE, Scenario
 from repro.apps.workloads import ChaosFeed
-from repro.runtime.exec import (
-    EXECUTOR_BACKENDS,
-    Executor,
-    WallClockExecutor,
-    build_executor,
-    build_sim_executor,
-)
+from repro.runtime.exec import EXECUTOR_BACKENDS, WallClockExecutor, build_executor
+from repro.sim.kernel import Kernel
 from repro.spl.application import Application
 from repro.spl.library import CallbackSource, KeyedCounter, Sink
 from repro.spl.parallel import parallel
@@ -45,7 +40,7 @@ BACKENDS = list(EXECUTOR_BACKENDS)
 
 def make_executor(backend):
     if backend == "sim":
-        return build_sim_executor()
+        return Kernel()
     return WallClockExecutor(time_scale=SCALE)
 
 
@@ -114,9 +109,9 @@ def executor(request):
 
 class TestSchedulerContract:
     def test_backends_satisfy_the_abc(self, executor):
-        # the sim kernel via virtual-subclass registration, the
-        # wall-clock executor by inheritance
-        assert isinstance(executor, Executor)
+        # the contract is the kernel class itself: the sim backend is the
+        # kernel, the wall-clock executor a subclass with its own clock
+        assert isinstance(executor, Kernel)
         assert executor.backend_name in BACKENDS
         assert executor.events_processed == 0
         assert executor.pending_count() == 0
@@ -403,9 +398,9 @@ class TestSystemConformance:
         hosts = sorted(system.srm.hosts)
         system.kernel.clock._origin -= 10.0 / SCALE  # the stall: 10 s pass, no event runs
         system.run_for(2.0)
-        assert sorted(host.name for host in system.srm.up_hosts()) == hosts
+        assert sorted(name for name, host in system.srm.hosts.items() if host.is_up) == hosts
         system.chaos.inject(FailHost(host=hosts[0]))
-        hold(system, lambda: len(system.srm.up_hosts()) == len(hosts) - 1, "the dead host found")
+        hold(system, lambda: sum(h.is_up for h in system.srm.hosts.values()) == len(hosts) - 1, "the dead host found")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_chaos_campaign_runs_unmodified(self, backend):
@@ -475,4 +470,4 @@ class TestBackendSelection:
     def test_system_exposes_selected_backend(self):
         system = backend_system("wallclock")
         assert system.kernel.backend_name == "wallclock"
-        assert isinstance(system.kernel, Executor)
+        assert isinstance(system.kernel, Kernel)

@@ -297,9 +297,9 @@ class TestFifo:
         probe.detach()
 
     @staticmethod
-    def _overlapping_partitions_run(clear_older_first: bool):
-        """Two overlapping untimed partitions on one link, cleared in
-        either order; returns (probe, sink seqs, feed)."""
+    def _overlapping_partitions_run(older_heals_first: bool):
+        """Two overlapping timed partitions on one link with staggered
+        heals, in either order; returns (probe, sink seqs, feed)."""
         system = SystemS(hosts=4, seed=42)
         feed = ChaosFeed(seed=3, base_rate=2, n_keys=6)
         app = Application("FifoApp")
@@ -318,33 +318,31 @@ class TestFifo:
         probe = FifoProbe(system.transport)
         system.run_for(1.0)
         work_pe = job.pe_of_operator("work")
-        older = system.transport.install_link_fault(
-            partition=True, dst_pe=work_pe.pe_id
+        # the first heal lands at t = 2.0, the second at t = 2.2
+        older_until, newer_until = (2.0, 2.2) if older_heals_first else (2.2, 2.0)
+        system.transport.install_link_fault(
+            partition=True, dst_pe=work_pe.pe_id, duration=older_until - 1.0
         )
-        system.run_for(0.5)  # items pile up in the older partition
-        newer = system.transport.install_link_fault(
-            partition=True, dst_pe=work_pe.pe_id
+        system.run_for(0.5)  # items pile up behind the older partition
+        system.transport.install_link_fault(
+            partition=True, dst_pe=work_pe.pe_id, duration=newer_until - 1.5
         )
-        system.run_for(0.5)  # newer items pile up in the newer one
-        order = [older, newer] if clear_older_first else [newer, older]
-        system.transport.clear_link_fault(order[0])
-        system.run_for(0.2)
-        system.transport.clear_link_fault(order[1])
+        system.run_for(0.7)  # both heal; items sent in between wait for both
         feed.set_rate_factor(0.0)
         system.run_for(2.0)
         sink_op = job.operator_instance("sink")
         return probe, [t["seq"] for t in sink_op.seen], feed
 
-    @pytest.mark.parametrize("clear_older_first", [True, False])
+    @pytest.mark.parametrize("older_heals_first", [True, False])
     def test_overlapping_untimed_partitions_preserve_link_fifo(
-        self, clear_older_first
+        self, older_heals_first
     ):
         """Regression for the reorder the FIFO oracle exposed: with two
-        overlapping untimed partitions, *either* fault may clear first —
-        flushed items that re-hold under the surviving fault must merge
-        into its queue by original send sequence, or a link delivers
-        later sends ahead of earlier ones."""
-        probe, seqs, feed = self._overlapping_partitions_run(clear_older_first)
+        overlapping partitions, *either* may heal first — an item sent
+        under both arrives after the later heal, and the link's FIFO
+        clamp keeps every later send behind it, or a link delivers later
+        sends ahead of earlier ones."""
+        probe, seqs, feed = self._overlapping_partitions_run(older_heals_first)
         assert probe.violations == []
         assert seqs == sorted(seqs)  # the keyed stream arrived in order
         assert len(set(seqs)) == feed.emitted  # and nothing was lost

@@ -164,7 +164,7 @@ def pressured_system(run_for=5.0):
     system.run_for(0.5)
     sink_pe = job.pe_of_operator("sink")
     system.transport.install_link_fault(
-        drop_probability=1.0, dst_pe=sink_pe.pe_id
+        drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=60.0
     )
     system.run_for(run_for)
     return system, job, sink_pe
@@ -279,7 +279,7 @@ class TestSloAlerts:
         system.run_for(0.5)
         sink_pe = job.pe_of_operator("sink")
         system.transport.install_link_fault(
-            drop_probability=1.0, dst_pe=sink_pe.pe_id
+            drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=60.0
         )
         system.run_for(5.0)
         health = system.obs.health
@@ -298,12 +298,11 @@ class TestSloAlerts:
         job = system.submit_job(make_linear_app(limit=3, period=0.2))
         system.run_for(0.5)
         sink_pe = job.pe_of_operator("sink")
-        fault = system.transport.install_link_fault(
-            drop_probability=1.0, dst_pe=sink_pe.pe_id
+        system.transport.install_link_fault(
+            drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=3.0
         )
         system.run_for(3.0)
         assert system.obs.health._active
-        system.transport.clear_link_fault(fault)
         system.run_for(10.0)
         assert system.obs.health._active == {}
 
@@ -317,7 +316,7 @@ class TestSloAlerts:
         system.run_for(0.5)
         sink_pe = job.pe_of_operator("sink")
         system.transport.install_link_fault(
-            drop_probability=1.0, dst_pe=sink_pe.pe_id
+            drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=60.0
         )
         system.run_for(8.0)
         health = system.obs.health
@@ -339,7 +338,8 @@ class TestSloAlerts:
         job = system.submit_job(make_linear_app(period=0.2))
         system.run_for(0.5)
         system.transport.install_link_fault(
-            drop_probability=1.0, dst_pe=job.pe_of_operator("sink").pe_id
+            drop_probability=1.0, dst_pe=job.pe_of_operator("sink").pe_id,
+            duration=60.0,
         )
         system.run_for(5.0)
         dump = system.obs.dump_flight("test").render()
@@ -431,7 +431,8 @@ def orchestrated_health_system(scope, slo):
     system.run_for(1.0)
     job = next(iter(system.sam.jobs.values()))
     system.transport.install_link_fault(
-        drop_probability=1.0, dst_pe=job.pe_of_operator("sink").pe_id
+        drop_probability=1.0, dst_pe=job.pe_of_operator("sink").pe_id,
+        duration=60.0,
     )
     system.run_for(5.0)
     return system, service, logic

@@ -227,6 +227,22 @@ class TestCancellationAndGC:
         with pytest.raises(StarvationError):
             deps.cancel("b")
 
+    def test_starvation_error_names_the_first_dependent_registered(self, system):
+        """The guard's message does not depend on set order (or the hash seed)."""
+        names = [f"dep{i}" for i in range(9, 0, -1)]
+        service = make_service(system, ["feed"] + names)
+        deps = service.deps
+        for name in names:
+            deps.create_app_config(name, name)
+        deps.create_app_config("feed", "feed")
+        for name in names:
+            deps.register_dependency(name, "feed")
+            deps.start(name)
+        system.run_for(1.0)
+        assert all(deps.is_running(name) for name in names)
+        with pytest.raises(StarvationError, match="running application 'dep9'"):
+            deps.cancel("feed")
+
     def test_gc_collects_unused_dependency(self, system, service):
         deps = self.setup_chain(service, collectable=("b",))
         deps.start("a")

@@ -421,11 +421,10 @@ def _drive(system, service, logic) -> None:
     system.run_for(1.0)
 
     # a black-holed link into channel 0 grows the lag watermark: both SLOs burn
-    wall = system.transport.install_link_fault(
-        drop_probability=1.0, dst_pe=channel_pe(0).pe_id
+    system.transport.install_link_fault(
+        drop_probability=1.0, dst_pe=channel_pe(0).pe_id, duration=3.0
     )
     system.run_for(3.0)
-    system.transport.clear_link_fault(wall)
     system.run_for(2.0)
 
     # the host under an.core.parse dies: host_failure, then its pe_failure

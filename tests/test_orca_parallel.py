@@ -247,7 +247,7 @@ class TestSetChannelWidthActuation:
         observation = service.region_observation(logic.job_id, "region")
         assert observation.width == 2
         assert set(observation.channel_backlogs) == {0, 1}
-        assert observation.total_backlog > 0
+        assert sum(observation.channel_backlogs.values()) > 0
 
 
 class TestReplicaGraphs:

@@ -222,7 +222,9 @@ class TestEveryDeliverableEventReachesTheRules:
         )
         system.run_for(1.0)
         sink_pe = logic.jobs[0].pe_of_operator("sink")
-        system.transport.install_link_fault(drop_probability=1.0, dst_pe=sink_pe.pe_id)
+        system.transport.install_link_fault(
+            drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=60.0
+        )
         system.run_for(5.0)
         assert alerts and alerts[0].slo == "lag-budget"
         assert ("k", "health_alert") in {(name, kind) for name, kind, _ in logic.firings}

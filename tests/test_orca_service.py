@@ -845,7 +845,8 @@ class TestOneConfig:
         system.run_for(1.0)
         system.config.elastic_drain_timeout = 0.5
         system.transport.install_link_fault(
-            partition=True, dst_pe=job.pe_of_operator("work__c0").pe_id
+            partition=True, dst_pe=job.pe_of_operator("work__c0").pe_id,
+            duration=10.0,
         )
         system.run_for(0.1)
         operation = system.elastic.set_channel_width(job, "region", 3)

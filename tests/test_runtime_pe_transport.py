@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import math
 import pathlib
 import sys
 from collections import Counter
@@ -837,50 +838,59 @@ class TestLinkFaults:
         assert len(seen) == 40  # and nothing was lost
 
     def test_clear_link_fault_heals_early(self, system):
-        job = system.submit_job(make_linear_app(period=0.2))
+        """A fault's lifetime is fixed at install, so an early heal is a
+        short ``duration``: the fault leaves the active set at
+        ``now + duration``, and not sooner."""
+        system.submit_job(make_linear_app(period=0.2))
         system.run_for(1.05)
-        fault = system.transport.install_link_fault(extra_latency=5.0)
+        system.transport.install_link_fault(extra_latency=5.0, duration=0.5)
         assert len(system.transport.active_link_faults()) == 1
-        system.transport.clear_link_fault(fault)
+        system.run_for(0.4)
+        assert len(system.transport.active_link_faults()) == 1
+        system.run_for(0.1)
+        assert system.transport.active_link_faults() == []
+
+    @pytest.mark.parametrize("duration", [None, 0.0, -1.0, math.inf, math.nan])
+    def test_a_fault_without_a_finite_positive_duration_is_rejected(
+        self, system, duration
+    ):
+        kwargs = {} if duration is None else {"duration": duration}
+        with pytest.raises(ValueError, match="finite duration"):
+            system.transport.install_link_fault(partition=True, **kwargs)
         assert system.transport.active_link_faults() == []
 
     def test_untimed_partition_flushes_on_clear(self, system):
-        """An untimed partition holds items until clear_link_fault, which
-        flushes them in order — and the link is immediately usable again
-        (regression: the hold must not poison the FIFO horizon)."""
+        """Units held by a partition arrive one hop after it heals, in
+        order, and the link is immediately usable again (regression: the
+        hold must not poison the FIFO horizon)."""
         job = system.submit_job(make_linear_app(period=0.2, limit=30))
         system.run_for(1.05)
         sink_pe = job.pe_of_operator("sink")
-        fault = system.transport.install_link_fault(
-            partition=True, dst_pe=sink_pe.pe_id
+        system.transport.install_link_fault(
+            partition=True, dst_pe=sink_pe.pe_id, duration=2.0
         )
         held_at = len(get_op(job, "sink").seen)
         system.run_for(2.0)
         assert len(get_op(job, "sink").seen) == held_at  # all held
-        system.transport.clear_link_fault(fault)
-        system.run_for(10.0)  # flushed AND new sends flow normally
+        system.run_for(10.0)  # delivered AND new sends flow normally
         seen = [t["iter"] for t in get_op(job, "sink").seen]
         assert seen == list(range(30))
 
     def test_flush_respects_still_open_timed_partition(self, system):
-        """Items flushed from a cleared untimed partition must still honor
-        another partition that remains in force on the same link
-        (regression: the flush used to bypass fault composition)."""
+        """Items held by a partition that heals first must still honor
+        another partition that remains in force on the same link: a unit
+        arrives one hop after the latest heal of its link's partitions."""
         job = system.submit_job(make_linear_app(period=0.2, limit=10))
         system.run_for(1.05)
         sink_pe = job.pe_of_operator("sink")
-        untimed = system.transport.install_link_fault(
-            partition=True, dst_pe=sink_pe.pe_id
-        )
-        system.run_for(1.0)  # a few items held in the untimed queue
+        for duration in (1.0, 3.0):
+            system.transport.install_link_fault(
+                partition=True, dst_pe=sink_pe.pe_id, duration=duration
+            )
         held_at = len(get_op(job, "sink").seen)
-        timed = system.transport.install_link_fault(
-            partition=True, dst_pe=sink_pe.pe_id, duration=5.0
-        )
-        system.transport.clear_link_fault(untimed)
-        system.run_for(3.0)  # timed partition still open: nothing arrives
+        system.run_for(2.0)  # short one healed, long one up: nothing arrives
         assert len(get_op(job, "sink").seen) == held_at
-        system.run_for(10.0)  # timed partition healed: everything flushes
+        system.run_for(10.0)  # long partition healed: everything arrives
         seen = [t["iter"] for t in get_op(job, "sink").seen]
         assert seen == list(range(10))
 
@@ -923,21 +933,22 @@ class TestOneWire:
 
     def test_link_faults_are_composed_in_one_function(self):
         assert self._where(self._reads("extra_latency")) == ["Transport._compose"]
-        # expiry, the composition, and the ack path's "an untimed
-        # partition swallows acks" check are the only readers of a
-        # fault's deadline
+        # expiry and the composition are the only readers of a fault's
+        # deadline: every fault ends on its own, so nothing else asks
         assert sorted(self._where(self._reads("until"))) == [
-            "DeliveryPlane._schedule_ack",
             "Transport._compose",
             "Transport._prune_faults",
         ]
 
     def test_one_hold_queue_entry_type_built_and_parked_in_one_function(self):
-        assert self._where(self._calls("_HeldUnit")) == ["Transport._put_on_wire"]
-        touches_held = set(self._where(self._reads("_held")))
-        appends = set(self._where(self._calls("append")))
-        assert touches_held & appends == {"Transport._put_on_wire"}
-        # and nothing is left that indexes a held entry by position
+        """There is no hold queue: a partitioned unit is scheduled for one
+        hop after the heal when it goes onto the wire, like every other
+        unit."""
+        import repro.runtime.transport as transport_module
+
+        assert not hasattr(transport_module, "_HeldUnit")
+        assert self._where(self._reads("_held")) == []
+        # and nothing is left that indexes a wire entry by position
         positional = self._where(
             lambda node: isinstance(node, ast.Subscript)
             and getattr(node.value, "id", None) in ("entry", "unit")

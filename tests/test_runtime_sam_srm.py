@@ -192,9 +192,9 @@ class TestHostFailure:
         assert all(pe.state is PEState.CRASHED for pe in affected)
         assert all(pe.last_crash_reason == "host_failure" for pe in affected)
         # ... but SRM only learns about it after missed heartbeats.
-        assert system.srm.host(victim_host).is_up
+        assert system.srm.hosts[victim_host].is_up
         system.run_for(HEARTBEAT_TIMEOUT + 2.0)
-        assert not system.srm.host(victim_host).is_up
+        assert not system.srm.hosts[victim_host].is_up
 
     def test_unknown_host_rejected(self, system):
         with pytest.raises(UnknownHostError):
@@ -223,7 +223,7 @@ class TestHostFailure:
         system.run_for(5.0)
         system.hcs[victim_host].revive()
         system.run_for(5.0)
-        assert system.srm.host(victim_host).is_up
+        assert system.srm.hosts[victim_host].is_up
 
 
 class TestImportExport:

@@ -24,7 +24,7 @@ class TestConstruction:
     def test_explicit_hosts(self):
         system = SystemS(hosts=[Host("a", tags=("gpu",)), Host("b")])
         assert set(system.hcs) == {"a", "b"}
-        assert system.srm.host("a").tags == frozenset({"gpu"})
+        assert system.srm.hosts["a"].tags == frozenset({"gpu"})
 
     def test_config_propagates(self):
         config = SystemConfig(metric_push_interval=1.0, pe_restart_delay=9.0)

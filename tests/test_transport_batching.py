@@ -128,19 +128,18 @@ class TestPartitionStraddle:
         transport, src_pe, sink_pe, sink = wire_fixture(system)
         seqs = []
         transport.delivery_taps.append(lambda rec: seqs.append(rec.link_seq))
-        fault = transport.install_link_fault(
-            partition=True, dst_pe=sink_pe.pe_id
+        transport.install_link_fault(
+            partition=True, dst_pe=sink_pe.pe_id, duration=0.5
         )
         # first batch flushes at size while the link is partitioned: the
-        # whole batch becomes one held queue entry
+        # whole batch is one unit, due one hop after the heal
         for i in range(3):
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(0.5)
         assert sink.seen == []
         assert transport.queue_size(sink_pe.pe_id, "sink", 0) == 3
-        transport.clear_link_fault(fault)
-        # a second batch commits after the heal; it must not overtake the
-        # re-sent held batch
+        # a second batch commits at the heal; it must not overtake the
+        # held batch
         for i in range(3, 6):
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(0.5)
@@ -151,15 +150,14 @@ class TestPartitionStraddle:
     def test_held_batch_condemned_by_crash_during_partition(self):
         system = batched_system(batch_max_size=3, batch_linger=5.0)
         transport, src_pe, sink_pe, sink = wire_fixture(system)
-        fault = transport.install_link_fault(
-            partition=True, dst_pe=sink_pe.pe_id
+        transport.install_link_fault(
+            partition=True, dst_pe=sink_pe.pe_id, duration=0.2
         )
         for i in range(3):
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(0.2)
         sink_pe.crash("test")
         sink_pe.restart()
-        transport.clear_link_fault(fault)
         system.run_for(0.5)
         # the held batch carried the pre-crash incarnation: all members
         # are condemned, none leaks into the restarted process
@@ -170,7 +168,7 @@ class TestPartitionStraddle:
         system = batched_system(batch_max_size=4, batch_linger=0.0)
         transport, src_pe, sink_pe, sink = wire_fixture(system)
         transport.install_link_fault(
-            drop_probability=1.0, dst_pe=sink_pe.pe_id
+            drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=1.0
         )
         for i in range(4):
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)

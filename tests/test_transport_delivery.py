@@ -70,8 +70,8 @@ class TestAckRetryTimers:
     def test_lossy_link_retries_until_delivered(self):
         system = reliable_system("at_least_once")
         transport, src_pe, sink_pe, sink = wire_fixture(system)
-        fault = transport.install_link_fault(
-            drop_probability=1.0, dst_pe=sink_pe.pe_id
+        transport.install_link_fault(
+            drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=1.0
         )
         transport.send(sink_pe, "sink", 0, tup(0), src_pe=src_pe)
         system.run_for(1.0)
@@ -80,7 +80,6 @@ class TestAckRetryTimers:
         # first-cause-wins: one unit, one dropped_by_fault, however many
         # wire copies the fault ate
         assert transport.dropped_by_fault == 1
-        transport.clear_link_fault(fault)
         system.run_for(3.0)
         assert [t["iter"] for t in sink.seen] == [0]
         assert transport.dropped_by_fault == 1
@@ -95,7 +94,9 @@ class TestAckRetryTimers:
         )
         transport, src_pe, sink_pe, sink = wire_fixture(system)
         events = record_reliability_events(transport)
-        transport.install_link_fault(drop_probability=1.0, dst_pe=sink_pe.pe_id)
+        transport.install_link_fault(
+            drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=2.0
+        )
         sent_at = system.kernel.now
         transport.send(sink_pe, "sink", 0, tup(0), src_pe=src_pe)
         system.run_for(2.0)
@@ -108,13 +109,12 @@ class TestAckRetryTimers:
         retransmitted sibling both deliver at heal."""
         system = reliable_system("at_least_once")
         transport, src_pe, sink_pe, sink = wire_fixture(system)
-        fault = transport.install_link_fault(
-            partition=True, dst_pe=sink_pe.pe_id
+        transport.install_link_fault(
+            partition=True, dst_pe=sink_pe.pe_id, duration=0.6
         )
         transport.send(sink_pe, "sink", 0, tup(0), src_pe=src_pe)
-        system.run_for(0.6)  # the 0.25s ack timeout fires behind the wall
+        system.run_for(0.6)  # the 0.25s ack timeout fires behind the partition
         assert transport.retransmissions >= 1
-        transport.clear_link_fault(fault)
         system.run_for(1.0)
         assert len(sink.seen) >= 2  # at least once, not exactly once
         assert transport.duplicates_suppressed == 0
@@ -126,13 +126,12 @@ class TestDuplicateSuppression:
         receiver's (link, seq) watermark absorbs the second copy."""
         system = reliable_system("exactly_once")
         transport, src_pe, sink_pe, sink = wire_fixture(system)
-        fault = transport.install_link_fault(
-            partition=True, dst_pe=sink_pe.pe_id
+        transport.install_link_fault(
+            partition=True, dst_pe=sink_pe.pe_id, duration=0.6
         )
         transport.send(sink_pe, "sink", 0, tup(0), src_pe=src_pe)
         system.run_for(0.6)
         assert transport.retransmissions >= 1
-        transport.clear_link_fault(fault)
         system.run_for(1.0)
         assert [t["iter"] for t in sink.seen] == [0]
         assert transport.duplicates_suppressed >= 1
@@ -163,12 +162,13 @@ class TestRetransmitBatchingFifo:
         transport, src_pe, sink_pe, sink = wire_fixture(system)
         seqs = []
         transport.delivery_taps.append(lambda rec: seqs.append(rec.link_seq))
-        fault = transport.install_link_fault(
-            drop_probability=1.0, dst_pe=sink_pe.pe_id
+        # the fault ends well inside one hop, before batch 2 commits
+        transport.install_link_fault(
+            drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=1e-4
         )
         for i in range(3):  # batch 1 (seqs 1-3) flushes into the fault
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
-        transport.clear_link_fault(fault)
+        system.run_for(1e-4)
         for i in range(3, 6):  # batch 2 (seqs 4-6) rides a clean link
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(1.0)
@@ -196,12 +196,11 @@ class TestDrainQuiescence:
     def test_expedite_pending_bypasses_backoff(self):
         system = reliable_system("exactly_once", ack_timeout=30.0)
         transport, src_pe, sink_pe, sink = wire_fixture(system)
-        fault = transport.install_link_fault(
-            drop_probability=1.0, dst_pe=sink_pe.pe_id
+        transport.install_link_fault(
+            drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=0.1
         )
         transport.send(sink_pe, "sink", 0, tup(0), src_pe=src_pe)
         system.run_for(0.1)  # first copy dropped; retry armed 30s out
-        transport.clear_link_fault(fault)
         system.run_for(0.5)
         assert sink.seen == []  # still sitting out the backoff
         transport.expedite_pending()
@@ -218,14 +217,13 @@ class TestDrainQuiescence:
         assert transport.retransmissions == 0
         system.run_for(0.1)
         # a copy held behind an active partition: also left alone
-        fault = transport.install_link_fault(
-            partition=True, dst_pe=sink_pe.pe_id
+        transport.install_link_fault(
+            partition=True, dst_pe=sink_pe.pe_id, duration=0.2
         )
         transport.send(sink_pe, "sink", 0, tup(1), src_pe=src_pe)
         system.run_for(0.1)
         transport.expedite_pending()
         assert transport.retransmissions == 0
-        transport.clear_link_fault(fault)
         system.run_for(0.5)
         assert [t["iter"] for t in sink.seen] == [0, 1]
 
@@ -247,11 +245,10 @@ class TestDrainQuiescence:
         app = build_region_app(width=1, limit=300, rate=100.0)
         job = system.submit_job(app)
         system.run_for(2.0)
-        fault = system.transport.install_link_fault(drop_probability=1.0)
+        system.transport.install_link_fault(drop_probability=1.0, duration=0.1)
         system.run_for(0.05)
         operation = system.elastic.set_channel_width(job, "region", 2)
         system.run_for(0.05)
-        system.transport.clear_link_fault(fault)
         system.run_for(3.0)  # well under the 5s ack timeout
         assert operation.state is RescaleState.COMPLETED
         assert system.transport.retransmissions > 0
@@ -324,12 +321,13 @@ class TestExactlyOnceRestart:
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
         system.run_for(0.5)
         sink_pe.crash("test")
-        fault = transport.install_link_fault(drop_probability=1.0, dst_pe=sink_pe.pe_id)
+        transport.install_link_fault(
+            drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=0.3
+        )
         sink_pe.restart()
         transport.send(sink_pe, "sink", 0, tup(4), src_pe=src_pe)
         system.run_for(0.3)
         assert job_sink(system) == []  # nothing got through the fault
-        transport.clear_link_fault(fault)
         system.run_for(5.0)
         assert [t["iter"] for t in job_sink(system)] == [0, 1, 2, 3, 4]
         assert transport.replayed == 4
@@ -344,7 +342,7 @@ class TestFirstCauseWins:
         system = reliable_system("at_least_once")
         transport, src_pe, sink_pe, sink = wire_fixture(system)
         transport.install_link_fault(
-            drop_probability=1.0, dst_pe=sink_pe.pe_id
+            drop_probability=1.0, dst_pe=sink_pe.pe_id, duration=1.0
         )
         transport.send(sink_pe, "sink", 0, tup(0), src_pe=src_pe)
         system.run_for(0.05)
@@ -434,8 +432,9 @@ class TestLossyAcks:
         transport, src_pe, sink_pe, sink = wire_fixture(system)
         # reverse-direction fault: data src->sink is clean, acks
         # sink->src are all dropped while the fault is up
-        fault = transport.install_link_fault(
-            drop_probability=1.0, src_pe=sink_pe.pe_id, dst_pe=src_pe.pe_id
+        transport.install_link_fault(
+            drop_probability=1.0, src_pe=sink_pe.pe_id, dst_pe=src_pe.pe_id,
+            duration=1.0,
         )
         for i in range(3):
             transport.send(sink_pe, "sink", 0, tup(i), src_pe=src_pe)
@@ -448,7 +447,6 @@ class TestLossyAcks:
         # ...and the in-order receiver suppressed every duplicate copy
         assert transport.duplicates_suppressed >= 3
         assert transport.dropped_by_fault == 0  # forward path untouched
-        transport.clear_link_fault(fault)
         system.run_for(2.0)
         # after heal the re-acked duplicates drain the pending registry
         assert transport.reliability.pending == {}
@@ -458,8 +456,9 @@ class TestLossyAcks:
     def test_lost_ack_at_least_once_duplicates_then_converges(self):
         system = reliable_system("at_least_once", ack_timeout=0.1)
         transport, src_pe, sink_pe, sink = wire_fixture(system)
-        fault = transport.install_link_fault(
-            drop_probability=1.0, src_pe=sink_pe.pe_id, dst_pe=src_pe.pe_id
+        transport.install_link_fault(
+            drop_probability=1.0, src_pe=sink_pe.pe_id, dst_pe=src_pe.pe_id,
+            duration=0.5,
         )
         transport.send(sink_pe, "sink", 0, tup(0), src_pe=src_pe)
         system.run_for(0.5)
@@ -467,25 +466,28 @@ class TestLossyAcks:
         assert len(sink.seen) >= 2
         assert all(t["iter"] == 0 for t in sink.seen)
         assert transport.acks_dropped >= 1
-        transport.clear_link_fault(fault)
         system.run_for(2.0)
         assert transport.reliability.pending == {}
 
     def test_untimed_reverse_partition_swallows_acks(self):
+        """A partition delays an ack like a data unit: it lands one hop
+        after the heal, nothing counts it dropped, and the sender — whose
+        unit was delivered — does not retransmit meanwhile."""
         system = reliable_system("exactly_once", ack_timeout=0.1)
         transport, src_pe, sink_pe, sink = wire_fixture(system)
-        fault = transport.install_link_fault(
-            partition=True, src_pe=sink_pe.pe_id, dst_pe=src_pe.pe_id
+        transport.install_link_fault(
+            partition=True, src_pe=sink_pe.pe_id, dst_pe=src_pe.pe_id,
+            duration=0.5,
         )
         transport.send(sink_pe, "sink", 0, tup(0), src_pe=src_pe)
         system.run_for(0.5)
         assert [t["iter"] for t in sink.seen] == [0]
-        assert transport.acks_dropped >= 1
         assert transport.acks == 0
-        transport.clear_link_fault(fault)
         system.run_for(2.0)
         assert transport.reliability.pending == {}
         assert transport.acks == 1
+        assert transport.acks_dropped == 0
+        assert transport.retransmissions == 0
 
     def test_lossless_acks_draw_nothing_from_ack_stream(self):
         """Without reverse-link faults the ack rng is never consumed, so

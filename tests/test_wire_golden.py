@@ -1,8 +1,11 @@
 """The wire, pinned: one seeded fault script, six configurations, one golden.
 
-``tests/golden/wire.txt`` was recorded at the commit *before* the
-transport's send and arrival paths were unified (PR 15) and must stay
-byte-identical: it holds, for every ``delivery`` mode at
+``tests/golden/wire.txt`` was first recorded before the transport's send
+and arrival paths were unified, and re-recorded once when every link
+fault became timed (a partition's units are scheduled at send time for
+one hop after the heal, and a partitioned ack is delayed, not
+swallowed).  It must stay byte-identical: it holds, for every
+``delivery`` mode at
 ``batch_max_size`` 1 and 8, the full :class:`DeliveryRecord` sequence the
 taps observed, every transport counter, the kernel's event count, the
 sink's arrival order and a hash of both seeded RNG streams' final state
@@ -10,14 +13,13 @@ sink's arrival order and a hash of both seeded RNG streams' final state
 fails even when no counter moves).
 
 The script covers every branch of the link-fault pipeline: a lossy
-link, a latency spike, a timed partition, two overlapping untimed
-partitions cleared in install order and in reverse (with sends between
-the installs, so the re-held merge sees non-empty queues on both sides),
-a destination crash and restart in the middle of a partition, a crash
-on open links — both under the lossy fault, so exactly-once replay
-copies are dropped and retried — lossy / delayed / partitioned *reverse*
-links under the acks, and punctuation between tuples on two links into
-one input port.
+link, a latency spike, a partition, two overlapping partitions healing
+newest first and oldest first (with sends between the installs and
+after each heal), a destination crash and restart in the middle of a
+partition, a crash on open links — both under the lossy fault, so
+exactly-once replay copies are dropped and retried — lossy / delayed /
+partitioned *reverse* links under the acks, and punctuation between
+tuples on two links into one input port.
 
 Re-record (only when a change *means* to alter wire behaviour) with
 ``PYTHONPATH=src python -m tests.test_wire_golden``.
@@ -98,7 +100,8 @@ def run_script(delivery: str, batch_max_size: int) -> str:
         transport.send(sink_pe, "sink", 0, WindowMarker, src_pe=src_pe)
 
     fault = transport.install_link_fault
-    lossy = fault(drop_probability=0.3, dst_pe=sink_pe.pe_id)
+    # a lossy link that stays up for the whole script
+    fault(drop_probability=0.3, dst_pe=sink_pe.pe_id, duration=30.0)
     burst(left, 5)
     burst(right, 3)
     punct(left)
@@ -116,28 +119,26 @@ def run_script(delivery: str, batch_max_size: int) -> str:
     burst(right, 2)
     system.run_for(0.4)
 
-    # two overlapping untimed partitions, cleared newest first
-    p_dst = fault(partition=True, dst_pe=sink_pe.pe_id)
+    # two overlapping partitions, the newer one healing first
+    fault(partition=True, dst_pe=sink_pe.pe_id, duration=0.35)
     burst(left, 4)
     burst(right, 3)
-    p_src = fault(partition=True, src_pe=left.pe_id)
+    fault(partition=True, src_pe=left.pe_id, duration=0.3)
     burst(left, 9)
     punct(right)
     burst(right, 5)
     system.run_for(0.3)
-    transport.clear_link_fault(p_src)
     burst(left, 3)
     system.run_for(0.05)
-    transport.clear_link_fault(p_dst)
     burst(right, 2)
     system.run_for(0.4)
 
-    # overlapping partitions again, cleared oldest first, with the
-    # destination crashing and restarting while both are open — and the
+    # overlapping partitions again, the older one healing first, with the
+    # destination crashing and restarting while both are up — and the
     # lossy fault still up: replay copies retry like any unit
-    p_host = fault(partition=True, src_host=left.host_name)
+    fault(partition=True, src_host=left.host_name, duration=0.25)
     burst(left, 7)
-    p_dst = fault(partition=True, dst_pe=sink_pe.pe_id)
+    fault(partition=True, dst_pe=sink_pe.pe_id, duration=0.3)
     burst(left, 5)
     punct(left)
     burst(right, 9)
@@ -149,10 +150,8 @@ def run_script(delivery: str, batch_max_size: int) -> str:
     sink_pe.restart()
     burst(right, 3)
     system.run_for(0.1)
-    transport.clear_link_fault(p_host)
     burst(left, 4)
     system.run_for(0.05)
-    transport.clear_link_fault(p_dst)
     burst(left, 3)
     burst(right, 3)
     system.run_for(0.5)
@@ -167,29 +166,27 @@ def run_script(delivery: str, batch_max_size: int) -> str:
     sink_pe.restart()
     system.run_for(0.5)
 
-    # the reverse link: acks toward ``right`` are swallowed by an untimed
-    # partition installed *before* a lossy fault (so they draw no roll),
-    # acks toward ``left`` are rolled, then delayed and held by timed faults
-    ack_wall = fault(partition=True, src_pe=sink_pe.pe_id, dst_pe=right.pe_id)
-    ack_loss = fault(drop_probability=0.4, src_pe=sink_pe.pe_id)
+    # the reverse link: acks toward ``right`` are held by a partition
+    # longer than the ack timeout (the sender retransmits meanwhile),
+    # acks in both directions are rolled, then delayed and held by
+    # shorter faults
+    fault(partition=True, src_pe=sink_pe.pe_id, dst_pe=right.pe_id, duration=0.6)
+    fault(drop_probability=0.4, src_pe=sink_pe.pe_id, duration=1.3)
     burst(left, 6)
     burst(right, 6)
     system.run_for(0.6)
-    transport.clear_link_fault(ack_wall)
     fault(extra_latency=0.02, src_pe=sink_pe.pe_id, dst_pe=left.pe_id, duration=0.3)
     fault(partition=True, src_pe=sink_pe.pe_id, duration=0.2)
     burst(left, 4)
     burst(right, 4)
     system.run_for(0.7)
-    transport.clear_link_fault(ack_loss)
     system.run_for(1.0)
 
-    lossy = fault(drop_probability=0.3, dst_pe=sink_pe.pe_id)
+    fault(drop_probability=0.3, dst_pe=sink_pe.pe_id, duration=0.3)
     burst(left, 10)
     punct(right)
     burst(right, 10)
     system.run_for(0.3)
-    transport.clear_link_fault(lossy)
     burst(left, 2)
     system.run_for(20.0)
 
