@@ -238,12 +238,12 @@ class DeliveryPlane:
         as a whole (a lost packet loses the whole batch), not per member
         as in the best-effort commit.
         """
-        items = open_batch.tuples
-        if not items:
+        run = open_batch.tuples
+        if not run:
             return
         if self.transport.batch_observer is not None:
-            self.transport.batch_observer(len(items))
-        self._admit(open_batch.flow, TupleBatch(items), len(items))
+            self.transport.batch_observer(len(run))
+        self._admit(open_batch.flow, run, len(run))
 
     def _admit(self, flow: "Flow", payload: "Payload", count: int) -> None:
         """Allocate the unit's seq range, register it, and transmit.
@@ -394,7 +394,7 @@ class DeliveryPlane:
         link = t.links.get(flow.link_key)
         if link is None:
             return
-        count = len(payload.tuples) if isinstance(payload, TupleBatch) else 1
+        count = len(payload) if isinstance(payload, TupleBatch) else 1
         if self.exactly_once:
             self._arrive_exactly_once(
                 link, flow, payload, first_seq, count, redelivery

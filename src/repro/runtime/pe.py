@@ -448,19 +448,17 @@ class PERuntime:
             else:
                 self.transport.send_on(flow, punct)
 
-    def _route_batch(
-        self, ports: Dict[int, List[_Hop]], port: int, tuples: List[StreamTuple]
-    ) -> None:
+    def _route_batch(self, ports: Dict[int, List[_Hop]], port: int, run: TupleBatch) -> None:
         """Batched twin of the compiled hops: one ``process_batch`` per fused
         target, one :meth:`Transport.send_batch_on` per remote one."""
-        if self.state is not _RUNNING or self._suppress_emissions or not tuples:
+        if self.state is not _RUNNING or self._suppress_emissions or not run:
             return
-        self._n_submitted.value += len(tuples)
+        self._n_submitted.value += len(run)
         for _, dst_port, operator, flow in ports[port]:
             if operator is not None:
-                self._deliver_local_batch(operator, dst_port, tuples)
+                self._deliver_local_batch(operator, dst_port, run)
             else:
-                self.transport.send_batch_on(flow, tuples)
+                self.transport.send_batch_on(flow, run)
 
     def receive(
         self,
@@ -493,42 +491,30 @@ class PERuntime:
             if isinstance(item, StreamTuple):
                 deliveries[port](item)
             elif isinstance(item, TupleBatch):
-                self._deliver_local_batch(
-                    operator, port, item.tuples, item.size_bytes, item.traced
-                )
+                self._deliver_local_batch(operator, port, item)
             else:
                 operator._process(item, port)
         finally:
             if suppress_emissions:
                 self._suppress_emissions -= 1
 
-    def _deliver_local_batch(
-        self,
-        operator: Operator,
-        port: int,
-        tuples: List[StreamTuple],
-        size_bytes: Optional[int] = None,
-        traced: bool = True,
-    ) -> None:
+    def _deliver_local_batch(self, operator: Operator, port: int, run: TupleBatch) -> None:
         """Batched twin of the compiled delivery (:meth:`_compile`).
 
-        PE counters move once per batch; traced members still record
-        per-tuple process spans (the end-to-end latency histogram keeps
-        its meaning), and the operator gets one ``_process_batch`` call.
-        A run off the wire brings its :class:`TupleBatch` aggregates
+        PE counters move once per batch, by the run's carried aggregates
         (``size_bytes``, and ``traced``: False means no member is, so the
-        span scan is skipped); a local hop has none and sums its members.
+        span scan is skipped); traced members still record per-tuple
+        process spans (the end-to-end latency histogram keeps its
+        meaning), and the operator gets one ``_process_batch`` call.
         """
-        if not tuples:
+        if not run:
             return
-        self._n_processed.value += len(tuples)
-        if size_bytes is None:
-            size_bytes = sum(tup.size_bytes for tup in tuples)
-        self._n_bytes.value += size_bytes
-        if traced and self.obs is not None:
+        self._n_processed.value += len(run)
+        self._n_bytes.value += run.size_bytes
+        if run.traced and self.obs is not None:
             now = self.kernel.now
             op_full_name = operator.ctx.full_name
-            for tup in tuples:
+            for tup in run:
                 if tup.traced:
                     self.obs.record_process(
                         op_full_name,
@@ -537,7 +523,7 @@ class PERuntime:
                         tup.created_at,
                         now,
                     )
-        operator._process_batch(tuples, port)
+        operator._process_batch(run, port)
 
     def deliver_import(self, op_full_name: str, item: Item) -> None:
         """Deliver an item from the import/export registry to an Import op."""

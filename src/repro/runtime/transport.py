@@ -237,15 +237,17 @@ class Flow:
 class _OpenBatch:
     """One flow's not-yet-flushed tuple run (batching enabled only).
 
-    The flow rides along so the flush can re-match link faults exactly
-    like an ordinary send would have.
+    ``tuples`` is the :class:`~repro.spl.tuples.TupleBatch` the flush
+    commits: each appended run adds its members and its carried
+    aggregates.  The flow rides along so the flush can re-match link
+    faults exactly like an ordinary send would have.
     """
 
     __slots__ = ("flow", "tuples", "flush_event", "opened_at")
 
     def __init__(self, flow: Flow, opened_at: float = 0.0) -> None:
         self.flow = flow
-        self.tuples: List[StreamTuple] = []
+        self.tuples = TupleBatch()
         self.flush_event: Optional[ScheduledEvent] = None
         #: sim-time the first tuple was buffered — the health plane's
         #: open-batch residency signal measures from here
@@ -551,7 +553,7 @@ class Transport:
             tuples: Tuples to deliver, in order.
             src_pe: Sending PE, when known (see :meth:`send`).
         """
-        self.send_batch_on(Flow(src_pe, dst_pe, op_full_name, port), tuples)
+        self.send_batch_on(Flow(src_pe, dst_pe, op_full_name, port), TupleBatch(tuples))
 
     def send_on(self, flow: Flow, item: Item) -> None:
         """Send one item along a resolved flow.
@@ -562,7 +564,7 @@ class Transport:
         """
         if self.batch_max_size > 1:
             if isinstance(item, StreamTuple):
-                self._buffer(flow, (item,))
+                self._buffer(flow, (item,), item.size_bytes, item.traced)
                 return
             # punctuation never rides in a batch: flush the flow's open
             # batch first so the marker cannot overtake tuples buffered
@@ -576,7 +578,7 @@ class Transport:
         else:
             self._commit(flow, item)
 
-    def send_batch_on(self, flow: Flow, tuples: Sequence[StreamTuple]) -> None:
+    def send_batch_on(self, flow: Flow, tuples: TupleBatch) -> None:
         """Send a run of tuples along a resolved flow.
 
         With batching disabled every tuple is its own unit (a loop over
@@ -590,10 +592,15 @@ class Transport:
             for tup in tuples:
                 self.send_on(flow, tup)
         elif tuples:
-            self._buffer(flow, tuples)
+            self._buffer(flow, tuples, tuples.size_bytes, tuples.traced)
 
-    def _buffer(self, flow: Flow, tuples: Sequence[StreamTuple]) -> None:
+    def _buffer(
+        self, flow: Flow, tuples: Sequence[StreamTuple], size_bytes: int, traced: bool
+    ) -> None:
         """Append a non-empty run to its flow's open batch, flushing at size.
+
+        The run's byte total and traced flag come with it and add to the
+        open batch's, which the flush commits as they are.
 
         The one body behind :meth:`send_on` (a run of one) and
         :meth:`send_batch_on` when batching is on; kept off the public
@@ -630,8 +637,12 @@ class Transport:
                     flow.key,
                     label="transport-batch-flush",
                 )
-        batch.tuples.extend(tuples)
-        if len(batch.tuples) >= self.batch_max_size:
+        run = batch.tuples
+        run += tuples
+        run.size_bytes += size_bytes
+        if traced:
+            run.traced = True
+        if len(run) >= self.batch_max_size:
             self._flush_flow(flow.key)
 
     def _flush_flow(self, key: Tuple[str, str, str, int]) -> None:
@@ -671,7 +682,7 @@ class Transport:
         self,
         flow: Flow,
         item: Optional[Item],
-        members: Optional[List[StreamTuple]] = None,
+        members: Optional[TupleBatch] = None,
     ) -> None:
         """Commit one best-effort unit: drop rolls, then its seq range, then the wire.
 
@@ -702,11 +713,11 @@ class Transport:
                 self._dec_in_flight(flow.in_flight_key, lost)
                 if not kept:
                     return
-                members, n = kept, len(kept)
+                members, n = TupleBatch(kept), len(kept)
         if members is not None:
             if self.batch_observer is not None:
                 self.batch_observer(n)
-            item = TupleBatch(members)
+            item = members
         link = self.links.get(flow.link_key) or self._open_link(flow.link_key)
         base = link.send_seq
         link.send_seq = base + n
@@ -831,7 +842,7 @@ class Transport:
                 flow, payload, incarnation, first_seq, redelivery
             )
             return
-        count = len(payload.tuples) if type(payload) is TupleBatch else 1
+        count = len(payload) if type(payload) is TupleBatch else 1
         self._dec_in_flight(flow.in_flight_key, count)
         dst_pe = flow.dst_pe
         if incarnation != self._incarnations.get(dst_pe.pe_id, 0):

@@ -16,13 +16,21 @@ from __future__ import annotations
 
 import random as _random
 import zlib
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from itertools import repeat
+from operator import attrgetter, methodcaller
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import GraphError
 from repro.spl.metrics import MetricKind
 from repro.spl.operators import Operator, OperatorContext, Submittable
 from repro.spl.state import KeyedSeqIndex
-from repro.spl.tuples import Punctuation, StreamTuple
+from repro.spl.tuples import (
+    Punctuation,
+    StreamTuple,
+    TupleBatch,
+    with_value_run,
+    without_run,
+)
 
 
 class Source(Operator):
@@ -161,8 +169,7 @@ class Filter(Operator):
 
     def process_batch(self, tuples: List[StreamTuple], port: int) -> None:
         """Vectorized pass: one predicate sweep, one batched re-emit."""
-        predicate = self.predicate
-        kept = [tup for tup in tuples if predicate(tup)]
+        kept = TupleBatch(filter(self.predicate, tuples))
         dropped = len(tuples) - len(kept)
         if dropped:
             self.n_discarded.increment(dropped)
@@ -201,17 +208,20 @@ class Functor(Operator):
             self.submit(result)
 
     def process_batch(self, tuples: List[StreamTuple], port: int) -> None:
-        """Vectorized pass: map the whole run, re-emit it as one batch."""
-        fn = self.fn
-        out: List[Submittable] = []
-        for tup in tuples:
-            result = fn(tup)
-            if result is None:
-                continue
-            if isinstance(result, (list, tuple)):
-                out.extend(result)
-            else:
-                out.append(result)
+        """Vectorized pass: map the whole run, re-emit it as one batch (a
+        run as it is when every result is a tuple)."""
+        results = list(map(self.fn, tuples))
+        if all(map(isinstance, results, repeat(StreamTuple))):
+            out: Union[TupleBatch, List[Submittable]] = TupleBatch(results)
+        else:
+            out = []
+            for result in results:
+                if result is None:
+                    continue
+                if isinstance(result, (list, tuple)):
+                    out.extend(result)
+                else:
+                    out.append(result)
         if out:
             self.submit_batch(out)
 
@@ -240,7 +250,7 @@ class Projection(Operator):
     def process_batch(self, tuples: List[StreamTuple], port: int) -> None:
         """Vectorized pass: project the whole run, re-emit it as one batch."""
         attrs = self.attributes
-        self.submit_batch([tup.project(*attrs) for tup in tuples])
+        self.submit_batch(TupleBatch([tup.project(*attrs) for tup in tuples]))
 
     def on_punct(self, punct: Punctuation, port: int) -> None:
         if punct is Punctuation.WINDOW:
@@ -286,7 +296,7 @@ class Split(Operator):
                 for out_port in target:
                     by_port.setdefault(out_port, []).append(tup)
         for out_port in sorted(by_port):
-            self.submit_batch(by_port[out_port], port=out_port)
+            self.submit_batch(TupleBatch(by_port[out_port]), port=out_port)
 
     def on_punct(self, punct: Punctuation, port: int) -> None:
         if punct is Punctuation.WINDOW:
@@ -568,8 +578,7 @@ class Dedup(Operator):
             self.submit_punct(punct)
 
 
-def _increment(n: int) -> int:
-    return n + 1
+_VALUES = attrgetter("values")
 
 
 class KeyedCounter(Operator):
@@ -593,18 +602,13 @@ class KeyedCounter(Operator):
         self._counts = self.state.keyed("counts")
 
     def on_tuple(self, tup: StreamTuple, port: int) -> None:
-        count = self._counts.update(tup.values.get(self.key), _increment, 0)
+        [count] = self._counts.count((tup.values.get(self.key),))
         self.submit(tup.with_value(self.count_attr, count))
 
     def process_batch(self, tuples: List[StreamTuple], port: int) -> None:
-        """Count every member in arrival order, re-emit the run as one batch."""
-        key, count_attr, update = self.key, self.count_attr, self._counts.update
-        self.submit_batch(
-            [
-                tup.with_value(count_attr, update(tup.values.get(key), _increment, 0))
-                for tup in tuples
-            ]
-        )
+        """Count the run's keys in arrival order, re-emit the counted run."""
+        keys = map(methodcaller("get", self.key), map(_VALUES, tuples))
+        self.submit_batch(with_value_run(tuples, self.count_attr, self._counts.count(keys)))
 
     def on_punct(self, punct: Punctuation, port: int) -> None:
         if punct is Punctuation.WINDOW:
@@ -874,7 +878,8 @@ class Throttle(Operator):
 
 
 def _stable_hash(value: Any) -> int:
-    """Deterministic cross-run hash (``hash(str)`` is salted per process)."""
+    """Deterministic cross-run hash (``hash(str)`` is salted per process):
+    the CRC-32 of the value's UTF-8 ``str``."""
     return zlib.crc32(str(value).encode("utf8"))
 
 
@@ -884,9 +889,17 @@ def stable_channel_of(value: Any, width: int) -> int:
     The single source of truth shared by the :class:`ParallelSplitter`'s
     routing and the elastic state-migration planner — both must agree on
     ``hash(key) % width`` or a migrated partition would land on a channel
-    the splitter never routes its key to.
+    the splitter never routes its key to.  :func:`stable_channels_of` is
+    the same rule over a run of keys.
     """
     return _stable_hash(value) % width
+
+
+def stable_channels_of(values: Iterable[Any], width: int) -> List[int]:
+    """The owner channel of each key of ``values`` at the given width, in
+    order: :func:`stable_channel_of` over a run, in one call — the same
+    CRC-32 of each key's UTF-8 ``str``, mapped at C level."""
+    return list(map(width.__rmod__, map(zlib.crc32, map(str.encode, map(str, values)))))
 
 
 class _Lane(list):
@@ -1055,33 +1068,33 @@ class ParallelSplitter(Operator):
         """Route a run of tuples exactly as :meth:`_forward` would, one by one.
 
         The partition attribute, width and mask are read once for the
-        run, every member is hashed exactly once, members whose owner is
-        masked join its lane, ordered regions stamp ``_pseq`` from one
-        local counter in arrival order (identical stamps to the per-tuple
-        path), and each channel receives its sub-batch through a single
-        batched submission, lowest channel first — which the matching
-        :class:`OrderedMerger` consumes sub-batch by sub-batch.
+        run, its keys are hashed in one call (:func:`stable_channels_of`),
+        members whose owner is masked join its lane, ordered regions stamp
+        ``_pseq`` over the run in one kernel call, in arrival order from
+        the run's first sequence number (identical stamps to the
+        per-tuple path), and each channel receives its sub-batch through a
+        single batched submission, lowest channel first — which the
+        matching :class:`OrderedMerger` consumes sub-batch by sub-batch.
         """
         key, width = self.partition_by, self.width
         if key is None:
             channels = [self._round_robin() for _ in tuples]
         else:
-            channels = [_stable_hash(tup.values.get(key)) % width for tup in tuples]
+            channels = stable_channels_of(
+                map(methodcaller("get", key), map(_VALUES, tuples)), width
+            )
             if self._masked:
                 tuples, channels = self._park(tuples, channels)
-        lanes: List[List[StreamTuple]] = [[] for _ in range(width)]
-        if self.ordered:
+        if self.ordered and tuples:
             seq = self._seq
-            for tup, channel in zip(tuples, channels):
-                lanes[channel].append(tup.with_value("_pseq", seq))
-                seq += 1
-            self._seq = seq
-        else:
-            for tup, channel in zip(tuples, channels):
-                lanes[channel].append(tup)
+            self._seq = seq + len(tuples)
+            tuples = with_value_run(tuples, "_pseq", range(seq, self._seq))
+        lanes: List[List[StreamTuple]] = [[] for _ in range(width)]
+        for tup, channel in zip(tuples, channels):
+            lanes[channel].append(tup)
         for channel, lane in enumerate(lanes):
             if lane:
-                self.submit_batch(lane, port=channel)
+                self.submit_batch(TupleBatch(lane), port=channel)
 
     def _park(
         self, tuples: List[StreamTuple], channels: List[int]
@@ -1334,7 +1347,7 @@ class OrderedMerger(Operator):
         per-tuple path would have emitted.
         """
         if not self.ordered:
-            self.submit_batch([tup.without("_pseq") for tup in tuples])
+            self.submit_batch(without_run(tuples, "_pseq"))
             return
         pending = self._pending
         now = self.now()
@@ -1347,15 +1360,17 @@ class OrderedMerger(Operator):
             elif seq > expected:
                 pending[seq] = (tup, now)
             else:
-                out.append(tup.without("_pseq"))
+                out.append(tup)
                 if seq == expected:
                     expected += 1
                     while expected in pending:
-                        out.append(pending.pop(expected)[0].without("_pseq"))
+                        out.append(pending.pop(expected)[0])
                         expected += 1
         self._next = expected
         if out:
-            self.submit_batch(out)
+            # the released run, stripped in one call (unstamped members
+            # pass through as themselves)
+            self.submit_batch(without_run(out, "_pseq"))
         self.reorder_gauge.set(len(pending))
         self._arm_guard()
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, Mapping, Option
 from repro.errors import GraphError
 from repro.spl.metrics import MetricKind, MetricRegistry, Metric, OperatorMetricName
 from repro.spl.state import StateStore
-from repro.spl.tuples import Punctuation, StreamTuple
+from repro.spl.tuples import Punctuation, StreamTuple, TupleBatch, make_run
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.spl.graph import OperatorSpec
@@ -105,7 +105,7 @@ class OperatorContext:
         #: and in hand-built test contexts, it stays None and
         #: :meth:`submit_batch` falls back to a per-tuple loop
         self.submit_batch_fn: Optional[
-            Callable[[int, "list[StreamTuple]"], None]
+            Callable[[int, TupleBatch], None]
         ] = None
 
     @property
@@ -132,7 +132,7 @@ class OperatorContext:
         """Submission-time parameter of the job (SPL's getSubmissionTimeValue)."""
         return self.submission_params.get(name, default)
 
-    def submit_batch(self, port: int, tuples: "list[StreamTuple]") -> None:
+    def submit_batch(self, port: int, tuples: TupleBatch) -> None:
         """Emit a run of tuples on one port as a single unit of work.
 
         Without a batch route the run goes tuple by tuple through the
@@ -319,41 +319,43 @@ class Operator:
                 )
         self.ctx.hops[port](values)
 
-    def submit_batch(self, items: "list[Submittable]", port: int = 0) -> None:
+    def submit_batch(self, items: "Union[TupleBatch, list[Submittable]]", port: int = 0) -> None:
         """Emit a run of tuples on an output port as one unit of work.
 
-        The batched twin of :meth:`submit`: per-tuple semantics (dict
-        wrapping, trace sampling) are identical, and the run counts once
-        in the port's ``nTuplesSubmitted`` on its way through one
-        routing/transport call.  Sources call it once per tick and
-        ``process_batch`` overrides once per run; the run only travels as
-        a unit when batching is enabled in the transport — otherwise the
-        PE wires no batch route and it is emitted tuple by tuple through
-        the port's hop, which counts each tuple instead.
+        The batched twin of :meth:`submit`.  A :class:`TupleBatch` is a
+        run already made (a run kernel's, or one the operator received)
+        and goes as it is, its aggregates with it; a list becomes one
+        through :func:`~repro.spl.tuples.make_run`, which makes each dict
+        a tuple stamped with the current time — trace sampling decided
+        member by member, in order, as :meth:`submit` decides it — and
+        keeps each tuple.  The run counts once in the port's
+        ``nTuplesSubmitted`` on its way through one routing/transport
+        call.  Sources call it once per tick and ``process_batch``
+        overrides once per run; the run only travels as a unit when
+        batching is enabled in the transport — otherwise the PE wires no
+        batch route and it is emitted tuple by tuple through the port's
+        hop, which counts each tuple instead.
         """
         if not items:
             return
         self._check_output_port(port)
-        obs = self.ctx.obs
-        now = self.now()
-        tuples: "list[StreamTuple]" = []
-        for values in items:
-            if isinstance(values, StreamTuple):
-                tuples.append(values)
-                continue
-            tup = StreamTuple(values, created_at=now)
-            if obs is not None and obs.sample_tuple():
-                tup.traced = True
-                obs.record_emit(
-                    self.ctx.full_name,
-                    self.ctx.pe_id,
-                    self.ctx.job_id,
-                    tup.created_at,
-                )
-            tuples.append(tup)
+        if type(items) is not TupleBatch:
+            now = self.now()
+            ctx = self.ctx
+            obs = ctx.obs
+            sample = None
+            if obs is not None:
+
+                def sample() -> bool:
+                    if obs.sample_tuple():
+                        obs.record_emit(ctx.full_name, ctx.pe_id, ctx.job_id, now)
+                        return True
+                    return False
+
+            items = make_run(items, now, sample)
         if self.ctx.submit_batch_fn is not None:
-            self._submitted_by_port[port].value += len(tuples)
-        self.ctx.submit_batch(port, tuples)
+            self._submitted_by_port[port].value += len(items)
+        self.ctx.submit_batch(port, items)
 
     def submit_punct(self, punct: Punctuation, port: int = 0) -> None:
         """Emit a punctuation on an output port (out of range: GraphError)."""
@@ -380,8 +382,11 @@ class Operator:
         :meth:`on_tuple`; operators override it with one pass over the
         run that has the same effect on state, metrics and output as
         that loop (and re-emit via :meth:`submit_batch` so the batch
-        survives the hop).  Never called when batching is disabled, so
-        overrides cannot change size-1 behaviour.
+        survives the hop).  ``tuples`` is the delivered
+        :class:`TupleBatch`: a list, which a body reads and never
+        mutates; re-emitting it as it is keeps its aggregates.  Never
+        called when batching is disabled, so overrides cannot change
+        size-1 behaviour.
         """
         on_tuple = self.on_tuple
         for tup in tuples:
@@ -489,7 +494,8 @@ class Operator:
                     self.submit_final()
 
     def _process_batch(self, tuples: "list[StreamTuple]", port: int) -> None:
-        """Framework entry for one delivered batch (tuples only).
+        """Framework entry for one delivered batch (tuples only): the
+        PE hands over the :class:`TupleBatch` itself, a list to the hook.
 
         Punctuation never rides in batches, so this is the tuple half of
         :meth:`_process` with the metric increments amortized over the

@@ -66,6 +66,12 @@ class ParallelAnnotation:
     global_merge: Optional[Callable[[str, Any, Any], Any]] = None
 
     def validate(self) -> None:
+        """Reject an annotation the compiler cannot expand.
+
+        Raises:
+            ParallelRegionError: ``width`` below 1, ``max_width`` below
+                ``width``, or a region name that is empty or dotted.
+        """
         if self.width < 1:
             raise ParallelRegionError(f"parallel width must be >= 1, got {self.width}")
         if self.max_width < self.width:
@@ -128,9 +134,11 @@ class ParallelRegionPlan:
     global_merge: Optional[Callable[[str, Any, Any], Any]] = None
 
     def all_channel_operators(self) -> List[str]:
+        """Full names of every channel's operators, channel by channel."""
         return [name for ops in self.channel_ops for name in ops]
 
     def channel_of(self, op_full_name: str) -> Optional[int]:
+        """The channel whose chain holds ``op_full_name``, or None."""
         for index, ops in enumerate(self.channel_ops):
             if op_full_name in ops:
                 return index

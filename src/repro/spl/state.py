@@ -143,6 +143,30 @@ class KeyedState:
         self._data[key] = value
         return value
 
+    def count(self, keys: Iterable[Any]) -> List[Any]:
+        """Add one to each key's value (an absent key's is 0), in order.
+
+        The run form of ``update(key, lambda n: n + 1, 0)``: one call for
+        a whole run of keys, whose dirty-key bookkeeping ends exactly as
+        that many :meth:`update` calls leave it.
+
+        Args:
+            keys: Partition keys, one per occurrence, in order.
+
+        Returns:
+            The value stored for each key after its own step, in order.
+        """
+        data, dirty, dropped = self._data, self._dirty, self._dropped
+        counts = []
+        for key in keys:
+            dirty[key] = None
+            if dropped:
+                dropped.discard(key)
+            value = data.get(key, 0) + 1
+            data[key] = value
+            counts.append(value)
+        return counts
+
     def delete(self, key: Any) -> bool:
         """Remove ``key`` from the state.
 

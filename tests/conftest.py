@@ -20,8 +20,9 @@ from repro.spl.tuples import Punctuation, StreamTuple
 #: ``tests/test_elastic_properties.py`` under ``elastic-ci``,
 #: ``tests/test_orca_scopes.py`` and the inspection property of
 #: ``tests/test_properties_orchestration.py`` under ``orca-ci`` and
-#: ``tests/test_batch_path_properties.py``, ``tests/test_spl_schema_tuples.py``
-#: and ``tests/test_spl_state_properties.py`` under ``batch-ci``; tier-1
+#: ``tests/test_batch_path_properties.py``, ``tests/test_spl_schema_tuples.py``,
+#: ``tests/test_spl_state_properties.py`` and the run-hash property of
+#: ``tests/test_spl_parallel.py`` under ``batch-ci``; tier-1
 #: keeps each module's own small budget.  The ``wire-ci`` step also runs
 #: ``TestCancelCyclesLeakNothing`` at its long cycle count,
 #: ``TestControlPlaneStaysFlat`` at its long horizon,

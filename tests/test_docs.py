@@ -65,6 +65,7 @@ DOCSTYLE_FILES = [
     "src/repro/runtime/transport.py",
     "src/repro/spl/metrics.py",
     "src/repro/spl/operators.py",
+    "src/repro/spl/parallel.py",
     "src/repro/spl/tuples.py",
     # the whole package: the kernel, its clock, the seeded streams
     *sorted(

@@ -108,7 +108,7 @@ def executor(request):
 
 
 class TestSchedulerContract:
-    def test_backends_satisfy_the_abc(self, executor):
+    def test_backends_are_the_kernel(self, executor):
         # the contract is the kernel class itself: the sim backend is the
         # kernel, the wall-clock executor a subclass with its own clock
         assert isinstance(executor, Kernel)

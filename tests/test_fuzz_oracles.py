@@ -334,7 +334,7 @@ class TestFifo:
         return probe, [t["seq"] for t in sink_op.seen], feed
 
     @pytest.mark.parametrize("older_heals_first", [True, False])
-    def test_overlapping_untimed_partitions_preserve_link_fifo(
+    def test_overlapping_partitions_preserve_link_fifo(
         self, older_heals_first
     ):
         """Regression for the reorder the FIFO oracle exposed: with two

@@ -4,6 +4,7 @@ import ast
 import pathlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 import repro
 from repro.errors import ParallelRegionError
@@ -16,11 +17,13 @@ from repro.spl.library import (
     OrderedMerger,
     ParallelSplitter,
     Sink,
+    stable_channel_of,
+    stable_channels_of,
 )
 from repro.spl.parallel import expand_parallel_regions, parallel, resize_region
 from repro.spl.tuples import Punctuation, StreamTuple
 
-from tests.conftest import calls, make_operator_harness, where
+from tests.conftest import calls, example_budget, make_operator_harness, where
 
 
 def build_app(width=3, chain_len=1, annotation=None, partition="work"):
@@ -412,7 +415,12 @@ class TestOneTupleConstructor:
     src = pathlib.Path(repro.__file__).parent
 
     def test_only_submission_constructs_tuples(self):
-        assert where(self.src, calls("StreamTuple")) == [
+        def constructs(node):
+            """A tuple made from a dict: one at a time by the constructor,
+            or a run at a time by ``make_run``."""
+            return calls("StreamTuple")(node) or calls("make_run")(node)
+
+        assert where(self.src, constructs) == [
             "operators.py:Operator.submit",
             "operators.py:Operator.submit_batch",
         ]
@@ -429,9 +437,26 @@ class TestOneTupleConstructor:
             )
 
         assert where(library, alive_channels) == []  # no list of survivors
-        # the owner rule is ``hash(key) % width`` and nothing else
-        assert where(library, calls("_stable_hash")) == [
+        # the owner rule is ``hash(key) % width`` and nothing else; a run
+        # of keys is hashed by the rule's run form, which spells the same
+        # CRC-32 at C level (``test_the_run_form_is_the_rule``)
+        def hashes(node):
+            return calls("_stable_hash")(node) or getattr(node, "attr", None) == "crc32"
+
+        assert where(library, hashes) == [
+            "library.py:_stable_hash",
             "library.py:stable_channel_of",
+            "library.py:stable_channels_of",
             "library.py:ParallelSplitter._forward",
-            "library.py:ParallelSplitter._route_run",
         ]
+
+    @example_budget("batch-ci", tier1=100)
+    @given(
+        keys=st.lists(
+            st.one_of(st.text(max_size=6), st.integers(), st.floats(allow_nan=False), st.none()),
+            max_size=12,
+        ),
+        width=st.integers(1, 8),
+    )
+    def test_the_run_form_is_the_rule(self, keys, width):
+        assert stable_channels_of(keys, width) == [stable_channel_of(k, width) for k in keys]

@@ -17,8 +17,14 @@ from repro.spl.tuples import (
     FinalMarker,
     Punctuation,
     StreamTuple,
+    TupleBatch,
     WindowMarker,
     estimate_value_size,
+    from_wire_form,
+    make_run,
+    to_wire_form,
+    with_value_run,
+    without_run,
 )
 
 from tests.conftest import example_budget, make_operator_harness, where
@@ -26,6 +32,8 @@ from tests.conftest import example_budget, make_operator_harness, where
 #: tier-1's budget; the CI ``delivery-matrix`` job runs this file under
 #: ``--hypothesis-profile=batch-ci``
 BUDGET = example_budget("batch-ci", tier1=200)
+#: runs of up to eight members cost several tuples' examples each
+RUN_BUDGET = example_budget("batch-ci", tier1=25)
 
 
 class TestSchema:
@@ -325,6 +333,106 @@ class TestDerivedSize:
             assert derived.values == values
             assert derived.size_bytes == StreamTuple(values).size_bytes == _reference_size(values)
             assert (derived.created_at, derived.traced) == (3.0, True)
+
+
+#: one member of a run: its attributes, creation time and trace flag
+_members = st.tuples(_attrs, st.floats(0, 1e6), st.booleans())
+_runs = st.lists(_members, max_size=8)
+
+
+def _tuples_of(members):
+    return [StreamTuple(attrs, created_at=at, traced=flag) for attrs, at, flag in members]
+
+
+def _fields(tup):
+    return tup.values, tup.created_at, tup.size_bytes, tup.traced
+
+
+def _assert_carries_its_sums(run):
+    """A run carries the byte total and traced flag of its members."""
+    assert type(run) is TupleBatch
+    assert run.size_bytes == sum(tup.size_bytes for tup in run)
+    assert run.traced == any(tup.traced for tup in run)
+
+
+class TestRunKernels:
+    """A run kernel does in one call what the per-member path does member
+    by member: every member it makes or derives has the values, creation
+    time and trace flag the per-member reference gives, and the size
+    ``TestDerivedSize``'s ladder reference gives; every member it keeps
+    is itself; and the run carries the sums over its members.  Runs mix
+    rare value kinds, attributes present and absent, and the empty run."""
+
+    @RUN_BUDGET
+    @given(
+        items=st.lists(st.one_of(_attrs, _members.map(lambda m: _tuples_of([m])[0])), max_size=8),
+        at=st.floats(0, 1e6),
+        flags=st.lists(st.booleans(), min_size=8, max_size=8),
+        sampled=st.booleans(),
+    )
+    def test_make_run_makes_each_dict_as_the_constructor_does(self, items, at, flags, sampled):
+        asked = iter(flags)
+        run = make_run(items, at, (lambda: next(asked)) if sampled else None)
+        assert len(run) == len(items)
+        decisions = iter(flags)
+        for item, tup in zip(items, run):
+            if isinstance(item, StreamTuple):
+                assert tup is item
+                continue
+            assert tup.values == item and tup.values is not item
+            assert tup.size_bytes == StreamTuple(item).size_bytes == _reference_size(item)
+            assert (tup.created_at, tup.traced) == (at, next(decisions) if sampled else False)
+        # sampling was asked once per dict, in order, and for nothing else
+        assert sum(1 for _ in asked) == (8 - sum(type(i) is dict for i in items) if sampled else 8)
+        _assert_carries_its_sums(run)
+
+    @RUN_BUDGET
+    @given(members=_runs, name=_names, data=st.data())
+    def test_with_value_run_sets_each_member_as_with_value_does(self, members, name, data):
+        run = _tuples_of(members)
+        values = data.draw(st.lists(_values, min_size=len(run), max_size=len(run)))
+        derived = with_value_run(run, name, values)
+        assert len(derived) == len(run)
+        for tup, value, copy in zip(run, values, derived):
+            assert copy.values == {**tup.values, name: value}
+            assert copy.size_bytes == _reference_size(copy.values)
+            assert (copy.created_at, copy.traced) == (tup.created_at, tup.traced)
+            assert _fields(copy) == _fields(tup.with_value(name, value))
+        _assert_carries_its_sums(derived)
+
+    @RUN_BUDGET
+    @given(members=_runs, name=_names)
+    def test_without_run_drops_from_each_member_as_without_does(self, members, name):
+        run = _tuples_of(members)
+        stripped = without_run(run, name)
+        assert len(stripped) == len(run)
+        for tup, copy in zip(run, stripped):
+            if name not in tup.values:
+                assert copy is tup is tup.without(name)
+                continue
+            assert copy.values == {n: v for n, v in tup.values.items() if n != name}
+            assert copy.size_bytes == _reference_size(copy.values)
+            assert (copy.created_at, copy.traced) == (tup.created_at, tup.traced)
+            assert _fields(copy) == _fields(tup.without(name))
+        _assert_carries_its_sums(stripped)
+
+    @RUN_BUDGET
+    @given(members=_runs)
+    def test_a_run_and_its_wire_form_carry_the_same_sums(self, members):
+        run = TupleBatch(_tuples_of(members))
+        _assert_carries_its_sums(run)
+        rebuilt = from_wire_form(to_wire_form(run))
+        assert [_fields(tup) for tup in rebuilt] == [_fields(tup) for tup in run]
+        _assert_carries_its_sums(rebuilt)
+
+    def test_a_present_name_is_replaced_not_added(self):
+        tup = StreamTuple({"count": "seven", "k": 1.5}, created_at=2.0, traced=True)
+        [copy] = with_value_run([tup], "count", [7])
+        assert copy.size_bytes == _reference_size({"count": 7, "k": 1.5}) == tup.size_bytes - 5 + 8
+
+    def test_the_empty_run(self):
+        for run in (make_run([], 1.0), with_value_run([], "a", []), without_run([], "a")):
+            assert run == [] and (run.size_bytes, run.traced) == (0, False)
 
 
 #: a nested shape of 0s and 1s; each leaf is spelled ``n``, ``float(n)``

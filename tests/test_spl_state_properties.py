@@ -2,7 +2,8 @@
 
 A ``hypothesis`` state machine drives two keyed states — two channels of
 a region — through every way operator code and the runtime touch one:
-writes (``put`` / ``update`` / ``setdefault``), an in-place change to a
+writes (``put`` / ``update`` / ``setdefault``, and ``count`` over a run
+of keys, checked against one ``update`` per key), an in-place change to a
 value handed out by ``get``, deletes, checkpoints (``dirty_snapshot``
 merged over the previous base exactly as
 ``CheckpointService.checkpoint_pe`` merges it, then committed: the base
@@ -90,6 +91,22 @@ class KeyedStateMachine(RuleBasedStateMachine):
         self.states[i].update(key, lambda old: _bumped(old, value))
         model = self.models[i]
         model[key] = _bumped(model.get(key), copy.deepcopy(value))
+
+    @rule(i=_channels, keys=st.lists(_keys, max_size=6))
+    def count(self, i, keys):
+        """A run of counts (``KeyedCounter``'s batch): one call leaves the
+        values, the returned counts and the dirty / dropped bookkeeping
+        exactly as one ``update`` per key does, in order."""
+        model = self.models[i]
+        keys = [key for key in keys if type(model.get(key, 0)) in (int, float)]
+        state = self.states[i]
+        twin = copy.deepcopy(state)
+        expected = [twin.update(key, lambda n: n + 1, 0) for key in keys]
+        assert state.count(keys) == expected
+        assert list(state._dirty) == list(twin._dirty)
+        assert state._dropped == twin._dropped
+        for key in keys:
+            model[key] = model.get(key, 0) + 1
 
     @rule(i=_channels, key=_keys, value=_values)
     def setdefault(self, i, key, value):

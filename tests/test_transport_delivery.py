@@ -469,7 +469,7 @@ class TestLossyAcks:
         system.run_for(2.0)
         assert transport.reliability.pending == {}
 
-    def test_untimed_reverse_partition_swallows_acks(self):
+    def test_a_reverse_partition_delays_acks(self):
         """A partition delays an ack like a data unit: it lands one hop
         after the heal, nothing counts it dropped, and the sender — whose
         unit was delivered — does not retransmit meanwhile."""

@@ -149,7 +149,7 @@ class WireRun:
 
         def tee(flow, payload, first_seq, count, redelivery=False):
             if flow.dst_pe is self.sink_pe and isinstance(payload, (StreamTuple, TupleBatch)):
-                members = payload.tuples if isinstance(payload, TupleBatch) else [payload]
+                members = payload if isinstance(payload, TupleBatch) else [payload]
                 self.handed += [(redelivery, tup) for tup in members]
             hand_over(flow, payload, first_seq, count, redelivery)
 
